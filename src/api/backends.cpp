@@ -16,7 +16,7 @@
 #include <utility>
 
 #include "api/distributed_index.h"
-#include "api/registry.h"
+#include "api/lifecycle.h"
 #include "baselines/bucket_skipgraph.h"
 #include "baselines/chord.h"
 #include "baselines/det_skipnet.h"
@@ -189,63 +189,59 @@ std::unique_ptr<distributed_index> make_adapter(std::string_view name, Args&&...
 
 }  // namespace
 
-void register_builtin_backends(const backend_registrar& add) {
-  add("skipweb1d", [](std::vector<std::uint64_t> keys, const index_options& opts,
-                                   net::network& net) {
-    const auto p = opts.placement() == placement_policy::balanced
-                       ? core::skipweb_1d::placement::balanced
-                       : core::skipweb_1d::placement::tower;
-    return make_adapter<core::skipweb_1d>("skipweb1d", std::move(keys), opts.seed(), net, p,
-                                          opts.replication(), opts.bulk_build());
-  });
-  add("bucket_skipweb", [](std::vector<std::uint64_t> keys,
-                                        const index_options& opts, net::network& net) {
-    const auto M = opts.bucket_size_or_default(keys.size());
-    return make_adapter<core::bucket_skipweb>("bucket_skipweb", std::move(keys), opts.seed(), net,
-                                              M, opts.bulk_build());
-  });
-  add("skip_graph", [](std::vector<std::uint64_t> keys, const index_options& opts,
-                                    net::network& net) {
+// Only the arena-backed builtins restore natively: the restorer forwards the
+// (reader, network) pair to the structure's restore constructor. The other
+// baselines have no snapshot capability.
+void add_builtins(backend_table<distributed_index, std::uint64_t>& t) {
+  t["skipweb1d"] = {
+      [](std::vector<std::uint64_t> keys, const index_options& opts, net::network& net) {
+        const auto p = opts.placement() == placement_policy::balanced
+                           ? core::skipweb_1d::placement::balanced
+                           : core::skipweb_1d::placement::tower;
+        return make_adapter<core::skipweb_1d>("skipweb1d", std::move(keys), opts.seed(), net, p,
+                                              opts.replication(), opts.bulk_build());
+      },
+      [](persist::reader& r, net::network& net) {
+        return make_adapter<core::skipweb_1d>("skipweb1d", r, net);
+      }};
+  t["bucket_skipweb"] = {
+      [](std::vector<std::uint64_t> keys, const index_options& opts, net::network& net) {
+        const auto M = opts.bucket_size_or_default(keys.size());
+        return make_adapter<core::bucket_skipweb>("bucket_skipweb", std::move(keys), opts.seed(),
+                                                  net, M, opts.bulk_build());
+      },
+      [](persist::reader& r, net::network& net) {
+        return make_adapter<core::bucket_skipweb>("bucket_skipweb", r, net);
+      }};
+  t["skip_graph"] = {[](std::vector<std::uint64_t> keys, const index_options& opts,
+                        net::network& net) {
     return make_adapter<baselines::skip_graph>("skip_graph", std::move(keys), opts.seed(), net);
-  });
-  add("non_skipgraph", [](std::vector<std::uint64_t> keys, const index_options& opts,
-                                       net::network& net) {
+  }};
+  t["non_skipgraph"] = {[](std::vector<std::uint64_t> keys, const index_options& opts,
+                           net::network& net) {
     return make_adapter<baselines::non_skip_graph>("non_skipgraph", std::move(keys), opts.seed(),
                                                    net);
-  });
-  add("bucket_skipgraph", [](std::vector<std::uint64_t> keys,
-                                          const index_options& opts, net::network& net) {
+  }};
+  t["bucket_skipgraph"] = {[](std::vector<std::uint64_t> keys, const index_options& opts,
+                              net::network& net) {
     const auto buckets = opts.buckets_or_default(keys.size());
     return make_adapter<baselines::bucket_skip_graph>("bucket_skipgraph", std::move(keys),
                                                       opts.seed(), net, buckets);
-  });
-  add("det_skipnet", [](std::vector<std::uint64_t> keys, const index_options& opts,
-                                     net::network& net) {
+  }};
+  t["det_skipnet"] = {[](std::vector<std::uint64_t> keys, const index_options& opts,
+                         net::network& net) {
     (void)opts;  // deterministic: no seed
     return make_adapter<baselines::det_skipnet>("det_skipnet", std::move(keys), net);
-  });
-  add("family_tree", [](std::vector<std::uint64_t> keys, const index_options& opts,
-                                     net::network& net) {
+  }};
+  t["family_tree"] = {[](std::vector<std::uint64_t> keys, const index_options& opts,
+                         net::network& net) {
     return make_adapter<baselines::family_tree>("family_tree", std::move(keys), opts.seed(), net);
-  });
-  add("chord", [](std::vector<std::uint64_t> keys, const index_options& opts,
-                               net::network& net) {
+  }};
+  t["chord"] = {[](std::vector<std::uint64_t> keys, const index_options& opts,
+                   net::network& net) {
     const auto hosts = opts.buckets_or_default(keys.size());
     return std::make_unique<chord_adapter>(hosts, std::move(keys), opts, net);
-  });
-}
-
-// Restore factories for the snapshot-capable (arena-backed) builtins: the
-// adapter forwards the (reader, network) pair to the structure's restore
-// constructor. Non-arena baselines have no snapshot capability and no entry
-// here — restore_index throws std::out_of_range for them.
-void register_builtin_backend_restores(const restore_registrar& add) {
-  add("skipweb1d", [](persist::reader& r, net::network& net) {
-    return make_adapter<core::skipweb_1d>("skipweb1d", r, net);
-  });
-  add("bucket_skipweb", [](persist::reader& r, net::network& net) {
-    return make_adapter<core::bucket_skipweb>("bucket_skipweb", r, net);
-  });
+  }};
 }
 
 }  // namespace skipweb::api

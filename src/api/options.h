@@ -54,13 +54,14 @@ class index_options {
     buckets_ = b;
     return *this;
   }
-  // Opt into hot-route replica caching: make_index / make_spatial_index
-  // attaches `c` to the network (network::attach_hop_cache), so queries on
-  // the built index absorb their first hops to replicated hot hosts and
-  // committed receipts train the cache. Answers are unchanged by contract
-  // (see serve/route_cache.h); only receipts and the congestion ledger
-  // differ. The cache must outlive the network attachment; nullptr (the
-  // default) leaves whatever is attached untouched.
+  // Opt into hot-route replica caching: make_index / make_spatial_index /
+  // make_string_index attach `c` to the network (network::attach_hop_cache)
+  // on a build and on a restore alike, so queries on the built index absorb
+  // their first hops to replicated hot hosts and committed receipts train
+  // the cache. Answers are unchanged by contract (see serve/route_cache.h);
+  // only receipts and the congestion ledger differ. The cache must outlive
+  // the network attachment; nullptr (the default) leaves whatever is
+  // attached untouched.
   index_options& route_cache(net::hop_cache* c) {
     route_cache_ = c;
     return *this;
@@ -106,14 +107,15 @@ class index_options {
     return *this;
   }
   // Opt into instant restart (the persistence plane, DESIGN.md §13): with a
-  // path set, make_index / make_spatial_index first look for a snapshot file
-  // there — if one exists the index is RESTORED from it (mmap mode: cold
-  // start in milliseconds, arenas borrowed from the mapping until first
-  // write) instead of built; if not, the index is built normally, compacted,
-  // and SAVED there for the next start. Either way the caller gets an index
-  // whose answers, uids and receipts are byte-identical to a fresh build.
-  // Only snapshot-capable backends (capability::snapshot) participate; with
-  // others the path is ignored. Empty (the default) disables the plane.
+  // path set, make_index / make_spatial_index / make_string_index first look
+  // for a snapshot file there — if one exists the index is RESTORED from it
+  // (mmap mode: cold start in milliseconds, arenas borrowed from the mapping
+  // until first write) instead of built; if not, the index is built
+  // normally, compacted, and SAVED there for the next start. Either way the
+  // caller gets an index whose answers, uids and receipts are byte-identical
+  // to a fresh build. Only snapshot-capable backends (capability::snapshot)
+  // participate; with others the path is ignored. Empty (the default)
+  // disables the plane.
   index_options& snapshot_path(std::string path) {
     snapshot_path_ = std::move(path);
     return *this;

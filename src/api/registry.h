@@ -27,11 +27,9 @@ namespace skipweb::api {
 using backend_factory = std::function<std::unique_ptr<distributed_index>(
     std::vector<std::uint64_t> keys, const index_options& opts, net::network& net)>;
 
-// Signature the builtin bootstrap registers through (see registry.cpp).
-using backend_registrar = std::function<void(std::string, backend_factory)>;
-
 // Registers (or replaces) a backend under `name`. Registering a builtin
-// name overrides it, regardless of registration order.
+// name overrides it, regardless of registration order; the new entry has no
+// native restorer, so its snapshots (if any) restore by replay.
 void register_backend(std::string name, backend_factory make);
 
 [[nodiscard]] bool backend_known(std::string_view name);
@@ -55,20 +53,7 @@ void register_backend(std::string name, backend_factory make);
 
 // --- persistence (DESIGN.md §13) --------------------------------------------
 
-// Reconstructs one backend instance from an open, validated snapshot. The
-// reader is positioned on the whole file; the factory reads the sections its
-// save_snapshot wrote and replays the deployment ledger onto `net` (a fresh
-// network by contract).
-using restore_factory = std::function<std::unique_ptr<distributed_index>(
-    persist::reader& r, net::network& net)>;
-
-// Signature the builtin bootstrap registers restores through (backends.cpp).
-using restore_registrar = std::function<void(std::string, restore_factory)>;
-
-// Registers (or replaces) the restore path of a snapshot-capable backend.
-void register_backend_restore(std::string name, restore_factory make);
-
-// True when `name` has a registered restore factory.
+// True when `name` registered a native restorer (arena snapshots).
 [[nodiscard]] bool backend_restorable(std::string_view name);
 
 // Compact `idx` (so resident bytes match the payload) and write a complete
@@ -83,8 +68,9 @@ void save_index_snapshot(distributed_index& idx, const std::string& path);
 // memory ledger exactly. restore_mode::map borrows the arenas from a
 // read-only file mapping (cold start in milliseconds; pages fault in on
 // demand and copy on first write); restore_mode::load reads and verifies
-// every payload checksum up front. Throws persist::error on any corruption
-// and std::out_of_range when the saved backend has no restore factory.
+// every payload checksum up front. Backends without a native restorer
+// restore by replay (persist/replay_log.h). Throws persist::error on any
+// corruption, a wrong-kind file, or a backend name nothing registered.
 [[nodiscard]] std::unique_ptr<distributed_index> restore_index(
     const std::string& path, persist::restore_mode mode, net::network& net);
 

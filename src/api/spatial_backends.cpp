@@ -33,13 +33,14 @@
 #include <utility>
 #include <vector>
 
+#include "api/lifecycle.h"
 #include "api/spatial_index.h"
-#include "api/spatial_registry.h"
 #include "core/skip_quadtree.h"
 #include "core/skip_trapmap.h"
 #include "core/skip_trie.h"
 #include "net/cursor.h"
 #include "net/network.h"
+#include "persist/replay_log.h"
 #include "seq/trapmap.h"
 
 namespace skipweb::api {
@@ -89,10 +90,7 @@ class quadtree_adapter final : public spatial_index {
     return c;
   }
 
-  void save_snapshot(persist::writer& w) const override {
-    w.add_u64("meta.kind", 0);  // native: arena sections follow
-    impl_.save_snapshot(w);
-  }
+  void save_snapshot(persist::writer& w) const override { impl_.save_snapshot(w); }
   void compact() override { impl_.compact(); }
 
   op_result<std::size_t> repair_step(net::host_id origin) override {
@@ -164,10 +162,8 @@ class trie_adapter final : public spatial_index {
   static constexpr int D = 2;
 
   trie_adapter(std::vector<spatial_point> pts, const index_options& opts, net::network& net)
-      : seed_(opts.seed()),
-        pre_hosts_(net.host_count()),
-        build_pts_(std::move(pts)),
-        impl_(encode_all(build_pts_), opts.seed(), net) {}
+      : replay_{opts.seed(), net.host_count(), std::move(pts), {}, {}},
+        impl_(encode_all(replay_.build_keys), opts.seed(), net) {}
 
   [[nodiscard]] std::string_view backend() const override { return "skip_trie"; }
   [[nodiscard]] int dims() const override { return D; }
@@ -177,20 +173,9 @@ class trie_adapter final : public spatial_index {
   }
 
   // Replay snapshot (DESIGN.md §13): the trie's inner structure is not
-  // arena-backed, so persistence is the deterministic record — build input,
-  // seed, pre-build host count, and the structural op log with origins.
-  // restore_spatial_index rebuilds through the ordinary factory and replays.
-  void save_snapshot(persist::writer& w) const override {
-    w.add_u64("meta.kind", 1);  // replay
-    w.add_u64("replay.seed", seed_);
-    w.add_u64("replay.pre_hosts", pre_hosts_);
-    w.add_vector("replay.build_pts", build_pts_);
-    w.add_vector("replay.oplog", oplog_);
-  }
-  void compact() override {
-    build_pts_.shrink_to_fit();
-    oplog_.shrink_to_fit();
-  }
+  // arena-backed, so the deterministic record is what persists.
+  void save_snapshot(persist::writer& w) const override { replay_.save(w); }
+  void compact() override { replay_.compact(); }
 
   [[nodiscard]] spatial_locate_result locate(const spatial_point& q,
                                              net::host_id origin) const override {
@@ -208,12 +193,12 @@ class trie_adapter final : public spatial_index {
 
   op_stats insert(const spatial_point& p, net::host_id origin) override {
     const auto stats = impl_.insert(encode(p), origin);
-    oplog_.push_back({0, origin.value, p.x});  // after: failed ops leave no row
+    replay_.record(persist::replay_op::insert, origin, p);
     return stats;
   }
   op_stats erase(const spatial_point& p, net::host_id origin) override {
     const auto stats = impl_.erase(encode(p), origin);
-    oplog_.push_back({1, origin.value, p.x});
+    replay_.record(persist::replay_op::erase, origin, p);
     return stats;
   }
 
@@ -307,14 +292,8 @@ class trie_adapter final : public spatial_index {
     }
   }
 
-  // Replay record members precede impl_: pre_hosts_ must read host_count()
-  // before the build grows the deployment (members initialize in declaration
-  // order).
-  std::uint64_t seed_;
-  std::size_t pre_hosts_;
-  std::vector<spatial_point> build_pts_;
+  persist::replay_log<spatial_point> replay_;  // first: see replay_log.h
   core::skip_trie impl_;
-  std::vector<spatial_replay_row> oplog_;
 };
 
 // --- trapezoidal-map platforms ----------------------------------------------
@@ -335,12 +314,11 @@ class trapmap_adapter final : public spatial_index {
   static constexpr double kJitterStep = 1.0 / (1ull << 52);
 
   trapmap_adapter(std::vector<spatial_point> pts, const index_options& opts, net::network& net)
-      : net_(&net),
-        seed_(opts.seed()),
-        pre_hosts_(net.host_count()),
-        build_pts_(std::move(pts)),
-        impl_(segments_for(build_pts_), -kPad, 1.0 + kPad, -kPad, 1.0 + kPad, opts.seed(), net) {
-    for (const auto& p : build_pts_) remember(p);
+      : replay_{opts.seed(), net.host_count(), std::move(pts), {}, {}},
+        net_(&net),
+        impl_(segments_for(replay_.build_keys), -kPad, 1.0 + kPad, -kPad, 1.0 + kPad, opts.seed(),
+              net) {
+    for (const auto& p : replay_.build_keys) remember(p);
   }
 
   [[nodiscard]] std::string_view backend() const override { return "skip_trapmap"; }
@@ -350,19 +328,11 @@ class trapmap_adapter final : public spatial_index {
     return spatial_base_caps | spatial_capability::snapshot;
   }
 
-  // Replay snapshot, exactly as the trie's (see trie_adapter::save_snapshot):
-  // the trapezoidal map's node/pointer web is not arena-backed, so the
-  // deterministic record is what persists.
-  void save_snapshot(persist::writer& w) const override {
-    w.add_u64("meta.kind", 1);  // replay
-    w.add_u64("replay.seed", seed_);
-    w.add_u64("replay.pre_hosts", pre_hosts_);
-    w.add_vector("replay.build_pts", build_pts_);
-    w.add_vector("replay.oplog", oplog_);
-  }
+  // Replay snapshot: the trapezoidal map's node/pointer web is not
+  // arena-backed either.
+  void save_snapshot(persist::writer& w) const override { replay_.save(w); }
   void compact() override {
-    build_pts_.shrink_to_fit();
-    oplog_.shrink_to_fit();
+    replay_.compact();
     items_.shrink_to_fit();
   }
 
@@ -388,14 +358,14 @@ class trapmap_adapter final : public spatial_index {
   op_stats insert(const spatial_point& p, net::host_id origin) override {
     const auto stats = impl_.insert(segment_for(p), origin);
     remember(p);  // after the insert, so contract violations leave no trace
-    oplog_.push_back({0, origin.value, p.x});
+    replay_.record(persist::replay_op::insert, origin, p);
     return stats;
   }
 
   op_stats erase(const spatial_point& p, net::host_id origin) override {
     const auto stats = impl_.erase(segment_for(p), origin);
     forget(p);
-    oplog_.push_back({1, origin.value, p.x});
+    replay_.record(persist::replay_op::erase, origin, p);
     return stats;
   }
 
@@ -489,48 +459,46 @@ class trapmap_adapter final : public spatial_index {
     items_.pop_back();
   }
 
-  net::network* net_;  // declared (and initialized) before impl_
-  // Replay record members precede impl_: pre_hosts_ must read host_count()
-  // before the build grows the deployment.
-  std::uint64_t seed_;
-  std::size_t pre_hosts_;
-  std::vector<spatial_point> build_pts_;
+  persist::replay_log<spatial_point> replay_;  // first: see replay_log.h
+  net::network* net_;
   core::skip_trapmap impl_;
   std::vector<spatial_point> items_;
   std::unordered_map<spatial_point, std::size_t, point_hash> index_of_;
-  std::vector<spatial_replay_row> oplog_;
 };
 
 }  // namespace
 
-void register_builtin_spatial_backends(const spatial_registrar& add) {
-  add("skip_quadtree2", 2,
+// skip_quadtree2/3 restore natively; skip_trie and skip_trapmap register no
+// restorer, so their snapshots rebuild through the factories by replay.
+void add_builtins(backend_table<spatial_index, spatial_point>& t) {
+  t["skip_quadtree2"] = {
       [](std::vector<spatial_point> pts, const index_options& opts, net::network& net) {
         return std::make_unique<quadtree_adapter<2>>("skip_quadtree2", std::move(pts), opts, net);
-      });
-  add("skip_quadtree3", 3,
+      },
+      [](persist::reader& r, net::network& net) {
+        return std::make_unique<quadtree_adapter<2>>("skip_quadtree2", r, net);
+      },
+      2};
+  t["skip_quadtree3"] = {
       [](std::vector<spatial_point> pts, const index_options& opts, net::network& net) {
         return std::make_unique<quadtree_adapter<3>>("skip_quadtree3", std::move(pts), opts, net);
-      });
-  add("skip_trie", 2,
+      },
+      [](persist::reader& r, net::network& net) {
+        return std::make_unique<quadtree_adapter<3>>("skip_quadtree3", r, net);
+      },
+      3};
+  t["skip_trie"] = {
       [](std::vector<spatial_point> pts, const index_options& opts, net::network& net) {
         return std::make_unique<trie_adapter>(std::move(pts), opts, net);
-      });
-  add("skip_trapmap", 2,
+      },
+      {},
+      2};
+  t["skip_trapmap"] = {
       [](std::vector<spatial_point> pts, const index_options& opts, net::network& net) {
         return std::make_unique<trapmap_adapter>(std::move(pts), opts, net);
-      });
-}
-
-// Native restore factories (the replay-kind backends need none: their
-// snapshots rebuild through the ordinary factories above).
-void register_builtin_spatial_restores(const spatial_restore_registrar& add) {
-  add("skip_quadtree2", [](persist::reader& r, net::network& net) {
-    return std::make_unique<quadtree_adapter<2>>("skip_quadtree2", r, net);
-  });
-  add("skip_quadtree3", [](persist::reader& r, net::network& net) {
-    return std::make_unique<quadtree_adapter<3>>("skip_quadtree3", r, net);
-  });
+      },
+      {},
+      2};
 }
 
 }  // namespace skipweb::api

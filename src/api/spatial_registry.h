@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -17,10 +16,10 @@ class network;
 
 namespace skipweb::api {
 
-// String-keyed registry for the multi-dimensional backends, mirroring the
-// 1-D registry (registry.h): benches, workloads and tests select a spatial
-// structure at runtime by name, and a new backend earns the whole oracle
-// conformance suite by registering itself.
+// String-keyed registry for the multi-dimensional backends, served by the
+// same lifecycle as the 1-D registry (registry.cpp): benches, workloads and
+// tests select a spatial structure at runtime by name, and a new backend
+// earns the whole oracle conformance suite by registering itself.
 //
 // Built-in names (registered on first use): "skip_quadtree2",
 // "skip_quadtree3", "skip_trie" (Morton-coded), "skip_trapmap". Downstream
@@ -29,12 +28,9 @@ namespace skipweb::api {
 using spatial_factory = std::function<std::unique_ptr<spatial_index>(
     std::vector<spatial_point> pts, const index_options& opts, net::network& net)>;
 
-// Signature the builtin bootstrap registers through (spatial_backends.cpp).
-// `dims` is declared at registration so workload generators can produce
-// points of the right dimensionality before any instance exists.
-using spatial_registrar = std::function<void(std::string, int, spatial_factory)>;
-
-// Registers (or replaces) a backend under `name` with its dimensionality.
+// Registers (or replaces) a backend under `name` with its dimensionality,
+// declared here so workload generators can produce points of the right
+// dimensionality before any instance exists.
 void register_spatial_backend(std::string name, int dims, spatial_factory make);
 
 [[nodiscard]] bool spatial_backend_known(std::string_view name);
@@ -60,33 +56,10 @@ void register_spatial_backend(std::string name, int dims, spatial_factory make);
 
 // --- persistence (DESIGN.md §13) --------------------------------------------
 //
-// Spatial snapshots come in two kinds, chosen by the backend's
-// save_snapshot and recorded in the file's "meta.kind" section:
-//   0 (native) — arena sections; restored by the backend's registered
-//     spatial_restore_factory (skip_quadtree2/3).
-//   1 (replay) — the build's input points plus a structural op log with
-//     origins; restored generically by rebuilding through the ordinary
-//     build factory and replaying the ops, which reproduces the structure,
-//     answers, receipts AND the deployment ledger exactly (skip_trie,
-//     skip_trapmap — backends whose inner structures are not arena-backed).
-
-// One op-log row of a replay snapshot: op 0 = insert, 1 = erase.
-struct spatial_replay_row {
-  std::uint64_t op = 0;
-  std::uint64_t origin = 0;
-  std::array<std::uint64_t, 3> x{};
-};
-static_assert(sizeof(spatial_replay_row) == 40);
-
-using spatial_restore_factory = std::function<std::unique_ptr<spatial_index>(
-    persist::reader& r, net::network& net)>;
-
-// Signature the builtin bootstrap registers restores through
-// (spatial_backends.cpp).
-using spatial_restore_registrar = std::function<void(std::string, spatial_restore_factory)>;
-
-// Registers (or replaces) the native restore path of a backend.
-void register_spatial_restore(std::string name, spatial_restore_factory make);
+// skip_quadtree2/3 persist natively (arena sections, restored by their
+// registered restorer); skip_trie and skip_trapmap persist by replay
+// (persist/replay_log.h) — the build points plus the structural op log,
+// re-issued through the ordinary factory on restore.
 
 // Compact `idx` and write a complete single-file snapshot (identification
 // sections "meta.backend" / "meta.n" / "meta.index_kind" = 1 plus the
@@ -95,9 +68,9 @@ void register_spatial_restore(std::string name, spatial_restore_factory make);
 void save_spatial_snapshot(spatial_index& idx, const std::string& path);
 
 // Rebuild a spatial index from a snapshot onto `net` (a FRESH network).
-// Native snapshots restore through the backend factory (mmap mode borrows
+// Native snapshots restore through the backend's restorer (mmap mode borrows
 // the arenas zero-copy); replay snapshots rebuild + replay. Throws
-// persist::error on corruption, std::out_of_range for an unknown backend.
+// persist::error on corruption or a backend name nothing registered.
 [[nodiscard]] std::unique_ptr<spatial_index> restore_spatial_index(
     const std::string& path, persist::restore_mode mode, net::network& net);
 

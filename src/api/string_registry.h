@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -17,11 +16,11 @@ class network;
 
 namespace skipweb::api {
 
-// String-keyed registry for the text backends, mirroring the 1-D and
-// spatial registries: benches, workloads and tests select a string index at
-// runtime by name, and a new backend earns the whole shared oracle
-// conformance suite (tests/test_string_conformance.cpp) by registering
-// itself.
+// String-keyed registry for the text backends, served by the same lifecycle
+// as the 1-D and spatial registries (registry.cpp): benches, workloads and
+// tests select a string index at runtime by name, and a new backend earns
+// the whole shared oracle conformance suite (tests/test_string_conformance.cpp)
+// by registering itself.
 //
 // Built-in names (registered on first use): "string_skiptrie" (the promoted
 // skip-trie text core, byte-alphabet prefix descent) and "string_sorted"
@@ -30,9 +29,6 @@ namespace skipweb::api {
 
 using string_factory = std::function<std::unique_ptr<string_index>(
     std::vector<std::string> keys, const index_options& opts, net::network& net)>;
-
-// Signature the builtin bootstrap registers through (string_backends.cpp).
-using string_registrar = std::function<void(std::string, string_factory)>;
 
 // Registers (or replaces) a backend under `name`.
 void register_string_backend(std::string name, string_factory make);
@@ -55,30 +51,12 @@ void register_string_backend(std::string name, string_factory make);
 
 // --- persistence (DESIGN.md §13/§14) ----------------------------------------
 //
-// String snapshots are replay-kind only for now ("meta.kind" = 1): the trie
+// String snapshots are replay records (persist/replay_log.h): the trie
 // core's inner structures are not arena-backed and the sorted baseline's
-// strings are heap cells, so persistence is the deterministic record — build
-// keys, seed, pre-build host count, and the structural op log with origins.
-// Restore rebuilds through the ordinary factory and replays, which
-// reproduces answers, receipts AND the deployment ledger exactly. A native
-// arena dump can slot in later via "meta.kind" = 0 without a format break.
-
-// One op-log row of a string replay snapshot: op 0 = insert, 1 = erase; the
-// key itself lives at the same row index of the "replay.oplog_keys" string
-// table (strings are variable-length, so rows stay POD).
-struct string_replay_op {
-  std::uint64_t op = 0;
-  std::uint64_t origin = 0;
-};
-static_assert(sizeof(string_replay_op) == 16);
-
-// Variable-length string tables inside a snapshot: `name + ".blob"` holds
-// the concatenated bytes, `name + ".offs"` the 64-bit END offset of each
-// string — the encoding both string backends and any future one share.
-void add_string_table(persist::writer& w, std::string_view name,
-                      const std::vector<std::string>& v);
-[[nodiscard]] std::vector<std::string> read_string_table(persist::reader& r,
-                                                         std::string_view name);
+// strings are heap cells, so persistence is the build keys, seed, pre-build
+// host count and the structural op log with origins. Restore rebuilds
+// through the ordinary factory and replays, which reproduces answers,
+// receipts AND the deployment ledger exactly.
 
 // Compact `idx` and write a complete single-file snapshot (identification
 // sections "meta.backend" / "meta.n" / "meta.index_kind" = 2 plus the
@@ -87,8 +65,7 @@ void add_string_table(persist::writer& w, std::string_view name,
 void save_string_snapshot(string_index& idx, const std::string& path);
 
 // Rebuild a string index from a snapshot onto `net` (a FRESH network).
-// Throws persist::error on corruption, std::out_of_range for an unknown
-// backend.
+// Throws persist::error on corruption or a backend name nothing registered.
 [[nodiscard]] std::unique_ptr<string_index> restore_string_index(const std::string& path,
                                                                  persist::restore_mode mode,
                                                                  net::network& net);

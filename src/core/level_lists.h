@@ -351,18 +351,9 @@ class level_lists {
   // while the hop bookkeeping resolves.
   void prefetch_next(int item, int level) const { util::prefetch(&fwd_[slot(item, level)]); }
   void prefetch_prev(int item, int level) const { util::prefetch(&bwd_[slot(item, level)]); }
-  // Warm an item's slot-indexed rows before a search starts there.
-  void prefetch_item(int item) const {
-    util::prefetch(&keys_[static_cast<std::size_t>(item)]);
-    util::prefetch(&alive_[static_cast<std::size_t>(item)]);
-  }
 
   [[nodiscard]] util::level_prefix prefix(int item, int level) const {
     return util::prefix_of(bits_[static_cast<std::size_t>(item)], level);
-  }
-
-  [[nodiscard]] bool same_list(int a, int b, int level) const {
-    return prefix(a, level) == prefix(b, level);
   }
 
   // Where an unspliced (deleted) item's traffic should be redirected: its

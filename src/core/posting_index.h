@@ -118,8 +118,6 @@ class posting_index {
     return out;
   }
 
-  [[nodiscard]] std::size_t token_count() const { return postings_.size(); }
-
   // All directory: the maps and their heap strings plus the uid lists.
   [[nodiscard]] api::memory_footprint footprint() const {
     api::memory_footprint f;

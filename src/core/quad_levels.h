@@ -82,7 +82,6 @@ class quad_levels {
   [[nodiscard]] std::size_t node_count(int level) const {
     return lv(level).live_nodes;
   }
-  [[nodiscard]] std::size_t tree_count(int level) const { return lv(level).trees.size(); }
 
   // --- point arena ----------------------------------------------------------
 

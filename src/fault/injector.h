@@ -29,7 +29,6 @@ class injector {
   // Fire everything still pending (end of the run).
   std::size_t finish();
 
-  [[nodiscard]] std::size_t applied() const { return next_; }
   [[nodiscard]] std::size_t remaining() const { return events_.size() - next_; }
   [[nodiscard]] const std::vector<workloads::churn_event>& events() const { return events_; }
 

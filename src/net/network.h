@@ -163,9 +163,6 @@ class network {
     SW_EXPECTS(traffic_quiescent());
     op_load_tracking_.store(on, std::memory_order_relaxed);
   }
-  [[nodiscard]] bool op_load_tracking() const {
-    return op_load_tracking_.load(std::memory_order_relaxed);
-  }
 
   // One-call congestion report over the visit ledger (max/mean/p99 host
   // visits, touched-host count, per-op max host load). Quiescent-only, like
@@ -244,7 +241,6 @@ class network {
   // both endpoints share an id. Pass {} / clear_partitions() to heal.
   void set_partitions(const std::vector<std::vector<host_id>>& groups);
   void clear_partitions() { set_partitions({}); }
-  [[nodiscard]] bool partitioned() const { return !partition_.empty(); }
 
   // Seeded probabilistic loss: each attempted hop is independently lost with
   // probability p (the retry charge is computed statelessly per attempt from
@@ -302,7 +298,6 @@ class network {
   [[nodiscard]] double host_slowdown(host_id h) const {
     return slowdown_.empty() ? 1.0 : slowdown_[h.value];
   }
-  [[nodiscard]] std::size_t hosts_slowed() const { return slowed_count_; }
 
   // Per-op simulated deadline (0 = none): query-plane cursors constructed
   // while a latency model is active flag timed_out once their accumulated

@@ -32,18 +32,6 @@ struct qpoint {
   friend bool operator==(const qpoint&, const qpoint&) = default;
 };
 
-// Quantize a point from [0,1)^D onto the grid.
-template <int D>
-qpoint<D> quantize(const std::array<double, D>& p) {
-  qpoint<D> out;
-  for (int d = 0; d < D; ++d) {
-    SW_EXPECTS(p[d] >= 0.0 && p[d] < 1.0);
-    out.x[d] = static_cast<coord_t>(p[d] * static_cast<double>(coord_span));
-    if (out.x[d] >= coord_span) out.x[d] = coord_span - 1;
-  }
-  return out;
-}
-
 // A dyadic hypercube: the `level` leading bits of every coordinate are fixed
 // by `corner` (whose trailing bits are zero). level 0 is the whole space;
 // level coord_bits is a single grid cell.

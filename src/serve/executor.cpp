@@ -61,22 +61,22 @@ void executor::for_slices(std::size_t n,
   });
 }
 
-executor::nearest_outcome executor::run_nearest(const api::distributed_index& idx,
-                                                const std::vector<std::uint64_t>& qs,
-                                                net::host_id origin, std::size_t batch) {
+template <typename Outcome, typename Query, typename Serve>
+Outcome executor::run_batches(const std::vector<Query>& qs, std::size_t batch,
+                              const Serve& serve) {
   const std::size_t width = std::max<std::size_t>(batch, 1);
-  nearest_outcome out;
+  Outcome out;
   out.results.resize(qs.size());
   std::vector<api::op_stats> partial(thread_count_);
   for_slices(qs.size(), [&](std::size_t worker, std::size_t lo, std::size_t hi) {
     api::op_stats sum;
-    std::vector<std::uint64_t> group;
+    std::vector<Query> group;
     group.reserve(std::min(width, hi - lo));
     for (std::size_t base = lo; base < hi; base += width) {
       const std::size_t count = std::min(width, hi - base);
       group.assign(qs.begin() + static_cast<std::ptrdiff_t>(base),
                    qs.begin() + static_cast<std::ptrdiff_t>(base + count));
-      auto res = idx.nearest_batch(group, origin);
+      auto res = serve(group);
       SW_ASSERT(res.size() == count);
       for (std::size_t i = 0; i < count; ++i) {
         sum += res[i].stats;
@@ -91,60 +91,25 @@ executor::nearest_outcome executor::run_nearest(const api::distributed_index& id
   return out;
 }
 
+executor::nearest_outcome executor::run_nearest(const api::distributed_index& idx,
+                                                const std::vector<std::uint64_t>& qs,
+                                                net::host_id origin, std::size_t batch) {
+  return run_batches<nearest_outcome>(
+      qs, batch, [&](const auto& group) { return idx.nearest_batch(group, origin); });
+}
+
 executor::locate_outcome executor::run_locate(const api::spatial_index& idx,
                                               const std::vector<api::spatial_point>& qs,
                                               net::host_id origin, std::size_t batch) {
-  const std::size_t width = std::max<std::size_t>(batch, 1);
-  locate_outcome out;
-  out.results.resize(qs.size());
-  std::vector<api::op_stats> partial(thread_count_);
-  for_slices(qs.size(), [&](std::size_t worker, std::size_t lo, std::size_t hi) {
-    api::op_stats sum;
-    std::vector<api::spatial_point> group;
-    group.reserve(std::min(width, hi - lo));
-    for (std::size_t base = lo; base < hi; base += width) {
-      const std::size_t count = std::min(width, hi - base);
-      group.assign(qs.begin() + static_cast<std::ptrdiff_t>(base),
-                   qs.begin() + static_cast<std::ptrdiff_t>(base + count));
-      auto res = idx.locate_batch(group, origin);
-      SW_ASSERT(res.size() == count);
-      for (std::size_t i = 0; i < count; ++i) {
-        sum += res[i].stats;
-        out.results[base + i] = std::move(res[i]);
-      }
-    }
-    partial[worker] = sum;
-  });
-  for (const auto& p : partial) out.total += p;
-  return out;
+  return run_batches<locate_outcome>(
+      qs, batch, [&](const auto& group) { return idx.locate_batch(group, origin); });
 }
 
 executor::contains_outcome executor::run_contains(const api::string_index& idx,
                                                   const std::vector<std::string>& qs,
                                                   net::host_id origin, std::size_t batch) {
-  const std::size_t width = std::max<std::size_t>(batch, 1);
-  contains_outcome out;
-  out.results.resize(qs.size());
-  std::vector<api::op_stats> partial(thread_count_);
-  for_slices(qs.size(), [&](std::size_t worker, std::size_t lo, std::size_t hi) {
-    api::op_stats sum;
-    std::vector<std::string> group;
-    group.reserve(std::min(width, hi - lo));
-    for (std::size_t base = lo; base < hi; base += width) {
-      const std::size_t count = std::min(width, hi - base);
-      group.assign(qs.begin() + static_cast<std::ptrdiff_t>(base),
-                   qs.begin() + static_cast<std::ptrdiff_t>(base + count));
-      auto res = idx.contains_batch(group, origin);
-      SW_ASSERT(res.size() == count);
-      for (std::size_t i = 0; i < count; ++i) {
-        sum += res[i].stats;
-        out.results[base + i] = std::move(res[i]);
-      }
-    }
-    partial[worker] = sum;
-  });
-  for (const auto& p : partial) out.total += p;
-  return out;
+  return run_batches<contains_outcome>(
+      qs, batch, [&](const auto& group) { return idx.contains_batch(group, origin); });
 }
 
 executor::open_loop_outcome executor::run_open_loop(const api::distributed_index& idx,

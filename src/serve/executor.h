@@ -170,6 +170,11 @@ class executor {
  private:
   void worker_loop(std::size_t worker);
   void run_job(const std::function<void(std::size_t)>& job);
+  // The slice/batch/merge loop of run_nearest / run_locate / run_contains:
+  // each worker hands `batch`-wide groups of its slice to `serve` (one
+  // *_batch call), stores the answers in input order and sums the receipts.
+  template <typename Outcome, typename Query, typename Serve>
+  Outcome run_batches(const std::vector<Query>& qs, std::size_t batch, const Serve& serve);
 
   std::size_t thread_count_;
   std::vector<std::thread> workers_;

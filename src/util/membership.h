@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "util/rng.h"
 #include "util/sw_assert.h"
@@ -64,11 +63,5 @@ inline level_prefix prefix_of(membership_bits m, int length) {
   const std::uint64_t mask = (length == 64) ? ~std::uint64_t{0} : ((std::uint64_t{1} << length) - 1);
   return level_prefix{length, m & mask};
 }
-
-struct level_prefix_hash {
-  std::size_t operator()(const level_prefix& p) const {
-    return std::hash<std::uint64_t>{}(p.bits * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(p.length));
-  }
-};
 
 }  // namespace skipweb::util

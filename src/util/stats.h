@@ -75,8 +75,6 @@ inline double correlation(const std::vector<double>& xs, const std::vector<doubl
   return cov / denom;
 }
 
-inline double log2d(double x) { return std::log2(x); }
-
 // The 1-D skip-web / NoN model curve log n / log log n (base 2).
 inline double log_over_loglog(double n) {
   const double l = std::log2(n);

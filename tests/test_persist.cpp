@@ -20,7 +20,9 @@
 #include "api/string_registry.h"
 #include "core/level_lists.h"
 #include "net/network.h"
+#include "persist/replay_log.h"
 #include "persist/snapshot.h"
+#include "serve/route_cache.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
 
@@ -511,6 +513,129 @@ TEST(StringPersist, CorruptStringSnapshotRejected) {
                persist::error);
 }
 
+// --- layer 4c: hostile replay files -----------------------------------------
+//
+// Replay snapshots are written by hand here (persist::writer + the shared
+// persist::replay_log layout), so each test controls exactly one hostile
+// field. Every case must end in a clean persist::error from the lifecycle's
+// restore, in both modes.
+
+template <typename Key>
+void write_replay(const std::string& path, const std::string& backend, std::uint64_t index_kind,
+                  const persist::replay_log<Key>& log) {
+  persist::writer w(path);
+  w.add_string("meta.backend", backend);
+  w.add_u64("meta.index_kind", index_kind);
+  w.add_u64("meta.n", log.build_keys.size());
+  log.save(w);
+  w.finish();
+}
+
+// A valid skip_trie log (one insert) and a valid string_sorted log (one
+// erase) over 8 pre-build hosts; the tests below break one field each.
+persist::replay_log<api::spatial_point> trie_log() {
+  rng r(6161);
+  auto pts = wl::spatial_points(2, 41, false, r);
+  const auto extra = pts.back();
+  pts.pop_back();
+  persist::replay_log<api::spatial_point> log{5, 8, std::move(pts), {}, {}};
+  log.record(persist::replay_op::insert, h(3), extra);
+  return log;
+}
+
+persist::replay_log<std::string> string_log() {
+  rng r(6162);
+  auto words = wl::dictionary_words(40, r);
+  const auto victim = words[7];
+  persist::replay_log<std::string> log{5, 8, std::move(words), {}, {}};
+  log.record(persist::replay_op::erase, h(3), victim);
+  return log;
+}
+
+void expect_spatial_rejected(const std::string& path) {
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    EXPECT_THROW((void)api::restore_spatial_index(path, mode, net), persist::error);
+  }
+}
+
+void expect_string_rejected(const std::string& path) {
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    EXPECT_THROW((void)api::restore_string_index(path, mode, net), persist::error);
+  }
+}
+
+TEST(Persist, HandWrittenReplayFilesRestore) {
+  // The control: the unbroken logs restore, so every rejection below is
+  // down to the one field its test breaks.
+  const auto tpath = snap_path("hostile_trie_ok");
+  write_replay(tpath, "skip_trie", 1, trie_log());
+  network tnet(1);
+  EXPECT_EQ(api::restore_spatial_index(tpath, persist::restore_mode::load, tnet)->size(), 41u);
+  const auto spath = snap_path("hostile_string_ok");
+  write_replay(spath, "string_sorted", 2, string_log());
+  network snet(1);
+  EXPECT_EQ(api::restore_string_index(spath, persist::restore_mode::map, snet)->size(), 39u);
+}
+
+TEST(Persist, ReplayOriginBeyondHostCountRejected) {
+  // 2^32 + 3 must not narrow to host 3; a plain out-of-range host must not
+  // reach the cursor.
+  for (const std::uint64_t origin : {(std::uint64_t{1} << 32) + 3, std::uint64_t{1'000'000}}) {
+    auto tlog = trie_log();
+    tlog.ops[0].origin = origin;
+    const auto tpath = snap_path("hostile_trie_origin");
+    write_replay(tpath, "skip_trie", 1, tlog);
+    expect_spatial_rejected(tpath);
+    auto slog = string_log();
+    slog.ops[0].origin = origin;
+    const auto spath = snap_path("hostile_string_origin");
+    write_replay(spath, "string_sorted", 2, slog);
+    expect_string_rejected(spath);
+  }
+}
+
+TEST(Persist, ReplayUnknownOpCodeRejected) {
+  auto tlog = trie_log();
+  tlog.ops[0].op = static_cast<persist::replay_op>(7);
+  const auto tpath = snap_path("hostile_trie_op");
+  write_replay(tpath, "skip_trie", 1, tlog);
+  expect_spatial_rejected(tpath);
+  auto slog = string_log();
+  slog.ops[0].op = static_cast<persist::replay_op>(2);
+  const auto spath = snap_path("hostile_string_op");
+  write_replay(spath, "string_sorted", 2, slog);
+  expect_string_rejected(spath);
+}
+
+TEST(Persist, ReplayKeyColumnLengthMismatchRejected) {
+  auto tlog = trie_log();
+  tlog.ops.push_back(tlog.ops[0]);  // two rows, one key
+  const auto tpath = snap_path("hostile_trie_cols");
+  write_replay(tpath, "skip_trie", 1, tlog);
+  expect_spatial_rejected(tpath);
+  auto slog = string_log();
+  slog.op_keys.push_back("orphan");  // one row, two keys
+  const auto spath = snap_path("hostile_string_cols");
+  write_replay(spath, "string_sorted", 2, slog);
+  expect_string_rejected(spath);
+}
+
+TEST(Persist, UnregisteredBackendNameRejected) {
+  const auto tpath = snap_path("hostile_trie_backend");
+  write_replay(tpath, "no_such_backend", 1, trie_log());
+  expect_spatial_rejected(tpath);
+  const auto spath = snap_path("hostile_string_backend");
+  write_replay(spath, "no_such_backend", 2, string_log());
+  expect_string_rejected(spath);
+  network net(1);
+  const auto opath = snap_path("hostile_1d_backend");
+  persist::replay_log<std::uint64_t> olog{5, 8, {1, 2, 3}, {}, {}};
+  write_replay(opath, "btree", 0, olog);
+  EXPECT_THROW((void)api::restore_index(opath, persist::restore_mode::load, net), persist::error);
+}
+
 // --- layer 5: the build-or-restore entry points ------------------------------
 
 TEST(Persist, SnapshotPathBuildsThenRestores) {
@@ -588,6 +713,89 @@ TEST(Persist, StringSnapshotPathBuildsThenRestores) {
   }
   for (const auto& p : wl::prefix_stream(keys, 15, 16)) {
     ASSERT_EQ(built->top_k(p, 4, h(0)).value, restored->top_k(p, 4, h(0)).value) << p;
+  }
+}
+
+// The restore branch of build-or-restore wires the same planes as a build:
+// a second start with a route cache and a deadline must leave both attached
+// to the fresh network and answer like the first start. Answers only —
+// receipts under a cache depend on its training history.
+constexpr std::uint64_t restart_deadline_ns = 5'000'000;
+
+TEST(Persist, SnapshotPathRestoreWiresCacheAndDeadline) {
+  rng r(25);
+  const auto keys = wl::uniform_keys(500, r);
+  const auto path = snap_path("restore_wiring_1d");
+  const auto opts = api::index_options{}.seed(11).initial_hosts(8).snapshot_path(path);
+  network net_a(1);
+  const auto built = api::make_index("skipweb1d", keys, opts, net_a);
+  ASSERT_TRUE(fs::exists(path));
+  serve::route_cache c;
+  network net_b(1);
+  const auto restored = api::make_index(
+      "skipweb1d", {}, api::index_options(opts).route_cache(&c).deadline(restart_deadline_ns),
+      net_b);
+  EXPECT_EQ(net_b.attached_hop_cache(), &c);
+  EXPECT_EQ(net_b.op_deadline_ns(), restart_deadline_ns);
+  ASSERT_EQ(restored->size(), built->size());
+  rng pr(26);
+  for (const auto q : wl::probe_keys(keys, 60, pr)) {
+    const auto na = built->nearest(q, h(3));
+    const auto nb = restored->nearest(q, h(3));
+    ASSERT_EQ(na.pred, nb.pred);
+    ASSERT_EQ(na.succ, nb.succ);
+  }
+  ASSERT_EQ(built->range(keys[3], keys[40], h(1)).value,
+            restored->range(keys[3], keys[40], h(1)).value);
+}
+
+TEST(Persist, SpatialSnapshotPathRestoreWiresCacheAndDeadline) {
+  rng r(27);
+  const auto pts = wl::spatial_points(2, 300, false, r);
+  const auto path = snap_path("restore_wiring_spatial");
+  const auto opts = api::index_options{}.seed(13).initial_hosts(8).snapshot_path(path);
+  network net_a(1);
+  const auto built = api::make_spatial_index("skip_quadtree2", pts, opts, net_a);
+  ASSERT_TRUE(fs::exists(path));
+  serve::route_cache c;
+  network net_b(1);
+  const auto restored = api::make_spatial_index(
+      "skip_quadtree2", {}, api::index_options(opts).route_cache(&c).deadline(restart_deadline_ns),
+      net_b);
+  EXPECT_EQ(net_b.attached_hop_cache(), &c);
+  EXPECT_EQ(net_b.op_deadline_ns(), restart_deadline_ns);
+  ASSERT_EQ(restored->size(), built->size());
+  rng pr(28);
+  for (int i = 0; i < 40; ++i) {
+    const auto q = wl::spatial_probe(2, pr);
+    const auto la = built->locate(q, h(2));
+    const auto lb = restored->locate(q, h(2));
+    ASSERT_EQ(la.found, lb.found);
+    ASSERT_EQ(la.cell, lb.cell);
+  }
+}
+
+TEST(Persist, StringSnapshotPathRestoreWiresCacheAndDeadline) {
+  rng r(29);
+  const auto keys = wl::url_paths(300, r);
+  const auto path = snap_path("restore_wiring_string");
+  const auto opts = api::index_options{}.seed(19).initial_hosts(8).snapshot_path(path);
+  network net_a(1);
+  const auto built = api::make_string_index("string_skiptrie", keys, opts, net_a);
+  ASSERT_TRUE(fs::exists(path));
+  serve::route_cache c;
+  network net_b(1);
+  const auto restored = api::make_string_index(
+      "string_skiptrie", {}, api::index_options(opts).route_cache(&c).deadline(restart_deadline_ns),
+      net_b);
+  EXPECT_EQ(net_b.attached_hop_cache(), &c);
+  EXPECT_EQ(net_b.op_deadline_ns(), restart_deadline_ns);
+  ASSERT_EQ(restored->size(), built->size());
+  for (const auto& q : wl::string_query_stream(keys, 50, 30)) {
+    ASSERT_EQ(built->contains(q, h(3)).value, restored->contains(q, h(3)).value) << q;
+  }
+  for (const auto& p : wl::prefix_stream(keys, 15, 30)) {
+    ASSERT_EQ(built->prefix_match(p, h(0)).value, restored->prefix_match(p, h(0)).value) << p;
   }
 }
 
