@@ -331,9 +331,10 @@ bign_result run_bign_cell(const std::string& backend, std::size_t n, const confi
 }
 
 // One restart cell: bulk-build at n, persist the snapshot, then measure what
-// the next process start costs. The map restore is the headline — the arenas
-// come back as borrowed spans over the file mapping, so the restore time is
-// metadata validation plus ledger replay, not an O(n) read. A crash-restart
+// the next process start costs. The map restore is the headline — the arenas,
+// placement tables and memory ledger come back as borrowed spans over the
+// file mapping, so the restore time is metadata validation plus whatever the
+// backend still rebuilds from its sections, not an O(n) read. A crash-restart
 // smoke rides along: the restored twin (fresh network, nothing shared but
 // the file) must answer a probe sample identically to the original.
 struct restart_result {

@@ -70,12 +70,12 @@ skipweb_1d::skipweb_1d(persist::reader& r, net::network& net)
   std::istringstream iss(r.str("impl.rng"));
   iss >> rng_.engine();
   if (!iss) throw persist::error("snapshot: unreadable rng state");
-  owner_ = r.vec<net::host_id>("impl.owner");
-  root_item_ = r.vec<int>("impl.root_item");
+  owner_ = r.pods<net::host_id>("impl.owner");
+  root_item_ = r.pods<int>("impl.root_item");
   if (policy_ == placement::tower && owner_.size() != lists_.arena_size()) {
     throw persist::error("snapshot: owner table disagrees with arena size");
   }
-  // Replaying the ledger grows the fresh network to the saved host count, so
+  // Adopting the ledger grows the fresh network to the saved host count, so
   // root_for's per-host table lines up again after the check below.
   persist::restore_network(r, net, "net");
   if (root_item_.size() != net_->host_count()) {
@@ -90,8 +90,8 @@ void skipweb_1d::save_snapshot(persist::writer& w) const {
   std::ostringstream oss;
   oss << rng_.engine();
   w.add_string("impl.rng", oss.str());
-  w.add_vector("impl.owner", owner_);
-  w.add_vector("impl.root_item", root_item_);
+  w.add_pods("impl.owner", owner_);
+  w.add_pods("impl.root_item", root_item_);
   persist::save_network(w, *net_, "net");
 }
 
@@ -333,7 +333,7 @@ api::op_stats skipweb_1d::insert(std::uint64_t key, net::host_id origin) {
     // The new item's tower gets its own fresh host, which also seeds its
     // searches at the new item.
     const auto fresh = net_->add_host();
-    if (owner_.size() < lists_.arena_size()) owner_.resize(lists_.arena_size());
+    if (owner_.size() < lists_.arena_size()) owner_.resize(lists_.arena_size(), net::host_id{});
     owner_[static_cast<std::size_t>(item)] = fresh;
     root_item_.push_back(item);
     net_->charge(fresh, net::memory_kind::host_ref, 1);

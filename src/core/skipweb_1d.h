@@ -52,11 +52,12 @@ class skipweb_1d {
              std::size_t replication = 0, bool bulk = true);
 
   // Restore from a snapshot written by save_snapshot(), onto a FRESH network.
-  // Hosts are grown to the saved count and the per-host memory ledger is
-  // replayed exactly, so the restored structure answers — keys, uids, and
-  // receipts — byte-identically to its never-persisted twin (DESIGN.md §13).
-  // The arenas come back as borrowed views over the reader's blob (zero-copy
-  // in mmap mode) and materialize copy-on-first-write at the first splice.
+  // The network adopts the saved host count and per-host memory ledger, so
+  // the restored structure answers — keys, uids, and receipts —
+  // byte-identically to its never-persisted twin (DESIGN.md §13). The
+  // arenas, the placement tables and the ledger come back as borrowed views
+  // over the reader's blob (zero-copy in mmap mode) and materialize
+  // copy-on-first-write at the first splice or charge.
   skipweb_1d(persist::reader& r, net::network& net);
 
   [[nodiscard]] std::size_t size() const { return lists_.size(); }
@@ -153,8 +154,9 @@ class skipweb_1d {
   level_lists lists_;
   net::network* net_;
   placement policy_;
-  std::vector<net::host_id> owner_;  // per arena slot: tower host (tower placement)
-  std::vector<int> root_item_;       // per host: anchor item whose tower seeds searches
+  // Owned when built, borrowed from the snapshot when restored (like lists_).
+  persist::pod_array<net::host_id> owner_;  // per arena slot: tower host (tower placement)
+  persist::pod_array<int> root_item_;       // per host: anchor item whose tower seeds searches
 };
 
 }  // namespace skipweb::core

@@ -1,28 +1,91 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <new>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
+#define SKIPWEB_HAVE_ANON_MMAP 1
+#endif
 
 namespace skipweb::net {
 
+namespace {
+
+// Visit-ledger storage: at least `n` counters that read as zero and cost no
+// page until a commit writes one. An anonymous mapping guarantees that (the
+// kernel zero-fills each page on first touch; calloc may instead clear
+// recycled heap memory up front), so it is used wherever it exists, sized
+// in whole pages. Rounds `n` up to the slots allocated.
+std::uint64_t* alloc_visits(std::size_t& n) {
+#if defined(SKIPWEB_HAVE_ANON_MMAP)
+  constexpr std::size_t page_slots = 4096 / sizeof(std::uint64_t);
+  n = (n + page_slots - 1) / page_slots * page_slots;
+  void* p = ::mmap(nullptr, n * sizeof(std::uint64_t), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+#else
+  void* p = std::calloc(n, sizeof(std::uint64_t));
+  if (p == nullptr) throw std::bad_alloc();
+#endif
+  return static_cast<std::uint64_t*>(p);
+}
+
+void free_visits(std::uint64_t* p, [[maybe_unused]] std::size_t n) {
+#if defined(SKIPWEB_HAVE_ANON_MMAP)
+  if (p != nullptr) ::munmap(p, n * sizeof(std::uint64_t));
+#else
+  std::free(p);
+#endif
+}
+
+}  // namespace
+
 network::network(std::size_t host_count) {
   SW_EXPECTS(host_count > 0);
-  memory_.resize(host_count);
-  grow_visit_blocks_to(host_count);
-  hosts_ = host_count;
+  memory_.assign(host_count, memory_row{});
+  grow_to(host_count);
 }
+
+network::~network() { free_visits(visits_, visit_capacity_); }
 
 host_id network::add_host() { return add_hosts(1); }
 
 host_id network::add_hosts(std::size_t count) {
   SW_EXPECTS(traffic_quiescent());  // structural plane: no queries in flight
   SW_EXPECTS(count > 0);
-  memory_.resize(memory_.size() + count);
-  grow_visit_blocks_to(hosts_ + count);
-  hosts_ += count;
-  if (!dead_.empty()) dead_.resize(dead_.size() + count, 0);
-  if (!partition_.empty()) partition_.resize(partition_.size() + count, 0);
-  if (!slowdown_.empty()) slowdown_.resize(slowdown_.size() + count, 1.0);
+  memory_.resize(hosts_ + count, memory_row{});
+  grow_to(hosts_ + count);
   return host_id{static_cast<std::uint32_t>(hosts_ - count)};
+}
+
+void network::adopt_memory_rows(persist::pod_array<memory_row> rows) {
+  SW_EXPECTS(traffic_quiescent());
+  SW_EXPECTS(rows.size() >= hosts_);
+  SW_EXPECTS(rows.size() <= std::numeric_limits<std::uint32_t>::max());  // host_id space
+  memory_ = std::move(rows);
+  grow_to(memory_.size());
+}
+
+void network::grow_to(std::size_t hosts) {
+  if (hosts > visit_capacity_) {
+    // Geometric, so add_host one at a time stays amortized O(1). Only the
+    // counters of existing hosts are copied; the rest stays untouched zero
+    // pages.
+    std::size_t cap = std::max(hosts, 2 * visit_capacity_);
+    std::uint64_t* fresh = alloc_visits(cap);
+    if (hosts_ > 0) std::memcpy(fresh, visits_, hosts_ * sizeof(std::uint64_t));
+    free_visits(visits_, visit_capacity_);
+    visits_ = fresh;
+    visit_capacity_ = cap;
+  }
+  if (!dead_.empty()) dead_.resize(hosts, 0);
+  if (!partition_.empty()) partition_.resize(hosts, 0);
+  if (!slowdown_.empty()) slowdown_.resize(hosts, 1.0);
+  hosts_ = hosts;
 }
 
 void network::set_host_slowdown(host_id h, double factor) {
@@ -96,26 +159,11 @@ void network::set_message_loss(double p, std::uint64_t seed) {
   loss_seed_ = seed;
 }
 
-void network::grow_visit_blocks_to(std::size_t hosts) {
-  const std::size_t blocks_needed = (hosts + block_size - 1) >> block_bits;
-  if (blocks_needed <= visit_blocks_.size()) return;
-  // The directory doubles so per-host growth stays amortized O(1); the
-  // blocks themselves never move (see add_host's growth-policy note).
-  if (visit_blocks_.capacity() < blocks_needed) {
-    visit_blocks_.reserve(std::max(blocks_needed, std::max<std::size_t>(4, 2 * visit_blocks_.capacity())));
-  }
-  while (visit_blocks_.size() < blocks_needed) {
-    auto block = std::make_unique<std::atomic<std::uint64_t>[]>(block_size);
-    for (std::size_t i = 0; i < block_size; ++i) {
-      block[i].store(0, std::memory_order_relaxed);
-    }
-    visit_blocks_.push_back(std::move(block));
-  }
-}
-
 void network::charge(host_id h, memory_kind kind, std::int64_t delta) {
   SW_EXPECTS(traffic_quiescent());  // structural plane, like add_host
   SW_EXPECTS(h.valid() && h.value < memory_.size());
+  // Non-const access: after a restore, the first charge copies the adopted
+  // rows out of the snapshot (pod_array copy-on-first-write).
   auto& cell = memory_[h.value].counts[static_cast<std::size_t>(kind)];
   if (delta < 0) {
     SW_EXPECTS(cell >= static_cast<std::uint64_t>(-delta));

@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/latency.h"
 #include "net/receipt.h"
 #include "net/types.h"
+#include "persist/pod_array.h"
 #include "util/sw_assert.h"
 
 namespace skipweb::net {
@@ -16,6 +16,14 @@ namespace skipweb::net {
 // number of data items, data structure nodes, pointers, and host IDs that
 // any host can store."
 enum class memory_kind : std::uint8_t { item, node, pointer, host_ref };
+
+// One host's row of the memory ledger: a counter per memory_kind, in enum
+// order. It is also the record of a snapshot's "net.memory_rows" section,
+// which is why the ledger can adopt a saved one without translating it.
+struct memory_row {
+  std::uint64_t counts[4] = {0, 0, 0, 0};
+};
+static_assert(sizeof(memory_row) == 4 * sizeof(std::uint64_t));
 
 // Client-side routing-replica hook (the congestion plane's cache seam).
 // A hop cache models a serving frontend that holds *replicas of the routing
@@ -75,8 +83,16 @@ struct congestion_profile {
 // ledger. Distributed structures register what each host stores (memory),
 // and route every query/update through a `cursor` (see cursor.h), which
 // accumulates a thread-private traffic_receipt and merges it here — one
-// commit() per operation — into sharded atomic per-host visit counters.
-// Those ledgers are exactly the paper's M, Q(n)/U(n) and C(n).
+// commit() per operation — into a flat array of per-host visit counters,
+// incremented atomically. Those ledgers are exactly the paper's M,
+// Q(n)/U(n) and C(n).
+//
+// Both per-host ledgers are sized by host count, and neither costs a pass
+// over the hosts when a deployment is restored: the memory ledger is one
+// memory_row per host, and a restore adopts a snapshot's rows as a borrowed
+// span (adopt_memory_rows) that the first charge() copies; the visit ledger
+// is zero on demand, so none of its pages is touched until a commit lands
+// on it.
 //
 // Concurrency model (two planes):
 //  - Query plane: any number of threads may run const queries on the
@@ -92,6 +108,7 @@ struct congestion_profile {
 class network {
  public:
   explicit network(std::size_t host_count);
+  ~network();
 
   // Not copyable/movable: cursors and structures hold stable pointers to it.
   network(const network&) = delete;
@@ -102,18 +119,29 @@ class network {
   // Bring a fresh host online (e.g. to own a newly inserted item, or to take
   // a bucket skip-web block split). Returns its id. Structural-plane only.
   //
-  // Growth policy: visit counters live in fixed 4096-slot blocks that are
-  // never moved once allocated (only the small block directory grows, with
-  // geometric reserve), so host ids handed out earlier keep their counter
-  // slots for the life of the network; the memory ledger is a plain vector
-  // with geometric growth, touched only on this plane.
+  // Growth policy: both ledgers are flat per-host arrays with geometric
+  // growth, and growth is quiescent-only like every structural step, so it
+  // may relocate them: no commit can be holding a counter. Fresh visit
+  // counters are zero-on-demand pages, untouched until a commit lands on
+  // them; fresh memory rows are zero-filled.
   host_id add_host();
 
   // Grow by `count` hosts in one structural step: one ledger resize and one
-  // visit-block growth instead of `count` round trips. Tower-placement bulk
+  // visit-ledger growth instead of `count` round trips. Tower-placement bulk
   // builds add a host per item (a million add_host calls at n = 1M), which
   // is why this exists. Returns the first new host id.
   host_id add_hosts(std::size_t count);
+
+  // Take `rows` as the whole memory ledger, one row per host, growing the
+  // network to rows.size() hosts (persist::restore_network). Every existing
+  // host's row is replaced, so the result is the saved deployment's ledger
+  // however this network was charged before. `rows` may be a borrowed
+  // snapshot span: reads go straight to it and the first charge() copies
+  // it (persist::pod_array). Requires rows.size() >= host_count().
+  // Structural-plane only.
+  void adopt_memory_rows(persist::pod_array<memory_row> rows);
+  // The memory ledger as one row per host — the bytes a snapshot saves.
+  [[nodiscard]] const persist::pod_array<memory_row>& memory_rows() const { return memory_; }
 
   // --- memory ledger (structural plane) ------------------------------------
   void charge(host_id h, memory_kind kind, std::int64_t delta);
@@ -351,24 +379,18 @@ class network {
   }
 
  private:
-  // Visit-counter shard: a fixed-size block of atomics. Blocks are allocated
-  // once and never relocated, so concurrent commits may increment counters
-  // while (quiescent-only) add_host calls append fresh blocks.
-  static constexpr std::size_t block_bits = 12;
-  static constexpr std::size_t block_size = std::size_t{1} << block_bits;
-
-  [[nodiscard]] std::atomic<std::uint64_t>& visit_slot(std::uint32_t host) const {
-    return visit_blocks_[host >> block_bits][host & (block_size - 1)];
+  // Commits increment a host's counter through an atomic_ref; the array
+  // itself only changes on the (quiescent) structural plane.
+  [[nodiscard]] std::atomic_ref<std::uint64_t> visit_slot(std::uint32_t host) const {
+    return std::atomic_ref<std::uint64_t>(visits_[host]);
   }
 
-  void grow_visit_blocks_to(std::size_t hosts);
+  // Grow every per-host array but the memory ledger to `hosts` hosts.
+  void grow_to(std::size_t hosts);
 
-  struct memory_row {
-    std::uint64_t counts[4] = {0, 0, 0, 0};
-  };
-
-  std::vector<memory_row> memory_;
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>[]>> visit_blocks_;
+  persist::pod_array<memory_row> memory_;
+  std::uint64_t* visits_ = nullptr;  // zero on demand, visit_capacity_ slots
+  std::size_t visit_capacity_ = 0;
   std::size_t hosts_ = 0;
   // Fault plane. dead_/partition_ are lazily sized on first use (empty means
   // "everything alive / no partitions"), written only on the structural

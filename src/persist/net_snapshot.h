@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
-#include <vector>
 
 #include "net/network.h"
 #include "persist/snapshot.h"
@@ -10,50 +10,41 @@
 namespace skipweb::persist {
 
 // Simulated-deployment reconstruction for arena snapshots: the snapshot
-// records the host count and the full per-host memory ledger (four
-// memory_kind counters per host), and restore replays them onto a FRESH
-// network — growing it and charging each host the delta between the saved
-// row and whatever the growth itself charged. A backend restored this way
-// therefore passes the same exact ledger-equality invariants as its
-// never-persisted twin (e.g. skip_quadtree::check_invariants). Traffic
-// counters are NOT saved: a restarted process starts with a cold traffic
-// ledger by design.
-
-inline constexpr std::size_t net_kind_count = 4;
+// records the host count and the full per-host memory ledger — one
+// net::memory_row (four memory_kind counters) per host — and restore hands
+// that section to the network as its ledger (network::adopt_memory_rows).
+// Nothing is replayed: the rows stay a borrowed span over the snapshot until
+// the first charge() copies them, so a restore costs O(1) in the host count.
+// A backend restored this way passes the same exact ledger-equality
+// invariants as its never-persisted twin (e.g.
+// skip_quadtree::check_invariants). Traffic counters are NOT saved: a
+// restarted process starts with a cold traffic ledger by design.
 
 inline void save_network(writer& w, const net::network& net, std::string_view prefix) {
   const std::string p(prefix);
   w.add_u64(p + ".host_count", net.host_count());
-  std::vector<std::uint64_t> rows(net.host_count() * net_kind_count);
-  for (std::size_t h = 0; h < net.host_count(); ++h) {
-    const net::host_id id{static_cast<std::uint32_t>(h)};
-    for (std::size_t k = 0; k < net_kind_count; ++k) {
-      rows[h * net_kind_count + k] = net.memory_used(id, static_cast<net::memory_kind>(k));
-    }
-  }
-  w.add_vector(p + ".memory_rows", rows);
+  w.add_pods(p + ".memory_rows", net.memory_rows());
 }
 
+// Restores onto a network with at most the saved host count (a fresh one,
+// in practice). The host count is the row count of the ledger section; a
+// "host_count" section that disagrees with it, a count beyond the u32
+// host_id space, or a network that already has more hosts than the snapshot
+// is a persist::error.
 inline void restore_network(const reader& r, net::network& net, std::string_view prefix) {
   const std::string p(prefix);
-  const auto hosts = static_cast<std::size_t>(r.u64(p + ".host_count"));
-  std::size_t n = 0;
-  const auto* rows = r.array<std::uint64_t>(p + ".memory_rows", n);
-  if (n != hosts * net_kind_count) {
+  auto rows = r.pods<net::memory_row>(p + ".memory_rows");
+  if (r.u64(p + ".host_count") != rows.size()) {
     throw error("snapshot: network ledger rows disagree with host count");
   }
-  if (net.host_count() < hosts) net.add_hosts(hosts - net.host_count());
-  for (std::size_t h = 0; h < hosts; ++h) {
-    const net::host_id id{static_cast<std::uint32_t>(h)};
-    for (std::size_t k = 0; k < net_kind_count; ++k) {
-      const auto kind = static_cast<net::memory_kind>(k);
-      const std::uint64_t want = rows[h * net_kind_count + k];
-      const std::uint64_t have = net.memory_used(id, kind);
-      if (want != have) {
-        net.charge(id, kind, static_cast<std::int64_t>(want) - static_cast<std::int64_t>(have));
-      }
-    }
+  if (rows.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw error("snapshot: host count does not fit a host id");
   }
+  if (rows.size() < net.host_count()) {
+    throw error("snapshot: network has " + std::to_string(net.host_count()) +
+                " hosts, more than the snapshot's " + std::to_string(rows.size()));
+  }
+  net.adopt_memory_rows(std::move(rows));
 }
 
 }  // namespace skipweb::persist

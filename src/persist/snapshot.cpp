@@ -95,6 +95,10 @@ std::uint64_t checksum64(const void* data, std::size_t bytes, std::uint64_t seed
 // --- writer ------------------------------------------------------------------
 
 writer::writer(const std::string& path) : path_(path) {
+  // Unlink, never truncate: an index still mapped from an old file at this
+  // path keeps its pages (the inode outlives the name), where truncation
+  // would raise SIGBUS on its next touch.
+  std::remove(path.c_str());
   f_ = std::fopen(path.c_str(), "wb");
   if (f_ == nullptr) fail("cannot open '" + path + "' for writing: " + std::strerror(errno));
   const file_header placeholder{};

@@ -36,7 +36,9 @@ namespace skipweb::persist {
 //
 // Writing streams: header placeholder, sections as they arrive (checksummed
 // on the way through), table, then one seek back to patch the header. Peak
-// writer memory is one section table, never a buffered payload.
+// writer memory is one section table, never a buffered payload. A file
+// already at the path is unlinked, not truncated, so an index restored from
+// it in map mode keeps reading the old inode.
 
 inline constexpr std::uint64_t snapshot_magic = 0x003150414E535753ull;  // "SWSNAP1\0"
 inline constexpr std::uint32_t snapshot_version = 1;

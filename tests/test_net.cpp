@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -196,8 +197,9 @@ TEST(Network, ResetTrafficKeepsMemory) {
 }
 
 TEST(Network, AddHostGrowthKeepsVisitCountersStable) {
-  // Cross several visit-counter blocks (4096 hosts each): counters written
-  // before growth keep their values, and fresh hosts start at zero.
+  // Grow one host at a time through several relocations of the visit
+  // ledger: counters written before growth keep their values, and fresh
+  // hosts start at zero.
   network net(1);
   {
     cursor c(net, h(0));
@@ -218,6 +220,36 @@ TEST(Network, AddHostGrowthKeepsVisitCountersStable) {
   net.commit(r2);
   EXPECT_EQ(net.visits(h(4999)), 1u);
   EXPECT_EQ(net.total_messages(), 2u);
+}
+
+TEST(Network, AdoptedLedgerIsReadInPlaceAndCopiedOnFirstCharge) {
+  // A snapshot restore hands the network a borrowed span of saved rows.
+  // Reads go to the span; the first charge copies it, so the saved rows
+  // never change. The network grows to the adopted host count, fault plane
+  // included, and every host's row is the saved one.
+  std::vector<memory_row> saved(6);
+  saved[0].counts[0] = 2;
+  saved[4].counts[static_cast<int>(memory_kind::node)] = 7;
+  const auto blob = std::make_shared<int>(0);  // stands in for the mapping
+  network net(2);
+  net.charge(h(0), memory_kind::pointer, 5);
+  net.kill_host(h(1));
+  net.adopt_memory_rows(
+      skipweb::persist::pod_array<memory_row>::borrow(blob, saved.data(), saved.size()));
+  EXPECT_EQ(net.host_count(), 6u);
+  EXPECT_TRUE(net.memory_rows().borrowed());
+  EXPECT_EQ(net.memory_used(h(0)), 2u);
+  EXPECT_EQ(net.memory_used(h(4), memory_kind::node), 7u);
+  EXPECT_FALSE(net.host_alive(h(1)));
+  EXPECT_TRUE(net.host_alive(h(5)));
+  EXPECT_EQ(net.visits(h(5)), 0u);
+  net.charge(h(4), memory_kind::node, 1);
+  EXPECT_FALSE(net.memory_rows().borrowed());
+  EXPECT_EQ(net.memory_used(h(4), memory_kind::node), 8u);
+  EXPECT_EQ(saved[4].counts[static_cast<int>(memory_kind::node)], 7u);
+  EXPECT_EQ(net.add_host(), h(6));
+  EXPECT_EQ(net.memory_used(h(6)), 0u);
+  EXPECT_EQ(net.total_memory(), 2u + 8u);
 }
 
 TEST(Placement, TowerIsIdentity) {

@@ -22,6 +22,7 @@
 #include "net/network.h"
 #include "persist/replay_log.h"
 #include "persist/snapshot.h"
+#include "serve/executor.h"
 #include "serve/route_cache.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
@@ -37,10 +38,14 @@ namespace wl = skipweb::workloads;
 
 host_id h(std::uint32_t v) { return host_id{v}; }
 
-// Per-test snapshot path; removed on the way in so build-or-restore tests
-// start from a clean slate.
+// Per-test snapshot path, prefixed with the running test's full name so
+// tests that run in parallel processes never share a file; removed on the
+// way in so build-or-restore tests start from a clean slate.
 std::string snap_path(const std::string& name) {
-  const auto p = fs::path(::testing::TempDir()) / ("skipweb_" + name + ".snap");
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string test = std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(test.begin(), test.end(), '/', '_');
+  const auto p = fs::path(::testing::TempDir()) / ("skipweb_" + test + "_" + name + ".snap");
   std::error_code ec;
   fs::remove(p, ec);
   return p.string();
@@ -55,6 +60,18 @@ void flip_byte(const std::string& path, std::uint64_t offset) {
   ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
   std::fputc(c ^ 0x40, f);
   std::fclose(f);
+}
+
+// The deployment round trip: every host's memory row, kind by kind.
+void expect_same_ledger(const network& a, const network& b, const char* when) {
+  ASSERT_EQ(a.host_count(), b.host_count()) << when;
+  for (std::uint32_t i = 0; i < a.host_count(); ++i) {
+    for (int k = 0; k < 4; ++k) {
+      const auto kind = static_cast<net::memory_kind>(k);
+      ASSERT_EQ(a.memory_used(h(i), kind), b.memory_used(h(i), kind))
+          << when << " host " << i << " kind " << k;
+    }
+  }
 }
 
 // --- layer 1: the arena round-trip itself ------------------------------------
@@ -201,6 +218,7 @@ TEST_P(PersistConformance, RestoredTwinIndistinguishable) {
     ASSERT_EQ(twin->size(), orig->size());
     ASSERT_EQ(net->host_count(), net_o.host_count());
     ASSERT_EQ(net->total_memory(), net_o.total_memory());
+    expect_same_ledger(net_o, *net, "fresh restore");
   }
   const auto probe_all = [&](const char* when) {
     rng pr(999);
@@ -248,6 +266,7 @@ TEST_P(PersistConformance, RestoredTwinIndistinguishable) {
   for (const auto& [twin, net] : twins) {
     ASSERT_EQ(twin->size(), orig->size());
     ASSERT_EQ(net->total_memory(), net_o.total_memory());
+    expect_same_ledger(net_o, *net, "after mutations");
   }
   probe_all("after mutations");
   // The mutated twin can itself be snapshotted: one more full cycle.
@@ -268,6 +287,83 @@ TEST_P(PersistConformance, RestoredTwinIndistinguishable) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, PersistConformance,
                          ::testing::ValuesIn(api::registered_backends()),
                          [](const auto& info) { return info.param; });
+
+// --- layer 3b: a map-restored twin under concurrent serving ------------------
+//
+// A restored network starts with a visit ledger no commit has touched and a
+// memory ledger borrowed from the file. Four workers commit into it at once:
+// answers and receipts must equal a serial loop over the saving index, and
+// the per-host visit counters must equal the serial run's and reconcile
+// with total_messages().
+TEST(Persist, MapRestoredTwinServesConcurrently) {
+  rng r(2718);
+  const auto keys = wl::uniform_keys(2000, r);
+  network net_o(1);
+  const auto orig = api::make_index("skipweb1d", keys,
+                                    api::index_options{}.seed(8).initial_hosts(8), net_o);
+  const auto path = snap_path("served_twin");
+  api::save_index_snapshot(*orig, path);
+  network net_m(1);
+  const auto twin = api::restore_index(path, persist::restore_mode::map, net_m);
+  const auto qs = wl::query_stream(keys, 1500, 2719);
+
+  serve::executor ex(4);
+  const auto out = ex.run_nearest(*twin, qs, h(0), 16);
+
+  net_o.reset_traffic();
+  api::op_stats serial_total;
+  ASSERT_EQ(out.results.size(), qs.size());
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const auto want = orig->nearest(qs[i], h(0));
+    serial_total += want.stats;
+    const auto& got = out.results[i];
+    ASSERT_EQ(got.has_pred, want.has_pred) << i;
+    ASSERT_EQ(got.pred, want.pred) << i;
+    ASSERT_EQ(got.has_succ, want.has_succ) << i;
+    ASSERT_EQ(got.succ, want.succ) << i;
+    ASSERT_EQ(got.stats, want.stats) << i;
+  }
+  EXPECT_EQ(out.total, serial_total);
+  ASSERT_EQ(net_m.host_count(), net_o.host_count());
+  EXPECT_EQ(net_m.total_messages(), net_o.total_messages());
+  std::uint64_t visits = 0;
+  for (std::uint32_t i = 0; i < net_m.host_count(); ++i) {
+    ASSERT_EQ(net_m.visits(h(i)), net_o.visits(h(i))) << "host " << i;
+    visits += net_m.visits(h(i));
+  }
+  EXPECT_EQ(visits, net_m.total_messages());
+  expect_same_ledger(net_o, net_m, "after serving");
+}
+
+// A map-mode twin borrows its arrays from the file it was restored from.
+// Saving it over that same file must neither read a truncated mapping nor
+// pull the pages out from under the twin: the writer unlinks the old file
+// instead of truncating it, and the twin keeps serving afterwards.
+TEST(Persist, MapRestoredTwinSavesOverItsOwnFile) {
+  rng r(8080);
+  const auto keys = wl::uniform_keys(1500, r);
+  network net_o(1);
+  const auto orig =
+      api::make_index("skipweb1d", keys, api::index_options{}.seed(12).initial_hosts(8), net_o);
+  const auto path = snap_path("own_file");
+  api::save_index_snapshot(*orig, path);
+  network net_m(1);
+  const auto twin = api::restore_index(path, persist::restore_mode::map, net_m);
+  api::save_index_snapshot(*twin, path);
+  network net_2(1);
+  const auto again = api::restore_index(path, persist::restore_mode::load, net_2);
+  expect_same_ledger(net_o, net_2, "re-saved");
+  rng pr(8081);
+  for (const auto q : wl::probe_keys(keys, 40, pr)) {
+    const auto na = orig->nearest(q, h(2));
+    for (const auto* idx : {twin.get(), again.get()}) {
+      const auto nb = idx->nearest(q, h(2));
+      ASSERT_EQ(na.pred, nb.pred) << q;
+      ASSERT_EQ(na.succ, nb.succ) << q;
+      ASSERT_EQ(na.stats, nb.stats) << q;
+    }
+  }
+}
 
 // --- layer 4: restored twins through the spatial registry --------------------
 
@@ -299,6 +395,7 @@ TEST_P(SpatialPersistConformance, RestoredTwinIndistinguishable) {
     ASSERT_EQ(twin->size(), orig->size());
     ASSERT_EQ(net->host_count(), net_o.host_count());
     ASSERT_EQ(net->total_memory(), net_o.total_memory());
+    expect_same_ledger(net_o, *net, "fresh restore");
   }
   const auto probe_all = [&](const char* when) {
     rng pr(111);
@@ -351,6 +448,7 @@ TEST_P(SpatialPersistConformance, RestoredTwinIndistinguishable) {
   for (const auto& [twin, net] : twins) {
     ASSERT_EQ(twin->size(), orig->size());
     ASSERT_EQ(net->total_memory(), net_o.total_memory());
+    expect_same_ledger(net_o, *net, "after mutations");
   }
   probe_all("after mutations");
 }
@@ -634,6 +732,73 @@ TEST(Persist, UnregisteredBackendNameRejected) {
   persist::replay_log<std::uint64_t> olog{5, 8, {1, 2, 3}, {}, {}};
   write_replay(opath, "btree", 0, olog);
   EXPECT_THROW((void)api::restore_index(opath, persist::restore_mode::load, net), persist::error);
+}
+
+// --- layer 4d: hostile host counts in native snapshots ----------------------
+//
+// A native snapshot's host count is the row count of its "net.memory_rows"
+// section. These files copy a real skipweb1d snapshot section by section and
+// rewrite only the two network sections.
+
+const std::vector<std::string> kSkipweb1dSections = {
+    "meta.backend", "meta.index_kind", "meta.n", "lists.meta", "lists.keys", "lists.bits",
+    "lists.uids", "lists.redirect", "lists.alive", "lists.fwd", "lists.bwd", "lists.fwd_rep",
+    "lists.bwd_rep", "lists.free", "impl.policy", "impl.rng", "impl.owner", "impl.root_item"};
+
+void rewrite_network(const std::string& from, const std::string& to, std::uint64_t host_count,
+                     const std::vector<std::uint64_t>& rows) {
+  persist::reader r(from, persist::restore_mode::load);
+  persist::writer w(to);
+  for (const auto& name : kSkipweb1dSections) {
+    const auto v = r.section(name);
+    w.add(name, v.data, v.bytes);
+  }
+  w.add_u64("net.host_count", host_count);
+  w.add_vector("net.memory_rows", rows);
+  w.finish();
+}
+
+TEST(Persist, HostileHostCountsRejected) {
+  rng r(5150);
+  const auto keys = wl::uniform_keys(300, r);
+  network net_o(1);
+  const auto orig =
+      api::make_index("skipweb1d", keys, api::index_options{}.seed(6).initial_hosts(8), net_o);
+  const auto path = snap_path("source");
+  api::save_index_snapshot(*orig, path);
+  persist::reader src(path, persist::restore_mode::load);
+  const auto rows = src.vec<std::uint64_t>("net.memory_rows");
+  const std::uint64_t hosts = net_o.host_count();
+  ASSERT_EQ(rows.size(), hosts * 4);
+
+  // The control: the copy with its own network sections restores, so each
+  // rejection below is down to the host count alone.
+  const auto ok = snap_path("ok");
+  rewrite_network(path, ok, hosts, rows);
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    EXPECT_EQ(api::restore_index(ok, mode, net)->size(), keys.size());
+    expect_same_ledger(net_o, net, "control");
+  }
+
+  // 2^62 hosts over an empty ledger (hosts * 4 wraps to 0), a count beyond
+  // the u32 host ids, and a count one short of the rows.
+  const std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>> hostile = {
+      {std::uint64_t{1} << 62, {}},
+      {(std::uint64_t{1} << 32) + hosts, rows},
+      {hosts - 1, rows}};
+  for (const auto& [count, ledger] : hostile) {
+    const auto bad = snap_path("bad");
+    rewrite_network(path, bad, count, ledger);
+    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+      network net(1);
+      EXPECT_THROW((void)api::restore_index(bad, mode, net), persist::error) << count;
+    }
+  }
+
+  // A network that already has more hosts than the snapshot cannot adopt it.
+  network big(hosts + 1);
+  EXPECT_THROW((void)api::restore_index(ok, persist::restore_mode::map, big), persist::error);
 }
 
 // --- layer 5: the build-or-restore entry points ------------------------------
