@@ -22,7 +22,7 @@ namespace skipweb::core {
 //
 // Every point carries a membership bit vector; level l holds one compressed
 // quadtree per l-bit prefix set S_b. All trees of one level share a single
-// per-level arena of cube records in parallel arrays (boxes, child entries,
+// per-level arena of node records in parallel arrays (child entries,
 // parent/down slot indices, occupancy), and points live once in a global
 // point arena that every level references by slot.
 //
@@ -35,19 +35,24 @@ namespace skipweb::core {
 //   tree, so a descent crosses levels with one indexed load and the query
 //   path touches no hash map at all (the only hashes left are the per-level
 //   root directories, consulted once to find the top of a chain).
-// - **Child entries cache the child's cube.** The descend decision
-//   ("does the child cube contain q?") reads the current node's own child
-//   record instead of dereferencing the child — the same neighbour-key
-//   caching `level_lists` does for 1-D links. A step therefore costs one
-//   contiguous row read; the child's full record is only touched when the
-//   walk actually moves there.
+// - **A node's cube lives only in its parent's child entry.** The descend
+//   decision ("does the child cube contain q?") reads the current node's
+//   own child row instead of dereferencing the child — the neighbour-key
+//   caching `level_lists` does for 1-D links — and every walk carries the
+//   current node's cube with it: the whole space at a root, the entry's
+//   cube after each step, unchanged across a `down` link (the hyperlink is
+//   the identity on cubes). A step is therefore one load of one child
+//   entry, whose address the carried cube already determines, so a batch
+//   can prefetch exactly the entry its next step reads. Structural readers
+//   get a node's cube from the walk that reached it or from its parent's
+//   entry (cube_of).
 //
 // This class owns only the structure. The distributed protocol
 // (skip_quadtree.h) does the routing, message metering, and memory-ledger
 // charging on top of the primitives here.
 //
 // Concurrency contract (audited for the serving executor): the const surface
-// (tree/step/down_of/box_at/child_at/point_here/prefetch_node/...) is pure
+// (tree/step/down_of/child_at/point_here/prefetch_step/...) is pure
 // reads — no lazily-repaired caches, no mutable members — so any number of
 // threads may descend concurrently. Structural edits (insert_at/erase_at/
 // ensure_tree/...) are single-writer, never concurrent with reads.
@@ -58,8 +63,8 @@ class quad_levels {
   using point = seq::qpoint<D>;
   using cube = seq::qcube<D>;
 
-  // A quadrant entry: a child node (with its cube cached), a single point,
-  // or nothing.
+  // A quadrant entry: a child node with its cube (the only stored copy of
+  // that cube), a single point, or nothing.
   struct entry {
     std::int32_t node = -1;
     std::int32_t point = -1;
@@ -118,8 +123,10 @@ class quad_levels {
   [[nodiscard]] int find_point(const point& p) const {
     const tree_ref* g = tree(0, 0);
     if (g == nullptr) return -1;
-    const int at = locate_local(0, g->root, p);
-    const entry& e = child_at(0, at, box_at(0, at).quadrant_of(p));
+    int at = g->root;
+    cube box{};
+    locate_local(0, at, box, p);
+    const entry& e = child_at(0, at, box.quadrant_of(p));
     return (e.point >= 0 && pts_[static_cast<std::size_t>(e.point)] == p) ? e.point : -1;
   }
 
@@ -153,7 +160,7 @@ class quad_levels {
   std::pair<tree_ref*, bool> ensure_tree_ref(int level, std::uint64_t prefix) {
     auto& m = lv(level).trees;
     auto [it, fresh] = m.try_emplace(prefix);
-    if (fresh) it->second.root = new_node(level, cube{}, -1);
+    if (fresh) it->second.root = new_node(level, -1);
     return {&it->second, fresh};
   }
 
@@ -162,7 +169,6 @@ class quad_levels {
   // each tree adds one root, and roots + non-first inserts total <= n.
   void reserve_level(int level, std::size_t nodes, std::size_t trees) {
     level_arena& a = lv(level);
-    a.box.reserve(nodes);
     a.child.reserve(nodes * fanout);
     a.parent.reserve(nodes);
     a.down.reserve(nodes);
@@ -200,9 +206,6 @@ class quad_levels {
 
   // --- node accessors -------------------------------------------------------
 
-  [[nodiscard]] const cube& box_at(int level, int slot) const {
-    return lv(level).box[static_cast<std::size_t>(slot)];
-  }
   [[nodiscard]] const entry& child_at(int level, int slot, int quad) const {
     return lv(level).child[static_cast<std::size_t>(slot) * fanout + static_cast<std::size_t>(quad)];
   }
@@ -224,40 +227,44 @@ class quad_levels {
     return lv(level).alive[static_cast<std::size_t>(slot)] != 0;
   }
 
-  // Warm the child row a descend step will read next.
-  void prefetch_node(int level, int slot) const {
-    util::prefetch(&lv(level).child[static_cast<std::size_t>(slot) * fanout]);
+  // Warm the one child entry the next step from `node` (cube `box`)
+  // toward q reads.
+  void prefetch_step(int level, int node, const cube& box, const point& q) const {
+    util::prefetch(&child_at(level, node, box.quadrant_of(q)));
   }
 
   // --- traversal primitives -------------------------------------------------
+  //
+  // `box` is always the cube the walk carries for `node`. Node cubes are
+  // interesting (>= 2 occupants), so their level is below coord_bits and
+  // every node has quadrants to read.
 
-  // One descend step toward q: the child node whose (cached) cube contains
-  // q, or -1 when the walk stops here. The caller meters the hop.
-  [[nodiscard]] int step(int level, int node, const point& q) const {
-    const level_arena& a = lv(level);
-    const cube& b = a.box[static_cast<std::size_t>(node)];
-    if (b.level >= seq::coord_bits) return -1;
-    const entry& e =
-        a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(b.quadrant_of(q))];
+  // One descend step toward q: when the entry in q's quadrant is a child
+  // node whose cube contains q, moves (node, box) to it and returns true;
+  // false means the walk stops at `node`. The caller meters the hop.
+  [[nodiscard]] bool step(int level, int& node, cube& box, const point& q) const {
+    const entry& e = child_at(level, node, box.quadrant_of(q));
     // Mask-select instead of short-circuit: both conditions evaluate (the
     // entry is already loaded — contains() is register arithmetic) and fold
     // into one predictable select, versus two data-dependent branches.
     const bool hit = (e.node >= 0) & static_cast<int>(e.box.contains(q));
-    return hit ? e.node : -1;
+    if (hit) {
+      node = e.node;
+      box = e.box;
+    }
+    return hit;
   }
 
   // Full local descent (no metering): build-time and oracle helper.
-  [[nodiscard]] int locate_local(int level, int node, const point& q) const {
-    for (;;) {
-      const int nx = step(level, node, q);
-      if (nx < 0) return node;
-      node = nx;
+  void locate_local(int level, int& node, cube& box, const point& q) const {
+    while (step(level, node, box, q)) {
     }
   }
 
-  // Is q stored as a point entry directly under `node` (its deepest cube)?
-  [[nodiscard]] bool point_here(int level, int node, const point& q) const {
-    const entry& e = child_at(level, node, box_at(level, node).quadrant_of(q));
+  // Is q stored as a point entry directly under `node` (cube `box`, its
+  // deepest cube)?
+  [[nodiscard]] bool point_here(int level, int node, const cube& box, const point& q) const {
+    const entry& e = child_at(level, node, box.quadrant_of(q));
     return e.point >= 0 && pts_[static_cast<std::size_t>(e.point)] == q;
   }
 
@@ -266,14 +273,15 @@ class quad_levels {
   struct insert_outcome {
     int created = -1;   // freshly interesting cube (at most one), or -1
     int attached = -1;  // deepest node containing the point after the edit
+    cube box;           // attached's cube (the created cube when created >= 0)
   };
 
-  // Insert point `pid` under `node`, which must be the deepest node of its
-  // tree whose cube contains the point (the descend endpoint).
-  insert_outcome insert_at(int level, int node, int pid) {
+  // Insert point `pid` under `node` (cube `box`), which must be the deepest
+  // node of its tree whose cube contains the point (the descend endpoint).
+  insert_outcome insert_at(int level, int node, const cube& box, int pid) {
     level_arena& a = lv(level);
     const point& p = pts_[static_cast<std::size_t>(pid)];
-    const int quad = a.box[static_cast<std::size_t>(node)].quadrant_of(p);
+    const int quad = box.quadrant_of(p);
     const entry e = a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
 
     if (e.empty()) {
@@ -281,36 +289,37 @@ class quad_levels {
           a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
       slot_e.point = pid;
       ++a.occupied[static_cast<std::size_t>(node)];
-      return {-1, node};
+      return {-1, node, box};
     }
     if (e.point >= 0) {
       const point other = pts_[static_cast<std::size_t>(e.point)];
       SW_EXPECTS(!(other == p));  // duplicate points are not representable
       const cube c = seq::smallest_enclosing(p, other);
-      const int fresh = new_node(level, c, node);
-      attach_point(level, fresh, p, pid);
-      attach_point(level, fresh, other, e.point);
-      set_child_node(level, node, quad, fresh);
-      return {fresh, fresh};
+      const int fresh = new_node(level, node);
+      attach_point(level, fresh, c, p, pid);
+      attach_point(level, fresh, c, other, e.point);
+      set_child_node(level, node, quad, fresh, c);
+      return {fresh, fresh, c};
     }
     // Occupied by a child cube that does not contain p: wedge a new
     // interesting cube above it.
     SW_ASSERT(!e.box.contains(p));
     const cube c = seq::smallest_enclosing(e.box, p);
-    const int fresh = new_node(level, c, node);
-    attach_point(level, fresh, p, pid);
-    attach_node(level, fresh, e.node);
-    set_child_node(level, node, quad, fresh);
-    return {fresh, fresh};
+    const int fresh = new_node(level, node);
+    attach_point(level, fresh, c, p, pid);
+    attach_node(level, fresh, c, e.node, e.box);
+    set_child_node(level, node, quad, fresh, c);
+    return {fresh, fresh, c};
   }
 
-  // Remove point `pid` from `node` (its deepest containing node), splicing
-  // out the at most one cube that stops being interesting. Returns the freed
-  // slot or -1. A root left empty is handled by destroy_tree_if_empty.
-  int erase_at(int level, int node, int pid) {
+  // Remove point `pid` from `node` (cube `box`, its deepest containing
+  // node), splicing out the at most one cube that stops being interesting.
+  // Returns the freed slot or -1. A root left empty is handled by
+  // destroy_tree_if_empty.
+  int erase_at(int level, int node, const cube& box, int pid) {
     level_arena& a = lv(level);
     const point& p = pts_[static_cast<std::size_t>(pid)];
-    const int quad = a.box[static_cast<std::size_t>(node)].quadrant_of(p);
+    const int quad = box.quadrant_of(p);
     entry& e = a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
     SW_EXPECTS(e.point == pid);
     e = entry{};
@@ -329,7 +338,7 @@ class quad_levels {
     for (int q = 0; q < fanout; ++q) {
       entry& pe = a.child[static_cast<std::size_t>(parent) * fanout + static_cast<std::size_t>(q)];
       if (pe.node == node) {
-        pe = remaining;  // cached cube (if any) travels with the entry
+        pe = remaining;  // the moved entry carries the only copy of its cube
         break;
       }
     }
@@ -338,13 +347,17 @@ class quad_levels {
     return node;
   }
 
-  // Walk up from `from` to the node whose cube equals `target` (used to
-  // resolve the down link of a cube that just became interesting one level
-  // sparser; the subset property guarantees the cube exists on this path).
-  [[nodiscard]] int resolve_cube(int level, int from, const cube& target) const {
+  // Walk up from `from` (cube `from_box`) to the node whose cube equals
+  // `target` (used to resolve the down link of a cube that just became
+  // interesting one level sparser; the subset property guarantees the cube
+  // exists on this path). Each ancestor's cube comes from its parent's entry.
+  [[nodiscard]] int resolve_cube(int level, int from, const cube& from_box,
+                                 const cube& target) const {
     int at = from;
-    while (at >= 0 && !(box_at(level, at) == target)) at = parent_of(level, at);
-    SW_ASSERT(at >= 0);
+    for (cube c = from_box; !(c == target); c = cube_of(level, at)) {
+      at = parent_of(level, at);
+      SW_ASSERT(at >= 0);
+    }
     return at;
   }
 
@@ -370,8 +383,8 @@ class quad_levels {
 
   // Structural invariants, for tests after randomized churn:
   //  - per tree: occupancy counts match entries, parents are consistent,
-  //    child cubes (and their caches) nest properly, every non-root node is
-  //    interesting (>= 2 occupants);
+  //    child cubes nest properly and sit in their own quadrant, every
+  //    non-root node is interesting (>= 2 occupants);
   //  - partition by prefix: level l's trees hold exactly the live points
   //    whose membership matches each prefix (so S_b = the b-prefixed items);
   //  - nesting: every node cube at level l is a node cube of the parent
@@ -383,10 +396,12 @@ class quad_levels {
       std::size_t live_here = 0, points_here = 0;
       for (const auto& [prefix, tr] : lv(l).trees) {
         std::size_t tree_points = 0;
-        std::vector<int> stack{tr.root};
+        // Each node's cube is the one its parent's entry holds; a root's is
+        // the whole space.
+        std::vector<std::pair<int, cube>> stack{{tr.root, cube{}}};
         if (parent_of(l, tr.root) != -1) return false;
         while (!stack.empty()) {
-          const int v = stack.back();
+          const auto [v, box] = stack.back();
           stack.pop_back();
           ++live_here;
           if (!alive_at(l, v)) return false;
@@ -400,18 +415,18 @@ class quad_levels {
               ++tree_points;
               const point& p = pts_[static_cast<std::size_t>(e.point)];
               if (seen[static_cast<std::size_t>(e.point)] == 2) return false;
-              if (!box_at(l, v).contains(p)) return false;
-              if (box_at(l, v).quadrant_of(p) != q) return false;
+              if (!box.contains(p)) return false;
+              if (box.quadrant_of(p) != q) return false;
               if (util::prefix_of(pbits_[static_cast<std::size_t>(e.point)], l).bits != prefix) {
                 return false;
               }
               if (l == 0) seen[static_cast<std::size_t>(e.point)] = 1;
             } else {
-              if (!(e.box == box_at(l, e.node))) return false;  // cube cache in sync
-              if (!box_at(l, v).contains(e.box)) return false;
-              if (e.box.level <= box_at(l, v).level) return false;
+              if (!box.contains(e.box)) return false;
+              if (e.box.level <= box.level) return false;
+              if (box.quadrant_of(corner_of(e.box)) != q) return false;
               if (parent_of(l, e.node) != v) return false;
-              stack.push_back(e.node);
+              stack.emplace_back(e.node, e.box);
             }
           }
           if (occ != occupied_of(l, v)) return false;
@@ -420,7 +435,8 @@ class quad_levels {
           if (l > 0) {
             const int dn = down_of(l, v);
             if (dn < 0 || !alive_at(l - 1, dn)) return false;
-            if (!(box_at(l - 1, dn) == box_at(l, v))) return false;
+            // Level l-1 is already verified, so dn sits in its parent's row.
+            if (!(cube_of(l - 1, dn) == box)) return false;
             const auto parent_prefix = util::level_prefix{l, prefix}.parent().bits;
             const tree_ref* pt = tree(l - 1, parent_prefix);
             if (pt == nullptr) return false;
@@ -443,8 +459,9 @@ class quad_levels {
     return true;
   }
 
-  // Measured resident bytes (DESIGN.md §12): point + node records are
-  // arena, the child/parent/down pointer arrays are links, and the per-level
+  // Measured resident bytes (DESIGN.md §12): points and per-node occupancy
+  // and liveness are arena, the child rows (with the cubes their entries
+  // hold) and the parent/down arrays are links, and the per-level
   // prefix→tree hash maps are directory (estimated — see api::map_bytes).
   [[nodiscard]] api::memory_footprint footprint() const {
     api::memory_footprint f;
@@ -453,14 +470,13 @@ class quad_levels {
     f.slack_bytes = api::vector_slack_bytes(pts_) + api::vector_slack_bytes(pbits_) +
                     api::vector_slack_bytes(pfree_);
     for (const level_arena& a : lv_) {
-      f.arena_bytes += api::vector_bytes(a.box) + api::vector_bytes(a.occupied) +
-                       api::vector_bytes(a.alive) + api::vector_bytes(a.free);
+      f.arena_bytes += api::vector_bytes(a.occupied) + api::vector_bytes(a.alive) +
+                       api::vector_bytes(a.free);
       f.link_bytes += api::vector_bytes(a.child) + api::vector_bytes(a.parent) +
                       api::vector_bytes(a.down);
-      f.slack_bytes += api::vector_slack_bytes(a.box) + api::vector_slack_bytes(a.occupied) +
-                       api::vector_slack_bytes(a.alive) + api::vector_slack_bytes(a.free) +
-                       api::vector_slack_bytes(a.child) + api::vector_slack_bytes(a.parent) +
-                       api::vector_slack_bytes(a.down);
+      f.slack_bytes += api::vector_slack_bytes(a.occupied) + api::vector_slack_bytes(a.alive) +
+                       api::vector_slack_bytes(a.free) + api::vector_slack_bytes(a.child) +
+                       api::vector_slack_bytes(a.parent) + api::vector_slack_bytes(a.down);
       f.directory_bytes += api::map_bytes(a.trees);
     }
     return f;
@@ -475,7 +491,6 @@ class quad_levels {
     pbits_.shrink_to_fit();
     pfree_.shrink_to_fit();
     for (level_arena& a : lv_) {
-      a.box.shrink_to_fit();
       a.child.shrink_to_fit();
       a.parent.shrink_to_fit();
       a.down.shrink_to_fit();
@@ -494,7 +509,7 @@ class quad_levels {
   static_assert(sizeof(tree_row) == 16);
 
   // Write the whole multi-level arena under `prefix` ("<prefix>.pts",
-  // "<prefix>.lv3.box", ...). Quiescent structural state only.
+  // "<prefix>.lv3.child", ...). Quiescent structural state only.
   void save(persist::writer& w, std::string_view prefix) const {
     const std::string p(prefix);
     const std::uint64_t meta[] = {static_cast<std::uint64_t>(levels_),
@@ -507,7 +522,6 @@ class quad_levels {
       const level_arena& a = lv(l);
       const std::string lp = p + ".lv" + std::to_string(l);
       w.add_u64(lp + ".live_nodes", a.live_nodes);
-      w.add_pods(lp + ".box", a.box);
       w.add_pods(lp + ".child", a.child);
       w.add_pods(lp + ".parent", a.parent);
       w.add_pods(lp + ".down", a.down);
@@ -525,20 +539,24 @@ class quad_levels {
   // the reader's blob; the per-level prefix→tree directories are rebuilt
   // from their flattened rows (directory iteration order may differ from the
   // saved instance's — only the repair plane's scan order observes it).
+  // Files that still carry the per-node "<prefix>.lvN.box" sections of the
+  // earlier layout restore too: those sections are simply not read.
   quad_levels(persist::reader& r, std::string_view prefix) {
     const std::string p(prefix);
     std::size_t nmeta = 0;
     const auto* meta = r.array<std::uint64_t>(p + ".meta", nmeta);
     if (nmeta != 2) throw persist::error("snapshot: quad_levels meta malformed");
-    levels_ = static_cast<int>(meta[0]);
-    live_points_ = static_cast<std::size_t>(meta[1]);
-    if (levels_ < 0 || levels_ >= util::max_levels) {
+    // Range-check the u64 words before narrowing them.
+    if (meta[0] >= static_cast<std::uint64_t>(util::max_levels)) {
       throw persist::error("snapshot: quad_levels level count out of range");
     }
+    levels_ = static_cast<int>(meta[0]);
+    live_points_ = static_cast<std::size_t>(meta[1]);
     pts_ = r.pods<point>(p + ".pts");
     pbits_ = r.pods<util::membership_bits>(p + ".pbits");
     pfree_ = r.pods<int>(p + ".pfree");
-    if (pbits_.size() != pts_.size() || live_points_ + pfree_.size() != pts_.size()) {
+    if (pbits_.size() != pts_.size() || live_points_ > pts_.size() ||
+        live_points_ + pfree_.size() != pts_.size()) {
       throw persist::error("snapshot: quad_levels point arrays disagree with meta");
     }
     lv_.resize(static_cast<std::size_t>(levels_) + 1);
@@ -546,16 +564,15 @@ class quad_levels {
       level_arena& a = lv(l);
       const std::string lp = p + ".lv" + std::to_string(l);
       a.live_nodes = static_cast<std::size_t>(r.u64(lp + ".live_nodes"));
-      a.box = r.pods<cube>(lp + ".box");
       a.child = r.pods<entry>(lp + ".child");
       a.parent = r.pods<std::int32_t>(lp + ".parent");
       a.down = r.pods<std::int32_t>(lp + ".down");
       a.occupied = r.pods<std::uint8_t>(lp + ".occupied");
       a.alive = r.pods<std::uint8_t>(lp + ".alive");
       a.free = r.pods<std::int32_t>(lp + ".free");
-      const std::size_t slots = a.box.size();
-      if (a.child.size() != slots * fanout || a.parent.size() != slots ||
-          a.down.size() != slots || a.occupied.size() != slots || a.alive.size() != slots ||
+      const std::size_t slots = a.parent.size();
+      if (a.child.size() != slots * fanout || a.down.size() != slots ||
+          a.occupied.size() != slots || a.alive.size() != slots || a.live_nodes > slots ||
           a.live_nodes + a.free.size() != slots) {
         throw persist::error("snapshot: quad_levels level arrays disagree");
       }
@@ -566,13 +583,14 @@ class quad_levels {
   }
 
  private:
-  // Parallel arrays indexed by node slot; one arena per level, so the cube
-  // records of a level stay contiguous. Slots recycle through `free`. The
+  // Parallel arrays indexed by node slot; one arena per level, so the node
+  // records of a level stay contiguous. A node's cube is stored only in its
+  // parent's entry (a root's is the whole space). Slots recycle through
+  // `free`. The
   // POD arrays are persist::pod_array — owned in a built structure, borrowed
   // zero-copy snapshot spans (copy-on-first-write) in a restored one; only
   // the prefix→tree directory is a real map, flattened to records on save.
   struct level_arena {
-    persist::pod_array<cube> box;
     persist::pod_array<entry> child;  // fanout records per slot
     persist::pod_array<std::int32_t> parent;
     persist::pod_array<std::int32_t> down;
@@ -588,7 +606,28 @@ class quad_levels {
   }
   [[nodiscard]] level_arena& lv(int level) { return lv_[static_cast<std::size_t>(level)]; }
 
-  int new_node(int level, const cube& c, int parent) {
+  // A node's cube, read from its parent's entry (a root's is the whole
+  // space).
+  [[nodiscard]] cube cube_of(int level, int slot) const {
+    const int par = parent_of(level, slot);
+    if (par < 0) return cube{};
+    for (int q = 0; q < fanout; ++q) {
+      const entry& e = child_at(level, par, q);
+      if (e.node == slot) return e.box;
+    }
+    SW_ASSERT(false);  // every non-root node sits in its parent's row
+    return cube{};
+  }
+
+  // The cube's corner as a point: it lies in the cube's own quadrant of any
+  // strictly larger cube containing it.
+  [[nodiscard]] static point corner_of(const cube& c) {
+    point p;
+    for (int d = 0; d < D; ++d) p.x[d] = c.corner[d];
+    return p;
+  }
+
+  int new_node(int level, int parent) {
     level_arena& a = lv(level);
     int slot;
     if (!a.free.empty()) {
@@ -598,8 +637,7 @@ class quad_levels {
         a.child[static_cast<std::size_t>(slot) * fanout + static_cast<std::size_t>(q)] = entry{};
       }
     } else {
-      slot = static_cast<int>(a.box.size());
-      a.box.emplace_back();
+      slot = static_cast<int>(a.parent.size());
       // Explicit empty-entry fill: pod_array's value-less resize leaves new
       // records uninitialized (unlike std::vector's value-init).
       a.child.resize(a.child.size() + fanout, entry{});
@@ -608,7 +646,6 @@ class quad_levels {
       a.occupied.emplace_back();
       a.alive.emplace_back();
     }
-    a.box[static_cast<std::size_t>(slot)] = c;
     a.parent[static_cast<std::size_t>(slot)] = parent;
     a.down[static_cast<std::size_t>(slot)] = -1;
     a.occupied[static_cast<std::size_t>(slot)] = 0;
@@ -624,35 +661,32 @@ class quad_levels {
     --a.live_nodes;
   }
 
-  void attach_point(int level, int node, const point& p, int pid) {
+  void attach_point(int level, int node, const cube& box, const point& p, int pid) {
     level_arena& a = lv(level);
-    const int quad = a.box[static_cast<std::size_t>(node)].quadrant_of(p);
+    const int quad = box.quadrant_of(p);
     entry& e = a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
     SW_ASSERT(e.empty());
     e.point = pid;
     ++a.occupied[static_cast<std::size_t>(node)];
   }
 
-  void attach_node(int level, int node, int child) {
+  void attach_node(int level, int node, const cube& box, int child, const cube& child_box) {
     level_arena& a = lv(level);
-    const cube& cb = a.box[static_cast<std::size_t>(child)];
-    point probe;
-    for (int d = 0; d < D; ++d) probe.x[d] = cb.corner[d];
-    const int quad = a.box[static_cast<std::size_t>(node)].quadrant_of(probe);
+    const int quad = box.quadrant_of(corner_of(child_box));
     entry& e = a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
     SW_ASSERT(e.empty());
     e.node = child;
-    e.box = cb;
+    e.box = child_box;
     ++a.occupied[static_cast<std::size_t>(node)];
     a.parent[static_cast<std::size_t>(child)] = node;
   }
 
-  void set_child_node(int level, int node, int quad, int child) {
+  void set_child_node(int level, int node, int quad, int child, const cube& child_box) {
     level_arena& a = lv(level);
     entry& e = a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
     e.node = child;
     e.point = -1;
-    e.box = a.box[static_cast<std::size_t>(child)];
+    e.box = child_box;
   }
 
   std::vector<level_arena> lv_;

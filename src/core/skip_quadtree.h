@@ -35,8 +35,12 @@ namespace skipweb::core {
 // underlying compressed tree has Θ(n) depth.
 //
 // Storage is the flat multi-level arena of core::quad_levels: the identity
-// hyperlink is a stored slot index and child cubes are cached in the parent
-// rows, so the query path performs no hash lookups (see quad_levels.h).
+// hyperlink is a stored slot index, and a node's cube is stored only in its
+// parent's child entry. Every walk here — locate, locate_batch, the descent
+// of range, and the insert, erase and bulk-build descents — carries the
+// current cube with it: the whole space at a root, the entry's cube after
+// each step, unchanged across a down link. A hop therefore loads one child
+// entry and the query path performs no hash lookups (see quad_levels.h).
 // Nodes (interesting cubes) are spread over all hosts by hashing — the
 // arbitrary assignment of §2.4 — giving O(2^d log n) expected memory per
 // host for H = n.
@@ -67,7 +71,7 @@ class skip_quadtree {
         rng_(seed),
         levels_(levels_for(pts.size())),
         q_(levels_),
-        replication_(std::min<std::size_t>(replication, 8)) {
+        replication_(std::min(replication, max_replication)) {
     SW_EXPECTS(!pts.empty());
     if (bulk) {
       bulk_build(pts);
@@ -95,11 +99,16 @@ class skip_quadtree {
     std::size_t nmeta = 0;
     const auto* meta = r.array<std::uint64_t>("impl.meta", nmeta);
     if (nmeta != 2) throw persist::error("snapshot: quadtree meta malformed");
-    levels_ = static_cast<int>(meta[0]);
-    replication_ = meta[1];
-    if (levels_ != q_.levels()) {
+    // Compared as u64 words, before narrowing: the build never stores more
+    // than max_replication, and every replica costs a charge per edit.
+    if (meta[0] != static_cast<std::uint64_t>(q_.levels())) {
       throw persist::error("snapshot: quadtree level count disagrees with its arena");
     }
+    if (meta[1] > max_replication) {
+      throw persist::error("snapshot: quadtree replication out of range");
+    }
+    levels_ = q_.levels();
+    replication_ = static_cast<std::size_t>(meta[1]);
     std::istringstream iss(r.str("impl.rng"));
     iss >> rng_.engine();
     if (!iss) throw persist::error("snapshot: unreadable rng state");
@@ -156,6 +165,9 @@ class skip_quadtree {
   skip_quadtree(const skip_quadtree&) = delete;
   skip_quadtree& operator=(const skip_quadtree&) = delete;
 
+  // The build clamps `replication` to this; a snapshot above it is rejected.
+  static constexpr std::size_t max_replication = 8;
+
   [[nodiscard]] std::size_t size() const { return q_.point_count(); }
   [[nodiscard]] int levels() const { return levels_; }
   // Extra replica hosts per node record (0 = unreplicated; DESIGN.md §10).
@@ -175,14 +187,10 @@ class skip_quadtree {
   [[nodiscard]] locate_result locate(const point& q, net::host_id origin) const {
     net::cursor cur(*net_, origin);
     auto [l, prefix, node] = chain_top(anchors_[origin.value]);
+    cube box{};  // a root's cube is the whole space
     hop(cur, l, prefix, node);
     for (;;) {
-      for (;;) {
-        const int nx = q_.step(l, node, q);
-        if (nx < 0) break;
-        node = nx;
-        hop(cur, l, prefix, node);
-      }
+      while (q_.step(l, node, box, q)) hop(cur, l, prefix, node);
       if (l == 0) break;
       node = q_.down_of(l, node);  // the same cube, one level denser
       --l;
@@ -190,22 +198,24 @@ class skip_quadtree {
       hop(cur, l, prefix, node);
     }
     locate_result out;
-    out.cell = q_.box_at(0, node);
-    out.is_point = q_.point_here(0, node, q);
+    out.cell = box;
+    out.is_point = q_.point_here(0, node, box, q);
     out.stats = api::op_stats::of(cur);
     return out;
   }
 
   // Batched point location: the given descents run interleaved, one step per
-  // query per round, each query's next child row prefetched a round ahead so
-  // the independent walks' memory latency overlaps. Results and per-op
-  // receipts are identical to locate() called serially (tests assert it).
+  // query per round, each query's next child entry — the exact one its
+  // carried cube selects — prefetched a round ahead so the independent
+  // walks' memory latency overlaps. Results and per-op receipts are
+  // identical to locate() called serially (tests assert it).
   [[nodiscard]] std::vector<locate_result> locate_batch(const std::vector<point>& qs,
                                                         net::host_id origin) const {
     struct lane {
       net::cursor cur;
       int l, node;
       std::uint64_t prefix;
+      cube box;
       bool done = false;
     };
     const auto w = anchors_[origin.value];
@@ -213,7 +223,7 @@ class skip_quadtree {
     std::vector<lane> lanes;
     lanes.reserve(qs.size());
     for (std::size_t i = 0; i < qs.size(); ++i) {
-      lanes.push_back(lane{net::cursor(*net_, origin), l0, node0, prefix0});
+      lanes.push_back(lane{net::cursor(*net_, origin), l0, node0, prefix0, cube{}});
       hop(lanes.back().cur, l0, prefix0, node0);
     }
     std::vector<locate_result> out(qs.size());
@@ -226,23 +236,21 @@ class skip_quadtree {
       for (std::size_t a = 0; a < active.size(); ++a) {
         const std::size_t i = active[a];
         lane& ln = lanes[i];
-        const int nx = q_.step(ln.l, ln.node, qs[i]);
-        if (nx >= 0) {
-          ln.node = nx;
-          hop(ln.cur, ln.l, ln.prefix, nx);
+        if (q_.step(ln.l, ln.node, ln.box, qs[i])) {
+          hop(ln.cur, ln.l, ln.prefix, ln.node);
         } else if (ln.l > 0) {
-          ln.node = q_.down_of(ln.l, ln.node);
+          ln.node = q_.down_of(ln.l, ln.node);  // the box stays: same cube
           --ln.l;
           ln.prefix = util::prefix_of(w, ln.l).bits;
           hop(ln.cur, ln.l, ln.prefix, ln.node);
         } else {
-          out[i].cell = q_.box_at(0, ln.node);
-          out[i].is_point = q_.point_here(0, ln.node, qs[i]);
+          out[i].cell = ln.box;
+          out[i].is_point = q_.point_here(0, ln.node, ln.box, qs[i]);
           out[i].stats = api::op_stats::of(ln.cur);
           ln.done = true;
         }
         if (!ln.done) {
-          q_.prefetch_node(ln.l, ln.node);  // warm next round's read
+          q_.prefetch_step(ln.l, ln.node, ln.box, qs[i]);  // warm next round's read
           active[kept++] = static_cast<std::uint32_t>(i);
         }
       }
@@ -309,14 +317,10 @@ class skip_quadtree {
     for (int d = 0; d < D; ++d) SW_EXPECTS(lo.x[d] <= hi.x[d]);
     net::cursor cur(*net_, origin);
     auto [l, prefix, node] = chain_top(anchors_[origin.value]);
+    cube box{};
     hop(cur, l, prefix, node);
     for (;;) {
-      for (;;) {
-        const int nx = step_box(l, node, lo, hi);
-        if (nx < 0) break;
-        node = nx;
-        hop(cur, l, prefix, node);
-      }
+      while (step_box(l, node, box, lo, hi)) hop(cur, l, prefix, node);
       if (l == 0) break;
       node = q_.down_of(l, node);
       --l;
@@ -373,21 +377,18 @@ class skip_quadtree {
     const net::structural_section sw_structural_guard(*net_);
     net::cursor cur(*net_, origin);
     int start = -1;  // captured down link; -1 selects the level's root
+    cube box{};      // the cube of `start` (a down link keeps the cube)
     for (int l = levels_; l >= 0; --l) {
       const auto prefix = util::prefix_of(bits, l).bits;
       const auto* tr = q_.tree(l, prefix);
       SW_ASSERT(tr != nullptr);
       int node = start >= 0 ? start : tr->root;
+      if (start < 0) box = cube{};
       hop(cur, l, prefix, node);
-      for (;;) {
-        const int nx = q_.step(l, node, p);
-        if (nx < 0) break;
-        node = nx;
-        hop(cur, l, prefix, node);
-      }
+      while (q_.step(l, node, box, p)) hop(cur, l, prefix, node);
       // Capture the hyperlink before the edit can splice the node away.
       start = l > 0 ? q_.down_of(l, node) : -1;
-      const int freed = q_.erase_at(l, node, pid);
+      const int freed = q_.erase_at(l, node, box, pid);
       charge_point(l, prefix, p, -1);
       if (freed >= 0) {
         charge_node(l, prefix, freed, -1);  // de-charge at the current window
@@ -518,16 +519,18 @@ class skip_quadtree {
     }
   }
 
-  // One descend step for range search: advance while a child cube contains
-  // the whole query box.
-  [[nodiscard]] int step_box(int l, int node, const point& lo, const point& hi) const {
-    const cube& b = q_.box_at(l, node);
-    if (b.level >= seq::coord_bits) return -1;
-    const int quad = b.quadrant_of(lo);
-    if (quad != b.quadrant_of(hi)) return -1;
+  // One descend step for range search from `node` (cube `box`): moves
+  // (node, box) to the child whose cube contains the whole query box and
+  // returns true, or returns false where the walk stops.
+  [[nodiscard]] bool step_box(int l, int& node, cube& box, const point& lo,
+                              const point& hi) const {
+    const int quad = box.quadrant_of(lo);
+    if (quad != box.quadrant_of(hi)) return false;
     const auto& e = q_.child_at(l, node, quad);
-    if (e.node < 0 || !e.box.contains(lo) || !e.box.contains(hi)) return -1;
-    return e.node;
+    if (e.node < 0 || !e.box.contains(lo) || !e.box.contains(hi)) return false;
+    node = e.node;
+    box = e.box;
+    return true;
   }
 
   static bool inside(const point& p, const point& lo, const point& hi) {
@@ -553,26 +556,26 @@ class skip_quadtree {
   void insert_chain(const point& p, util::membership_bits bits, net::cursor* cur) {
     const int pid = q_.new_point(p, bits);
     int start = -1;            // captured down link; -1 selects the level's root
+    cube box{};                // the cube of `start` (a down link keeps the cube)
     int pending_root = -1;     // fresh root one level up, awaiting its hyperlink
     int pending_created = -1;  // cube created one level up, awaiting its hyperlink
+    cube pending_box{};        // ... and that cube
     for (int l = levels_; l >= 0; --l) {
       const auto prefix = util::prefix_of(bits, l).bits;
       const auto [root, fresh] = q_.ensure_tree(l, prefix);
       if (fresh) charge_node(l, prefix, root, +1);
       int node = start >= 0 ? start : root;
+      if (start < 0) box = cube{};
       if (pending_root >= 0) {
         q_.set_down(l + 1, pending_root, root);  // whole space = whole space
         pending_root = -1;
       }
       if (cur != nullptr) hop(*cur, l, prefix, node);
-      for (;;) {
-        const int nx = q_.step(l, node, p);
-        if (nx < 0) break;
-        node = nx;
+      while (q_.step(l, node, box, p)) {
         if (cur != nullptr) hop(*cur, l, prefix, node);
       }
       start = l > 0 ? q_.down_of(l, node) : -1;  // -1 exactly when this level is fresh
-      const auto outcome = q_.insert_at(l, node, pid);
+      const auto outcome = q_.insert_at(l, node, box, pid);
       charge_point(l, prefix, p, +1);
       q_.bump_tree(l, prefix, +1);
       if (outcome.created >= 0) {
@@ -582,11 +585,11 @@ class skip_quadtree {
       if (pending_created >= 0) {
         // The cube that became interesting one level up now exists here too
         // (subset property); it sits on the root path of p's deepest node.
-        const int target =
-            q_.resolve_cube(l, outcome.attached, q_.box_at(l + 1, pending_created));
+        const int target = q_.resolve_cube(l, outcome.attached, outcome.box, pending_box);
         q_.set_down(l + 1, pending_created, target);
       }
       pending_created = outcome.created;
+      pending_box = outcome.box;
       if (fresh) pending_root = root;
     }
   }
@@ -624,8 +627,10 @@ class skip_quadtree {
       psalt[i] = static_cast<int>(seq::qpoint_hash<D>{}(pts[i]) & 0x3fffffff);
     }
     std::vector<std::int32_t> final_node(n, -1);  // descend endpoint one level up
+    std::vector<cube> final_box(n);               // ... and its cube
     std::vector<std::int32_t> pend_root(n, -1);
     std::vector<std::int32_t> pend_created(n, -1);
+    std::vector<cube> pend_box(n);
     for (int l = levels_; l >= 0; --l) {
       // <= n slots materialize per level (see reserve_level); tree count is
       // bounded by both the points and the l-bit prefix space.
@@ -641,22 +646,24 @@ class skip_quadtree {
         const int root = tr->root;
         if (fresh) charge_node(l, prefix, root, +1);
         int node = start >= 0 ? start : root;
+        cube box = start >= 0 ? final_box[i] : cube{};
         if (pend_root[i] >= 0) {
           q_.set_down(l + 1, pend_root[i], root);
           pend_root[i] = -1;
         }
-        node = q_.locate_local(l, node, p);
+        q_.locate_local(l, node, box, p);
         final_node[i] = node;  // its down link resolves during the next pass
-        const auto outcome = q_.insert_at(l, node, pid[i]);
+        final_box[i] = box;
+        const auto outcome = q_.insert_at(l, node, box, pid[i]);
         charge_point(l, prefix, psalt[i], +1);
         ++tr->points;
         if (outcome.created >= 0) charge_node(l, prefix, outcome.created, +1);
         if (pend_created[i] >= 0) {
-          const int target =
-              q_.resolve_cube(l, outcome.attached, q_.box_at(l + 1, pend_created[i]));
+          const int target = q_.resolve_cube(l, outcome.attached, outcome.box, pend_box[i]);
           q_.set_down(l + 1, pend_created[i], target);
         }
         pend_created[i] = outcome.created;
+        pend_box[i] = outcome.box;
         if (fresh) pend_root[i] = root;
       }
     }

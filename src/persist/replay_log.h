@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -62,14 +63,21 @@ struct replay_log {
     add_keys(w, op_keys_section, op_keys);
   }
 
-  // Reads a saved log; throws persist::error on a missing section, an op
-  // code other than insert/erase, or a key column whose length differs from
-  // the op rows. Origins are checked by the caller as it re-issues each row
-  // (the valid range is the host count at that moment).
+  // Reads a saved log; throws persist::error on a missing section, a
+  // pre-build host count beyond the u32 host ids (the restore grows the
+  // network to it, so this is checked first; native files obey the same rule
+  // in restore_network), an op code other than insert/erase, or a key column
+  // whose length differs from the op rows. Origins are checked by the caller
+  // as it re-issues each row (the valid range is the host count at that
+  // moment).
   [[nodiscard]] static replay_log load(const reader& r) {
-    replay_log log{r.u64(seed_section), r.u64(pre_hosts_section),
-                   read_keys(r, build_keys_section), r.vec<row>(ops_section),
-                   read_keys(r, op_keys_section)};
+    const std::uint64_t pre_hosts = r.u64(pre_hosts_section);
+    if (pre_hosts > std::numeric_limits<std::uint32_t>::max()) {
+      throw error("snapshot: replay host count " + std::to_string(pre_hosts) +
+                  " does not fit a host id");
+    }
+    replay_log log{r.u64(seed_section), pre_hosts, read_keys(r, build_keys_section),
+                   r.vec<row>(ops_section), read_keys(r, op_keys_section)};
     if (log.ops.size() != log.op_keys.size()) {
       throw error("snapshot: replay op log and key column lengths differ");
     }

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "net/network.h"
 #include "persist/replay_log.h"
 #include "persist/snapshot.h"
+#include "seq/quadtree.h"
 #include "serve/executor.h"
 #include "serve/route_cache.h"
 #include "util/rng.h"
@@ -734,11 +736,60 @@ TEST(Persist, UnregisteredBackendNameRejected) {
   EXPECT_THROW((void)api::restore_index(opath, persist::restore_mode::load, net), persist::error);
 }
 
+TEST(Persist, HostileReplayHostCountRejected) {
+  // The restore grows the network to "replay.pre_hosts" before the build;
+  // a count beyond the u32 host ids is rejected before any host is added
+  // (2^62 would otherwise grow the network until memory runs out).
+  for (const std::uint64_t hosts : {std::uint64_t{1} << 62, std::uint64_t{1} << 32}) {
+    auto tlog = trie_log();
+    tlog.pre_hosts = hosts;
+    const auto tpath = snap_path("hostile_trie_hosts");
+    write_replay(tpath, "skip_trie", 1, tlog);
+    expect_spatial_rejected(tpath);
+    auto slog = string_log();
+    slog.pre_hosts = hosts;
+    const auto spath = snap_path("hostile_string_hosts");
+    write_replay(spath, "string_sorted", 2, slog);
+    expect_string_rejected(spath);
+  }
+}
+
 // --- layer 4d: hostile host counts in native snapshots ----------------------
 //
 // A native snapshot's host count is the row count of its "net.memory_rows"
 // section. These files copy a real skipweb1d snapshot section by section and
-// rewrite only the two network sections.
+// rewrite only the two network sections. (Sections are addressed by name
+// hash, so a copy lists the names.)
+
+struct section_bytes {
+  std::string name;
+  std::vector<char> bytes;
+};
+
+template <typename T>
+section_bytes section_of(std::string name, const std::vector<T>& v) {
+  std::vector<char> bytes(v.size() * sizeof(T));
+  if (!bytes.empty()) std::memcpy(bytes.data(), v.data(), bytes.size());
+  return {std::move(name), std::move(bytes)};
+}
+
+// Copies the named sections of `from` except the ones `replaced` names,
+// then writes `replaced` (which may also add sections).
+void rewrite_sections(const std::string& from, const std::string& to,
+                      const std::vector<std::string>& names,
+                      const std::vector<section_bytes>& replaced) {
+  persist::reader r(from, persist::restore_mode::load);
+  persist::writer w(to);
+  for (const auto& name : names) {
+    const auto it = std::find_if(replaced.begin(), replaced.end(),
+                                 [&](const section_bytes& s) { return s.name == name; });
+    if (it != replaced.end()) continue;
+    const auto v = r.section(name);
+    w.add(name, v.data, v.bytes);
+  }
+  for (const auto& s : replaced) w.add(s.name, s.bytes.data(), s.bytes.size());
+  w.finish();
+}
 
 const std::vector<std::string> kSkipweb1dSections = {
     "meta.backend", "meta.index_kind", "meta.n", "lists.meta", "lists.keys", "lists.bits",
@@ -747,15 +798,9 @@ const std::vector<std::string> kSkipweb1dSections = {
 
 void rewrite_network(const std::string& from, const std::string& to, std::uint64_t host_count,
                      const std::vector<std::uint64_t>& rows) {
-  persist::reader r(from, persist::restore_mode::load);
-  persist::writer w(to);
-  for (const auto& name : kSkipweb1dSections) {
-    const auto v = r.section(name);
-    w.add(name, v.data, v.bytes);
-  }
-  w.add_u64("net.host_count", host_count);
-  w.add_vector("net.memory_rows", rows);
-  w.finish();
+  rewrite_sections(from, to, kSkipweb1dSections,
+                   {section_of("net.host_count", std::vector<std::uint64_t>{host_count}),
+                    section_of("net.memory_rows", rows)});
 }
 
 TEST(Persist, HostileHostCountsRejected) {
@@ -799,6 +844,126 @@ TEST(Persist, HostileHostCountsRejected) {
   // A network that already has more hosts than the snapshot cannot adopt it.
   network big(hosts + 1);
   EXPECT_THROW((void)api::restore_index(ok, persist::restore_mode::map, big), persist::error);
+}
+
+// --- layer 4e: rewritten skip quadtree snapshots ----------------------------
+//
+// These files copy a real skip_quadtree2/3 snapshot section by section and
+// replace or add some sections.
+
+void rewrite_quadtree(const std::string& from, const std::string& to,
+                      const std::vector<section_bytes>& replaced) {
+  std::vector<std::string> names = {"meta.backend", "meta.index_kind", "meta.n", "q.meta",
+                                    "q.pts",        "q.pbits",         "q.pfree"};
+  const auto levels =
+      persist::reader(from, persist::restore_mode::load).vec<std::uint64_t>("q.meta").at(0);
+  for (std::uint64_t l = 0; l <= levels; ++l) {
+    for (const char* s : {".live_nodes", ".child", ".parent", ".down", ".occupied", ".alive",
+                          ".free", ".trees"}) {
+      names.push_back("q.lv" + std::to_string(l) + s);
+    }
+  }
+  for (const char* s : {"impl.meta", "impl.rng", "impl.rehome_keys", "impl.rehome_bases",
+                        "impl.anchors", "net.host_count", "net.memory_rows"}) {
+    names.emplace_back(s);
+  }
+  rewrite_sections(from, to, names, replaced);
+}
+
+// A saved skip_quadtree2/3 whose arenas hold erase-freed slots.
+std::string churned_quadtree_snapshot(const std::string& backend, network& net) {
+  rng r(7070);
+  const auto pts = wl::spatial_points(api::spatial_backend_dims(backend), 300, true, r);
+  const auto idx = api::make_spatial_index(
+      backend, std::vector<api::spatial_point>(pts.begin(), pts.begin() + 240),
+      api::index_options{}.seed(8).initial_hosts(16), net);
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    idx->insert(pts[240 + i], h(i % 16));
+    idx->erase(pts[i * 3], h((i * 5) % 16));
+  }
+  const auto path = snap_path("source_" + backend);
+  api::save_spatial_snapshot(*idx, path);
+  return path;
+}
+
+TEST(Persist, HostileQuadtreeMetaRejected) {
+  network net_o(1);
+  const auto path = churned_quadtree_snapshot("skip_quadtree2", net_o);
+  persist::reader src(path, persist::restore_mode::load);
+  const auto qmeta = src.vec<std::uint64_t>("q.meta");
+  const auto levels = qmeta.at(0);
+  const auto pts = src.vec<seq::qpoint<2>>("q.pts").size();
+  const auto slots = src.vec<std::int32_t>("q.lv0.parent").size();
+
+  // The control: an unmodified copy restores.
+  const auto ok = snap_path("ok");
+  rewrite_quadtree(path, ok, {});
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    EXPECT_EQ(api::restore_spatial_index(ok, mode, net)->size(), qmeta.at(1));
+    expect_same_ledger(net_o, net, "control");
+  }
+
+  const std::uint64_t wide = (std::uint64_t{1} << 32) + levels;  // narrows to `levels`
+  std::vector<int> long_free(pts + 2, 0);  // more free slots than point slots
+  const std::vector<std::vector<section_bytes>> hostile = {
+      {section_of("q.meta", std::vector<std::uint64_t>{wide, qmeta.at(1)})},
+      {section_of("impl.meta", std::vector<std::uint64_t>{wide, 0})},
+      // The build clamps replication to 8; every insert charges k+1 replicas.
+      {section_of("impl.meta", std::vector<std::uint64_t>{levels, std::uint64_t{1} << 60})},
+      // live points + free slots wraps to the point-slot count.
+      {section_of("q.meta", std::vector<std::uint64_t>{levels, ~std::uint64_t{0} - 1}),
+       section_of("q.pfree", long_free)},
+      // ... and live nodes + free slots to a level's node-slot count.
+      {section_of("q.lv0.live_nodes", std::vector<std::uint64_t>{~std::uint64_t{0} - 1}),
+       section_of("q.lv0.free", std::vector<std::int32_t>(slots + 2, 0))}};
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    const auto bad = snap_path("bad");
+    rewrite_quadtree(path, bad, hostile[i]);
+    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+      network net(1);
+      EXPECT_THROW((void)api::restore_spatial_index(bad, mode, net), persist::error) << i;
+    }
+  }
+}
+
+TEST(Persist, QuadtreeFilesWithBoxSectionsRestore) {
+  // Earlier files also stored every node's cube in a per-level
+  // "q.lvN.box" section. The reader does not read those sections; filling
+  // them with garbage shows that nothing depends on them.
+  for (const std::string backend : {"skip_quadtree2", "skip_quadtree3"}) {
+    SCOPED_TRACE(backend);
+    network net_o(1);
+    const auto path = churned_quadtree_snapshot(backend, net_o);
+    const std::size_t cube_bytes = backend == "skip_quadtree2" ? sizeof(seq::qcube<2>)
+                                                               : sizeof(seq::qcube<3>);
+    persist::reader src(path, persist::restore_mode::load);
+    std::vector<section_bytes> boxes;
+    for (std::uint64_t l = 0; l <= src.vec<std::uint64_t>("q.meta").at(0); ++l) {
+      const std::string lp = "q.lv" + std::to_string(l);
+      const auto slots = src.vec<std::int32_t>(lp + ".parent").size();
+      boxes.push_back({lp + ".box", std::vector<char>(slots * cube_bytes, '\xa5')});
+    }
+    const auto old = snap_path("with_boxes");
+    rewrite_quadtree(path, old, boxes);
+    network net_s(1);
+    const auto saved = api::restore_spatial_index(path, persist::restore_mode::load, net_s);
+    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+      network net(1);
+      const auto twin = api::restore_spatial_index(old, mode, net);
+      expect_same_ledger(net_o, net, "restore");
+      rng pr(7171);
+      for (int i = 0; i < 60; ++i) {
+        const auto q = wl::spatial_probe(api::spatial_backend_dims(backend), pr);
+        const auto o = h(static_cast<std::uint32_t>(i % 16));
+        const auto a = saved->locate(q, o);
+        const auto b = twin->locate(q, o);
+        ASSERT_EQ(a.found, b.found) << i;
+        ASSERT_EQ(a.cell, b.cell) << i;
+        ASSERT_EQ(a.stats, b.stats) << i;
+      }
+    }
+  }
 }
 
 // --- layer 5: the build-or-restore entry points ------------------------------

@@ -294,4 +294,113 @@ TEST(SkipQuadtree, LocateBatchReceiptsEqualSerial) {
   }
 }
 
+// Every walk carries the cube of the node it stands on, and a node's cube is
+// stored only in its parent's entry: after an erase splice, the entry moved
+// into the parent holds the only copy of its cube. Interleaved inserts and
+// erases over uniform, clustered and deep-chain points, then every walk is
+// checked against an oracle: locate cells against seq::quadtree's deepest
+// cube, range against a brute-force scan, locate_batch against serial
+// locate (cells and receipts), plus the structural invariants.
+template <int D>
+void churned_walks_match_oracle(std::uint64_t seed) {
+  using point = seq::qpoint<D>;
+  rng r(seed);
+  const std::vector<std::pair<const char*, std::vector<point>>> sets = {
+      {"uniform", wl::uniform_points<D>(360, r)},
+      {"clustered", wl::clustered_points<D>(360, r)},
+      {"chain", wl::chain_points<D>(120)}};
+  for (const auto& [name, all] : sets) {
+    SCOPED_TRACE(name);
+    const std::size_t m = all.size() * 2 / 3;
+    std::vector<point> live(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(m));
+    std::vector<point> gone(all.begin() + static_cast<std::ptrdiff_t>(m), all.end());
+    network net(64);
+    skip_quadtree<D> web(live, seed + 1, net);
+    const auto take = [&](std::vector<point>& from) {
+      const std::size_t i = r.index(from.size());
+      const point p = from[i];
+      from[i] = from.back();
+      from.pop_back();
+      return p;
+    };
+    for (std::uint32_t step = 0; step < 300; ++step) {
+      if (step % 2 == 0 && !gone.empty()) {
+        const point p = take(gone);
+        web.insert(p, h(step % 64));
+        live.push_back(p);
+      } else {
+        const point p = take(live);
+        web.erase(p, h(step % 64));
+        gone.push_back(p);
+      }
+      if (step % 50 == 49) {
+        ASSERT_TRUE(web.check_invariants()) << "step " << step;
+      }
+    }
+    ASSERT_TRUE(web.check_invariants());
+    ASSERT_EQ(web.size(), live.size());
+    const seq::quadtree<D> oracle(live);
+    EXPECT_EQ(web.ground_node_count(), oracle.node_count());
+
+    // Probes: random points, stored and erased points, and each stored
+    // point with its lowest coordinate bit flipped (lands in its deepest
+    // cube — deep in the chain set).
+    std::vector<point> qs;
+    for (int i = 0; i < 48; ++i) qs.push_back(random_probe<D>(r));
+    for (std::size_t i = 0; i < live.size(); i += 3) {
+      qs.push_back(live[i]);
+      point near = live[i];
+      near.x[0] ^= 1;
+      qs.push_back(near);
+    }
+    for (std::size_t i = 0; i < gone.size(); i += 5) qs.push_back(gone[i]);
+    const auto batch = web.locate_batch(qs, h(5));
+    ASSERT_EQ(batch.size(), qs.size());
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const auto serial = web.locate(qs[i], h(5));
+      EXPECT_TRUE(serial.cell == oracle.node(oracle.locate(qs[i])).box) << i;
+      EXPECT_EQ(serial.is_point, std::find(live.begin(), live.end(), qs[i]) != live.end()) << i;
+      EXPECT_TRUE(batch[i].cell == serial.cell) << i;
+      EXPECT_EQ(batch[i].is_point, serial.is_point) << i;
+      EXPECT_EQ(batch[i].stats, serial.stats) << i;
+    }
+
+    // Range: random boxes, and boxes of random dyadic radius around stored
+    // points so the skip-level descent of range goes deep.
+    for (int trial = 0; trial < 40; ++trial) {
+      point lo, hi;
+      if (trial % 2 == 0) {
+        for (int d = 0; d < D; ++d) {
+          const auto a = r.uniform_u64(0, seq::coord_span - 1);
+          const auto b = r.uniform_u64(0, seq::coord_span - 1);
+          lo.x[d] = std::min(a, b);
+          hi.x[d] = std::max(a, b);
+        }
+      } else {
+        const point c = live[r.index(live.size())];
+        const seq::coord_t rad = seq::coord_t{1} << r.index(seq::coord_bits);
+        for (int d = 0; d < D; ++d) {
+          lo.x[d] = c.x[d] > rad ? c.x[d] - rad : 0;
+          hi.x[d] = std::min(c.x[d] + rad, seq::coord_span - 1);
+        }
+      }
+      std::vector<point> want;
+      for (const auto& p : live) {
+        bool in = true;
+        for (int d = 0; d < D; ++d) in = in && p.x[d] >= lo.x[d] && p.x[d] <= hi.x[d];
+        if (in) want.push_back(p);
+      }
+      std::sort(want.begin(), want.end(), [](const point& a, const point& b) { return a.x < b.x; });
+      const auto got = web.range(lo, hi, h(static_cast<std::uint32_t>(trial % 64)));
+      ASSERT_EQ(got.value.size(), want.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < want.size(); ++i) EXPECT_TRUE(got.value[i] == want[i]) << trial;
+    }
+  }
+}
+
+TEST(SkipQuadtree, ChurnedWalksMatchOracle) {
+  churned_walks_match_oracle<2>(3015);
+  churned_walks_match_oracle<3>(3016);
+}
+
 }  // namespace
