@@ -3,10 +3,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "api/memory_footprint.h"
+#include "persist/flat_table.h"
 #include "persist/pod_array.h"
 #include "persist/snapshot.h"
 #include "seq/quadtree.h"
@@ -24,7 +24,10 @@ namespace skipweb::core {
 // quadtree per l-bit prefix set S_b. All trees of one level share a single
 // per-level arena of node records in parallel arrays (child entries,
 // parent/down slot indices, occupancy), and points live once in a global
-// point arena that every level references by slot.
+// point arena that every level references by slot. Each level finds its
+// trees through a directory, a persist::flat_table from prefix to
+// {root, points}: one flat slot array, saved as it is and borrowed back
+// zero-copy by a restore, like the arenas.
 //
 // Two layout decisions carry the query hot path:
 //
@@ -32,9 +35,9 @@ namespace skipweb::core {
 //   inter-level jump ("the same cube one level denser") used to be a hash
 //   lookup per level on a per-tree `unordered_map<cube, node>`; here every
 //   node carries `down_`, the slot of the identical cube in the parent-level
-//   tree, so a descent crosses levels with one indexed load and the query
-//   path touches no hash map at all (the only hashes left are the per-level
-//   root directories, consulted once to find the top of a chain).
+//   tree, so a descent crosses levels with one indexed load. The only
+//   lookups left are in the per-level tree directories, probed once per
+//   level to find the top of a chain.
 // - **A node's cube lives only in its parent's child entry.** The descend
 //   decision ("does the child cube contain q?") reads the current node's
 //   own child row instead of dereferencing the child — the neighbour-key
@@ -133,17 +136,16 @@ class quad_levels {
   // --- tree directory -------------------------------------------------------
 
   [[nodiscard]] const tree_ref* tree(int level, std::uint64_t prefix) const {
-    const auto& m = lv(level).trees;
-    const auto it = m.find(prefix);
-    return it == m.end() ? nullptr : &it->second;
+    return lv(level).trees.find(prefix);
   }
 
-  // Visit every (prefix, tree) of a level — the repair plane's scan order.
-  // Iteration order is the directory's (stable for a given history within
-  // one process, which is all repair needs).
+  // Visit every (prefix, tree) of a level until f returns false — the
+  // repair plane's scan order. The order is the directory's slot order: a
+  // function of the level's insert/erase history, unchanged by a save and
+  // restore. Returns false when f stopped the visit.
   template <typename F>
-  void for_each_tree(int level, F&& f) const {
-    for (const auto& [prefix, tr] : lv(level).trees) f(prefix, tr);
+  bool for_each_tree(int level, F&& f) const {
+    return lv(level).trees.visit(f);
   }
 
   // Root slot of the (level, prefix) tree, creating an empty tree (root =
@@ -153,28 +155,30 @@ class quad_levels {
     return {tr->root, fresh};
   }
 
-  // ensure_tree returning the directory record itself — node pointers into an
-  // unordered_map survive rehashing, so the bulk build holds the ref across
-  // the point's whole level visit and bumps the live count without paying a
-  // second hash lookup (bump_tree's find was ~a third of build time at 1M).
+  // ensure_tree returning the directory record itself, so the bulk build
+  // bumps the live count without paying a second probe (bump_tree's lookup
+  // was ~a third of build time at 1M). The pointer is valid only until the
+  // next insert into this level's directory, which may grow it; the bulk
+  // build holds it across one point's level visit, which inserts no tree
+  // into that level.
   std::pair<tree_ref*, bool> ensure_tree_ref(int level, std::uint64_t prefix) {
-    auto& m = lv(level).trees;
-    auto [it, fresh] = m.try_emplace(prefix);
-    if (fresh) it->second.root = new_node(level, -1);
-    return {&it->second, fresh};
+    auto [tr, fresh] = lv(level).trees.try_emplace(prefix);
+    if (fresh) tr->root = new_node(level, -1);
+    return {tr, fresh};
   }
 
-  // Pre-size one level's arena and tree directory (bulk build). `nodes` may
-  // be the n-points upper bound — every insert creates at most one cube and
-  // each tree adds one root, and roots + non-first inserts total <= n.
-  void reserve_level(int level, std::size_t nodes, std::size_t trees) {
+  // Pre-size one level's arena (bulk build). `nodes` may be the n-points
+  // upper bound — every insert creates at most one cube and each tree adds
+  // one root, and roots + non-first inserts total <= n. The directory is not
+  // reserved: it grows by doubling from the same insertion order as in the
+  // point-by-point build, so the twins' directories are identical.
+  void reserve_level(int level, std::size_t nodes) {
     level_arena& a = lv(level);
     a.child.reserve(nodes * fanout);
     a.parent.reserve(nodes);
     a.down.reserve(nodes);
     a.occupied.reserve(nodes);
     a.alive.reserve(nodes);
-    a.trees.reserve(trees);
   }
 
   void reserve_points(std::size_t n) {
@@ -183,24 +187,22 @@ class quad_levels {
   }
 
   void bump_tree(int level, std::uint64_t prefix, int delta) {
-    auto& m = lv(level).trees;
-    const auto it = m.find(prefix);
-    SW_ASSERT(it != m.end());
-    it->second.points += delta;
-    SW_ASSERT(it->second.points >= 0);
+    tree_ref* tr = lv(level).trees.find(prefix);
+    SW_ASSERT(tr != nullptr);
+    tr->points += delta;
+    SW_ASSERT(tr->points >= 0);
   }
 
   // Destroys the (level, prefix) tree when its last point left; returns the
   // freed root slot (for ledger de-charging) or -1 when the tree lives on.
   int destroy_tree_if_empty(int level, std::uint64_t prefix) {
-    auto& m = lv(level).trees;
-    const auto it = m.find(prefix);
-    SW_ASSERT(it != m.end());
-    if (it->second.points > 0) return -1;
-    const int root = it->second.root;
+    const tree_ref* tr = tree(level, prefix);
+    SW_ASSERT(tr != nullptr);
+    if (tr->points > 0) return -1;
+    const int root = tr->root;
     SW_ASSERT(occupied_of(level, root) == 0);
     free_node(level, root);
-    m.erase(it);
+    lv(level).trees.erase(prefix);
     return root;
   }
 
@@ -394,7 +396,7 @@ class quad_levels {
     for (const int f : pfree_) seen[static_cast<std::size_t>(f)] = 2;  // dead slots
     for (int l = 0; l <= levels_; ++l) {
       std::size_t live_here = 0, points_here = 0;
-      for (const auto& [prefix, tr] : lv(l).trees) {
+      const bool trees_ok = for_each_tree(l, [&](std::uint64_t prefix, const tree_ref& tr) {
         std::size_t tree_points = 0;
         // Each node's cube is the one its parent's entry holds; a root's is
         // the whole space.
@@ -449,7 +451,9 @@ class quad_levels {
         if (tree_points != static_cast<std::size_t>(tr.points)) return false;
         if (tree_points == 0) return false;  // empty trees are destroyed
         points_here += tree_points;
-      }
+        return true;
+      });
+      if (!trees_ok) return false;
       if (live_here != lv(l).live_nodes) return false;
       if (points_here != live_points_) return false;  // partition covers every point
     }
@@ -462,7 +466,7 @@ class quad_levels {
   // Measured resident bytes (DESIGN.md §12): points and per-node occupancy
   // and liveness are arena, the child rows (with the cubes their entries
   // hold) and the parent/down arrays are links, and the per-level
-  // prefix→tree hash maps are directory (estimated — see api::map_bytes).
+  // prefix→tree tables are directory (exact: capacity × slot size).
   [[nodiscard]] api::memory_footprint footprint() const {
     api::memory_footprint f;
     f.arena_bytes = api::vector_bytes(pts_) + api::vector_bytes(pbits_) +
@@ -477,7 +481,7 @@ class quad_levels {
       f.slack_bytes += api::vector_slack_bytes(a.occupied) + api::vector_slack_bytes(a.alive) +
                        api::vector_slack_bytes(a.free) + api::vector_slack_bytes(a.child) +
                        api::vector_slack_bytes(a.parent) + api::vector_slack_bytes(a.down);
-      f.directory_bytes += api::map_bytes(a.trees);
+      f.directory_bytes += api::vector_bytes(a.trees);
     }
     return f;
   }
@@ -500,7 +504,8 @@ class quad_levels {
     }
   }
 
-  // On-disk record of one prefix→tree directory entry.
+  // Row of the "<prefix>.lvN.trees" section that files from before the flat
+  // directory hold in its place, one per tree.
   struct tree_row {
     std::uint64_t prefix = 0;
     std::int32_t root = -1;
@@ -528,19 +533,17 @@ class quad_levels {
       w.add_pods(lp + ".occupied", a.occupied);
       w.add_pods(lp + ".alive", a.alive);
       w.add_pods(lp + ".free", a.free);
-      std::vector<tree_row> rows;
-      rows.reserve(a.trees.size());
-      for (const auto& [pre, tr] : a.trees) rows.push_back({pre, tr.root, tr.points});
-      w.add_vector(lp + ".trees", rows);
+      a.trees.save(w, lp + ".dir");
     }
   }
 
-  // Restore from a snapshot: POD arrays become borrowed zero-copy spans over
-  // the reader's blob; the per-level prefix→tree directories are rebuilt
-  // from their flattened rows (directory iteration order may differ from the
-  // saved instance's — only the repair plane's scan order observes it).
-  // Files that still carry the per-node "<prefix>.lvN.box" sections of the
-  // earlier layout restore too: those sections are simply not read.
+  // Restore from a snapshot: POD arrays and the per-level directories become
+  // borrowed zero-copy spans over the reader's blob, so the restore reads no
+  // directory row. Two earlier layouts restore too: files whose directories
+  // are "<prefix>.lvN.trees" rows are inserted row by row into fresh tables,
+  // and the per-node "<prefix>.lvN.box" sections of an older layout are
+  // simply not read. Either way the ground tree must exist, rooted at a live
+  // level-0 slot: every walk and local descent starts there.
   quad_levels(persist::reader& r, std::string_view prefix) {
     const std::string p(prefix);
     std::size_t nmeta = 0;
@@ -576,9 +579,21 @@ class quad_levels {
           a.live_nodes + a.free.size() != slots) {
         throw persist::error("snapshot: quad_levels level arrays disagree");
       }
-      for (const auto& row : r.vec<tree_row>(lp + ".trees")) {
-        a.trees.emplace(row.prefix, tree_ref{row.root, row.points});
+      if (r.has(lp + ".dir")) {
+        a.trees = persist::flat_table<tree_ref>(r, lp + ".dir");
+      } else {
+        for (const auto& row : r.vec<tree_row>(lp + ".trees")) {
+          if ((row.prefix >> l) != 0) {  // also keeps flat_table's empty key out
+            throw persist::error("snapshot: quad_levels tree prefix longer than its level");
+          }
+          *a.trees.try_emplace(row.prefix).first = tree_ref{row.root, row.points};
+        }
       }
+    }
+    const tree_ref* g = tree(0, 0);
+    if (g == nullptr || g->root < 0 || static_cast<std::size_t>(g->root) >= lv(0).alive.size() ||
+        !alive_at(0, g->root)) {
+      throw persist::error("snapshot: quad_levels has no live ground tree");
     }
   }
 
@@ -586,10 +601,10 @@ class quad_levels {
   // Parallel arrays indexed by node slot; one arena per level, so the node
   // records of a level stay contiguous. A node's cube is stored only in its
   // parent's entry (a root's is the whole space). Slots recycle through
-  // `free`. The
-  // POD arrays are persist::pod_array — owned in a built structure, borrowed
-  // zero-copy snapshot spans (copy-on-first-write) in a restored one; only
-  // the prefix→tree directory is a real map, flattened to records on save.
+  // `free`. The POD arrays are persist::pod_array and the prefix→tree
+  // directory a persist::flat_table over one — owned in a built structure,
+  // borrowed zero-copy snapshot spans (copy-on-first-write) in a restored
+  // one.
   struct level_arena {
     persist::pod_array<entry> child;  // fanout records per slot
     persist::pod_array<std::int32_t> parent;
@@ -597,7 +612,7 @@ class quad_levels {
     persist::pod_array<std::uint8_t> occupied;
     persist::pod_array<std::uint8_t> alive;
     persist::pod_array<std::int32_t> free;
-    std::unordered_map<std::uint64_t, tree_ref> trees;
+    persist::flat_table<tree_ref> trees;
     std::size_t live_nodes = 0;
   };
 

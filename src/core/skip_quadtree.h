@@ -4,14 +4,15 @@
 #include <cstdint>
 #include <queue>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "api/op_stats.h"
 #include "core/quad_levels.h"
 #include "net/cursor.h"
 #include "net/network.h"
+#include "persist/flat_table.h"
 #include "persist/net_snapshot.h"
+#include "persist/pod_array.h"
 #include "persist/snapshot.h"
 #include "seq/quadtree.h"
 #include "util/membership.h"
@@ -92,9 +93,12 @@ class skip_quadtree {
 
   // Restore from a snapshot written by save_snapshot(), onto a FRESH network
   // (hosts grown + memory ledger replayed exactly, so check_invariants()'
-  // ledger equality holds on the restored twin). The arenas come back as
-  // borrowed views over the reader's blob — zero-copy in mmap mode — and
-  // materialize copy-on-first-write at the first structural edit.
+  // ledger equality holds on the restored twin). The arenas, directories,
+  // re-home table and anchors come back as borrowed views over the reader's
+  // blob — zero-copy in mmap mode — and materialize copy-on-first-write at
+  // the first structural edit. Files that hold the re-home map as the
+  // parallel "impl.rehome_keys" / "impl.rehome_bases" columns of the earlier
+  // layout are inserted into a fresh table.
   skip_quadtree(persist::reader& r, net::network& net) : net_(&net), rng_(0), q_(r, "q") {
     std::size_t nmeta = 0;
     const auto* meta = r.array<std::uint64_t>("impl.meta", nmeta);
@@ -112,17 +116,23 @@ class skip_quadtree {
     std::istringstream iss(r.str("impl.rng"));
     iss >> rng_.engine();
     if (!iss) throw persist::error("snapshot: unreadable rng state");
-    std::size_t nkeys = 0;
-    std::size_t nbases = 0;
-    const auto* rh_keys = r.array<std::uint64_t>("impl.rehome_keys", nkeys);
-    const auto* rh_bases = r.array<std::uint32_t>("impl.rehome_bases", nbases);
-    if (nkeys != nbases) throw persist::error("snapshot: rehome tables disagree");
-    for (std::size_t i = 0; i < nkeys; ++i) rehome_.emplace(rh_keys[i], rh_bases[i]);
-    {
-      std::size_t n = 0;
-      const auto* a = r.array<util::membership_bits>("impl.anchors", n);
-      anchors_.assign(a, a + n);
+    if (r.has("impl.rehome")) {
+      rehome_ = persist::flat_table<std::uint32_t>(r, "impl.rehome");
+    } else {
+      std::size_t nkeys = 0;
+      std::size_t nbases = 0;
+      const auto* rh_keys = r.array<std::uint64_t>("impl.rehome_keys", nkeys);
+      const auto* rh_bases = r.array<std::uint32_t>("impl.rehome_bases", nbases);
+      if (nkeys != nbases) throw persist::error("snapshot: rehome tables disagree");
+      for (std::size_t i = 0; i < nkeys; ++i) {
+        // rehome_key's level half; also keeps flat_table's empty key out.
+        if ((rh_keys[i] >> 32) > static_cast<std::uint64_t>(levels_)) {
+          throw persist::error("snapshot: rehome key level out of range");
+        }
+        *rehome_.try_emplace(rh_keys[i]).first = rh_bases[i];
+      }
     }
+    anchors_ = r.pods<util::membership_bits>("impl.anchors");
     persist::restore_network(r, net, "net");
     if (anchors_.size() != net_->host_count()) {
       throw persist::error("snapshot: anchor table disagrees with host count");
@@ -131,8 +141,8 @@ class skip_quadtree {
 
   // --- persistence (DESIGN.md §13) ------------------------------------------
   //
-  // Arenas, chain metadata, per-host anchors, the fault plane's re-home map,
-  // rng state, and the deployment ledger, as named sections of `w`.
+  // Arenas, chain metadata, per-host anchors, the fault plane's re-home
+  // table, rng state, and the deployment ledger, as named sections of `w`.
   void save_snapshot(persist::writer& w) const {
     q_.save(w, "q");
     const std::uint64_t meta[2] = {static_cast<std::uint64_t>(levels_), replication_};
@@ -140,17 +150,8 @@ class skip_quadtree {
     std::ostringstream oss;
     oss << rng_.engine();
     w.add_string("impl.rng", oss.str());
-    std::vector<std::uint64_t> rh_keys;
-    std::vector<std::uint32_t> rh_bases;
-    rh_keys.reserve(rehome_.size());
-    rh_bases.reserve(rehome_.size());
-    for (const auto& [k, b] : rehome_) {
-      rh_keys.push_back(k);
-      rh_bases.push_back(b);
-    }
-    w.add_vector("impl.rehome_keys", rh_keys);
-    w.add_vector("impl.rehome_bases", rh_bases);
-    w.add_vector("impl.anchors", anchors_);
+    rehome_.save(w, "impl.rehome");
+    w.add_pods("impl.anchors", anchors_);
     persist::save_network(w, *net_, "net");
   }
 
@@ -451,7 +452,7 @@ class skip_quadtree {
       }
       const std::uint32_t fresh = next_live_window(l, prefix, node, base);
       charge_node(l, prefix, node, -1);  // de-charge the old window...
-      rehome_[rehome_key(l, node)] = fresh;
+      *rehome_.try_emplace(rehome_key(l, node)).first = fresh;
       charge_node(l, prefix, node, +1);  // ...and charge the new one
       for (std::uint32_t j = 0; j <= replication_; ++j) {
         cur.move_to(replica_host(l, prefix, node, fresh + j));
@@ -493,11 +494,11 @@ class skip_quadtree {
   }
 
   // Measured resident bytes (DESIGN.md §12): arena/link split from
-  // quad_levels; per-host anchors and the fault plane's re-home map are
+  // quad_levels; per-host anchors and the fault plane's re-home table are
   // directory.
   [[nodiscard]] api::memory_footprint footprint() const {
     api::memory_footprint f = q_.footprint();
-    f.directory_bytes += api::vector_bytes(anchors_) + api::map_bytes(rehome_);
+    f.directory_bytes += api::vector_bytes(anchors_) + api::vector_bytes(rehome_);
     return f;
   }
 
@@ -632,16 +633,13 @@ class skip_quadtree {
     std::vector<std::int32_t> pend_created(n, -1);
     std::vector<cube> pend_box(n);
     for (int l = levels_; l >= 0; --l) {
-      // <= n slots materialize per level (see reserve_level); tree count is
-      // bounded by both the points and the l-bit prefix space.
-      const std::size_t prefixes =
-          l < 62 ? std::min<std::size_t>(n, std::size_t{1} << l) : n;
-      q_.reserve_level(l, n + 1, prefixes + 1);
+      q_.reserve_level(l, n + 1);  // <= n slots materialize per level (see reserve_level)
       for (std::size_t i = 0; i < n; ++i) {
         const point& p = pts[i];
         if (l == 0) SW_EXPECTS(q_.find_point(p) < 0);  // distinct points
         const auto prefix = util::prefix_of(bits[i], l).bits;
         const int start = final_node[i] >= 0 ? q_.down_of(l + 1, final_node[i]) : -1;
+        // `tr` stays valid to `++tr->points`: nothing below inserts a tree at l.
         const auto [tr, fresh] = q_.ensure_tree_ref(l, prefix);
         const int root = tr->root;
         if (fresh) charge_node(l, prefix, root, +1);
@@ -725,8 +723,8 @@ class skip_quadtree {
   // Current salt-window base of a node record (0 = never re-homed).
   [[nodiscard]] std::uint32_t rehome_base(int level, int node) const {
     if (rehome_.empty()) return 0;
-    const auto it = rehome_.find(rehome_key(level, node));
-    return it == rehome_.end() ? 0 : it->second;
+    const std::uint32_t* base = rehome_.find(rehome_key(level, node));
+    return base == nullptr ? 0 : *base;
   }
 
   void forget_rehome(int level, int node) {
@@ -767,22 +765,18 @@ class skip_quadtree {
   template <typename F>
   void scan_windows(F&& f) const {
     for (int l = levels_; l >= 0; --l) {
-      bool go = true;
-      q_.for_each_tree(l, [&](std::uint64_t prefix, const auto& tr) {
-        if (!go) return;
+      const bool go = q_.for_each_tree(l, [&](std::uint64_t prefix, const auto& tr) {
         std::vector<int> stack{tr.root};
-        while (go && !stack.empty()) {
+        while (!stack.empty()) {
           const int v = stack.back();
           stack.pop_back();
-          if (!f(l, prefix, v, rehome_base(l, v))) {
-            go = false;
-            break;
-          }
+          if (!f(l, prefix, v, rehome_base(l, v))) return false;
           for (int c = 0; c < fanout; ++c) {
             const auto& e = q_.child_at(l, v, c);
             if (e.node >= 0) stack.push_back(e.node);
           }
         }
+        return true;
       });
       if (!go) return;
     }
@@ -795,8 +789,8 @@ class skip_quadtree {
   std::size_t replication_ = 0;
   // Re-homed node records: rehome_key(level, node) → current window base.
   // Absent = base 0. Entries die with their slot (see erase()).
-  std::unordered_map<std::uint64_t, std::uint32_t> rehome_;
-  std::vector<util::membership_bits> anchors_;
+  persist::flat_table<std::uint32_t> rehome_;
+  persist::pod_array<util::membership_bits> anchors_;
 };
 
 }  // namespace skipweb::core

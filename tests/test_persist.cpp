@@ -20,7 +20,11 @@
 #include "api/spatial_registry.h"
 #include "api/string_registry.h"
 #include "core/level_lists.h"
+#include "core/quad_levels.h"
+#include "core/skip_quadtree.h"
+#include "fault/repair.h"
 #include "net/network.h"
+#include "persist/flat_table.h"
 #include "persist/replay_log.h"
 #include "persist/snapshot.h"
 #include "seq/quadtree.h"
@@ -323,6 +327,54 @@ TEST(Persist, MapRestoredTwinServesConcurrently) {
     ASSERT_EQ(got.pred, want.pred) << i;
     ASSERT_EQ(got.has_succ, want.has_succ) << i;
     ASSERT_EQ(got.succ, want.succ) << i;
+    ASSERT_EQ(got.stats, want.stats) << i;
+  }
+  EXPECT_EQ(out.total, serial_total);
+  ASSERT_EQ(net_m.host_count(), net_o.host_count());
+  EXPECT_EQ(net_m.total_messages(), net_o.total_messages());
+  std::uint64_t visits = 0;
+  for (std::uint32_t i = 0; i < net_m.host_count(); ++i) {
+    ASSERT_EQ(net_m.visits(h(i)), net_o.visits(h(i))) << "host " << i;
+    visits += net_m.visits(h(i));
+  }
+  EXPECT_EQ(visits, net_m.total_messages());
+  expect_same_ledger(net_o, net_m, "after serving");
+}
+
+// The spatial twin of the test above: a map-restored skip_quadtree2 serves
+// point location from four workers at once, every one of them reading the
+// borrowed tree directories and anchors. Cells, receipts and per-host visits
+// must equal a serial loop over the saving index.
+TEST(Persist, MapRestoredQuadtreeServesConcurrently) {
+  rng r(3141);
+  const auto pts = wl::spatial_points(2, 2000, true, r);
+  network net_o(1);
+  const auto orig = api::make_spatial_index("skip_quadtree2", pts,
+                                            api::index_options{}.seed(8).initial_hosts(16), net_o);
+  const auto path = snap_path("served_quadtree");
+  api::save_spatial_snapshot(*orig, path);
+  network net_m(1);
+  const auto twin = api::restore_spatial_index(path, persist::restore_mode::map, net_m);
+  // Half stored points, half probes between them.
+  std::vector<api::spatial_point> qs;
+  rng pr(3142);
+  for (std::size_t i = 0; i < 1500; ++i) {
+    qs.push_back(i % 2 == 0 ? pts[pr.index(pts.size())] : wl::spatial_probe(2, pr));
+  }
+
+  serve::executor ex(4);
+  const auto out = ex.run_locate(*twin, qs, h(0), 16);
+
+  net_o.reset_traffic();
+  api::op_stats serial_total;
+  ASSERT_EQ(out.results.size(), qs.size());
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const auto want = orig->locate(qs[i], h(0));
+    serial_total += want.stats;
+    const auto& got = out.results[i];
+    ASSERT_EQ(got.found, want.found) << i;
+    ASSERT_EQ(got.cell, want.cell) << i;
+    ASSERT_EQ(got.scale, want.scale) << i;
     ASSERT_EQ(got.stats, want.stats) << i;
   }
   EXPECT_EQ(out.total, serial_total);
@@ -851,23 +903,78 @@ TEST(Persist, HostileHostCountsRejected) {
 // These files copy a real skip_quadtree2/3 snapshot section by section and
 // replace or add some sections.
 
-void rewrite_quadtree(const std::string& from, const std::string& to,
-                      const std::vector<section_bytes>& replaced) {
+// Every section name of a skip_quadtree2/3 file over levels 0..`levels`.
+// With `rows`, the names of the layout before the flat tables: each level's
+// directory as "q.lvN.trees" rows and the re-home map as two columns.
+std::vector<std::string> quadtree_sections(std::uint64_t levels, bool rows) {
   std::vector<std::string> names = {"meta.backend", "meta.index_kind", "meta.n", "q.meta",
                                     "q.pts",        "q.pbits",         "q.pfree"};
-  const auto levels =
-      persist::reader(from, persist::restore_mode::load).vec<std::uint64_t>("q.meta").at(0);
   for (std::uint64_t l = 0; l <= levels; ++l) {
     for (const char* s : {".live_nodes", ".child", ".parent", ".down", ".occupied", ".alive",
-                          ".free", ".trees"}) {
+                          ".free", rows ? ".trees" : ".dir"}) {
       names.push_back("q.lv" + std::to_string(l) + s);
     }
   }
-  for (const char* s : {"impl.meta", "impl.rng", "impl.rehome_keys", "impl.rehome_bases",
-                        "impl.anchors", "net.host_count", "net.memory_rows"}) {
+  if (rows) {
+    names.insert(names.end(), {"impl.rehome_keys", "impl.rehome_bases"});
+  } else {
+    names.emplace_back("impl.rehome");
+  }
+  for (const char* s : {"impl.meta", "impl.rng", "impl.anchors", "net.host_count",
+                        "net.memory_rows"}) {
     names.emplace_back(s);
   }
-  rewrite_sections(from, to, names, replaced);
+  return names;
+}
+
+std::uint64_t quadtree_levels(const std::string& path) {
+  return persist::reader(path, persist::restore_mode::load).vec<std::uint64_t>("q.meta").at(0);
+}
+
+void rewrite_quadtree(const std::string& from, const std::string& to,
+                      const std::vector<section_bytes>& replaced) {
+  rewrite_sections(from, to, quadtree_sections(quadtree_levels(from), false), replaced);
+}
+
+// Rewrites a skip_quadtree file (D dimensions) into the layout before the
+// flat tables, each table's entries becoming rows in slot order; `replaced`
+// then overrides or adds sections as for rewrite_quadtree.
+template <int D>
+void rewrite_quadtree_as_rows(const std::string& from, const std::string& to,
+                              const std::vector<section_bytes>& replaced = {}) {
+  using arena = core::quad_levels<D>;
+  const persist::reader r(from, persist::restore_mode::load);
+  const auto levels = quadtree_levels(from);
+  std::vector<section_bytes> rows;
+  for (std::uint64_t l = 0; l <= levels; ++l) {
+    const std::string lp = "q.lv" + std::to_string(l);
+    std::vector<typename arena::tree_row> trees;
+    persist::flat_table<typename arena::tree_ref>(r, lp + ".dir")
+        .visit([&](std::uint64_t prefix, const typename arena::tree_ref& tr) {
+          trees.push_back({prefix, tr.root, tr.points});
+          return true;
+        });
+    rows.push_back(section_of(lp + ".trees", trees));
+  }
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> bases;
+  persist::flat_table<std::uint32_t>(r, "impl.rehome").visit([&](std::uint64_t k, std::uint32_t b) {
+    keys.push_back(k);
+    bases.push_back(b);
+    return true;
+  });
+  rows.push_back(section_of("impl.rehome_keys", keys));
+  rows.push_back(section_of("impl.rehome_bases", bases));
+  for (const auto& s : replaced) {
+    const auto it = std::find_if(rows.begin(), rows.end(),
+                                 [&](const section_bytes& o) { return o.name == s.name; });
+    if (it != rows.end()) {
+      *it = s;
+    } else {
+      rows.push_back(s);
+    }
+  }
+  rewrite_sections(from, to, quadtree_sections(levels, true), rows);
 }
 
 // A saved skip_quadtree2/3 whose arenas hold erase-freed slots.
@@ -894,6 +1001,7 @@ TEST(Persist, HostileQuadtreeMetaRejected) {
   const auto levels = qmeta.at(0);
   const auto pts = src.vec<seq::qpoint<2>>("q.pts").size();
   const auto slots = src.vec<std::int32_t>("q.lv0.parent").size();
+  using tree_slot = persist::flat_table<core::quad_levels<2>::tree_ref>::slot;
 
   // The control: an unmodified copy restores.
   const auto ok = snap_path("ok");
@@ -916,10 +1024,35 @@ TEST(Persist, HostileQuadtreeMetaRejected) {
        section_of("q.pfree", long_free)},
       // ... and live nodes + free slots to a level's node-slot count.
       {section_of("q.lv0.live_nodes", std::vector<std::uint64_t>{~std::uint64_t{0} - 1}),
-       section_of("q.lv0.free", std::vector<std::int32_t>(slots + 2, 0))}};
+       section_of("q.lv0.free", std::vector<std::int32_t>(slots + 2, 0))},
+      // No ground tree: every walk would start from a missing root.
+      {section_of("q.lv0.dir", std::vector<tree_slot>{})},
+      // A ground tree rooted past the level-0 slots.
+      {section_of("q.lv0.dir",
+                  std::vector<tree_slot>{{0, {static_cast<std::int32_t>(slots), 1}}})},
+      // A directory whose length is not a power of two.
+      {section_of("q.lv" + std::to_string(levels) + ".dir", std::vector<tree_slot>(3))}};
   for (std::size_t i = 0; i < hostile.size(); ++i) {
     const auto bad = snap_path("bad");
     rewrite_quadtree(path, bad, hostile[i]);
+    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+      network net(1);
+      EXPECT_THROW((void)api::restore_spatial_index(bad, mode, net), persist::error) << i;
+    }
+  }
+
+  // The same checks on files in the layout before the flat tables: no
+  // ground-tree row, a prefix longer than its level, and a re-home key whose
+  // level half is out of range.
+  using tree_row = core::quad_levels<2>::tree_row;
+  const std::vector<std::vector<section_bytes>> hostile_rows = {
+      {section_of("q.lv0.trees", std::vector<tree_row>{})},
+      {section_of("q.lv1.trees", std::vector<tree_row>{{4, 0, 1}})},
+      {section_of("impl.rehome_keys", std::vector<std::uint64_t>{~std::uint64_t{0}}),
+       section_of("impl.rehome_bases", std::vector<std::uint32_t>{2})}};
+  for (std::size_t i = 0; i < hostile_rows.size(); ++i) {
+    const auto bad = snap_path("bad_rows");
+    rewrite_quadtree_as_rows<2>(path, bad, hostile_rows[i]);
     for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
       network net(1);
       EXPECT_THROW((void)api::restore_spatial_index(bad, mode, net), persist::error) << i;
@@ -963,6 +1096,168 @@ TEST(Persist, QuadtreeFilesWithBoxSectionsRestore) {
         ASSERT_EQ(a.stats, b.stats) << i;
       }
     }
+  }
+}
+
+// A replicated skip_quadtree2/3 whose repair re-homed records before the
+// save, so its "impl.rehome" table is not empty.
+std::string rehomed_quadtree_snapshot(const std::string& backend, network& net) {
+  rng r(7272);
+  const auto pts = wl::spatial_points(api::spatial_backend_dims(backend), 300, true, r);
+  const auto idx = api::make_spatial_index(
+      backend, pts, api::index_options{}.seed(9).initial_hosts(16).replication(1), net);
+  for (const std::uint32_t dead : {3u, 7u, 12u}) net.kill_host(h(dead));
+  EXPECT_GT(fault::repair_to_quiescence(*idx, h(0)).repaired, 0u);
+  const auto path = snap_path("rehomed_" + backend);
+  api::save_spatial_snapshot(*idx, path);
+  return path;
+}
+
+TEST(Persist, QuadtreeFilesWithTreeRowsRestore) {
+  // Files from before the flat tables hold each level's directory as
+  // "q.lvN.trees" rows and the re-home map as two columns. They restore by
+  // inserting the rows into fresh tables, and must then serve, mutate and
+  // charge exactly like the file they were rewritten from.
+  for (const std::string backend : {"skip_quadtree2", "skip_quadtree3"}) {
+    for (const bool rehomed : {false, true}) {
+      SCOPED_TRACE(backend + (rehomed ? " with re-homed records" : ""));
+      const int dims = api::spatial_backend_dims(backend);
+      network net_o(1);
+      const auto path = rehomed ? rehomed_quadtree_snapshot(backend, net_o)
+                                : churned_quadtree_snapshot(backend, net_o);
+      const auto old = snap_path("rows");
+      if (dims == 2) {
+        rewrite_quadtree_as_rows<2>(path, old);
+      } else {
+        rewrite_quadtree_as_rows<3>(path, old);
+      }
+      {
+        const persist::reader rd(old, persist::restore_mode::load);
+        ASSERT_FALSE(rd.has("q.lv0.dir"));
+        ASSERT_FALSE(rd.has("impl.rehome"));
+        ASSERT_EQ(rd.vec<std::uint64_t>("impl.rehome_keys").empty(), !rehomed);
+      }
+      network net_s(1), net_l(1), net_m(1);
+      const auto saved = api::restore_spatial_index(path, persist::restore_mode::load, net_s);
+      const auto twin_l = api::restore_spatial_index(old, persist::restore_mode::load, net_l);
+      const auto twin_m = api::restore_spatial_index(old, persist::restore_mode::map, net_m);
+      const std::vector<std::pair<api::spatial_index*, network*>> twins = {
+          {twin_l.get(), &net_l}, {twin_m.get(), &net_m}};
+      const auto probe_all = [&](const char* when) {
+        rng pr(7171);
+        for (int i = 0; i < 60; ++i) {
+          const auto q = wl::spatial_probe(dims, pr);
+          const auto o = h(static_cast<std::uint32_t>(i % 16));
+          const auto la = saved->locate(q, o);
+          const auto na = saved->approx_nn(q, o);
+          for (const auto& [twin, net] : twins) {
+            const auto lb = twin->locate(q, o);
+            ASSERT_EQ(la.found, lb.found) << when << " " << i;
+            ASSERT_EQ(la.cell, lb.cell) << when << " " << i;
+            ASSERT_EQ(la.scale, lb.scale) << when << " " << i;
+            ASSERT_EQ(la.stats, lb.stats) << when << " " << i;
+            const auto nb = twin->approx_nn(q, o);
+            ASSERT_EQ(na.value, nb.value) << when << " " << i;
+            ASSERT_EQ(na.stats, nb.stats) << when << " " << i;
+          }
+        }
+        for (const auto& [twin, net] : twins) expect_same_ledger(net_s, *net, when);
+      };
+      probe_all("restore");
+      // 60 insert+erase pairs: fresh points in, stored points out.
+      api::spatial_box everything;
+      for (int d = 0; d < dims; ++d) {
+        everything.hi.x[static_cast<std::size_t>(d)] = seq::coord_span - 1;
+      }
+      const auto stored = saved->orthogonal_range(everything, h(0), 0).value;
+      ASSERT_GE(stored.size(), 120u);
+      rng ir(7373);
+      for (std::size_t i = 0; i < 60; ++i) {
+        const auto o = h(static_cast<std::uint32_t>(i % 16));
+        const auto p = wl::spatial_probe(dims, ir);
+        const auto sa = saved->insert(p, o);
+        const auto ea = saved->erase(stored[i * 2], o);
+        for (const auto& [twin, net] : twins) {
+          ASSERT_EQ(sa, twin->insert(p, o)) << "insert " << i;
+          ASSERT_EQ(ea, twin->erase(stored[i * 2], o)) << "erase " << i;
+        }
+      }
+      probe_all("after mutations");
+    }
+  }
+}
+
+// The repair plane re-homes one record per step, in the order it scans the
+// tree directories. A restored twin scans them in the saving index's slot
+// order, so the same kills must give the same steps — counts and receipts —
+// on the original and on both twins. Saved again after the repair, the
+// re-home table must put every record on the same host.
+TEST(Persist, RestoredQuadtreeRepairsInSameOrder) {
+  rng r(6464);
+  const auto pts = wl::clustered_points<2>(2000, r);
+  network net_o(64);
+  core::skip_quadtree<2> orig(pts, 29, net_o, 1);
+  const auto save_to = [](const core::skip_quadtree<2>& q, const std::string& path) {
+    persist::writer w(path);
+    q.save_snapshot(w);
+    w.finish();
+  };
+  const auto path = snap_path("repair_order");
+  save_to(orig, path);
+  network net_l(1), net_m(1);
+  persist::reader rd_l(path, persist::restore_mode::load);
+  persist::reader rd_m(path, persist::restore_mode::map);
+  core::skip_quadtree<2> twin_l(rd_l, net_l);
+  core::skip_quadtree<2> twin_m(rd_m, net_m);
+  const std::vector<std::pair<core::skip_quadtree<2>*, network*>> twins = {{&twin_l, &net_l},
+                                                                          {&twin_m, &net_m}};
+  const host_id dead = h(27);
+  net_o.kill_host(dead);
+  for (const auto& [twin, net] : twins) net->kill_host(dead);
+  std::size_t steps = 0;
+  for (;; ++steps) {
+    const auto want = orig.repair_step(h(0));
+    for (const auto& [twin, net] : twins) {
+      const auto got = twin->repair_step(h(0));
+      ASSERT_EQ(got.value, want.value) << "step " << steps;
+      ASSERT_EQ(got.stats, want.stats) << "step " << steps;
+    }
+    if (want.value == 0) break;
+  }
+  EXPECT_GT(steps, 300u);
+  for (const auto& [twin, net] : twins) {
+    expect_same_ledger(net_o, *net, "repaired");
+    EXPECT_TRUE(twin->check_invariants());
+  }
+
+  const auto path2 = snap_path("repaired");
+  save_to(twin_m, path2);
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    persist::reader rd(path2, mode);
+    const core::skip_quadtree<2> again(rd, net);
+    expect_same_ledger(net_o, net, "restored after repair");
+    std::size_t records = 0, moved = 0, differ = 0;
+    for (int l = 0; l <= orig.levels(); ++l) {
+      orig.structure().for_each_tree(l, [&](std::uint64_t prefix, const auto& tr) {
+        std::vector<int> stack{tr.root};
+        while (!stack.empty()) {
+          const int v = stack.back();
+          stack.pop_back();
+          ++records;
+          if (orig.host_of(l, prefix, v) != orig.replica_host(l, prefix, v, 0)) ++moved;
+          if (again.host_of(l, prefix, v) != orig.host_of(l, prefix, v)) ++differ;
+          for (int c = 0; c < core::skip_quadtree<2>::fanout; ++c) {
+            const int child = orig.structure().child_at(l, v, c).node;
+            if (child >= 0) stack.push_back(child);
+          }
+        }
+        return true;
+      });
+    }
+    EXPECT_GT(records, pts.size());
+    EXPECT_GT(moved, 100u);
+    EXPECT_EQ(differ, 0u);
   }
 }
 
