@@ -14,7 +14,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/bucket_skipweb.h"
 #include "core/skipweb_1d.h"
 #include "net/network.h"
 #include "util/rng.h"
@@ -66,7 +65,7 @@ int main() {
   }
   for (const std::size_t M : {std::size_t{16}, std::size_t{64}}) {
     net::network net(1);
-    core::bucket_skipweb s(keys, 1, net, M);
+    core::skipweb_1d s(keys, 1, net, core::skipweb_1d::bucket{M});
     const std::string label = "blocked M=" + std::to_string(M);
     measure(label.c_str(), s, net, probes);
   }

@@ -8,7 +8,7 @@
 
 #include "baselines/bucket_skipgraph.h"
 #include "bench_common.h"
-#include "core/bucket_skipweb.h"
+#include "core/skipweb_1d.h"
 #include "net/network.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
@@ -31,7 +31,7 @@ int main() {
   for (const std::size_t M : {std::size_t{8}, std::size_t{16}, std::size_t{32}, std::size_t{64},
                               std::size_t{256}, std::size_t{1024}}) {
     net::network net(1);
-    core::bucket_skipweb web(keys, 78, net, M);
+    core::skipweb_1d web(keys, 78, net, core::skipweb_1d::bucket{M});
     util::accumulator acc;
     std::uint32_t o = 0;
     for (const auto q : probes) {

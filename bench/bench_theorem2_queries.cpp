@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/bucket_skipweb.h"
 #include "core/skip_quadtree.h"
 #include "core/skip_trapmap.h"
 #include "core/skip_trie.h"
@@ -68,7 +67,7 @@ int main() {
       const auto keys = wl::uniform_keys(n, r);
       const auto M = static_cast<std::size_t>(2.0 * std::log2(static_cast<double>(n)));
       net::network net(1);
-      core::bucket_skipweb web(keys, 12, net, M);
+      core::skipweb_1d web(keys, 12, net, core::skipweb_1d::bucket{M});
       util::accumulator acc;
       std::uint32_t o = 0;
       for (const auto q : wl::probe_keys(keys, 300, r)) {

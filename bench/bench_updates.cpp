@@ -10,7 +10,6 @@
 #include "baselines/non_skipgraph.h"
 #include "baselines/skipgraph.h"
 #include "bench_common.h"
-#include "core/bucket_skipweb.h"
 #include "core/skip_quadtree.h"
 #include "core/skip_trapmap.h"
 #include "core/skip_trie.h"
@@ -64,7 +63,7 @@ int main() {
     {
       const auto M = static_cast<std::size_t>(2.0 * logn);
       net::network net(1);
-      core::bucket_skipweb s(keys, 22, net, M);
+      core::skipweb_1d s(keys, 22, net, core::skipweb_1d::bucket{M});
       const auto [im, dm] = run_updates(
           [&](std::size_t i) { return double(s.insert(fresh[i], net::host_id{0}).messages); },
           [&](std::size_t i) { return double(s.erase(fresh[i], net::host_id{0}).messages); }, fresh.size());

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "baselines/chord.h"
-#include "core/bucket_skipweb.h"
+#include "core/skipweb_1d.h"
 #include "net/network.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
@@ -25,7 +25,7 @@ int main() {
   baselines::chord dht(256, keys, 3, dht_net);
 
   net::network web_net(1);
-  core::bucket_skipweb web(keys, 4, web_net, 32);
+  core::skipweb_1d web(keys, 4, web_net, core::skipweb_1d::bucket{32});
 
   std::printf("same %zu keys; Chord on %zu hosts vs bucket skip-web on %zu hosts\n\n", n,
               dht.ring_size(), web_net.host_count());

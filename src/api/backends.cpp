@@ -23,7 +23,6 @@
 #include "baselines/family_tree.h"
 #include "baselines/non_skipgraph.h"
 #include "baselines/skipgraph.h"
-#include "core/bucket_skipweb.h"
 #include "core/skipweb_1d.h"
 #include "net/network.h"
 
@@ -206,12 +205,12 @@ void add_builtins(backend_table<distributed_index, std::uint64_t>& t) {
       }};
   t["bucket_skipweb"] = {
       [](std::vector<std::uint64_t> keys, const index_options& opts, net::network& net) {
-        const auto M = opts.bucket_size_or_default(keys.size());
-        return make_adapter<core::bucket_skipweb>("bucket_skipweb", std::move(keys), opts.seed(),
-                                                  net, M, opts.bulk_build());
+        const core::skipweb_1d::bucket b{opts.bucket_size_or_default(keys.size())};
+        return make_adapter<core::skipweb_1d>("bucket_skipweb", std::move(keys), opts.seed(), net,
+                                              b, opts.bulk_build());
       },
       [](persist::reader& r, net::network& net) {
-        return make_adapter<core::bucket_skipweb>("bucket_skipweb", r, net);
+        return make_adapter<core::skipweb_1d>("bucket_skipweb", r, net);
       }};
   t["skip_graph"] = {[](std::vector<std::uint64_t> keys, const index_options& opts,
                         net::network& net) {

@@ -41,8 +41,9 @@ namespace skipweb::core {
 // DESIGN.md "Performance model & memory layout".
 //
 // This class owns only the *structure* (arena + links). The distributed
-// protocols in skipweb_1d.h / bucket_skipweb.h do their own routing and
-// message accounting and call splice_in/unsplice for the structural edits.
+// protocols — skipweb_1d.h with its three placements, and the
+// deterministic SkipNet baseline — do their own routing and message
+// accounting and call splice_in/unsplice for the structural edits.
 //
 // Concurrency contract (audited for the serving executor): every const
 // method is a pure read of the arena — safe to call from any number of

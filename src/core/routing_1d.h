@@ -11,10 +11,10 @@ namespace skipweb::core {
 
 // Shared distributed routing algorithms over the 1-D level lists. They are
 // templated on HostOf — host_of(item, level) — which is the only thing that
-// differs between the plain skip-web (tower / balanced placement) and the
-// bucket skip-web (blocked placement): the routes are identical, the message
-// costs are not. Every node access moves the cursor first, so hops are
-// charged exactly.
+// differs between skipweb_1d's three placements (tower, balanced and the
+// §2.4.1 bucket layout) and the deterministic SkipNet baseline: the routes
+// are identical, the message costs are not. Every node access moves the
+// cursor first, so hops are charged exactly.
 
 // Top-down descent locating q: returns the level-0 predecessor item (largest
 // key <= q) and successor item (smallest key > q), -1 when absent.
@@ -99,13 +99,6 @@ std::pair<int, int> route_search(const level_lists& lists, std::uint64_t q, int 
     return {item, lists.next(item, 0)};
   }
   return {lists.prev(item, 0), item};
-}
-
-template <typename HostOf>
-std::pair<int, int> route_search(const level_lists& lists, std::uint64_t q, int start_item,
-                                 int start_level, net::cursor& cur, HostOf&& host_of) {
-  return route_search(lists, q, start_item, start_level, cur, std::forward<HostOf>(host_of),
-                      [](int) {});
 }
 
 // Interleaved batch descent: `count` independent searches sharing one start

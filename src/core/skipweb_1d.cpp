@@ -1,6 +1,7 @@
 #include "core/skipweb_1d.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "core/routing_1d.h"
@@ -25,6 +26,25 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return z ^ (z >> 31);
 }
 
+// One row per block slot of the block-row bucket layout (live or freed),
+// the layout before the owner table; only `host` is still read.
+struct block_row {
+  std::int32_t set_length = 0;
+  std::uint32_t host = 0;
+  std::uint64_t set_bits = 0;
+  std::uint32_t live = 0;
+  std::uint32_t item_count = 0;
+};
+static_assert(sizeof(block_row) == 24);
+
+// The policy word; block-row bucket files predate it.
+skipweb_1d::placement placement_in(const persist::reader& r) {
+  if (!r.has("impl.policy")) return skipweb_1d::placement::bucket;
+  const auto p = r.u64("impl.policy");
+  if (p > 2) throw persist::error("snapshot: unknown placement policy");
+  return static_cast<skipweb_1d::placement>(p);
+}
+
 }  // namespace
 
 level_lists skipweb_1d::make_lists(std::vector<std::uint64_t> keys, util::rng& r, bool bulk) {
@@ -38,6 +58,7 @@ level_lists skipweb_1d::make_lists(std::vector<std::uint64_t> keys, util::rng& r
 skipweb_1d::skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net::network& net,
                        placement p, std::size_t replication, bool bulk)
     : rng_(seed), lists_(make_lists(std::move(keys), rng_, bulk)), net_(&net), policy_(p) {
+  SW_EXPECTS(policy_ != placement::bucket);  // the bucket constructor carries M
   if (policy_ == placement::tower) {
     // One host per item; grow the network if the caller sized it smaller.
     if (net_->host_count() < lists_.size()) net_->add_hosts(lists_.size() - net_->host_count());
@@ -50,6 +71,30 @@ skipweb_1d::skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net:
     // host_refs are charged alongside the rest of each item's footprint.
     if (replication > 0) lists_.set_replication(replication);
   }
+  finish_build();
+}
+
+skipweb_1d::skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net::network& net,
+                       bucket b, bool bulk)
+    : rng_(seed),
+      lists_(make_lists(std::move(keys), rng_, bulk)),
+      net_(&net),
+      policy_(placement::bucket) {
+  SW_EXPECTS(b.M >= 4);
+  set_bucket_memory(b.M);
+  // Basic levels every L, but never so high that the basic-level lists are
+  // expected to be shorter than a run (n / 2^i >= B): tiny fragmented runs
+  // would waste hosts and break the H <= c n log n / M budget. The top
+  // stratum simply absorbs the remaining levels; its cone height stays
+  // below 2L, so per-host memory remains Theta(M).
+  int top_basic = 0;
+  while ((std::size_t{1} << (top_basic + L_)) * B_ <= lists_.size()) top_basic += L_;
+  strata_ = top_basic / L_ + 1;
+  place_runs();
+  finish_build();
+}
+
+void skipweb_1d::finish_build() {
   // Every host gets a root: an anchor item whose tower top seeds searches
   // (paper §1.1: "each host has a reference to the place where any search
   // from that host should begin").
@@ -62,34 +107,118 @@ skipweb_1d::skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net:
   for (int i = 0; i < static_cast<int>(lists_.arena_size()); ++i) charge_item_memory(i, +1);
 }
 
+void skipweb_1d::set_bucket_memory(std::size_t M) {
+  M_ = M;
+  L_ = static_cast<int>(std::bit_width(M - 1));  // ceil(log2 M)
+  B_ = std::max<std::size_t>(2, M / static_cast<std::size_t>(L_));
+}
+
+void skipweb_1d::restore_bucket_geometry(std::uint64_t M, std::uint64_t strata) {
+  if (M < 4) throw persist::error("snapshot: bucket memory target below 4");
+  set_bucket_memory(M);
+  // Basic level (strata - 1)·L must be one of the lists' levels.
+  if (strata == 0 || strata - 1 > static_cast<std::uint64_t>(lists_.levels() / L_)) {
+    throw persist::error("snapshot: bucket strata disagree with the level count");
+  }
+  strata_ = static_cast<int>(strata);
+}
+
+void skipweb_1d::place_runs() {
+  owner_.assign(lists_.arena_size() * static_cast<std::size_t>(strata_), net::host_id{});
+  // For each stratum, walk every basic-level list head to tail and cut it
+  // into runs of B consecutive items; one fresh host per run.
+  for (int s = 0; s < strata_; ++s) {
+    const int bl = s * L_;
+    for (int i = 0; i < static_cast<int>(lists_.arena_size()); ++i) {
+      if (!lists_.alive(i) || lists_.prev(i, bl) >= 0) continue;
+      net::host_id host;
+      std::size_t in_run = B_;
+      for (int x = i; x >= 0; x = lists_.next(x, bl)) {
+        if (in_run == B_) {
+          host = net_->add_host();
+          in_run = 0;
+        }
+        owner_at(x, s) = host;
+        ++in_run;
+      }
+    }
+  }
+}
+
 skipweb_1d::skipweb_1d(persist::reader& r, net::network& net)
-    : rng_(0),
-      lists_(r, "lists"),
-      net_(&net),
-      policy_(r.u64("impl.policy") == 0 ? placement::tower : placement::balanced) {
+    : rng_(0), lists_(r, "lists"), net_(&net), policy_(placement_in(r)) {
   std::istringstream iss(r.str("impl.rng"));
   iss >> rng_.engine();
   if (!iss) throw persist::error("snapshot: unreadable rng state");
-  owner_ = r.pods<net::host_id>("impl.owner");
-  root_item_ = r.pods<int>("impl.root_item");
-  if (policy_ == placement::tower && owner_.size() != lists_.arena_size()) {
-    throw persist::error("snapshot: owner table disagrees with arena size");
+  const bool block_rows = !r.has("impl.policy");
+  if (!block_rows) {
+    if (policy_ == placement::bucket) {
+      std::size_t n = 0;
+      const auto* geometry = r.array<std::uint64_t>("impl.bucket", n);
+      if (n != 2) throw persist::error("snapshot: bucket geometry malformed");
+      restore_bucket_geometry(geometry[0], geometry[1]);
+    }
+    owner_ = r.pods<net::host_id>("impl.owner");
+    if (policy_ != placement::balanced &&
+        owner_.size() != lists_.arena_size() * static_cast<std::size_t>(strata_)) {
+      throw persist::error("snapshot: owner table disagrees with arena size");
+    }
   }
+  root_item_ = r.pods<int>("impl.root_item");
   // Adopting the ledger grows the fresh network to the saved host count, so
   // root_for's per-host table lines up again after the check below.
   persist::restore_network(r, net, "net");
   if (root_item_.size() != net_->host_count()) {
     throw persist::error("snapshot: root table disagrees with host count");
   }
+  if (block_rows) restore_block_rows(r);
+}
+
+void skipweb_1d::restore_block_rows(persist::reader& r) {
+  // The block-row layout: geometry {M, L, B, strata} (L and B follow from
+  // M), one row per block slot, and a stratum-major block id per arena slot
+  // (-1 for erased items). Each alive item's owner is its block's host. The
+  // item stream, free list and basic levels are implied by these and not
+  // read.
+  std::size_t n = 0;
+  const auto* meta = r.array<std::uint64_t>("impl.meta", n);
+  if (n != 4) throw persist::error("snapshot: bucket meta malformed");
+  restore_bucket_geometry(meta[0], meta[3]);
+  std::size_t rows_n = 0, block_of_n = 0;
+  const auto* rows = r.array<block_row>("impl.blocks", rows_n);
+  const auto* block_of = r.array<std::int32_t>("impl.block_of", block_of_n);
+  const std::size_t arena = lists_.arena_size();
+  if (block_of_n != static_cast<std::size_t>(strata_) * arena) {
+    throw persist::error("snapshot: bucket block_of disagrees with arena size");
+  }
+  owner_.assign(arena * static_cast<std::size_t>(strata_), net::host_id{});
+  for (int s = 0; s < strata_; ++s) {
+    for (std::size_t i = 0; i < arena; ++i) {
+      if (!lists_.alive(static_cast<int>(i))) continue;
+      const std::int32_t b = block_of[static_cast<std::size_t>(s) * arena + i];
+      if (b < 0 || static_cast<std::size_t>(b) >= rows_n) {
+        throw persist::error("snapshot: bucket item names a missing block");
+      }
+      const std::uint32_t host = rows[b].host;
+      if (host >= net_->host_count()) {
+        throw persist::error("snapshot: bucket block host beyond the host count");
+      }
+      owner_at(static_cast<int>(i), s) = net::host_id{host};
+    }
+  }
 }
 
 void skipweb_1d::save_snapshot(persist::writer& w) const {
   lists_.save(w, "lists");
-  w.add_u64("impl.policy", policy_ == placement::tower ? 0u : 1u);
+  w.add_u64("impl.policy", static_cast<std::uint64_t>(policy_));
   // mt19937_64's full 2.5KB state round-trips through its stream operators.
   std::ostringstream oss;
   oss << rng_.engine();
   w.add_string("impl.rng", oss.str());
+  if (policy_ == placement::bucket) {
+    const std::uint64_t geometry[2] = {M_, static_cast<std::uint64_t>(strata_)};
+    w.add_array("impl.bucket", geometry, 2);
+  }
   w.add_pods("impl.owner", owner_);
   w.add_pods("impl.root_item", root_item_);
   persist::save_network(w, *net_, "net");
@@ -102,11 +231,16 @@ void skipweb_1d::compact() {
 }
 
 void skipweb_1d::prefetch_host(int item) const {
-  if (policy_ == placement::tower) util::prefetch(&owner_[static_cast<std::size_t>(item)]);
+  if (policy_ == placement::tower) {
+    util::prefetch(&owner_[static_cast<std::size_t>(item)]);
+  } else if (policy_ == placement::bucket) {
+    util::prefetch(&owner_at(item, 0));
+  }
 }
 
 net::host_id skipweb_1d::host_of(int item, int level) const {
   if (policy_ == placement::tower) return owner_[static_cast<std::size_t>(item)];
+  if (policy_ == placement::bucket) return owner_at(item, std::min(level / L_, strata_ - 1));
   return net::host_id{
       static_cast<std::uint32_t>(mix(lists_.uid(item), static_cast<std::uint64_t>(level)) %
                                  net_->host_count())};
@@ -329,6 +463,16 @@ api::op_stats skipweb_1d::insert(std::uint64_t key, net::host_id origin) {
   const auto nbrs = find_insert_neighbors(lists_, bits, pred0, succ0, cur, host_fn);
 
   const int item = lists_.splice_in(key, bits, nbrs);
+  if (policy_ == placement::bucket) {
+    const std::size_t slots = lists_.arena_size() * static_cast<std::size_t>(strata_);
+    if (owner_.size() < slots) owner_.resize(slots, net::host_id{});
+    // One join (and expected-O(1) pointer repairs) per stratum: this is
+    // where the O(log n / log log n) update bound comes from — messages go
+    // to basic levels only, non-basic cone updates ride along on the run's
+    // host.
+    for (int s = 0; s < strata_; ++s) join_run(item, s, cur);
+    return api::op_stats::of(cur);
+  }
   if (policy_ == placement::tower) {
     // The new item's tower gets its own fresh host, which also seeds its
     // searches at the new item.
@@ -377,6 +521,22 @@ api::op_stats skipweb_1d::erase(std::uint64_t key, net::host_id origin) {
   SW_EXPECTS(pred0 >= 0 && lists_.key(pred0) == key);  // key must be present
   const int item = pred0;
 
+  if (policy_ == placement::bucket) {
+    // Neighbour pointer repairs at each basic level, then the item leaves
+    // that stratum's run: one message to the run's host.
+    for (int s = 0; s < strata_; ++s) {
+      const int bl = s * L_;
+      const int pv = lists_.prev(item, bl);
+      const int nx = lists_.next(item, bl);
+      if (pv >= 0) cur.move_to(host_of(pv, bl));
+      if (nx >= 0) cur.move_to(host_of(nx, bl));
+      const auto host = owner_at(item, s);
+      cur.move_to(host);
+      charge_stratum(s, host, -1);
+    }
+    lists_.unsplice(item);
+    return api::op_stats::of(cur);
+  }
   // Unsplice level by level, visiting the node and its remote neighbours.
   for (int l = 0; l <= lists_.levels(); ++l) {
     cur.move_to(host_of(item, l));
@@ -454,6 +614,10 @@ void skipweb_1d::charge_item_memory(int item, std::int64_t sign) {
   // hyperlink to the same item's node one level down (paper §2.3). The data
   // item lives with the level-0 node, alongside its replica lists (k further
   // host references per direction) when replication is on.
+  if (policy_ == placement::bucket) {
+    for (int s = 0; s < strata_; ++s) charge_stratum(s, owner_at(item, s), sign);
+    return;
+  }
   const auto k = static_cast<std::int64_t>(lists_.replication());
   if (policy_ == placement::tower) {
     // Tower placement maps every level of an item to the same host, so the
@@ -475,6 +639,98 @@ void skipweb_1d::charge_item_memory(int item, std::int64_t sign) {
   }
   net_->charge(host_of(item, 0), net::memory_kind::item, sign);
   if (k > 0) net_->charge(host_of(item, 0), net::memory_kind::host_ref, 2 * k * sign);
+}
+
+void skipweb_1d::charge_stratum(int s, net::host_id host, std::int64_t sign) {
+  // Stratum s spans levels s·L up to the next basic level; the top stratum
+  // absorbs every level above its basic one.
+  const int lo = s * L_;
+  const int hi = s + 1 < strata_ ? lo + L_ - 1 : lists_.levels();
+  const std::int64_t height = hi - lo + 1;
+  net_->charge(host, net::memory_kind::node, height * sign);
+  net_->charge(host, net::memory_kind::host_ref, 3 * height * sign);
+  if (s == 0) net_->charge(host, net::memory_kind::item, sign);
+}
+
+void skipweb_1d::join_run(int item, int s, net::cursor& cur) {
+  const int bl = s * L_;
+  const int left = lists_.prev(item, bl);
+  const int right = lists_.next(item, bl);
+  net::host_id host;
+  if (left >= 0) {
+    host = owner_at(left, s);
+  } else if (right >= 0) {
+    host = owner_at(right, s);
+  } else {
+    // First member of a brand-new basic-level list: a fresh run and host.
+    host = net_->add_host();
+    root_item_.push_back(item);
+    net_->charge(host, net::memory_kind::host_ref, 1);
+  }
+  cur.move_to(host);  // the join itself: one message to the run's host
+  owner_at(item, s) = host;
+  charge_stratum(s, host, +1);
+
+  // The run is the maximal stretch of `host` in this basic-level list.
+  int head = item;
+  for (int pv = lists_.prev(head, bl); pv >= 0 && owner_at(pv, s) == host;
+       pv = lists_.prev(head, bl)) {
+    head = pv;
+  }
+  std::size_t run = 0;
+  int tail = head;
+  for (int x = head; x >= 0 && owner_at(x, s) == host; x = lists_.next(x, bl)) {
+    tail = x;
+    ++run;
+  }
+  if (run <= 2 * B_) return;
+  // Split: the upper half moves to a fresh host. O(1) messages here; the
+  // bulk state transfer is amortized against the B inserts that filled the
+  // run (paper §4).
+  const auto fresh = net_->add_host();
+  root_item_.push_back(tail);
+  net_->charge(fresh, net::memory_kind::host_ref, 1);
+  int x = head;
+  for (std::size_t k = 0; k < run / 2; ++k) x = lists_.next(x, bl);
+  for (std::size_t k = run / 2; k < run; ++k, x = lists_.next(x, bl)) {
+    owner_at(x, s) = fresh;
+    charge_stratum(s, host, -1);
+    charge_stratum(s, fresh, +1);
+  }
+  cur.move_to(fresh);  // hand-off message to the new run's host
+}
+
+std::size_t skipweb_1d::live_block_count() const {
+  std::size_t runs = 0;
+  for (int s = 0; s < strata_; ++s) {
+    const int bl = s * L_;
+    for (int i = 0; i < static_cast<int>(lists_.arena_size()); ++i) {
+      if (!lists_.alive(i)) continue;
+      const int pv = lists_.prev(i, bl);
+      runs += pv < 0 || owner_at(pv, s) != owner_at(i, s) ? 1 : 0;  // i heads a run
+    }
+  }
+  return runs;
+}
+
+bool skipweb_1d::check_block_invariants() const {
+  std::vector<bool> owns_run(net_->host_count(), false);
+  for (int s = 0; s < strata_; ++s) {
+    const int bl = s * L_;
+    for (int i = 0; i < static_cast<int>(lists_.arena_size()); ++i) {
+      if (!lists_.alive(i)) continue;
+      const auto host = owner_at(i, s);
+      const int pv = lists_.prev(i, bl);
+      if (pv >= 0 && owner_at(pv, s) == host) continue;  // inside a run
+      // i heads a run: its host owns no other run, and it holds [1, 2B] items.
+      if (host.value >= owns_run.size() || owns_run[host.value]) return false;
+      owns_run[host.value] = true;
+      std::size_t run = 0;
+      for (int x = i; x >= 0 && owner_at(x, s) == host; x = lists_.next(x, bl)) ++run;
+      if (run > 2 * B_) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace skipweb::core

@@ -15,26 +15,43 @@ namespace skipweb::core {
 
 // One-dimensional skip-web (paper §2.3–§2.5, Figure 2) with the *general*
 // node→host assignment of §2.4: every level node is an independent unit that
-// can live on any host. Two placements are provided:
+// can live on any host. The routes are the same for every assignment; only
+// host_of — and therefore the message cost — differs. Three placements:
 //
 //   - tower:    item i's whole tower lives on host i (H = n; the layout skip
 //               graphs/SkipNet use, per the Figure 2 caption).
 //   - balanced: nodes are spread over the hosts by hashing (item, level) —
 //               the "arbitrary assignment" the framework allows.
+//   - bucket:   the blocked layout of §2.4.1 (Table 1's skip-web and bucket
+//               skip-web rows). Levels are grouped into strata of
+//               L = ceil(log2 M) levels; basic level s is s·L and the top
+//               stratum absorbs the levels above the last one. Each
+//               basic-level list is cut into runs of consecutive items, one
+//               fresh host per run, and a host stores its run's whole cone
+//               (every level of the stratum). The owner table holds one host
+//               per (item, stratum), so a run is a maximal same-host stretch
+//               of its basic-level list; joins, leaves and splits past
+//               2B = 2·max(2, M/L) items walk that stretch. Descending inside
+//               a stratum is free, so queries cost O(log n / log M)
+//               messages — O(log n / log log n) at M = Θ(log n) — while each
+//               host stores O(M).
 //
 // Queries are 1-D nearest-neighbour searches (equivalently point location in
-// the link ranges); inserts/deletes follow §4. Expected costs (Theorem 2):
-// M = O(log n), C = O(log n), Q = O(log n), U = O(log n) messages. The
-// improved O(log n / log log n) query bound needs the blocked layout — see
-// bucket_skipweb.h.
+// the link ranges); inserts/deletes follow §4. Expected costs for tower and
+// balanced (Theorem 2): M = O(log n), C = O(log n), Q = O(log n),
+// U = O(log n) messages.
 class skipweb_1d {
  public:
-  enum class placement { tower, balanced };
+  enum class placement { tower, balanced, bucket };
+  // Selects the bucket placement with per-host memory target M >= 4.
+  struct bucket {
+    std::size_t M = 0;
+  };
 
   // Builds over `keys` (distinct, any order) on `net`. Host expectations:
   // tower placement uses one host per item and keeps using fresh hosts as
   // items are inserted (net.add_host); balanced placement spreads over all
-  // current hosts of `net`.
+  // current hosts of `net`. The bucket placement has its own constructor.
   //
   // `replication` (the fault plane, DESIGN.md §10) installs k-entry
   // successor/predecessor replica lists so queries route around up to k
@@ -51,13 +68,21 @@ class skipweb_1d {
   skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net::network& net, placement p,
              std::size_t replication = 0, bool bulk = true);
 
+  // Bucket placement (§2.4.1). Every run gets a fresh host on `net`
+  // (net.add_host), so H ends up at ~n log n / M as in the paper.
+  // Replication is not supported: the fault plane is tower-only.
+  skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net::network& net, bucket b,
+             bool bulk = true);
+
   // Restore from a snapshot written by save_snapshot(), onto a FRESH network.
   // The network adopts the saved host count and per-host memory ledger, so
   // the restored structure answers — keys, uids, and receipts —
   // byte-identically to its never-persisted twin (DESIGN.md §13). The
-  // arenas, the placement tables and the ledger come back as borrowed views
-  // over the reader's blob (zero-copy in mmap mode) and materialize
-  // copy-on-first-write at the first splice or charge.
+  // arenas, the owner and root tables and the ledger come back as borrowed
+  // views over the reader's blob (zero-copy in mmap mode) and materialize
+  // copy-on-first-write at the first splice or charge. Bucket files in the
+  // earlier block-row layout restore too, through one conversion into an
+  // owned owner table.
   skipweb_1d(persist::reader& r, net::network& net);
 
   [[nodiscard]] std::size_t size() const { return lists_.size(); }
@@ -66,6 +91,18 @@ class skipweb_1d {
   [[nodiscard]] const level_lists& lists() const { return lists_; }
   // Effective replication factor (0 unless tower placement asked for more).
   [[nodiscard]] std::size_t replication() const { return lists_.replication(); }
+
+  // Bucket geometry: strata, levels per stratum L and the run capacity B (a
+  // run splits past 2B). Tower and balanced placements have one stratum.
+  [[nodiscard]] int strata() const { return strata_; }
+  [[nodiscard]] std::size_t stratum_levels() const { return static_cast<std::size_t>(L_); }
+  [[nodiscard]] std::size_t block_capacity() const { return B_; }
+  // Bucket placement (tests and benches; a scan of the owner table): the
+  // number of runs, i.e. of hosts that own a block, and the block layout's
+  // invariants — every alive item owned in every stratum, every run within
+  // [1, 2B] items, and no host owning two runs.
+  [[nodiscard]] std::size_t live_block_count() const;
+  [[nodiscard]] bool check_block_invariants() const;
 
   // Nearest-neighbour query issued from `origin`: the level-0 predecessor
   // and successor of q, with the op's cost receipt in `.stats`.
@@ -87,7 +124,8 @@ class skipweb_1d {
 
   // Range query [lo, hi] (one of the paper's §1 motivating query types):
   // route to lo, then walk the base list — O(log n + k) expected messages
-  // for k results. `limit` caps the output (0 = unlimited).
+  // for k results, O(log n / log M + k/B) with the bucket placement, whose
+  // consecutive keys share hosts. `limit` caps the output (0 = unlimited).
   [[nodiscard]] api::op_result<std::vector<std::uint64_t>> range(std::uint64_t lo,
                                                                  std::uint64_t hi,
                                                                  net::host_id origin,
@@ -97,7 +135,9 @@ class skipweb_1d {
   [[nodiscard]] net::host_id host_of(int item, int level) const;
 
   // Measured resident bytes (DESIGN.md §12): the arena/link split comes from
-  // level_lists; the owner table and per-host roots are directory.
+  // level_lists; the owner table and per-host roots are directory (for the
+  // bucket placement, the O(n log n / M) directory the paper trades for its
+  // message bound).
   [[nodiscard]] api::memory_footprint footprint() const {
     api::memory_footprint f = lists_.footprint();
     f.directory_bytes += api::vector_bytes(owner_) + api::vector_bytes(root_item_);
@@ -106,8 +146,9 @@ class skipweb_1d {
 
   // --- persistence (DESIGN.md §13) ------------------------------------------
   //
-  // Write the whole structure — arenas, placement, per-host roots, rng
-  // state, and the deployment's memory ledger — as named sections of `w`.
+  // Write the whole structure — arenas, placement (owner table, and the
+  // bucket geometry), per-host roots, rng state, and the deployment's memory
+  // ledger — as named sections of `w`.
   void save_snapshot(persist::writer& w) const;
   // Shrink every arena to its size, releasing growth headroom, so
   // footprint() slack drops to ~0 and resident bytes match the snapshot
@@ -140,23 +181,54 @@ class skipweb_1d {
   [[nodiscard]] int fault_root(net::cursor& cur, net::host_id origin) const;
   [[nodiscard]] int root_for(net::host_id origin) const;
   void charge_item_memory(int item, std::int64_t sign);
+  // Bucket placement: the owner of (item, stratum s); the per-stratum memory
+  // charge (node + 3 host refs per level of stratum s, plus the item at
+  // s = 0); the build's cut of every basic-level list into runs of B items;
+  // one insert's join of stratum s's run, splitting it past 2B; and the
+  // conversion of a block-row file into the owner table.
+  [[nodiscard]] net::host_id& owner_at(int item, int s) {
+    return owner_[static_cast<std::size_t>(item) * static_cast<std::size_t>(strata_) +
+                  static_cast<std::size_t>(s)];
+  }
+  [[nodiscard]] const net::host_id& owner_at(int item, int s) const {
+    return owner_[static_cast<std::size_t>(item) * static_cast<std::size_t>(strata_) +
+                  static_cast<std::size_t>(s)];
+  }
+  void charge_stratum(int s, net::host_id host, std::int64_t sign);
+  void place_runs();
+  void join_run(int item, int s, net::cursor& cur);
+  void restore_block_rows(persist::reader& r);
   // Visit the up-to-(k+1) neighbours on each side whose replica lists a
   // splice/unsplice refreshed (dead ones cost their detection probe only).
   // No-op when replication is off.
   void charge_replica_refresh(net::cursor& cur, int left0, int right0);
-  // Hint-only: start the owner-table lookup for `item` early (tower
-  // placement stores owners; balanced placement computes them — nothing to
-  // prefetch).
+  // Hint-only: start the owner-table lookup for `item` early (tower and
+  // bucket placements store owners; balanced placement computes them —
+  // nothing to prefetch).
   void prefetch_host(int item) const;
   static level_lists make_lists(std::vector<std::uint64_t> keys, util::rng& r, bool bulk);
+  // Gives every host a root and registers every item in the ledger.
+  void finish_build();
+  // Bucket geometry from M; the restore variant validates a file's M and
+  // stratum count first.
+  void set_bucket_memory(std::size_t M);
+  void restore_bucket_geometry(std::uint64_t M, std::uint64_t strata);
 
   util::rng rng_;       // declared before lists_: it feeds the level build
   level_lists lists_;
   net::network* net_;
   placement policy_;
+  // Bucket geometry (§2.4.1): per-host memory target M, levels per stratum
+  // L = ceil(log2 M), run capacity B = max(2, M/L), and the stratum count.
+  std::size_t M_ = 0;
+  int L_ = 0;
+  std::size_t B_ = 0;
+  int strata_ = 1;
   // Owned when built, borrowed from the snapshot when restored (like lists_).
-  persist::pod_array<net::host_id> owner_;  // per arena slot: tower host (tower placement)
-  persist::pod_array<int> root_item_;       // per host: anchor item whose tower seeds searches
+  // Item-major, one host per (arena slot, stratum): the tower host, or the
+  // bucket run's host; empty for balanced placement.
+  persist::pod_array<net::host_id> owner_;
+  persist::pod_array<int> root_item_;  // per host: anchor item whose tower seeds searches
 };
 
 }  // namespace skipweb::core

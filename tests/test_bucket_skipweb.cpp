@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <tuple>
 #include <vector>
 
-#include "core/bucket_skipweb.h"
+#include "core/skipweb_1d.h"
 #include "net/network.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -13,7 +14,7 @@
 
 namespace {
 
-using skipweb::core::bucket_skipweb;
+using skipweb::core::skipweb_1d;
 using skipweb::net::host_id;
 using skipweb::net::network;
 using skipweb::util::rng;
@@ -21,7 +22,7 @@ namespace wl = skipweb::workloads;
 
 host_id h(std::uint32_t v) { return host_id{v}; }
 
-void check_against_oracle(const bucket_skipweb& web, const std::set<std::uint64_t>& oracle,
+void check_against_oracle(const skipweb_1d& web, const std::set<std::uint64_t>& oracle,
                           const std::vector<std::uint64_t>& probes, network& net) {
   std::uint32_t origin = 0;
   for (const auto q : probes) {
@@ -44,7 +45,7 @@ TEST_P(BucketSkipwebM, NearestMatchesOracle) {
   rng r(2001);
   const auto keys = wl::uniform_keys(512, r);
   network net(1);
-  bucket_skipweb web(keys, 142, net, M);
+  skipweb_1d web(keys, 142, net, skipweb_1d::bucket{M});
   EXPECT_TRUE(web.check_block_invariants());
   const std::set<std::uint64_t> oracle(keys.begin(), keys.end());
   check_against_oracle(web, oracle, wl::probe_keys(keys, 300, r), net);
@@ -56,7 +57,7 @@ TEST_P(BucketSkipwebM, MixedWorkloadMatchesOracle) {
   auto pool = wl::uniform_keys(400, r);
   const std::vector<std::uint64_t> initial(pool.begin(), pool.begin() + 128);
   network net(1);
-  bucket_skipweb web(initial, 143, net, M);
+  skipweb_1d web(initial, 143, net, skipweb_1d::bucket{M});
   std::set<std::uint64_t> oracle(initial.begin(), initial.end());
 
   for (int op = 0; op < 500; ++op) {
@@ -94,7 +95,7 @@ TEST(BucketSkipweb, StratumAnatomy) {
   rng r(2003);
   const auto keys = wl::uniform_keys(1024, r);
   network net(1);
-  bucket_skipweb web(keys, 144, net, 16);
+  skipweb_1d web(keys, 144, net, skipweb_1d::bucket{16});
   // M=16: L = 4 levels per stratum; levels_for(1024) = 10 -> strata 0..2.
   EXPECT_EQ(web.stratum_levels(), 4u);
   EXPECT_EQ(web.strata(), 3);
@@ -108,7 +109,7 @@ TEST(BucketSkipweb, HostCountScalesAsNLogNOverM) {
   const auto keys = wl::uniform_keys(n, r);
   for (const std::size_t M : {16u, 64u, 256u}) {
     network net(1);
-    bucket_skipweb web(keys, 145, net, M);
+    skipweb_1d web(keys, 145, net, skipweb_1d::bucket{M});
     const double expect = static_cast<double>(n) * std::log2(static_cast<double>(n)) /
                           static_cast<double>(M);
     const auto blocks = static_cast<double>(web.live_block_count());
@@ -122,7 +123,7 @@ TEST(BucketSkipweb, PerHostMemoryIsThetaM) {
   const auto keys = wl::uniform_keys(2048, r);
   for (const std::size_t M : {16u, 64u, 256u}) {
     network net(1);
-    bucket_skipweb web(keys, 146, net, M);
+    skipweb_1d web(keys, 146, net, skipweb_1d::bucket{M});
     // Ledger units per node ~4 (node + 3 refs); block holds <= 2B items over
     // L levels: <= 2*4*M units + constants.
     EXPECT_LE(net.max_memory(), 8 * M + 64) << "M=" << M;
@@ -137,7 +138,7 @@ TEST(BucketSkipweb, LargerMMeansFewerMessages) {
   double prev_mean = 1e18;
   for (const std::size_t M : {8u, 64u, 512u}) {
     network net(1);
-    bucket_skipweb web(keys, 147, net, M);
+    skipweb_1d web(keys, 147, net, skipweb_1d::bucket{M});
     skipweb::util::accumulator acc;
     std::uint32_t origin = 0;
     for (const auto q : probes) {
@@ -158,7 +159,7 @@ TEST(BucketSkipweb, BeatsLogNRouting) {
   const auto keys = wl::uniform_keys(n, r);
   const std::size_t M = static_cast<std::size_t>(std::log2(n)) * 2;  // Theta(log n)
   network net(1);
-  bucket_skipweb web(keys, 148, net, M);
+  skipweb_1d web(keys, 148, net, skipweb_1d::bucket{M});
   skipweb::util::accumulator acc;
   std::uint32_t origin = 0;
   for (const auto q : wl::probe_keys(keys, 400, r)) {
@@ -176,7 +177,7 @@ TEST(BucketSkipweb, BlockSplitsKeepInvariants) {
   auto pool = wl::uniform_keys(600, r);
   const std::vector<std::uint64_t> initial(pool.begin(), pool.begin() + 64);
   network net(1);
-  bucket_skipweb web(initial, 149, net, 16);  // B = 4: splits happen fast
+  skipweb_1d web(initial, 149, net, skipweb_1d::bucket{16});  // B = 4: splits happen fast
   for (std::size_t i = 64; i < pool.size(); ++i) {
     web.insert(pool[i], h(static_cast<std::uint32_t>(i % net.host_count())));
     if (i % 100 == 0) EXPECT_TRUE(web.check_block_invariants());
@@ -191,7 +192,7 @@ TEST(BucketSkipweb, ShrinkToTinyKeepsWorking) {
   rng r(2009);
   auto keys = wl::uniform_keys(256, r);
   network net(1);
-  bucket_skipweb web(keys, 150, net, 32);
+  skipweb_1d web(keys, 150, net, skipweb_1d::bucket{32});
   std::shuffle(keys.begin(), keys.end(), r.engine());
   for (std::size_t i = 0; i + 2 < keys.size(); ++i) {
     web.erase(keys[i], h(0));
@@ -206,7 +207,7 @@ TEST(BucketSkipweb, RejectsTinyM) {
   rng r(2010);
   const auto keys = wl::uniform_keys(16, r);
   network net(1);
-  EXPECT_THROW(bucket_skipweb(keys, 151, net, 2), skipweb::util::contract_error);
+  EXPECT_THROW(skipweb_1d(keys, 151, net, skipweb_1d::bucket{2}), skipweb::util::contract_error);
 }
 
 TEST(BucketSkipweb, ClusteredKeysUnaffected) {
@@ -214,10 +215,48 @@ TEST(BucketSkipweb, ClusteredKeysUnaffected) {
   rng r(2011);
   const auto keys = wl::clustered_keys(1024, r);
   network net(1);
-  bucket_skipweb web(keys, 152, net, 32);
+  skipweb_1d web(keys, 152, net, skipweb_1d::bucket{32});
   EXPECT_TRUE(web.check_block_invariants());
   const std::set<std::uint64_t> oracle(keys.begin(), keys.end());
   check_against_oracle(web, oracle, wl::probe_keys(keys, 200, r), net);
+}
+
+// The owner-table placement reproduces the block-table class it replaced op
+// for op: these digests were recorded from that class with the same keys,
+// seed and ops. They pin the run rules that answers alone cannot see —
+// which run an item joins, splits onto fresh hosts, and the fresh host's
+// root (queried below from every host).
+TEST(BucketSkipweb, ReceiptsMatchTheBlockTableLayout) {
+  for (const auto& [M, want_hosts, want] :
+       {std::tuple<std::size_t, std::size_t, std::uint64_t>{4, 846, 0xf795a21d7b40e599ull},
+        {16, 211, 0x10f2c6fa49ca5562ull}}) {
+    rng r(2012);
+    const auto pool = wl::uniform_keys(700, r);
+    const std::vector<std::uint64_t> initial(pool.begin(), pool.begin() + 200);
+    network net(8);
+    skipweb_1d web(initial, 153, net, skipweb_1d::bucket{M});
+    std::uint64_t digest = 14695981039346656037ull;  // FNV-1a
+    const auto mix = [&](std::uint64_t v) { digest = (digest ^ v) * 1099511628211ull; };
+    const auto mix_stats = [&](const skipweb::api::op_stats& s) {
+      mix(s.messages);
+      mix(s.host_visits);
+      mix(s.comparisons);
+    };
+    for (std::size_t i = 200; i < 700; ++i) {
+      const auto o = h(static_cast<std::uint32_t>(i % net.host_count()));
+      mix_stats(web.insert(pool[i], o));
+      if (i % 3 == 0) mix_stats(web.erase(pool[i - 150], o));
+    }
+    for (std::uint32_t o = 0; o < net.host_count(); ++o) {
+      const auto n = web.nearest(pool[(o * 7) % 700], h(o));
+      mix(n.pred);
+      mix_stats(n.stats);
+    }
+    mix(net.host_count());
+    mix(net.total_memory());
+    EXPECT_EQ(net.host_count(), want_hosts) << "M=" << M;
+    EXPECT_EQ(digest, want) << "M=" << M;
+  }
 }
 
 }  // namespace

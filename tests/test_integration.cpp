@@ -14,7 +14,6 @@
 #include "baselines/family_tree.h"
 #include "baselines/non_skipgraph.h"
 #include "baselines/skipgraph.h"
-#include "core/bucket_skipweb.h"
 #include "core/skipweb_1d.h"
 #include "net/network.h"
 #include "util/rng.h"
@@ -40,7 +39,7 @@ TEST(Integration, AllOneDimensionalStructuresAgree) {
 
   network n1(256), n2(1), n3(1), n4(1), n5(1), n6(1), n7(1);
   core::skipweb_1d web(keys, 1, n1, core::skipweb_1d::placement::tower);
-  core::bucket_skipweb bweb(keys, 2, n2, 16);
+  core::skipweb_1d bweb(keys, 2, n2, core::skipweb_1d::bucket{16});
   baselines::skip_graph sg(keys, 3, n3);
   baselines::non_skip_graph nsg(keys, 4, n4);
   baselines::bucket_skip_graph bsg(keys, 5, n5, 32);
@@ -80,7 +79,7 @@ TEST(Integration, RangeQueriesMatchOracle) {
 
   network n1(512), n2(1);
   core::skipweb_1d web(keys, 11, n1, core::skipweb_1d::placement::tower);
-  core::bucket_skipweb bweb(keys, 12, n2, 32);
+  core::skipweb_1d bweb(keys, 12, n2, core::skipweb_1d::bucket{32});
 
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t i = r.index(sorted.size());
@@ -112,7 +111,7 @@ TEST(Integration, RangeAfterChurn) {
   auto pool = wl::uniform_keys(400, r);
   const std::vector<std::uint64_t> initial(pool.begin(), pool.begin() + 200);
   network net(1);
-  core::bucket_skipweb web(initial, 13, net, 16);
+  core::skipweb_1d web(initial, 13, net, core::skipweb_1d::bucket{16});
   std::set<std::uint64_t> oracle(initial.begin(), initial.end());
   for (std::size_t i = 200; i < 400; ++i) {
     web.insert(pool[i], h(0));
@@ -164,7 +163,7 @@ TEST(Integration, WholeSessionsAreDeterministic) {
     rng r(7005);
     auto keys = wl::uniform_keys(300, r);
     network net(1);
-    core::bucket_skipweb web(keys, 31, net, 16);
+    core::skipweb_1d web(keys, 31, net, core::skipweb_1d::bucket{16});
     std::uint64_t checksum = 0;
     for (int op = 0; op < 200; ++op) {
       const auto q = wl::probe_keys(keys, 1, r)[0];
@@ -207,7 +206,7 @@ TEST(Integration, MemoryLedgerTracksPopulation) {
   rng r(7007);
   auto keys = wl::uniform_keys(256, r);
   network net(1);
-  core::bucket_skipweb web(keys, 51, net, 32);
+  core::skipweb_1d web(keys, 51, net, core::skipweb_1d::bucket{32});
   const auto baseline_total = net.total_memory();
   auto fresh = wl::uniform_keys(64, r);
   for (const auto k : fresh) web.insert(k, h(0));

@@ -403,7 +403,10 @@ TEST(Deadline, ExhaustedBudgetFlagsTimedOutAndDegraded) {
   EXPECT_LT(res.stats.messages, truth.stats.messages);
 }
 
-TEST(Deadline, DegradedRangeIsAnHonestPrefix) {
+// The honest-prefix promise holds for every registered 1-D backend.
+class DeadlineRange : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DeadlineRange, DegradedRangeIsAnHonestPrefix) {
   util::rng r(7121);
   auto keys = wl::uniform_keys(256, r);
   std::sort(keys.begin(), keys.end());
@@ -411,7 +414,7 @@ TEST(Deadline, DegradedRangeIsAnHonestPrefix) {
 
   // Ground truth: same build, no deadline.
   network net_full(1);
-  const auto full = api::make_index("skipweb1d", keys, api::index_options{}.seed(23), net_full);
+  const auto full = api::make_index(GetParam(), keys, api::index_options{}.seed(23), net_full);
   net_full.set_latency_model(latency_model::lognormal(1000, 0.5, 7));
   const auto want = full->range(lo, hi, h(0)).value;
   ASSERT_EQ(want.size(), 181u);
@@ -422,7 +425,7 @@ TEST(Deadline, DegradedRangeIsAnHonestPrefix) {
   for (const std::uint64_t budget : {2000u, 20000u, 100000u, 100000000u}) {
     network net(1);
     const auto idx = api::make_index(
-        "skipweb1d", keys, api::index_options{}.seed(23).deadline(budget), net);
+        GetParam(), keys, api::index_options{}.seed(23).deadline(budget), net);
     net.set_latency_model(latency_model::lognormal(1000, 0.5, 7));
     const auto got = idx->range(lo, hi, h(0));
     ASSERT_LE(got.value.size(), want.size());
@@ -439,6 +442,10 @@ TEST(Deadline, DegradedRangeIsAnHonestPrefix) {
   EXPECT_TRUE(saw_degraded);  // the tight budgets actually bit
   EXPECT_TRUE(saw_full);      // and the generous one recovered the answer
 }
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, DeadlineRange,
+                         ::testing::ValuesIn(api::registered_backends()),
+                         [](const auto& info) { return info.param; });
 
 TEST(Deadline, DegradedStringPrefixAndRangeAreHonestPrefixes) {
   // Same honesty contract on the string plane: a budgeted prefix_match or

@@ -7,10 +7,8 @@
 
 #include "net/cursor.h"
 #include "net/network.h"
-#include "net/placement.h"
 #include "net/receipt.h"
 #include "net/types.h"
-#include "util/rng.h"
 
 namespace {
 
@@ -250,37 +248,6 @@ TEST(Network, AdoptedLedgerIsReadInPlaceAndCopiedOnFirstCharge) {
   EXPECT_EQ(net.add_host(), h(6));
   EXPECT_EQ(net.memory_used(h(6)), 0u);
   EXPECT_EQ(net.total_memory(), 2u + 8u);
-}
-
-TEST(Placement, TowerIsIdentity) {
-  const auto p = tower_placement(5);
-  ASSERT_EQ(p.size(), 5u);
-  for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(p[i], h(i));
-}
-
-TEST(Placement, BalancedIsEvenAndCoversAllHosts) {
-  skipweb::util::rng r(3);
-  const std::size_t count = 1000, hosts = 10;
-  const auto p = balanced_placement(count, hosts, r);
-  std::vector<int> load(hosts, 0);
-  for (const auto& hid : p) {
-    ASSERT_LT(hid.value, hosts);
-    ++load[hid.value];
-  }
-  for (int l : load) EXPECT_EQ(l, 100);
-}
-
-TEST(Placement, BalancedIsShuffled) {
-  skipweb::util::rng r(3);
-  const auto p = balanced_placement(100, 10, r);
-  const auto rr = round_robin_placement(100, 10);
-  EXPECT_NE(p, rr);
-}
-
-TEST(Placement, RoundRobinDeterministic) {
-  const auto p = round_robin_placement(7, 3);
-  const std::vector<host_id> want = {h(0), h(1), h(2), h(0), h(1), h(2), h(0)};
-  EXPECT_EQ(p, want);
 }
 
 TEST(Types, HostIdValidity) {

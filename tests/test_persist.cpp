@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -300,45 +301,49 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, PersistConformance,
 // memory ledger borrowed from the file. Four workers commit into it at once:
 // answers and receipts must equal a serial loop over the saving index, and
 // the per-host visit counters must equal the serial run's and reconcile
-// with total_messages().
+// with total_messages(). Both native 1-D layouts take the executor's batch
+// path over their borrowed owner tables.
 TEST(Persist, MapRestoredTwinServesConcurrently) {
-  rng r(2718);
-  const auto keys = wl::uniform_keys(2000, r);
-  network net_o(1);
-  const auto orig = api::make_index("skipweb1d", keys,
-                                    api::index_options{}.seed(8).initial_hosts(8), net_o);
-  const auto path = snap_path("served_twin");
-  api::save_index_snapshot(*orig, path);
-  network net_m(1);
-  const auto twin = api::restore_index(path, persist::restore_mode::map, net_m);
-  const auto qs = wl::query_stream(keys, 1500, 2719);
+  for (const std::string backend : {"skipweb1d", "bucket_skipweb"}) {
+    SCOPED_TRACE(backend);
+    rng r(2718);
+    const auto keys = wl::uniform_keys(2000, r);
+    network net_o(1);
+    const auto orig =
+        api::make_index(backend, keys, api::index_options{}.seed(8).initial_hosts(8), net_o);
+    const auto path = snap_path("served_twin_" + backend);
+    api::save_index_snapshot(*orig, path);
+    network net_m(1);
+    const auto twin = api::restore_index(path, persist::restore_mode::map, net_m);
+    const auto qs = wl::query_stream(keys, 1500, 2719);
 
-  serve::executor ex(4);
-  const auto out = ex.run_nearest(*twin, qs, h(0), 16);
+    serve::executor ex(4);
+    const auto out = ex.run_nearest(*twin, qs, h(0), 16);
 
-  net_o.reset_traffic();
-  api::op_stats serial_total;
-  ASSERT_EQ(out.results.size(), qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const auto want = orig->nearest(qs[i], h(0));
-    serial_total += want.stats;
-    const auto& got = out.results[i];
-    ASSERT_EQ(got.has_pred, want.has_pred) << i;
-    ASSERT_EQ(got.pred, want.pred) << i;
-    ASSERT_EQ(got.has_succ, want.has_succ) << i;
-    ASSERT_EQ(got.succ, want.succ) << i;
-    ASSERT_EQ(got.stats, want.stats) << i;
+    net_o.reset_traffic();
+    api::op_stats serial_total;
+    ASSERT_EQ(out.results.size(), qs.size());
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const auto want = orig->nearest(qs[i], h(0));
+      serial_total += want.stats;
+      const auto& got = out.results[i];
+      ASSERT_EQ(got.has_pred, want.has_pred) << i;
+      ASSERT_EQ(got.pred, want.pred) << i;
+      ASSERT_EQ(got.has_succ, want.has_succ) << i;
+      ASSERT_EQ(got.succ, want.succ) << i;
+      ASSERT_EQ(got.stats, want.stats) << i;
+    }
+    EXPECT_EQ(out.total, serial_total);
+    ASSERT_EQ(net_m.host_count(), net_o.host_count());
+    EXPECT_EQ(net_m.total_messages(), net_o.total_messages());
+    std::uint64_t visits = 0;
+    for (std::uint32_t i = 0; i < net_m.host_count(); ++i) {
+      ASSERT_EQ(net_m.visits(h(i)), net_o.visits(h(i))) << "host " << i;
+      visits += net_m.visits(h(i));
+    }
+    EXPECT_EQ(visits, net_m.total_messages());
+    expect_same_ledger(net_o, net_m, "after serving");
   }
-  EXPECT_EQ(out.total, serial_total);
-  ASSERT_EQ(net_m.host_count(), net_o.host_count());
-  EXPECT_EQ(net_m.total_messages(), net_o.total_messages());
-  std::uint64_t visits = 0;
-  for (std::uint32_t i = 0; i < net_m.host_count(); ++i) {
-    ASSERT_EQ(net_m.visits(h(i)), net_o.visits(h(i))) << "host " << i;
-    visits += net_m.visits(h(i));
-  }
-  EXPECT_EQ(visits, net_m.total_messages());
-  expect_same_ledger(net_o, net_m, "after serving");
 }
 
 // The spatial twin of the test above: a map-restored skip_quadtree2 serves
@@ -898,7 +903,237 @@ TEST(Persist, HostileHostCountsRejected) {
   EXPECT_THROW((void)api::restore_index(ok, persist::restore_mode::map, big), persist::error);
 }
 
-// --- layer 4e: rewritten skip quadtree snapshots ----------------------------
+// --- layer 4e: rewritten bucket skip-web snapshots ---------------------------
+//
+// A bucket_skipweb file holds the §2.4.1 placement as one owner table (a
+// host per arena slot and stratum) plus the geometry {M, strata} in
+// "impl.bucket". Files from before the owner table hold it as block rows
+// instead; rewrite_bucket_as_blocks writes that layout from a current file.
+
+std::vector<std::string> bucket_sections() {
+  auto names = kSkipweb1dSections;
+  names.insert(names.end(), {"impl.bucket", "net.host_count", "net.memory_rows"});
+  return names;
+}
+
+const std::vector<std::string> kBlockRowSections = {
+    "meta.backend", "meta.index_kind", "meta.n", "lists.meta", "lists.keys", "lists.bits",
+    "lists.uids", "lists.redirect", "lists.alive", "lists.fwd", "lists.bwd", "lists.fwd_rep",
+    "lists.bwd_rep", "lists.free", "impl.meta", "impl.rng", "impl.basic_levels", "impl.blocks",
+    "impl.block_items", "impl.free_blocks", "impl.block_of", "impl.root_item", "net.host_count",
+    "net.memory_rows"};
+
+// One "impl.blocks" row of the block-row layout.
+struct block_row {
+  std::int32_t set_length = 0;
+  std::uint32_t host = 0;
+  std::uint64_t set_bits = 0;
+  std::uint32_t live = 0;
+  std::uint32_t item_count = 0;
+};
+static_assert(sizeof(block_row) == 24);
+
+// Rewrites a bucket_skipweb file into the block-row layout: every maximal
+// same-host run of a basic-level list becomes one live block row, in the
+// order the build cuts them, and every third row is preceded by a freed
+// slot, as erases leave them.
+void rewrite_bucket_as_blocks(const std::string& from, const std::string& to) {
+  persist::reader r(from, persist::restore_mode::load);
+  const core::level_lists lists(r, "lists");
+  const auto geometry = r.vec<std::uint64_t>("impl.bucket");
+  const auto owner = r.vec<host_id>("impl.owner");
+  const std::uint64_t M = geometry.at(0), strata = geometry.at(1);
+  const auto L = static_cast<int>(std::bit_width(M - 1));
+  const std::uint64_t B = std::max<std::uint64_t>(2, M / static_cast<std::uint64_t>(L));
+  const std::size_t arena = lists.arena_size();
+  const auto owner_of = [&](int item, std::size_t s) { return owner[item * strata + s]; };
+  std::vector<block_row> rows;
+  std::vector<int> items, free_blocks, basic_levels;
+  std::vector<std::int32_t> block_of(strata * arena, -1);
+  for (std::size_t s = 0; s < strata; ++s) {
+    const int bl = static_cast<int>(s) * L;
+    basic_levels.push_back(bl);
+    for (int i = 0; i < static_cast<int>(arena); ++i) {
+      if (!lists.alive(i) || lists.prev(i, bl) >= 0) continue;
+      for (int x = i; x >= 0; x = lists.next(x, bl)) {
+        const int pv = lists.prev(x, bl);
+        if (pv < 0 || owner_of(pv, s) != owner_of(x, s)) {
+          if (rows.size() % 3 == 2) {
+            free_blocks.push_back(static_cast<int>(rows.size()));
+            rows.push_back({});
+          }
+          const auto set = lists.prefix(x, bl);
+          rows.push_back({set.length, owner_of(x, s).value, set.bits, 1, 0});
+        }
+        ++rows.back().item_count;
+        items.push_back(x);
+        block_of[s * arena + static_cast<std::size_t>(x)] =
+            static_cast<std::int32_t>(rows.size() - 1);
+      }
+    }
+  }
+  const std::vector<std::uint64_t> meta = {M, static_cast<std::uint64_t>(L), B, strata};
+  rewrite_sections(from, to, kBlockRowSections,
+                   {section_of("impl.meta", meta), section_of("impl.basic_levels", basic_levels),
+                    section_of("impl.blocks", rows), section_of("impl.block_items", items),
+                    section_of("impl.free_blocks", free_blocks),
+                    section_of("impl.block_of", block_of)});
+}
+
+// A saved bucket_skipweb (M = 8) after 60 insert+erase pairs, so its arena
+// holds erase-freed slots and its runs have split and shrunk.
+std::string churned_bucket_snapshot(network& net, std::vector<std::uint64_t>& keys) {
+  rng r(8080);
+  keys = wl::uniform_keys(600, r);
+  const auto idx = api::make_index(
+      "bucket_skipweb", std::vector<std::uint64_t>(keys.begin(), keys.begin() + 480),
+      api::index_options{}.seed(12).initial_hosts(8).bucket_size(8), net);
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    idx->insert(keys[480 + i], h(i % 8));
+    idx->erase(keys[i * 3], h((i * 5) % 8));
+  }
+  const auto path = snap_path("source_bucket");
+  api::save_index_snapshot(*idx, path);
+  return path;
+}
+
+void expect_index_rejected(const std::string& path, const std::string& what) {
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    EXPECT_THROW((void)api::restore_index(path, mode, net), persist::error) << what;
+  }
+}
+
+TEST(Persist, BucketFilesWithBlockRowsRestore) {
+  network net_o(1);
+  std::vector<std::uint64_t> keys;
+  const auto path = churned_bucket_snapshot(net_o, keys);
+  const auto old = snap_path("blocks");
+  rewrite_bucket_as_blocks(path, old);
+  {
+    const persist::reader rd(old, persist::restore_mode::load);
+    ASSERT_FALSE(rd.has("impl.owner"));
+    ASSERT_FALSE(rd.has("impl.policy"));
+    ASSERT_FALSE(rd.vec<int>("impl.free_blocks").empty());
+    ASSERT_FALSE(rd.vec<int>("lists.free").empty());
+  }
+  network net_s(1), net_l(1), net_m(1);
+  const auto saved = api::restore_index(path, persist::restore_mode::load, net_s);
+  const auto twin_l = api::restore_index(old, persist::restore_mode::load, net_l);
+  const auto twin_m = api::restore_index(old, persist::restore_mode::map, net_m);
+  const std::vector<std::pair<api::distributed_index*, network*>> twins = {
+      {twin_l.get(), &net_l}, {twin_m.get(), &net_m}};
+  const auto probe_all = [&](const char* when) {
+    rng pr(8181);
+    std::uint32_t origin = 0;
+    for (const auto q : wl::probe_keys(keys, 80, pr)) {
+      const auto o = h(origin);
+      origin = static_cast<std::uint32_t>((origin + 7) % net_s.host_count());
+      const auto na = saved->nearest(q, o);
+      const auto ra = saved->range(q, q + (std::uint64_t{1} << 58), o, 20);
+      for (const auto& [twin, net] : twins) {
+        const auto nb = twin->nearest(q, o);
+        ASSERT_EQ(na.pred, nb.pred) << when << " " << q;
+        ASSERT_EQ(na.succ, nb.succ) << when << " " << q;
+        ASSERT_EQ(na.stats, nb.stats) << when << " " << q;
+        const auto rb = twin->range(q, q + (std::uint64_t{1} << 58), o, 20);
+        ASSERT_EQ(ra.value, rb.value) << when << " " << q;
+        ASSERT_EQ(ra.stats, rb.stats) << when << " " << q;
+      }
+    }
+    for (const auto& [twin, net] : twins) {
+      ASSERT_EQ(net->host_count(), net_s.host_count()) << when;
+      expect_same_ledger(net_s, *net, when);
+    }
+  };
+  probe_all("restore");
+  // 60 insert+erase pairs: held-out keys in, built keys out.
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    const auto o = h(i % 16);
+    const auto sa = saved->insert(keys[540 + i], o);
+    const auto ea = saved->erase(keys[i * 3 + 1], o);
+    for (const auto& [twin, net] : twins) {
+      ASSERT_EQ(sa, twin->insert(keys[540 + i], o)) << "insert " << i;
+      ASSERT_EQ(ea, twin->erase(keys[i * 3 + 1], o)) << "erase " << i;
+    }
+  }
+  probe_all("after mutations");
+}
+
+TEST(Persist, HostileBucketFilesRejected) {
+  network net_o(1);
+  std::vector<std::uint64_t> keys;
+  const auto path = churned_bucket_snapshot(net_o, keys);
+  persist::reader src(path, persist::restore_mode::load);
+  const auto geometry = src.vec<std::uint64_t>("impl.bucket");
+  const auto owner = src.vec<host_id>("impl.owner");
+  const std::uint64_t M = geometry.at(0), strata = geometry.at(1);
+  const auto levels = static_cast<std::uint64_t>(src.vec<std::uint64_t>("lists.meta").at(0));
+  const auto L = static_cast<std::uint64_t>(std::bit_width(M - 1));
+
+  // The controls: an unmodified copy restores in either layout.
+  const auto ok = snap_path("ok");
+  rewrite_sections(path, ok, bucket_sections(), {});
+  const auto ok_rows = snap_path("ok_rows");
+  rewrite_bucket_as_blocks(path, ok_rows);
+  for (const auto& file : {ok, ok_rows}) {
+    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+      network net(1);
+      EXPECT_EQ(api::restore_index(file, mode, net)->size(), 480u);
+      expect_same_ledger(net_o, net, "control");
+    }
+  }
+
+  // Owner-table files: each breaks one field.
+  const auto too_many = levels / L + 2;  // basic level (too_many - 1)·L is past the top
+  const std::vector<std::pair<std::string, std::vector<section_bytes>>> hostile = {
+      {"owner table one entry short",
+       {section_of("impl.owner", std::vector<host_id>(owner.begin(), owner.end() - 1))}},
+      {"M = 3", {section_of("impl.bucket", std::vector<std::uint64_t>{3, strata})}},
+      {"zero strata",
+       {section_of("impl.bucket", std::vector<std::uint64_t>{M, 0}),
+        section_of("impl.owner", std::vector<host_id>{})}},
+      {"strata past the levels",
+       {section_of("impl.bucket", std::vector<std::uint64_t>{M, too_many}),
+        section_of("impl.owner", std::vector<host_id>(owner.size() / strata * too_many))}},
+      // With a one-stratum owner table the file is otherwise a well-formed
+      // tower file, so only the policy word is wrong.
+      {"policy 7",
+       {section_of("impl.policy", std::vector<std::uint64_t>{7}),
+        section_of("impl.owner",
+                   std::vector<host_id>(owner.begin(),
+                                        owner.begin() + static_cast<std::ptrdiff_t>(
+                                                            owner.size() / strata)))}}};
+  for (const auto& [what, replaced] : hostile) {
+    const auto bad = snap_path("bad");
+    rewrite_sections(path, bad, bucket_sections(), replaced);
+    expect_index_rejected(bad, what);
+  }
+
+  // Block-row files: an alive item naming a block past the rows, and a
+  // block whose host is past the host count.
+  persist::reader rows_src(ok_rows, persist::restore_mode::load);
+  const auto lists_alive = rows_src.vec<std::uint8_t>("lists.alive");
+  auto block_of = rows_src.vec<std::int32_t>("impl.block_of");
+  auto rows = rows_src.vec<block_row>("impl.blocks");
+  const auto first_alive = static_cast<std::size_t>(
+      std::find(lists_alive.begin(), lists_alive.end(), 1) - lists_alive.begin());
+  ASSERT_LT(first_alive, lists_alive.size());
+  const auto victim = static_cast<std::size_t>(block_of.at(first_alive));
+  auto past_rows = block_of;
+  past_rows[first_alive] = static_cast<std::int32_t>(rows.size());
+  rows[victim].host = static_cast<std::uint32_t>(net_o.host_count());
+  const std::vector<std::pair<std::string, section_bytes>> hostile_rows = {
+      {"block id past the rows", section_of("impl.block_of", past_rows)},
+      {"block host past the host count", section_of("impl.blocks", rows)}};
+  for (const auto& [what, replaced] : hostile_rows) {
+    const auto bad = snap_path("bad_rows");
+    rewrite_sections(ok_rows, bad, kBlockRowSections, {replaced});
+    expect_index_rejected(bad, what);
+  }
+}
+
+// --- layer 4f: rewritten skip quadtree snapshots ----------------------------
 //
 // These files copy a real skip_quadtree2/3 snapshot section by section and
 // replace or add some sections.

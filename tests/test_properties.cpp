@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/bucket_skipweb.h"
 #include "core/level_lists.h"
 #include "core/skip_quadtree.h"
 #include "core/skip_trie.h"
@@ -94,7 +93,7 @@ TEST_P(OneDimGrid, BucketAgreesWithTower) {
   rng r(p.seed + 5);
   network n1(p.n), n2(1);
   core::skipweb_1d tower(keys, p.seed + 6, n1, core::skipweb_1d::placement::tower);
-  core::bucket_skipweb blocked(keys, p.seed + 7, n2, 16);
+  core::skipweb_1d blocked(keys, p.seed + 7, n2, core::skipweb_1d::bucket{16});
   for (const auto q : wl::probe_keys(keys, 80, r)) {
     const auto a = tower.nearest(q, h(0));
     const auto b = blocked.nearest(q, h(0));
@@ -111,7 +110,7 @@ TEST_P(OneDimGrid, ChurnKeepsInvariants) {
   auto keys = make_keys(p);
   rng r(p.seed + 8);
   network net(1);
-  core::bucket_skipweb web(keys, p.seed + 9, net, 16);
+  core::skipweb_1d web(keys, p.seed + 9, net, core::skipweb_1d::bucket{16});
   std::set<std::uint64_t> oracle(keys.begin(), keys.end());
   auto fresh = wl::uniform_keys(p.n / 2, r);
   for (const auto k : fresh) {
