@@ -31,14 +31,15 @@ namespace skipweb::core {
 //
 // Memory layout: a structure-of-arrays arena. Keys, membership vectors,
 // uids, redirects and alive flags live in parallel arrays indexed by arena
-// slot, and the level links live in two flat half-link pools (forward and
-// backward), each with a fixed stride of levels+1 records per item. A
-// 16-byte half-link holds the link *and a cache of that neighbour's key* —
-// the standard skip-graph trick (see routing_1d.h): the router's
-// advance-or-stop decision is one 16-byte load from the current item's own
-// record instead of a per-item heap-vector chase plus a random key load,
-// and a walk in one direction touches only that direction's pool. See
-// DESIGN.md "Performance model & memory layout".
+// slot, and the level links live in two flat pools (forward and backward),
+// each with a fixed stride of levels+1 records per item. A link is a bare
+// 4-byte arena slot: the neighbour's key is read from keys_, which holds
+// every key once, instead of from a copy beside the link (the modelled
+// node still knows its neighbours' keys — only the simulator's storage
+// changed). The routers in routing_1d.h hide the extra key load by
+// prefetching it with the neighbour's row, and a walk in one direction
+// touches only that direction's pool. See DESIGN.md "Performance model &
+// memory layout".
 //
 // This class owns only the *structure* (arena + links). The distributed
 // protocols — skipweb_1d.h with its three placements, and the
@@ -72,13 +73,13 @@ class level_lists {
   // Bulk-build fast path: construct the arena directly from the sorted key
   // stream in two linear passes instead of the per-level partition passes of
   // the reference constructor. The output is byte-identical (same keys,
-  // membership draws, uids and half-links — tests compare the arenas), only
-  // the construction order of the pool writes changes: each item's whole
-  // half-link row is written once, sequentially, with the per-level
+  // membership draws, uids and links — tests compare the arenas), only the
+  // construction order of the pool writes changes: each item's whole link
+  // row is written once, sequentially, with the per-level
   // predecessor/successor found through small last-seen prefix tables that
-  // stay cache-resident. The reference build scatters 2·n·(levels+1)
-  // 16-byte link writes across the pools; at n = 1M that is the build's
-  // whole wall-clock (see DESIGN.md §12).
+  // stay cache-resident. The reference build scatters 2·n·(levels+1) link
+  // writes across the pools; at n = 1M that is the build's whole wall-clock
+  // (see DESIGN.md §12).
   static level_lists build_from_sorted(std::vector<std::uint64_t> sorted_keys, util::rng& r,
                                        int levels) {
     return level_lists(bulk_tag{}, std::move(sorted_keys), nullptr, &r, levels);
@@ -110,7 +111,7 @@ class level_lists {
 
   // Shared scalar-arena setup of both build paths: keys, membership draws
   // (same rng order, so the two paths assign identical bits), uids, flags,
-  // and the half-link pools. With bulk_links the pools are left
+  // and the link pools. With bulk_links the pools are left
   // UNINITIALIZED — link_from_sorted writes every slot in its two passes,
   // and the skipped sentinel fill is over half the build's wall clock at 1M.
   void init_arena(std::vector<std::uint64_t> sorted_keys,
@@ -184,10 +185,10 @@ class level_lists {
   // last-seen table per level (flattened into a single cache-resident array
   // of 2^(levels+1) - 2 entries) finds every link in two linear passes. The
   // ascending pass writes each item's whole backward row, the descending
-  // pass its forward row: the 2·n·(levels+1) 16-byte pool writes — the
-  // reference build's wall-clock bottleneck at big n, where they scatter —
-  // stream sequentially, and the random traffic is confined to the tables
-  // and the keys array (a few MB each at n = 1M).
+  // pass its forward row: the 2·n·(levels+1) pool writes — the reference
+  // build's wall-clock bottleneck at big n, where they scatter — stream
+  // sequentially, and the random traffic is confined to the tables (a few
+  // MB at n = 1M).
   void link_from_sorted() {
     const std::size_t n = keys_.size();
     if (n == 0) return;
@@ -208,13 +209,11 @@ class level_lists {
       off[static_cast<std::size_t>(l)] = total;
       total += std::size_t{1} << l;
     }
-    // Table entries are the half-links themselves ({slot, key}): the record
-    // to write is ready when found, with no dependent key load behind the
-    // table miss. Entries for the item a few iterations ahead are
-    // prefetched, so the per-level lookups — the only loads the hardware
-    // prefetcher cannot predict — overlap instead of serializing.
+    // Entries for the item a few iterations ahead are prefetched, so the
+    // per-level lookups — the only loads the hardware prefetcher cannot
+    // predict — overlap instead of serializing.
     constexpr std::size_t kAhead = 8;
-    std::vector<half_link> seen(total, no_link);
+    std::vector<std::int32_t> seen(total, no_link);
     // Ascending pass: backward rows (the level-0 predecessor is just i - 1).
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t b = bits_[i];
@@ -222,16 +221,15 @@ class level_lists {
       const std::size_t row = i * stride_;
       // Unconditional stores: the pools arrive uninitialized, and an absent
       // predecessor reads back from `seen` as exactly the no_link sentinel.
-      bwd_[row] = i > 0 ? half_link{static_cast<std::int32_t>(i - 1), keys_[i - 1]} : no_link;
-      const half_link self{static_cast<std::int32_t>(i), keys_[i]};
+      const auto self = static_cast<std::int32_t>(i);
+      bwd_[row] = self - 1;  // the level-0 predecessor, or no_link at i = 0
       for (int l = 1; l <= levels_; ++l) {
         const std::uint64_t mask = (std::uint64_t{1} << l) - 1;
         const std::size_t base = off[static_cast<std::size_t>(l)];
         util::prefetch(&seen[base + (ahead & mask)]);
         const std::size_t idx = base + (b & mask);
-        const half_link e = seen[idx];
+        bwd_[row + static_cast<std::size_t>(l)] = seen[idx];
         seen[idx] = self;
-        bwd_[row + static_cast<std::size_t>(l)] = e;
       }
     }
     std::fill(seen.begin(), seen.end(), no_link);
@@ -240,16 +238,15 @@ class level_lists {
       const std::uint64_t b = bits_[i];
       const std::uint64_t ahead = bits_[i >= kAhead ? i - kAhead : 0];
       const std::size_t row = i * stride_;
-      fwd_[row] = i + 1 < n ? half_link{static_cast<std::int32_t>(i + 1), keys_[i + 1]} : no_link;
-      const half_link self{static_cast<std::int32_t>(i), keys_[i]};
+      const auto self = static_cast<std::int32_t>(i);
+      fwd_[row] = i + 1 < n ? self + 1 : no_link;
       for (int l = 1; l <= levels_; ++l) {
         const std::uint64_t mask = (std::uint64_t{1} << l) - 1;
         const std::size_t base = off[static_cast<std::size_t>(l)];
         util::prefetch(&seen[base + (ahead & mask)]);
         const std::size_t idx = base + (b & mask);
-        const half_link e = seen[idx];
+        fwd_[row + static_cast<std::size_t>(l)] = seen[idx];
         seen[idx] = self;
-        fwd_[row + static_cast<std::size_t>(l)] = e;
       }
     }
   }
@@ -267,61 +264,36 @@ class level_lists {
   // Stable identity for host hashing (arena slots are recycled, uids are not).
   [[nodiscard]] std::uint64_t uid(int item) const { return uids_[static_cast<std::size_t>(item)]; }
 
-  [[nodiscard]] int next(int item, int level) const { return fwd_[slot(item, level)].to; }
-  [[nodiscard]] int prev(int item, int level) const { return bwd_[slot(item, level)].to; }
+  // The neighbour slot of `item` in its level-`level` list, or no_link.
+  [[nodiscard]] int next(int item, int level) const { return fwd_[slot(item, level)]; }
+  [[nodiscard]] int prev(int item, int level) const { return bwd_[slot(item, level)]; }
+  static constexpr std::int32_t no_link = -1;
 
-  // Half of a level node: the link in one direction plus a cache of that
-  // neighbour's key, packed so the router's advance-or-stop decision is one
-  // 16-byte load from one pool. Deliberately without default member
-  // initializers: the bulk build allocates whole pools of these
-  // uninitialized (persist::pod_array's value-less resize) and writes every slot
-  // itself. Use no_link for the "absent" sentinel, never half_link{}.
-  struct half_link {
-    std::int32_t to;
-    std::uint64_t key;
-  };
-  static constexpr half_link no_link{-1, 0};
-
-
-  // Whole-record loads for the routers: one 16-byte read resolves both the
-  // advance target and the overshoot check, instead of separate to/key
-  // accessor calls against the same slot.
-  [[nodiscard]] half_link next_link(int item, int level) const { return fwd_[slot(item, level)]; }
-  [[nodiscard]] half_link prev_link(int item, int level) const { return bwd_[slot(item, level)]; }
   // Direction-selected load: `forward ? next : prev` with the pool chosen by
   // pointer select, so the batch router's merged walk stays branch-free.
-  [[nodiscard]] half_link dir_link(int item, int level, bool forward) const {
-    const half_link* pool = forward ? fwd_.data() : bwd_.data();
+  [[nodiscard]] int dir_link(int item, int level, bool forward) const {
+    const std::int32_t* pool = forward ? fwd_.data() : bwd_.data();
     return pool[slot(item, level)];
-  }
-  void prefetch_dir(int item, int level, bool forward) const {
-    const half_link* pool = forward ? fwd_.data() : bwd_.data();
-    util::prefetch(pool + slot(item, level));
   }
 
   // --- successor/predecessor replica lists (the fault plane, DESIGN.md §10)
   //
-  // With replication k > 0 every item keeps, alongside its level-0
-  // half-links, the k FURTHER level-0 successors (and predecessors) beyond
-  // the direct neighbour — the skip-graph "successor list" trick: an item
-  // then knows k+1 consecutive neighbours per direction, so a fault-aware
-  // router can step over a run of up to k consecutive dead items without
-  // leaving the live route. Entries mirror the half-link layout ({slot, key
-  // cache}) so the skip-over decision is local to the current item.
+  // With replication k > 0 every item keeps, alongside its level-0 links,
+  // the k FURTHER level-0 successors (and predecessors) beyond the direct
+  // neighbour — the skip-graph "successor list" trick: an item then knows
+  // k+1 consecutive neighbours per direction, so a fault-aware router can
+  // step over a run of up to k consecutive dead items without leaving the
+  // live route. Entries are bare slots, like the level links.
   // splice_in/unsplice keep the lists of the O(k) surrounding items current;
   // with k == 0 (the default) none of this exists and the edits are
   // byte-identical to the pre-fault structure.
-  struct replica_link {
-    std::int32_t to = -1;
-    std::uint64_t key = 0;
-  };
 
   // Install/resize replication and (re)build every item's lists. Structural
   // plane; O(n·k).
   void set_replication(std::size_t k) {
     replication_ = k;
-    fwd_rep_.assign(arena_size() * k, replica_link{});
-    bwd_rep_.assign(arena_size() * k, replica_link{});
+    fwd_rep_.assign(arena_size() * k, no_link);
+    bwd_rep_.assign(arena_size() * k, no_link);
     if (k == 0) return;
     for (int i = 0; i < static_cast<int>(arena_size()); ++i) {
       if (alive(i)) rebuild_replicas(i);
@@ -329,29 +301,23 @@ class level_lists {
   }
   [[nodiscard]] std::size_t replication() const { return replication_; }
 
-  // The (j+2)-th successor/predecessor of `item` at level 0 (j in [0, k)):
-  // j = 0 is the neighbour AFTER next(item, 0). `.to < 0` past the list end.
-  [[nodiscard]] replica_link fwd_replica(int item, std::size_t j) const {
+  // The (j+2)-th successor/predecessor slot of `item` at level 0 (j in
+  // [0, k)): j = 0 is the neighbour AFTER next(item, 0); negative past the
+  // list end.
+  [[nodiscard]] int fwd_replica(int item, std::size_t j) const {
     return fwd_rep_[static_cast<std::size_t>(item) * replication_ + j];
   }
-  [[nodiscard]] replica_link bwd_replica(int item, std::size_t j) const {
+  [[nodiscard]] int bwd_replica(int item, std::size_t j) const {
     return bwd_rep_[static_cast<std::size_t>(item) * replication_ + j];
   }
 
-  // The cached key of next(item, level) / prev(item, level) — valid whenever
-  // the link is (the structural edits keep link and key cache in sync), so
-  // routing can test a neighbour's key without touching the neighbour.
-  [[nodiscard]] std::uint64_t next_key(int item, int level) const {
-    return fwd_[slot(item, level)].key;
+  // Hints for the routers: pull a link row or a neighbour's key into cache
+  // before the decision that reads it.
+  void prefetch_dir(int item, int level, bool forward) const {
+    const std::int32_t* pool = forward ? fwd_.data() : bwd_.data();
+    util::prefetch(pool + slot(item, level));
   }
-  [[nodiscard]] std::uint64_t prev_key(int item, int level) const {
-    return bwd_[slot(item, level)].key;
-  }
-
-  // Hints for the router: pull the half-link it will read next into cache
-  // while the hop bookkeeping resolves.
-  void prefetch_next(int item, int level) const { util::prefetch(&fwd_[slot(item, level)]); }
-  void prefetch_prev(int item, int level) const { util::prefetch(&bwd_[slot(item, level)]); }
+  void prefetch_key(int item) const { util::prefetch(&keys_[static_cast<std::size_t>(item)]); }
 
   [[nodiscard]] util::level_prefix prefix(int item, int level) const {
     return util::prefix_of(bits_[static_cast<std::size_t>(item)], level);
@@ -396,8 +362,8 @@ class level_lists {
       alive_.push_back(1);
       fwd_.resize(fwd_.size() + stride_, no_link);
       bwd_.resize(bwd_.size() + stride_, no_link);
-      fwd_rep_.resize(fwd_rep_.size() + replication_, replica_link{});
-      bwd_rep_.resize(bwd_rep_.size() + replication_, replica_link{});
+      fwd_rep_.resize(fwd_rep_.size() + replication_, no_link);
+      bwd_rep_.resize(bwd_rep_.size() + replication_, no_link);
     }
     keys_[static_cast<std::size_t>(idx)] = key;
     bits_[static_cast<std::size_t>(idx)] = bits;
@@ -493,8 +459,8 @@ class level_lists {
   }
 
   // Structural invariants, checked by tests after randomized workloads:
-  // every level's lists are sorted, doubly-linked consistently with true key
-  // caches, and contain exactly the alive items whose prefix matches.
+  // every level's lists are sorted, doubly-linked consistently, and contain
+  // exactly the alive items whose prefix matches.
   [[nodiscard]] bool check_invariants() const {
     for (int l = 0; l <= levels_; ++l) {
       for (int i = 0; i < static_cast<int>(arena_size()); ++i) {
@@ -505,8 +471,6 @@ class level_lists {
           if (key(nx) <= key(i)) return false;
           if (prefix(nx, l) != prefix(i, l)) return false;
           if (prev(nx, l) != i) return false;
-          if (next_key(i, l) != key(nx)) return false;
-          if (prev_key(nx, l) != key(i)) return false;
           // No alive same-prefix item strictly between them.
           for (int j = 0; j < static_cast<int>(arena_size()); ++j) {
             if (!alive(j) || j == i || j == nx) continue;
@@ -518,18 +482,16 @@ class level_lists {
       }
     }
     // Replica lists, when installed, must name exactly the true further
-    // level-0 neighbours with true key caches.
+    // level-0 neighbours.
     for (std::size_t j = 0; replication_ > 0 && j < replication_; ++j) {
       for (int i = 0; i < static_cast<int>(arena_size()); ++i) {
         if (!alive(i)) continue;
         int s = next(i, 0);
         for (std::size_t step = 0; step <= j && s >= 0; ++step) s = next(s, 0);
-        const auto f = fwd_replica(i, j);
-        if (f.to != s || (s >= 0 && f.key != key(s))) return false;
+        if (fwd_replica(i, j) != s) return false;
         int p = prev(i, 0);
         for (std::size_t step = 0; step <= j && p >= 0; ++step) p = prev(p, 0);
-        const auto b = bwd_replica(i, j);
-        if (b.to != p || (p >= 0 && b.key != key(p))) return false;
+        if (bwd_replica(i, j) != p) return false;
       }
     }
     return true;
@@ -557,8 +519,6 @@ class level_lists {
             if (key(nx) <= key(cur)) return false;
             if (prefix(nx, l) != prefix(cur, l)) return false;
             if (prev(nx, l) != cur) return false;
-            if (next_key(cur, l) != key(nx)) return false;
-            if (prev_key(nx, l) != key(cur)) return false;
           }
           cur = nx;
         }
@@ -623,17 +583,20 @@ class level_lists {
     w.add_pods(p + ".uids", uids_);
     w.add_pods(p + ".redirect", redirect_);
     w.add_pods(p + ".alive", alive_);
-    w.add_pods(p + ".fwd", fwd_);
-    w.add_pods(p + ".bwd", bwd_);
-    w.add_pods(p + ".fwd_rep", fwd_rep_);
-    w.add_pods(p + ".bwd_rep", bwd_rep_);
+    w.add_pods(p + ".next", fwd_);
+    w.add_pods(p + ".prev", bwd_);
+    w.add_pods(p + ".next_rep", fwd_rep_);
+    w.add_pods(p + ".prev_rep", bwd_rep_);
     w.add_pods(p + ".free", free_);
   }
 
   // Restore from a snapshot: every array becomes a borrowed zero-copy span
   // over the reader's backing blob (mapping or owned buffer — pod_array
   // copies on first write either way), so a restored structure answers
-  // queries without materializing a byte beyond what it touches.
+  // queries without materializing a byte beyond what it touches. Files from
+  // before links were bare slots hold 16-byte {slot, key copy} records
+  // under ".fwd"/".bwd"/".fwd_rep"/".bwd_rep"; their slots are copied into
+  // owned pools once, and a slot outside [-1, arena) is rejected.
   level_lists(persist::reader& r, std::string_view prefix) {
     const std::string p(prefix);
     std::size_t nmeta = 0;
@@ -650,32 +613,73 @@ class level_lists {
     uids_ = r.pods<std::uint64_t>(p + ".uids");
     redirect_ = r.pods<std::int32_t>(p + ".redirect");
     alive_ = r.pods<std::uint8_t>(p + ".alive");
-    fwd_ = r.pods<half_link>(p + ".fwd");
-    bwd_ = r.pods<half_link>(p + ".bwd");
-    fwd_rep_ = r.pods<replica_link>(p + ".fwd_rep");
-    bwd_rep_ = r.pods<replica_link>(p + ".bwd_rep");
     free_ = r.pods<int>(p + ".free");
-    if (stride_ != static_cast<std::size_t>(levels_) + 1 || bits_.size() != keys_.size() ||
-        uids_.size() != keys_.size() || redirect_.size() != keys_.size() ||
-        alive_.size() != keys_.size() || fwd_.size() != keys_.size() * stride_ ||
-        bwd_.size() != keys_.size() * stride_ ||
-        fwd_rep_.size() != keys_.size() * replication_ ||
-        bwd_rep_.size() != keys_.size() * replication_ || alive_count_ > keys_.size()) {
+    const std::size_t arena = keys_.size();
+    if (levels_ < 0 || levels_ >= util::max_levels ||
+        stride_ != static_cast<std::size_t>(levels_) + 1 || bits_.size() != arena ||
+        uids_.size() != arena || redirect_.size() != arena || alive_.size() != arena ||
+        alive_count_ > arena) {
       throw persist::error("snapshot: level_lists arrays disagree with meta");
+    }
+    if (r.has(p + ".next")) {
+      fwd_ = r.pods<std::int32_t>(p + ".next");
+      bwd_ = r.pods<std::int32_t>(p + ".prev");
+      fwd_rep_ = r.pods<std::int32_t>(p + ".next_rep");
+      bwd_rep_ = r.pods<std::int32_t>(p + ".prev_rep");
+    } else {
+      fwd_ = slots_of_half_links(r, p + ".fwd", arena);
+      bwd_ = slots_of_half_links(r, p + ".bwd", arena);
+      fwd_rep_ = slots_of_half_links(r, p + ".fwd_rep", arena);
+      bwd_rep_ = slots_of_half_links(r, p + ".bwd_rep", arena);
+    }
+    // count == arena × per, without letting a hostile meta word wrap the
+    // product into a match.
+    const auto holds = [arena](std::size_t count, std::size_t per) {
+      return per == 0 ? count == 0 : count % per == 0 && count / per == arena;
+    };
+    if (!holds(fwd_.size(), stride_) || !holds(bwd_.size(), stride_) ||
+        !holds(fwd_rep_.size(), replication_) || !holds(bwd_rep_.size(), replication_)) {
+      throw persist::error("snapshot: level_lists link pools disagree with meta");
     }
   }
 
  private:
+  // The slots of one section in the half-link layout of older files:
+  // 16-byte records of a slot, padding and a copy of the neighbour's key.
+  // Only the slot is read.
+  static persist::pod_array<std::int32_t> slots_of_half_links(const persist::reader& r,
+                                                              const std::string& name,
+                                                              std::size_t arena) {
+    struct half_link {
+      std::int32_t to;
+      std::uint32_t pad;
+      std::uint64_t key;
+    };
+    static_assert(sizeof(half_link) == 16);
+    std::size_t n = 0;
+    const half_link* records = r.array<half_link>(name, n);
+    persist::pod_array<std::int32_t> slots;
+    slots.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int32_t to = records[i].to;
+      if (to < no_link || (to >= 0 && static_cast<std::size_t>(to) >= arena)) {
+        throw persist::error("snapshot: " + name + " names a slot outside the arena");
+      }
+      slots[i] = to;
+    }
+    return slots;
+  }
+
   // Recompute both replica rows of one item from the level-0 links.
   void rebuild_replicas(int item) {
     const std::size_t base = static_cast<std::size_t>(item) * replication_;
     int s = next(item, 0);
     int p = prev(item, 0);
     for (std::size_t j = 0; j < replication_; ++j) {
-      s = s >= 0 ? next(s, 0) : -1;
-      p = p >= 0 ? prev(p, 0) : -1;
-      fwd_rep_[base + j] = {s, s >= 0 ? key(s) : 0};
-      bwd_rep_[base + j] = {p, p >= 0 ? key(p) : 0};
+      s = s >= 0 ? next(s, 0) : no_link;
+      p = p >= 0 ? prev(p, 0) : no_link;
+      fwd_rep_[base + j] = s;
+      bwd_rep_[base + j] = p;
     }
   }
 
@@ -699,10 +703,10 @@ class level_lists {
     return static_cast<std::size_t>(item) * stride_ + static_cast<std::size_t>(level);
   }
 
-  // Make b follow a in the level-l list, refreshing both key caches.
+  // Make b follow a in the level-l list.
   void link(int a, int b, int l) {
-    fwd_[slot(a, l)] = {b, keys_[static_cast<std::size_t>(b)]};
-    bwd_[slot(b, l)] = {a, keys_[static_cast<std::size_t>(a)]};
+    fwd_[slot(a, l)] = b;
+    bwd_[slot(b, l)] = a;
   }
 
   // Parallel arrays indexed by arena slot; see the class comment for layout.
@@ -716,12 +720,12 @@ class level_lists {
   persist::pod_array<std::uint64_t> uids_;
   persist::pod_array<std::int32_t> redirect_;
   persist::pod_array<std::uint8_t> alive_;
-  persist::pod_array<half_link> fwd_;  // stride_ records per item: next links, one per level
-  persist::pod_array<half_link> bwd_;  // stride_ records per item: prev links
-  // replication_ records per item: the k further level-0 neighbours beyond
-  // the direct half-link (empty unless set_replication(k > 0)).
-  persist::pod_array<replica_link> fwd_rep_;
-  persist::pod_array<replica_link> bwd_rep_;
+  persist::pod_array<std::int32_t> fwd_;  // stride_ slots per item: next links, one per level
+  persist::pod_array<std::int32_t> bwd_;  // stride_ slots per item: prev links
+  // replication_ slots per item: the k further level-0 neighbours beyond
+  // the direct link (empty unless set_replication(k > 0)).
+  persist::pod_array<std::int32_t> fwd_rep_;
+  persist::pod_array<std::int32_t> bwd_rep_;
   std::size_t replication_ = 0;
   persist::pod_array<int> free_;
   std::uint64_t next_uid_ = 0;

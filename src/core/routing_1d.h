@@ -20,18 +20,23 @@ namespace skipweb::core {
 // key <= q) and successor item (smallest key > q), -1 when absent.
 // `host_prefetch(item)` is a hint-only callback fired as soon as the next
 // hop's item is known, so a placement with an owner table can start that
-// lookup while the link record resolves (pass a no-op when placement is
+// lookup while the neighbour's key resolves (pass a no-op when placement is
 // computed, not stored).
+//
+// A node knows its neighbours' keys alongside the remote references
+// (standard in skip graphs), so an overshoot check is local and only actual
+// advances of the query locus hop. The simulator keeps each key once, in
+// level_lists' key array, and reads the neighbour's key from there: the
+// links themselves are bare slots.
 template <typename HostOf, typename HostPrefetch>
 std::pair<int, int> route_search(const level_lists& lists, std::uint64_t q, int start_item,
                                  int start_level, net::cursor& cur, HostOf&& host_of,
                                  HostPrefetch&& host_prefetch) {
   SW_EXPECTS(lists.alive(start_item));
   int item = start_item;
-  // The current item's key rides along in a register; on an advance it is
-  // refreshed from the key cache just read, so the hot loop never loads
-  // keys at all — each advance-or-stop decision is one node-record load.
-  std::uint64_t item_key = lists.key(item);
+  // An advance never crosses q, so the side the walk approaches q from is
+  // fixed by the start item for the whole route.
+  const bool from_left = lists.key(item) <= q;
   for (int l = start_level; l >= 0; --l) {
     // Deadline plane: a query whose simulated time ran out gives up at the
     // next level boundary; the flanks of wherever the walk stopped become a
@@ -41,15 +46,10 @@ std::pair<int, int> route_search(const level_lists& lists, std::uint64_t q, int 
       break;
     }
     cur.move_to(host_of(item, l));  // descend the item's tower
-    // A node caches its neighbours' keys alongside the remote references
-    // (standard in skip graphs; level_lists stores them in the node record),
-    // so overshoot checks are local; only actual advances of the query
-    // locus hop.
     cur.note_comparisons();
-    if (item_key <= q) {
+    if (from_left) {
       // Approach from the left: advance while the next same-list item does
-      // not overshoot. Each decision is a single 16-byte link-record load —
-      // the advance target and overshoot key arrive together.
+      // not overshoot.
       for (;;) {
         // Deadline give-up mid-walk too: level-0 runs can be long, and a
         // straggler-priced hop inside one must not commit the query to
@@ -58,20 +58,20 @@ std::pair<int, int> route_search(const level_lists& lists, std::uint64_t q, int 
           cur.mark_degraded();
           break;
         }
-        const auto ln = lists.next_link(item, l);
-        if (ln.to < 0) break;
+        const int to = lists.next(item, l);
+        if (to < 0) break;
+        // Start the neighbour's row and owner loads before the compare waits
+        // on its key, so the three misses overlap.
+        lists.prefetch_dir(to, l, /*forward=*/true);
+        host_prefetch(to);
         cur.note_comparisons();
-        if (ln.key > q) break;
+        if (lists.key(to) > q) break;
         // Slow-host detour: at l > 0 a suspected-slow express stop is
         // treated as overshoot — descend early. Upper levels only
         // accelerate the walk, so the answer cannot change; level 0 never
         // detours.
-        if (l > 0 && cur.detours() && cur.avoids(host_of(ln.to, l))) break;
-        item = ln.to;
-        item_key = ln.key;
-        // Overlap the next iteration's loads with the hop bookkeeping.
-        lists.prefetch_next(item, l);
-        host_prefetch(item);
+        if (l > 0 && cur.detours() && cur.avoids(host_of(to, l))) break;
+        item = to;
         cur.move_to(host_of(item, l));
       }
     } else {
@@ -81,35 +81,39 @@ std::pair<int, int> route_search(const level_lists& lists, std::uint64_t q, int 
           cur.mark_degraded();
           break;
         }
-        const auto ln = lists.prev_link(item, l);
-        if (ln.to < 0) break;
+        const int to = lists.prev(item, l);
+        if (to < 0) break;
+        lists.prefetch_dir(to, l, /*forward=*/false);
+        host_prefetch(to);
         cur.note_comparisons();
-        if (ln.key <= q) break;
-        if (l > 0 && cur.detours() && cur.avoids(host_of(ln.to, l))) break;
-        item = ln.to;
-        item_key = ln.key;
-        lists.prefetch_prev(item, l);
-        host_prefetch(item);
+        if (lists.key(to) <= q) break;
+        if (l > 0 && cur.detours() && cur.avoids(host_of(to, l))) break;
+        item = to;
         cur.move_to(host_of(item, l));
       }
     }
   }
   // item now flanks q in the global level-0 list.
-  if (item_key <= q) {
-    return {item, lists.next(item, 0)};
-  }
+  if (from_left) return {item, lists.next(item, 0)};
   return {lists.prev(item, 0), item};
 }
 
 // Interleaved batch descent: `count` independent searches sharing one start
-// advance in lockstep, one link-record decision per query per round, with
-// every query's next read prefetched a full round ahead. The per-query
-// routes, results and cursor receipts are IDENTICAL to running route_search
-// serially (tests assert this); what changes is wall-clock — the searches'
-// memory-latency chains resolve in parallel instead of back to back, which
-// is where the simulator's single-thread throughput ceiling sits. Keep
-// `count` modest (a few dozen): each active query holds about one
-// outstanding cache miss.
+// advance in lockstep, with the routes, results and cursor receipts
+// IDENTICAL to running route_search serially (tests assert this); what
+// changes is wall-clock — the searches' memory-latency chains resolve in
+// parallel instead of back to back, which is where the simulator's
+// single-thread throughput ceiling sits. Keep `count` modest (a few dozen):
+// each active query holds a few outstanding cache misses.
+//
+// Each advance-or-stop decision is split across two rounds, so every load
+// it needs is issued a full round before it is used. Round 1 reads the link
+// (its row was prefetched earlier) and prefetches the neighbour's key, its
+// row and its owner. Round 2 compares that key and then advances or
+// descends; in the same visit it makes round 1 of the next decision, whose
+// row is the one just prefetched (or, after a descent, the item's own). A
+// decision made within one round would stall on the key load it had just
+// issued.
 template <typename HostOf, typename HostPrefetch>
 void route_search_batch(const level_lists& lists, const std::uint64_t* qs, std::size_t count,
                         int start_item, int start_level, net::cursor* curs,
@@ -118,17 +122,21 @@ void route_search_batch(const level_lists& lists, const std::uint64_t* qs, std::
   SW_EXPECTS(lists.alive(start_item));
   struct qstate {
     std::uint64_t q = 0;
-    std::uint64_t item_key = 0;
     std::int32_t item = -1;
+    std::int32_t to = -1;  // the neighbour read in round 1, compared in round 2
     std::int32_t level = 0;
-    bool entering = true;  // pending level-entry bookkeeping (hop + comparison)
-    bool done = false;
+    bool fwd = true;  // approach side, fixed by the start item (see route_search)
+  };
+  // Level entry bookkeeping (hop + comparison), exactly as in route_search.
+  const auto enter = [&](const qstate& s, net::cursor& cur) {
+    cur.move_to(host_of(s.item, s.level));
+    cur.note_comparisons();
   };
   std::vector<qstate> st(count);
   const std::uint64_t start_key = lists.key(start_item);
-  lists.prefetch_next(start_item, start_level);
   for (std::size_t i = 0; i < count; ++i) {
-    st[i] = {qs[i], start_key, start_item, start_level, true, false};
+    st[i] = {qs[i], start_item, -1, start_level, start_key <= qs[i]};
+    enter(st[i], curs[i]);
   }
   // Active-lane list: finished queries are compacted out (order-preserving),
   // so late rounds — when most of the batch has landed — touch only the
@@ -141,44 +149,44 @@ void route_search_batch(const level_lists& lists, const std::uint64_t* qs, std::
       const std::size_t i = active[a];
       qstate& s = st[i];
       net::cursor& cur = curs[i];
-      if (s.entering) {
-        cur.move_to(host_of(s.item, s.level));
+      // A stop ends the walk at level 0 and descends above it.
+      const auto stop = [&] {
+        if (s.level == 0) return true;
+        --s.level;
+        enter(s, cur);
+        return false;
+      };
+      bool done = false;
+      if (s.to >= 0) {
+        // Round 2. The overshoot test is one mask compare: `key > q` must
+        // differ from `fwd` to keep walking.
         cur.note_comparisons();
-        s.entering = false;
-      }
-      // One advance-or-stop decision, exactly as in route_search's walk.
-      // The two direction branches are merged: the pool is pointer-selected
-      // (dir_link) and the overshoot test reduces to one mask compare —
-      // `key > q` must equal `fwd` to keep walking.
-      const bool fwd = s.item_key <= s.q;
-      const auto ln = lists.dir_link(s.item, s.level, fwd);
-      bool stopped = ln.to < 0;
-      if (!stopped) {
-        cur.note_comparisons();
-        if ((ln.key > s.q) == fwd) {
-          stopped = true;
-        } else {
-          s.item = ln.to;
-          s.item_key = ln.key;
-          lists.prefetch_dir(s.item, s.level, fwd);
-          host_prefetch(s.item);
+        if ((lists.key(s.to) > s.q) != s.fwd) {
+          s.item = s.to;
           cur.move_to(host_of(s.item, s.level));
+        } else {
+          done = stop();
         }
       }
-      if (stopped) {
-        if (s.level == 0) {
-          out[i] = fwd ? std::pair<int, int>{s.item, lists.next(s.item, 0)}
-                       : std::pair<int, int>{lists.prev(s.item, 0), static_cast<int>(s.item)};
-          s.done = true;
-        } else {
-          --s.level;
-          s.entering = true;
-          // The next round's decision reads this record; warm it now.
-          lists.prefetch_dir(s.item, s.level, fwd);
+      // Round 1: read the link, descending past list ends (which stop a
+      // level without a comparison). The pool is pointer-selected
+      // (dir_link), so both directions share one branch-free path.
+      while (!done) {
+        s.to = lists.dir_link(s.item, s.level, s.fwd);
+        if (s.to >= 0) {
+          lists.prefetch_key(s.to);
+          lists.prefetch_dir(s.to, s.level, s.fwd);
+          host_prefetch(s.to);
+          break;
         }
+        done = stop();
+      }
+      if (done) {
+        out[i] = s.fwd ? std::pair<int, int>{s.item, lists.next(s.item, 0)}
+                       : std::pair<int, int>{lists.prev(s.item, 0), static_cast<int>(s.item)};
       }
       active[kept] = static_cast<std::uint32_t>(i);
-      kept += s.done ? 0 : 1;
+      kept += done ? 0 : 1;
     }
     active.resize(kept);
   }
@@ -212,7 +220,7 @@ std::pair<int, int> route_search_fault(const level_lists& lists, const net::netw
   SW_EXPECTS(lists.alive(start_item));
   const std::size_t k = lists.replication();
   int item = start_item;
-  std::uint64_t item_key = lists.key(item);
+  const bool from_left = lists.key(item) <= q;  // fixed, as in route_search
   for (int l = start_level; l >= 0; --l) {
     // Deadline give-up, exactly as in route_search.
     if (cur.expired()) {
@@ -221,43 +229,41 @@ std::pair<int, int> route_search_fault(const level_lists& lists, const net::netw
     }
     cur.move_to(host_of(item, l));  // the current item survived its own probe
     cur.note_comparisons();
-    if (item_key <= q) {
+    if (from_left) {
       for (;;) {
         // Deadline give-up mid-walk, exactly as in route_search.
         if (cur.expired()) {
           cur.mark_degraded();
           break;
         }
-        const auto ln = lists.next_link(item, l);
-        if (ln.to < 0) break;
+        const int to = lists.next(item, l);
+        if (to < 0) break;
+        lists.prefetch_dir(to, l, /*forward=*/true);
+        host_prefetch(to);
         cur.note_comparisons();
-        if (ln.key > q) break;
+        if (lists.key(to) > q) break;
         // Slow-host detour (l > 0 only), exactly as in route_search.
-        if (l > 0 && cur.detours() && cur.avoids(host_of(ln.to, l))) break;
-        lists.prefetch_next(ln.to, l);
-        host_prefetch(ln.to);
-        if (cur.try_move_to(host_of(ln.to, l))) {
-          item = ln.to;
-          item_key = ln.key;
+        if (l > 0 && cur.detours() && cur.avoids(host_of(to, l))) break;
+        if (cur.try_move_to(host_of(to, l))) {
+          item = to;
           continue;
         }
         if (l > 0) break;  // dead express stop: descend early
         // Level 0: step over the dead run via the replica list.
         bool advanced = false, stop = false;
         for (std::size_t j = 0; j < k; ++j) {
-          const auto rep = lists.fwd_replica(item, j);
-          if (rep.to < 0) {  // list ends inside the dead run: nothing live ahead
+          const int rep = lists.fwd_replica(item, j);
+          if (rep < 0) {  // list ends inside the dead run: nothing live ahead
             stop = true;
             break;
           }
           cur.note_comparisons();
-          if (rep.key > q) {  // first candidate past q: stop; flank phase picks succ
+          if (lists.key(rep) > q) {  // first candidate past q: stop; flank phase picks succ
             stop = true;
             break;
           }
-          if (cur.try_move_to(host_of(rep.to, 0))) {
-            item = rep.to;
-            item_key = rep.key;
+          if (cur.try_move_to(host_of(rep, 0))) {
+            item = rep;
             advanced = true;
             break;
           }
@@ -272,34 +278,32 @@ std::pair<int, int> route_search_fault(const level_lists& lists, const net::netw
           cur.mark_degraded();
           break;
         }
-        const auto ln = lists.prev_link(item, l);
-        if (ln.to < 0) break;
+        const int to = lists.prev(item, l);
+        if (to < 0) break;
+        lists.prefetch_dir(to, l, /*forward=*/false);
+        host_prefetch(to);
         cur.note_comparisons();
-        if (ln.key <= q) break;
-        if (l > 0 && cur.detours() && cur.avoids(host_of(ln.to, l))) break;
-        lists.prefetch_prev(ln.to, l);
-        host_prefetch(ln.to);
-        if (cur.try_move_to(host_of(ln.to, l))) {
-          item = ln.to;
-          item_key = ln.key;
+        if (lists.key(to) <= q) break;
+        if (l > 0 && cur.detours() && cur.avoids(host_of(to, l))) break;
+        if (cur.try_move_to(host_of(to, l))) {
+          item = to;
           continue;
         }
         if (l > 0) break;
         bool advanced = false, stop = false;
         for (std::size_t j = 0; j < k; ++j) {
-          const auto rep = lists.bwd_replica(item, j);
-          if (rep.to < 0) {
+          const int rep = lists.bwd_replica(item, j);
+          if (rep < 0) {
             stop = true;
             break;
           }
           cur.note_comparisons();
-          if (rep.key <= q) {
+          if (lists.key(rep) <= q) {
             stop = true;
             break;
           }
-          if (cur.try_move_to(host_of(rep.to, 0))) {
-            item = rep.to;
-            item_key = rep.key;
+          if (cur.try_move_to(host_of(rep, 0))) {
+            item = rep;
             advanced = true;
             break;
           }
@@ -320,8 +324,7 @@ std::pair<int, int> route_search_fault(const level_lists& lists, const net::netw
       if (j == 0) {
         cand = forward ? lists.next(from, 0) : lists.prev(from, 0);
       } else {
-        const auto rep = forward ? lists.fwd_replica(from, j - 1) : lists.bwd_replica(from, j - 1);
-        cand = rep.to;
+        cand = forward ? lists.fwd_replica(from, j - 1) : lists.bwd_replica(from, j - 1);
       }
       if (cand < 0) return -1;  // clean end of the list
       const auto h = host_of(cand, 0);
@@ -331,9 +334,7 @@ std::pair<int, int> route_search_fault(const level_lists& lists, const net::netw
     cur.mark_failed();  // every known neighbour in this direction is dead
     return -1;
   };
-  if (item_key <= q) {
-    return {item, first_live(item, /*forward=*/true)};
-  }
+  if (from_left) return {item, first_live(item, /*forward=*/true)};
   return {first_live(item, /*forward=*/false), item};
 }
 

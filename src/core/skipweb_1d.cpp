@@ -401,7 +401,7 @@ api::op_result<std::vector<std::uint64_t>> skipweb_1d::range(std::uint64_t lo, s
       // Advance to the first live known successor.
       int next_item = -1;
       for (std::size_t j = 0; j <= k; ++j) {
-        const int cand = j == 0 ? lists_.next(item, 0) : lists_.fwd_replica(item, j - 1).to;
+        const int cand = j == 0 ? lists_.next(item, 0) : lists_.fwd_replica(item, j - 1);
         if (cand < 0) break;  // clean end of the list
         if (cur.try_move_to(host_of(cand, 0))) {
           next_item = cand;

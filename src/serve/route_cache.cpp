@@ -37,10 +37,7 @@ void route_cache::on_commit(const net::traffic_receipt& r) {
   // the learn lock held drops its observation instead of stalling the query
   // plane. Absorption reads are unaffected either way.
   std::unique_lock lk(mu_, std::try_to_lock);
-  if (!lk.owns_lock()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  if (!lk.owns_lock()) return;
   r.for_each([this](net::host_id hid) {
     const std::uint32_t host = hid.value;
     const std::uint64_t c = ++counts_[host];
@@ -120,7 +117,6 @@ std::vector<net::host_id> route_cache::replicated() const {
 void route_cache::reset_stats() {
   hits_.store(0, std::memory_order_relaxed);
   observed_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
 }
 
 void route_cache::clear() {

@@ -117,10 +117,6 @@ class route_cache final : public net::hop_cache {
   [[nodiscard]] std::uint64_t observed_hops() const {
     return observed_.load(std::memory_order_relaxed);
   }
-  /// on_commit() calls dropped because another commit held the learn lock.
-  [[nodiscard]] std::uint64_t dropped_commits() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
   /// The currently replicated hosts, most-recently-confirmed first.
   [[nodiscard]] std::vector<net::host_id> replicated() const;
   /// The configured knobs.
@@ -149,7 +145,6 @@ class route_cache final : public net::hop_cache {
   mutable std::array<std::atomic<std::uint64_t>, max_capacity> slot_hits_;
   mutable std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> observed_{0};
-  std::atomic<std::uint64_t> dropped_{0};
 
   // Learn plane, guarded by mu_ (try-locked from on_commit).
   struct admitted_entry {

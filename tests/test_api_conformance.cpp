@@ -150,29 +150,36 @@ TEST_P(ApiConformance, BatchMatchesSerialResultsAndReceipts) {
   // the interleaved routers (skipweb1d) by construction, the baselines
   // (chord's flooding, skip_graph, det_skipnet, family_tree, ...) through
   // the default loop. Locking the baselines in here keeps a future
-  // interleaved override honest.
+  // interleaved override honest. The probes include the edge lanes: q = 0,
+  // q = 2^64 - 1, the smallest and largest stored keys, over a uniform and
+  // a clustered build.
   rng r(8007);
-  const auto keys = wl::uniform_keys(220, r);
-  network net(1);
-  const auto idx = api::make_index(GetParam(), keys, options(), net);
-  const auto qs = wl::probe_keys(keys, 70, r);
+  for (const bool clustered : {false, true}) {
+    SCOPED_TRACE(clustered ? "clustered" : "uniform");
+    const auto keys = clustered ? wl::clustered_keys(220, r) : wl::uniform_keys(220, r);
+    network net(1);
+    const auto idx = api::make_index(GetParam(), keys, options(), net);
+    const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+    std::vector<std::uint64_t> qs = {0, ~std::uint64_t{0}, *lo, *hi};
+    for (const auto q : wl::probe_keys(keys, 70, r)) qs.push_back(q);
 
-  std::vector<api::nn_result> serial;
-  serial.reserve(qs.size());
-  for (const auto q : qs) serial.push_back(idx->nearest(q, h(2)));
-  const auto batch = idx->nearest_batch(qs, h(2));
-  expect_batch_matches_serial(batch, serial,
-                              [](std::size_t i, const api::nn_result& b, const api::nn_result& s) {
-                                EXPECT_EQ(b.has_pred, s.has_pred) << i;
-                                EXPECT_EQ(b.has_succ, s.has_succ) << i;
-                                if (s.has_pred) {
-                                  EXPECT_EQ(b.pred, s.pred) << i;
-                                }
-                                if (s.has_succ) {
-                                  EXPECT_EQ(b.succ, s.succ) << i;
-                                }
-                                EXPECT_EQ(b.stats, s.stats) << i;
-                              });
+    std::vector<api::nn_result> serial;
+    serial.reserve(qs.size());
+    for (const auto q : qs) serial.push_back(idx->nearest(q, h(2)));
+    const auto batch = idx->nearest_batch(qs, h(2));
+    expect_batch_matches_serial(
+        batch, serial, [](std::size_t i, const api::nn_result& b, const api::nn_result& s) {
+          EXPECT_EQ(b.has_pred, s.has_pred) << i;
+          EXPECT_EQ(b.has_succ, s.has_succ) << i;
+          if (s.has_pred) {
+            EXPECT_EQ(b.pred, s.pred) << i;
+          }
+          if (s.has_succ) {
+            EXPECT_EQ(b.succ, s.succ) << i;
+          }
+          EXPECT_EQ(b.stats, s.stats) << i;
+        });
+  }
 }
 
 TEST_P(ApiConformance, StatsReceiptsAreNonTrivial) {

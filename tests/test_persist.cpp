@@ -14,7 +14,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.h"
@@ -96,8 +98,6 @@ void expect_lists_identical(const core::level_lists& a, const core::level_lists&
     for (int l = 0; l <= a.levels(); ++l) {
       ASSERT_EQ(a.next(i, l), b.next(i, l)) << i << " level " << l;
       ASSERT_EQ(a.prev(i, l), b.prev(i, l)) << i << " level " << l;
-      ASSERT_EQ(a.next_key(i, l), b.next_key(i, l)) << i << " level " << l;
-      ASSERT_EQ(a.prev_key(i, l), b.prev_key(i, l)) << i << " level " << l;
     }
   }
 }
@@ -850,8 +850,8 @@ void rewrite_sections(const std::string& from, const std::string& to,
 
 const std::vector<std::string> kSkipweb1dSections = {
     "meta.backend", "meta.index_kind", "meta.n", "lists.meta", "lists.keys", "lists.bits",
-    "lists.uids", "lists.redirect", "lists.alive", "lists.fwd", "lists.bwd", "lists.fwd_rep",
-    "lists.bwd_rep", "lists.free", "impl.policy", "impl.rng", "impl.owner", "impl.root_item"};
+    "lists.uids", "lists.redirect", "lists.alive", "lists.next", "lists.prev", "lists.next_rep",
+    "lists.prev_rep", "lists.free", "impl.policy", "impl.rng", "impl.owner", "impl.root_item"};
 
 void rewrite_network(const std::string& from, const std::string& to, std::uint64_t host_count,
                      const std::vector<std::uint64_t>& rows) {
@@ -903,18 +903,229 @@ TEST(Persist, HostileHostCountsRejected) {
   EXPECT_THROW((void)api::restore_index(ok, persist::restore_mode::map, big), persist::error);
 }
 
-// --- layer 4e: rewritten bucket skip-web snapshots ---------------------------
+// --- layer 4e: link pools in the half-link layout -----------------------------
+//
+// A link is a bare 4-byte slot in "lists.next"/"lists.prev" and the replica
+// lists "lists.next_rep"/"lists.prev_rep". Files from before hold each link
+// as a 16-byte record — the slot, padding and a copy of the neighbour's key
+// — under "lists.fwd"/"lists.bwd"/"lists.fwd_rep"/"lists.bwd_rep". They
+// restore through one conversion into owned pools that checks every slot.
+
+struct half_link {
+  std::int32_t to = -1;
+  std::uint32_t pad = 0;
+  std::uint64_t key = 0;
+};
+static_assert(sizeof(half_link) == 16);
+
+const std::vector<std::pair<std::string, std::string>> kLinkSectionRenames = {
+    {"lists.next", "lists.fwd"},
+    {"lists.prev", "lists.bwd"},
+    {"lists.next_rep", "lists.fwd_rep"},
+    {"lists.prev_rep", "lists.bwd_rep"}};
+
+// `names` with the link sections under their half-link names.
+std::vector<std::string> half_link_names(std::vector<std::string> names) {
+  for (auto& name : names) {
+    for (const auto& [now, before] : kLinkSectionRenames) {
+      if (name == now) name = before;
+    }
+  }
+  return names;
+}
+
+// The four link sections of `from`, rewritten as half-link records that
+// carry the neighbour's true key, as older files hold them.
+std::vector<section_bytes> half_link_sections(const std::string& from) {
+  persist::reader r(from, persist::restore_mode::load);
+  const auto keys = r.vec<std::uint64_t>("lists.keys");
+  std::vector<section_bytes> out;
+  for (const auto& [now, before] : kLinkSectionRenames) {
+    std::vector<half_link> records;
+    for (const auto to : r.vec<std::int32_t>(now)) {
+      records.push_back({to, 0, to >= 0 ? keys.at(static_cast<std::size_t>(to)) : 0});
+    }
+    out.push_back(section_of(before, records));
+  }
+  return out;
+}
+
+// Rewrites a current file (whose sections `names` lists) into the half-link
+// layout; every other section is copied as it is.
+void rewrite_links_as_half_links(const std::string& from, const std::string& to,
+                                 const std::vector<std::string>& names) {
+  rewrite_sections(from, to, half_link_names(names), half_link_sections(from));
+}
+
+std::vector<std::string> skipweb1d_sections(bool bucket) {
+  auto names = kSkipweb1dSections;
+  names.insert(names.end(), {"net.host_count", "net.memory_rows"});
+  if (bucket) names.push_back("impl.bucket");
+  return names;
+}
+
+void expect_index_rejected(const std::string& path, const std::string& what) {
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    EXPECT_THROW((void)api::restore_index(path, mode, net), persist::error) << what;
+  }
+}
+
+// A backend built over 480 of 600 keys and saved after 60 insert+erase
+// pairs, so its arena holds erase-freed slots (and a bucket placement's runs
+// have split and shrunk). Keys 540 on stay held out for later inserts.
+struct saved_index {
+  std::unique_ptr<api::distributed_index> idx;
+  std::string path;
+};
+saved_index churned_snapshot(const std::string& backend, const api::index_options& opts,
+                             network& net, std::vector<std::uint64_t>& keys) {
+  rng r(8080);
+  keys = wl::uniform_keys(600, r);
+  auto idx = api::make_index(backend, std::vector<std::uint64_t>(keys.begin(), keys.begin() + 480),
+                             opts, net);
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    idx->insert(keys[480 + i], h(i % 8));
+    idx->erase(keys[i * 3], h((i * 5) % 8));
+  }
+  auto path = snap_path("source_" + backend);
+  api::save_index_snapshot(*idx, path);
+  return {std::move(idx), std::move(path)};
+}
+
+TEST(Persist, SkipwebFilesWithHalfLinksRestore) {
+  const auto base = api::index_options{}.seed(14).initial_hosts(8);
+  struct file_case {
+    const char* what;
+    std::string backend;
+    api::index_options opts;
+  };
+  const std::vector<file_case> cases = {
+      {"tower", "skipweb1d", base},
+      {"tower k=2", "skipweb1d", api::index_options(base).replication(2)},
+      {"balanced", "skipweb1d",
+       api::index_options(base).placement(api::placement_policy::balanced)},
+      {"bucket", "bucket_skipweb", api::index_options(base).bucket_size(8)}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    network net_o(1);
+    std::vector<std::uint64_t> keys;
+    const auto [orig, path] = churned_snapshot(c.backend, c.opts, net_o, keys);
+    const auto old = snap_path("half_links");
+    rewrite_links_as_half_links(path, old, skipweb1d_sections(c.backend == "bucket_skipweb"));
+    {
+      // A reader that knows only the half-link names finds none in a new file.
+      const persist::reader rd(path, persist::restore_mode::load);
+      EXPECT_THROW((void)rd.section("lists.fwd"), persist::error);
+      const persist::reader rd_old(old, persist::restore_mode::load);
+      ASSERT_FALSE(rd_old.has("lists.next"));
+      ASSERT_FALSE(rd_old.vec<int>("lists.free").empty());
+      if (c.opts.replication() > 0) {
+        ASSERT_FALSE(rd_old.vec<half_link>("lists.fwd_rep").empty());
+      }
+    }
+    network net_l(1), net_m(1);
+    const auto twin_l = api::restore_index(old, persist::restore_mode::load, net_l);
+    const auto twin_m = api::restore_index(old, persist::restore_mode::map, net_m);
+    const std::vector<std::pair<api::distributed_index*, network*>> twins = {
+        {twin_l.get(), &net_l}, {twin_m.get(), &net_m}};
+    const auto probe_all = [&](const char* when) {
+      rng pr(9191);
+      std::uint32_t origin = 0;
+      for (const auto q : wl::probe_keys(keys, 80, pr)) {
+        const auto o = h(origin);
+        origin = static_cast<std::uint32_t>((origin + 7) % net_o.host_count());
+        const auto na = orig->nearest(q, o);
+        const auto ra = orig->range(q, q + (std::uint64_t{1} << 58), o, 20);
+        for (const auto& [twin, net] : twins) {
+          const auto nb = twin->nearest(q, o);
+          ASSERT_EQ(na.pred, nb.pred) << when << " " << q;
+          ASSERT_EQ(na.succ, nb.succ) << when << " " << q;
+          ASSERT_EQ(na.stats, nb.stats) << when << " " << q;
+          const auto rb = twin->range(q, q + (std::uint64_t{1} << 58), o, 20);
+          ASSERT_EQ(ra.value, rb.value) << when << " " << q;
+          ASSERT_EQ(ra.stats, rb.stats) << when << " " << q;
+        }
+      }
+      for (const auto& [twin, net] : twins) {
+        ASSERT_EQ(twin->size(), orig->size()) << when;
+        expect_same_ledger(net_o, *net, when);
+      }
+    };
+    probe_all("restore");
+    // 60 insert+erase pairs: held-out keys in, built keys out.
+    for (std::uint32_t i = 0; i < 60; ++i) {
+      const auto o = h(i % 8);
+      const auto sa = orig->insert(keys[540 + i], o);
+      const auto ea = orig->erase(keys[i * 3 + 1], o);
+      for (const auto& [twin, net] : twins) {
+        ASSERT_EQ(sa, twin->insert(keys[540 + i], o)) << "insert " << i;
+        ASSERT_EQ(ea, twin->erase(keys[i * 3 + 1], o)) << "erase " << i;
+      }
+    }
+    probe_all("after mutations");
+    if (c.opts.replication() > 0) {
+      // Dead hosts send queries down the replica lists.
+      for (const std::uint32_t dead : {5u, 6u, 40u}) {
+        net_o.kill_host(h(dead));
+        for (const auto& [twin, net] : twins) net->kill_host(h(dead));
+      }
+      probe_all("with dead hosts");
+    }
+  }
+}
+
+TEST(Persist, HostileHalfLinkFilesRejected) {
+  network net_o(1);
+  std::vector<std::uint64_t> keys;
+  const auto src = churned_snapshot(
+      "skipweb1d", api::index_options{}.seed(15).initial_hosts(8).replication(2), net_o, keys);
+  const auto names = skipweb1d_sections(false);
+  const auto old_names = half_link_names(names);
+  const auto old = snap_path("half_links");
+  rewrite_links_as_half_links(src.path, old, names);
+  // The control: the half-link copy restores.
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    EXPECT_EQ(api::restore_index(old, mode, net)->size(), 480u);
+    expect_same_ledger(net_o, net, "control");
+  }
+  persist::reader rd(old, persist::restore_mode::load);
+  const auto arena = static_cast<std::int32_t>(rd.vec<std::uint64_t>("lists.keys").size());
+  const auto fwd = rd.vec<half_link>("lists.fwd");
+  const auto bwd = rd.vec<half_link>("lists.bwd");
+  const auto fwd_rep = rd.vec<half_link>("lists.fwd_rep");
+  const auto with_slot = [](std::vector<half_link> v, std::size_t i, std::int32_t to) {
+    v.at(i).to = to;
+    return v;
+  };
+  const std::vector<std::pair<std::string, section_bytes>> hostile = {
+      {"a forward slot at the arena size", section_of("lists.fwd", with_slot(fwd, 5, arena))},
+      {"a backward slot below -1", section_of("lists.bwd", with_slot(bwd, 7, -2))},
+      {"a replica slot past the arena",
+       section_of("lists.fwd_rep", with_slot(fwd_rep, 3, arena + 9))},
+      {"one forward record short",
+       section_of("lists.fwd", std::vector<half_link>(fwd.begin(), fwd.end() - 1))}};
+  for (const auto& [what, replaced] : hostile) {
+    const auto bad = snap_path("bad");
+    rewrite_sections(old, bad, old_names, {replaced});
+    expect_index_rejected(bad, what);
+  }
+  // The current layout checks its record counts too.
+  persist::reader cur(src.path, persist::restore_mode::load);
+  const auto next = cur.vec<std::int32_t>("lists.next");
+  const auto bad = snap_path("bad_next");
+  const std::vector<std::int32_t> short_next(next.begin(), next.end() - 1);
+  rewrite_sections(src.path, bad, names, {section_of("lists.next", short_next)});
+  expect_index_rejected(bad, "one next slot short");
+}
+
+// --- layer 4f: rewritten bucket skip-web snapshots ---------------------------
 //
 // A bucket_skipweb file holds the §2.4.1 placement as one owner table (a
 // host per arena slot and stratum) plus the geometry {M, strata} in
 // "impl.bucket". Files from before the owner table hold it as block rows
 // instead; rewrite_bucket_as_blocks writes that layout from a current file.
-
-std::vector<std::string> bucket_sections() {
-  auto names = kSkipweb1dSections;
-  names.insert(names.end(), {"impl.bucket", "net.host_count", "net.memory_rows"});
-  return names;
-}
 
 const std::vector<std::string> kBlockRowSections = {
     "meta.backend", "meta.index_kind", "meta.n", "lists.meta", "lists.keys", "lists.bits",
@@ -936,7 +1147,8 @@ static_assert(sizeof(block_row) == 24);
 // Rewrites a bucket_skipweb file into the block-row layout: every maximal
 // same-host run of a basic-level list becomes one live block row, in the
 // order the build cuts them, and every third row is preceded by a freed
-// slot, as erases leave them.
+// slot, as erases leave them. Block-row files predate the slot links, so
+// the links are written as half-links too.
 void rewrite_bucket_as_blocks(const std::string& from, const std::string& to) {
   persist::reader r(from, persist::restore_mode::load);
   const core::level_lists lists(r, "lists");
@@ -973,35 +1185,20 @@ void rewrite_bucket_as_blocks(const std::string& from, const std::string& to) {
     }
   }
   const std::vector<std::uint64_t> meta = {M, static_cast<std::uint64_t>(L), B, strata};
-  rewrite_sections(from, to, kBlockRowSections,
-                   {section_of("impl.meta", meta), section_of("impl.basic_levels", basic_levels),
-                    section_of("impl.blocks", rows), section_of("impl.block_items", items),
-                    section_of("impl.free_blocks", free_blocks),
-                    section_of("impl.block_of", block_of)});
+  auto replaced = half_link_sections(from);
+  replaced.insert(replaced.end(),
+                  {section_of("impl.meta", meta), section_of("impl.basic_levels", basic_levels),
+                   section_of("impl.blocks", rows), section_of("impl.block_items", items),
+                   section_of("impl.free_blocks", free_blocks),
+                   section_of("impl.block_of", block_of)});
+  rewrite_sections(from, to, kBlockRowSections, replaced);
 }
 
-// A saved bucket_skipweb (M = 8) after 60 insert+erase pairs, so its arena
-// holds erase-freed slots and its runs have split and shrunk.
+// A saved bucket_skipweb (M = 8), churned as churned_snapshot does.
 std::string churned_bucket_snapshot(network& net, std::vector<std::uint64_t>& keys) {
-  rng r(8080);
-  keys = wl::uniform_keys(600, r);
-  const auto idx = api::make_index(
-      "bucket_skipweb", std::vector<std::uint64_t>(keys.begin(), keys.begin() + 480),
-      api::index_options{}.seed(12).initial_hosts(8).bucket_size(8), net);
-  for (std::uint32_t i = 0; i < 60; ++i) {
-    idx->insert(keys[480 + i], h(i % 8));
-    idx->erase(keys[i * 3], h((i * 5) % 8));
-  }
-  const auto path = snap_path("source_bucket");
-  api::save_index_snapshot(*idx, path);
-  return path;
-}
-
-void expect_index_rejected(const std::string& path, const std::string& what) {
-  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
-    network net(1);
-    EXPECT_THROW((void)api::restore_index(path, mode, net), persist::error) << what;
-  }
+  return churned_snapshot("bucket_skipweb",
+                          api::index_options{}.seed(12).initial_hosts(8).bucket_size(8), net, keys)
+      .path;
 }
 
 TEST(Persist, BucketFilesWithBlockRowsRestore) {
@@ -1073,7 +1270,7 @@ TEST(Persist, HostileBucketFilesRejected) {
 
   // The controls: an unmodified copy restores in either layout.
   const auto ok = snap_path("ok");
-  rewrite_sections(path, ok, bucket_sections(), {});
+  rewrite_sections(path, ok, skipweb1d_sections(/*bucket=*/true), {});
   const auto ok_rows = snap_path("ok_rows");
   rewrite_bucket_as_blocks(path, ok_rows);
   for (const auto& file : {ok, ok_rows}) {
@@ -1106,7 +1303,7 @@ TEST(Persist, HostileBucketFilesRejected) {
                                                             owner.size() / strata)))}}};
   for (const auto& [what, replaced] : hostile) {
     const auto bad = snap_path("bad");
-    rewrite_sections(path, bad, bucket_sections(), replaced);
+    rewrite_sections(path, bad, skipweb1d_sections(/*bucket=*/true), replaced);
     expect_index_rejected(bad, what);
   }
 
@@ -1133,7 +1330,7 @@ TEST(Persist, HostileBucketFilesRejected) {
   }
 }
 
-// --- layer 4f: rewritten skip quadtree snapshots ----------------------------
+// --- layer 4g: rewritten skip quadtree snapshots ----------------------------
 //
 // These files copy a real skip_quadtree2/3 snapshot section by section and
 // replace or add some sections.

@@ -59,32 +59,43 @@ TEST_P(Skipweb1dPlacement, BatchNearestMatchesSerialExactly) {
   // The interleaved batch router must be *observably identical* to serial
   // nearest() — same pred/succ and the same per-op cost receipt — for every
   // query; only wall-clock may differ. Includes batch sizes around the
-  // internal chunk boundary and exact-hit probes.
+  // internal chunk boundary, exact-hit probes, and the edge lanes of the
+  // two-round batch decision: q = 0 and q = 2^64 - 1 run into the level-0
+  // list ends, the smallest and largest stored keys stop right after a
+  // compare, and a clustered build packs many keys next to each other.
   rng r(1007);
-  const auto keys = wl::uniform_keys(512, r);
-  network net(GetParam() == skipweb_1d::placement::tower ? 512 : 64);
-  skipweb_1d web(keys, 77, net, GetParam());
-  auto probes = wl::probe_keys(keys, 61, r);
-  probes.push_back(keys[3]);  // exact hit
-  probes.push_back(keys[400]);
-  std::uint32_t origin = 0;
-  for (const std::size_t take : {std::size_t{1}, std::size_t{7}, std::size_t{24}, probes.size()}) {
-    const std::vector<std::uint64_t> qs(probes.begin(),
-                                        probes.begin() + static_cast<std::ptrdiff_t>(take));
-    const auto o = h(origin);
-    origin = static_cast<std::uint32_t>((origin + 1) % net.host_count());
-    const auto batch = web.nearest_batch(qs, o);
-    ASSERT_EQ(batch.size(), qs.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      const auto serial = web.nearest(qs[i], o);
-      EXPECT_EQ(batch[i].has_pred, serial.has_pred) << "i=" << i;
-      EXPECT_EQ(batch[i].has_succ, serial.has_succ) << "i=" << i;
-      if (serial.has_pred) EXPECT_EQ(batch[i].pred, serial.pred) << "i=" << i;
-      if (serial.has_succ) EXPECT_EQ(batch[i].succ, serial.succ) << "i=" << i;
-      EXPECT_EQ(batch[i].stats, serial.stats) << "i=" << i;
+  for (const bool clustered : {false, true}) {
+    SCOPED_TRACE(clustered ? "clustered" : "uniform");
+    const auto keys = clustered ? wl::clustered_keys(512, r) : wl::uniform_keys(512, r);
+    network net(GetParam() == skipweb_1d::placement::tower ? 512 : 64);
+    skipweb_1d web(keys, 77, net, GetParam());
+    const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+    std::vector<std::uint64_t> probes = {0, ~std::uint64_t{0}, *lo, *hi, keys[3], keys[400]};
+    for (const auto q : wl::probe_keys(keys, 61, r)) probes.push_back(q);
+    std::uint32_t origin = 0;
+    for (const std::size_t take :
+         {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{24}, probes.size()}) {
+      const std::vector<std::uint64_t> qs(probes.begin(),
+                                          probes.begin() + static_cast<std::ptrdiff_t>(take));
+      const auto o = h(origin);
+      origin = static_cast<std::uint32_t>((origin + 1) % net.host_count());
+      const auto batch = web.nearest_batch(qs, o);
+      ASSERT_EQ(batch.size(), qs.size());
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        const auto serial = web.nearest(qs[i], o);
+        EXPECT_EQ(batch[i].has_pred, serial.has_pred) << "i=" << i;
+        EXPECT_EQ(batch[i].has_succ, serial.has_succ) << "i=" << i;
+        if (serial.has_pred) {
+          EXPECT_EQ(batch[i].pred, serial.pred) << "i=" << i;
+        }
+        if (serial.has_succ) {
+          EXPECT_EQ(batch[i].succ, serial.succ) << "i=" << i;
+        }
+        EXPECT_EQ(batch[i].stats, serial.stats) << "i=" << i;
+      }
     }
+    EXPECT_TRUE(web.nearest_batch({}, h(0)).empty());
   }
-  EXPECT_TRUE(web.nearest_batch({}, h(0)).empty());
 }
 
 TEST_P(Skipweb1dPlacement, InsertThenQuery) {
