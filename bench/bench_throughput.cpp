@@ -257,8 +257,7 @@ bign_result run_bign_cell(const std::string& backend, std::size_t n, const confi
 
   net::network net(1);
   const auto t_build0 = clock_t_::now();
-  const auto idx =
-      api::make_index(backend, keys, api::index_options{}.seed(cfg.seed).bulk_build(true), net);
+  const auto idx = api::make_index(backend, keys, api::index_options{}.seed(cfg.seed), net);
   res.bulk_build_seconds = std::chrono::duration<double>(clock_t_::now() - t_build0).count();
   res.fp = idx->footprint();
 
@@ -359,8 +358,7 @@ restart_result run_restart_cell(const std::string& backend, std::size_t n, const
   net::network net(1);
   const auto t_build0 = clock_t_::now();
   const auto idx =
-      api::make_index(backend, std::move(keys), api::index_options{}.seed(cfg.seed).bulk_build(true),
-                      net);
+      api::make_index(backend, std::move(keys), api::index_options{}.seed(cfg.seed), net);
   res.bulk_build_seconds = std::chrono::duration<double>(clock_t_::now() - t_build0).count();
 
   const auto t_save0 = clock_t_::now();

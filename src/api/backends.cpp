@@ -198,7 +198,7 @@ void add_builtins(backend_table<distributed_index, std::uint64_t>& t) {
                            ? core::skipweb_1d::placement::balanced
                            : core::skipweb_1d::placement::tower;
         return make_adapter<core::skipweb_1d>("skipweb1d", std::move(keys), opts.seed(), net, p,
-                                              opts.replication(), opts.bulk_build());
+                                              opts.replication());
       },
       [](persist::reader& r, net::network& net) {
         return make_adapter<core::skipweb_1d>("skipweb1d", r, net);
@@ -207,7 +207,7 @@ void add_builtins(backend_table<distributed_index, std::uint64_t>& t) {
       [](std::vector<std::uint64_t> keys, const index_options& opts, net::network& net) {
         const core::skipweb_1d::bucket b{opts.bucket_size_or_default(keys.size())};
         return make_adapter<core::skipweb_1d>("bucket_skipweb", std::move(keys), opts.seed(), net,
-                                              b, opts.bulk_build());
+                                              b);
       },
       [](persist::reader& r, net::network& net) {
         return make_adapter<core::skipweb_1d>("bucket_skipweb", r, net);

@@ -92,20 +92,6 @@ class index_options {
     deadline_ns_ = sim_ns;
     return *this;
   }
-  // Population strategy (the big-n plane, DESIGN.md §12). `true` — the
-  // default — lets backends with a sorted bulk-build fast path
-  // (`level_lists::build_from_sorted`, the quadtree's level-major build)
-  // stand up their arenas in linear passes instead of scattered per-item
-  // work, making n = 1M–4M deployments build in seconds. The fast paths are
-  // byte-identical to the reference construction by contract — same uids,
-  // same answers, same receipts (tested per backend in test_bulk_build) — so
-  // this is purely a wall-clock knob; `false` forces the reference build for
-  // twin tests and build microbenches. Backends without a fast path ignore
-  // it.
-  index_options& bulk_build(bool v) {
-    bulk_build_ = v;
-    return *this;
-  }
   // Opt into instant restart (the persistence plane, DESIGN.md §13): with a
   // path set, make_index / make_spatial_index / make_string_index first look
   // for a snapshot file there — if one exists the index is RESTORED from it
@@ -129,7 +115,6 @@ class index_options {
   [[nodiscard]] net::hop_cache* route_cache() const { return route_cache_; }
   [[nodiscard]] std::size_t replication() const { return replication_; }
   [[nodiscard]] std::uint64_t deadline_ns() const { return deadline_ns_; }
-  [[nodiscard]] bool bulk_build() const { return bulk_build_; }
   [[nodiscard]] const std::string& snapshot_path() const { return snapshot_path_; }
 
   // M defaults to Theta(log n) — the regime where the blocked skip-web hits
@@ -157,7 +142,6 @@ class index_options {
   net::hop_cache* route_cache_ = nullptr;
   std::size_t replication_ = 0;
   std::uint64_t deadline_ns_ = 0;
-  bool bulk_build_ = true;
   std::string snapshot_path_;
 };
 

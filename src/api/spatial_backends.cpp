@@ -73,7 +73,7 @@ class quadtree_adapter final : public spatial_index {
   quadtree_adapter(std::string_view name, std::vector<spatial_point> pts,
                    const index_options& opts, net::network& net)
       : name_(name),
-        impl_(to_points<D>(pts), opts.seed(), net, opts.replication(), opts.bulk_build()) {}
+        impl_(to_points<D>(pts), opts.seed(), net, opts.replication()) {}
 
   // Native restore (DESIGN.md §13): the structure's restore constructor
   // borrows the arenas straight from the open snapshot.

@@ -301,14 +301,12 @@ class level_lists {
   }
   [[nodiscard]] std::size_t replication() const { return replication_; }
 
-  // The (j+2)-th successor/predecessor slot of `item` at level 0 (j in
-  // [0, k)): j = 0 is the neighbour AFTER next(item, 0); negative past the
-  // list end.
-  [[nodiscard]] int fwd_replica(int item, std::size_t j) const {
-    return fwd_rep_[static_cast<std::size_t>(item) * replication_ + j];
-  }
-  [[nodiscard]] int bwd_replica(int item, std::size_t j) const {
-    return bwd_rep_[static_cast<std::size_t>(item) * replication_ + j];
+  // The (j+2)-th level-0 successor (`forward`) or predecessor slot of
+  // `item` (j in [0, k)): j = 0 is the neighbour beyond dir_link(item, 0,
+  // forward); negative past the list end.
+  [[nodiscard]] int dir_replica(int item, std::size_t j, bool forward) const {
+    const std::int32_t* pool = forward ? fwd_rep_.data() : bwd_rep_.data();
+    return pool[static_cast<std::size_t>(item) * replication_ + j];
   }
 
   // Hints for the routers: pull a link row or a neighbour's key into cache
@@ -488,10 +486,10 @@ class level_lists {
         if (!alive(i)) continue;
         int s = next(i, 0);
         for (std::size_t step = 0; step <= j && s >= 0; ++step) s = next(s, 0);
-        if (fwd_replica(i, j) != s) return false;
+        if (dir_replica(i, j, true) != s) return false;
         int p = prev(i, 0);
         for (std::size_t step = 0; step <= j && p >= 0; ++step) p = prev(p, 0);
-        if (bwd_replica(i, j) != p) return false;
+        if (dir_replica(i, j, false) != p) return false;
       }
     }
     return true;

@@ -15,6 +15,121 @@ namespace skipweb::core {
 // §2.4.1 bucket layout) and the deterministic SkipNet baseline: the routes
 // are identical, the message costs are not. Every node access moves the
 // cursor first, so hops are charged exactly.
+//
+// The failure plane (DESIGN.md §10) lives in the same walk, keyed on the
+// lists' replication factor k; the cursor is its seam:
+//
+//  - k == 0: every advance is cursor::move_to. A dead host is a ghost hop —
+//    the walk completes mechanically and the op is flagged failed.
+//  - k > 0: every advance is cursor::try_move_to. A dead express stop
+//    (l > 0) is treated as overshoot: descend early. At level 0 the walk
+//    steps over a dead run through the item's replica list
+//    (level_lists::dir_replica); each dead candidate costs one timed-out
+//    probe, and a run longer than k marks the op failed. The flanks are the
+//    first LIVE neighbours (first_live). On a healthy network try_move_to is
+//    move_to and first_live is the direct link, so the receipts are those of
+//    the k == 0 walk.
+
+// The first live entry of `from`'s level-0 neighbour list in direction
+// `fwd`: the direct link, then its k replicas. A dead entry costs one
+// timed-out probe; the live one is not visited (callers hop there if they
+// need it). Without replicas the direct link is returned as is, so a dead
+// one becomes the caller's ghost hop. Returns -1 at a clean list end, or —
+// marking the op failed — when all k+1 known neighbours are dead.
+template <typename HostOf>
+int first_live(const level_lists& lists, int from, bool fwd, net::cursor& cur,
+               HostOf&& host_of) {
+  const std::size_t k = lists.replication();
+  for (std::size_t j = 0; j <= k; ++j) {
+    const int cand = j == 0 ? lists.dir_link(from, 0, fwd) : lists.dir_replica(from, j - 1, fwd);
+    if (cand < 0) return -1;  // clean end of the list
+    if (k == 0 || cur.reachable(host_of(cand, 0))) return cand;
+    (void)cur.try_move_to(host_of(cand, 0));  // dead entry: charge the probe
+  }
+  cur.mark_failed();  // every known neighbour in this direction is dead
+  return -1;
+}
+
+// The descent itself (see route_search), compiled once per replication mode:
+// the k == 0 copy carries none of the replica path's state, so the healthy
+// walk keeps its values in registers across the hops' calls (a single copy
+// testing k at run time was measurably slower; DESIGN.md §6).
+template <bool Replicated, typename HostOf, typename HostPrefetch>
+std::pair<int, int> route_walk(const level_lists& lists, std::uint64_t q, int start_item,
+                               int start_level, net::cursor& cur, HostOf&& host_of,
+                               HostPrefetch&& host_prefetch) {
+  SW_EXPECTS(lists.alive(start_item));
+  const std::size_t k = Replicated ? lists.replication() : 0;
+  int item = start_item;
+  // An advance never crosses q, so the side the walk approaches q from is
+  // fixed by the start item for the whole route; `to` overshoots when
+  // (key(to) > q) == fwd.
+  const bool fwd = lists.key(item) <= q;
+  const auto advance = [&](int to, int l) {
+    if constexpr (Replicated) {
+      return cur.try_move_to(host_of(to, l));
+    } else {
+      cur.move_to(host_of(to, l));
+      return true;
+    }
+  };
+  for (int l = start_level; l >= 0; --l) {
+    // Deadline plane: a query whose simulated time ran out gives up at the
+    // next level boundary; the flanks of wherever the walk stopped become a
+    // degraded best-effort answer (see DESIGN.md §11).
+    if (cur.expired()) {
+      cur.mark_degraded();
+      break;
+    }
+    cur.move_to(host_of(item, l));  // descend the item's tower
+    cur.note_comparisons();
+    for (;;) {
+      // Deadline give-up mid-walk too: level-0 runs can be long, and a
+      // straggler-priced hop inside one must not commit the query to
+      // finishing it (see DESIGN.md §11).
+      if (cur.expired()) {
+        cur.mark_degraded();
+        break;
+      }
+      const int to = lists.dir_link(item, l, fwd);
+      if (to < 0) break;
+      // Start the neighbour's row and owner loads before the compare waits
+      // on its key, so the three misses overlap.
+      lists.prefetch_dir(to, l, fwd);
+      host_prefetch(to);
+      cur.note_comparisons();
+      if ((lists.key(to) > q) == fwd) break;
+      // Slow-host detour: at l > 0 a suspected-slow express stop is treated
+      // as overshoot — descend early. Upper levels only accelerate the walk,
+      // so the answer cannot change; level 0 never detours.
+      if (l > 0 && cur.detours() && cur.avoids(host_of(to, l))) break;
+      if (advance(to, l)) {
+        item = to;
+        continue;
+      }
+      if (l > 0) break;  // dead express stop: descend early
+      // Level 0: step over the dead run via the replica list. A candidate
+      // past q ends the walk; the flank phase picks the live successor.
+      int live = -1;
+      for (std::size_t j = 0; j < k; ++j) {
+        const int rep = lists.dir_replica(item, j, fwd);
+        if (rep < 0) break;  // the list ends inside the dead run
+        cur.note_comparisons();
+        if ((lists.key(rep) > q) == fwd) break;
+        if (cur.try_move_to(host_of(rep, 0))) {
+          live = rep;
+          break;
+        }
+        if (j + 1 == k) cur.mark_failed();  // k+1 consecutive dead: horizon exhausted
+      }
+      if (live < 0) break;
+      item = live;
+    }
+  }
+  // item now flanks q in the global level-0 list.
+  const int other = first_live(lists, item, fwd, cur, host_of);
+  return fwd ? std::pair<int, int>{item, other} : std::pair<int, int>{other, item};
+}
 
 // Top-down descent locating q: returns the level-0 predecessor item (largest
 // key <= q) and successor item (smallest key > q), -1 when absent.
@@ -32,70 +147,10 @@ template <typename HostOf, typename HostPrefetch>
 std::pair<int, int> route_search(const level_lists& lists, std::uint64_t q, int start_item,
                                  int start_level, net::cursor& cur, HostOf&& host_of,
                                  HostPrefetch&& host_prefetch) {
-  SW_EXPECTS(lists.alive(start_item));
-  int item = start_item;
-  // An advance never crosses q, so the side the walk approaches q from is
-  // fixed by the start item for the whole route.
-  const bool from_left = lists.key(item) <= q;
-  for (int l = start_level; l >= 0; --l) {
-    // Deadline plane: a query whose simulated time ran out gives up at the
-    // next level boundary; the flanks of wherever the walk stopped become a
-    // degraded best-effort answer (see DESIGN.md §11).
-    if (cur.expired()) {
-      cur.mark_degraded();
-      break;
-    }
-    cur.move_to(host_of(item, l));  // descend the item's tower
-    cur.note_comparisons();
-    if (from_left) {
-      // Approach from the left: advance while the next same-list item does
-      // not overshoot.
-      for (;;) {
-        // Deadline give-up mid-walk too: level-0 runs can be long, and a
-        // straggler-priced hop inside one must not commit the query to
-        // finishing it (see DESIGN.md §11).
-        if (cur.expired()) {
-          cur.mark_degraded();
-          break;
-        }
-        const int to = lists.next(item, l);
-        if (to < 0) break;
-        // Start the neighbour's row and owner loads before the compare waits
-        // on its key, so the three misses overlap.
-        lists.prefetch_dir(to, l, /*forward=*/true);
-        host_prefetch(to);
-        cur.note_comparisons();
-        if (lists.key(to) > q) break;
-        // Slow-host detour: at l > 0 a suspected-slow express stop is
-        // treated as overshoot — descend early. Upper levels only
-        // accelerate the walk, so the answer cannot change; level 0 never
-        // detours.
-        if (l > 0 && cur.detours() && cur.avoids(host_of(to, l))) break;
-        item = to;
-        cur.move_to(host_of(item, l));
-      }
-    } else {
-      // Approach from the right, symmetrically.
-      for (;;) {
-        if (cur.expired()) {
-          cur.mark_degraded();
-          break;
-        }
-        const int to = lists.prev(item, l);
-        if (to < 0) break;
-        lists.prefetch_dir(to, l, /*forward=*/false);
-        host_prefetch(to);
-        cur.note_comparisons();
-        if (lists.key(to) <= q) break;
-        if (l > 0 && cur.detours() && cur.avoids(host_of(to, l))) break;
-        item = to;
-        cur.move_to(host_of(item, l));
-      }
-    }
+  if (lists.replication() > 0) {
+    return route_walk<true>(lists, q, start_item, start_level, cur, host_of, host_prefetch);
   }
-  // item now flanks q in the global level-0 list.
-  if (from_left) return {item, lists.next(item, 0)};
-  return {lists.prev(item, 0), item};
+  return route_walk<false>(lists, q, start_item, start_level, cur, host_of, host_prefetch);
 }
 
 // Interleaved batch descent: `count` independent searches sharing one start
@@ -190,152 +245,6 @@ void route_search_batch(const level_lists& lists, const std::uint64_t* qs, std::
     }
     active.resize(kept);
   }
-}
-
-// Fault-aware descent (the failure plane, DESIGN.md §10). The route is the
-// same top-down advance-or-stop walk as route_search — and when no dead host
-// is encountered it charges the IDENTICAL hops and comparisons — but every
-// planned advance goes through cursor::try_move_to:
-//
-//  - At level l > 0 a dead next/prev host is treated as overshoot: descend
-//    early. Upper levels only accelerate the walk, so skipping a dead
-//    express stop costs extra level-0 steps, never correctness.
-//  - At level 0 the walk steps over a dead run via the item's replica list
-//    (level_lists::fwd_replica/bwd_replica): each dead candidate costs one
-//    timed-out probe (charged by try_move_to), and the first live candidate
-//    whose key does not overshoot becomes the next locus. A dead run longer
-//    than the replication factor k exhausts the known neighbours: the walk
-//    stops and the cursor is marked failed — the answer is then not backed
-//    by live hosts.
-//
-// Returns the flanks of q among LIVE items: the terminal item plus the first
-// live entry of its successor (or predecessor) list; dead entries skipped
-// during flank resolution are charged one probe each, live flanks are not
-// visited (matching route_search, which never hops to its flanks).
-template <typename HostOf, typename HostPrefetch>
-std::pair<int, int> route_search_fault(const level_lists& lists, const net::network& net,
-                                       std::uint64_t q, int start_item, int start_level,
-                                       net::cursor& cur, HostOf&& host_of,
-                                       HostPrefetch&& host_prefetch) {
-  SW_EXPECTS(lists.alive(start_item));
-  const std::size_t k = lists.replication();
-  int item = start_item;
-  const bool from_left = lists.key(item) <= q;  // fixed, as in route_search
-  for (int l = start_level; l >= 0; --l) {
-    // Deadline give-up, exactly as in route_search.
-    if (cur.expired()) {
-      cur.mark_degraded();
-      break;
-    }
-    cur.move_to(host_of(item, l));  // the current item survived its own probe
-    cur.note_comparisons();
-    if (from_left) {
-      for (;;) {
-        // Deadline give-up mid-walk, exactly as in route_search.
-        if (cur.expired()) {
-          cur.mark_degraded();
-          break;
-        }
-        const int to = lists.next(item, l);
-        if (to < 0) break;
-        lists.prefetch_dir(to, l, /*forward=*/true);
-        host_prefetch(to);
-        cur.note_comparisons();
-        if (lists.key(to) > q) break;
-        // Slow-host detour (l > 0 only), exactly as in route_search.
-        if (l > 0 && cur.detours() && cur.avoids(host_of(to, l))) break;
-        if (cur.try_move_to(host_of(to, l))) {
-          item = to;
-          continue;
-        }
-        if (l > 0) break;  // dead express stop: descend early
-        // Level 0: step over the dead run via the replica list.
-        bool advanced = false, stop = false;
-        for (std::size_t j = 0; j < k; ++j) {
-          const int rep = lists.fwd_replica(item, j);
-          if (rep < 0) {  // list ends inside the dead run: nothing live ahead
-            stop = true;
-            break;
-          }
-          cur.note_comparisons();
-          if (lists.key(rep) > q) {  // first candidate past q: stop; flank phase picks succ
-            stop = true;
-            break;
-          }
-          if (cur.try_move_to(host_of(rep, 0))) {
-            item = rep;
-            advanced = true;
-            break;
-          }
-        }
-        if (advanced) continue;
-        if (!stop) cur.mark_failed();  // k+1 consecutive dead: horizon exhausted
-        break;
-      }
-    } else {
-      for (;;) {
-        if (cur.expired()) {
-          cur.mark_degraded();
-          break;
-        }
-        const int to = lists.prev(item, l);
-        if (to < 0) break;
-        lists.prefetch_dir(to, l, /*forward=*/false);
-        host_prefetch(to);
-        cur.note_comparisons();
-        if (lists.key(to) <= q) break;
-        if (l > 0 && cur.detours() && cur.avoids(host_of(to, l))) break;
-        if (cur.try_move_to(host_of(to, l))) {
-          item = to;
-          continue;
-        }
-        if (l > 0) break;
-        bool advanced = false, stop = false;
-        for (std::size_t j = 0; j < k; ++j) {
-          const int rep = lists.bwd_replica(item, j);
-          if (rep < 0) {
-            stop = true;
-            break;
-          }
-          cur.note_comparisons();
-          if (lists.key(rep) <= q) {
-            stop = true;
-            break;
-          }
-          if (cur.try_move_to(host_of(rep, 0))) {
-            item = rep;
-            advanced = true;
-            break;
-          }
-        }
-        if (advanced) continue;
-        if (!stop) cur.mark_failed();
-        break;
-      }
-    }
-  }
-  // Flank resolution among live items: the first live entry of the terminal
-  // item's neighbour list. Dead entries cost one timed-out probe each (the
-  // client's failure detector finding out); the live flank itself is not
-  // visited, exactly as in route_search.
-  auto first_live = [&](int from, bool forward) -> int {
-    for (std::size_t j = 0; j <= k; ++j) {
-      int cand;
-      if (j == 0) {
-        cand = forward ? lists.next(from, 0) : lists.prev(from, 0);
-      } else {
-        cand = forward ? lists.fwd_replica(from, j - 1) : lists.bwd_replica(from, j - 1);
-      }
-      if (cand < 0) return -1;  // clean end of the list
-      const auto h = host_of(cand, 0);
-      if (net.reachable(cur.at(), h)) return cand;
-      (void)cur.try_move_to(h);  // dead flank entry: charge the probe
-    }
-    cur.mark_failed();  // every known neighbour in this direction is dead
-    return -1;
-  };
-  if (from_left) return {item, first_live(item, /*forward=*/true)};
-  return {first_live(item, /*forward=*/false), item};
 }
 
 // Given the level-0 insertion flanks of a new key with membership `bits`,

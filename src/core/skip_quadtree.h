@@ -65,7 +65,7 @@ class skip_quadtree {
   // `bulk` selects the level-major bulk build (DESIGN.md §12) — byte-
   // identical to the point-by-point construction (same slots, same receipts)
   // and several times faster at n >= 1M; `false` forces the reference path
-  // for twin tests and build microbenches.
+  // for twin tests.
   skip_quadtree(const std::vector<point>& pts, std::uint64_t seed, net::network& net,
                 std::size_t replication = 0, bool bulk = true)
       : net_(&net),

@@ -257,31 +257,36 @@ int skipweb_1d::root_for(net::host_id origin) const {
   return item;
 }
 
-int skipweb_1d::fault_root(net::cursor& cur, net::host_id origin) const {
+int skipweb_1d::enter(net::cursor& cur, net::host_id origin) const {
   // Try the origin's own root tower first, then successive hosts' roots —
-  // each unreachable entry tower costs one timed-out probe. At a dead
-  // fraction f the expected number of probes is 1/(1-f).
+  // with replicas each unreachable entry tower costs one timed-out probe.
+  // At a dead fraction f the expected number of probes is 1/(1-f).
   const std::size_t hosts = root_item_.size();
   for (std::size_t attempt = 0; attempt < hosts; ++attempt) {
-    const auto h = static_cast<std::uint32_t>((origin.value + attempt) % hosts);
-    int item = root_item_[h];
-    while (item >= 0 && !lists_.alive(item)) item = lists_.redirect(item);
-    if (item < 0) item = lists_.any_alive();
-    SW_EXPECTS(item >= 0);
-    if (cur.try_move_to(host_of(item, lists_.levels()))) return item;
+    const int item =
+        root_for(net::host_id{static_cast<std::uint32_t>((origin.value + attempt) % hosts)});
+    const auto top = host_of(item, lists_.levels());
+    if (lists_.replication() == 0) {
+      cur.move_to(top);
+      return item;
+    }
+    if (cur.try_move_to(top)) return item;
   }
   cur.mark_failed();  // no live entry tower found from any host's root
   return lists_.any_alive();
 }
 
-api::nn_result skipweb_1d::nearest_fault(std::uint64_t q, net::host_id origin) const {
+std::pair<int, int> skipweb_1d::route(std::uint64_t q, net::cursor& cur,
+                                      net::host_id origin) const {
+  const int root = enter(cur, origin);
+  return route_search(lists_, q, root, lists_.levels(), cur,
+                      [this](int i, int l) { return host_of(i, l); },
+                      [this](int i) { prefetch_host(i); });
+}
+
+api::nn_result skipweb_1d::answer(std::pair<int, int> flanks, const net::cursor& cur) const {
   api::nn_result out;
-  net::cursor cur(*net_, origin);
-  const int root = fault_root(cur, origin);
-  const auto [pred, succ] =
-      route_search_fault(lists_, *net_, q, root, lists_.levels(), cur,
-                         [this](int i, int l) { return host_of(i, l); },
-                         [this](int i) { prefetch_host(i); });
+  const auto [pred, succ] = flanks;
   if (pred >= 0) {
     out.has_pred = true;
     out.pred = lists_.key(pred);
@@ -295,25 +300,9 @@ api::nn_result skipweb_1d::nearest_fault(std::uint64_t q, net::host_id origin) c
 }
 
 api::nn_result skipweb_1d::nearest(std::uint64_t q, net::host_id origin) const {
-  if (fault_routing()) return nearest_fault(q, origin);
-  api::nn_result out;
   net::cursor cur(*net_, origin);
-  const int root = root_for(origin);
-  cur.move_to(host_of(root, lists_.levels()));
-  const auto [pred, succ] =
-      route_search(lists_, q, root, lists_.levels(), cur,
-                   [this](int i, int l) { return host_of(i, l); },
-                   [this](int i) { prefetch_host(i); });
-  if (pred >= 0) {
-    out.has_pred = true;
-    out.pred = lists_.key(pred);
-  }
-  if (succ >= 0) {
-    out.has_succ = true;
-    out.succ = lists_.key(succ);
-  }
-  out.stats = api::op_stats::of(cur);
-  return out;
+  const auto flanks = route(q, cur, origin);
+  return answer(flanks, cur);
 }
 
 std::vector<api::nn_result> skipweb_1d::nearest_batch(const std::vector<std::uint64_t>& qs,
@@ -326,9 +315,7 @@ std::vector<api::nn_result> skipweb_1d::nearest_batch(const std::vector<std::uin
     // serially under faults, per-op deadlines or slow-host detours. (Pure
     // latency accumulation needs no gate: draw serials are cursor-private,
     // so the interleaved walk prices hops identically to the serial one.)
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      out[i] = fault_routing() ? nearest_fault(qs[i], origin) : nearest(qs[i], origin);
-    }
+    for (std::size_t i = 0; i < qs.size(); ++i) out[i] = nearest(qs[i], origin);
     return out;
   }
   const int root = root_for(origin);
@@ -347,19 +334,7 @@ std::vector<api::nn_result> skipweb_1d::nearest_batch(const std::vector<std::uin
     route_search_batch(
         lists_, qs.data() + base, count, root, lists_.levels(), curs.data(), flanks.data(),
         [this](int i, int l) { return host_of(i, l); }, [this](int i) { prefetch_host(i); });
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto [pred, succ] = flanks[i];
-      api::nn_result& r = out[base + i];
-      if (pred >= 0) {
-        r.has_pred = true;
-        r.pred = lists_.key(pred);
-      }
-      if (succ >= 0) {
-        r.has_succ = true;
-        r.succ = lists_.key(succ);
-      }
-      r.stats = api::op_stats::of(curs[i]);
-    }
+    for (std::size_t i = 0; i < count; ++i) out[base + i] = answer(flanks[i], curs[i]);
   }
   return out;
 }
@@ -373,65 +348,27 @@ api::op_result<std::vector<std::uint64_t>> skipweb_1d::range(std::uint64_t lo, s
                                                              net::host_id origin,
                                                              std::size_t limit) const {
   SW_EXPECTS(lo <= hi);
-  if (fault_routing()) {
-    // Route to lo with the replica-aware descent, then walk the base list
-    // stepping over dead runs: every live item visited is charged, every
-    // dead candidate inspected costs one timed-out probe, and a run longer
-    // than k marks the op failed (results up to the break are returned).
-    api::op_result<std::vector<std::uint64_t>> out;
-    net::cursor cur(*net_, origin);
-    const int root = fault_root(cur, origin);
-    const auto [pred, succ] =
-        route_search_fault(lists_, *net_, lo, root, lists_.levels(), cur,
-                           [this](int i, int l) { return host_of(i, l); },
-                           [this](int i) { prefetch_host(i); });
-    const std::size_t k = lists_.replication();
-    int item = (pred >= 0 && lists_.key(pred) == lo) ? pred : succ;
-    if (item >= 0) cur.move_to(host_of(item, 0));  // flanks are live by contract
-    while (item >= 0 && lists_.key(item) <= hi) {
-      if (limit != 0 && out.value.size() >= limit) break;
-      // Deadline plane: give up mid-sweep, returning the keys gathered so
-      // far as a degraded (honest-prefix) answer. The >= lo guard keeps the
-      // prefix honest even when the descent itself gave up short of lo.
-      if (cur.expired()) {
-        cur.mark_degraded();
-        break;
-      }
-      if (lists_.key(item) >= lo) out.value.push_back(lists_.key(item));
-      // Advance to the first live known successor.
-      int next_item = -1;
-      for (std::size_t j = 0; j <= k; ++j) {
-        const int cand = j == 0 ? lists_.next(item, 0) : lists_.fwd_replica(item, j - 1);
-        if (cand < 0) break;  // clean end of the list
-        if (cur.try_move_to(host_of(cand, 0))) {
-          next_item = cand;
-          break;
-        }
-        if (j == k) cur.mark_failed();  // dead run exceeds the horizon
-      }
-      item = next_item;
-    }
-    out.stats = api::op_stats::of(cur);
-    return out;
-  }
   net::cursor cur(*net_, origin);
-  const int root = root_for(origin);
-  cur.move_to(host_of(root, lists_.levels()));
-  const auto [pred, succ] = route_search(lists_, lo, root, lists_.levels(), cur,
-                                         [this](int i, int l) { return host_of(i, l); },
-                                         [this](int i) { prefetch_host(i); });
+  const auto [pred, succ] = route(lo, cur, origin);
   api::op_result<std::vector<std::uint64_t>> out;
+  // Walk the base list, checking each item against hi, the limit and the
+  // deadline before hopping to it. first_live steps over dead runs (one
+  // timed-out probe per dead candidate; a run longer than k marks the op
+  // failed and ends the sweep with the keys gathered so far).
   int item = (pred >= 0 && lists_.key(pred) == lo) ? pred : succ;
   while (item >= 0 && lists_.key(item) <= hi) {
     if (limit != 0 && out.value.size() >= limit) break;
-    // Deadline give-up, exactly as in the fault-routed sweep above.
+    // Deadline plane: give up mid-sweep, returning the keys gathered so far
+    // as a degraded (honest-prefix) answer. The >= lo guard keeps the prefix
+    // honest even when the descent itself gave up short of lo.
     if (cur.expired()) {
       cur.mark_degraded();
       break;
     }
     cur.move_to(host_of(item, 0));
     if (lists_.key(item) >= lo) out.value.push_back(lists_.key(item));
-    item = lists_.next(item, 0);
+    item = first_live(lists_, item, /*fwd=*/true, cur,
+                      [this](int i, int l) { return host_of(i, l); });
   }
   out.stats = api::op_stats::of(cur);
   return out;
@@ -439,28 +376,17 @@ api::op_result<std::vector<std::uint64_t>> skipweb_1d::range(std::uint64_t lo, s
 
 api::op_stats skipweb_1d::insert(std::uint64_t key, net::host_id origin) {
   const net::structural_section sw_structural_guard(*net_);
+  // Structural edits require a repaired structure (no dead item still
+  // spliced): a replicated route returns LIVE flanks, and splice_in needs
+  // the direct ones — after repair they coincide.
+  SW_EXPECTS(!needs_repair());
   net::cursor cur(*net_, origin);
-  auto host_fn = [this](int i, int l) { return host_of(i, l); };
-  std::pair<int, int> flanks;
-  if (fault_routing()) {
-    // Structural edits require a repaired structure (no dead item still
-    // spliced): the fault route returns LIVE flanks, and splice_in needs
-    // the direct ones — after repair they coincide.
-    SW_EXPECTS(!needs_repair());
-    const int root = fault_root(cur, origin);
-    flanks = route_search_fault(lists_, *net_, key, root, lists_.levels(), cur, host_fn,
-                                [this](int i) { prefetch_host(i); });
-  } else {
-    const int root = root_for(origin);
-    cur.move_to(host_of(root, lists_.levels()));
-    flanks = route_search(lists_, key, root, lists_.levels(), cur, host_fn,
-                          [this](int i) { prefetch_host(i); });
-  }
-  const auto [pred0, succ0] = flanks;
+  const auto [pred0, succ0] = route(key, cur, origin);
   SW_EXPECTS(pred0 < 0 || lists_.key(pred0) != key);  // duplicate keys rejected
 
   const auto bits = util::draw_membership(rng_);
-  const auto nbrs = find_insert_neighbors(lists_, bits, pred0, succ0, cur, host_fn);
+  const auto nbrs = find_insert_neighbors(lists_, bits, pred0, succ0, cur,
+                                          [this](int i, int l) { return host_of(i, l); });
 
   const int item = lists_.splice_in(key, bits, nbrs);
   if (policy_ == placement::bucket) {
@@ -502,24 +428,10 @@ api::op_stats skipweb_1d::insert(std::uint64_t key, net::host_id origin) {
 api::op_stats skipweb_1d::erase(std::uint64_t key, net::host_id origin) {
   const net::structural_section sw_structural_guard(*net_);
   SW_EXPECTS(lists_.size() >= 2);  // the structure never becomes empty
+  SW_EXPECTS(!needs_repair());     // see insert
   net::cursor cur(*net_, origin);
-  auto host_fn = [this](int i, int l) { return host_of(i, l); };
-  std::pair<int, int> flanks;
-  if (fault_routing()) {
-    SW_EXPECTS(!needs_repair());  // see insert
-    const int root = fault_root(cur, origin);
-    flanks = route_search_fault(lists_, *net_, key, root, lists_.levels(), cur, host_fn,
-                                [this](int i) { prefetch_host(i); });
-  } else {
-    const int root = root_for(origin);
-    cur.move_to(host_of(root, lists_.levels()));
-    flanks = route_search(lists_, key, root, lists_.levels(), cur, host_fn,
-                          [this](int i) { prefetch_host(i); });
-  }
-  const auto [pred0, succ0] = flanks;
-  (void)succ0;
-  SW_EXPECTS(pred0 >= 0 && lists_.key(pred0) == key);  // key must be present
-  const int item = pred0;
+  const int item = route(key, cur, origin).first;
+  SW_EXPECTS(item >= 0 && lists_.key(item) == key);  // key must be present
 
   if (policy_ == placement::bucket) {
     // Neighbour pointer repairs at each basic level, then the item leaves

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "api/memory_footprint.h"
@@ -63,8 +64,8 @@ class skipweb_1d {
   //
   // `bulk` selects level_lists::build_from_sorted — the linear-pass arena
   // construction that is byte-identical to the reference build (DESIGN.md
-  // §12) — and exists only so twin tests and build microbenches can force
-  // the reference path; queries and receipts do not depend on it.
+  // §12) — and exists only so twin tests can force the reference path;
+  // queries and receipts do not depend on it.
   skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net::network& net, placement p,
              std::size_t replication = 0, bool bulk = true);
 
@@ -169,16 +170,21 @@ class skipweb_1d {
   [[nodiscard]] bool needs_repair() const;
 
  private:
-  // Queries take the replica-aware route only when they must: replication
-  // installed AND some fault currently active on the network.
+  // Replicated routes step around dead hosts; the interleaved batch router
+  // does not, so nearest_batch runs serially while this holds.
   [[nodiscard]] bool fault_routing() const {
     return lists_.replication() > 0 && net_->faults_active();
   }
-  [[nodiscard]] api::nn_result nearest_fault(std::uint64_t q, net::host_id origin) const;
-  // Probe for a live entry tower: the origin's root, then successive hosts'
-  // roots, each failed probe charged. Returns the live root item (or marks
-  // the cursor failed and returns any alive item as a best-effort anchor).
-  [[nodiscard]] int fault_root(net::cursor& cur, net::host_id origin) const;
+  // The entry hop: the origin's root tower. With replicas an unreachable
+  // root costs one timed-out probe and the next host's root is tried; if
+  // none answers the op is marked failed and any alive item anchors a
+  // best-effort walk. Without replicas a dead root is a ghost hop.
+  [[nodiscard]] int enter(net::cursor& cur, net::host_id origin) const;
+  // enter() plus route_search: the level-0 flanks of q.
+  [[nodiscard]] std::pair<int, int> route(std::uint64_t q, net::cursor& cur,
+                                          net::host_id origin) const;
+  // A nearest result: the flanks' keys and the cursor's receipt.
+  [[nodiscard]] api::nn_result answer(std::pair<int, int> flanks, const net::cursor& cur) const;
   [[nodiscard]] int root_for(net::host_id origin) const;
   void charge_item_memory(int item, std::int64_t sign);
   // Bucket placement: the owner of (item, stratum s); the per-stratum memory

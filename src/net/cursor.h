@@ -43,6 +43,7 @@ namespace skipweb::net {
 //  - try_move_to() is the fault-aware seam: same probe charge on an
 //    unreachable target, but it returns false with the locus unchanged and
 //    WITHOUT marking the op failed, so replicated routers can fall back.
+//    reachable() asks the same question for free, without moving.
 //  - Message loss charges retry messages per hop, decided statelessly from
 //    (loss seed, from, to, attempt serial) — deterministic per route at any
 //    thread count.
@@ -198,6 +199,12 @@ class cursor {
   }
 
   void move_to(const address& a) { move_to(a.host); }
+
+  // Would a hop to `h` from the current locus be delivered? Charges nothing:
+  // it is the failure detector's local knowledge, which lets a replicated
+  // router pick a live neighbour without visiting it. Always true on a
+  // network that had no fault active at construction.
+  [[nodiscard]] bool reachable(host_id h) const { return !faults_ || net_->reachable(at_, h); }
 
   // A fault-aware route that exhausted every replica reports the op
   // unavailable through the same flag a ghost hop sets.

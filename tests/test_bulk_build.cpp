@@ -1,10 +1,10 @@
 // The big-n plane's correctness contract (DESIGN.md §12): the sorted
 // bulk-build fast paths must be BYTE-IDENTICAL to the reference incremental
 // builds — same arenas, same uids, same answers, same cost receipts — for
-// every backend that implements one, and indistinguishable through the
-// registry for every backend that does not. Plus the big-n regression
-// smoke: uid stability and structural invariants across arena growth,
-// env-gated so CI stays fast (SKIPWEB_BIGN=1 raises n to 1M).
+// every backend that implements one, including as the registry builds them.
+// Plus the big-n regression smoke: uid stability and structural invariants
+// across arena growth, env-gated so CI stays fast (SKIPWEB_BIGN=1 raises n
+// to 1M).
 
 #include <gtest/gtest.h>
 
@@ -154,82 +154,97 @@ TEST(BulkBuild, QuadtreeIncrementalTwinReceiptsIdentical) {
   }
 }
 
-// --- layer 3: through the registry, for every backend ------------------------
+// --- layer 3: the registry's build against the reference build ------------
 
+// The registry always takes a backend's bulk-build fast path. Its index must
+// be indistinguishable from the core reference construction (`bulk` =
+// false) through the public surface: same hosts, ledger, answers and
+// receipts. One case per backend with a fast path; skipweb1d covers the
+// tower and balanced placements, bucket_skipweb the bucket one.
 class BulkBuildConformance : public ::testing::TestWithParam<std::string> {};
 
-// bulk_build(true) — the default — must be indistinguishable from the
-// reference build through the public surface: same answers, same receipts.
-// Backends without a fast path ignore the flag, which passes trivially; the
-// test still pins the option's contract for them.
 TEST_P(BulkBuildConformance, ReceiptsIdenticalThroughRegistry) {
   rng r(1234);
   const auto keys = wl::uniform_keys(400, r);
-  const auto base = api::index_options{}.seed(42).initial_hosts(8).bucket_size(16).buckets(24);
-  network net_a(1), net_b(1);
-  const auto fast = api::make_index(GetParam(), keys, api::index_options(base).bulk_build(true),
-                                    net_a);
-  const auto ref = api::make_index(GetParam(), keys, api::index_options(base).bulk_build(false),
-                                   net_b);
-  ASSERT_EQ(net_a.host_count(), net_b.host_count());
-  EXPECT_EQ(net_a.total_memory(), net_b.total_memory());
-  std::uint32_t origin = 0;
-  rng pr(999);
-  for (const auto q : wl::probe_keys(keys, 120, pr)) {
-    const auto o = h(origin);
-    origin = static_cast<std::uint32_t>((origin + 1) % net_a.host_count());
-    const auto na = fast->nearest(q, o);
-    const auto nb = ref->nearest(q, o);
-    ASSERT_EQ(na.pred, nb.pred) << q;
-    ASSERT_EQ(na.succ, nb.succ) << q;
-    ASSERT_EQ(na.stats, nb.stats) << q;
-    const auto ca = fast->contains(q, o);
-    const auto cb = ref->contains(q, o);
-    ASSERT_EQ(ca.value, cb.value);
-    ASSERT_EQ(ca.stats, cb.stats);
+  using core::skipweb_1d;
+  const bool bucket = GetParam() == "bucket_skipweb";
+  for (const auto p : {skipweb_1d::placement::tower, skipweb_1d::placement::balanced}) {
+    if (bucket && p != skipweb_1d::placement::tower) continue;
+    const auto opts = api::index_options{}.seed(42).initial_hosts(8).bucket_size(16).placement(
+        p == skipweb_1d::placement::balanced ? api::placement_policy::balanced
+                                             : api::placement_policy::tower);
+    network net_a(1), net_b(8);
+    const auto fast = api::make_index(GetParam(), keys, opts, net_a);
+    const auto ref = bucket ? skipweb_1d(keys, 42, net_b, skipweb_1d::bucket{16}, /*bulk=*/false)
+                            : skipweb_1d(keys, 42, net_b, p, 0, /*bulk=*/false);
+    ASSERT_EQ(net_a.host_count(), net_b.host_count());
+    EXPECT_EQ(net_a.total_memory(), net_b.total_memory());
+    std::uint32_t origin = 0;
+    rng pr(999);
+    for (const auto q : wl::probe_keys(keys, 120, pr)) {
+      const auto o = h(origin);
+      origin = static_cast<std::uint32_t>((origin + 1) % net_a.host_count());
+      const auto na = fast->nearest(q, o);
+      const auto nb = ref.nearest(q, o);
+      ASSERT_EQ(na.pred, nb.pred) << q;
+      ASSERT_EQ(na.succ, nb.succ) << q;
+      ASSERT_EQ(na.stats, nb.stats) << q;
+      const auto ca = fast->contains(q, o);
+      const auto cb = ref.contains(q, o);
+      ASSERT_EQ(ca.value, cb.value);
+      ASSERT_EQ(ca.stats, cb.stats);
+    }
+    const auto ra = fast->range(keys[5], keys[5] + (std::uint64_t{1} << 60), h(2), 50);
+    const auto rb = ref.range(keys[5], keys[5] + (std::uint64_t{1} << 60), h(2), 50);
+    EXPECT_EQ(ra.value, rb.value);
+    EXPECT_EQ(ra.stats, rb.stats);
   }
-  const auto ra = fast->range(keys[5], keys[5] + (std::uint64_t{1} << 60), h(2), 50);
-  const auto rb = ref->range(keys[5], keys[5] + (std::uint64_t{1} << 60), h(2), 50);
-  EXPECT_EQ(ra.value, rb.value);
-  EXPECT_EQ(ra.stats, rb.stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BulkBuildConformance,
-                         ::testing::ValuesIn(api::registered_backends()),
+                         ::testing::Values("skipweb1d", "bucket_skipweb"),
                          [](const auto& info) { return info.param; });
 
 class SpatialBulkBuildConformance : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(SpatialBulkBuildConformance, ReceiptsIdenticalThroughRegistry) {
+template <int D>
+void expect_quadtree_matches_reference(const std::string& name) {
   rng r(4321);
-  const int dims = api::spatial_backend_dims(GetParam());
-  const auto pts = wl::spatial_points(dims, 200, false, r);
-  const auto base = api::index_options{}.seed(17).initial_hosts(8);
-  network net_a(1), net_b(1);
-  const auto fast = api::make_spatial_index(GetParam(), pts,
-                                            api::index_options(base).bulk_build(true), net_a);
-  const auto ref = api::make_spatial_index(GetParam(), pts,
-                                           api::index_options(base).bulk_build(false), net_b);
+  const auto pts = wl::spatial_points(D, 200, false, r);
+  std::vector<seq::qpoint<D>> native;
+  for (const auto& p : pts) native.push_back(api::from_spatial<D>(p));
+  network net_a(1), net_b(8);
+  const auto fast =
+      api::make_spatial_index(name, pts, api::index_options{}.seed(17).initial_hosts(8), net_a);
+  const core::skip_quadtree<D> ref(native, 17, net_b, 0, /*bulk=*/false);
   ASSERT_EQ(net_a.host_count(), net_b.host_count());
   EXPECT_EQ(net_a.total_memory(), net_b.total_memory());
   for (int i = 0; i < 100; ++i) {
-    const auto q = wl::spatial_probe(dims, r);
+    const auto q = wl::spatial_probe(D, r);
     const auto o = h(static_cast<std::uint32_t>(i % net_a.host_count()));
     const auto la = fast->locate(q, o);
-    const auto lb = ref->locate(q, o);
-    ASSERT_EQ(la.found, lb.found);
-    ASSERT_EQ(la.cell, lb.cell);
-    ASSERT_EQ(la.scale, lb.scale);
+    const auto lb = ref.locate(api::from_spatial<D>(q), o);
+    ASSERT_EQ(la.found, lb.is_point);
+    ASSERT_EQ(la.cell, seq::qcube_hash<D>{}(lb.cell));
+    ASSERT_EQ(la.scale, lb.cell.side());
     ASSERT_EQ(la.stats, lb.stats);
     const auto na = fast->approx_nn(q, o);
-    const auto nb = ref->approx_nn(q, o);
-    ASSERT_EQ(na.value, nb.value);
+    const auto nb = ref.nearest(api::from_spatial<D>(q), o);
+    ASSERT_EQ(na.value, api::to_spatial<D>(nb.value));
     ASSERT_EQ(na.stats, nb.stats);
   }
 }
 
+TEST_P(SpatialBulkBuildConformance, ReceiptsIdenticalThroughRegistry) {
+  if (api::spatial_backend_dims(GetParam()) == 3) {
+    expect_quadtree_matches_reference<3>(GetParam());
+  } else {
+    expect_quadtree_matches_reference<2>(GetParam());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSpatialBackends, SpatialBulkBuildConformance,
-                         ::testing::ValuesIn(api::registered_spatial_backends()),
+                         ::testing::Values("skip_quadtree2", "skip_quadtree3"),
                          [](const auto& info) { return info.param; });
 
 // --- layer 4: the memory surface the big-n bench reports ---------------------

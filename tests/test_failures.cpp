@@ -13,6 +13,7 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "api/registry.h"
@@ -23,6 +24,7 @@
 #include "fault/injector.h"
 #include "fault/repair.h"
 #include "net/cursor.h"
+#include "net/latency.h"
 #include "net/network.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
@@ -99,6 +101,50 @@ TEST(FailureFreeIdentity, ReplicationIsReceiptNeutralForEveryBackend) {
       if (a.has_succ) ASSERT_EQ(a.succ, b.succ) << name;
       ASSERT_EQ(a.stats, b.stats) << name << " q=" << q;  // receipts, byte for byte
       ASSERT_FALSE(b.stats.failed) << name;
+    }
+    // Range sweeps too: a replicated sweep checks its next item's liveness
+    // without a probe on a healthy network.
+    std::vector<std::uint64_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t i = 0; i + 12 < sorted.size(); i += 23) {
+      for (const std::size_t limit : {std::size_t{0}, std::size_t{4}}) {
+        const auto o = h(static_cast<std::uint32_t>(i % plain_net.host_count()));
+        const auto a = plain->range(sorted[i] - 1, sorted[i + 12], o, limit);
+        const auto b = repl->range(sorted[i] - 1, sorted[i + 12], o, limit);
+        ASSERT_EQ(a.value, b.value) << name << " range " << i;
+        ASSERT_EQ(a.stats, b.stats) << name << " range " << i << " limit " << limit;
+        ASSERT_FALSE(b.stats.failed) << name;
+      }
+    }
+  }
+}
+
+// A dead host that no route touches must cost nothing: with k = 3 and the
+// tower of the largest key killed, every range over the lower half of the
+// keys answers exactly like a healthy twin, receipt for receipt. The sweep
+// checks hi, the limit and the deadline before it hops to the next live
+// item, so it never visits an item it does not report.
+TEST(FailureFreeIdentity, DormantFaultLeavesRangeReceiptsUnchanged) {
+  rng r(4806);
+  const auto keys = wl::uniform_keys(256, r);
+  std::vector<std::uint64_t> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  network healthy_net(keys.size()), faulty_net(keys.size());
+  const skipweb_1d healthy(keys, 23, healthy_net, skipweb_1d::placement::tower, 3);
+  const skipweb_1d faulty(keys, 23, faulty_net, skipweb_1d::placement::tower, 3);
+  int top = faulty.lists().any_alive();
+  for (int i = 0; i < static_cast<int>(faulty.lists().arena_size()); ++i) {
+    if (faulty.lists().alive(i) && faulty.lists().key(i) > faulty.lists().key(top)) top = i;
+  }
+  faulty_net.kill_host(faulty.host_of(top, 0));
+  ASSERT_TRUE(faulty_net.faults_active());
+  for (std::size_t i = 0; i + 9 < sorted.size() / 2; i += 3) {
+    for (const std::size_t limit : {std::size_t{0}, std::size_t{5}}) {
+      const auto a = healthy.range(sorted[i], sorted[i + 9], h(0), limit);
+      const auto b = faulty.range(sorted[i], sorted[i + 9], h(0), limit);
+      ASSERT_EQ(a.value, b.value) << "range " << i << " limit " << limit;
+      ASSERT_EQ(a.stats, b.stats) << "range " << i << " limit " << limit;
+      ASSERT_FALSE(b.stats.failed);
     }
   }
 }
@@ -379,6 +425,141 @@ TEST(Replication1D, RoutesAroundTenPercentDeadHosts) {
     EXPECT_EQ(rr.value.size(), live.size());
   }
 }
+
+// --- plane combinations (1-D) ----------------------------------------------
+
+// Every skipweb_1d layout under every fault and latency plane, against a
+// brute-force oracle. Replicated routes answer for the keys whose towers are
+// reachable from the origin; unreplicated ones route through dead hosts as
+// ghost hops and answer for every key, flagging the op failed.
+enum class layout_1d { tower_k0, tower_k3, balanced, bucket };
+enum class plane_1d { healthy, kill10, partition, loss, deadline, detours, kill_loss };
+
+class PlaneCombinations1D
+    : public ::testing::TestWithParam<std::tuple<layout_1d, plane_1d>> {};
+
+TEST_P(PlaneCombinations1D, AnswersMatchOracle) {
+  const auto [layout, plane] = GetParam();
+  rng r(4901);
+  const auto keys = wl::uniform_keys(256, r);
+  network net(64);
+  skipweb_1d web = layout == layout_1d::bucket
+                       ? skipweb_1d(keys, 71, net, skipweb_1d::bucket{16})
+                   : layout == layout_1d::balanced
+                       ? skipweb_1d(keys, 71, net, skipweb_1d::placement::balanced)
+                       : skipweb_1d(keys, 71, net, skipweb_1d::placement::tower,
+                                    layout == layout_1d::tower_k3 ? 3 : 0);
+  const std::uint32_t hosts = static_cast<std::uint32_t>(net.host_count());
+  const bool kills = plane == plane_1d::kill10 || plane == plane_1d::kill_loss;
+  if (kills) kill_tenth(net);
+  if (plane == plane_1d::partition) {
+    std::vector<host_id> cut;
+    for (std::uint32_t v = 3; v < hosts; v += 7) cut.push_back(h(v));
+    net.set_partitions({cut});
+  }
+  if (plane == plane_1d::loss || plane == plane_1d::kill_loss) net.set_message_loss(0.2, 9);
+  if (plane == plane_1d::deadline || plane == plane_1d::detours) {
+    net.set_latency_model(net::latency_model::lognormal(1000, 0.5, 7));
+  }
+  if (plane == plane_1d::deadline) net.set_op_deadline(14000);
+  if (plane == plane_1d::detours) {
+    for (std::uint32_t v = 2; v < hosts; v += 9) net.set_host_slowdown(h(v), 25.0);
+    net.set_slow_host_threshold(10.0);
+  }
+
+  const auto& lists = web.lists();
+  std::set<std::uint64_t> oracle;
+  for (int i = 0; i < static_cast<int>(lists.arena_size()); ++i) {
+    if (!lists.alive(i)) continue;
+    if (web.replication() == 0 || net.reachable(h(0), web.host_of(i, 0))) {
+      oracle.insert(lists.key(i));
+    }
+  }
+  std::size_t failed = 0;
+  rng pr(4902);
+  const auto probes = wl::probe_keys(keys, 150, pr);
+  for (const auto q : probes) {
+    const auto res = web.nearest(q, h(0));
+    failed += res.stats.failed ? 1 : 0;
+    if (!res.stats.failed && !res.stats.degraded) expect_matches_oracle(res, oracle, q);
+    const auto c = web.contains(q, h(0));
+    if (!c.stats.failed && !c.stats.degraded) {
+      EXPECT_EQ(c.value, oracle.count(q) == 1) << q;
+    }
+  }
+  std::vector<std::uint64_t> sorted(keys);
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i + 20 < sorted.size(); i += 9) {
+    const std::uint64_t lo = sorted[i] - (i % 2);
+    const std::uint64_t hi = sorted[i + 4 + i % 17];
+    for (const std::size_t limit : {std::size_t{0}, std::size_t{5}}) {
+      const auto res = web.range(lo, hi, h(0), limit);
+      failed += res.stats.failed ? 1 : 0;
+      if (res.stats.failed) continue;
+      std::vector<std::uint64_t> want(oracle.lower_bound(lo), oracle.upper_bound(hi));
+      if (limit != 0 && want.size() > limit) want.resize(limit);
+      if (res.stats.degraded) {
+        // An honest prefix: ascending keys of the oracle's answer.
+        ASSERT_LE(res.value.size(), want.size()) << lo;
+        EXPECT_TRUE(std::equal(res.value.begin(), res.value.end(), want.begin())) << lo;
+      } else {
+        EXPECT_EQ(res.value, want) << "lo=" << lo << " hi=" << hi << " limit=" << limit;
+      }
+    }
+  }
+  if (kills && web.replication() == 0) {
+    EXPECT_GT(failed, 0u);  // ghost hops are flagged
+  }
+
+  const std::vector<std::uint64_t> batch(probes.begin(), probes.begin() + 60);
+  const auto batched = web.nearest_batch(batch, h(0));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto serial = web.nearest(batch[i], h(0));
+    ASSERT_EQ(batched[i].has_pred, serial.has_pred) << i;
+    ASSERT_EQ(batched[i].has_succ, serial.has_succ) << i;
+    ASSERT_EQ(batched[i].pred, serial.pred) << i;
+    ASSERT_EQ(batched[i].succ, serial.succ) << i;
+    ASSERT_EQ(batched[i].stats, serial.stats) << i;
+  }
+
+  if (web.replication() > 0) {
+    while (web.repair_step(h(0)).value > 0) ASSERT_TRUE(lists.check_invariants());
+    ASSERT_FALSE(web.needs_repair());
+  }
+  // A partition is never repaired, and a splice needs direct flanks, not
+  // merely reachable ones: replicated updates wait for the partition to heal.
+  if (plane == plane_1d::partition && web.replication() > 0) return;
+  rng ur(4903);
+  for (int u = 0; u < 20; ++u) {
+    std::uint64_t k = ur.uniform_u64(0, (std::uint64_t{1} << 62) - 1);
+    while (std::binary_search(sorted.begin(), sorted.end(), k)) ++k;
+    (void)web.insert(k, h(0));
+    (void)web.erase(k, h(0));
+  }
+  EXPECT_TRUE(lists.check_invariants());
+  if (layout == layout_1d::bucket) {
+    EXPECT_TRUE(web.check_block_invariants());
+  }
+}
+
+std::string plane_case_name(
+    const ::testing::TestParamInfo<std::tuple<layout_1d, plane_1d>>& info) {
+  static const char* const layouts[] = {"tower_k0", "tower_k3", "balanced", "bucket"};
+  static const char* const planes[] = {"healthy", "kill10",  "partition", "loss",
+                                       "deadline", "detours", "kill_loss"};
+  return std::string(layouts[static_cast<int>(std::get<0>(info.param))]) + "_" +
+         planes[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Planes, PlaneCombinations1D,
+    ::testing::Combine(::testing::Values(layout_1d::tower_k0, layout_1d::tower_k3,
+                                         layout_1d::balanced, layout_1d::bucket),
+                       ::testing::Values(plane_1d::healthy, plane_1d::kill10,
+                                         plane_1d::partition, plane_1d::loss,
+                                         plane_1d::deadline, plane_1d::detours,
+                                         plane_1d::kill_loss)),
+    plane_case_name);
 
 // --- self-repair (1-D) ------------------------------------------------------
 
