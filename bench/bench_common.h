@@ -192,7 +192,9 @@ class json_writer {
 // Every bench JSON records the machine's hardware_concurrency at the top
 // level (so scaling numbers are read against the cores they had), and every
 // timed sample that ran through serve::executor records its thread count and
-// per-thread ops/s. CI validates these fields are present.
+// per-thread ops/s. Thread-scaling cells record the cores again, since a
+// section can be re-recorded on its own. CI validates these fields are
+// present.
 
 inline void json_hardware_fields(json_writer& jw) {
   jw.field("hardware_concurrency",
@@ -268,6 +270,7 @@ inline void json_scale_fields(json_writer& jw, const scale_result& res, std::siz
   jw.field("seconds", res.seconds);
   jw.field("ops_per_sec", res.ops_per_sec());
   json_thread_fields(jw, threads, res.ops_per_sec());
+  json_hardware_fields(jw);
   jw.field("speedup_vs_first", speedup_vs_first);
   jw.field("build_seconds", res.build_seconds);
   jw.field("messages_per_op", res.per_op(res.totals.messages));

@@ -67,7 +67,8 @@ class unsupported_operation : public std::logic_error {
 /// \par Thread-safety plane
 /// The const query surface (nearest / nearest_batch / contains / range) is
 /// safe to call concurrently from any number of threads on one instance —
-/// traffic accounting is cursor-local and merged atomically (net/receipt.h),
+/// traffic accounting is cursor-local and merged into per-thread ledger
+/// shards (net/receipt.h, net/network.h),
 /// and the backends' read paths are audited data-race free. insert/erase
 /// are structural: single writer, never concurrent with queries.
 /// serve::executor is the canonical multi-threaded driver.
@@ -133,7 +134,9 @@ class distributed_index {
   /// \brief Keys in [lo, hi], ascending; `limit` caps the output
   /// (0 = unlimited). Default: route to lo, then repeated nearest-successor
   /// queries — correct for any backend with `nearest`, at O(k log n)
-  /// messages for k results. Backends with a walkable base list
+  /// messages for k results. A degraded or timed-out constituent query
+  /// ends the sweep, so the keys gathered so far come back as a degraded
+  /// honest prefix. Backends with a walkable base list
   /// (capability::native_range) override this with their native
   /// O(log n + k) walk.
   /// \pre lo <= hi. \note Query plane.
@@ -145,6 +148,9 @@ class distributed_index {
     op_result<std::vector<std::uint64_t>> out;
     auto r = nearest(lo, origin);
     out.stats += r.stats;
+    // A degraded first step gave up short of lo's flanks: no prefix of the
+    // answer is known, so the honest answer is empty (and marked degraded).
+    if (r.stats.degraded) return out;
     bool have = false;
     std::uint64_t next = 0;
     if (r.has_pred && r.pred == lo) {
@@ -170,6 +176,13 @@ class distributed_index {
       if (limit != 0 && out.value.size() >= limit) break;
       const auto s = nearest(next, origin);
       out.stats += s.stats;
+      // A step cut short by its own op deadline (network::set_op_deadline
+      // without a sweep budget) may name a successor that does not advance;
+      // trusting it would loop or reorder. Stop on the prefix gathered.
+      if (s.stats.degraded || s.stats.timed_out || (s.has_succ && s.succ <= next)) {
+        out.stats.degraded = true;
+        break;
+      }
       have = s.has_succ;
       next = s.succ;
     }

@@ -17,11 +17,12 @@ namespace skipweb::net {
 //
 // Accounting is shared-nothing while the operation runs: every hop is
 // appended to a cursor-local traffic_receipt (thread-private memory), and
-// the receipt is merged into the network's atomic visit counters exactly
-// once — by the destructor, or an explicit settle() — via network::commit().
-// Concurrent queries therefore never contend on the ledger mid-route, which
-// is what lets serve::executor drive one structure from many threads; the
-// committed totals are identical to the old write-per-hop scheme.
+// the receipt is merged exactly once — by the destructor, or an explicit
+// settle() — via network::commit(), into the committing thread's own shard
+// of the network's ledger. Concurrent queries therefore never contend on the
+// ledger, mid-route or at commit, which is what lets serve::executor drive
+// one structure from many threads; the folded totals are identical to the
+// old write-per-hop scheme.
 //
 // Hot-route absorption: when the network has a hop_cache attached (see
 // network::attach_hop_cache, serve::route_cache), a hop inside the

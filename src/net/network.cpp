@@ -15,15 +15,24 @@ namespace skipweb::net {
 
 namespace {
 
-// Visit-ledger storage: at least `n` counters that read as zero and cost no
-// page until a commit writes one. An anonymous mapping guarantees that (the
-// kernel zero-fills each page on first touch; calloc may instead clear
-// recycled heap memory up front), so it is used wherever it exists, sized
-// in whole pages. Rounds `n` up to the slots allocated.
-std::uint64_t* alloc_visits(std::size_t& n) {
+// Counters in a visit array for at least `n` hosts: whole pages where the
+// array is an anonymous mapping.
+std::size_t visit_slots(std::size_t n) {
 #if defined(SKIPWEB_HAVE_ANON_MMAP)
   constexpr std::size_t page_slots = 4096 / sizeof(std::uint64_t);
-  n = (n + page_slots - 1) / page_slots * page_slots;
+  return (n + page_slots - 1) / page_slots * page_slots;
+#else
+  return n;
+#endif
+}
+
+// Visit-ledger storage: `n` counters (a visit_slots() count) that read as
+// zero and cost no page until a commit writes one. An anonymous mapping
+// guarantees that (the kernel zero-fills each page on first touch; calloc
+// may instead clear recycled heap memory up front), so it is used wherever
+// it exists.
+std::uint64_t* alloc_visits(std::size_t n) {
+#if defined(SKIPWEB_HAVE_ANON_MMAP)
   void* p = ::mmap(nullptr, n * sizeof(std::uint64_t), PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();
@@ -42,15 +51,67 @@ void free_visits(std::uint64_t* p, [[maybe_unused]] std::size_t n) {
 #endif
 }
 
+std::atomic<std::uint64_t> next_serial{1};
+
+// Thread slots: a small index per live committing thread, the same in every
+// network. A thread takes one on its first commit and gives it back when it
+// exits, so the next thread to start reuses it — and keeps adding into that
+// slot's shard of every network. A network's shard count is thereby bounded
+// by the most committing threads alive at once, not by thread churn. The
+// mutex orders the old owner's increments before the new owner's.
+struct slot_registry {
+  std::mutex mu;
+  std::vector<std::uint32_t> free;
+  std::uint32_t next = 0;
+};
+
+slot_registry& slots() {
+  static slot_registry reg;
+  return reg;
+}
+
+struct thread_slot {
+  std::uint32_t value = 0;
+  thread_slot() {
+    auto& reg = slots();
+    std::lock_guard lock(reg.mu);
+    if (reg.free.empty()) {
+      value = reg.next++;
+    } else {
+      value = reg.free.back();
+      reg.free.pop_back();
+    }
+  }
+  ~thread_slot() {
+    auto& reg = slots();
+    std::lock_guard lock(reg.mu);
+    reg.free.push_back(value);
+  }
+  thread_slot(const thread_slot&) = delete;
+  thread_slot& operator=(const thread_slot&) = delete;
+};
+
+std::uint32_t this_thread_slot() {
+  thread_local const thread_slot slot;
+  return slot.value;
+}
+
 }  // namespace
 
-network::network(std::size_t host_count) {
+constinit thread_local network::shard_cache network::tl_shard_{};
+
+network::network(std::size_t host_count)
+    : serial_(next_serial.fetch_add(1, std::memory_order_relaxed)) {
   SW_EXPECTS(host_count > 0);
   memory_.assign(host_count, memory_row{});
   grow_to(host_count);
 }
 
-network::~network() { free_visits(visits_, visit_capacity_); }
+network::~network() {
+  for (const auto& s : shards_) {
+    if (s) free_visits(s->visits, visit_capacity_);
+  }
+}
 
 host_id network::add_host() { return add_hosts(1); }
 
@@ -74,12 +135,16 @@ void network::grow_to(std::size_t hosts) {
   if (hosts > visit_capacity_) {
     // Geometric, so add_host one at a time stays amortized O(1). Only the
     // counters of existing hosts are copied; the rest stays untouched zero
-    // pages.
-    std::size_t cap = std::max(hosts, 2 * visit_capacity_);
-    std::uint64_t* fresh = alloc_visits(cap);
-    if (hosts_ > 0) std::memcpy(fresh, visits_, hosts_ * sizeof(std::uint64_t));
-    free_visits(visits_, visit_capacity_);
-    visits_ = fresh;
+    // pages. Every registered shard grows; threads cache the shard, never
+    // its array, so none is left holding a freed one.
+    const std::size_t cap = visit_slots(std::max(hosts, 2 * visit_capacity_));
+    for (const auto& s : shards_) {
+      if (!s) continue;
+      std::uint64_t* fresh = alloc_visits(cap);
+      std::memcpy(fresh, s->visits, hosts_ * sizeof(std::uint64_t));
+      free_visits(s->visits, visit_capacity_);
+      s->visits = fresh;
+    }
     visit_capacity_ = cap;
   }
   if (!dead_.empty()) dead_.resize(hosts, 0);
@@ -200,45 +265,84 @@ std::uint64_t network::total_memory() const {
   return sum;
 }
 
+network::ledger_shard& network::register_shard() {
+  const std::uint32_t slot = this_thread_slot();
+  std::lock_guard lock(shards_mu_);
+  if (slot >= shards_.size()) shards_.resize(slot + 1);
+  auto& s = shards_[slot];
+  if (!s) {
+    auto fresh = std::make_unique<ledger_shard>();
+    fresh->visits = alloc_visits(visit_capacity_);
+    s = std::move(fresh);
+  }
+  tl_shard_ = {serial_, s.get()};
+  return *s;
+}
+
 void network::commit(const traffic_receipt& r) {
-  if (r.empty()) return;  // hop-free operations never touch the shared plane
+  if (r.empty()) return;  // hop-free operations never touch the ledger
+#if SW_CONTRACTS
   commits_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  total_messages_.fetch_add(r.size(), std::memory_order_relaxed);
-  // The time ledger (latency plane): zero unless a model is active, so the
-  // add is free noise for pre-latency workloads.
-  if (r.sim_ns() != 0) total_sim_ns_.fetch_add(r.sim_ns(), std::memory_order_relaxed);
-  r.for_each([this](host_id to) {
+#endif
+  ledger_shard& shard = tl_shard_.serial == serial_ ? *tl_shard_.shard : register_shard();
+  shard.messages += r.size();
+  // The time ledger (latency plane): zero unless a model is active.
+  shard.sim_ns += r.sim_ns();
+  std::uint64_t* const visits = shard.visits;
+  r.for_each([this, visits](host_id to) {
     SW_ASSERT(to.valid() && to.value < hosts_);
-    visit_slot(to.value).fetch_add(1, std::memory_order_relaxed);
+    ++visits[to.value];
   });
   // Per-op service-cost accounting: the worst single-host load this one
-  // operation imposed, merged by atomic max (no fetch_max pre-C++26).
-  // Gated: the multiplicity count is measurably expensive on hop-heavy
-  // receipts (see max_op_host_load() in the header).
+  // operation imposed. Gated: the multiplicity count is measurably
+  // expensive on hop-heavy receipts (see max_op_host_load() in the header).
   if (op_load_tracking_.load(std::memory_order_relaxed)) {
-    const std::uint64_t op_load = r.max_host_load();
-    std::uint64_t seen = max_op_host_load_.load(std::memory_order_relaxed);
-    while (seen < op_load &&
-           !max_op_host_load_.compare_exchange_weak(seen, op_load, std::memory_order_relaxed)) {
-    }
+    shard.max_op_load = std::max(shard.max_op_load, r.max_host_load());
   }
   // The cache seam learns from exactly the receipts the ledger absorbed.
   if (hop_cache_ != nullptr) hop_cache_->on_commit(r);
+#if SW_CONTRACTS
   commits_in_flight_.fetch_sub(1, std::memory_order_release);
+#endif
+}
+
+std::uint64_t network::visit_sum(std::size_t host) const {
+  std::uint64_t sum = 0;
+  for (const auto& s : shards_) sum += s ? s->visits[host] : 0;
+  return sum;
+}
+
+std::uint64_t network::total_messages() const {
+  SW_EXPECTS(traffic_quiescent());
+  std::uint64_t sum = 0;
+  for (const auto& s : shards_) sum += s ? s->messages : 0;
+  return sum;
+}
+
+std::uint64_t network::total_sim_ns() const {
+  SW_EXPECTS(traffic_quiescent());
+  std::uint64_t sum = 0;
+  for (const auto& s : shards_) sum += s ? s->sim_ns : 0;
+  return sum;
+}
+
+std::uint64_t network::max_op_host_load() const {
+  SW_EXPECTS(traffic_quiescent());
+  std::uint64_t best = 0;
+  for (const auto& s : shards_) best = std::max(best, s ? s->max_op_load : 0);
+  return best;
 }
 
 std::uint64_t network::visits(host_id h) const {
   SW_EXPECTS(h.valid() && h.value < hosts_);
   SW_EXPECTS(traffic_quiescent());
-  return visit_slot(h.value).load(std::memory_order_relaxed);
+  return visit_sum(h.value);
 }
 
 std::uint64_t network::max_visits() const {
   SW_EXPECTS(traffic_quiescent());
   std::uint64_t best = 0;
-  for (std::size_t i = 0; i < hosts_; ++i) {
-    best = std::max(best, visit_slot(static_cast<std::uint32_t>(i)).load(std::memory_order_relaxed));
-  }
+  for (std::size_t i = 0; i < hosts_; ++i) best = std::max(best, visit_sum(i));
   return best;
 }
 
@@ -247,7 +351,7 @@ congestion_profile network::congestion_profile() const {
   struct congestion_profile out;
   out.hosts = hosts_ - killed_count_;
   out.hosts_killed = killed_count_;
-  out.max_op_host_load = max_op_host_load_.load(std::memory_order_relaxed);
+  out.max_op_host_load = max_op_host_load();
   // Distribution statistics run over LIVE slots only — a dead host carries no
   // load, and counting it as a zero-visit host deflates the mean and p99 of
   // the hosts actually serving. total_visits still sums every slot (probes
@@ -257,7 +361,7 @@ congestion_profile network::congestion_profile() const {
   visits.reserve(hosts_ - killed_count_);
   std::uint64_t live_total = 0;
   for (std::size_t i = 0; i < hosts_; ++i) {
-    const auto v = visit_slot(static_cast<std::uint32_t>(i)).load(std::memory_order_relaxed);
+    const std::uint64_t v = visit_sum(i);
     out.total_visits += v;
     if (!host_alive(host_id{static_cast<std::uint32_t>(i)})) continue;
     visits.push_back(v);
@@ -277,12 +381,15 @@ congestion_profile network::congestion_profile() const {
 
 void network::reset_traffic() {
   SW_EXPECTS(traffic_quiescent());
-  for (std::size_t i = 0; i < hosts_; ++i) {
-    visit_slot(static_cast<std::uint32_t>(i)).store(0, std::memory_order_relaxed);
+  for (const auto& s : shards_) {
+    if (!s) continue;
+    std::uint64_t* fresh = alloc_visits(visit_capacity_);
+    free_visits(s->visits, visit_capacity_);
+    s->visits = fresh;
+    s->messages = 0;
+    s->sim_ns = 0;
+    s->max_op_load = 0;
   }
-  total_messages_.store(0, std::memory_order_relaxed);
-  max_op_host_load_.store(0, std::memory_order_relaxed);
-  total_sim_ns_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace skipweb::net

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "net/latency.h"
@@ -83,28 +85,33 @@ struct congestion_profile {
 // ledger. Distributed structures register what each host stores (memory),
 // and route every query/update through a `cursor` (see cursor.h), which
 // accumulates a thread-private traffic_receipt and merges it here — one
-// commit() per operation — into a flat array of per-host visit counters,
-// incremented atomically. Those ledgers are exactly the paper's M,
-// Q(n)/U(n) and C(n).
+// commit() per operation — into the committing thread's own shard of the
+// traffic ledger: per-host visit counters plus message, simulated-time and
+// per-op-load totals, written with plain increments. The quiescent getters
+// fold the shards. Those ledgers are exactly the paper's M, Q(n)/U(n) and
+// C(n).
 //
 // Both per-host ledgers are sized by host count, and neither costs a pass
 // over the hosts when a deployment is restored: the memory ledger is one
 // memory_row per host, and a restore adopts a snapshot's rows as a borrowed
-// span (adopt_memory_rows) that the first charge() copies; the visit ledger
+// span (adopt_memory_rows) that the first charge() copies; each visit shard
 // is zero on demand, so none of its pages is touched until a commit lands
 // on it.
 //
 // Concurrency model (two planes):
 //  - Query plane: any number of threads may run const queries on the
 //    structures concurrently; each operation's cursor commits its receipt
-//    with relaxed atomic increments. Commits from different threads
-//    interleave freely and totals are exact.
+//    into its thread's shard, which no other thread writes. A thread finds
+//    its shard through a one-entry thread-local cache, and registers one
+//    under a per-network mutex on a miss. Commits from different threads
+//    share no written cache line, and totals are exact.
 //  - Structural plane: add_host(), charge() and the traffic *getters*
 //    (total_messages, visits, max_visits, reset_traffic) are quiescent-only:
-//    they require no commit to be in flight (asserted under SW_CONTRACTS).
-//    Builds, inserts and erases are structural and must be externally
-//    serialized against the query plane — the same single-writer contract
-//    the data structures themselves have.
+//    they require no commit to be in flight (asserted under SW_CONTRACTS)
+//    and that every commit happens-before them (worker threads joined, or
+//    the executor's completion wave). Builds, inserts and erases are
+//    structural and must be externally serialized against the query plane
+//    — the same single-writer contract the data structures themselves have.
 class network {
  public:
   explicit network(std::size_t host_count);
@@ -154,20 +161,25 @@ class network {
   // --- traffic ledger -------------------------------------------------------
   //
   // Written exclusively through commit(): one call per finished operation,
-  // merging the cursor's hop log. Safe to call from any number of threads.
+  // merging the cursor's hop log into the calling thread's shard. Safe to
+  // call from any number of threads.
   void commit(const traffic_receipt& r);
 
-  // True when no commit is executing right now. The traffic getters below
-  // are only coherent in that state (between operations, or after worker
-  // threads joined); they assert it so a racy read is caught, not returned.
+  // A contract-build diagnostic: true when no commit is executing right
+  // now. The traffic getters below are only coherent in that state (between
+  // operations, or after worker threads joined); they assert it so a racy
+  // read is caught, not returned. Only SW_CONTRACTS builds count commits in
+  // flight — that count is the check's sole user — so elsewhere this reads
+  // true.
   [[nodiscard]] bool traffic_quiescent() const {
+#if SW_CONTRACTS
     return commits_in_flight_.load(std::memory_order_acquire) == 0;
+#else
+    return true;
+#endif
   }
 
-  [[nodiscard]] std::uint64_t total_messages() const {
-    SW_EXPECTS(traffic_quiescent());
-    return total_messages_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t total_messages() const;
   [[nodiscard]] std::uint64_t visits(host_id h) const;
   [[nodiscard]] std::uint64_t max_visits() const;
 
@@ -180,10 +192,7 @@ class network {
   // (family_tree's ~35-hop receipts, chord's floods), so only the
   // congestion surfaces (bench_congestion, the congestion tests) pay for
   // it. When tracking was never enabled this reads 0.
-  [[nodiscard]] std::uint64_t max_op_host_load() const {
-    SW_EXPECTS(traffic_quiescent());
-    return max_op_host_load_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t max_op_host_load() const;
 
   // Enable/disable the per-op max-host-load fold above. Structural plane:
   // flip only while quiescent (asserted), like attach_hop_cache.
@@ -198,7 +207,8 @@ class network {
   [[nodiscard]] struct congestion_profile congestion_profile() const;
 
   // Zero the message/visit counters between workload phases; memory stays.
-  // Quiescent-only, like the getters.
+  // Every shard gets fresh zero-on-demand visit pages. Quiescent-only, like
+  // the getters.
   void reset_traffic();
 
   // --- client-side routing replicas (the congestion plane's cache seam) ----
@@ -373,24 +383,46 @@ class network {
   // Total simulated nanoseconds of every committed receipt since the last
   // reset_traffic(): the time-integral sibling of total_messages().
   // Quiescent-only, like every traffic getter.
-  [[nodiscard]] std::uint64_t total_sim_ns() const {
-    SW_EXPECTS(traffic_quiescent());
-    return total_sim_ns_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t total_sim_ns() const;
 
  private:
-  // Commits increment a host's counter through an atomic_ref; the array
-  // itself only changes on the (quiescent) structural plane.
-  [[nodiscard]] std::atomic_ref<std::uint64_t> visit_slot(std::uint32_t host) const {
-    return std::atomic_ref<std::uint64_t>(visits_[host]);
-  }
+  // One committing thread's slice of the traffic ledger, on its own cache
+  // line. Only that thread writes it, with plain increments; the quiescent
+  // getters fold every shard. A thread that exits hands its slot, and so
+  // this shard, to the next thread that starts (network.cpp).
+  struct alignas(64) ledger_shard {
+    std::uint64_t* visits = nullptr;  // zero on demand, visit_capacity_ slots
+    std::uint64_t messages = 0;
+    std::uint64_t sim_ns = 0;
+    std::uint64_t max_op_load = 0;
+  };
+
+  // The calling thread's shard when the thread-local cache does not name
+  // this network: registered, or found, at the thread's slot under
+  // shards_mu_, then cached.
+  ledger_shard& register_shard();
+  // One host's visits folded over every shard; quiescent reads only.
+  [[nodiscard]] std::uint64_t visit_sum(std::size_t host) const;
 
   // Grow every per-host array but the memory ledger to `hosts` hosts.
   void grow_to(std::size_t hosts);
 
+  // The one-entry cache commit() checks first: the shard this thread last
+  // committed into, tagged with its network's serial. Serials are never
+  // reused, so an entry left by a destroyed network never matches.
+  struct shard_cache {
+    std::uint64_t serial = 0;
+    ledger_shard* shard = nullptr;
+  };
+  static thread_local shard_cache tl_shard_;
+
   persist::pod_array<memory_row> memory_;
-  std::uint64_t* visits_ = nullptr;  // zero on demand, visit_capacity_ slots
-  std::size_t visit_capacity_ = 0;
+  std::uint64_t serial_;  // process-unique, never 0
+  // Indexed by thread slot; null where that slot never committed here. The
+  // vector changes only under shards_mu_, and the getters read it quiescent.
+  std::vector<std::unique_ptr<ledger_shard>> shards_;
+  std::mutex shards_mu_;
+  std::size_t visit_capacity_ = 0;  // slots in every shard's visit array
   std::size_t hosts_ = 0;
   // Fault plane. dead_/partition_ are lazily sized on first use (empty means
   // "everything alive / no partitions"), written only on the structural
@@ -407,13 +439,15 @@ class network {
   std::size_t slowed_count_ = 0;
   std::uint64_t op_deadline_ns_ = 0;
   double slow_threshold_ = 0.0;
-  std::atomic<std::uint64_t> total_sim_ns_{0};
-  std::atomic<std::uint64_t> total_messages_{0};
-  std::atomic<std::uint64_t> max_op_host_load_{0};
   std::atomic<bool> op_load_tracking_{false};
   std::atomic<std::uint32_t> structural_depth_{0};
   hop_cache* hop_cache_ = nullptr;
+  // Contract builds only, and last, so no other member moves with it. Every
+  // translation unit must see the library's SW_CONTRACTS, which the CMake
+  // target exports (util/sw_assert.h).
+#if SW_CONTRACTS
   mutable std::atomic<std::uint32_t> commits_in_flight_{0};
+#endif
 };
 
 // RAII bracket for one structural operation (insert/erase/build): cursors

@@ -33,11 +33,15 @@ namespace skipweb::serve {
 /// per concurrent driver.
 ///
 /// \par The congestion plane
-/// Workers commit one receipt per query; with a hot-route replica cache
-/// attached to the network (serve/route_cache.h), those committed receipts
-/// are exactly what trains the cache, and the workers' cursors absorb their
-/// first hops to replicated hot hosts — answers stay identical, the
-/// congestion profile flattens. NOTE: the receipt half of the determinism
+/// Workers commit one receipt per query, each into its own shard of the
+/// network's traffic ledger (net/network.h), so commits from different
+/// workers write no shared cache line. The run's completion wave orders
+/// every worker's commits before the caller's next ledger read, which folds
+/// the shards. With a hot-route replica cache attached to the network
+/// (serve/route_cache.h), those committed receipts are exactly what trains
+/// the cache, and the workers' cursors absorb their first hops to
+/// replicated hot hosts — answers stay identical, the congestion profile
+/// flattens. NOTE: the receipt half of the determinism
 /// contract above assumes no hop cache is attached. With one attached,
 /// *answers* remain identical at every thread count, but which hops get
 /// absorbed depends on training order (and on_commit's lossy try-lock), so

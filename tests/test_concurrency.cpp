@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -38,6 +39,18 @@ bool same_nn(const api::nn_result& a, const api::nn_result& b) {
   return a.has_pred == b.has_pred && a.has_succ == b.has_succ &&
          (!a.has_pred || a.pred == b.pred) && (!a.has_succ || a.succ == b.succ) &&
          a.stats == b.stats;
+}
+
+void expect_same_profile(const net::congestion_profile& a, const net::congestion_profile& b,
+                         std::size_t T) {
+  EXPECT_EQ(a.hosts, b.hosts) << "T=" << T;
+  EXPECT_EQ(a.hosts_killed, b.hosts_killed) << "T=" << T;
+  EXPECT_EQ(a.hosts_touched, b.hosts_touched) << "T=" << T;
+  EXPECT_EQ(a.max_visits, b.max_visits) << "T=" << T;
+  EXPECT_EQ(a.p99_visits, b.p99_visits) << "T=" << T;
+  EXPECT_EQ(a.mean_visits, b.mean_visits) << "T=" << T;
+  EXPECT_EQ(a.total_visits, b.total_visits) << "T=" << T;
+  EXPECT_EQ(a.max_op_host_load, b.max_op_host_load) << "T=" << T;
 }
 
 // --- executor plumbing -------------------------------------------------------
@@ -110,6 +123,7 @@ TEST_P(ExecutorConformance, NearestMatchesSerialLoopAtEveryThreadCount) {
   }
   const std::uint64_t serial_messages = net.total_messages();
   EXPECT_EQ(serial_total.messages, serial_messages);
+  const auto serial_profile = net.congestion_profile();
 
   for (const std::size_t T : kThreadCounts) {
     net.reset_traffic();
@@ -120,9 +134,11 @@ TEST_P(ExecutorConformance, NearestMatchesSerialLoopAtEveryThreadCount) {
       EXPECT_TRUE(same_nn(out.results[i], serial[i])) << "T=" << T << " i=" << i;
     }
     EXPECT_EQ(out.total, serial_total) << "T=" << T;
-    // The workers' committed receipts reconcile with the shared ledger: the
-    // merge order varies with the interleaving, the totals never do.
+    // The workers' committed receipts reconcile with the ledger: each worker
+    // writes its own shard, and the folded totals and per-host counts never
+    // depend on the interleaving.
     EXPECT_EQ(net.total_messages(), serial_messages) << "T=" << T;
+    expect_same_profile(net.congestion_profile(), serial_profile, T);
   }
 }
 
@@ -154,6 +170,7 @@ TEST_P(SpatialExecutorConformance, LocateMatchesSerialLoopAtEveryThreadCount) {
     serial_total += serial.back().stats;
   }
   const std::uint64_t serial_messages = net.total_messages();
+  const auto serial_profile = net.congestion_profile();
 
   for (const std::size_t T : kThreadCounts) {
     net.reset_traffic();
@@ -168,6 +185,7 @@ TEST_P(SpatialExecutorConformance, LocateMatchesSerialLoopAtEveryThreadCount) {
     }
     EXPECT_EQ(out.total, serial_total) << "T=" << T;
     EXPECT_EQ(net.total_messages(), serial_messages) << "T=" << T;
+    expect_same_profile(net.congestion_profile(), serial_profile, T);
   }
 }
 
@@ -408,6 +426,126 @@ TEST(NetworkCommit, ConcurrentCommitsAreExact) {
   for (std::uint32_t i = 0; i < 64; ++i) visit_sum += net.visits(h(i));
   EXPECT_EQ(net.total_messages(), kThreads * kOpsPerThread * kHopsPerOp);
   EXPECT_EQ(visit_sum, net.total_messages());
+}
+
+// One thread's share of a ledger phase: op k starts at host k % hosts and
+// bounces between its two next neighbours for 1 + k % 11 hops, so receipts
+// differ in length, sim time and per-op host load. Returns the messages its
+// cursors charged.
+std::uint64_t run_ops(network& net, std::size_t lo, std::size_t hi) {
+  std::uint64_t messages = 0;
+  const auto hosts = static_cast<std::uint32_t>(net.host_count());
+  for (std::size_t k = lo; k < hi; ++k) {
+    const auto origin = static_cast<std::uint32_t>(k % hosts);
+    net::cursor cur(net, h(origin));
+    for (std::size_t i = 0; i < 1 + k % 11; ++i) {
+      cur.move_to(h((origin + 1 + static_cast<std::uint32_t>(i % 2)) % hosts));
+    }
+    messages += cur.messages();
+  }
+  return messages;
+}
+
+TEST(NetworkCommit, ShardedLedgerIsExactUnderThreadChurnGrowthAndResets) {
+  // Each committing thread writes its own shard; the getters fold them. Run
+  // executors of 1, 2, 4 and 8 workers in turn (each destroyed before the
+  // next, so thread slots are recycled), main-thread commits between them,
+  // host growth, a reset, and a thread whose commits alternate between two
+  // networks, so its shard cache misses on every one. After every phase the
+  // folded ledger must equal a serial tally, and the time and per-op load
+  // totals a one-thread twin that committed the same ops.
+  network net(40), twin(40), other(40);
+  for (network* n : {&net, &twin, &other}) {
+    n->set_latency_model(net::latency_model::lognormal(1000, 0.5, 3));
+    n->set_op_load_tracking(true);
+  }
+  std::vector<std::uint64_t> tally(net.host_count(), 0);
+  std::uint64_t receipt_messages = 0;
+  std::size_t next_op = 0;
+
+  // Ops [base, base + ops), committed serially into the twin and tallied.
+  const auto mirror = [&](std::size_t base, std::size_t ops) {
+    run_ops(twin, base, base + ops);
+    const auto hosts = static_cast<std::uint32_t>(net.host_count());
+    for (std::size_t k = base; k < base + ops; ++k) {
+      const auto origin = static_cast<std::uint32_t>(k % hosts);
+      for (std::size_t i = 0; i < 1 + k % 11; ++i) ++tally[(origin + 1 + i % 2) % hosts];
+    }
+  };
+  // The next `ops` ops on `net` from T workers (0 = this thread), mirrored.
+  const auto phase = [&](std::size_t ops, std::size_t T) {
+    const std::size_t base = next_op;
+    next_op += ops;
+    if (T == 0) {
+      receipt_messages += run_ops(net, base, base + ops);
+    } else {
+      std::vector<std::uint64_t> per_worker(T, 0);
+      serve::executor ex(T);
+      ex.for_slices(ops, [&](std::size_t t, std::size_t lo, std::size_t hi) {
+        per_worker[t] = run_ops(net, base + lo, base + hi);
+      });
+      for (const auto m : per_worker) receipt_messages += m;
+    }
+    mirror(base, ops);
+  };
+  const auto check = [&](const std::string& when) {
+    SCOPED_TRACE(when);
+    std::uint64_t visit_sum = 0, busiest = 0;
+    for (std::uint32_t i = 0; i < net.host_count(); ++i) {
+      EXPECT_EQ(net.visits(h(i)), tally[i]) << "host " << i;
+      visit_sum += net.visits(h(i));
+      busiest = std::max(busiest, tally[i]);
+    }
+    EXPECT_EQ(net.total_messages(), visit_sum);
+    EXPECT_EQ(net.total_messages(), receipt_messages);
+    EXPECT_EQ(net.max_visits(), busiest);
+    EXPECT_EQ(net.congestion_profile().total_visits, visit_sum);
+    EXPECT_EQ(net.total_sim_ns(), twin.total_sim_ns());
+    EXPECT_GT(net.total_sim_ns(), 0u);
+    EXPECT_EQ(net.max_op_host_load(), twin.max_op_host_load());
+  };
+
+  phase(50, 0);
+  check("main thread");
+  for (const std::size_t T : kThreadCounts) {
+    phase(400, T);
+    check("executor T=" + std::to_string(T));
+    phase(25, 0);
+    check("main thread after T=" + std::to_string(T));
+  }
+
+  for (network* n : {&net, &twin, &other}) n->add_hosts(600);
+  tally.resize(net.host_count(), 0);
+  phase(300, 4);
+  phase(25, 0);
+  check("after add_hosts");
+
+  // One thread, two networks: every commit misses the thread's shard cache
+  // and registers through the network's mutex.
+  const std::size_t base = next_op;
+  next_op += 200;
+  std::uint64_t alternating = 0, bystander = 0;
+  std::thread([&] {
+    for (std::size_t k = base; k < base + 200; ++k) {
+      alternating += run_ops(net, k, k + 1);
+      bystander += run_ops(other, k, k + 1);
+    }
+  }).join();
+  receipt_messages += alternating;
+  mirror(base, 200);
+  check("one thread alternating between two networks");
+  EXPECT_EQ(other.total_messages(), bystander);
+
+  for (network* n : {&net, &twin}) n->reset_traffic();
+  std::fill(tally.begin(), tally.end(), 0);
+  receipt_messages = 0;
+  EXPECT_EQ(net.total_messages(), 0u);
+  EXPECT_EQ(net.total_sim_ns(), 0u);
+  EXPECT_EQ(net.max_op_host_load(), 0u);
+  phase(300, 2);
+  phase(25, 0);
+  phase(300, 8);
+  check("after reset_traffic");
 }
 
 TEST(NetworkCommit, HardwareReport) {

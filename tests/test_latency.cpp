@@ -443,6 +443,34 @@ TEST_P(DeadlineRange, DegradedRangeIsAnHonestPrefix) {
   EXPECT_TRUE(saw_full);      // and the generous one recovered the answer
 }
 
+TEST_P(DeadlineRange, BareOpDeadlineEndsTheSweepOnAnHonestPrefix) {
+  // The op deadline set on the network directly, without index_options::
+  // deadline: the generic fallback has no sweep budget, and each of its
+  // constituent queries may give up on its own, among dead hosts. The sweep
+  // must still end, ascending, on a prefix of the truth. The limit makes a
+  // runaway sweep fail this test instead of exhausting memory.
+  util::rng r(36);
+  auto keys = wl::uniform_keys(300, r);
+  std::sort(keys.begin(), keys.end());
+  const std::vector<std::uint64_t> want(keys.begin(), keys.begin() + 41);
+
+  network net(1);
+  const auto idx = api::make_index(GetParam(), keys, api::index_options{}.seed(1), net);
+  for (std::uint32_t v = 1; v < net.host_count(); v += 10) net.kill_host(h(v));
+  net.set_latency_model(latency_model::lognormal(1000, 0.5, 7));
+  net.set_op_deadline(3000);
+  const auto got = idx->range(keys[0], keys[40], h(0), 1000);
+
+  for (std::size_t i = 1; i < got.value.size(); ++i) {
+    ASSERT_LT(got.value[i - 1], got.value[i]) << "i=" << i;
+  }
+  ASSERT_LE(got.value.size(), want.size());
+  for (std::size_t i = 0; i < got.value.size(); ++i) EXPECT_EQ(got.value[i], want[i]) << "i=" << i;
+  if (got.value.size() < want.size()) {
+    EXPECT_TRUE(got.stats.degraded);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, DeadlineRange,
                          ::testing::ValuesIn(api::registered_backends()),
                          [](const auto& info) { return info.param; });
