@@ -1,14 +1,22 @@
 #!/usr/bin/env python3
-"""Fail if DESIGN.md / README.md reference repo paths that no longer exist.
+"""Fail if DESIGN.md / README.md reference repo paths or tests that no longer exist.
 
 The docs name concrete files constantly (src/net/cursor.h, tests/...,
 BENCH_*.json); refactors move files and leave the prose behind. This checker
 extracts every repo-relative path-looking token from the given markdown files
 and verifies it exists, so CI catches the drift the moment it lands.
 
+The docs also cite gtest names in backticks (`Suite.Name`). Every (suite,
+name) pair declared by TEST / TEST_F / TEST_P in tests/*.cpp is collected; a
+backticked `Suite.Name` whose Suite is one of those suites must name one of
+its tests. `Suite.*` and the parameterized form `Prefix/Suite.Name/*` are
+accepted. Tokens whose first part is not a test suite (`meta.n`,
+`core.ns_per_hop`) are not test references and are skipped.
+
 Usage: scripts/check_doc_refs.py [FILE...]   (defaults to DESIGN.md README.md)
 """
 
+import glob
 import os
 import re
 import sys
@@ -29,6 +37,12 @@ GENERATED_OK = {
     # Patterns/wildcards and generated-at-runtime names that need not exist.
     "BENCH_.json",
 }
+
+# TEST(Suite, Name), TEST_F(Suite, Name), TEST_P(Suite, Name).
+TEST_DECL_RE = re.compile(r"\bTEST(?:_F|_P)?\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
+
+# `Suite.Name`, `Suite.*`, `Prefix/Suite.Name/*` inside backticks.
+TEST_REF_RE = re.compile(r"`(?:\w+/)?(\w+)\.(\w+|\*)(?:/\*)?`")
 
 
 def expand(token: str):
@@ -62,18 +76,40 @@ def check(md_path: str, repo_root: str):
     return bad
 
 
+def declared_tests(repo_root: str):
+    """{suite: {test names}} over every TEST/TEST_F/TEST_P in tests/*.cpp."""
+    suites = {}
+    for path in glob.glob(os.path.join(repo_root, "tests", "*.cpp")):
+        with open(path, encoding="utf-8") as f:
+            for suite, name in TEST_DECL_RE.findall(f.read()):
+                suites.setdefault(suite, set()).add(name)
+    return suites
+
+
+def check_tests(md_path: str, suites):
+    bad = []
+    with open(md_path, encoding="utf-8") as f:
+        text = f.read()
+    for suite, name in sorted(set(TEST_REF_RE.findall(text))):
+        if suite in suites and name != "*" and name not in suites[suite]:
+            bad.append((md_path, f"{suite}.{name}"))
+    return bad
+
+
 def main(argv):
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     files = argv[1:] or [
         os.path.join(repo_root, "DESIGN.md"),
         os.path.join(repo_root, "README.md"),
     ]
+    suites = declared_tests(repo_root)
     bad = []
     for md in files:
         bad.extend(check(md, repo_root))
+        bad.extend(check_tests(md, suites))
     if bad:
-        for md, path in bad:
-            print(f"{md}: dead reference: {path}", file=sys.stderr)
+        for md, ref in bad:
+            print(f"{md}: dead reference: {ref}", file=sys.stderr)
         return 1
     print(f"doc refs ok ({len(files)} files checked)")
     return 0

@@ -591,21 +591,14 @@ class level_lists {
   // Restore from a snapshot: every array becomes a borrowed zero-copy span
   // over the reader's backing blob (mapping or owned buffer — pod_array
   // copies on first write either way), so a restored structure answers
-  // queries without materializing a byte beyond what it touches. Files from
-  // before links were bare slots hold 16-byte {slot, key copy} records
-  // under ".fwd"/".bwd"/".fwd_rep"/".bwd_rep"; their slots are copied into
-  // owned pools once, and a slot outside [-1, arena) is rejected.
+  // queries without materializing a byte beyond what it touches. The link
+  // pools are read from ".next"/".prev"/".next_rep"/".prev_rep" only: a file
+  // in another layout fails on the missing section (DESIGN.md §13).
   level_lists(persist::reader& r, std::string_view prefix) {
     const std::string p(prefix);
     std::size_t nmeta = 0;
     const auto* meta = r.array<std::uint64_t>(p + ".meta", nmeta);
     if (nmeta != 6) throw persist::error("snapshot: level_lists meta malformed");
-    levels_ = static_cast<int>(meta[0]);
-    stride_ = static_cast<std::size_t>(meta[1]);
-    replication_ = static_cast<std::size_t>(meta[2]);
-    next_uid_ = meta[3];
-    alive_count_ = static_cast<std::size_t>(meta[4]);
-    alive_hint_.store(static_cast<int>(static_cast<std::int64_t>(meta[5])));
     keys_ = r.pods<std::uint64_t>(p + ".keys");
     bits_ = r.pods<util::membership_bits>(p + ".bits");
     uids_ = r.pods<std::uint64_t>(p + ".uids");
@@ -613,23 +606,25 @@ class level_lists {
     alive_ = r.pods<std::uint8_t>(p + ".alive");
     free_ = r.pods<int>(p + ".free");
     const std::size_t arena = keys_.size();
-    if (levels_ < 0 || levels_ >= util::max_levels ||
-        stride_ != static_cast<std::size_t>(levels_) + 1 || bits_.size() != arena ||
-        uids_.size() != arena || redirect_.size() != arena || alive_.size() != arena ||
-        alive_count_ > arena) {
+    // Range-check the u64 words before narrowing them. The alive hint is
+    // saved as its int64 value, so "none" (-1) arrives as 2^64 - 1;
+    // any_alive() indexes the arena with any other value.
+    const std::uint64_t no_hint = ~std::uint64_t{0};
+    if (meta[0] >= static_cast<std::uint64_t>(util::max_levels) || meta[1] != meta[0] + 1 ||
+        meta[4] > arena || (meta[5] != no_hint && meta[5] >= arena) || bits_.size() != arena ||
+        uids_.size() != arena || redirect_.size() != arena || alive_.size() != arena) {
       throw persist::error("snapshot: level_lists arrays disagree with meta");
     }
-    if (r.has(p + ".next")) {
-      fwd_ = r.pods<std::int32_t>(p + ".next");
-      bwd_ = r.pods<std::int32_t>(p + ".prev");
-      fwd_rep_ = r.pods<std::int32_t>(p + ".next_rep");
-      bwd_rep_ = r.pods<std::int32_t>(p + ".prev_rep");
-    } else {
-      fwd_ = slots_of_half_links(r, p + ".fwd", arena);
-      bwd_ = slots_of_half_links(r, p + ".bwd", arena);
-      fwd_rep_ = slots_of_half_links(r, p + ".fwd_rep", arena);
-      bwd_rep_ = slots_of_half_links(r, p + ".bwd_rep", arena);
-    }
+    levels_ = static_cast<int>(meta[0]);
+    stride_ = static_cast<std::size_t>(meta[1]);
+    replication_ = static_cast<std::size_t>(meta[2]);
+    next_uid_ = meta[3];
+    alive_count_ = static_cast<std::size_t>(meta[4]);
+    alive_hint_.store(meta[5] == no_hint ? -1 : static_cast<int>(meta[5]));
+    fwd_ = r.pods<std::int32_t>(p + ".next");
+    bwd_ = r.pods<std::int32_t>(p + ".prev");
+    fwd_rep_ = r.pods<std::int32_t>(p + ".next_rep");
+    bwd_rep_ = r.pods<std::int32_t>(p + ".prev_rep");
     // count == arena × per, without letting a hostile meta word wrap the
     // product into a match.
     const auto holds = [arena](std::size_t count, std::size_t per) {
@@ -642,32 +637,6 @@ class level_lists {
   }
 
  private:
-  // The slots of one section in the half-link layout of older files:
-  // 16-byte records of a slot, padding and a copy of the neighbour's key.
-  // Only the slot is read.
-  static persist::pod_array<std::int32_t> slots_of_half_links(const persist::reader& r,
-                                                              const std::string& name,
-                                                              std::size_t arena) {
-    struct half_link {
-      std::int32_t to;
-      std::uint32_t pad;
-      std::uint64_t key;
-    };
-    static_assert(sizeof(half_link) == 16);
-    std::size_t n = 0;
-    const half_link* records = r.array<half_link>(name, n);
-    persist::pod_array<std::int32_t> slots;
-    slots.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int32_t to = records[i].to;
-      if (to < no_link || (to >= 0 && static_cast<std::size_t>(to) >= arena)) {
-        throw persist::error("snapshot: " + name + " names a slot outside the arena");
-      }
-      slots[i] = to;
-    }
-    return slots;
-  }
-
   // Recompute both replica rows of one item from the level-0 links.
   void rebuild_replicas(int item) {
     const std::size_t base = static_cast<std::size_t>(item) * replication_;

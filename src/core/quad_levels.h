@@ -504,15 +504,6 @@ class quad_levels {
     }
   }
 
-  // Row of the "<prefix>.lvN.trees" section that files from before the flat
-  // directory hold in its place, one per tree.
-  struct tree_row {
-    std::uint64_t prefix = 0;
-    std::int32_t root = -1;
-    std::int32_t points = 0;
-  };
-  static_assert(sizeof(tree_row) == 16);
-
   // Write the whole multi-level arena under `prefix` ("<prefix>.pts",
   // "<prefix>.lv3.child", ...). Quiescent structural state only.
   void save(persist::writer& w, std::string_view prefix) const {
@@ -537,12 +528,11 @@ class quad_levels {
     }
   }
 
-  // Restore from a snapshot: POD arrays and the per-level directories become
-  // borrowed zero-copy spans over the reader's blob, so the restore reads no
-  // directory row. Two earlier layouts restore too: files whose directories
-  // are "<prefix>.lvN.trees" rows are inserted row by row into fresh tables,
-  // and the per-node "<prefix>.lvN.box" sections of an older layout are
-  // simply not read. Either way the ground tree must exist, rooted at a live
+  // Restore from a snapshot: POD arrays and the per-level directories
+  // ("<prefix>.lvN.dir") become borrowed zero-copy spans over the reader's
+  // blob, so the restore reads no directory row. A file in another layout
+  // fails on its missing section; sections the reader does not name are
+  // ignored (DESIGN.md §13). The ground tree must exist, rooted at a live
   // level-0 slot: every walk and local descent starts there.
   quad_levels(persist::reader& r, std::string_view prefix) {
     const std::string p(prefix);
@@ -579,16 +569,7 @@ class quad_levels {
           a.live_nodes + a.free.size() != slots) {
         throw persist::error("snapshot: quad_levels level arrays disagree");
       }
-      if (r.has(lp + ".dir")) {
-        a.trees = persist::flat_table<tree_ref>(r, lp + ".dir");
-      } else {
-        for (const auto& row : r.vec<tree_row>(lp + ".trees")) {
-          if ((row.prefix >> l) != 0) {  // also keeps flat_table's empty key out
-            throw persist::error("snapshot: quad_levels tree prefix longer than its level");
-          }
-          *a.trees.try_emplace(row.prefix).first = tree_ref{row.root, row.points};
-        }
-      }
+      a.trees = persist::flat_table<tree_ref>(r, lp + ".dir");
     }
     const tree_ref* g = tree(0, 0);
     if (g == nullptr || g->root < 0 || static_cast<std::size_t>(g->root) >= lv(0).alive.size() ||

@@ -96,9 +96,8 @@ class skip_quadtree {
   // ledger equality holds on the restored twin). The arenas, directories,
   // re-home table and anchors come back as borrowed views over the reader's
   // blob — zero-copy in mmap mode — and materialize copy-on-first-write at
-  // the first structural edit. Files that hold the re-home map as the
-  // parallel "impl.rehome_keys" / "impl.rehome_bases" columns of the earlier
-  // layout are inserted into a fresh table.
+  // the first structural edit. A file in another layout fails on its missing
+  // section (DESIGN.md §13).
   skip_quadtree(persist::reader& r, net::network& net) : net_(&net), rng_(0), q_(r, "q") {
     std::size_t nmeta = 0;
     const auto* meta = r.array<std::uint64_t>("impl.meta", nmeta);
@@ -116,22 +115,7 @@ class skip_quadtree {
     std::istringstream iss(r.str("impl.rng"));
     iss >> rng_.engine();
     if (!iss) throw persist::error("snapshot: unreadable rng state");
-    if (r.has("impl.rehome")) {
-      rehome_ = persist::flat_table<std::uint32_t>(r, "impl.rehome");
-    } else {
-      std::size_t nkeys = 0;
-      std::size_t nbases = 0;
-      const auto* rh_keys = r.array<std::uint64_t>("impl.rehome_keys", nkeys);
-      const auto* rh_bases = r.array<std::uint32_t>("impl.rehome_bases", nbases);
-      if (nkeys != nbases) throw persist::error("snapshot: rehome tables disagree");
-      for (std::size_t i = 0; i < nkeys; ++i) {
-        // rehome_key's level half; also keeps flat_table's empty key out.
-        if ((rh_keys[i] >> 32) > static_cast<std::uint64_t>(levels_)) {
-          throw persist::error("snapshot: rehome key level out of range");
-        }
-        *rehome_.try_emplace(rh_keys[i]).first = rh_bases[i];
-      }
-    }
+    rehome_ = persist::flat_table<std::uint32_t>(r, "impl.rehome");
     anchors_ = r.pods<util::membership_bits>("impl.anchors");
     persist::restore_network(r, net, "net");
     if (anchors_.size() != net_->host_count()) {

@@ -26,20 +26,8 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return z ^ (z >> 31);
 }
 
-// One row per block slot of the block-row bucket layout (live or freed),
-// the layout before the owner table; only `host` is still read.
-struct block_row {
-  std::int32_t set_length = 0;
-  std::uint32_t host = 0;
-  std::uint64_t set_bits = 0;
-  std::uint32_t live = 0;
-  std::uint32_t item_count = 0;
-};
-static_assert(sizeof(block_row) == 24);
-
-// The policy word; block-row bucket files predate it.
+// The placement word, range-checked before the cast.
 skipweb_1d::placement placement_in(const persist::reader& r) {
-  if (!r.has("impl.policy")) return skipweb_1d::placement::bucket;
   const auto p = r.u64("impl.policy");
   if (p > 2) throw persist::error("snapshot: unknown placement policy");
   return static_cast<skipweb_1d::placement>(p);
@@ -150,19 +138,16 @@ skipweb_1d::skipweb_1d(persist::reader& r, net::network& net)
   std::istringstream iss(r.str("impl.rng"));
   iss >> rng_.engine();
   if (!iss) throw persist::error("snapshot: unreadable rng state");
-  const bool block_rows = !r.has("impl.policy");
-  if (!block_rows) {
-    if (policy_ == placement::bucket) {
-      std::size_t n = 0;
-      const auto* geometry = r.array<std::uint64_t>("impl.bucket", n);
-      if (n != 2) throw persist::error("snapshot: bucket geometry malformed");
-      restore_bucket_geometry(geometry[0], geometry[1]);
-    }
-    owner_ = r.pods<net::host_id>("impl.owner");
-    if (policy_ != placement::balanced &&
-        owner_.size() != lists_.arena_size() * static_cast<std::size_t>(strata_)) {
-      throw persist::error("snapshot: owner table disagrees with arena size");
-    }
+  if (policy_ == placement::bucket) {
+    std::size_t n = 0;
+    const auto* geometry = r.array<std::uint64_t>("impl.bucket", n);
+    if (n != 2) throw persist::error("snapshot: bucket geometry malformed");
+    restore_bucket_geometry(geometry[0], geometry[1]);
+  }
+  owner_ = r.pods<net::host_id>("impl.owner");
+  if (policy_ != placement::balanced &&
+      owner_.size() != lists_.arena_size() * static_cast<std::size_t>(strata_)) {
+    throw persist::error("snapshot: owner table disagrees with arena size");
   }
   root_item_ = r.pods<int>("impl.root_item");
   // Adopting the ledger grows the fresh network to the saved host count, so
@@ -170,41 +155,6 @@ skipweb_1d::skipweb_1d(persist::reader& r, net::network& net)
   persist::restore_network(r, net, "net");
   if (root_item_.size() != net_->host_count()) {
     throw persist::error("snapshot: root table disagrees with host count");
-  }
-  if (block_rows) restore_block_rows(r);
-}
-
-void skipweb_1d::restore_block_rows(persist::reader& r) {
-  // The block-row layout: geometry {M, L, B, strata} (L and B follow from
-  // M), one row per block slot, and a stratum-major block id per arena slot
-  // (-1 for erased items). Each alive item's owner is its block's host. The
-  // item stream, free list and basic levels are implied by these and not
-  // read.
-  std::size_t n = 0;
-  const auto* meta = r.array<std::uint64_t>("impl.meta", n);
-  if (n != 4) throw persist::error("snapshot: bucket meta malformed");
-  restore_bucket_geometry(meta[0], meta[3]);
-  std::size_t rows_n = 0, block_of_n = 0;
-  const auto* rows = r.array<block_row>("impl.blocks", rows_n);
-  const auto* block_of = r.array<std::int32_t>("impl.block_of", block_of_n);
-  const std::size_t arena = lists_.arena_size();
-  if (block_of_n != static_cast<std::size_t>(strata_) * arena) {
-    throw persist::error("snapshot: bucket block_of disagrees with arena size");
-  }
-  owner_.assign(arena * static_cast<std::size_t>(strata_), net::host_id{});
-  for (int s = 0; s < strata_; ++s) {
-    for (std::size_t i = 0; i < arena; ++i) {
-      if (!lists_.alive(static_cast<int>(i))) continue;
-      const std::int32_t b = block_of[static_cast<std::size_t>(s) * arena + i];
-      if (b < 0 || static_cast<std::size_t>(b) >= rows_n) {
-        throw persist::error("snapshot: bucket item names a missing block");
-      }
-      const std::uint32_t host = rows[b].host;
-      if (host >= net_->host_count()) {
-        throw persist::error("snapshot: bucket block host beyond the host count");
-      }
-      owner_at(static_cast<int>(i), s) = net::host_id{host};
-    }
   }
 }
 

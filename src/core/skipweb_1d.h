@@ -81,9 +81,8 @@ class skipweb_1d {
   // byte-identically to its never-persisted twin (DESIGN.md §13). The
   // arenas, the owner and root tables and the ledger come back as borrowed
   // views over the reader's blob (zero-copy in mmap mode) and materialize
-  // copy-on-first-write at the first splice or charge. Bucket files in the
-  // earlier block-row layout restore too, through one conversion into an
-  // owned owner table.
+  // copy-on-first-write at the first splice or charge. A file in another
+  // layout fails on its missing section (DESIGN.md §13).
   skipweb_1d(persist::reader& r, net::network& net);
 
   [[nodiscard]] std::size_t size() const { return lists_.size(); }
@@ -190,8 +189,7 @@ class skipweb_1d {
   // Bucket placement: the owner of (item, stratum s); the per-stratum memory
   // charge (node + 3 host refs per level of stratum s, plus the item at
   // s = 0); the build's cut of every basic-level list into runs of B items;
-  // one insert's join of stratum s's run, splitting it past 2B; and the
-  // conversion of a block-row file into the owner table.
+  // and one insert's join of stratum s's run, splitting it past 2B.
   [[nodiscard]] net::host_id& owner_at(int item, int s) {
     return owner_[static_cast<std::size_t>(item) * static_cast<std::size_t>(strata_) +
                   static_cast<std::size_t>(s)];
@@ -203,7 +201,6 @@ class skipweb_1d {
   void charge_stratum(int s, net::host_id host, std::int64_t sign);
   void place_runs();
   void join_run(int item, int s, net::cursor& cur);
-  void restore_block_rows(persist::reader& r);
   // Visit the up-to-(k+1) neighbours on each side whose replica lists a
   // splice/unsplice refreshed (dead ones cost their detection probe only).
   // No-op when replication is off.

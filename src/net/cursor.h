@@ -1,7 +1,7 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <utility>
 
 #include "net/network.h"
 #include "net/receipt.h"
@@ -89,59 +89,9 @@ class cursor {
   cursor(const cursor&) = delete;
   cursor& operator=(const cursor&) = delete;
 
-  // Movable so batch routers can keep cursors in vectors; the moved-from
-  // cursor is disarmed (its hops travel with the receipt, not duplicated).
-  cursor(cursor&& o) noexcept
-      : net_(std::exchange(o.net_, nullptr)),
-        at_(o.at_),
-        cache_(o.cache_),
-        absorb_window_(o.absorb_window_),
-        faults_(o.faults_),
-        loss_threshold_(o.loss_threshold_),
-        loss_seed_(o.loss_seed_),
-        lat_(o.lat_),
-        deadline_ns_(o.deadline_ns_),
-        avoid_threshold_(o.avoid_threshold_),
-        hop_serial_(o.hop_serial_),
-        sim_serial_(o.sim_serial_),
-        backoff_serial_(o.backoff_serial_),
-        sim_ns_(o.sim_ns_),
-        retries_(o.retries_),
-        failed_(o.failed_),
-        timed_out_(o.timed_out_),
-        degraded_(o.degraded_),
-        messages_(o.messages_),
-        absorbed_(o.absorbed_),
-        comparisons_(o.comparisons_),
-        receipt_(std::move(o.receipt_)) {}
-  cursor& operator=(cursor&& o) noexcept {
-    if (this != &o) {
-      settle();
-      net_ = std::exchange(o.net_, nullptr);
-      at_ = o.at_;
-      cache_ = o.cache_;
-      absorb_window_ = o.absorb_window_;
-      faults_ = o.faults_;
-      loss_threshold_ = o.loss_threshold_;
-      loss_seed_ = o.loss_seed_;
-      lat_ = o.lat_;
-      deadline_ns_ = o.deadline_ns_;
-      avoid_threshold_ = o.avoid_threshold_;
-      hop_serial_ = o.hop_serial_;
-      sim_serial_ = o.sim_serial_;
-      backoff_serial_ = o.backoff_serial_;
-      sim_ns_ = o.sim_ns_;
-      retries_ = o.retries_;
-      failed_ = o.failed_;
-      timed_out_ = o.timed_out_;
-      degraded_ = o.degraded_;
-      messages_ = o.messages_;
-      absorbed_ = o.absorbed_;
-      comparisons_ = o.comparisons_;
-      receipt_ = std::move(o.receipt_);
-    }
-    return *this;
-  }
+  // Move-constructible so batch routers can keep cursors in vectors. A
+  // moved-from cursor commits nothing: traffic_receipt's move empties it.
+  cursor(cursor&&) = default;
 
   // Hop to `h`. A hop to the current host is free (local pointer chase).
   // With a hop cache attached, a hop to a replicated host inside the

@@ -255,10 +255,6 @@ reader::reader(const std::string& path, restore_mode mode) : mode_(mode) {
   }
 }
 
-bool reader::has(std::string_view name) const {
-  return sections_.find(section_id(name)) != sections_.end();
-}
-
 reader::view reader::section(std::string_view name) const {
   const auto it = sections_.find(section_id(name));
   if (it == sections_.end()) fail("missing section '" + std::string(name) + "'");

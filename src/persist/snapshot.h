@@ -139,7 +139,6 @@ class reader {
   reader(const std::string& path, restore_mode mode);
 
   [[nodiscard]] restore_mode mode() const { return mode_; }
-  [[nodiscard]] bool has(std::string_view name) const;
 
   struct view {
     const void* data = nullptr;

@@ -14,6 +14,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -903,59 +906,12 @@ TEST(Persist, HostileHostCountsRejected) {
   EXPECT_THROW((void)api::restore_index(ok, persist::restore_mode::map, big), persist::error);
 }
 
-// --- layer 4e: link pools in the half-link layout -----------------------------
+// --- layer 4e: skipweb_1d snapshots -------------------------------------------
 //
-// A link is a bare 4-byte slot in "lists.next"/"lists.prev" and the replica
-// lists "lists.next_rep"/"lists.prev_rep". Files from before hold each link
-// as a 16-byte record — the slot, padding and a copy of the neighbour's key
-// — under "lists.fwd"/"lists.bwd"/"lists.fwd_rep"/"lists.bwd_rep". They
-// restore through one conversion into owned pools that checks every slot.
-
-struct half_link {
-  std::int32_t to = -1;
-  std::uint32_t pad = 0;
-  std::uint64_t key = 0;
-};
-static_assert(sizeof(half_link) == 16);
-
-const std::vector<std::pair<std::string, std::string>> kLinkSectionRenames = {
-    {"lists.next", "lists.fwd"},
-    {"lists.prev", "lists.bwd"},
-    {"lists.next_rep", "lists.fwd_rep"},
-    {"lists.prev_rep", "lists.bwd_rep"}};
-
-// `names` with the link sections under their half-link names.
-std::vector<std::string> half_link_names(std::vector<std::string> names) {
-  for (auto& name : names) {
-    for (const auto& [now, before] : kLinkSectionRenames) {
-      if (name == now) name = before;
-    }
-  }
-  return names;
-}
-
-// The four link sections of `from`, rewritten as half-link records that
-// carry the neighbour's true key, as older files hold them.
-std::vector<section_bytes> half_link_sections(const std::string& from) {
-  persist::reader r(from, persist::restore_mode::load);
-  const auto keys = r.vec<std::uint64_t>("lists.keys");
-  std::vector<section_bytes> out;
-  for (const auto& [now, before] : kLinkSectionRenames) {
-    std::vector<half_link> records;
-    for (const auto to : r.vec<std::int32_t>(now)) {
-      records.push_back({to, 0, to >= 0 ? keys.at(static_cast<std::size_t>(to)) : 0});
-    }
-    out.push_back(section_of(before, records));
-  }
-  return out;
-}
-
-// Rewrites a current file (whose sections `names` lists) into the half-link
-// layout; every other section is copied as it is.
-void rewrite_links_as_half_links(const std::string& from, const std::string& to,
-                                 const std::vector<std::string>& names) {
-  rewrite_sections(from, to, half_link_names(names), half_link_sections(from));
-}
+// One layout per structure (DESIGN.md §13): a link is a bare 4-byte slot in
+// "lists.next"/"lists.prev" and the replica lists "lists.next_rep"/
+// "lists.prev_rep", and the placement is the "impl.policy" word plus one
+// owner table. These tests restore the saved file itself.
 
 std::vector<std::string> skipweb1d_sections(bool bucket) {
   auto names = kSkipweb1dSections;
@@ -993,7 +949,17 @@ saved_index churned_snapshot(const std::string& backend, const api::index_option
   return {std::move(idx), std::move(path)};
 }
 
-TEST(Persist, SkipwebFilesWithHalfLinksRestore) {
+// A saved bucket_skipweb (M = 8), churned as churned_snapshot does.
+saved_index churned_bucket_snapshot(network& net, std::vector<std::uint64_t>& keys) {
+  return churned_snapshot("bucket_skipweb",
+                          api::index_options{}.seed(12).initial_hosts(8).bucket_size(8), net, keys);
+}
+
+// Every skipweb_1d placement restored from a churned file — freed arena
+// slots, replica lists, split bucket runs — must serve probes and ranges,
+// take routed inserts and erases, and route around dead hosts exactly like
+// the index that saved it, in both modes.
+TEST(Persist, RestoredSkipwebPlacementsServeAndMutate) {
   const auto base = api::index_options{}.seed(14).initial_hosts(8);
   struct file_case {
     const char* what;
@@ -1011,22 +977,16 @@ TEST(Persist, SkipwebFilesWithHalfLinksRestore) {
     network net_o(1);
     std::vector<std::uint64_t> keys;
     const auto [orig, path] = churned_snapshot(c.backend, c.opts, net_o, keys);
-    const auto old = snap_path("half_links");
-    rewrite_links_as_half_links(path, old, skipweb1d_sections(c.backend == "bucket_skipweb"));
     {
-      // A reader that knows only the half-link names finds none in a new file.
       const persist::reader rd(path, persist::restore_mode::load);
-      EXPECT_THROW((void)rd.section("lists.fwd"), persist::error);
-      const persist::reader rd_old(old, persist::restore_mode::load);
-      ASSERT_FALSE(rd_old.has("lists.next"));
-      ASSERT_FALSE(rd_old.vec<int>("lists.free").empty());
+      ASSERT_FALSE(rd.vec<int>("lists.free").empty());
       if (c.opts.replication() > 0) {
-        ASSERT_FALSE(rd_old.vec<half_link>("lists.fwd_rep").empty());
+        ASSERT_FALSE(rd.vec<std::int32_t>("lists.next_rep").empty());
       }
     }
     network net_l(1), net_m(1);
-    const auto twin_l = api::restore_index(old, persist::restore_mode::load, net_l);
-    const auto twin_m = api::restore_index(old, persist::restore_mode::map, net_m);
+    const auto twin_l = api::restore_index(path, persist::restore_mode::load, net_l);
+    const auto twin_m = api::restore_index(path, persist::restore_mode::map, net_m);
     const std::vector<std::pair<api::distributed_index*, network*>> twins = {
         {twin_l.get(), &net_l}, {twin_m.get(), &net_m}};
     const auto probe_all = [&](const char* when) {
@@ -1075,192 +1035,66 @@ TEST(Persist, SkipwebFilesWithHalfLinksRestore) {
   }
 }
 
-TEST(Persist, HostileHalfLinkFilesRejected) {
+// "lists.meta" holds {levels, stride, replication, next uid, alive count,
+// alive hint}, the hint saved as its int64 value. The words are compared as
+// u64 before they are narrowed: a levels word past 32 bits must not pass as
+// its low half, and the hint must be "none" (2^64 - 1) or an arena slot,
+// because any_alive() indexes the arena with it. The pools' record counts
+// are checked against the meta too.
+TEST(Persist, HostileListsMetaRejected) {
   network net_o(1);
   std::vector<std::uint64_t> keys;
   const auto src = churned_snapshot(
       "skipweb1d", api::index_options{}.seed(15).initial_hosts(8).replication(2), net_o, keys);
   const auto names = skipweb1d_sections(false);
-  const auto old_names = half_link_names(names);
-  const auto old = snap_path("half_links");
-  rewrite_links_as_half_links(src.path, old, names);
-  // The control: the half-link copy restores.
+  persist::reader rd(src.path, persist::restore_mode::load);
+  const auto meta = rd.vec<std::uint64_t>("lists.meta");
+  const std::uint64_t arena = rd.vec<std::uint64_t>("lists.keys").size();
+  ASSERT_EQ(meta.size(), 6u);
+  const auto with_word = [&](std::size_t i, std::uint64_t v) {
+    auto m = meta;
+    m[i] = v;
+    return section_of("lists.meta", m);
+  };
+
+  // The control: a copy whose hint is "none" restores and serves.
+  const auto ok = snap_path("ok");
+  rewrite_sections(src.path, ok, names, {with_word(5, ~std::uint64_t{0})});
   for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
     network net(1);
-    EXPECT_EQ(api::restore_index(old, mode, net)->size(), 480u);
+    const auto twin = api::restore_index(ok, mode, net);
+    EXPECT_EQ(twin->size(), 480u);
     expect_same_ledger(net_o, net, "control");
+    const auto a = src.idx->nearest(keys[100], h(3));
+    const auto b = twin->nearest(keys[100], h(3));
+    EXPECT_EQ(a.pred, b.pred);
+    EXPECT_EQ(a.stats, b.stats);
   }
-  persist::reader rd(old, persist::restore_mode::load);
-  const auto arena = static_cast<std::int32_t>(rd.vec<std::uint64_t>("lists.keys").size());
-  const auto fwd = rd.vec<half_link>("lists.fwd");
-  const auto bwd = rd.vec<half_link>("lists.bwd");
-  const auto fwd_rep = rd.vec<half_link>("lists.fwd_rep");
-  const auto with_slot = [](std::vector<half_link> v, std::size_t i, std::int32_t to) {
-    v.at(i).to = to;
-    return v;
-  };
+
+  const auto next = rd.vec<std::int32_t>("lists.next");
   const std::vector<std::pair<std::string, section_bytes>> hostile = {
-      {"a forward slot at the arena size", section_of("lists.fwd", with_slot(fwd, 5, arena))},
-      {"a backward slot below -1", section_of("lists.bwd", with_slot(bwd, 7, -2))},
-      {"a replica slot past the arena",
-       section_of("lists.fwd_rep", with_slot(fwd_rep, 3, arena + 9))},
-      {"one forward record short",
-       section_of("lists.fwd", std::vector<half_link>(fwd.begin(), fwd.end() - 1))}};
+      {"levels 2^32 + levels", with_word(0, (std::uint64_t{1} << 32) + meta[0])},
+      {"hint at the arena size", with_word(5, arena)},
+      {"hint 2^30", with_word(5, std::uint64_t{1} << 30)},
+      {"one next slot short",
+       section_of("lists.next", std::vector<std::int32_t>(next.begin(), next.end() - 1))}};
   for (const auto& [what, replaced] : hostile) {
     const auto bad = snap_path("bad");
-    rewrite_sections(old, bad, old_names, {replaced});
+    rewrite_sections(src.path, bad, names, {replaced});
     expect_index_rejected(bad, what);
   }
-  // The current layout checks its record counts too.
-  persist::reader cur(src.path, persist::restore_mode::load);
-  const auto next = cur.vec<std::int32_t>("lists.next");
-  const auto bad = snap_path("bad_next");
-  const std::vector<std::int32_t> short_next(next.begin(), next.end() - 1);
-  rewrite_sections(src.path, bad, names, {section_of("lists.next", short_next)});
-  expect_index_rejected(bad, "one next slot short");
 }
 
-// --- layer 4f: rewritten bucket skip-web snapshots ---------------------------
+// --- layer 4f: bucket skip-web snapshots --------------------------------------
 //
 // A bucket_skipweb file holds the §2.4.1 placement as one owner table (a
 // host per arena slot and stratum) plus the geometry {M, strata} in
-// "impl.bucket". Files from before the owner table hold it as block rows
-// instead; rewrite_bucket_as_blocks writes that layout from a current file.
-
-const std::vector<std::string> kBlockRowSections = {
-    "meta.backend", "meta.index_kind", "meta.n", "lists.meta", "lists.keys", "lists.bits",
-    "lists.uids", "lists.redirect", "lists.alive", "lists.fwd", "lists.bwd", "lists.fwd_rep",
-    "lists.bwd_rep", "lists.free", "impl.meta", "impl.rng", "impl.basic_levels", "impl.blocks",
-    "impl.block_items", "impl.free_blocks", "impl.block_of", "impl.root_item", "net.host_count",
-    "net.memory_rows"};
-
-// One "impl.blocks" row of the block-row layout.
-struct block_row {
-  std::int32_t set_length = 0;
-  std::uint32_t host = 0;
-  std::uint64_t set_bits = 0;
-  std::uint32_t live = 0;
-  std::uint32_t item_count = 0;
-};
-static_assert(sizeof(block_row) == 24);
-
-// Rewrites a bucket_skipweb file into the block-row layout: every maximal
-// same-host run of a basic-level list becomes one live block row, in the
-// order the build cuts them, and every third row is preceded by a freed
-// slot, as erases leave them. Block-row files predate the slot links, so
-// the links are written as half-links too.
-void rewrite_bucket_as_blocks(const std::string& from, const std::string& to) {
-  persist::reader r(from, persist::restore_mode::load);
-  const core::level_lists lists(r, "lists");
-  const auto geometry = r.vec<std::uint64_t>("impl.bucket");
-  const auto owner = r.vec<host_id>("impl.owner");
-  const std::uint64_t M = geometry.at(0), strata = geometry.at(1);
-  const auto L = static_cast<int>(std::bit_width(M - 1));
-  const std::uint64_t B = std::max<std::uint64_t>(2, M / static_cast<std::uint64_t>(L));
-  const std::size_t arena = lists.arena_size();
-  const auto owner_of = [&](int item, std::size_t s) { return owner[item * strata + s]; };
-  std::vector<block_row> rows;
-  std::vector<int> items, free_blocks, basic_levels;
-  std::vector<std::int32_t> block_of(strata * arena, -1);
-  for (std::size_t s = 0; s < strata; ++s) {
-    const int bl = static_cast<int>(s) * L;
-    basic_levels.push_back(bl);
-    for (int i = 0; i < static_cast<int>(arena); ++i) {
-      if (!lists.alive(i) || lists.prev(i, bl) >= 0) continue;
-      for (int x = i; x >= 0; x = lists.next(x, bl)) {
-        const int pv = lists.prev(x, bl);
-        if (pv < 0 || owner_of(pv, s) != owner_of(x, s)) {
-          if (rows.size() % 3 == 2) {
-            free_blocks.push_back(static_cast<int>(rows.size()));
-            rows.push_back({});
-          }
-          const auto set = lists.prefix(x, bl);
-          rows.push_back({set.length, owner_of(x, s).value, set.bits, 1, 0});
-        }
-        ++rows.back().item_count;
-        items.push_back(x);
-        block_of[s * arena + static_cast<std::size_t>(x)] =
-            static_cast<std::int32_t>(rows.size() - 1);
-      }
-    }
-  }
-  const std::vector<std::uint64_t> meta = {M, static_cast<std::uint64_t>(L), B, strata};
-  auto replaced = half_link_sections(from);
-  replaced.insert(replaced.end(),
-                  {section_of("impl.meta", meta), section_of("impl.basic_levels", basic_levels),
-                   section_of("impl.blocks", rows), section_of("impl.block_items", items),
-                   section_of("impl.free_blocks", free_blocks),
-                   section_of("impl.block_of", block_of)});
-  rewrite_sections(from, to, kBlockRowSections, replaced);
-}
-
-// A saved bucket_skipweb (M = 8), churned as churned_snapshot does.
-std::string churned_bucket_snapshot(network& net, std::vector<std::uint64_t>& keys) {
-  return churned_snapshot("bucket_skipweb",
-                          api::index_options{}.seed(12).initial_hosts(8).bucket_size(8), net, keys)
-      .path;
-}
-
-TEST(Persist, BucketFilesWithBlockRowsRestore) {
-  network net_o(1);
-  std::vector<std::uint64_t> keys;
-  const auto path = churned_bucket_snapshot(net_o, keys);
-  const auto old = snap_path("blocks");
-  rewrite_bucket_as_blocks(path, old);
-  {
-    const persist::reader rd(old, persist::restore_mode::load);
-    ASSERT_FALSE(rd.has("impl.owner"));
-    ASSERT_FALSE(rd.has("impl.policy"));
-    ASSERT_FALSE(rd.vec<int>("impl.free_blocks").empty());
-    ASSERT_FALSE(rd.vec<int>("lists.free").empty());
-  }
-  network net_s(1), net_l(1), net_m(1);
-  const auto saved = api::restore_index(path, persist::restore_mode::load, net_s);
-  const auto twin_l = api::restore_index(old, persist::restore_mode::load, net_l);
-  const auto twin_m = api::restore_index(old, persist::restore_mode::map, net_m);
-  const std::vector<std::pair<api::distributed_index*, network*>> twins = {
-      {twin_l.get(), &net_l}, {twin_m.get(), &net_m}};
-  const auto probe_all = [&](const char* when) {
-    rng pr(8181);
-    std::uint32_t origin = 0;
-    for (const auto q : wl::probe_keys(keys, 80, pr)) {
-      const auto o = h(origin);
-      origin = static_cast<std::uint32_t>((origin + 7) % net_s.host_count());
-      const auto na = saved->nearest(q, o);
-      const auto ra = saved->range(q, q + (std::uint64_t{1} << 58), o, 20);
-      for (const auto& [twin, net] : twins) {
-        const auto nb = twin->nearest(q, o);
-        ASSERT_EQ(na.pred, nb.pred) << when << " " << q;
-        ASSERT_EQ(na.succ, nb.succ) << when << " " << q;
-        ASSERT_EQ(na.stats, nb.stats) << when << " " << q;
-        const auto rb = twin->range(q, q + (std::uint64_t{1} << 58), o, 20);
-        ASSERT_EQ(ra.value, rb.value) << when << " " << q;
-        ASSERT_EQ(ra.stats, rb.stats) << when << " " << q;
-      }
-    }
-    for (const auto& [twin, net] : twins) {
-      ASSERT_EQ(net->host_count(), net_s.host_count()) << when;
-      expect_same_ledger(net_s, *net, when);
-    }
-  };
-  probe_all("restore");
-  // 60 insert+erase pairs: held-out keys in, built keys out.
-  for (std::uint32_t i = 0; i < 60; ++i) {
-    const auto o = h(i % 16);
-    const auto sa = saved->insert(keys[540 + i], o);
-    const auto ea = saved->erase(keys[i * 3 + 1], o);
-    for (const auto& [twin, net] : twins) {
-      ASSERT_EQ(sa, twin->insert(keys[540 + i], o)) << "insert " << i;
-      ASSERT_EQ(ea, twin->erase(keys[i * 3 + 1], o)) << "erase " << i;
-    }
-  }
-  probe_all("after mutations");
-}
+// "impl.bucket".
 
 TEST(Persist, HostileBucketFilesRejected) {
   network net_o(1);
   std::vector<std::uint64_t> keys;
-  const auto path = churned_bucket_snapshot(net_o, keys);
+  const auto path = churned_bucket_snapshot(net_o, keys).path;
   persist::reader src(path, persist::restore_mode::load);
   const auto geometry = src.vec<std::uint64_t>("impl.bucket");
   const auto owner = src.vec<host_id>("impl.owner");
@@ -1268,20 +1102,16 @@ TEST(Persist, HostileBucketFilesRejected) {
   const auto levels = static_cast<std::uint64_t>(src.vec<std::uint64_t>("lists.meta").at(0));
   const auto L = static_cast<std::uint64_t>(std::bit_width(M - 1));
 
-  // The controls: an unmodified copy restores in either layout.
+  // The control: an unmodified copy restores.
   const auto ok = snap_path("ok");
   rewrite_sections(path, ok, skipweb1d_sections(/*bucket=*/true), {});
-  const auto ok_rows = snap_path("ok_rows");
-  rewrite_bucket_as_blocks(path, ok_rows);
-  for (const auto& file : {ok, ok_rows}) {
-    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
-      network net(1);
-      EXPECT_EQ(api::restore_index(file, mode, net)->size(), 480u);
-      expect_same_ledger(net_o, net, "control");
-    }
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    EXPECT_EQ(api::restore_index(ok, mode, net)->size(), 480u);
+    expect_same_ledger(net_o, net, "control");
   }
 
-  // Owner-table files: each breaks one field.
+  // Each file breaks one field.
   const auto too_many = levels / L + 2;  // basic level (too_many - 1)·L is past the top
   const std::vector<std::pair<std::string, std::vector<section_bytes>>> hostile = {
       {"owner table one entry short",
@@ -1306,28 +1136,6 @@ TEST(Persist, HostileBucketFilesRejected) {
     rewrite_sections(path, bad, skipweb1d_sections(/*bucket=*/true), replaced);
     expect_index_rejected(bad, what);
   }
-
-  // Block-row files: an alive item naming a block past the rows, and a
-  // block whose host is past the host count.
-  persist::reader rows_src(ok_rows, persist::restore_mode::load);
-  const auto lists_alive = rows_src.vec<std::uint8_t>("lists.alive");
-  auto block_of = rows_src.vec<std::int32_t>("impl.block_of");
-  auto rows = rows_src.vec<block_row>("impl.blocks");
-  const auto first_alive = static_cast<std::size_t>(
-      std::find(lists_alive.begin(), lists_alive.end(), 1) - lists_alive.begin());
-  ASSERT_LT(first_alive, lists_alive.size());
-  const auto victim = static_cast<std::size_t>(block_of.at(first_alive));
-  auto past_rows = block_of;
-  past_rows[first_alive] = static_cast<std::int32_t>(rows.size());
-  rows[victim].host = static_cast<std::uint32_t>(net_o.host_count());
-  const std::vector<std::pair<std::string, section_bytes>> hostile_rows = {
-      {"block id past the rows", section_of("impl.block_of", past_rows)},
-      {"block host past the host count", section_of("impl.blocks", rows)}};
-  for (const auto& [what, replaced] : hostile_rows) {
-    const auto bad = snap_path("bad_rows");
-    rewrite_sections(ok_rows, bad, kBlockRowSections, {replaced});
-    expect_index_rejected(bad, what);
-  }
 }
 
 // --- layer 4g: rewritten skip quadtree snapshots ----------------------------
@@ -1336,23 +1144,16 @@ TEST(Persist, HostileBucketFilesRejected) {
 // replace or add some sections.
 
 // Every section name of a skip_quadtree2/3 file over levels 0..`levels`.
-// With `rows`, the names of the layout before the flat tables: each level's
-// directory as "q.lvN.trees" rows and the re-home map as two columns.
-std::vector<std::string> quadtree_sections(std::uint64_t levels, bool rows) {
+std::vector<std::string> quadtree_sections(std::uint64_t levels) {
   std::vector<std::string> names = {"meta.backend", "meta.index_kind", "meta.n", "q.meta",
                                     "q.pts",        "q.pbits",         "q.pfree"};
   for (std::uint64_t l = 0; l <= levels; ++l) {
-    for (const char* s : {".live_nodes", ".child", ".parent", ".down", ".occupied", ".alive",
-                          ".free", rows ? ".trees" : ".dir"}) {
+    for (const char* s :
+         {".live_nodes", ".child", ".parent", ".down", ".occupied", ".alive", ".free", ".dir"}) {
       names.push_back("q.lv" + std::to_string(l) + s);
     }
   }
-  if (rows) {
-    names.insert(names.end(), {"impl.rehome_keys", "impl.rehome_bases"});
-  } else {
-    names.emplace_back("impl.rehome");
-  }
-  for (const char* s : {"impl.meta", "impl.rng", "impl.anchors", "net.host_count",
+  for (const char* s : {"impl.rehome", "impl.meta", "impl.rng", "impl.anchors", "net.host_count",
                         "net.memory_rows"}) {
     names.emplace_back(s);
   }
@@ -1365,69 +1166,33 @@ std::uint64_t quadtree_levels(const std::string& path) {
 
 void rewrite_quadtree(const std::string& from, const std::string& to,
                       const std::vector<section_bytes>& replaced) {
-  rewrite_sections(from, to, quadtree_sections(quadtree_levels(from), false), replaced);
+  rewrite_sections(from, to, quadtree_sections(quadtree_levels(from)), replaced);
 }
 
-// Rewrites a skip_quadtree file (D dimensions) into the layout before the
-// flat tables, each table's entries becoming rows in slot order; `replaced`
-// then overrides or adds sections as for rewrite_quadtree.
-template <int D>
-void rewrite_quadtree_as_rows(const std::string& from, const std::string& to,
-                              const std::vector<section_bytes>& replaced = {}) {
-  using arena = core::quad_levels<D>;
-  const persist::reader r(from, persist::restore_mode::load);
-  const auto levels = quadtree_levels(from);
-  std::vector<section_bytes> rows;
-  for (std::uint64_t l = 0; l <= levels; ++l) {
-    const std::string lp = "q.lv" + std::to_string(l);
-    std::vector<typename arena::tree_row> trees;
-    persist::flat_table<typename arena::tree_ref>(r, lp + ".dir")
-        .visit([&](std::uint64_t prefix, const typename arena::tree_ref& tr) {
-          trees.push_back({prefix, tr.root, tr.points});
-          return true;
-        });
-    rows.push_back(section_of(lp + ".trees", trees));
-  }
-  std::vector<std::uint64_t> keys;
-  std::vector<std::uint32_t> bases;
-  persist::flat_table<std::uint32_t>(r, "impl.rehome").visit([&](std::uint64_t k, std::uint32_t b) {
-    keys.push_back(k);
-    bases.push_back(b);
-    return true;
-  });
-  rows.push_back(section_of("impl.rehome_keys", keys));
-  rows.push_back(section_of("impl.rehome_bases", bases));
-  for (const auto& s : replaced) {
-    const auto it = std::find_if(rows.begin(), rows.end(),
-                                 [&](const section_bytes& o) { return o.name == s.name; });
-    if (it != rows.end()) {
-      *it = s;
-    } else {
-      rows.push_back(s);
-    }
-  }
-  rewrite_sections(from, to, quadtree_sections(levels, true), rows);
-}
+struct saved_spatial_index {
+  std::unique_ptr<api::spatial_index> idx;
+  std::string path;
+};
 
 // A saved skip_quadtree2/3 whose arenas hold erase-freed slots.
-std::string churned_quadtree_snapshot(const std::string& backend, network& net) {
+saved_spatial_index churned_quadtree_snapshot(const std::string& backend, network& net) {
   rng r(7070);
   const auto pts = wl::spatial_points(api::spatial_backend_dims(backend), 300, true, r);
-  const auto idx = api::make_spatial_index(
+  auto idx = api::make_spatial_index(
       backend, std::vector<api::spatial_point>(pts.begin(), pts.begin() + 240),
       api::index_options{}.seed(8).initial_hosts(16), net);
   for (std::uint32_t i = 0; i < 60; ++i) {
     idx->insert(pts[240 + i], h(i % 16));
     idx->erase(pts[i * 3], h((i * 5) % 16));
   }
-  const auto path = snap_path("source_" + backend);
+  auto path = snap_path("source_" + backend);
   api::save_spatial_snapshot(*idx, path);
-  return path;
+  return {std::move(idx), std::move(path)};
 }
 
 TEST(Persist, HostileQuadtreeMetaRejected) {
   network net_o(1);
-  const auto path = churned_quadtree_snapshot("skip_quadtree2", net_o);
+  const auto path = churned_quadtree_snapshot("skip_quadtree2", net_o).path;
   persist::reader src(path, persist::restore_mode::load);
   const auto qmeta = src.vec<std::uint64_t>("q.meta");
   const auto levels = qmeta.at(0);
@@ -1472,34 +1237,16 @@ TEST(Persist, HostileQuadtreeMetaRejected) {
       EXPECT_THROW((void)api::restore_spatial_index(bad, mode, net), persist::error) << i;
     }
   }
-
-  // The same checks on files in the layout before the flat tables: no
-  // ground-tree row, a prefix longer than its level, and a re-home key whose
-  // level half is out of range.
-  using tree_row = core::quad_levels<2>::tree_row;
-  const std::vector<std::vector<section_bytes>> hostile_rows = {
-      {section_of("q.lv0.trees", std::vector<tree_row>{})},
-      {section_of("q.lv1.trees", std::vector<tree_row>{{4, 0, 1}})},
-      {section_of("impl.rehome_keys", std::vector<std::uint64_t>{~std::uint64_t{0}}),
-       section_of("impl.rehome_bases", std::vector<std::uint32_t>{2})}};
-  for (std::size_t i = 0; i < hostile_rows.size(); ++i) {
-    const auto bad = snap_path("bad_rows");
-    rewrite_quadtree_as_rows<2>(path, bad, hostile_rows[i]);
-    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
-      network net(1);
-      EXPECT_THROW((void)api::restore_spatial_index(bad, mode, net), persist::error) << i;
-    }
-  }
 }
 
 TEST(Persist, QuadtreeFilesWithBoxSectionsRestore) {
   // Earlier files also stored every node's cube in a per-level
-  // "q.lvN.box" section. The reader does not read those sections; filling
-  // them with garbage shows that nothing depends on them.
+  // "q.lvN.box" section. The reader ignores sections it does not name;
+  // filling these with garbage shows that nothing depends on them.
   for (const std::string backend : {"skip_quadtree2", "skip_quadtree3"}) {
     SCOPED_TRACE(backend);
     network net_o(1);
-    const auto path = churned_quadtree_snapshot(backend, net_o);
+    const auto path = churned_quadtree_snapshot(backend, net_o).path;
     const std::size_t cube_bytes = backend == "skip_quadtree2" ? sizeof(seq::qcube<2>)
                                                                : sizeof(seq::qcube<3>);
     persist::reader src(path, persist::restore_mode::load);
@@ -1532,47 +1279,47 @@ TEST(Persist, QuadtreeFilesWithBoxSectionsRestore) {
 }
 
 // A replicated skip_quadtree2/3 whose repair re-homed records before the
-// save, so its "impl.rehome" table is not empty.
-std::string rehomed_quadtree_snapshot(const std::string& backend, network& net) {
+// save, so its "impl.rehome" table is not empty. The killed hosts come back
+// after the save: a twin's fresh network has every host alive, and so does
+// the saving index's from then on.
+saved_spatial_index rehomed_quadtree_snapshot(const std::string& backend, network& net) {
   rng r(7272);
   const auto pts = wl::spatial_points(api::spatial_backend_dims(backend), 300, true, r);
-  const auto idx = api::make_spatial_index(
+  auto idx = api::make_spatial_index(
       backend, pts, api::index_options{}.seed(9).initial_hosts(16).replication(1), net);
-  for (const std::uint32_t dead : {3u, 7u, 12u}) net.kill_host(h(dead));
+  constexpr std::uint32_t dead[] = {3, 7, 12};
+  for (const auto d : dead) net.kill_host(h(d));
   EXPECT_GT(fault::repair_to_quiescence(*idx, h(0)).repaired, 0u);
-  const auto path = snap_path("rehomed_" + backend);
+  auto path = snap_path("rehomed_" + backend);
   api::save_spatial_snapshot(*idx, path);
-  return path;
+  for (const auto d : dead) net.revive_host(h(d));
+  return {std::move(idx), std::move(path)};
 }
 
-TEST(Persist, QuadtreeFilesWithTreeRowsRestore) {
-  // Files from before the flat tables hold each level's directory as
-  // "q.lvN.trees" rows and the re-home map as two columns. They restore by
-  // inserting the rows into fresh tables, and must then serve, mutate and
-  // charge exactly like the file they were rewritten from.
+// A restored skip quadtree — churned arenas, and a non-empty re-home table —
+// must serve, mutate and charge exactly like the index that saved it, in
+// both modes.
+TEST(Persist, RestoredQuadtreeServesAndMutates) {
   for (const std::string backend : {"skip_quadtree2", "skip_quadtree3"}) {
     for (const bool rehomed : {false, true}) {
       SCOPED_TRACE(backend + (rehomed ? " with re-homed records" : ""));
       const int dims = api::spatial_backend_dims(backend);
       network net_o(1);
-      const auto path = rehomed ? rehomed_quadtree_snapshot(backend, net_o)
-                                : churned_quadtree_snapshot(backend, net_o);
-      const auto old = snap_path("rows");
-      if (dims == 2) {
-        rewrite_quadtree_as_rows<2>(path, old);
-      } else {
-        rewrite_quadtree_as_rows<3>(path, old);
-      }
+      const auto [orig, path] = rehomed ? rehomed_quadtree_snapshot(backend, net_o)
+                                        : churned_quadtree_snapshot(backend, net_o);
       {
-        const persist::reader rd(old, persist::restore_mode::load);
-        ASSERT_FALSE(rd.has("q.lv0.dir"));
-        ASSERT_FALSE(rd.has("impl.rehome"));
-        ASSERT_EQ(rd.vec<std::uint64_t>("impl.rehome_keys").empty(), !rehomed);
+        const persist::reader rd(path, persist::restore_mode::load);
+        std::size_t rehomes = 0;
+        persist::flat_table<std::uint32_t>(rd, "impl.rehome")
+            .visit([&](std::uint64_t, std::uint32_t) {
+              ++rehomes;
+              return true;
+            });
+        ASSERT_EQ(rehomes == 0, !rehomed);
       }
-      network net_s(1), net_l(1), net_m(1);
-      const auto saved = api::restore_spatial_index(path, persist::restore_mode::load, net_s);
-      const auto twin_l = api::restore_spatial_index(old, persist::restore_mode::load, net_l);
-      const auto twin_m = api::restore_spatial_index(old, persist::restore_mode::map, net_m);
+      network net_l(1), net_m(1);
+      const auto twin_l = api::restore_spatial_index(path, persist::restore_mode::load, net_l);
+      const auto twin_m = api::restore_spatial_index(path, persist::restore_mode::map, net_m);
       const std::vector<std::pair<api::spatial_index*, network*>> twins = {
           {twin_l.get(), &net_l}, {twin_m.get(), &net_m}};
       const auto probe_all = [&](const char* when) {
@@ -1580,8 +1327,8 @@ TEST(Persist, QuadtreeFilesWithTreeRowsRestore) {
         for (int i = 0; i < 60; ++i) {
           const auto q = wl::spatial_probe(dims, pr);
           const auto o = h(static_cast<std::uint32_t>(i % 16));
-          const auto la = saved->locate(q, o);
-          const auto na = saved->approx_nn(q, o);
+          const auto la = orig->locate(q, o);
+          const auto na = orig->approx_nn(q, o);
           for (const auto& [twin, net] : twins) {
             const auto lb = twin->locate(q, o);
             ASSERT_EQ(la.found, lb.found) << when << " " << i;
@@ -1593,7 +1340,7 @@ TEST(Persist, QuadtreeFilesWithTreeRowsRestore) {
             ASSERT_EQ(na.stats, nb.stats) << when << " " << i;
           }
         }
-        for (const auto& [twin, net] : twins) expect_same_ledger(net_s, *net, when);
+        for (const auto& [twin, net] : twins) expect_same_ledger(net_o, *net, when);
       };
       probe_all("restore");
       // 60 insert+erase pairs: fresh points in, stored points out.
@@ -1601,14 +1348,14 @@ TEST(Persist, QuadtreeFilesWithTreeRowsRestore) {
       for (int d = 0; d < dims; ++d) {
         everything.hi.x[static_cast<std::size_t>(d)] = seq::coord_span - 1;
       }
-      const auto stored = saved->orthogonal_range(everything, h(0), 0).value;
+      const auto stored = orig->orthogonal_range(everything, h(0), 0).value;
       ASSERT_GE(stored.size(), 120u);
       rng ir(7373);
       for (std::size_t i = 0; i < 60; ++i) {
         const auto o = h(static_cast<std::uint32_t>(i % 16));
         const auto p = wl::spatial_probe(dims, ir);
-        const auto sa = saved->insert(p, o);
-        const auto ea = saved->erase(stored[i * 2], o);
+        const auto sa = orig->insert(p, o);
+        const auto ea = orig->erase(stored[i * 2], o);
         for (const auto& [twin, net] : twins) {
           ASSERT_EQ(sa, twin->insert(p, o)) << "insert " << i;
           ASSERT_EQ(ea, twin->erase(stored[i * 2], o)) << "erase " << i;
@@ -1616,6 +1363,247 @@ TEST(Persist, QuadtreeFilesWithTreeRowsRestore) {
       }
       probe_all("after mutations");
     }
+  }
+}
+
+// --- layer 4h: retired layouts ------------------------------------------------
+//
+// A layout change renames every section whose bytes change meaning, so a
+// file in a retired layout lacks a section the reader needs and fails on
+// it, in both modes, naming that section; it is rebuilt, never converted
+// (DESIGN.md §13). Each retired layout is built here by renaming the current
+// sections it replaced.
+
+// Copies `from` to `to` with each {current, retired} pair of `renames`
+// written under its retired name.
+void rename_sections(const std::string& from, const std::string& to,
+                     std::vector<std::string> names,
+                     const std::vector<std::pair<std::string, std::string>>& renames) {
+  const persist::reader r(from, persist::restore_mode::load);
+  std::vector<section_bytes> moved;
+  for (const auto& [current, retired] : renames) {
+    const auto v = r.section(current);
+    const auto* bytes = static_cast<const char*>(v.data);
+    moved.push_back({retired, std::vector<char>(bytes, bytes + v.bytes)});
+    std::erase(names, current);
+  }
+  rewrite_sections(from, to, names, moved);
+}
+
+// Restores `path` onto a fresh network through the 1-D or the spatial
+// lifecycle.
+void restore_file(const std::string& path, persist::restore_mode mode, bool spatial) {
+  network net(1);
+  if (spatial) {
+    (void)api::restore_spatial_index(path, mode, net);
+  } else {
+    (void)api::restore_index(path, mode, net);
+  }
+}
+
+TEST(Persist, RetiredLayoutsRejected) {
+  network net_t(1), net_b(1), net_q(1);
+  std::vector<std::uint64_t> keys;
+  const auto tower = churned_snapshot(
+      "skipweb1d", api::index_options{}.seed(16).initial_hosts(8).replication(2), net_t, keys);
+  const auto bucket = churned_bucket_snapshot(net_b, keys);
+  const auto quadtree = churned_quadtree_snapshot("skip_quadtree2", net_q);
+  auto no_policy = skipweb1d_sections(/*bucket=*/true);
+  std::erase(no_policy, "impl.policy");
+  const auto quadtree_names = quadtree_sections(quadtree_levels(quadtree.path));
+  struct retired_layout {
+    const char* what;
+    std::string from;
+    bool spatial;
+    std::vector<std::string> names;
+    std::vector<std::pair<std::string, std::string>> renames;
+    std::string missing;  // the current section the error must name
+  };
+  const std::vector<retired_layout> cases = {
+      {"link pools as half-links",
+       tower.path,
+       false,
+       skipweb1d_sections(false),
+       {{"lists.next", "lists.fwd"},
+        {"lists.prev", "lists.bwd"},
+        {"lists.next_rep", "lists.fwd_rep"},
+        {"lists.prev_rep", "lists.bwd_rep"}},
+       "lists.next"},
+      {"bucket file without a policy word", bucket.path, false, no_policy, {}, "impl.policy"},
+      {"ground directory as tree rows",
+       quadtree.path,
+       true,
+       quadtree_names,
+       {{"q.lv0.dir", "q.lv0.trees"}},
+       "q.lv0.dir"},
+      {"re-home table as columns",
+       quadtree.path,
+       true,
+       quadtree_names,
+       {{"impl.rehome", "impl.rehome_keys"}},
+       "impl.rehome"}};
+  for (const auto& c : cases) {
+    const auto bad = snap_path("retired");
+    rename_sections(c.from, bad, c.names, c.renames);
+    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+      try {
+        restore_file(bad, mode, c.spatial);
+        ADD_FAILURE() << c.what << ": restored";
+      } catch (const persist::error& e) {
+        EXPECT_NE(std::string(e.what()).find("missing section '" + c.missing + "'"),
+                  std::string::npos)
+            << c.what << ": " << e.what();
+      }
+    }
+  }
+}
+
+// --- layer 4i: seeded corruption of every native layout -----------------------
+//
+// One churned file per native layout — skipweb1d's tower with replicas, the
+// bucket placement and the skip quadtree — damaged kMutations times per kind,
+// each mutation from its own seed: truncated to a random length; one byte
+// flipped in the header or the section table, which both modes verify; and
+// one byte flipped anywhere past the header, which load mode's payload
+// checksums catch unless it lands in the zero padding between sections. No
+// checksum covers that padding, so a twin restored from such a file must
+// equal the saved index. Map mode trusts payload bytes by design (DESIGN.md
+// §13), so payload flips are not restored in map mode.
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A twin restored from `path` in load mode must answer, charge and account
+// like the index that saved it.
+void expect_twin_of(const std::string& path, const api::distributed_index& saved,
+                    const network& net_o, const std::vector<std::uint64_t>& keys) {
+  network net(1);
+  const auto twin = api::restore_index(path, persist::restore_mode::load, net);
+  expect_same_ledger(net_o, net, "twin");
+  rng pr(4343);
+  for (const auto q : wl::probe_keys(keys, 40, pr)) {
+    const auto a = saved.nearest(q, h(1));
+    const auto b = twin->nearest(q, h(1));
+    ASSERT_EQ(a.pred, b.pred) << q;
+    ASSERT_EQ(a.succ, b.succ) << q;
+    ASSERT_EQ(a.stats, b.stats) << q;
+  }
+}
+
+void expect_twin_of(const std::string& path, const api::spatial_index& saved,
+                    const network& net_o) {
+  network net(1);
+  const auto twin = api::restore_spatial_index(path, persist::restore_mode::load, net);
+  expect_same_ledger(net_o, net, "twin");
+  rng pr(4444);
+  for (int i = 0; i < 40; ++i) {
+    const auto q = wl::spatial_probe(saved.dims(), pr);
+    const auto a = saved.locate(q, h(1));
+    const auto b = twin->locate(q, h(1));
+    ASSERT_EQ(a.found, b.found) << i;
+    ASSERT_EQ(a.cell, b.cell) << i;
+    ASSERT_EQ(a.stats, b.stats) << i;
+  }
+}
+
+TEST(Persist, SeededCorruptionOfNativeLayouts) {
+  constexpr std::uint64_t kMutations = 64;
+  network net_t(1), net_b(1), net_q(1);
+  std::vector<std::uint64_t> tower_keys, bucket_keys;
+  const auto tower = churned_snapshot(
+      "skipweb1d", api::index_options{}.seed(17).initial_hosts(8).replication(2), net_t,
+      tower_keys);
+  const auto bucket = churned_bucket_snapshot(net_b, bucket_keys);
+  const auto quadtree = churned_quadtree_snapshot("skip_quadtree2", net_q);
+  struct native_file {
+    const char* what;
+    std::string path;
+    bool spatial;
+    std::function<void(const std::string&)> expect_twin;
+  };
+  const std::vector<native_file> files = {
+      {"skipweb1d tower k=2", tower.path, false,
+       [&](const std::string& p) { expect_twin_of(p, *tower.idx, net_t, tower_keys); }},
+      {"bucket_skipweb M=8", bucket.path, false,
+       [&](const std::string& p) { expect_twin_of(p, *bucket.idx, net_b, bucket_keys); }},
+      {"skip_quadtree2", quadtree.path, true,
+       [&](const std::string& p) { expect_twin_of(p, *quadtree.idx, net_q); }}};
+
+  constexpr std::uint64_t header = sizeof(persist::file_header);
+  const auto both = {persist::restore_mode::load, persist::restore_mode::map};
+  for (const auto& f : files) {
+    SCOPED_TRACE(f.what);
+    const auto clean = read_file(f.path);
+    persist::file_header hdr;
+    ASSERT_GE(clean.size(), header);
+    std::memcpy(&hdr, clean.data(), header);
+    ASSERT_EQ(hdr.table_offset + hdr.table_bytes, clean.size());
+    std::vector<persist::section_entry> table(hdr.section_count);
+    std::memcpy(table.data(), clean.data() + hdr.table_offset, hdr.table_bytes);
+    // A byte between the header and the table that no section covers.
+    const auto in_padding = [&](std::uint64_t at) {
+      return at >= header && at < hdr.table_offset &&
+             std::none_of(table.begin(), table.end(), [at](const persist::section_entry& e) {
+               return at >= e.offset && at < e.offset + e.bytes;
+             });
+    };
+    const auto bad = snap_path("mutated");
+    const auto write_flipped = [&](std::uint64_t at, rng& r) {
+      auto bytes = clean;
+      bytes[at] = static_cast<char>(bytes[at] ^ static_cast<char>(1 + r.index(255)));
+      write_file(bad, bytes);
+    };
+    const auto expect_rejected = [&](std::initializer_list<persist::restore_mode> modes,
+                                     const std::string& what) {
+      for (const auto mode : modes) {
+        EXPECT_THROW(restore_file(bad, mode, f.spatial), persist::error)
+            << what << (mode == persist::restore_mode::map ? " (map)" : " (load)");
+      }
+    };
+    std::uint64_t padding_flips = 0;
+    for (std::uint64_t i = 0; i < kMutations; ++i) {
+      const std::uint64_t seed = 0x5eed0000 + i;
+      rng r(seed);
+      const auto seed_is = "seed " + std::to_string(seed);
+
+      const auto length = static_cast<std::ptrdiff_t>(r.index(clean.size()));
+      write_file(bad, std::vector<char>(clean.begin(), clean.begin() + length));
+      expect_rejected(both, seed_is + ": truncated to " + std::to_string(length));
+
+      // One byte of the header or of the section table.
+      const auto k = r.index(header + hdr.table_bytes);
+      const std::uint64_t meta_at = k < header ? k : hdr.table_offset + (k - header);
+      write_flipped(meta_at, r);
+      expect_rejected(both, seed_is + ": metadata byte " + std::to_string(meta_at));
+
+      // One byte anywhere past the header.
+      const std::uint64_t at = header + r.index(clean.size() - header);
+      write_flipped(at, r);
+      if (in_padding(at)) {
+        ++padding_flips;
+        SCOPED_TRACE(seed_is + ": padding byte " + std::to_string(at));
+        f.expect_twin(bad);
+      } else {
+        expect_rejected({persist::restore_mode::load}, seed_is + ": byte " + std::to_string(at));
+      }
+    }
+    // However the seeds fell, the padding case runs at least once: the last
+    // padding byte before the table.
+    std::uint64_t last_pad = hdr.table_offset;
+    while (last_pad > header && !in_padding(last_pad)) --last_pad;
+    ASSERT_TRUE(in_padding(last_pad));
+    rng r(0x5eed0000 + kMutations);
+    write_flipped(last_pad, r);
+    SCOPED_TRACE("padding byte " + std::to_string(last_pad) + " (" +
+                 std::to_string(padding_flips) + " drawn)");
+    f.expect_twin(bad);
   }
 }
 
