@@ -63,8 +63,7 @@ net::host_id det_skipnet::host_of(int item, int level) const {
 
 int det_skipnet::root_for(net::host_id origin) const {
   SW_EXPECTS(origin.value < root_item_.size());
-  int item = root_item_[origin.value];
-  while (item >= 0 && !lists_->alive(item)) item = lists_->redirect(item);
+  int item = lists_->follow_redirects(root_item_[origin.value]);
   if (item < 0) item = lists_->any_alive();
   SW_EXPECTS(item >= 0);
   return item;

@@ -327,6 +327,21 @@ class level_lists {
     return redirect_[static_cast<std::size_t>(item)];
   }
 
+  // The first alive item on the redirect chain from `item` (item itself when
+  // alive), or -1. The chase ends at -1, at a slot outside the arena and
+  // after arena_size() steps: a map restore does not check the slots, and a
+  // hostile one (past the arena, or a cycle of dead items) must neither
+  // index past the arrays nor spin.
+  [[nodiscard]] int follow_redirects(int item) const {
+    const std::size_t n = arena_size();
+    for (std::size_t steps = 0; steps <= n; ++steps) {
+      if (static_cast<std::size_t>(item) >= n) return -1;  // also catches -1
+      if (alive_[static_cast<std::size_t>(item)] != 0) return item;
+      item = redirect_[static_cast<std::size_t>(item)];
+    }
+    return -1;
+  }
+
   // Per-level insertion neighbours, as discovered by the distributed insert
   // protocol. left/right must be the nearest same-prefix items on each side
   // (-1 when none).
@@ -438,10 +453,7 @@ class level_lists {
   // from concurrent searches are benign) — required for the data-race-free
   // concurrent-read contract the serving executor relies on.
   [[nodiscard]] int any_alive() const {
-    int h = alive_hint_.load(std::memory_order_relaxed);
-    while (h >= 0 && alive_[static_cast<std::size_t>(h)] == 0) {
-      h = redirect_[static_cast<std::size_t>(h)];
-    }
+    const int h = follow_redirects(alive_hint_.load(std::memory_order_relaxed));
     if (h >= 0) {
       alive_hint_.store(h, std::memory_order_relaxed);
       return h;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -22,8 +23,8 @@ namespace skipweb::core {
 //
 // Every point carries a membership bit vector; level l holds one compressed
 // quadtree per l-bit prefix set S_b. All trees of one level share a single
-// per-level arena of node records in parallel arrays (child entries,
-// parent/down slot indices, occupancy), and points live once in a global
+// per-level arena of node records in parallel arrays (child rows, parent
+// slot indices, occupancy), and points live once in a global
 // point arena that every level references by slot. Each level finds its
 // trees through a directory, a persist::flat_table from prefix to
 // {root, points}: one flat slot array, saved as it is and borrowed back
@@ -31,13 +32,17 @@ namespace skipweb::core {
 //
 // Two layout decisions carry the query hot path:
 //
-// - **The identity-on-cubes hyperlink is a stored slot index.** The paper's
-//   inter-level jump ("the same cube one level denser") used to be a hash
-//   lookup per level on a per-tree `unordered_map<cube, node>`; here every
-//   node carries `down_`, the slot of the identical cube in the parent-level
-//   tree, so a descent crosses levels with one indexed load. The only
-//   lookups left are in the per-level tree directories, probed once per
-//   level to find the top of a chain.
+// - **The identity-on-cubes hyperlink is a stored slot index, carried in
+//   the node's own child row.** The paper's inter-level jump ("the same
+//   cube one level denser") used to be a hash lookup per level on a
+//   per-tree `unordered_map<cube, node>`; here every node stores the slot
+//   of the identical cube in the parent-level tree, and it stores it in
+//   every one of its 2^D child entries (in a word the cube would otherwise
+//   pad). A walk stops at a node because the entry its step just loaded
+//   does not lead on, so it reads the link from that same entry: crossing a
+//   level costs no second cache line. The only lookups left are in the
+//   per-level tree directories, probed once per level to find the top of a
+//   chain.
 // - **A node's cube lives only in its parent's child entry.** The descend
 //   decision ("does the child cube contain q?") reads the current node's
 //   own child row instead of dereferencing the child — the neighbour-key
@@ -55,7 +60,7 @@ namespace skipweb::core {
 // charging on top of the primitives here.
 //
 // Concurrency contract (audited for the serving executor): the const surface
-// (tree/step/down_of/child_at/point_here/prefetch_step/...) is pure
+// (tree/step/child_at/point_here/prefetch_step/...) is pure
 // reads — no lazily-repaired caches, no mutable members — so any number of
 // threads may descend concurrently. Structural edits (insert_at/erase_at/
 // ensure_tree/...) are single-writer, never concurrent with reads.
@@ -67,13 +72,33 @@ class quad_levels {
   using cube = seq::qcube<D>;
 
   // A quadrant entry: a child node with its cube (the only stored copy of
-  // that cube), a single point, or nothing.
+  // that cube), a single point, or nothing — plus the row owner's identity
+  // hyperlink, the same in all 2^D entries of a row.
   struct entry {
+    // The child node's cube (valid iff node >= 0): qcube's fields, flattened
+    // so that the link below fits where a qcube member would pad.
+    std::array<seq::coord_t, D> corner{};
+    std::int32_t level = 0;
     std::int32_t node = -1;
     std::int32_t point = -1;
-    cube box;  // the child node's cube, valid iff node >= 0
+    // Slot of the row owner's cube one level denser: -1 at level 0 and on a
+    // fresh root whose link is still being resolved.
+    std::int32_t down = -1;
     [[nodiscard]] bool empty() const { return node < 0 && point < 0; }
+    [[nodiscard]] cube box() const {
+      cube c;
+      c.corner = corner;
+      c.level = level;
+      return c;
+    }
+    void set_box(const cube& c) {
+      corner = c.corner;
+      level = c.level;
+    }
   };
+  // The link costs no space: an entry is as large as {node, point, qcube}.
+  static_assert(D != 2 || sizeof(entry) == 32);
+  static_assert(D != 3 || sizeof(entry) == 40);
 
   struct tree_ref {
     std::int32_t root = -1;
@@ -174,9 +199,8 @@ class quad_levels {
   // point-by-point build, so the twins' directories are identical.
   void reserve_level(int level, std::size_t nodes) {
     level_arena& a = lv(level);
-    a.child.reserve(nodes * fanout);
+    a.rows.reserve(nodes * fanout);
     a.parent.reserve(nodes);
-    a.down.reserve(nodes);
     a.occupied.reserve(nodes);
     a.alive.reserve(nodes);
   }
@@ -209,18 +233,24 @@ class quad_levels {
   // --- node accessors -------------------------------------------------------
 
   [[nodiscard]] const entry& child_at(int level, int slot, int quad) const {
-    return lv(level).child[static_cast<std::size_t>(slot) * fanout + static_cast<std::size_t>(quad)];
+    return lv(level).rows[static_cast<std::size_t>(slot) * fanout + static_cast<std::size_t>(quad)];
   }
   [[nodiscard]] int parent_of(int level, int slot) const {
     return lv(level).parent[static_cast<std::size_t>(slot)];
   }
+  // Node slots a level has materialized, live and free.
+  [[nodiscard]] std::size_t slot_count(int level) const { return lv(level).parent.size(); }
   // The identity hyperlink: slot of the same cube one level denser (-1 at
   // ground level and on a fresh root whose link is still being resolved).
+  // For structural readers; a walk takes the link from the entry its last
+  // step loaded (step).
   [[nodiscard]] int down_of(int level, int slot) const {
-    return lv(level).down[static_cast<std::size_t>(slot)];
+    return child_at(level, slot, 0).down;
   }
+  // Writes the link into every entry of the row.
   void set_down(int level, int slot, int to) {
-    lv(level).down[static_cast<std::size_t>(slot)] = to;
+    entry* row = &lv(level).rows[static_cast<std::size_t>(slot) * fanout];
+    for (int q = 0; q < fanout; ++q) row[q].down = to;
   }
   [[nodiscard]] int occupied_of(int level, int slot) const {
     return lv(level).occupied[static_cast<std::size_t>(slot)];
@@ -243,23 +273,28 @@ class quad_levels {
 
   // One descend step toward q: when the entry in q's quadrant is a child
   // node whose cube contains q, moves (node, box) to it and returns true;
-  // false means the walk stops at `node`. The caller meters the hop.
-  [[nodiscard]] bool step(int level, int& node, cube& box, const point& q) const {
+  // false means the walk stops at `node`, and `down` then holds node's
+  // identity hyperlink, read from the entry the step loaded. The caller
+  // meters the hop.
+  [[nodiscard]] bool step(int level, int& node, cube& box, const point& q, int& down) const {
     const entry& e = child_at(level, node, box.quadrant_of(q));
     // Mask-select instead of short-circuit: both conditions evaluate (the
     // entry is already loaded — contains() is register arithmetic) and fold
     // into one predictable select, versus two data-dependent branches.
-    const bool hit = (e.node >= 0) & static_cast<int>(e.box.contains(q));
+    const cube c = e.box();
+    const bool hit = (e.node >= 0) & static_cast<int>(c.contains(q));
+    down = e.down;
     if (hit) {
       node = e.node;
-      box = e.box;
+      box = c;
     }
     return hit;
   }
 
   // Full local descent (no metering): build-time and oracle helper.
   void locate_local(int level, int& node, cube& box, const point& q) const {
-    while (step(level, node, box, q)) {
+    int down = -1;
+    while (step(level, node, box, q, down)) {
     }
   }
 
@@ -284,11 +319,12 @@ class quad_levels {
     level_arena& a = lv(level);
     const point& p = pts_[static_cast<std::size_t>(pid)];
     const int quad = box.quadrant_of(p);
-    const entry e = a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
+    const entry e =
+        a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
 
     if (e.empty()) {
       entry& slot_e =
-          a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
+          a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
       slot_e.point = pid;
       ++a.occupied[static_cast<std::size_t>(node)];
       return {-1, node, box};
@@ -305,11 +341,12 @@ class quad_levels {
     }
     // Occupied by a child cube that does not contain p: wedge a new
     // interesting cube above it.
-    SW_ASSERT(!e.box.contains(p));
-    const cube c = seq::smallest_enclosing(e.box, p);
+    const cube child_box = e.box();
+    SW_ASSERT(!child_box.contains(p));
+    const cube c = seq::smallest_enclosing(child_box, p);
     const int fresh = new_node(level, node);
     attach_point(level, fresh, c, p, pid);
-    attach_node(level, fresh, c, e.node, e.box);
+    attach_node(level, fresh, c, e.node, child_box);
     set_child_node(level, node, quad, fresh, c);
     return {fresh, fresh, c};
   }
@@ -322,9 +359,9 @@ class quad_levels {
     level_arena& a = lv(level);
     const point& p = pts_[static_cast<std::size_t>(pid)];
     const int quad = box.quadrant_of(p);
-    entry& e = a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
+    entry& e = a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
     SW_EXPECTS(e.point == pid);
-    e = entry{};
+    e = entry{.down = e.down};  // the row keeps its link
     const int left = --a.occupied[static_cast<std::size_t>(node)];
 
     const int parent = a.parent[static_cast<std::size_t>(node)];
@@ -334,13 +371,16 @@ class quad_levels {
     entry remaining{};
     for (int q = 0; q < fanout; ++q) {
       const entry& ce =
-          a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(q)];
+          a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(q)];
       if (!ce.empty()) remaining = ce;
     }
     for (int q = 0; q < fanout; ++q) {
-      entry& pe = a.child[static_cast<std::size_t>(parent) * fanout + static_cast<std::size_t>(q)];
+      entry& pe = a.rows[static_cast<std::size_t>(parent) * fanout + static_cast<std::size_t>(q)];
       if (pe.node == node) {
-        pe = remaining;  // the moved entry carries the only copy of its cube
+        // The moved entry carries the only copy of its cube, and the
+        // parent row keeps its own link.
+        remaining.down = pe.down;
+        pe = remaining;
         break;
       }
     }
@@ -390,7 +430,8 @@ class quad_levels {
   //  - partition by prefix: level l's trees hold exactly the live points
   //    whose membership matches each prefix (so S_b = the b-prefixed items);
   //  - nesting: every node cube at level l is a node cube of the parent
-  //    prefix tree at level l-1, and `down` points exactly at it.
+  //    prefix tree at level l-1, and the node's link points exactly at it;
+  //    all 2^D entries of a live row carry the same link, -1 at level 0.
   [[nodiscard]] bool check_invariants() const {
     std::vector<char> seen(pts_.size(), 0);
     for (const int f : pfree_) seen[static_cast<std::size_t>(f)] = 2;  // dead slots
@@ -424,19 +465,29 @@ class quad_levels {
               }
               if (l == 0) seen[static_cast<std::size_t>(e.point)] = 1;
             } else {
-              if (!box.contains(e.box)) return false;
-              if (e.box.level <= box.level) return false;
-              if (box.quadrant_of(corner_of(e.box)) != q) return false;
+              const cube c = e.box();
+              if (!box.contains(c)) return false;
+              if (c.level <= box.level) return false;
+              if (box.quadrant_of(corner_of(c)) != q) return false;
               if (parent_of(l, e.node) != v) return false;
-              stack.emplace_back(e.node, e.box);
+              stack.emplace_back(e.node, c);
             }
           }
           if (occ != occupied_of(l, v)) return false;
           if (v != tr.root && occ < 2) return false;  // non-root nodes are interesting
+          // Every copy of the row's link agrees: a walk reads whichever
+          // entry its last step loaded.
+          const int dn = down_of(l, v);
+          for (int q = 1; q < fanout; ++q) {
+            if (child_at(l, v, q).down != dn) return false;
+          }
+          if (l == 0 && dn != -1) return false;
           // Nesting + identity hyperlink into the parent-prefix tree.
           if (l > 0) {
-            const int dn = down_of(l, v);
-            if (dn < 0 || !alive_at(l - 1, dn)) return false;
+            if (dn < 0 || static_cast<std::size_t>(dn) >= slot_count(l - 1) ||
+                !alive_at(l - 1, dn)) {
+              return false;
+            }
             // Level l-1 is already verified, so dn sits in its parent's row.
             if (!(cube_of(l - 1, dn) == box)) return false;
             const auto parent_prefix = util::level_prefix{l, prefix}.parent().bits;
@@ -464,8 +515,8 @@ class quad_levels {
   }
 
   // Measured resident bytes (DESIGN.md §12): points and per-node occupancy
-  // and liveness are arena, the child rows (with the cubes their entries
-  // hold) and the parent/down arrays are links, and the per-level
+  // and liveness are arena, the child rows (with the cubes and down links
+  // their entries hold) and the parent array are links, and the per-level
   // prefix→tree tables are directory (exact: capacity × slot size).
   [[nodiscard]] api::memory_footprint footprint() const {
     api::memory_footprint f;
@@ -476,11 +527,10 @@ class quad_levels {
     for (const level_arena& a : lv_) {
       f.arena_bytes += api::vector_bytes(a.occupied) + api::vector_bytes(a.alive) +
                        api::vector_bytes(a.free);
-      f.link_bytes += api::vector_bytes(a.child) + api::vector_bytes(a.parent) +
-                      api::vector_bytes(a.down);
+      f.link_bytes += api::vector_bytes(a.rows) + api::vector_bytes(a.parent);
       f.slack_bytes += api::vector_slack_bytes(a.occupied) + api::vector_slack_bytes(a.alive) +
-                       api::vector_slack_bytes(a.free) + api::vector_slack_bytes(a.child) +
-                       api::vector_slack_bytes(a.parent) + api::vector_slack_bytes(a.down);
+                       api::vector_slack_bytes(a.free) + api::vector_slack_bytes(a.rows) +
+                       api::vector_slack_bytes(a.parent);
       f.directory_bytes += api::vector_bytes(a.trees);
     }
     return f;
@@ -495,9 +545,8 @@ class quad_levels {
     pbits_.shrink_to_fit();
     pfree_.shrink_to_fit();
     for (level_arena& a : lv_) {
-      a.child.shrink_to_fit();
+      a.rows.shrink_to_fit();
       a.parent.shrink_to_fit();
-      a.down.shrink_to_fit();
       a.occupied.shrink_to_fit();
       a.alive.shrink_to_fit();
       a.free.shrink_to_fit();
@@ -505,7 +554,7 @@ class quad_levels {
   }
 
   // Write the whole multi-level arena under `prefix` ("<prefix>.pts",
-  // "<prefix>.lv3.child", ...). Quiescent structural state only.
+  // "<prefix>.lv3.rows", ...). Quiescent structural state only.
   void save(persist::writer& w, std::string_view prefix) const {
     const std::string p(prefix);
     const std::uint64_t meta[] = {static_cast<std::uint64_t>(levels_),
@@ -518,9 +567,8 @@ class quad_levels {
       const level_arena& a = lv(l);
       const std::string lp = p + ".lv" + std::to_string(l);
       w.add_u64(lp + ".live_nodes", a.live_nodes);
-      w.add_pods(lp + ".child", a.child);
+      w.add_pods(lp + ".rows", a.rows);
       w.add_pods(lp + ".parent", a.parent);
-      w.add_pods(lp + ".down", a.down);
       w.add_pods(lp + ".occupied", a.occupied);
       w.add_pods(lp + ".alive", a.alive);
       w.add_pods(lp + ".free", a.free);
@@ -557,15 +605,14 @@ class quad_levels {
       level_arena& a = lv(l);
       const std::string lp = p + ".lv" + std::to_string(l);
       a.live_nodes = static_cast<std::size_t>(r.u64(lp + ".live_nodes"));
-      a.child = r.pods<entry>(lp + ".child");
+      a.rows = r.pods<entry>(lp + ".rows");
       a.parent = r.pods<std::int32_t>(lp + ".parent");
-      a.down = r.pods<std::int32_t>(lp + ".down");
       a.occupied = r.pods<std::uint8_t>(lp + ".occupied");
       a.alive = r.pods<std::uint8_t>(lp + ".alive");
       a.free = r.pods<std::int32_t>(lp + ".free");
       const std::size_t slots = a.parent.size();
-      if (a.child.size() != slots * fanout || a.down.size() != slots ||
-          a.occupied.size() != slots || a.alive.size() != slots || a.live_nodes > slots ||
+      if (a.rows.size() != slots * fanout || a.occupied.size() != slots ||
+          a.alive.size() != slots || a.live_nodes > slots ||
           a.live_nodes + a.free.size() != slots) {
         throw persist::error("snapshot: quad_levels level arrays disagree");
       }
@@ -587,9 +634,8 @@ class quad_levels {
   // borrowed zero-copy snapshot spans (copy-on-first-write) in a restored
   // one.
   struct level_arena {
-    persist::pod_array<entry> child;  // fanout records per slot
+    persist::pod_array<entry> rows;  // fanout entries per slot
     persist::pod_array<std::int32_t> parent;
-    persist::pod_array<std::int32_t> down;
     persist::pod_array<std::uint8_t> occupied;
     persist::pod_array<std::uint8_t> alive;
     persist::pod_array<std::int32_t> free;
@@ -609,7 +655,7 @@ class quad_levels {
     if (par < 0) return cube{};
     for (int q = 0; q < fanout; ++q) {
       const entry& e = child_at(level, par, q);
-      if (e.node == slot) return e.box;
+      if (e.node == slot) return e.box();
     }
     SW_ASSERT(false);  // every non-root node sits in its parent's row
     return cube{};
@@ -629,21 +675,20 @@ class quad_levels {
     if (!a.free.empty()) {
       slot = a.free.back();
       a.free.pop_back();
+      // Empty entries with an unresolved link.
       for (int q = 0; q < fanout; ++q) {
-        a.child[static_cast<std::size_t>(slot) * fanout + static_cast<std::size_t>(q)] = entry{};
+        a.rows[static_cast<std::size_t>(slot) * fanout + static_cast<std::size_t>(q)] = entry{};
       }
     } else {
       slot = static_cast<int>(a.parent.size());
       // Explicit empty-entry fill: pod_array's value-less resize leaves new
       // records uninitialized (unlike std::vector's value-init).
-      a.child.resize(a.child.size() + fanout, entry{});
+      a.rows.resize(a.rows.size() + fanout, entry{});
       a.parent.emplace_back();
-      a.down.emplace_back();
       a.occupied.emplace_back();
       a.alive.emplace_back();
     }
     a.parent[static_cast<std::size_t>(slot)] = parent;
-    a.down[static_cast<std::size_t>(slot)] = -1;
     a.occupied[static_cast<std::size_t>(slot)] = 0;
     a.alive[static_cast<std::size_t>(slot)] = 1;
     ++a.live_nodes;
@@ -660,7 +705,7 @@ class quad_levels {
   void attach_point(int level, int node, const cube& box, const point& p, int pid) {
     level_arena& a = lv(level);
     const int quad = box.quadrant_of(p);
-    entry& e = a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
+    entry& e = a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
     SW_ASSERT(e.empty());
     e.point = pid;
     ++a.occupied[static_cast<std::size_t>(node)];
@@ -669,20 +714,20 @@ class quad_levels {
   void attach_node(int level, int node, const cube& box, int child, const cube& child_box) {
     level_arena& a = lv(level);
     const int quad = box.quadrant_of(corner_of(child_box));
-    entry& e = a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
+    entry& e = a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
     SW_ASSERT(e.empty());
     e.node = child;
-    e.box = child_box;
+    e.set_box(child_box);
     ++a.occupied[static_cast<std::size_t>(node)];
     a.parent[static_cast<std::size_t>(child)] = node;
   }
 
   void set_child_node(int level, int node, int quad, int child, const cube& child_box) {
     level_arena& a = lv(level);
-    entry& e = a.child[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
+    entry& e = a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
     e.node = child;
     e.point = -1;
-    e.box = child_box;
+    e.set_box(child_box);
   }
 
   std::vector<level_arena> lv_;

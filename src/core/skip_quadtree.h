@@ -36,12 +36,15 @@ namespace skipweb::core {
 // underlying compressed tree has Θ(n) depth.
 //
 // Storage is the flat multi-level arena of core::quad_levels: the identity
-// hyperlink is a stored slot index, and a node's cube is stored only in its
-// parent's child entry. Every walk here — locate, locate_batch, the descent
-// of range, and the insert, erase and bulk-build descents — carries the
-// current cube with it: the whole space at a root, the entry's cube after
-// each step, unchanged across a down link. A hop therefore loads one child
-// entry and the query path performs no hash lookups (see quad_levels.h).
+// hyperlink is a stored slot index kept in every entry of its node's child
+// row, and a node's cube is stored only in its parent's child entry. Every
+// walk here — locate, locate_batch, the descent of range, and the insert,
+// erase and bulk-build descents — carries the current cube with it: the
+// whole space at a root, the entry's cube after each step, unchanged across
+// a down link. A walk that stops at a node takes the down link from the
+// entry its step just loaded. A hop therefore loads one child entry, one
+// cache line, and the query path performs no hash lookups (see
+// quad_levels.h).
 // Nodes (interesting cubes) are spread over all hosts by hashing — the
 // arbitrary assignment of §2.4 — giving O(2^d log n) expected memory per
 // host for H = n.
@@ -175,9 +178,10 @@ class skip_quadtree {
     cube box{};  // a root's cube is the whole space
     hop(cur, l, prefix, node);
     for (;;) {
-      while (q_.step(l, node, box, q)) hop(cur, l, prefix, node);
+      int down = -1;
+      while (q_.step(l, node, box, q, down)) hop(cur, l, prefix, node);
       if (l == 0) break;
-      node = q_.down_of(l, node);  // the same cube, one level denser
+      node = down;  // the same cube, one level denser
       --l;
       prefix = util::prefix_of(anchors_[origin.value], l).bits;
       hop(cur, l, prefix, node);
@@ -192,8 +196,10 @@ class skip_quadtree {
   // Batched point location: the given descents run interleaved, one step per
   // query per round, each query's next child entry — the exact one its
   // carried cube selects — prefetched a round ahead so the independent
-  // walks' memory latency overlaps. Results and per-op receipts are
-  // identical to locate() called serially (tests assert it).
+  // walks' memory latency overlaps. A level change reads its down link from
+  // that same entry, so the prefetch covers all a round reads. Results and
+  // per-op receipts are identical to locate() called serially (tests assert
+  // it).
   [[nodiscard]] std::vector<locate_result> locate_batch(const std::vector<point>& qs,
                                                         net::host_id origin) const {
     struct lane {
@@ -221,10 +227,11 @@ class skip_quadtree {
       for (std::size_t a = 0; a < active.size(); ++a) {
         const std::size_t i = active[a];
         lane& ln = lanes[i];
-        if (q_.step(ln.l, ln.node, ln.box, qs[i])) {
+        int down = -1;
+        if (q_.step(ln.l, ln.node, ln.box, qs[i], down)) {
           hop(ln.cur, ln.l, ln.prefix, ln.node);
         } else if (ln.l > 0) {
-          ln.node = q_.down_of(ln.l, ln.node);  // the box stays: same cube
+          ln.node = down;  // the box stays: same cube
           --ln.l;
           ln.prefix = util::prefix_of(w, ln.l).bits;
           hop(ln.cur, ln.l, ln.prefix, ln.node);
@@ -283,7 +290,7 @@ class skip_quadtree {
         if (e.point >= 0) {
           heap.push({seq::quadtree<D>::point_dist2(q_.point_at(e.point), q), -1, e.point});
         }
-        if (e.node >= 0) heap.push({seq::quadtree<D>::cube_dist2(e.box, q), e.node, -1});
+        if (e.node >= 0) heap.push({seq::quadtree<D>::cube_dist2(e.box(), q), e.node, -1});
       }
     }
     return {best_point, api::op_stats::of(cur)};
@@ -305,9 +312,10 @@ class skip_quadtree {
     cube box{};
     hop(cur, l, prefix, node);
     for (;;) {
-      while (step_box(l, node, box, lo, hi)) hop(cur, l, prefix, node);
+      int down = -1;
+      while (step_box(l, node, box, lo, hi, down)) hop(cur, l, prefix, node);
       if (l == 0) break;
-      node = q_.down_of(l, node);
+      node = down;
       --l;
       prefix = util::prefix_of(anchors_[origin.value], l).bits;
       hop(cur, l, prefix, node);
@@ -332,7 +340,7 @@ class skip_quadtree {
               break;
             }
           }
-        } else if (e.node >= 0 && intersects(e.box, lo, hi)) {
+        } else if (e.node >= 0 && intersects(e.box(), lo, hi)) {
           stack.push_back(e.node);
         }
       }
@@ -370,9 +378,9 @@ class skip_quadtree {
       int node = start >= 0 ? start : tr->root;
       if (start < 0) box = cube{};
       hop(cur, l, prefix, node);
-      while (q_.step(l, node, box, p)) hop(cur, l, prefix, node);
-      // Capture the hyperlink before the edit can splice the node away.
-      start = l > 0 ? q_.down_of(l, node) : -1;
+      // The walk reports the hyperlink before the edit can splice the node
+      // away (-1 at level 0, where the chain ends).
+      while (q_.step(l, node, box, p, start)) hop(cur, l, prefix, node);
       const int freed = q_.erase_at(l, node, box, pid);
       charge_point(l, prefix, p, -1);
       if (freed >= 0) {
@@ -506,15 +514,18 @@ class skip_quadtree {
 
   // One descend step for range search from `node` (cube `box`): moves
   // (node, box) to the child whose cube contains the whole query box and
-  // returns true, or returns false where the walk stops.
-  [[nodiscard]] bool step_box(int l, int& node, cube& box, const point& lo,
-                              const point& hi) const {
+  // returns true, or returns false where the walk stops, with node's down
+  // link in `down`. Either way it reads the entry in lo's quadrant.
+  [[nodiscard]] bool step_box(int l, int& node, cube& box, const point& lo, const point& hi,
+                              int& down) const {
     const int quad = box.quadrant_of(lo);
-    if (quad != box.quadrant_of(hi)) return false;
     const auto& e = q_.child_at(l, node, quad);
-    if (e.node < 0 || !e.box.contains(lo) || !e.box.contains(hi)) return false;
+    down = e.down;
+    if (quad != box.quadrant_of(hi)) return false;
+    const cube c = e.box();
+    if (e.node < 0 || !c.contains(lo) || !c.contains(hi)) return false;
     node = e.node;
-    box = e.box;
+    box = c;
     return true;
   }
 
@@ -556,10 +567,11 @@ class skip_quadtree {
         pending_root = -1;
       }
       if (cur != nullptr) hop(*cur, l, prefix, node);
-      while (q_.step(l, node, box, p)) {
+      // The walk reports node's down link: -1 at level 0 and exactly when
+      // this level is fresh.
+      while (q_.step(l, node, box, p, start)) {
         if (cur != nullptr) hop(*cur, l, prefix, node);
       }
-      start = l > 0 ? q_.down_of(l, node) : -1;  // -1 exactly when this level is fresh
       const auto outcome = q_.insert_at(l, node, box, pid);
       charge_point(l, prefix, p, +1);
       q_.bump_tree(l, prefix, +1);
@@ -587,15 +599,18 @@ class skip_quadtree {
   // so the arena state a visit (point i, level l) observes is "points 0..i-1
   // done at level l" under either order, and every slot is allocated at the
   // same moment relative to its level's history. Down links are the one
-  // cross-level read; insert_chain reads down_of(l, node) for nodes created
-  // by earlier (completed) points, which under level-major order is exactly
-  // "after the level-(l-1) resolutions of points 0..i-1" — so the read moves
-  // to the start of the point's level-(l-1) visit and sees the same value
-  // (-1 precisely for a root this point itself freshly created). The payoff:
-  // one level's arena, tree directory and child rows stay cache-resident for
-  // a whole pass, and the directory is probed once per visit instead of
-  // twice (ensure_tree_ref). Byte-identical structure, uids and receipts
-  // (tested in test_bulk_build).
+  // cross-level read; insert_chain reads the link of its level-l endpoint
+  // for nodes created by earlier (completed) points, which under level-major
+  // order is exactly "after the level-(l-1) resolutions of points 0..i-1" —
+  // so the read moves to the start of the point's level-(l-1) visit and sees
+  // the same value (-1 precisely for a root this point itself freshly
+  // created). Level l+1's links are written only by pass l, so that pass
+  // keeps them in a dense pass-local array (4 bytes a slot, cache-resident)
+  // and writes them into the level's rows in one sweep in slot order at its
+  // end. The payoff: one level's arena, tree directory and child rows stay
+  // cache-resident for a whole pass, and the directory is probed once per
+  // visit instead of twice (ensure_tree_ref). Byte-identical structure, uids
+  // and receipts (tested in test_bulk_build).
   void bulk_build(const std::vector<point>& pts) {
     const std::size_t n = pts.size();
     q_.reserve_points(n);
@@ -616,13 +631,17 @@ class skip_quadtree {
     std::vector<std::int32_t> pend_root(n, -1);
     std::vector<std::int32_t> pend_created(n, -1);
     std::vector<cube> pend_box(n);
+    std::vector<std::int32_t> up_links;  // level l+1's down links during pass l
     for (int l = levels_; l >= 0; --l) {
       q_.reserve_level(l, n + 1);  // <= n slots materialize per level (see reserve_level)
+      // Every level-(l+1) link is unresolved until this pass sets it.
+      up_links.assign(l < levels_ ? q_.slot_count(l + 1) : 0, -1);
       for (std::size_t i = 0; i < n; ++i) {
         const point& p = pts[i];
         if (l == 0) SW_EXPECTS(q_.find_point(p) < 0);  // distinct points
         const auto prefix = util::prefix_of(bits[i], l).bits;
-        const int start = final_node[i] >= 0 ? q_.down_of(l + 1, final_node[i]) : -1;
+        const int start = final_node[i] >= 0 ? up_links[static_cast<std::size_t>(final_node[i])]
+                                              : -1;
         // `tr` stays valid to `++tr->points`: nothing below inserts a tree at l.
         const auto [tr, fresh] = q_.ensure_tree_ref(l, prefix);
         const int root = tr->root;
@@ -630,7 +649,7 @@ class skip_quadtree {
         int node = start >= 0 ? start : root;
         cube box = start >= 0 ? final_box[i] : cube{};
         if (pend_root[i] >= 0) {
-          q_.set_down(l + 1, pend_root[i], root);
+          up_links[static_cast<std::size_t>(pend_root[i])] = root;
           pend_root[i] = -1;
         }
         q_.locate_local(l, node, box, p);
@@ -642,11 +661,14 @@ class skip_quadtree {
         if (outcome.created >= 0) charge_node(l, prefix, outcome.created, +1);
         if (pend_created[i] >= 0) {
           const int target = q_.resolve_cube(l, outcome.attached, outcome.box, pend_box[i]);
-          q_.set_down(l + 1, pend_created[i], target);
+          up_links[static_cast<std::size_t>(pend_created[i])] = target;
         }
         pend_created[i] = outcome.created;
         pend_box[i] = outcome.box;
         if (fresh) pend_root[i] = root;
+      }
+      for (std::size_t s = 0; s < up_links.size(); ++s) {
+        q_.set_down(l + 1, static_cast<int>(s), up_links[s]);
       }
     }
   }

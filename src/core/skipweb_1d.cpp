@@ -198,10 +198,11 @@ net::host_id skipweb_1d::host_of(int item, int level) const {
 
 int skipweb_1d::root_for(net::host_id origin) const {
   SW_EXPECTS(origin.value < root_item_.size());
-  int item = root_item_[origin.value];
   // A deleted anchor leaves a redirect to its old successor; follow it (the
-  // replacement pointer handed over when the anchor's owner left).
-  while (item >= 0 && !lists_.alive(item)) item = lists_.redirect(item);
+  // replacement pointer handed over when the anchor's owner left). A chain
+  // that ends, or that a hostile snapshot bent out of the arena, falls back
+  // to any live item: every live tower is a valid entry point.
+  int item = lists_.follow_redirects(root_item_[origin.value]);
   if (item < 0) item = lists_.any_alive();
   SW_EXPECTS(item >= 0);
   return item;

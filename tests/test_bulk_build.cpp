@@ -3,8 +3,8 @@
 // builds — same arenas, same uids, same answers, same cost receipts — for
 // every backend that implements one, including as the registry builds them.
 // Plus the big-n regression smoke: uid stability and structural invariants
-// across arena growth, env-gated so CI stays fast (SKIPWEB_BIGN=1 raises n
-// to 1M).
+// across arena growth, and the skip quadtree's rows after churn, env-gated so
+// CI stays fast (SKIPWEB_BIGN=1 raises n to 1M keys and 2^17 points).
 
 #include <gtest/gtest.h>
 
@@ -342,6 +342,52 @@ TEST(BulkBuildBigN, UidStabilityAndInvariantsAcrossGrowth) {
     ASSERT_EQ(batch[i].has_succ, serial.has_succ) << i;
     ASSERT_EQ(batch[i].pred, serial.pred) << i;
     ASSERT_EQ(batch[i].succ, serial.succ) << i;
+    ASSERT_EQ(batch[i].stats, serial.stats) << i;
+  }
+}
+
+// The skip quadtree's rows at the spatial benchmark's scale: each node's
+// down link lives in every entry of its child row, and the walks read it
+// from the entry they stopped on. After a bulk build and churn that splices
+// cubes out and recycles their slots, the rows must still pass
+// check_invariants() (which compares every copy of a link), and the batched
+// walks must match the serial ones in cells and receipts. SKIPWEB_BIGN=1
+// raises n from 2^12 to 2^17 clustered points.
+TEST(BulkBuildBigN, QuadtreeRowsAtScale) {
+  const bool big = std::getenv("SKIPWEB_BIGN") != nullptr;
+  const std::size_t n = std::size_t{1} << (big ? 17 : 12);
+  constexpr std::size_t pairs = 2048;
+  rng r(1717);
+  const auto pts = wl::clustered_points<2>(n + pairs, r);
+  const std::vector<seq::qpoint<2>> built(pts.begin(),
+                                          pts.begin() + static_cast<std::ptrdiff_t>(n));
+  network net(64);
+  core::skip_quadtree<2> web(built, 19, net);
+  const std::size_t slots = web.structure().slot_count(0);
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const auto o = h(static_cast<std::uint32_t>(i % 64));
+    web.erase(built[i * (n / pairs)], o);
+    web.insert(pts[n + i], o);
+  }
+  ASSERT_EQ(web.size(), n);
+  // Inserts took the slots that erases' splices freed.
+  EXPECT_LT(web.structure().slot_count(0), slots + pairs / 2);
+  EXPECT_TRUE(web.check_invariants());
+  // Probes: stored points, erased points and uniform points.
+  std::vector<seq::qpoint<2>> probes;
+  for (std::size_t i = 0; i < 4096; ++i) {
+    switch (i % 3) {
+      case 0: probes.push_back(pts[r.index(pts.size())]); break;
+      case 1: probes.push_back(built[(i % pairs) * (n / pairs)]); break;
+      default: probes.push_back(wl::uniform_points<2>(1, r)[0]);
+    }
+  }
+  const auto batch = web.locate_batch(probes, h(5));
+  ASSERT_EQ(batch.size(), probes.size());
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const auto serial = web.locate(probes[i], h(5));
+    ASSERT_TRUE(batch[i].cell == serial.cell) << i;
+    ASSERT_EQ(batch[i].is_point, serial.is_point) << i;
     ASSERT_EQ(batch[i].stats, serial.stats) << i;
   }
 }

@@ -18,6 +18,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -1085,6 +1086,70 @@ TEST(Persist, HostileListsMetaRejected) {
   }
 }
 
+// Redirect and root-item slots are payload words that a map restore does
+// not check. A chase through them must stay inside the arena and end: a
+// slot outside it, or a cycle of dead items, falls back to any live item,
+// which is a valid entry tower, so every answer still equals the oracle.
+TEST(Persist, HostileRootSlotsAnswerCorrectly) {
+  rng r(5353);
+  auto keys = wl::uniform_keys(300, r);
+  std::sort(keys.begin(), keys.end());
+  network net_o(1);
+  auto orig =
+      api::make_index("skipweb1d", keys, api::index_options{}.seed(15).initial_hosts(8), net_o);
+  // The bulk build puts the i-th smallest key in slot i, and host h's root
+  // item is slot h: erasing slots 5 and 6 leaves hosts 5 and 6 on dead roots.
+  orig->erase(keys[5], h(0));
+  orig->erase(keys[6], h(0));
+  std::set<std::uint64_t> oracle(keys.begin(), keys.end());
+  oracle.erase(keys[5]);
+  oracle.erase(keys[6]);
+  const auto path = snap_path("source");
+  api::save_index_snapshot(*orig, path);
+  persist::reader src(path, persist::restore_mode::load);
+  const auto alive = src.vec<std::uint8_t>("lists.alive");
+  ASSERT_EQ(src.vec<std::uint64_t>("lists.keys").at(5), keys[5]);
+  ASSERT_EQ(alive.at(5), 0);
+  ASSERT_EQ(alive.at(6), 0);
+  const auto roots = src.vec<std::int32_t>("impl.root_item");
+  ASSERT_EQ(roots.at(5), 5);
+  const auto redirect = src.vec<std::int32_t>("lists.redirect");
+  const auto with = [](std::vector<std::int32_t> v, std::size_t i, std::int32_t x) {
+    v.at(i) = x;
+    return v;
+  };
+  const auto cycle = with(with(redirect, 5, 6), 6, 5);
+  auto hint_in_cycle = src.vec<std::uint64_t>("lists.meta");
+  hint_in_cycle.at(5) = 5;  // any_alive() starts its chase at the hint
+  constexpr std::int32_t far = std::int32_t{1} << 30;
+  const std::vector<std::pair<std::string, std::vector<section_bytes>>> hostile = {
+      {"redirect past the arena", {section_of("lists.redirect", with(redirect, 5, far))}},
+      {"root item past the arena", {section_of("impl.root_item", with(roots, 5, far))}},
+      {"redirect cycle", {section_of("lists.redirect", cycle)}},
+      {"redirect cycle under the alive hint",
+       {section_of("lists.redirect", cycle), section_of("lists.meta", hint_in_cycle)}}};
+  for (const auto& [what, replaced] : hostile) {
+    const auto bad = snap_path("bad");
+    rewrite_sections(path, bad, skipweb1d_sections(false), replaced);
+    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+      network net(1);
+      const auto twin = api::restore_index(bad, mode, net);
+      rng pr(5454);
+      std::uint32_t origin = 0;
+      for (const auto q : wl::probe_keys(keys, 64, pr)) {
+        const auto o = h(origin);
+        origin = (origin + 1) % 8;  // hosts 5 and 6 start on the hostile slots
+        const auto res = twin->nearest(q, o);
+        const auto it = oracle.upper_bound(q);
+        ASSERT_EQ(res.has_pred, it != oracle.begin()) << what << " " << q;
+        if (res.has_pred) ASSERT_EQ(res.pred, *std::prev(it)) << what << " " << q;
+        ASSERT_EQ(res.has_succ, it != oracle.end()) << what << " " << q;
+        if (res.has_succ) ASSERT_EQ(res.succ, *it) << what << " " << q;
+      }
+    }
+  }
+}
+
 // --- layer 4f: bucket skip-web snapshots --------------------------------------
 //
 // A bucket_skipweb file holds the §2.4.1 placement as one owner table (a
@@ -1149,7 +1214,7 @@ std::vector<std::string> quadtree_sections(std::uint64_t levels) {
                                     "q.pts",        "q.pbits",         "q.pfree"};
   for (std::uint64_t l = 0; l <= levels; ++l) {
     for (const char* s :
-         {".live_nodes", ".child", ".parent", ".down", ".occupied", ".alive", ".free", ".dir"}) {
+         {".live_nodes", ".rows", ".parent", ".occupied", ".alive", ".free", ".dir"}) {
       names.push_back("q.lv" + std::to_string(l) + s);
     }
   }
@@ -1275,6 +1340,32 @@ TEST(Persist, QuadtreeFilesWithBoxSectionsRestore) {
         ASSERT_EQ(a.stats, b.stats) << i;
       }
     }
+  }
+}
+
+// Every entry of a node's child row carries the node's down link, and a
+// walk reads whichever entry its last step loaded, so the copies must agree.
+// check_invariants() finds a row where one of them does not.
+TEST(Persist, QuadtreeRowWithDisagreeingLinksFailsInvariants) {
+  using entry = core::quad_levels<2>::entry;
+  network net_o(1);
+  const auto path = churned_quadtree_snapshot("skip_quadtree2", net_o).path;
+  persist::reader src(path, persist::restore_mode::load);
+  auto rows = src.vec<entry>("q.lv1.rows");
+  const auto alive = src.vec<std::uint8_t>("q.lv1.alive");
+  const auto live = std::find(alive.begin(), alive.end(), std::uint8_t{1});
+  ASSERT_NE(live, alive.end());
+  const auto slot = static_cast<std::size_t>(live - alive.begin());
+  entry& e = rows.at(slot * core::quad_levels<2>::fanout + 2);
+  ASSERT_GE(e.down, 0);
+  e.down += 1;
+  const auto bad = snap_path("bad");
+  rewrite_quadtree(path, bad, {section_of("q.lv1.rows", rows)});
+  for (const auto& [file, whole] : {std::pair{path, true}, std::pair{bad, false}}) {
+    network net(1);
+    persist::reader rd(file, persist::restore_mode::load);
+    const core::skip_quadtree<2> twin(rd, net);
+    EXPECT_EQ(twin.check_invariants(), whole) << file;
   }
 }
 
@@ -1410,7 +1501,13 @@ TEST(Persist, RetiredLayoutsRejected) {
   const auto quadtree = churned_quadtree_snapshot("skip_quadtree2", net_q);
   auto no_policy = skipweb1d_sections(/*bucket=*/true);
   std::erase(no_policy, "impl.policy");
-  const auto quadtree_names = quadtree_sections(quadtree_levels(quadtree.path));
+  const auto quadtree_levels_n = quadtree_levels(quadtree.path);
+  const auto quadtree_names = quadtree_sections(quadtree_levels_n);
+  std::vector<std::pair<std::string, std::string>> rows_as_child;
+  for (std::uint64_t l = 0; l <= quadtree_levels_n; ++l) {
+    const std::string lp = "q.lv" + std::to_string(l);
+    rows_as_child.emplace_back(lp + ".rows", lp + ".child");
+  }
   struct retired_layout {
     const char* what;
     std::string from;
@@ -1441,7 +1538,9 @@ TEST(Persist, RetiredLayoutsRejected) {
        true,
        quadtree_names,
        {{"impl.rehome", "impl.rehome_keys"}},
-       "impl.rehome"}};
+       "impl.rehome"},
+      {"child rows without their down links", quadtree.path, true, quadtree_names, rows_as_child,
+       "q.lv0.rows"}};
   for (const auto& c : cases) {
     const auto bad = snap_path("retired");
     rename_sections(c.from, bad, c.names, c.renames);
