@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -10,6 +11,8 @@
 
 #include "api/memory_footprint.h"
 #include "api/op_stats.h"
+#include "net/network.h"
+#include "serve/executor.h"
 #include "util/stats.h"
 
 namespace skipweb::bench {
@@ -260,6 +263,47 @@ inline void run_scale_loop(scale_result& res, std::uint64_t max_ops, double time
     if (res.seconds >= time_budget) break;
   }
   res.seconds = std::chrono::duration<double>(clock::now() - t0).count();
+}
+
+// The thread-scaling protocol both sweeps share, as perfbench serves its
+// streams: a kScaleProbes stream cut into kScaleFrontends contiguous chunks
+// (serve::executor::slice), chunk k issued from host k. A sample serves the
+// chunks in order from chunk 0 until one pass (or `max_ops`, if larger) is
+// done or the time budget is spent; the cell reports the median of
+// kScaleSamples samples by ops/sec. `serve_chunk(chunk, origin)` serves one
+// chunk through the caller's executor and returns its summed op_stats. The
+// chunks, their partition and each chunk's results and receipts are pure
+// functions of the stream — thread count changes only the wall clock, and
+// how many chunks a timed-out sample reached.
+inline constexpr std::size_t kScaleProbes = std::size_t{1} << 16;
+inline constexpr std::size_t kScaleFrontends = 16;
+inline constexpr std::size_t kScaleSamples = 5;
+
+template <typename Query, typename ServeChunk>
+scale_result run_scale_samples(const std::vector<Query>& stream, const skipweb::net::network& net,
+                               double build_seconds, std::uint64_t max_ops, double time_budget,
+                               ServeChunk&& serve_chunk) {
+  std::vector<std::vector<Query>> chunks(kScaleFrontends);
+  for (std::size_t k = 0; k < kScaleFrontends; ++k) {
+    const auto [lo, hi] = skipweb::serve::executor::slice(stream.size(), k, kScaleFrontends);
+    chunks[k].assign(stream.begin() + static_cast<std::ptrdiff_t>(lo),
+                     stream.begin() + static_cast<std::ptrdiff_t>(hi));
+  }
+  std::vector<scale_result> samples(kScaleSamples);
+  for (auto& res : samples) {
+    res.build_seconds = build_seconds;
+    std::size_t next = 0;
+    run_scale_loop(res, std::max<std::uint64_t>(max_ops, stream.size()), time_budget, [&] {
+      const std::size_t k = next++ % kScaleFrontends;
+      const auto origin = skipweb::net::host_id{static_cast<std::uint32_t>(k % net.host_count())};
+      const skipweb::api::op_stats total = serve_chunk(chunks[k], origin);
+      return std::pair{static_cast<std::uint64_t>(chunks[k].size()), total};
+    });
+  }
+  std::sort(samples.begin(), samples.end(), [](const scale_result& a, const scale_result& b) {
+    return a.ops_per_sec() < b.ops_per_sec();
+  });
+  return samples[kScaleSamples / 2];
 }
 
 // The thread_scaling entry fields every sweep emits (the caller first writes

@@ -10,10 +10,12 @@
 //                 [--max-ops N] [--time SECONDS_PER_CELL] [--batch B]
 //                 [--seed S] [--threads T1,T2,...] [--out NAME] [--smoke]
 //
-// --threads adds a thread-scaling section mirroring bench_throughput's:
-// pure-locate cells re-run through serve::executor at each listed thread
-// count (uniform 2-D/3-D points, same stream partitioned across workers,
-// receipts identical to serial) and the JSON gains a "thread_scaling" array.
+// --threads adds a thread-scaling section under bench_throughput's protocol
+// (bench_common.h run_scale_samples): a 2^16-probe pure-locate stream of
+// uniform 2-D/3-D points served through serve::executor at each listed
+// thread count, as 16 frontend chunks, chunk k from host k, each cell the
+// median of 5 time-bounded samples (receipts identical to serial); the JSON
+// gains a "thread_scaling" array.
 //
 // Mixes: `locate` (pure point location; batched through locate_batch in
 // groups of --batch B, default 16 as in bench_throughput — identical
@@ -191,29 +193,27 @@ cell_result run_cell(const std::string& backend, const std::string& dist, const 
 }
 
 // One thread-scaling cell: uniform points, pure locate through a T-worker
-// executor (shared loop: bench_common.h run_scale_loop); see
-// bench_throughput's run_scale_cell for the determinism notes.
+// executor under the shared protocol (bench_common.h run_scale_samples).
 scale_result run_scale_cell(const std::string& backend, std::size_t n, std::size_t threads,
                             const config& cfg) {
   const int dims = api::spatial_backend_dims(backend);
   util::rng r(cfg.seed * 6121 + n);  // same build inputs as run_cell (uniform)
   const auto pts = wl::spatial_points(dims, n, false, r);
-  const auto qs = wl::spatial_query_stream(dims, 2048, cfg.seed * 104729 + n);
+  const auto qs = wl::spatial_query_stream(dims, kScaleProbes, cfg.seed * 104729 + n);
 
-  scale_result res;
   net::network net(1);
   const auto t_build0 = clock_t_::now();
   const auto idx = api::make_spatial_index(backend, pts,
                                            api::index_options{}.seed(cfg.seed).initial_hosts(64),
                                            net);
-  res.build_seconds = std::chrono::duration<double>(clock_t_::now() - t_build0).count();
+  const double build_seconds = std::chrono::duration<double>(clock_t_::now() - t_build0).count();
 
   serve::executor ex(threads);
-  run_scale_loop(res, cfg.max_ops, cfg.time_budget, [&] {
-    const auto out = ex.run_locate(*idx, qs, net::host_id{0}, cfg.batch > 1 ? cfg.batch : 1);
-    return std::pair{static_cast<std::uint64_t>(qs.size()), out.total};
-  });
-  return res;
+  const std::size_t batch = cfg.batch > 1 ? cfg.batch : 1;
+  return run_scale_samples(qs, net, build_seconds, cfg.max_ops, cfg.time_budget,
+                           [&](const std::vector<api::spatial_point>& chunk, net::host_id origin) {
+                             return ex.run_locate(*idx, chunk, origin, batch).total;
+                           });
 }
 
 void usage(const char* argv0) {

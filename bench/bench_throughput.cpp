@@ -18,7 +18,8 @@
 // B (identical results and receipts; overlapped memory latency). Mixed and
 // churn cells always run one op at a time.
 //
-// --threads adds a thread-scaling section: a 2^16-probe search stream is
+// --threads adds a thread-scaling section under the protocol bench_spatial
+// shares (bench_common.h run_scale_samples): a 2^16-probe search stream is
 // served through the serve::executor thread pool at each listed thread
 // count, as 16 frontend chunks, chunk k from host k (the same stream
 // statically partitioned across workers — results and summed receipts
@@ -207,33 +208,15 @@ cell_result run_cell(const std::string& backend, const mix_t& mix, std::size_t n
   return res;
 }
 
-// The thread-scaling cell's stream size, frontend count and samples.
-constexpr std::size_t kScaleProbes = std::size_t{1} << 16;
-constexpr std::size_t kFrontends = 16;
-constexpr std::size_t kScaleSamples = 5;
-
-// One thread-scaling cell: build the backend over n keys once, then serve
-// the pregenerated stream through a T-worker executor, as perfbench serves
-// its streams: in kFrontends contiguous chunks, chunk k issued from host k.
-// A sample serves the chunks in order from chunk 0 until one pass (or
-// --max-ops, if larger) is done or the time budget is spent (shared loop:
-// bench_common.h run_scale_loop); the cell reports the median sample by
-// ops/sec. The stream, its chunks, their partition and each chunk's
-// results and summed receipts are pure functions of (seed, n) — thread
-// count changes only the wall clock, and how many chunks a timed-out
-// sample reached.
+// One thread-scaling cell: build the backend over n keys once, then serve a
+// pregenerated probe stream through a T-worker executor under the shared
+// protocol (bench_common.h run_scale_samples).
 scale_result run_scale_cell(const std::string& backend, std::size_t n, std::size_t threads,
                             const config& cfg) {
   util::rng r(cfg.seed * 7919 + n);  // same build inputs as run_cell
   auto all = wl::uniform_keys(n + 8192, r);
   std::vector<std::uint64_t> keys(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n));
   const auto qs = wl::query_stream(keys, kScaleProbes, cfg.seed * 104729 + n);
-  std::vector<std::vector<std::uint64_t>> chunks(kFrontends);
-  for (std::size_t k = 0; k < kFrontends; ++k) {
-    const auto [lo, hi] = serve::executor::slice(qs.size(), k, kFrontends);
-    chunks[k].assign(qs.begin() + static_cast<std::ptrdiff_t>(lo),
-                     qs.begin() + static_cast<std::ptrdiff_t>(hi));
-  }
 
   net::network net(1);
   const auto t_build0 = clock_t_::now();
@@ -241,22 +224,11 @@ scale_result run_scale_cell(const std::string& backend, std::size_t n, std::size
   const double build_seconds = std::chrono::duration<double>(clock_t_::now() - t_build0).count();
 
   serve::executor ex(threads);
-  std::vector<scale_result> samples(kScaleSamples);
-  for (auto& res : samples) {
-    res.build_seconds = build_seconds;
-    std::size_t next = 0;
-    run_scale_loop(res, std::max<std::uint64_t>(cfg.max_ops, qs.size()), cfg.time_budget, [&] {
-      const std::size_t k = next++ % kFrontends;
-      const auto origin = net::host_id{static_cast<std::uint32_t>(k % net.host_count())};
-      const auto out = ex.run_nearest(*idx, chunks[k], origin, cfg.batch > 1 ? cfg.batch : 1);
-      return std::pair{static_cast<std::uint64_t>(chunks[k].size()), out.total};
-    });
-  }
-  std::sort(samples.begin(), samples.end(),
-            [](const scale_result& a, const scale_result& b) {
-              return a.ops_per_sec() < b.ops_per_sec();
-            });
-  return samples[kScaleSamples / 2];
+  const std::size_t batch = cfg.batch > 1 ? cfg.batch : 1;
+  return run_scale_samples(qs, net, build_seconds, cfg.max_ops, cfg.time_budget,
+                           [&](const std::vector<std::uint64_t>& chunk, net::host_id origin) {
+                             return ex.run_nearest(*idx, chunk, origin, batch).total;
+                           });
 }
 
 // One big-n scaling cell: bulk-build the backend at n, record its memory

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail if DESIGN.md / README.md reference repo paths or tests that no longer exist.
+"""Fail if DESIGN.md / README.md reference repo paths, tests or code names that no longer exist.
 
 The docs name concrete files constantly (src/net/cursor.h, tests/...,
 BENCH_*.json); refactors move files and leave the prose behind. This checker
@@ -12,6 +12,13 @@ backticked `Suite.Name` whose Suite is one of those suites must name one of
 its tests. `Suite.*` and the parameterized form `Prefix/Suite.Name/*` are
 accepted. Tokens whose first part is not a test suite (`meta.n`,
 `core.ns_per_hop`) are not test references and are skipped.
+
+The docs cite code names in backticks too: qualified names
+(`net::cursor::move_to`, `api::op_stats::of(cursor)`) and calls (`settle()`,
+`cur.give_up()`). Every part of a qualified name and every called name must
+occur as a word somewhere in src/ or bench/, so a doc that still cites a
+deleted function fails. `std::` names belong to the standard library and are
+skipped.
 
 Usage: scripts/check_doc_refs.py [FILE...]   (defaults to DESIGN.md README.md)
 """
@@ -43,6 +50,15 @@ TEST_DECL_RE = re.compile(r"\bTEST(?:_F|_P)?\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 
 # `Suite.Name`, `Suite.*`, `Prefix/Suite.Name/*` inside backticks.
 TEST_REF_RE = re.compile(r"`(?:\w+/)?(\w+)\.(\w+|\*)(?:/\*)?`")
+
+
+# Backticked spans, and inside them `a::b::c` names and `name()` calls (bare,
+# or through an object: `cur.give_up()`; a call after `::` is part of a
+# qualified name).
+SPAN_RE = re.compile(r"`([^`\n]+)`")
+QUALIFIED_RE = re.compile(r"(?<![\w:])((?:[A-Za-z_]\w*::)+~?[A-Za-z_]\w*)")
+CALL_RE = re.compile(r"(?<![\w:])(?:\w+\.)*([A-Za-z_]\w*)\(\)")
+WORD_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def expand(token: str):
@@ -96,6 +112,30 @@ def check_tests(md_path: str, suites):
     return bad
 
 
+def code_words(repo_root: str):
+    """Every identifier-like word in src/ and bench/."""
+    words = set()
+    for top in ("src", "bench"):
+        for path in glob.glob(os.path.join(repo_root, top, "**", "*"), recursive=True):
+            if os.path.isfile(path):
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    words.update(WORD_RE.findall(f.read()))
+    return words
+
+
+def check_code_names(md_path: str, words):
+    bad = set()
+    with open(md_path, encoding="utf-8") as f:
+        text = f.read()
+    for span in SPAN_RE.findall(text):
+        names = [q for q in QUALIFIED_RE.findall(span) if not q.startswith("std::")]
+        names += CALL_RE.findall(span)
+        for name in names:
+            if any(part.lstrip("~") not in words for part in name.split("::")):
+                bad.add((md_path, name))
+    return sorted(bad)
+
+
 def main(argv):
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     files = argv[1:] or [
@@ -103,10 +143,12 @@ def main(argv):
         os.path.join(repo_root, "README.md"),
     ]
     suites = declared_tests(repo_root)
+    words = code_words(repo_root)
     bad = []
     for md in files:
         bad.extend(check(md, repo_root))
         bad.extend(check_tests(md, suites))
+        bad.extend(check_code_names(md, words))
     if bad:
         for md, ref in bad:
             print(f"{md}: dead reference: {ref}", file=sys.stderr)

@@ -10,6 +10,7 @@
 #include "api/memory_footprint.h"
 #include "api/op_stats.h"
 #include "net/types.h"
+#include "util/rng.h"
 #include "util/sw_assert.h"
 
 namespace skipweb::api {
@@ -61,9 +62,7 @@ enum class string_capability : std::uint32_t {
     z ^= static_cast<std::uint8_t>(c);
     z *= 0xbf58476d1ce4e5b9ull;
   }
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return util::mix64(z);
 }
 
 // Tokenization shared by the posting plane (multi-term intersection) and its

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 
+#include "util/rng.h"
 #include "util/sw_assert.h"
 
 namespace skipweb::baselines {
 
-std::uint64_t chord::hash_key(std::uint64_t k) {
-  std::uint64_t z = k + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
+std::uint64_t chord::hash_key(std::uint64_t k) { return util::mix64(k + 0x9e3779b97f4a7c15ull); }
 
 chord::chord(std::size_t host_count, std::vector<std::uint64_t> keys, std::uint64_t seed,
              net::network& net)

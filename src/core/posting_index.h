@@ -11,6 +11,7 @@
 #include "api/string_index.h"
 #include "net/cursor.h"
 #include "net/network.h"
+#include "util/rng.h"
 #include "util/sw_assert.h"
 
 namespace skipweb::core {
@@ -98,10 +99,7 @@ class posting_index {
     std::vector<std::string> out;
     for (const std::uint64_t uid : driver) {
       if (limit != 0 && out.size() >= limit) break;
-      if (cur.expired()) {
-        cur.mark_degraded();
-        break;
-      }
+      if (cur.give_up()) break;
       bool everywhere = true;
       for (std::size_t oi = 1; oi < order.size(); ++oi) {
         const std::size_t li = order[oi];
@@ -183,9 +181,7 @@ class posting_index {
   [[nodiscard]] net::host_id host_of(const std::string& term, std::size_t slot) const {
     std::uint64_t z = salt_ ^ (std::hash<std::string>{}(term) + 0x9e3779b97f4a7c15ull);
     z ^= (slot / kBlock) + 0x2545f4914f6cdd1dull + (z << 6) + (z >> 2);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return net::host_id{static_cast<std::uint32_t>((z ^ (z >> 31)) % hosts_)};
+    return net::host_id{static_cast<std::uint32_t>(util::mix64(z) % hosts_)};
   }
 
   std::size_t hosts_;

@@ -77,20 +77,14 @@ std::pair<int, int> route_walk(const level_lists& lists, std::uint64_t q, int st
     // Deadline plane: a query whose simulated time ran out gives up at the
     // next level boundary; the flanks of wherever the walk stopped become a
     // degraded best-effort answer (see DESIGN.md §11).
-    if (cur.expired()) {
-      cur.mark_degraded();
-      break;
-    }
+    if (cur.give_up()) break;
     cur.move_to(host_of(item, l));  // descend the item's tower
     cur.note_comparisons();
     for (;;) {
       // Deadline give-up mid-walk too: level-0 runs can be long, and a
       // straggler-priced hop inside one must not commit the query to
       // finishing it (see DESIGN.md §11).
-      if (cur.expired()) {
-        cur.mark_degraded();
-        break;
-      }
+      if (cur.give_up()) break;
       const int to = lists.dir_link(item, l, fwd);
       if (to < 0) break;
       // Start the neighbour's row and owner loads before the compare waits

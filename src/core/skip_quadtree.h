@@ -412,9 +412,7 @@ class skip_quadtree {
     std::uint64_t z = static_cast<std::uint64_t>(level) * 0x9e3779b97f4a7c15ull + prefix +
                       static_cast<std::uint64_t>(salt) * 0xd1342543de82ef95ull;
     z ^= static_cast<std::uint64_t>(node) + 0x2545f4914f6cdd1dull + (z << 6) + (z >> 2);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return net::host_id{static_cast<std::uint32_t>((z ^ (z >> 31)) % net_->host_count())};
+    return net::host_id{static_cast<std::uint32_t>(util::mix64(z) % net_->host_count())};
   }
 
   // --- self-repair (replication > 0 only; DESIGN.md §10) --------------------
@@ -698,19 +696,15 @@ class skip_quadtree {
 
   // --- fault plane ----------------------------------------------------------
 
-  // Queries pay the replica-scanning route only when they must: replication
-  // installed AND some fault currently active on the network.
-  [[nodiscard]] bool fault_routing() const {
-    return replication_ > 0 && net_->faults_active();
-  }
-
-  // One routing hop to a node record. Fault-free: a plain move to the
-  // primary (byte-identical to the unreplicated walk). Under active faults:
-  // try the record's replicas in window order, each dead candidate costing
-  // its timed-out probe; a fully-dead window marks the op failed and the
-  // walk continues mechanically (per the ghost-hop contract in cursor.h).
+  // One routing hop to a node record. Queries pay the replica-scanning route
+  // only when they must: replication installed AND the fault plane active
+  // when the cursor was made. Otherwise a plain move to the primary
+  // (byte-identical to the unreplicated walk). Under faults: try the
+  // record's replicas in window order, each dead candidate costing its
+  // timed-out probe; a fully-dead window marks the op failed and the walk
+  // continues mechanically (per the ghost-hop contract in cursor.h).
   void hop(net::cursor& cur, int level, std::uint64_t prefix, int node) const {
-    if (!fault_routing()) {
+    if (replication_ == 0 || !cur.faults()) {
       cur.move_to(host_of(level, prefix, node));
       return;
     }

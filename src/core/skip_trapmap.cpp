@@ -72,9 +72,7 @@ const seq::trapmap& skip_trapmap::ground() const { return maps_[0].begin()->seco
 net::host_id skip_trapmap::host_of(int level, std::uint64_t prefix, int trap) const {
   std::uint64_t z = static_cast<std::uint64_t>(level) * 0x9e3779b97f4a7c15ull + prefix;
   z ^= static_cast<std::uint64_t>(trap) + 0x2545f4914f6cdd1dull + (z << 6) + (z >> 2);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return net::host_id{static_cast<std::uint32_t>((z ^ (z >> 31)) % net_->host_count())};
+  return net::host_id{static_cast<std::uint32_t>(util::mix64(z) % net_->host_count())};
 }
 
 void skip_trapmap::charge_map_nodes(int level, std::uint64_t prefix, const level_map& lm,

@@ -148,10 +148,7 @@ class skip_trie {
     std::vector<int> stack{top};
     while (!stack.empty()) {
       if (limit != 0 && out.size() >= limit) break;
-      if (cur.expired()) {
-        cur.mark_degraded();
-        break;
-      }
+      if (cur.give_up()) break;
       const int v = stack.back();
       stack.pop_back();
       cur.move_to(host_of(0, p0, v));
@@ -189,10 +186,7 @@ class skip_trie {
     std::vector<int> stack{g.root()};
     while (!stack.empty()) {
       if (limit != 0 && res.value.size() >= limit) break;
-      if (cur.expired()) {
-        cur.mark_degraded();
-        break;
-      }
+      if (cur.give_up()) break;
       const int v = stack.back();
       stack.pop_back();
       cur.move_to(host_of(0, p0, v));
@@ -332,9 +326,7 @@ class skip_trie {
   [[nodiscard]] net::host_id host_of(int level, std::uint64_t prefix, int node) const {
     std::uint64_t z = static_cast<std::uint64_t>(level) * 0x9e3779b97f4a7c15ull + prefix;
     z ^= static_cast<std::uint64_t>(node) + 0x2545f4914f6cdd1dull + (z << 6) + (z >> 2);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return net::host_id{static_cast<std::uint32_t>((z ^ (z >> 31)) % net_->host_count())};
+    return net::host_id{static_cast<std::uint32_t>(util::mix64(z) % net_->host_count())};
   }
 
   // Measured resident bytes (DESIGN.md §12): the trie node arenas (child

@@ -20,10 +20,7 @@ std::vector<std::uint64_t> sorted_unique(std::vector<std::uint64_t> keys) {
 }
 
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t z = a * 0x9e3779b97f4a7c15ull + b + 0x2545f4914f6cdd1dull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return util::mix64(a * 0x9e3779b97f4a7c15ull + b + 0x2545f4914f6cdd1dull);
 }
 
 // The placement word, range-checked before the cast.
@@ -312,10 +309,7 @@ api::op_result<std::vector<std::uint64_t>> skipweb_1d::range(std::uint64_t lo, s
     // Deadline plane: give up mid-sweep, returning the keys gathered so far
     // as a degraded (honest-prefix) answer. The >= lo guard keeps the prefix
     // honest even when the descent itself gave up short of lo.
-    if (cur.expired()) {
-      cur.mark_degraded();
-      break;
-    }
+    if (cur.give_up()) break;
     cur.move_to(host_of(item, 0));
     if (lists_.key(item) >= lo) out.value.push_back(lists_.key(item));
     item = first_live(lists_, item, /*fwd=*/true, cur,

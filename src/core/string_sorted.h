@@ -9,6 +9,7 @@
 #include "api/op_stats.h"
 #include "net/cursor.h"
 #include "net/network.h"
+#include "util/rng.h"
 #include "util/sw_assert.h"
 
 namespace skipweb::core {
@@ -150,10 +151,8 @@ class string_sorted {
   }
 
   [[nodiscard]] net::host_id host_of_slot(std::size_t slot) const {
-    std::uint64_t z = salt_ ^ (slot / block_) ^ 0x2545f4914f6cdd1dull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return net::host_id{static_cast<std::uint32_t>((z ^ (z >> 31)) % hosts_)};
+    const std::uint64_t z = salt_ ^ (slot / block_) ^ 0x2545f4914f6cdd1dull;
+    return net::host_id{static_cast<std::uint32_t>(util::mix64(z) % hosts_)};
   }
 
   [[nodiscard]] std::size_t lower_bound_slot(const std::string& q, net::cursor& cur) const {
@@ -197,10 +196,7 @@ class string_sorted {
     api::op_result<std::vector<std::string>> res;
     for (std::size_t i = a; i < b; ++i) {
       if (limit != 0 && res.value.size() >= limit) break;
-      if (cur.expired()) {
-        cur.mark_degraded();
-        break;
-      }
+      if (cur.give_up()) break;
       cur.move_to(host_of_slot(i));
       cur.note_comparisons(1);
       res.value.push_back(keys_[i]);
@@ -210,10 +206,8 @@ class string_sorted {
   }
 
   void charge_key(const std::string& s, std::int64_t sign) {
-    std::uint64_t z = salt_ + std::hash<std::string>{}(s) * 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    const net::host_id h{static_cast<std::uint32_t>((z ^ (z >> 31)) % hosts_)};
+    const std::uint64_t z = salt_ + std::hash<std::string>{}(s) * 0x9e3779b97f4a7c15ull;
+    const net::host_id h{static_cast<std::uint32_t>(util::mix64(z) % hosts_)};
     net_->charge(h, net::memory_kind::item, sign);
   }
 

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "net/types.h"
+#include "util/rng.h"
 
 namespace skipweb::net {
 
@@ -97,12 +98,8 @@ struct latency_model {
   }
 
  private:
-  // splitmix64-style avalanche, the same family charge_loss_retries uses.
   [[nodiscard]] static std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
-    std::uint64_t z = a + 0x9e3779b97f4a7c15ull * (b + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return util::mix64(a + 0x9e3779b97f4a7c15ull * (b + 1));
   }
 };
 

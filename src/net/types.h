@@ -2,7 +2,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <limits>
 
 namespace skipweb::net {
@@ -18,24 +17,4 @@ struct host_id {
 
 inline constexpr host_id invalid_host{};
 
-// A remote reference: the paper's pointer "(h, a) where h is the ID of a host
-// and a is an address on that host" (§2.3). `slot` indexes into whatever
-// arena the owning structure keeps for host `h`.
-struct address {
-  host_id host = invalid_host;
-  std::uint32_t slot = std::numeric_limits<std::uint32_t>::max();
-
-  [[nodiscard]] bool valid() const { return host.valid(); }
-  friend auto operator<=>(const address&, const address&) = default;
-};
-
-inline constexpr address null_address{};
-
 }  // namespace skipweb::net
-
-template <>
-struct std::hash<skipweb::net::host_id> {
-  std::size_t operator()(const skipweb::net::host_id& h) const noexcept {
-    return std::hash<std::uint32_t>{}(h.value);
-  }
-};

@@ -230,8 +230,11 @@ reader::reader(const std::string& path, restore_mode mode) : mode_(mode) {
   if (h.header_checksum != checksum64(&h, offsetof(file_header, header_checksum))) {
     fail("'" + path + "': header checksum mismatch (corrupt or truncated)");
   }
-  if (h.file_bytes > bytes_ || h.table_offset + h.table_bytes > h.file_bytes ||
-      h.table_bytes != h.section_count * sizeof(section_entry)) {
+  // Compared without sums or products: a crafted header must not wrap past
+  // 2^64 into a passing check.
+  if (h.file_bytes > bytes_ || h.table_offset > h.file_bytes ||
+      h.table_bytes > h.file_bytes - h.table_offset || h.table_bytes % sizeof(section_entry) != 0 ||
+      h.table_bytes / sizeof(section_entry) != h.section_count) {
     fail("'" + path + "': header geometry inconsistent (corrupt or truncated)");
   }
   const auto* tbl = base_ + h.table_offset;
@@ -242,7 +245,8 @@ reader::reader(const std::string& path, restore_mode mode) : mode_(mode) {
   for (std::uint64_t i = 0; i < h.section_count; ++i) {
     section_entry e;
     std::memcpy(&e, tbl + i * sizeof(section_entry), sizeof(e));
-    if (e.offset % section_align != 0 || e.offset + e.bytes > h.table_offset) {
+    if (e.offset % section_align != 0 || e.offset > h.table_offset ||
+        e.bytes > h.table_offset - e.offset) {
       fail("'" + path + "': section table entry out of bounds (corrupt)");
     }
     // Owned read: every payload is resident anyway, so verify it now. The

@@ -7,6 +7,15 @@
 
 namespace skipweb::util {
 
+// The splitmix64 finalizer: a bijective avalanche of one 64-bit word. Every
+// hash in the library (placements, loss and latency draws, string weights,
+// rng seeds) is its own pre-mix followed by this.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 // Deterministic, explicitly seeded random source. Every randomized structure
 // in the library takes an rng (or a seed) as an argument, so that every test,
 // bench and example reproduces bit-for-bit.
@@ -42,11 +51,8 @@ class rng {
   // fine for nested build randomness, wrong for per-worker streams (use
   // stream() below).
   rng split(std::uint64_t tag) {
-    // splitmix64 finalizer mixes the tag so nearby tags yield unrelated seeds.
-    std::uint64_t z = engine_() + tag + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return rng(z ^ (z >> 31));
+    // The finalizer mixes the tag so nearby tags yield unrelated seeds.
+    return rng(mix64(engine_() + tag + 0x9e3779b97f4a7c15ull));
   }
 
   // Splittable per-worker stream: the `which`th independent stream of a
@@ -56,10 +62,7 @@ class rng {
   // any call order, and any interleaving (the seed-determinism contract of
   // the multi-threaded benches; see workloads.h).
   [[nodiscard]] static rng stream(std::uint64_t seed, std::uint64_t which) {
-    std::uint64_t z = seed + (which + 1) * 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return rng(z ^ (z >> 31));
+    return rng(mix64(seed + (which + 1) * 0x9e3779b97f4a7c15ull));
   }
 
   std::mt19937_64& engine() { return engine_; }

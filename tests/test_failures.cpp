@@ -428,12 +428,37 @@ TEST(Replication1D, RoutesAroundTenPercentDeadHosts) {
 
 // --- plane combinations (1-D) ----------------------------------------------
 
+// The receipts of a run of queries, summed to reconcile with the ledger:
+// reset_traffic() first, add() every op, then the ledger must agree on
+// messages and simulated time — probes, loss retries and backoffs included.
+struct receipt_tally {
+  std::uint64_t messages = 0, sim_ns = 0;
+  void add(const api::op_stats& s) {
+    messages += s.messages;
+    sim_ns += s.sim_latency_ns;
+  }
+  void expect_ledger(const network& net) const {
+    EXPECT_GT(messages, 0u);
+    EXPECT_EQ(messages, net.total_messages());
+    EXPECT_EQ(sim_ns, net.total_sim_ns());
+  }
+};
+
 // Every skipweb_1d layout under every fault and latency plane, against a
 // brute-force oracle. Replicated routes answer for the keys whose towers are
 // reachable from the origin; unreplicated ones route through dead hosts as
 // ghost hops and answer for every key, flagging the op failed.
 enum class layout_1d { tower_k0, tower_k3, balanced, bucket };
-enum class plane_1d { healthy, kill10, partition, loss, deadline, detours, kill_loss };
+enum class plane_1d {
+  healthy,
+  kill10,
+  partition,
+  loss,
+  deadline,
+  detours,
+  kill_loss,
+  kill_loss_latency
+};
 
 class PlaneCombinations1D
     : public ::testing::TestWithParam<std::tuple<layout_1d, plane_1d>> {};
@@ -450,15 +475,18 @@ TEST_P(PlaneCombinations1D, AnswersMatchOracle) {
                        : skipweb_1d(keys, 71, net, skipweb_1d::placement::tower,
                                     layout == layout_1d::tower_k3 ? 3 : 0);
   const std::uint32_t hosts = static_cast<std::uint32_t>(net.host_count());
-  const bool kills = plane == plane_1d::kill10 || plane == plane_1d::kill_loss;
+  const bool lossy = plane == plane_1d::kill_loss || plane == plane_1d::kill_loss_latency;
+  const bool kills = plane == plane_1d::kill10 || lossy;
   if (kills) kill_tenth(net);
   if (plane == plane_1d::partition) {
     std::vector<host_id> cut;
     for (std::uint32_t v = 3; v < hosts; v += 7) cut.push_back(h(v));
     net.set_partitions({cut});
   }
-  if (plane == plane_1d::loss || plane == plane_1d::kill_loss) net.set_message_loss(0.2, 9);
-  if (plane == plane_1d::deadline || plane == plane_1d::detours) {
+  if (plane == plane_1d::loss || lossy) net.set_message_loss(0.2, 9);
+  // Latency with faults prices probe timeouts and retry backoffs too.
+  if (plane == plane_1d::deadline || plane == plane_1d::detours ||
+      plane == plane_1d::kill_loss_latency) {
     net.set_latency_model(net::latency_model::lognormal(1000, 0.5, 7));
   }
   if (plane == plane_1d::deadline) net.set_op_deadline(14000);
@@ -476,13 +504,17 @@ TEST_P(PlaneCombinations1D, AnswersMatchOracle) {
     }
   }
   std::size_t failed = 0;
+  net.reset_traffic();
+  receipt_tally tally;
   rng pr(4902);
   const auto probes = wl::probe_keys(keys, 150, pr);
   for (const auto q : probes) {
     const auto res = web.nearest(q, h(0));
+    tally.add(res.stats);
     failed += res.stats.failed ? 1 : 0;
     if (!res.stats.failed && !res.stats.degraded) expect_matches_oracle(res, oracle, q);
     const auto c = web.contains(q, h(0));
+    tally.add(c.stats);
     if (!c.stats.failed && !c.stats.degraded) {
       EXPECT_EQ(c.value, oracle.count(q) == 1) << q;
     }
@@ -494,6 +526,7 @@ TEST_P(PlaneCombinations1D, AnswersMatchOracle) {
     const std::uint64_t hi = sorted[i + 4 + i % 17];
     for (const std::size_t limit : {std::size_t{0}, std::size_t{5}}) {
       const auto res = web.range(lo, hi, h(0), limit);
+      tally.add(res.stats);
       failed += res.stats.failed ? 1 : 0;
       if (res.stats.failed) continue;
       std::vector<std::uint64_t> want(oracle.lower_bound(lo), oracle.upper_bound(hi));
@@ -515,12 +548,15 @@ TEST_P(PlaneCombinations1D, AnswersMatchOracle) {
   const auto batched = web.nearest_batch(batch, h(0));
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto serial = web.nearest(batch[i], h(0));
+    tally.add(batched[i].stats);
+    tally.add(serial.stats);
     ASSERT_EQ(batched[i].has_pred, serial.has_pred) << i;
     ASSERT_EQ(batched[i].has_succ, serial.has_succ) << i;
     ASSERT_EQ(batched[i].pred, serial.pred) << i;
     ASSERT_EQ(batched[i].succ, serial.succ) << i;
     ASSERT_EQ(batched[i].stats, serial.stats) << i;
   }
+  tally.expect_ledger(net);
 
   if (web.replication() > 0) {
     while (web.repair_step(h(0)).value > 0) ASSERT_TRUE(lists.check_invariants());
@@ -546,7 +582,8 @@ std::string plane_case_name(
     const ::testing::TestParamInfo<std::tuple<layout_1d, plane_1d>>& info) {
   static const char* const layouts[] = {"tower_k0", "tower_k3", "balanced", "bucket"};
   static const char* const planes[] = {"healthy", "kill10",  "partition", "loss",
-                                       "deadline", "detours", "kill_loss"};
+                                       "deadline", "detours", "kill_loss",
+                                       "kill_loss_latency"};
   return std::string(layouts[static_cast<int>(std::get<0>(info.param))]) + "_" +
          planes[static_cast<int>(std::get<1>(info.param))];
 }
@@ -558,7 +595,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(plane_1d::healthy, plane_1d::kill10,
                                          plane_1d::partition, plane_1d::loss,
                                          plane_1d::deadline, plane_1d::detours,
-                                         plane_1d::kill_loss)),
+                                         plane_1d::kill_loss,
+                                         plane_1d::kill_loss_latency)),
     plane_case_name);
 
 // --- self-repair (1-D) ------------------------------------------------------
@@ -627,13 +665,17 @@ TEST(RepairQuadtree, RehomesRecordsAndKeepsLedgerExact) {
   kill_tenth(net);
   ASSERT_TRUE(qt.check_invariants());  // kills move no memory
   std::size_t pre_failed = 0;
+  net.reset_traffic();
+  receipt_tally tally;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const auto res = qt.locate(pts[i], h(0));
+    tally.add(res.stats);
     // Ghost/replica hops never change the located cell.
     EXPECT_EQ(res.cell.corner, clean[i].cell.corner);
     EXPECT_TRUE(res.is_point);
     if (res.stats.failed) ++pre_failed;
   }
+  tally.expect_ledger(net);
 
   std::size_t repaired = 0, rounds = 0;
   ASSERT_TRUE(qt.needs_repair());
@@ -783,6 +825,13 @@ TEST(RepairDaemon, BackgroundRepairRacesQueriesCleanly) {
   const auto probes = wl::query_stream(keys, 400, 4892);
   constexpr std::size_t threads = 4;
   daemon.start();
+  // The 400 queries can finish before a loaded machine first schedules the
+  // daemon thread, and a daemon stopped then has run no round: let it run
+  // its first round (10 s at most) before the queries start racing it.
+  const auto first_round_by = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon.snapshot().rounds == 0 && std::chrono::steady_clock::now() < first_round_by) {
+    std::this_thread::yield();
+  }
   {
     std::vector<std::thread> workers;
     workers.reserve(threads);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -1704,6 +1705,69 @@ TEST(Persist, SeededCorruptionOfNativeLayouts) {
                  std::to_string(padding_flips) + " drawn)");
     f.expect_twin(bad);
   }
+}
+
+// The reader checks the header's and the table's geometry without sums or
+// products, so a crafted file whose checksums are recomputed cannot wrap an
+// offset plus a length, or a count times 32, past 2^64 into a passing check.
+TEST(Persist, HostileSectionGeometryRejected) {
+  rng r(2064);
+  const auto keys = wl::uniform_keys(300, r);
+  network net_o(1);
+  const auto orig =
+      api::make_index("skipweb1d", keys, api::index_options{}.seed(6).initial_hosts(8), net_o);
+  const auto path = snap_path("source");
+  api::save_index_snapshot(*orig, path);
+  const auto clean = read_file(path);
+  persist::file_header hdr;
+  std::memcpy(&hdr, clean.data(), sizeof(hdr));
+  std::vector<persist::section_entry> table(hdr.section_count);
+  std::memcpy(table.data(), clean.data() + hdr.table_offset, hdr.table_bytes);
+
+  // Writes `head` and `t` (at the file's real table offset), their
+  // checksums recomputed as a forger would.
+  const auto bad = snap_path("bad");
+  const auto write_crafted = [&](persist::file_header head,
+                                 const std::vector<persist::section_entry>& t) {
+    auto bytes = clean;
+    std::memcpy(bytes.data() + hdr.table_offset, t.data(), hdr.table_bytes);
+    head.table_checksum = persist::checksum64(t.data(), head.table_bytes);
+    head.header_checksum =
+        persist::checksum64(&head, offsetof(persist::file_header, header_checksum));
+    std::memcpy(bytes.data(), &head, sizeof(head));
+    write_file(bad, bytes);
+  };
+
+  // The control: rewritten unchanged, the file restores.
+  write_crafted(hdr, table);
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    EXPECT_EQ(api::restore_index(bad, mode, net)->size(), keys.size());
+  }
+
+  // An entry whose offset + length wraps to 64.
+  auto wrapped = table;
+  const auto kind = std::find_if(wrapped.begin(), wrapped.end(), [](const auto& e) {
+    return e.id == persist::section_id("meta.index_kind");
+  });
+  ASSERT_NE(kind, wrapped.end());
+  kind->offset = std::uint64_t{0} - (std::uint64_t{1} << 40);
+  kind->bytes = (std::uint64_t{1} << 40) + 64;
+  write_crafted(hdr, wrapped);
+  expect_index_rejected(bad, "entry offset + bytes wraps");
+
+  // 2^59 sections over an empty table: the count times 32 wraps to 0.
+  auto counted = hdr;
+  counted.section_count = std::uint64_t{1} << 59;
+  counted.table_bytes = 0;
+  write_crafted(counted, table);
+  expect_index_rejected(bad, "section_count * 32 wraps");
+
+  // A table offset whose sum with the table's length wraps to 64.
+  auto offset = hdr;
+  offset.table_offset = std::uint64_t{0} - hdr.table_bytes + 64;
+  write_crafted(offset, table);
+  expect_index_rejected(bad, "table_offset + table_bytes wraps");
 }
 
 // The repair plane re-homes one record per step, in the order it scans the
