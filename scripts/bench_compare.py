@@ -13,10 +13,17 @@ Usage:
                      [--fail-below RATIO]
 
 --fail-below R exits 1 when any higher-is-better metric of a compared row
-lands below R * old (0.9 = "fail on a >10% drop"), and exits 2 when a gated
-section has no rows in common — a silent empty intersection must never read
-as a pass. Rows present in only one file are reported but never gated (cell
-lists legitimately differ between a full run and a gate run).
+lands below R * old (0.9 = "fail on a >10% drop"), or when an exact metric
+(bytes_per_key: capacity-based, the same on every run of one seed) rises
+above EXACT_TOLERANCE * old; it exits 2 when a gated section has no rows in
+common — a silent empty intersection must never read as a pass. Rows
+present in only one file are reported but never gated (cell lists
+legitimately differ between a full run and a gate run).
+
+thread_scaling cells are compared by speedup_vs_first: each cell's ops/s
+over the same run's first (1-thread) cell of the same backend, mix and n.
+Two recordings made minutes apart then compare how a backend scales, not
+how fast the machine was at the time.
 """
 
 import argparse
@@ -24,20 +31,26 @@ import json
 import sys
 
 # Identity fields: every subset present in a row forms its key.
-ID_FIELDS = ("backend", "structure", "mix", "workload", "arm", "phase", "n",
-             "threads", "s", "cache", "kill_fraction", "replication", "batch")
+ID_FIELDS = ("backend", "structure", "mix", "workload", "arm", "phase", "dist",
+             "n", "threads", "s", "cache", "kill_fraction", "replication", "batch")
 
 # section -> (higher-is-better metrics, lower-is-better metrics)
 SECTION_METRICS = {
-    "samples": (("ops_per_sec",), ("messages_per_op",)),
+    "samples": (("ops_per_sec",), ("messages_per_op", "bytes_per_key")),
     "bign_scaling": (("serial_ops_per_sec", "batch_ops_per_sec", "bulk_speedup"),
-                     ("bulk_build_seconds",)),
-    "thread_scaling": (("ops_per_sec", "per_thread_ops_per_sec"), ()),
+                     ("bulk_build_seconds", "bytes_per_key")),
+    "thread_scaling": (("speedup_vs_first",), ()),
     "restart": (("restore_speedup_vs_bulk",),
                 ("restore_map_seconds", "restore_load_seconds", "first_query_ms")),
     "rows": ((), ("p99_ns", "messages_per_op")),
     "saturation": ((), ("p99_ns",)),
 }
+
+
+# Lower-is-better metrics that repeat exactly per seed, and how far a gated
+# run may read above the old value before it fails (--fail-below).
+EXACT_METRICS = ("bytes_per_key",)
+EXACT_TOLERANCE = 1.01
 
 
 def row_key(row):
@@ -46,7 +59,7 @@ def row_key(row):
 
 def fmt_key(key):
     return " ".join(f"{v}" if f in ("backend", "structure", "mix", "workload",
-                                    "arm", "phase") else f"{f}={v}"
+                                    "arm", "phase", "dist") else f"{f}={v}"
                     for f, v in key)
 
 
@@ -77,7 +90,9 @@ def compare_section(section, old_rows, new_rows, fail_below):
             ov, nv = float(o[metric]), float(n[metric])
             ratio = nv / ov if ov else float("inf")
             arrow = ""
-            if metric in higher and fail_below is not None and ratio < fail_below:
+            if fail_below is not None and (
+                    (metric in higher and ratio < fail_below) or
+                    (metric in EXACT_METRICS and ratio > EXACT_TOLERANCE)):
                 arrow = "  <-- FAIL"
                 failures.append((section, fmt_key(key), metric, ov, nv, ratio))
             parts.append(f"{metric} {ov:,.6g} -> {nv:,.6g} ({ratio:.2f}x){arrow}")
@@ -93,7 +108,8 @@ def main():
     ap.add_argument("--sections", default=None,
                     help="comma list; default: every known section present in both files")
     ap.add_argument("--fail-below", type=float, default=None, metavar="RATIO",
-                    help="exit 1 if any higher-is-better metric drops below RATIO * old")
+                    help="exit 1 if any higher-is-better metric drops below RATIO * old "
+                         "or any exact metric rises above EXACT_TOLERANCE * old")
     args = ap.parse_args()
 
     with open(args.old) as f:
@@ -124,8 +140,8 @@ def main():
     if all_failures:
         print()
         for section, key, metric, ov, nv, ratio in all_failures:
-            print(f"::error::{section} {key}: {metric} regressed to {ratio:.2f}x "
-                  f"({ov:,.0f} -> {nv:,.0f})")
+            print(f"::error::{section} {key}: {metric} regressed to {ratio:.3f}x "
+                  f"({ov:,.6g} -> {nv:,.6g})")
         return 1
     return 0
 

@@ -194,9 +194,10 @@ class quad_levels {
 
   // Pre-size one level's arena (bulk build). `nodes` may be the n-points
   // upper bound — every insert creates at most one cube and each tree adds
-  // one root, and roots + non-first inserts total <= n. The directory is not
-  // reserved: it grows by doubling from the same insertion order as in the
-  // point-by-point build, so the twins' directories are identical.
+  // one root, and roots + non-first inserts total <= n; the build's closing
+  // compact() returns what no node took. The directory is not reserved: it
+  // grows by doubling from the same insertion order as in the point-by-point
+  // build, so the twins' directories are identical.
   void reserve_level(int level, std::size_t nodes) {
     level_arena& a = lv(level);
     a.rows.reserve(nodes * fanout);

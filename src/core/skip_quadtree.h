@@ -669,6 +669,9 @@ class skip_quadtree {
         q_.set_down(l + 1, static_cast<int>(s), up_links[s]);
       }
     }
+    // Give back the slots no node took. The big rows arrays shrink in
+    // place, so the trim copies only the arrays under one huge page.
+    q_.compact();
   }
 
   void charge_node(int level, std::uint64_t prefix, int node, std::int64_t sign) {

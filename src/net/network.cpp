@@ -1,54 +1,28 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <new>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#define SKIPWEB_HAVE_ANON_MMAP 1
-#endif
+#include "util/anon_map.h"
 
 namespace skipweb::net {
 
 namespace {
 
-// Counters in a visit array for at least `n` hosts: whole pages where the
-// array is an anonymous mapping.
+// Visit-ledger storage (util/anon_map.h): zero on demand, so growing to 2^20
+// hosts touches no page and a commit pays for the page it lands on. Commits
+// land on scattered hosts, so the arrays stay on small pages: the first
+// touch of a huge page would zero 2 MiB of counters.
+constexpr std::size_t visit_bytes(std::size_t slots) { return slots * sizeof(std::uint64_t); }
+
+std::uint64_t* map_visits(std::size_t slots) {
+  return static_cast<std::uint64_t*>(util::map_anon(visit_bytes(slots), false));
+}
+
+// Counters in a visit array for at least `n` hosts: whole pages.
 std::size_t visit_slots(std::size_t n) {
-#if defined(SKIPWEB_HAVE_ANON_MMAP)
   constexpr std::size_t page_slots = 4096 / sizeof(std::uint64_t);
   return (n + page_slots - 1) / page_slots * page_slots;
-#else
-  return n;
-#endif
-}
-
-// Visit-ledger storage: `n` counters (a visit_slots() count) that read as
-// zero and cost no page until a commit writes one. An anonymous mapping
-// guarantees that (the kernel zero-fills each page on first touch; calloc
-// may instead clear recycled heap memory up front), so it is used wherever
-// it exists.
-std::uint64_t* alloc_visits(std::size_t n) {
-#if defined(SKIPWEB_HAVE_ANON_MMAP)
-  void* p = ::mmap(nullptr, n * sizeof(std::uint64_t), PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p == MAP_FAILED) throw std::bad_alloc();
-#else
-  void* p = std::calloc(n, sizeof(std::uint64_t));
-  if (p == nullptr) throw std::bad_alloc();
-#endif
-  return static_cast<std::uint64_t*>(p);
-}
-
-void free_visits(std::uint64_t* p, [[maybe_unused]] std::size_t n) {
-#if defined(SKIPWEB_HAVE_ANON_MMAP)
-  if (p != nullptr) ::munmap(p, n * sizeof(std::uint64_t));
-#else
-  std::free(p);
-#endif
 }
 
 std::atomic<std::uint64_t> next_serial{1};
@@ -109,7 +83,7 @@ network::network(std::size_t host_count)
 
 network::~network() {
   for (const auto& s : shards_) {
-    if (s) free_visits(s->visits, visit_capacity_);
+    if (s) util::unmap_anon(s->visits, visit_bytes(visit_capacity_));
   }
 }
 
@@ -133,17 +107,15 @@ void network::adopt_memory_rows(persist::pod_array<memory_row> rows) {
 
 void network::grow_to(std::size_t hosts) {
   if (hosts > visit_capacity_) {
-    // Geometric, so add_host one at a time stays amortized O(1). Only the
-    // counters of existing hosts are copied; the rest stays untouched zero
-    // pages. Every registered shard grows; threads cache the shard, never
-    // its array, so none is left holding a freed one.
+    // Geometric, so add_host one at a time stays amortized O(1). A remap
+    // moves the touched pages and copies no counter; the new tail is
+    // untouched zero pages. Every registered shard grows; threads cache the
+    // shard, never its array, so none is left holding a moved one.
     const std::size_t cap = visit_slots(std::max(hosts, 2 * visit_capacity_));
     for (const auto& s : shards_) {
       if (!s) continue;
-      std::uint64_t* fresh = alloc_visits(cap);
-      std::memcpy(fresh, s->visits, hosts_ * sizeof(std::uint64_t));
-      free_visits(s->visits, visit_capacity_);
-      s->visits = fresh;
+      s->visits = static_cast<std::uint64_t*>(util::remap_anon(
+          s->visits, visit_bytes(visit_capacity_), visit_bytes(cap), false));
     }
     visit_capacity_ = cap;
   }
@@ -272,7 +244,7 @@ network::ledger_shard& network::register_shard() {
   auto& s = shards_[slot];
   if (!s) {
     auto fresh = std::make_unique<ledger_shard>();
-    fresh->visits = alloc_visits(visit_capacity_);
+    fresh->visits = map_visits(visit_capacity_);
     s = std::move(fresh);
   }
   tl_shard_ = {serial_, s.get()};
@@ -383,8 +355,8 @@ void network::reset_traffic() {
   SW_EXPECTS(traffic_quiescent());
   for (const auto& s : shards_) {
     if (!s) continue;
-    std::uint64_t* fresh = alloc_visits(visit_capacity_);
-    free_visits(s->visits, visit_capacity_);
+    std::uint64_t* fresh = map_visits(visit_capacity_);
+    util::unmap_anon(s->visits, visit_bytes(visit_capacity_));
     s->visits = fresh;
     s->messages = 0;
     s->sim_ns = 0;

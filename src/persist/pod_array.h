@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -8,10 +9,7 @@
 #include <type_traits>
 #include <utility>
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
-
+#include "util/anon_map.h"
 #include "util/sw_assert.h"
 
 namespace skipweb::persist {
@@ -20,13 +18,18 @@ namespace skipweb::persist {
 // type of the snapshot-able arenas (core/level_lists.h, core/quad_levels.h).
 //
 // In OWNED mode this is a drop-in for the std::vector idioms those arenas
-// use, with the two properties the big-n build path already depended on
-// (previously via default_init_allocator):
+// use, with two properties of its own:
 //   - a value-less resize() leaves new records UNINITIALIZED (the bulk build
 //     writes every slot itself; the skipped sentinel fill is over half the
 //     1M-item build's wall clock, DESIGN.md §12);
-//   - allocations ≥16 MiB are advised MADV_HUGEPAGE (first-touch faults on
-//     the ~340 MB link pools dominate otherwise).
+//   - an array of at least one huge page (2 MiB) lives in its own mapping,
+//     2 MiB-aligned and advised MADV_HUGEPAGE (util/anon_map.h), so a
+//     capacity change copies nothing: growth moves the pages with mremap
+//     and shrink_to_fit() unmaps the tail in place. Smaller arrays, and
+//     every array where mremap does not exist, allocate and copy. Capacity
+//     counts records either way, and the mapping is that many bytes to the
+//     next small page (its last partial huge page stays on small pages), so
+//     capacity never touched is address space, not resident pages.
 //
 // In BORROWED mode the array is a read-only span over a snapshot mapping
 // (persist::reader), sharing ownership of the mapping blob. Every MUTATING
@@ -155,52 +158,58 @@ class pod_array {
     --size_;
   }
 
-  // Drop capacity slack (and any borrow) so the resident allocation equals
-  // size() — run before snapshotting so on-disk bytes match the footprint.
+  // Drop capacity slack (and any borrow) so the allocation equals size() —
+  // run before snapshotting so on-disk bytes match the footprint. A mapped
+  // array shrinks in place.
   void shrink_to_fit() {
     if (!borrow_ && cap_ == size_) return;
-    reallocate_exact(size_);
+    reallocate(size_);
   }
 
  private:
-  void ensure_owned() {
-    if (borrow_) reallocate_exact(size_);
+  // Whether an owned array of `records` lives in a mapping (class comment).
+  static bool mapped(std::size_t records) {
+    return util::remap_without_copy && records * sizeof(T) >= util::huge_page;
   }
 
-  // Replace the current storage (owned or borrowed) with a fresh owned
-  // allocation of exactly `n` records, copying min(size_, n) records over.
-  // release() zeroes size_/cap_, so both fields are restored AFTER it.
-  void reallocate_exact(std::size_t n) {
+  void ensure_owned() {
+    if (borrow_) reallocate(size_);
+  }
+
+  // Move the records to owned storage of exactly `n` records, keeping
+  // min(size_, n) of them. An owned mapped array that stays mapped is
+  // remapped; every other change allocates, copies and releases. release()
+  // zeroes size_/cap_, so both fields are set AFTER it.
+  void reallocate(std::size_t n) {
     const std::size_t keep = std::min(size_, n);
-    T* p = n > 0 ? allocate(n) : nullptr;
-    if (keep > 0 && p != nullptr) std::memcpy(p, data_, keep * sizeof(T));
-    release();
+    T* p = nullptr;
+    if (!borrow_ && mapped(cap_) && mapped(n)) {
+      p = static_cast<T*>(util::remap_anon(data_, cap_ * sizeof(T), n * sizeof(T), true));
+    } else {
+      if (n > 0) p = allocate(n);
+      if (keep > 0) std::memcpy(p, data_, keep * sizeof(T));
+      release();
+    }
     data_ = p;
     cap_ = n;
     size_ = keep;
   }
 
   void grow_to(std::size_t n) {
-    std::size_t want = cap_ < 4 ? 4 : cap_ * 2;
-    if (want < n) want = n;
-    const std::size_t keep = size_;
-    T* p = allocate(want);
-    if (keep > 0) std::memcpy(p, data_, keep * sizeof(T));
-    release();
-    data_ = p;
-    cap_ = want;
-    size_ = keep;
+    const std::size_t want = cap_ < 4 ? 4 : cap_ * 2;
+    reallocate(std::max(want, n));
   }
 
   static T* allocate(std::size_t n) {
-    void* p = ::operator new(n * sizeof(T), std::align_val_t{64});
-    advise_huge(p, n * sizeof(T));
-    return static_cast<T*>(p);
+    if (mapped(n)) return static_cast<T*>(util::map_anon(n * sizeof(T), true));
+    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{64}));
   }
 
   void release() {
     if (borrow_) {
       borrow_.reset();  // drops the mapping reference; data_ was never ours
+    } else if (mapped(cap_)) {
+      util::unmap_anon(data_, cap_ * sizeof(T));
     } else if (data_ != nullptr) {
       ::operator delete(static_cast<void*>(data_), std::align_val_t{64});
     }
@@ -222,17 +231,6 @@ class pod_array {
     cap_ = std::exchange(o.cap_, 0);
     borrow_ = std::move(o.borrow_);
     o.borrow_.reset();
-  }
-
-  static void advise_huge([[maybe_unused]] void* p, [[maybe_unused]] std::size_t bytes) {
-#if defined(__linux__)
-    if (bytes < (std::size_t{16} << 20)) return;
-    constexpr std::uintptr_t huge = std::uintptr_t{2} << 20;
-    const auto addr = reinterpret_cast<std::uintptr_t>(p);
-    const std::uintptr_t lo = (addr + huge - 1) & ~(huge - 1);
-    const std::uintptr_t hi = (addr + bytes) & ~(huge - 1);
-    if (hi > lo) ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
-#endif
   }
 
   T* data_ = nullptr;

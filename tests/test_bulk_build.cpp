@@ -31,6 +31,20 @@ namespace wl = skipweb::workloads;
 
 host_id h(std::uint32_t v) { return host_id{v}; }
 
+// A bulk-built index already is its compacted self: no slack, and an
+// explicit compact() changes no byte of the footprint.
+template <typename Index>
+void expect_built_is_compacted(Index& idx) {
+  const auto built = idx.footprint();
+  EXPECT_EQ(built.slack_bytes, 0u);
+  idx.compact();
+  const auto compacted = idx.footprint();
+  EXPECT_EQ(built.arena_bytes, compacted.arena_bytes);
+  EXPECT_EQ(built.link_bytes, compacted.link_bytes);
+  EXPECT_EQ(built.directory_bytes, compacted.directory_bytes);
+  EXPECT_EQ(built.slack_bytes, compacted.slack_bytes);
+}
+
 // Full arena comparison: every slot's scalar record and every alive slot's
 // link row at every level.
 void expect_lists_identical(const core::level_lists& a, const core::level_lists& b) {
@@ -243,6 +257,17 @@ TEST_P(SpatialBulkBuildConformance, ReceiptsIdenticalThroughRegistry) {
   }
 }
 
+// The bulk build reserves n + 1 node slots per level and gives back what no
+// node took, so the built index holds only its real nodes.
+TEST_P(SpatialBulkBuildConformance, BuiltIndexIsItsCompactedSelf) {
+  rng r(2025);
+  const auto pts = wl::spatial_points(api::spatial_backend_dims(GetParam()), 3000, true, r);
+  network net(1);
+  const auto idx =
+      api::make_spatial_index(GetParam(), pts, api::index_options{}.seed(23).initial_hosts(16), net);
+  expect_built_is_compacted(*idx);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSpatialBackends, SpatialBulkBuildConformance,
                          ::testing::Values("skip_quadtree2", "skip_quadtree3"),
                          [](const auto& info) { return info.param; });
@@ -348,7 +373,8 @@ TEST(BulkBuildBigN, UidStabilityAndInvariantsAcrossGrowth) {
 
 // The skip quadtree's rows at the spatial benchmark's scale: each node's
 // down link lives in every entry of its child row, and the walks read it
-// from the entry they stopped on. After a bulk build and churn that splices
+// from the entry they stopped on. The build leaves no slack, so the churn
+// starts from exactly sized arenas. After a bulk build and churn that splices
 // cubes out and recycles their slots, the rows must still pass
 // check_invariants() (which compares every copy of a link), and the batched
 // walks must match the serial ones in cells and receipts. SKIPWEB_BIGN=1
@@ -363,6 +389,7 @@ TEST(BulkBuildBigN, QuadtreeRowsAtScale) {
                                           pts.begin() + static_cast<std::ptrdiff_t>(n));
   network net(64);
   core::skip_quadtree<2> web(built, 19, net);
+  expect_built_is_compacted(web);
   const std::size_t slots = web.structure().slot_count(0);
   for (std::size_t i = 0; i < pairs; ++i) {
     const auto o = h(static_cast<std::uint32_t>(i % 64));
