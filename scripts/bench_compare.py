@@ -14,11 +14,10 @@ Usage:
 
 --fail-below R exits 1 when any higher-is-better metric of a compared row
 lands below R * old (0.9 = "fail on a >10% drop"), or when an exact metric
-(bytes_per_key: capacity-based, the same on every run of one seed) rises
-above EXACT_TOLERANCE * old; it exits 2 when a gated section has no rows in
-common — a silent empty intersection must never read as a pass. Rows
-present in only one file are reported but never gated (cell lists
-legitimately differ between a full run and a gate run).
+(EXACT_METRICS) rises above EXACT_TOLERANCE * old; it exits 2 when a gated
+section has no rows in common — a silent empty intersection must never read
+as a pass. Rows present in only one file are reported but never gated (cell
+lists legitimately differ between a full run and a gate run).
 
 thread_scaling cells are compared by speedup_vs_first: each cell's ops/s
 over the same run's first (1-thread) cell of the same backend, mix and n.
@@ -47,9 +46,11 @@ SECTION_METRICS = {
 }
 
 
-# Lower-is-better metrics that repeat exactly per seed, and how far a gated
-# run may read above the old value before it fails (--fail-below).
-EXACT_METRICS = ("bytes_per_key",)
+# Lower-is-better metrics that repeat exactly for one seed and op count, and
+# how far a gated run may read above the old value before it fails
+# (--fail-below). bytes_per_key counts capacity; messages_per_op is the
+# receipts' cost model. A rise in either is a change of code, never noise.
+EXACT_METRICS = ("bytes_per_key", "messages_per_op")
 EXACT_TOLERANCE = 1.01
 
 

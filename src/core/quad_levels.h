@@ -24,13 +24,13 @@ namespace skipweb::core {
 // Every point carries a membership bit vector; level l holds one compressed
 // quadtree per l-bit prefix set S_b. All trees of one level share a single
 // per-level arena of node records in parallel arrays (child rows, parent
-// slot indices, occupancy), and points live once in a global
-// point arena that every level references by slot. Each level finds its
-// trees through a directory, a persist::flat_table from prefix to
-// {root, points}: one flat slot array, saved as it is and borrowed back
-// zero-copy by a restore, like the arenas.
+// slot indices, occupancy), and points live in a global point arena that
+// every level references by slot. Each level finds its trees through a
+// directory, a persist::flat_table from prefix to {root, points}: one flat
+// slot array, saved as it is and borrowed back zero-copy by a restore, like
+// the arenas.
 //
-// Two layout decisions carry the query hot path:
+// Three layout decisions carry the query hot path:
 //
 // - **The identity-on-cubes hyperlink is a stored slot index, carried in
 //   the node's own child row.** The paper's inter-level jump ("the same
@@ -54,6 +54,13 @@ namespace skipweb::core {
 //   can prefetch exactly the entry its next step reads. Structural readers
 //   get a node's cube from the walk that reached it or from its parent's
 //   entry (cube_of).
+// - **A point entry carries its point.** Its corner holds the coordinates
+//   and its level is coord_bits (the point's unit cell), in the bytes a
+//   child cube takes, so locate's last test, the range sweep and nearest
+//   compare against the entry they already loaded, never the point arena.
+//   The arena keeps each point for the structural edits that start from a
+//   point slot (insert_at, erase_at), and the invariants check that the
+//   two copies agree.
 //
 // This class owns only the structure. The distributed protocol
 // (skip_quadtree.h) does the routing, message metering, and memory-ledger
@@ -72,11 +79,13 @@ class quad_levels {
   using cube = seq::qcube<D>;
 
   // A quadrant entry: a child node with its cube (the only stored copy of
-  // that cube), a single point, or nothing — plus the row owner's identity
-  // hyperlink, the same in all 2^D entries of a row.
+  // that cube), a single point with its coordinates, or nothing — plus the
+  // row owner's identity hyperlink, the same in all 2^D entries of a row.
   struct entry {
-    // The child node's cube (valid iff node >= 0): qcube's fields, flattened
-    // so that the link below fits where a qcube member would pad.
+    // The child node's cube, or the point's unit cell (level coord_bits,
+    // corner = the point): qcube's fields, flattened so that the link below
+    // fits where a qcube member would pad. A reader compares a point entry
+    // against a query here, without loading the point arena.
     std::array<seq::coord_t, D> corner{};
     std::int32_t level = 0;
     std::int32_t node = -1;
@@ -94,6 +103,13 @@ class quad_levels {
     void set_box(const cube& c) {
       corner = c.corner;
       level = c.level;
+    }
+    // The stored point (valid iff point >= 0).
+    [[nodiscard]] seq::qpoint<D> coords() const { return seq::qpoint<D>{corner}; }
+    void set_point(const seq::qpoint<D>& p, int pid) {
+      corner = p.x;
+      level = seq::coord_bits;
+      point = pid;
     }
   };
   // The link costs no space: an entry is as large as {node, point, qcube}.
@@ -139,9 +155,6 @@ class quad_levels {
     --live_points_;
   }
 
-  [[nodiscard]] const point& point_at(int pid) const {
-    return pts_[static_cast<std::size_t>(pid)];
-  }
   [[nodiscard]] util::membership_bits point_bits(int pid) const {
     return pbits_[static_cast<std::size_t>(pid)];
   }
@@ -155,7 +168,7 @@ class quad_levels {
     cube box{};
     locate_local(0, at, box, p);
     const entry& e = child_at(0, at, box.quadrant_of(p));
-    return (e.point >= 0 && pts_[static_cast<std::size_t>(e.point)] == p) ? e.point : -1;
+    return (e.point >= 0 && e.corner == p.x) ? e.point : -1;
   }
 
   // --- tree directory -------------------------------------------------------
@@ -266,6 +279,17 @@ class quad_levels {
     util::prefetch(&child_at(level, node, box.quadrant_of(q)));
   }
 
+  // Warm every cache line of `node`'s child row: a sweep that visits the
+  // node reads all of its entries. Rows fill whole lines of a line-aligned
+  // array (pod_array), so each row starts a line.
+  static_assert(fanout * sizeof(entry) % util::cache_line == 0);
+  void prefetch_row(int level, int node) const {
+    const auto* row = reinterpret_cast<const char*>(&child_at(level, node, 0));
+    for (std::size_t at = 0; at < fanout * sizeof(entry); at += util::cache_line) {
+      util::prefetch(row + at);
+    }
+  }
+
   // --- traversal primitives -------------------------------------------------
   //
   // `box` is always the cube the walk carries for `node`. Node cubes are
@@ -300,10 +324,10 @@ class quad_levels {
   }
 
   // Is q stored as a point entry directly under `node` (cube `box`, its
-  // deepest cube)?
+  // deepest cube)? Reads the entry the walk's last step loaded.
   [[nodiscard]] bool point_here(int level, int node, const cube& box, const point& q) const {
     const entry& e = child_at(level, node, box.quadrant_of(q));
-    return e.point >= 0 && pts_[static_cast<std::size_t>(e.point)] == q;
+    return e.point >= 0 && e.corner == q.x;
   }
 
   // --- structural updates ---------------------------------------------------
@@ -324,14 +348,13 @@ class quad_levels {
         a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
 
     if (e.empty()) {
-      entry& slot_e =
-          a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
-      slot_e.point = pid;
+      a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)].set_point(
+          p, pid);
       ++a.occupied[static_cast<std::size_t>(node)];
       return {-1, node, box};
     }
     if (e.point >= 0) {
-      const point other = pts_[static_cast<std::size_t>(e.point)];
+      const point other = e.coords();
       SW_EXPECTS(!(other == p));  // duplicate points are not representable
       const cube c = seq::smallest_enclosing(p, other);
       const int fresh = new_node(level, node);
@@ -362,7 +385,7 @@ class quad_levels {
     const int quad = box.quadrant_of(p);
     entry& e = a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
     SW_EXPECTS(e.point == pid);
-    e = entry{.down = e.down};  // the row keeps its link
+    e = entry{.down = e.down};  // clears the coordinates; the row keeps its link
     const int left = --a.occupied[static_cast<std::size_t>(node)];
 
     const int parent = a.parent[static_cast<std::size_t>(node)];
@@ -378,8 +401,8 @@ class quad_levels {
     for (int q = 0; q < fanout; ++q) {
       entry& pe = a.rows[static_cast<std::size_t>(parent) * fanout + static_cast<std::size_t>(q)];
       if (pe.node == node) {
-        // The moved entry carries the only copy of its cube, and the
-        // parent row keeps its own link.
+        // The moved entry carries the only copy of its cube (or its
+        // point's coordinates), and the parent row keeps its own link.
         remaining.down = pe.down;
         pe = remaining;
         break;
@@ -427,7 +450,8 @@ class quad_levels {
   // Structural invariants, for tests after randomized churn:
   //  - per tree: occupancy counts match entries, parents are consistent,
   //    child cubes nest properly and sit in their own quadrant, every
-  //    non-root node is interesting (>= 2 occupants);
+  //    non-root node is interesting (>= 2 occupants), every point entry
+  //    carries its point's coordinates and the unit-cell level;
   //  - partition by prefix: level l's trees hold exactly the live points
   //    whose membership matches each prefix (so S_b = the b-prefixed items);
   //  - nesting: every node cube at level l is a node cube of the parent
@@ -457,7 +481,9 @@ class quad_levels {
             if (e.node >= 0 && e.point >= 0) return false;
             if (e.point >= 0) {
               ++tree_points;
+              if (static_cast<std::size_t>(e.point) >= pts_.size()) return false;
               const point& p = pts_[static_cast<std::size_t>(e.point)];
+              if (!(e.coords() == p) || e.level != seq::coord_bits) return false;
               if (seen[static_cast<std::size_t>(e.point)] == 2) return false;
               if (!box.contains(p)) return false;
               if (box.quadrant_of(p) != q) return false;
@@ -555,7 +581,7 @@ class quad_levels {
   }
 
   // Write the whole multi-level arena under `prefix` ("<prefix>.pts",
-  // "<prefix>.lv3.rows", ...). Quiescent structural state only.
+  // "<prefix>.lv3.quads", ...). Quiescent structural state only.
   void save(persist::writer& w, std::string_view prefix) const {
     const std::string p(prefix);
     const std::uint64_t meta[] = {static_cast<std::uint64_t>(levels_),
@@ -568,7 +594,7 @@ class quad_levels {
       const level_arena& a = lv(l);
       const std::string lp = p + ".lv" + std::to_string(l);
       w.add_u64(lp + ".live_nodes", a.live_nodes);
-      w.add_pods(lp + ".rows", a.rows);
+      w.add_pods(lp + ".quads", a.rows);
       w.add_pods(lp + ".parent", a.parent);
       w.add_pods(lp + ".occupied", a.occupied);
       w.add_pods(lp + ".alive", a.alive);
@@ -606,7 +632,7 @@ class quad_levels {
       level_arena& a = lv(l);
       const std::string lp = p + ".lv" + std::to_string(l);
       a.live_nodes = static_cast<std::size_t>(r.u64(lp + ".live_nodes"));
-      a.rows = r.pods<entry>(lp + ".rows");
+      a.rows = r.pods<entry>(lp + ".quads");
       a.parent = r.pods<std::int32_t>(lp + ".parent");
       a.occupied = r.pods<std::uint8_t>(lp + ".occupied");
       a.alive = r.pods<std::uint8_t>(lp + ".alive");
@@ -708,7 +734,7 @@ class quad_levels {
     const int quad = box.quadrant_of(p);
     entry& e = a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
     SW_ASSERT(e.empty());
-    e.point = pid;
+    e.set_point(p, pid);
     ++a.occupied[static_cast<std::size_t>(node)];
   }
 

@@ -265,10 +265,12 @@ class skip_quadtree {
     net::cursor cur(*net_, origin);
     const int root = q_.tree(0, 0)->root;
 
+    // A node to expand (quad < 0), or the point entry in quadrant `quad` of
+    // node's row: its coordinates are read from the entry, never the arena.
     struct item {
       typename seq::quadtree<D>::dist2_t dist;
       int node;
-      int point;
+      int quad;
       bool operator>(const item& o) const { return dist > o.dist; }
     };
     std::priority_queue<item, std::vector<item>, std::greater<item>> heap;
@@ -279,16 +281,16 @@ class skip_quadtree {
       const item top = heap.top();
       heap.pop();
       if (top.dist >= best) break;
-      if (top.node < 0) {
+      if (top.quad >= 0) {
         best = top.dist;
-        best_point = q_.point_at(top.point);
+        best_point = q_.child_at(0, top.node, top.quad).coords();
         continue;
       }
       hop(cur, 0, 0, top.node);  // expanding a node = visiting its host
       for (int c = 0; c < fanout; ++c) {
         const auto& e = q_.child_at(0, top.node, c);
         if (e.point >= 0) {
-          heap.push({seq::quadtree<D>::point_dist2(q_.point_at(e.point), q), -1, e.point});
+          heap.push({seq::quadtree<D>::point_dist2(e.coords(), q), top.node, c});
         }
         if (e.node >= 0) heap.push({seq::quadtree<D>::cube_dist2(e.box(), q), e.node, -1});
       }
@@ -300,7 +302,11 @@ class skip_quadtree {
   // axis-aligned box [lo, hi]. The skip levels route to the smallest
   // interesting cube containing the whole box (O(log n) expected messages);
   // the ground walk below it pays one hop per visited node — output-
-  // sensitive enumeration, O(log n + answer + boundary cubes).
+  // sensitive enumeration, O(log n + answer + boundary cubes). Each point
+  // entry carries its coordinates, so a visit reads only the node's row,
+  // and every row goes on the sweep's stack with all its cache lines
+  // prefetched: the depth-first order pops the child it pushed last, so
+  // without the prefetch each visit would wait on its own row.
   // Results ascend lexicographically by coordinates; `limit` caps them
   // (0 = unlimited), stopping the walk early once reached.
   [[nodiscard]] api::op_result<std::vector<point>> range(const point& lo, const point& hi,
@@ -322,6 +328,7 @@ class skip_quadtree {
     }
 
     api::op_result<std::vector<point>> res;
+    q_.prefetch_row(0, node);
     std::vector<int> stack{node};
     bool capped = false;
     while (!stack.empty() && !capped) {
@@ -332,7 +339,7 @@ class skip_quadtree {
         const auto& e = q_.child_at(0, v, c);
         if (e.point >= 0) {
           cur.note_comparisons(1);
-          const point& p = q_.point_at(e.point);
+          const point p = e.coords();
           if (inside(p, lo, hi)) {
             res.value.push_back(p);
             if (limit != 0 && res.value.size() >= limit) {
@@ -341,6 +348,7 @@ class skip_quadtree {
             }
           }
         } else if (e.node >= 0 && intersects(e.box(), lo, hi)) {
+          q_.prefetch_row(0, e.node);
           stack.push_back(e.node);
         }
       }

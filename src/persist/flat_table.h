@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -13,6 +14,28 @@
 #include "util/sw_assert.h"
 
 namespace skipweb::persist {
+
+namespace detail {
+
+// A flat_table slot: {key, value}, and the bytes that would pad it to the
+// key's alignment as a zeroed member of their own. A slot then has no
+// padding, so every byte save() writes (and checksums) is a function of the
+// table's entries; member-wise copies leave none of them uninitialized. The
+// size and offsets are the plain {key, value} struct's.
+template <typename V, std::size_t Tail = (8 - sizeof(V) % 8) % 8>
+struct table_slot {
+  std::uint64_t key = ~std::uint64_t{0};
+  V value{};
+  std::array<std::byte, Tail> tail{};
+};
+
+template <typename V>
+struct table_slot<V, 0> {
+  std::uint64_t key = ~std::uint64_t{0};
+  V value{};
+};
+
+}  // namespace detail
 
 // Open-addressed hash table from u64 keys to trivially copyable values, its
 // slots one persist::pod_array — the snapshot-able directory type of
@@ -49,10 +72,10 @@ class flat_table {
  public:
   static constexpr std::uint64_t empty_key = ~std::uint64_t{0};
 
-  struct slot {
-    std::uint64_t key = empty_key;
-    V value{};
-  };
+  using slot = detail::table_slot<V>;
+  static_assert(alignof(V) <= alignof(std::uint64_t));
+  static_assert(std::has_unique_object_representations_v<slot>,
+                "a slot with padding would save undetermined bytes");
   using value_type = slot;  // api::vector_bytes sizes the table by its slots
 
   flat_table() = default;

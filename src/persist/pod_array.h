@@ -29,7 +29,9 @@ namespace skipweb::persist {
 //     every array where mremap does not exist, allocate and copy. Capacity
 //     counts records either way, and the mapping is that many bytes to the
 //     next small page (its last partial huge page stays on small pages), so
-//     capacity never touched is address space, not resident pages.
+//     capacity never touched is address space, not resident pages. Since a
+//     mapped growth copies nothing, it adds an eighth where a copied one
+//     doubles.
 //
 // In BORROWED mode the array is a read-only span over a snapshot mapping
 // (persist::reader), sharing ownership of the mapping blob. Every MUTATING
@@ -195,8 +197,13 @@ class pod_array {
     size_ = keep;
   }
 
+  // Geometric growth to at least `n` records. A mapped array grows by an
+  // eighth (at least 256 KiB, as it holds at least a huge page): its move
+  // copies nothing, so the smaller factor costs no copying, and the first
+  // insert into an exactly-sized arena does not double it. Smaller arrays
+  // double.
   void grow_to(std::size_t n) {
-    const std::size_t want = cap_ < 4 ? 4 : cap_ * 2;
+    const std::size_t want = mapped(cap_) ? cap_ + cap_ / 8 : cap_ < 4 ? 4 : cap_ * 2;
     reallocate(std::max(want, n));
   }
 

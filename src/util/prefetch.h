@@ -1,6 +1,11 @@
 #pragma once
 
+#include <cstddef>
+
 namespace skipweb::util {
+
+// Bytes per cache line on the targets the arenas are laid out for.
+inline constexpr std::size_t cache_line = 64;
 
 // Portable read-prefetch hint. The hot routing loops chase three unrelated
 // arrays per hop (link record, owner table, visit ledger); issuing the next

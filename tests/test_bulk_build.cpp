@@ -272,6 +272,29 @@ INSTANTIATE_TEST_SUITE_P(AllSpatialBackends, SpatialBulkBuildConformance,
                          ::testing::Values("skip_quadtree2", "skip_quadtree3"),
                          [](const auto& info) { return info.param; });
 
+// A built index's levels are exactly sized, so the first insert into each
+// level grows its arrays. The big ones live in mappings and grow by an
+// eighth, not a doubling: 2048 inserts into 2^16 points leave the footprint
+// within a quarter of the built one.
+TEST(BulkBuild, InsertsAfterBuildDoNotDoubleTheArena) {
+  constexpr std::size_t n = std::size_t{1} << 16;
+  constexpr std::size_t inserts = 2048;
+  rng r(2626);
+  const auto pts = wl::clustered_points<2>(n + inserts, r);
+  const std::vector<seq::qpoint<2>> built(pts.begin(),
+                                          pts.begin() + static_cast<std::ptrdiff_t>(n));
+  network net(64);
+  core::skip_quadtree<2> web(built, 27, net);
+  const auto before = web.footprint().total_bytes();
+  for (std::size_t i = 0; i < inserts; ++i) {
+    web.insert(pts[n + i], h(static_cast<std::uint32_t>(i % 64)));
+  }
+  const auto after = web.footprint().total_bytes();
+  EXPECT_GT(after, before);
+  EXPECT_LE(static_cast<double>(after), 1.25 * static_cast<double>(before))
+      << before << " -> " << after;
+}
+
 // --- layer 4: the memory surface the big-n bench reports ---------------------
 
 TEST(BulkBuild, FootprintSurfaceReportsForCoreBackends) {

@@ -1215,7 +1215,7 @@ std::vector<std::string> quadtree_sections(std::uint64_t levels) {
                                     "q.pts",        "q.pbits",         "q.pfree"};
   for (std::uint64_t l = 0; l <= levels; ++l) {
     for (const char* s :
-         {".live_nodes", ".rows", ".parent", ".occupied", ".alive", ".free", ".dir"}) {
+         {".live_nodes", ".quads", ".parent", ".occupied", ".alive", ".free", ".dir"}) {
       names.push_back("q.lv" + std::to_string(l) + s);
     }
   }
@@ -1352,7 +1352,7 @@ TEST(Persist, QuadtreeRowWithDisagreeingLinksFailsInvariants) {
   network net_o(1);
   const auto path = churned_quadtree_snapshot("skip_quadtree2", net_o).path;
   persist::reader src(path, persist::restore_mode::load);
-  auto rows = src.vec<entry>("q.lv1.rows");
+  auto rows = src.vec<entry>("q.lv1.quads");
   const auto alive = src.vec<std::uint8_t>("q.lv1.alive");
   const auto live = std::find(alive.begin(), alive.end(), std::uint8_t{1});
   ASSERT_NE(live, alive.end());
@@ -1361,10 +1361,38 @@ TEST(Persist, QuadtreeRowWithDisagreeingLinksFailsInvariants) {
   ASSERT_GE(e.down, 0);
   e.down += 1;
   const auto bad = snap_path("bad");
-  rewrite_quadtree(path, bad, {section_of("q.lv1.rows", rows)});
+  rewrite_quadtree(path, bad, {section_of("q.lv1.quads", rows)});
   for (const auto& [file, whole] : {std::pair{path, true}, std::pair{bad, false}}) {
     network net(1);
     persist::reader rd(file, persist::restore_mode::load);
+    const core::skip_quadtree<2> twin(rd, net);
+    EXPECT_EQ(twin.check_invariants(), whole) << file;
+  }
+}
+
+// A point entry carries its point's coordinates beside the point's slot, and
+// the walks compare against the entry alone, so the two copies must agree.
+// check_invariants() finds an entry whose coordinates differ from its
+// "q.pts" record, in a map-restored twin that reads the file in place.
+TEST(Persist, QuadtreeRowWithStaleCoordinatesFailsInvariants) {
+  using entry = core::quad_levels<2>::entry;
+  network net_o(1);
+  const auto path = churned_quadtree_snapshot("skip_quadtree2", net_o).path;
+  persist::reader src(path, persist::restore_mode::load);
+  auto rows = src.vec<entry>("q.lv0.quads");
+  const auto alive = src.vec<std::uint8_t>("q.lv0.alive");
+  entry* stale = nullptr;
+  for (std::size_t i = 0; i < rows.size() && stale == nullptr; ++i) {
+    if (rows[i].point >= 0 && alive.at(i / core::quad_levels<2>::fanout) != 0) stale = &rows[i];
+  }
+  ASSERT_NE(stale, nullptr);
+  ASSERT_EQ(stale->level, seq::coord_bits);
+  stale->corner[1] ^= 1;  // still in its quadrant: only the copy disagrees
+  const auto bad = snap_path("bad");
+  rewrite_quadtree(path, bad, {section_of("q.lv0.quads", rows)});
+  for (const auto& [file, whole] : {std::pair{path, true}, std::pair{bad, false}}) {
+    network net(1);
+    persist::reader rd(file, persist::restore_mode::map);
     const core::skip_quadtree<2> twin(rd, net);
     EXPECT_EQ(twin.check_invariants(), whole) << file;
   }
@@ -1504,11 +1532,16 @@ TEST(Persist, RetiredLayoutsRejected) {
   std::erase(no_policy, "impl.policy");
   const auto quadtree_levels_n = quadtree_levels(quadtree.path);
   const auto quadtree_names = quadtree_sections(quadtree_levels_n);
-  std::vector<std::pair<std::string, std::string>> rows_as_child;
-  for (std::uint64_t l = 0; l <= quadtree_levels_n; ++l) {
-    const std::string lp = "q.lv" + std::to_string(l);
-    rows_as_child.emplace_back(lp + ".rows", lp + ".child");
-  }
+  // Each level's rows under a retired name: "child" held no down links,
+  // "rows" no point coordinates.
+  const auto rows_as = [&](const std::string& retired) {
+    std::vector<std::pair<std::string, std::string>> renames;
+    for (std::uint64_t l = 0; l <= quadtree_levels_n; ++l) {
+      const std::string lp = "q.lv" + std::to_string(l);
+      renames.emplace_back(lp + ".quads", lp + retired);
+    }
+    return renames;
+  };
   struct retired_layout {
     const char* what;
     std::string from;
@@ -1540,8 +1573,10 @@ TEST(Persist, RetiredLayoutsRejected) {
        quadtree_names,
        {{"impl.rehome", "impl.rehome_keys"}},
        "impl.rehome"},
-      {"child rows without their down links", quadtree.path, true, quadtree_names, rows_as_child,
-       "q.lv0.rows"}};
+      {"child rows without their down links", quadtree.path, true, quadtree_names,
+       rows_as(".child"), "q.lv0.quads"},
+      {"point entries without their coordinates", quadtree.path, true, quadtree_names,
+       rows_as(".rows"), "q.lv0.quads"}};
   for (const auto& c : cases) {
     const auto bad = snap_path("retired");
     rename_sections(c.from, bad, c.names, c.renames);
@@ -1842,6 +1877,30 @@ TEST(Persist, RestoredQuadtreeRepairsInSameOrder) {
     EXPECT_GT(moved, 100u);
     EXPECT_EQ(differ, 0u);
   }
+}
+
+// A snapshot's bytes are a function of the index: two same-seed replicated
+// builds whose repair re-homed records (so "impl.rehome" holds entries) write
+// identical files. A slot of that table is {u64 key, u32 value}; its last
+// four bytes are a member of their own, zeroed, so no uninitialized byte
+// reaches the file or its checksums.
+TEST(Persist, ReplicatedQuadtreeSavesDeterministicBytes) {
+  std::vector<std::vector<char>> files;
+  for (int run = 0; run < 2; ++run) {
+    rng r(6565);
+    const auto pts = wl::spatial_points(2, 600, true, r);
+    network net(1);
+    const auto idx = api::make_spatial_index(
+        "skip_quadtree2", pts, api::index_options{}.seed(31).initial_hosts(1024).replication(2),
+        net);
+    for (std::uint32_t i = 0; i < 102; ++i) net.kill_host(h(3 + 10 * i));  // 10% of the hosts
+    EXPECT_GT(fault::repair_to_quiescence(*idx, h(0)).repaired, 0u);
+    const auto path = snap_path("deterministic_" + std::to_string(run));
+    api::save_spatial_snapshot(*idx, path);
+    files.push_back(read_file(path));
+  }
+  ASSERT_FALSE(files[0].empty());
+  EXPECT_TRUE(files[0] == files[1]);
 }
 
 // --- layer 5: the build-or-restore entry points ------------------------------

@@ -99,6 +99,21 @@ TEST(PodArray, ReserveAcrossThresholdKeepsRecords) {
   expect_prefix(a, at_threshold / 2);
 }
 
+// A full array grows on the next push_back: a mapped one by an eighth of
+// its capacity (its move copies nothing), an allocated one by doubling.
+TEST(PodArray, MappedArrayGrowsByAnEighth) {
+  for (const std::size_t n : {std::size_t{1000}, 2 * at_threshold}) {
+    auto a = filled(n);
+    a.shrink_to_fit();
+    ASSERT_EQ(a.capacity(), n);
+    a.push_back(make(n));
+    const bool mapped = util::remap_without_copy && n * sizeof(rec) >= util::huge_page;
+    EXPECT_EQ(a.capacity(), mapped ? n + n / 8 : 2 * n) << n;
+    expect_prefix(a, n + 1);
+    expect_aligned(a);
+  }
+}
+
 TEST(PodArray, ShrinkToFitOnMappedArrayIsExactAndInPlace) {
   auto a = filled(2 * at_threshold);
   a.reserve(8 * at_threshold);

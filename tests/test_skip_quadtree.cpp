@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/skip_quadtree.h"
@@ -401,6 +402,70 @@ void churned_walks_match_oracle(std::uint64_t seed) {
 TEST(SkipQuadtree, ChurnedWalksMatchOracle) {
   churned_walks_match_oracle<2>(3015);
   churned_walks_match_oracle<3>(3016);
+}
+
+// The summed receipts of a fixed stream of range queries: random boxes,
+// boxes of random dyadic radius around stored points, and every fourth
+// query capped at 5 results.
+template <int D>
+api::op_stats summed_range_receipts(const std::vector<seq::qpoint<D>>& pts, std::uint64_t seed) {
+  using point = seq::qpoint<D>;
+  network net(64);
+  const skip_quadtree<D> web(pts, seed, net);
+  rng r(seed + 1);
+  api::op_stats sum;
+  for (std::uint32_t trial = 0; trial < 96; ++trial) {
+    point lo, hi;
+    if (trial % 3 == 0) {
+      for (int d = 0; d < D; ++d) {
+        const auto a = r.uniform_u64(0, seq::coord_span - 1);
+        const auto b = r.uniform_u64(0, seq::coord_span - 1);
+        lo.x[d] = std::min(a, b);
+        hi.x[d] = std::max(a, b);
+      }
+    } else {
+      const point c = pts[r.index(pts.size())];
+      const seq::coord_t rad = seq::coord_t{1} << r.index(seq::coord_bits);
+      for (int d = 0; d < D; ++d) {
+        lo.x[d] = c.x[d] > rad ? c.x[d] - rad : 0;
+        hi.x[d] = std::min(c.x[d] + rad, seq::coord_span - 1);
+      }
+    }
+    sum += web.range(lo, hi, h(trial % 64), trial % 4 == 3 ? 5 : 0).stats;
+  }
+  return sum;
+}
+
+// The range sweep's visit order, hops and cap are its cost model: how the
+// sweep loads a row may change, what it charges may not. The sums are pinned
+// constants, so a change to the sweep must reproduce them exactly.
+TEST(SkipQuadtree, RangeReceiptsPinned) {
+  struct pinned {
+    const char* set;
+    int dims;
+    std::uint64_t messages, host_visits, comparisons;
+  };
+  const pinned want[] = {{"uniform", 2, 2590, 2686, 2111}, {"clustered", 2, 2625, 2721, 1860},
+                         {"chain", 2, 1770, 1866, 996},     {"uniform", 3, 1772, 1868, 1621},
+                         {"clustered", 3, 1636, 1732, 688}, {"chain", 3, 1321, 1417, 693}};
+  const auto receipts = [](const std::string& set, int dims) {
+    rng r(3017 + static_cast<std::uint64_t>(dims));
+    const auto run = [&](auto pts) { return summed_range_receipts(pts, 3019); };
+    if (dims == 2) {
+      if (set == "uniform") return run(wl::uniform_points<2>(500, r));
+      if (set == "clustered") return run(wl::clustered_points<2>(500, r));
+      return run(wl::chain_points<2>(120));
+    }
+    if (set == "uniform") return run(wl::uniform_points<3>(500, r));
+    if (set == "clustered") return run(wl::clustered_points<3>(500, r));
+    return run(wl::chain_points<3>(120));
+  };
+  for (const auto& w : want) {
+    const auto got = receipts(w.set, w.dims);
+    EXPECT_EQ(got.messages, w.messages) << w.set << " " << w.dims << "-D";
+    EXPECT_EQ(got.host_visits, w.host_visits) << w.set << " " << w.dims << "-D";
+    EXPECT_EQ(got.comparisons, w.comparisons) << w.set << " " << w.dims << "-D";
+  }
 }
 
 }  // namespace
