@@ -2,7 +2,9 @@
 
 #include <cerrno>
 #include <cstring>
+#include <future>
 #include <new>
+#include <system_error>
 
 #if defined(__linux__) || defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -132,9 +134,24 @@ void writer::add(std::string_view name, const void* data, std::size_t bytes) {
   put(zeros, pad);
   e.offset = offset_;
   e.bytes = bytes;
-  e.checksum = checksum64(data, bytes);
-  put(data, bytes);
+  e.checksum = put_hashed(data, bytes);
   table_.push_back(e);
+}
+
+// Writes a section and returns its checksum64. A large one is hashed on a
+// helper thread while this thread writes it; both only read `data`. The
+// future joins the helper before this returns, also when put() throws.
+std::uint64_t writer::put_hashed(const void* data, std::size_t bytes) {
+  std::future<std::uint64_t> sum;
+  if (bytes >= hash_beside_bytes) {
+    try {
+      sum = std::async(std::launch::async, [data, bytes] { return checksum64(data, bytes); });
+    } catch (const std::system_error&) {
+      // No thread to be had: hash inline below.
+    }
+  }
+  put(data, bytes);
+  return sum.valid() ? sum.get() : checksum64(data, bytes);
 }
 
 void writer::finish() {

@@ -44,6 +44,10 @@ inline constexpr std::uint64_t snapshot_magic = 0x003150414E535753ull;  // "SWSN
 inline constexpr std::uint32_t snapshot_version = 1;
 inline constexpr std::uint32_t snapshot_endian_probe = 0x01020304u;
 inline constexpr std::size_t section_align = 64;
+// A section of this many bytes or more is hashed on a helper thread while the
+// writer's own thread writes the same bytes to the file; a smaller one is
+// hashed inline, where starting a thread would cost more than the hash.
+inline constexpr std::size_t hash_beside_bytes = std::size_t{1} << 20;
 
 // xxhash64-style mixer over an arbitrary byte range: 64-bit lanes, strong
 // avalanche, no table — quality far beyond CRC at memcpy-bound speed, and no
@@ -93,7 +97,8 @@ class writer {
   writer(const writer&) = delete;
   writer& operator=(const writer&) = delete;
 
-  // Append one named section. Names must be unique within the file.
+  // Append one named section. Names must be unique within the file. `data`
+  // is read only during the call.
   void add(std::string_view name, const void* data, std::size_t bytes);
 
   void add_u64(std::string_view name, std::uint64_t v) { add(name, &v, sizeof(v)); }
@@ -117,6 +122,7 @@ class writer {
 
  private:
   void put(const void* data, std::size_t bytes);
+  [[nodiscard]] std::uint64_t put_hashed(const void* data, std::size_t bytes);
 
   std::string path_;
   std::FILE* f_ = nullptr;

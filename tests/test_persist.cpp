@@ -1903,6 +1903,76 @@ TEST(Persist, ReplicatedQuadtreeSavesDeterministicBytes) {
   EXPECT_TRUE(files[0] == files[1]);
 }
 
+// --- layer 4j: the writer's helper thread -----------------------------------
+
+// Sections of persist::hash_beside_bytes or more are hashed on a helper
+// thread while the same bytes are written. At 2^16 keys each of skipweb1d's
+// link pools is about 4.4 MB, so its file takes that path: two saves write
+// the same bytes, a load-mode restore verifies every payload checksum, and a
+// flipped byte inside any large section is rejected.
+TEST(Persist, LargeSectionsHashedBesideTheWrite) {
+  rng r(6553);
+  const auto keys = wl::uniform_keys(std::size_t{1} << 16, r);
+  network net_o(1);
+  const auto idx =
+      api::make_index("skipweb1d", keys, api::index_options{}.seed(9).initial_hosts(8), net_o);
+  const auto path = snap_path("large");
+  const auto again = snap_path("large_again");
+  api::save_index_snapshot(*idx, path);
+  api::save_index_snapshot(*idx, again);
+  const auto clean = read_file(path);
+  ASSERT_TRUE(clean == read_file(again));
+
+  persist::file_header hdr;
+  ASSERT_GE(clean.size(), sizeof(hdr));
+  std::memcpy(&hdr, clean.data(), sizeof(hdr));
+  std::vector<persist::section_entry> table(hdr.section_count);
+  std::memcpy(table.data(), clean.data() + hdr.table_offset, hdr.table_bytes);
+  std::vector<persist::section_entry> large;
+  std::copy_if(table.begin(), table.end(), std::back_inserter(large), [](const auto& e) {
+    return e.bytes >= persist::hash_beside_bytes;
+  });
+  ASSERT_GE(large.size(), 2u);  // at least the next and prev link pools
+  for (const auto& e : large) {
+    EXPECT_EQ(e.checksum, persist::checksum64(clean.data() + e.offset, e.bytes)) << e.offset;
+  }
+
+  expect_twin_of(path, *idx, net_o, keys);
+
+  const auto bad = snap_path("flipped");
+  for (const auto& e : large) {
+    auto bytes = clean;
+    bytes[e.offset + e.bytes / 2] = static_cast<char>(bytes[e.offset + e.bytes / 2] ^ 0x20);
+    write_file(bad, bytes);
+    EXPECT_THROW(restore_file(bad, persist::restore_mode::load, false), persist::error)
+        << "section at " << e.offset;
+  }
+  for (const auto& p : {path, again, bad}) fs::remove(p);
+}
+
+// The raw writer: one 3 MiB section of random bytes between two small ones
+// round-trips through both restore modes.
+TEST(Persist, LargeRawSectionRoundTrips) {
+  rng r(3141);
+  std::vector<std::uint64_t> blob((std::size_t{3} << 20) / sizeof(std::uint64_t));
+  for (auto& v : blob) v = r.next_u64();
+  const auto path = snap_path("raw");
+  {
+    persist::writer w(path);
+    w.add_u64("before", 7);
+    w.add_vector("blob", blob);
+    w.add_u64("after", 9);
+    w.finish();
+  }
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    persist::reader rd(path, mode);
+    EXPECT_EQ(rd.u64("before"), 7u);
+    EXPECT_EQ(rd.u64("after"), 9u);
+    EXPECT_TRUE(rd.vec<std::uint64_t>("blob") == blob);
+  }
+  fs::remove(path);
+}
+
 // --- layer 5: the build-or-restore entry points ------------------------------
 
 TEST(Persist, SnapshotPathBuildsThenRestores) {
