@@ -659,8 +659,11 @@ class quad_levels {
   // `free`. The POD arrays are persist::pod_array and the prefix→tree
   // directory a persist::flat_table over one — owned in a built structure,
   // borrowed zero-copy snapshot spans (copy-on-first-write) in a restored
-  // one.
-  struct level_arena {
+  // one. Each level's record starts its own cache line: the bulk build runs
+  // the levels' passes on different cores (skip_quadtree::bulk_build), and
+  // one pass bumping its sizes must not evict the array headers another
+  // pass reads at every step.
+  struct alignas(util::cache_line) level_arena {
     persist::pod_array<entry> rows;  // fanout entries per slot
     persist::pod_array<std::int32_t> parent;
     persist::pod_array<std::uint8_t> occupied;

@@ -1,9 +1,15 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <exception>
+#include <iterator>
+#include <mutex>
 #include <queue>
 #include <sstream>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "api/op_stats.h"
@@ -16,6 +22,7 @@
 #include "persist/snapshot.h"
 #include "seq/quadtree.h"
 #include "util/membership.h"
+#include "util/prefetch.h"
 #include "util/rng.h"
 #include "util/sw_assert.h"
 
@@ -65,10 +72,10 @@ class skip_quadtree {
   using arena = quad_levels<D>;
   static constexpr int fanout = arena::fanout;
 
-  // `bulk` selects the level-major bulk build (DESIGN.md §12) — byte-
-  // identical to the point-by-point construction (same slots, same receipts)
-  // and several times faster at n >= 1M; `false` forces the reference path
-  // for twin tests.
+  // `bulk` selects the level-major bulk build (DESIGN.md §12), its level
+  // passes pipelined across cores — byte-identical to the point-by-point
+  // construction (same slots, same receipts) and several times faster at
+  // n >= 1M; `false` forces the reference path for twin tests.
   skip_quadtree(const std::vector<point>& pts, std::uint64_t seed, net::network& net,
                 std::size_t replication = 0, bool bulk = true)
       : net_(&net),
@@ -155,6 +162,10 @@ class skip_quadtree {
 
   // The build clamps `replication` to this; a snapshot above it is rejected.
   static constexpr std::size_t max_replication = 8;
+  // A bulk build of fewer points runs its level passes on the calling
+  // thread alone, where starting helpers would cost more than overlapping
+  // the passes saves (DESIGN.md §12).
+  static constexpr std::size_t pipeline_min_points = std::size_t{1} << 12;
 
   [[nodiscard]] std::size_t size() const { return q_.point_count(); }
   [[nodiscard]] int levels() const { return levels_; }
@@ -617,64 +628,53 @@ class skip_quadtree {
   // cache-resident for a whole pass, and the directory is probed once per
   // visit instead of twice (ensure_tree_ref). Byte-identical structure, uids
   // and receipts (tested in test_bulk_build).
+  //
+  // Pass l needs of pass l+1 only each point's trail, so the passes run as
+  // a pipeline across cores: pass l visits point i once pass l+1 has
+  // published that it is done with i (level_pass). Workers claim passes
+  // top level first; each waits only on a pass claimed before its own, so
+  // any number of workers finishes. Ledger charges go to per-worker delta
+  // rows, folded into the network after the join.
   void bulk_build(const std::vector<point>& pts) {
     const std::size_t n = pts.size();
     q_.reserve_points(n);
-    std::vector<util::membership_bits> bits(n);
-    for (auto& b : bits) b = util::draw_membership(rng_);  // input order, as insert_chain draws
-    std::vector<std::int32_t> pid(n);
+    bulk_state s(pts, levels_);
     for (std::size_t i = 0; i < n; ++i) {
-      pid[i] = static_cast<std::int32_t>(q_.new_point(pts[i], bits[i]));
+      s.bits[i] = util::draw_membership(rng_);  // input order, as insert_chain draws
+      s.pid[i] = static_cast<std::int32_t>(q_.new_point(pts[i], s.bits[i]));
+      // Point-payload charge salts are level-independent: one hash per point
+      // instead of one per point per level.
+      s.psalt[i] = static_cast<int>(seq::qpoint_hash<D>{}(pts[i]) & 0x3fffffff);
     }
-    // Point-payload charge salts are level-independent: hoist the hash out of
-    // the level loop (one per point instead of one per point per level).
-    std::vector<int> psalt(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      psalt[i] = static_cast<int>(seq::qpoint_hash<D>{}(pts[i]) & 0x3fffffff);
-    }
-    std::vector<std::int32_t> final_node(n, -1);  // descend endpoint one level up
-    std::vector<cube> final_box(n);               // ... and its cube
-    std::vector<std::int32_t> pend_root(n, -1);
-    std::vector<std::int32_t> pend_created(n, -1);
-    std::vector<cube> pend_box(n);
-    std::vector<std::int32_t> up_links;  // level l+1's down links during pass l
-    for (int l = levels_; l >= 0; --l) {
-      q_.reserve_level(l, n + 1);  // <= n slots materialize per level (see reserve_level)
-      // Every level-(l+1) link is unresolved until this pass sets it.
-      up_links.assign(l < levels_ ? q_.slot_count(l + 1) : 0, -1);
-      for (std::size_t i = 0; i < n; ++i) {
-        const point& p = pts[i];
-        if (l == 0) SW_EXPECTS(q_.find_point(p) < 0);  // distinct points
-        const auto prefix = util::prefix_of(bits[i], l).bits;
-        const int start = final_node[i] >= 0 ? up_links[static_cast<std::size_t>(final_node[i])]
-                                              : -1;
-        // `tr` stays valid to `++tr->points`: nothing below inserts a tree at l.
-        const auto [tr, fresh] = q_.ensure_tree_ref(l, prefix);
-        const int root = tr->root;
-        if (fresh) charge_node(l, prefix, root, +1);
-        int node = start >= 0 ? start : root;
-        cube box = start >= 0 ? final_box[i] : cube{};
-        if (pend_root[i] >= 0) {
-          up_links[static_cast<std::size_t>(pend_root[i])] = root;
-          pend_root[i] = -1;
+    const auto passes = static_cast<std::size_t>(levels_) + 1;
+    const std::size_t workers =
+        n < pipeline_min_points
+            ? 1
+            : std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, passes);
+    std::vector<pass_worker> crew(workers);
+    for (auto& w : crew) w.ledger.resize(net_->host_count());
+    {
+      std::vector<std::jthread> helpers;  // joined on leaving this scope
+      helpers.reserve(workers - 1);
+      try {
+        for (std::size_t k = 1; k < workers; ++k) {
+          helpers.emplace_back([this, &s, &w = crew[k]] { run_passes(s, w); });
         }
-        q_.locate_local(l, node, box, p);
-        final_node[i] = node;  // its down link resolves during the next pass
-        final_box[i] = box;
-        const auto outcome = q_.insert_at(l, node, box, pid[i]);
-        charge_point(l, prefix, psalt[i], +1);
-        ++tr->points;
-        if (outcome.created >= 0) charge_node(l, prefix, outcome.created, +1);
-        if (pend_created[i] >= 0) {
-          const int target = q_.resolve_cube(l, outcome.attached, outcome.box, pend_box[i]);
-          up_links[static_cast<std::size_t>(pend_created[i])] = target;
-        }
-        pend_created[i] = outcome.created;
-        pend_box[i] = outcome.box;
-        if (fresh) pend_root[i] = root;
+      } catch (const std::system_error&) {
+        // No more threads to be had: the workers that did start, and this
+        // thread, claim every pass between them.
       }
-      for (std::size_t s = 0; s < up_links.size(); ++s) {
-        q_.set_down(l + 1, static_cast<int>(s), up_links[s]);
+      run_passes(s, crew.front());
+    }
+    if (s.error) std::rethrow_exception(s.error);
+    for (const auto& w : crew) {
+      for (std::size_t h = 0; h < w.ledger.size(); ++h) {
+        for (std::size_t k = 0; k < std::size(w.ledger[h].counts); ++k) {
+          if (const std::uint64_t units = w.ledger[h].counts[k]; units != 0) {
+            net_->charge(net::host_id{static_cast<std::uint32_t>(h)},
+                         static_cast<net::memory_kind>(k), static_cast<std::int64_t>(units));
+          }
+        }
       }
     }
     // Give back the slots no node took. The big rows arrays shrink in
@@ -682,27 +682,206 @@ class skip_quadtree {
     q_.compact();
   }
 
-  void charge_node(int level, std::uint64_t prefix, int node, std::int64_t sign) {
+  // A pass publishes its progress every this many points.
+  static constexpr std::uint32_t handoff_points = 256;
+  // Polls of a progress word before a waiting pass blocks on it.
+  static constexpr int spin_polls = 64;
+
+  // What one bulk build's level passes share. A point's trail carries its
+  // descent from pass l+1 to pass l: pass l reads and rewrites trail[i]
+  // after pass l+1 has published i and before it publishes i itself.
+  struct bulk_state {
+    // The descent endpoint one level up and its cube, and what the next
+    // pass resolves: a fresh root and a created cube (with its cube) whose
+    // down links still point nowhere.
+    struct trail_entry {
+      std::int32_t final_node = -1;
+      std::int32_t pend_root = -1;
+      std::int32_t pend_created = -1;
+      cube final_box{};
+      cube pend_box{};
+    };
+    // One pass's progress word, on its own cache line: the points the pass
+    // is done with, or'ed with `stopped` once a pass has failed.
+    struct alignas(util::cache_line) progress {
+      std::atomic<std::uint32_t> done{0};
+    };
+    static constexpr std::uint32_t stopped = std::uint32_t{1} << 31;
+
+    bulk_state(const std::vector<point>& points, int levels)
+        : pts(points),
+          bits(points.size()),
+          pid(points.size()),
+          psalt(points.size()),
+          trail(points.size()),
+          progress_of(static_cast<std::size_t>(levels) + 2),
+          next_level(levels) {
+      SW_EXPECTS(points.size() < stopped);  // slots are int32 anyway
+      // Nothing above the top level: its pass may visit every point.
+      progress_of.back().done.store(static_cast<std::uint32_t>(points.size()));
+    }
+
+    // Points pass `level` is done with, once that exceeds `past`; 0 once a
+    // pass has failed. Polls briefly, then blocks until the word changes.
+    std::uint32_t wait_past(int level, std::size_t past) {
+      auto& word = progress_of[static_cast<std::size_t>(level)].done;
+      std::uint32_t v = word.load(std::memory_order_acquire);
+      for (int k = 0; v <= past && k < spin_polls; ++k) {
+        std::this_thread::yield();
+        v = word.load(std::memory_order_acquire);
+      }
+      while (v <= past) {
+        word.wait(v, std::memory_order_acquire);
+        v = word.load(std::memory_order_acquire);
+      }
+      return (v & stopped) != 0 ? 0 : v;
+    }
+
+    // Pass `level` is done with `more` further points; false once a pass
+    // has failed.
+    bool publish(int level, std::uint32_t more) {
+      auto& word = progress_of[static_cast<std::size_t>(level)].done;
+      const std::uint32_t before = word.fetch_add(more, std::memory_order_release);
+      word.notify_all();
+      return (before & stopped) == 0;
+    }
+
+    // Keeps the first failure and wakes every waiting pass.
+    void fail(std::exception_ptr e) {
+      {
+        const std::lock_guard lock(error_mutex);
+        if (!error) error = std::move(e);
+      }
+      for (auto& p : progress_of) {
+        p.done.fetch_or(stopped, std::memory_order_relaxed);
+        p.done.notify_all();
+      }
+    }
+
+    const std::vector<point>& pts;
+    std::vector<util::membership_bits> bits;
+    std::vector<std::int32_t> pid;
+    std::vector<int> psalt;
+    std::vector<trail_entry> trail;
+    std::vector<progress> progress_of;  // per level, plus one above the top
+    std::atomic<int> next_level;        // the next pass to claim
+    std::mutex error_mutex;
+    std::exception_ptr error;
+  };
+
+  // One worker's own state: the running pass's level-(l+1) down links by
+  // slot (n + 1 of them: that level may still be growing when pass l
+  // starts), and the memory-ledger deltas of every pass it ran.
+  struct pass_worker {
+    std::vector<std::int32_t> up_links;
+    std::vector<net::memory_row> ledger;
+
+    void charge(net::host_id h, net::memory_kind kind, std::int64_t delta) {
+      ledger[h.value].counts[static_cast<std::size_t>(kind)] += static_cast<std::uint64_t>(delta);
+    }
+  };
+
+  // Claims passes top level first until none is left or one has failed.
+  void run_passes(bulk_state& s, pass_worker& w) {
+    try {
+      for (int l = s.next_level.fetch_sub(1); l >= 0; l = s.next_level.fetch_sub(1)) {
+        if (!level_pass(s, l, w)) return;
+      }
+    } catch (...) {
+      s.fail(std::current_exception());
+    }
+  }
+
+  // Pass l of the bulk build. It alone writes level l's arena and directory
+  // and its worker's up_links; level l+1's rows it writes only after pass
+  // l+1 has published every point. False when another pass failed.
+  bool level_pass(bulk_state& s, int l, pass_worker& w) {
+    const std::size_t n = s.pts.size();
+    q_.reserve_level(l, n + 1);  // <= n slots materialize per level (see reserve_level)
+    // Every level-(l+1) link is unresolved until this pass sets it.
+    w.up_links.assign(l < levels_ ? n + 1 : 0, -1);
+    std::size_t ready = 0;      // points pass l+1 is done with
+    std::size_t published = 0;  // points this pass has published
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == ready) {
+        ready = s.wait_past(l + 1, i);
+        if (ready == 0) return false;
+      }
+      const point& p = s.pts[i];
+      auto& t = s.trail[i];
+      if (l == 0) SW_EXPECTS(q_.find_point(p) < 0);  // distinct points
+      const auto prefix = util::prefix_of(s.bits[i], l).bits;
+      const int start =
+          t.final_node >= 0 ? w.up_links[static_cast<std::size_t>(t.final_node)] : -1;
+      // `tr` stays valid to `++tr->points`: nothing below inserts a tree at l.
+      const auto [tr, fresh] = q_.ensure_tree_ref(l, prefix);
+      const int root = tr->root;
+      if (fresh) charge_node(w, l, prefix, root, +1);
+      int node = start >= 0 ? start : root;
+      cube box = start >= 0 ? t.final_box : cube{};
+      if (t.pend_root >= 0) {
+        w.up_links[static_cast<std::size_t>(t.pend_root)] = root;
+        t.pend_root = -1;
+      }
+      q_.locate_local(l, node, box, p);
+      t.final_node = node;  // its down link resolves during the next pass
+      t.final_box = box;
+      const auto outcome = q_.insert_at(l, node, box, s.pid[i]);
+      charge_point(w, l, prefix, s.psalt[i], +1);
+      ++tr->points;
+      if (outcome.created >= 0) charge_node(w, l, prefix, outcome.created, +1);
+      if (t.pend_created >= 0) {
+        const int target = q_.resolve_cube(l, outcome.attached, outcome.box, t.pend_box);
+        w.up_links[static_cast<std::size_t>(t.pend_created)] = target;
+      }
+      t.pend_created = outcome.created;
+      t.pend_box = outcome.box;
+      if (fresh) t.pend_root = root;
+      if ((i + 1) % handoff_points == 0 || i + 1 == n) {
+        if (!s.publish(l, static_cast<std::uint32_t>(i + 1 - published))) return false;
+        published = i + 1;
+      }
+    }
+    if (l < levels_) {
+      for (std::size_t slot = 0; slot < q_.slot_count(l + 1); ++slot) {
+        q_.set_down(l + 1, static_cast<int>(slot), w.up_links[slot]);
+      }
+    }
+    return true;
+  }
+
+  // The one place that decides which hosts a record charges, for the
+  // network itself and for a bulk-build worker's deltas alike.
+  template <typename Ledger>
+  void charge_node(Ledger& ledger, int level, std::uint64_t prefix, int node,
+                   std::int64_t sign) const {
     // An interesting cube stores 2^D child references plus the identity
     // hyperlink one level down — once per replica of its current window.
     const std::uint32_t base = rehome_base(level, node);
     for (std::uint32_t j = 0; j <= replication_; ++j) {
       const auto h = replica_host(level, prefix, node, base + j);
-      net_->charge(h, net::memory_kind::node, sign);
-      net_->charge(h, net::memory_kind::host_ref, (fanout + 1) * sign);
+      ledger.charge(h, net::memory_kind::node, sign);
+      ledger.charge(h, net::memory_kind::host_ref, (fanout + 1) * sign);
     }
   }
 
-  void charge_point(int level, std::uint64_t prefix, const point& p, std::int64_t sign) {
-    charge_point(level, prefix, static_cast<int>(seq::qpoint_hash<D>{}(p) & 0x3fffffff), sign);
+  void charge_node(int level, std::uint64_t prefix, int node, std::int64_t sign) {
+    charge_node(*net_, level, prefix, node, sign);
   }
 
-  void charge_point(int level, std::uint64_t prefix, int salt, std::int64_t sign) {
+  void charge_point(int level, std::uint64_t prefix, const point& p, std::int64_t sign) {
+    charge_point(*net_, level, prefix, static_cast<int>(seq::qpoint_hash<D>{}(p) & 0x3fffffff),
+                 sign);
+  }
+
+  template <typename Ledger>
+  void charge_point(Ledger& ledger, int level, std::uint64_t prefix, int salt,
+                    std::int64_t sign) const {
     // Point payloads live with the tree they appear in; the level-0 copy is
     // the data item itself, upper copies are references. Payloads are not
     // replicated (salt 0 — the fault plane replicates routing state).
     const auto h = replica_host(level, prefix, salt, 0);
-    net_->charge(h, level == 0 ? net::memory_kind::item : net::memory_kind::pointer, sign);
+    ledger.charge(h, level == 0 ? net::memory_kind::item : net::memory_kind::pointer, sign);
   }
 
   // --- fault plane ----------------------------------------------------------

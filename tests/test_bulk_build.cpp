@@ -1,13 +1,16 @@
 // The big-n plane's correctness contract (DESIGN.md §12): the sorted
 // bulk-build fast paths must be BYTE-IDENTICAL to the reference incremental
 // builds — same arenas, same uids, same answers, same cost receipts — for
-// every backend that implements one, including as the registry builds them.
-// Plus the big-n regression smoke: uid stability and structural invariants
-// across arena growth, and the skip quadtree's rows after churn, env-gated so
-// CI stays fast (SKIPWEB_BIGN=1 raises n to 1M keys and 2^17 points).
+// every backend that implements one, including as the registry builds them;
+// the skip quadtree's pipelined level passes are held to whole-snapshot
+// equality. Plus the big-n regression smoke: uid stability and structural
+// invariants across arena growth, and the skip quadtree's rows after churn,
+// env-gated so CI stays fast (SKIPWEB_BIGN=1 raises n to 1M keys and 2^17
+// points).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -18,7 +21,10 @@
 #include "core/skip_quadtree.h"
 #include "core/skipweb_1d.h"
 #include "net/network.h"
+#include "persist/snapshot.h"
+#include "temp_files.h"
 #include "util/rng.h"
+#include "util/sw_assert.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -26,6 +32,8 @@ namespace {
 using namespace skipweb;
 using net::host_id;
 using net::network;
+using testing_support::file_bytes;
+using testing_support::snap_path;
 using util::rng;
 namespace wl = skipweb::workloads;
 
@@ -322,7 +330,62 @@ TEST(BulkBuild, FootprintSurfaceReportsForCoreBackends) {
   }
 }
 
-// --- layer 5: big-n regression smoke (env-gated) -----------------------------
+// --- layer 5: the skip quadtree's pipelined level passes ---------------------
+
+// Builds `pts` with the bulk build and with the point-by-point reference,
+// saves both and requires equal files: every arena slot, down link,
+// directory slot, anchor and ledger row.
+template <int D>
+void expect_bulk_snapshot_identical(const std::vector<seq::qpoint<D>>& pts,
+                                    std::size_t replication, const std::string& name) {
+  network net_bulk(64), net_ref(64);
+  const core::skip_quadtree<D> bulk(pts, 91, net_bulk, replication, /*bulk=*/true);
+  const core::skip_quadtree<D> ref(pts, 91, net_ref, replication, /*bulk=*/false);
+  EXPECT_TRUE(bulk.check_invariants()) << name;
+  EXPECT_TRUE(ref.check_invariants()) << name;
+  const auto save = [](const core::skip_quadtree<D>& idx, const std::string& path) {
+    persist::writer w(path);
+    idx.save_snapshot(w);
+    w.finish();
+  };
+  const auto bulk_path = snap_path(name + "_bulk");
+  const auto ref_path = snap_path(name + "_ref");
+  save(bulk, bulk_path);
+  save(ref, ref_path);
+  const auto a = file_bytes(bulk_path);
+  const auto b = file_bytes(ref_path);
+  ASSERT_EQ(a.size(), b.size()) << name;
+  const auto diff = std::mismatch(a.begin(), a.end(), b.begin());
+  EXPECT_TRUE(diff.first == a.end()) << name << ": first difference at byte "
+                                      << (diff.first - a.begin());
+}
+
+// Twice the size at which the bulk build starts running its level passes on
+// several cores, so the pipeline runs wherever the machine has them.
+TEST(BulkBuild, PipelinedQuadtreeSnapshotsByteIdentical) {
+  constexpr std::size_t n2 = 2 * core::skip_quadtree<2>::pipeline_min_points;
+  constexpr std::size_t n3 = 2 * core::skip_quadtree<3>::pipeline_min_points;
+  rng r(2828);
+  expect_bulk_snapshot_identical<2>(wl::clustered_points<2>(n2, r), 0, "clustered2_k0");
+  expect_bulk_snapshot_identical<2>(wl::uniform_points<2>(n2, r), 2, "uniform2_k2");
+  expect_bulk_snapshot_identical<3>(wl::clustered_points<3>(n3, r), 1, "clustered3_k1");
+}
+
+// A pass that throws ends the whole build: a duplicate point at the end of a
+// pipelined-size input fails the distinct-point contract in some pass, every
+// waiting pass stops, the helpers are joined and the constructor rethrows. A
+// hang, or a helper left running into std::terminate, would never reach the
+// expectation.
+TEST(BulkBuild, FailingPassEndsThePipelinedBuild) {
+  if (SW_CONTRACTS == 0) GTEST_SKIP() << "the distinct-point check is a contract";
+  rng r(2929);
+  auto pts = wl::clustered_points<2>(2 * core::skip_quadtree<2>::pipeline_min_points, r);
+  pts.push_back(pts[pts.size() / 2]);
+  network net(64);
+  EXPECT_THROW((void)core::skip_quadtree<2>(pts, 3, net), util::contract_error);
+}
+
+// --- layer 6: big-n regression smoke (env-gated) -----------------------------
 
 // Arena growth across routed inserts must never move or re-issue a live
 // slot's uid, and the structural invariants must hold at scale. Default n

@@ -11,15 +11,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "persist/snapshot.h"
+#include "temp_files.h"
 #include "util/rng.h"
 
 namespace {
@@ -27,21 +25,8 @@ namespace {
 using namespace skipweb;
 using table = persist::flat_table<std::uint32_t>;
 using slot = table::slot;
-namespace fs = std::filesystem;
-
-std::string table_path(const std::string& name) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const auto p = fs::path(::testing::TempDir()) /
-                 ("skipweb_FlatTable." + std::string(info->name()) + "_" + name + ".snap");
-  std::error_code ec;
-  fs::remove(p, ec);
-  return p.string();
-}
-
-std::vector<char> file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
+using testing_support::file_bytes;
+using testing_support::snap_path;
 
 // The table holds exactly the oracle's entries: every key is found with its
 // value, the visit yields each once, and the load stays within 3/4.
@@ -172,7 +157,7 @@ TEST(FlatTable, BorrowedSlotsReadZeroCopyAndCopyOnFirstWrite) {
     *built.try_emplace(k * 13).first = static_cast<std::uint32_t>(k);
     oracle[k * 13] = static_cast<std::uint32_t>(k);
   }
-  const auto path = table_path("borrowed");
+  const auto path = snap_path("borrowed");
   {
     persist::writer w(path);
     built.save(w, "t");
@@ -212,7 +197,7 @@ TEST(FlatTable, FullBorrowedTableAnswersMissesAndTakesInserts) {
     slots.push_back(slot{100 + k, static_cast<std::uint32_t>(k)});
   }
   std::reverse(slots.begin(), slots.end());
-  const auto path = table_path("full");
+  const auto path = snap_path("full");
   {
     persist::writer w(path);
     w.add_vector("t", slots);
@@ -242,7 +227,7 @@ TEST(FlatTable, FullBorrowedTableAnswersMissesAndTakesInserts) {
 }
 
 TEST(FlatTable, SlotCountMustBeAPowerOfTwo) {
-  const auto path = table_path("lengths");
+  const auto path = snap_path("lengths");
   {
     persist::writer w(path);
     w.add_vector("three", std::vector<slot>(3));

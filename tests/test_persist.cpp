@@ -38,6 +38,7 @@
 #include "seq/quadtree.h"
 #include "serve/executor.h"
 #include "serve/route_cache.h"
+#include "temp_files.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
 
@@ -46,24 +47,13 @@ namespace {
 using namespace skipweb;
 using net::host_id;
 using net::network;
+using testing_support::file_bytes;
+using testing_support::snap_path;
 using util::rng;
 namespace fs = std::filesystem;
 namespace wl = skipweb::workloads;
 
 host_id h(std::uint32_t v) { return host_id{v}; }
-
-// Per-test snapshot path, prefixed with the running test's full name so
-// tests that run in parallel processes never share a file; removed on the
-// way in so build-or-restore tests start from a clean slate.
-std::string snap_path(const std::string& name) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string test = std::string(info->test_suite_name()) + "." + info->name();
-  std::replace(test.begin(), test.end(), '/', '_');
-  const auto p = fs::path(::testing::TempDir()) / ("skipweb_" + test + "_" + name + ".snap");
-  std::error_code ec;
-  fs::remove(p, ec);
-  return p.string();
-}
 
 void flip_byte(const std::string& path, std::uint64_t offset) {
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -1605,11 +1595,6 @@ TEST(Persist, RetiredLayoutsRejected) {
 // equal the saved index. Map mode trusts payload bytes by design (DESIGN.md
 // §13), so payload flips are not restored in map mode.
 
-std::vector<char> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
 void write_file(const std::string& path, const std::vector<char>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -1675,7 +1660,7 @@ TEST(Persist, SeededCorruptionOfNativeLayouts) {
   const auto both = {persist::restore_mode::load, persist::restore_mode::map};
   for (const auto& f : files) {
     SCOPED_TRACE(f.what);
-    const auto clean = read_file(f.path);
+    const auto clean = file_bytes(f.path);
     persist::file_header hdr;
     ASSERT_GE(clean.size(), header);
     std::memcpy(&hdr, clean.data(), header);
@@ -1753,7 +1738,7 @@ TEST(Persist, HostileSectionGeometryRejected) {
       api::make_index("skipweb1d", keys, api::index_options{}.seed(6).initial_hosts(8), net_o);
   const auto path = snap_path("source");
   api::save_index_snapshot(*orig, path);
-  const auto clean = read_file(path);
+  const auto clean = file_bytes(path);
   persist::file_header hdr;
   std::memcpy(&hdr, clean.data(), sizeof(hdr));
   std::vector<persist::section_entry> table(hdr.section_count);
@@ -1897,7 +1882,7 @@ TEST(Persist, ReplicatedQuadtreeSavesDeterministicBytes) {
     EXPECT_GT(fault::repair_to_quiescence(*idx, h(0)).repaired, 0u);
     const auto path = snap_path("deterministic_" + std::to_string(run));
     api::save_spatial_snapshot(*idx, path);
-    files.push_back(read_file(path));
+    files.push_back(file_bytes(path));
   }
   ASSERT_FALSE(files[0].empty());
   EXPECT_TRUE(files[0] == files[1]);
@@ -1920,8 +1905,8 @@ TEST(Persist, LargeSectionsHashedBesideTheWrite) {
   const auto again = snap_path("large_again");
   api::save_index_snapshot(*idx, path);
   api::save_index_snapshot(*idx, again);
-  const auto clean = read_file(path);
-  ASSERT_TRUE(clean == read_file(again));
+  const auto clean = file_bytes(path);
+  ASSERT_TRUE(clean == file_bytes(again));
 
   persist::file_header hdr;
   ASSERT_GE(clean.size(), sizeof(hdr));
@@ -1947,7 +1932,6 @@ TEST(Persist, LargeSectionsHashedBesideTheWrite) {
     EXPECT_THROW(restore_file(bad, persist::restore_mode::load, false), persist::error)
         << "section at " << e.offset;
   }
-  for (const auto& p : {path, again, bad}) fs::remove(p);
 }
 
 // The raw writer: one 3 MiB section of random bytes between two small ones
@@ -1970,7 +1954,6 @@ TEST(Persist, LargeRawSectionRoundTrips) {
     EXPECT_EQ(rd.u64("after"), 9u);
     EXPECT_TRUE(rd.vec<std::uint64_t>("blob") == blob);
   }
-  fs::remove(path);
 }
 
 // --- layer 5: the build-or-restore entry points ------------------------------
