@@ -25,6 +25,17 @@ int levels_for(std::size_t n) {
   return std::max(1, l);
 }
 
+// The lists over sorted `keys` with rank vectors, by the bulk build. The
+// lists cannot move, so the heap object is initialized from the build
+// itself.
+std::unique_ptr<core::level_lists> rank_lists(std::vector<std::uint64_t> keys) {
+  const int levels = levels_for(keys.size());
+  std::vector<util::membership_bits> bits(keys.size());
+  for (std::size_t r = 0; r < keys.size(); ++r) bits[r] = rank_bits(r, levels);
+  return std::unique_ptr<core::level_lists>(
+      new core::level_lists(core::level_lists::build_from_sorted(std::move(keys), bits, levels)));
+}
+
 }  // namespace
 
 det_skipnet::det_skipnet(std::vector<std::uint64_t> keys, net::network& net) : net_(&net) {
@@ -33,10 +44,7 @@ det_skipnet::det_skipnet(std::vector<std::uint64_t> keys, net::network& net) : n
   SW_EXPECTS(std::adjacent_find(keys.begin(), keys.end()) == keys.end());
   while (net_->host_count() < keys.size()) net_->add_host();
 
-  const int levels = levels_for(keys.size());
-  std::vector<util::membership_bits> bits(keys.size());
-  for (std::size_t r = 0; r < keys.size(); ++r) bits[r] = rank_bits(r, levels);
-  lists_ = std::make_unique<core::level_lists>(std::move(keys), bits, levels);
+  lists_ = rank_lists(std::move(keys));
 
   owner_.resize(lists_->arena_size());
   for (std::size_t i = 0; i < owner_.size(); ++i) {
@@ -184,10 +192,7 @@ void det_skipnet::rebuild() {
   std::vector<std::uint64_t> keys;
   keys.reserve(survivors.size());
   for (const auto& [k, h] : survivors) keys.push_back(k);
-  const int levels = levels_for(keys.size());
-  std::vector<util::membership_bits> bits(keys.size());
-  for (std::size_t r = 0; r < keys.size(); ++r) bits[r] = rank_bits(r, levels);
-  lists_ = std::make_unique<core::level_lists>(std::move(keys), bits, levels);
+  lists_ = rank_lists(std::move(keys));
   owner_.resize(lists_->arena_size());
   for (std::size_t i = 0; i < survivors.size(); ++i) owner_[i] = survivors[i].second;
   // Root anchors simply point at fresh arena slots again.

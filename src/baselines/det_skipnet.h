@@ -44,6 +44,7 @@ class det_skipnet {
   [[nodiscard]] std::uint64_t worst_case_search_messages() const;
 
   [[nodiscard]] net::host_id host_of(int item, int level) const;
+  [[nodiscard]] const core::level_lists& lists() const { return *lists_; }
 
   // Measured resident bytes (DESIGN.md §12): arena/links from the
   // deterministically-rebuilt level_lists; owner and root tables are

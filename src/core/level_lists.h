@@ -15,6 +15,7 @@
 #include "api/memory_footprint.h"
 #include "persist/pod_array.h"
 #include "persist/snapshot.h"
+#include "util/fan_out.h"
 #include "util/membership.h"
 #include "util/prefetch.h"
 #include "util/rng.h"
@@ -90,6 +91,15 @@ class level_lists {
     return level_lists(bulk_tag{}, std::move(sorted_keys), &bits, nullptr, levels);
   }
 
+  // A bulk build of fewer items runs on the calling thread alone, where
+  // starting helpers would cost more than they save (DESIGN.md §12).
+  static constexpr std::size_t parallel_build_min_items = std::size_t{1} << 16;
+  // Test seam, not an option: nonzero makes every bulk build on this thread
+  // link in this many prefix sets (rounded up to a power of two; see
+  // link_from_sorted), whatever n and the core count, so the split is
+  // tested on any machine.
+  static inline thread_local std::size_t forced_link_sets = 0;
+
  private:
   struct bulk_tag {};
 
@@ -111,9 +121,11 @@ class level_lists {
 
   // Shared scalar-arena setup of both build paths: keys, membership draws
   // (same rng order, so the two paths assign identical bits), uids, flags,
-  // and the link pools. With bulk_links the pools are left
-  // UNINITIALIZED — link_from_sorted writes every slot in its two passes,
-  // and the skipped sentinel fill is over half the build's wall clock at 1M.
+  // and the link pools. The draws run serially in input order as one task
+  // while the other workers fill the rest in slices. With bulk_links the
+  // pools are left UNINITIALIZED — link_from_sorted writes every slot in its
+  // two passes, and the skipped sentinel fill is over half the build's wall
+  // clock at 1M.
   void init_arena(std::vector<std::uint64_t> sorted_keys,
                   const std::vector<util::membership_bits>* explicit_bits, util::rng* r,
                   bool bulk_links) {
@@ -124,15 +136,34 @@ class level_lists {
     }
     const std::size_t n = sorted_keys.size();
     keys_.resize(n);
-    if (n > 0) std::memcpy(keys_.data(), sorted_keys.data(), n * sizeof(std::uint64_t));
     bits_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      bits_[i] = explicit_bits != nullptr ? (*explicit_bits)[i] : util::draw_membership(*r);
-    }
     uids_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) uids_[i] = next_uid_++;
-    redirect_.assign(n, -1);
-    alive_.assign(n, 1);
+    redirect_.resize(n);
+    alive_.resize(n);
+    std::uint64_t* const keys = keys_.data();
+    util::membership_bits* const bits = bits_.data();
+    std::uint64_t* const uids = uids_.data();
+    std::int32_t* const redirect = redirect_.data();
+    std::uint8_t* const alive = alive_.data();
+    const std::size_t workers = build_workers(n);
+    util::fan_out(workers + 1, workers, [&](std::size_t t, std::size_t) {
+      if (t == 0) {
+        if (explicit_bits == nullptr) {
+          for (std::size_t i = 0; i < n; ++i) bits[i] = util::draw_membership(*r);
+        }
+        return;
+      }
+      const std::size_t lo = n * (t - 1) / workers;
+      const std::size_t hi = n * t / workers;
+      std::copy(sorted_keys.data() + lo, sorted_keys.data() + hi, keys + lo);
+      if (explicit_bits != nullptr) {
+        std::copy(explicit_bits->data() + lo, explicit_bits->data() + hi, bits + lo);
+      }
+      for (std::size_t i = lo; i < hi; ++i) uids[i] = i;
+      std::fill(redirect + lo, redirect + hi, -1);
+      std::fill(alive + lo, alive + hi, std::uint8_t{1});
+    });
+    next_uid_ = n;
     if (bulk_links) {
       fwd_.resize(n * stride_);  // persist::pod_array resize: no fill
       bwd_.resize(n * stride_);
@@ -140,6 +171,11 @@ class level_lists {
       fwd_.assign(n * stride_, no_link);
       bwd_.assign(n * stride_, no_link);
     }
+  }
+
+  // Workers for a bulk build of n items (see parallel_build_min_items).
+  static std::size_t build_workers(std::size_t n) {
+    return n < parallel_build_min_items ? 1 : util::fan_out_workers(n);
   }
 
   void finish_build() {
@@ -182,13 +218,23 @@ class level_lists {
 
   // Fast linking for build_from_sorted: the level-l predecessor of item i is
   // simply the last earlier item sharing its l-bit prefix, so one int32
-  // last-seen table per level (flattened into a single cache-resident array
-  // of 2^(levels+1) - 2 entries) finds every link in two linear passes. The
-  // ascending pass writes each item's whole backward row, the descending
-  // pass its forward row: the 2·n·(levels+1) pool writes — the reference
-  // build's wall-clock bottleneck at big n, where they scatter — stream
-  // sequentially, and the random traffic is confined to the tables (a few
-  // MB at n = 1M).
+  // last-seen table per level (flattened into a single array) finds every
+  // link in two linear passes. The ascending pass writes each item's whole
+  // backward row, the descending pass its forward row: the 2·n·(levels+1)
+  // pool writes — the reference build's wall-clock bottleneck at big n,
+  // where they scatter — stream sequentially, and the random traffic is
+  // confined to the table.
+  //
+  // The passes split by prefix. The items whose first `split` membership
+  // bits read s form the set S_s of the paper's level `split`, and every
+  // list at that level or above lies inside one such set. So the 2^split
+  // sets link at once, one task each: a task scans every item in both
+  // directions but links only its own set's items. Above level `split` its
+  // table holds only its set's prefixes, 1/2^split of the whole; below it,
+  // the few short tables see every item, as those lists span several sets.
+  // No link crosses two tasks, so nothing is stitched afterwards, and each
+  // task alone writes its items' rows. One set is the serial two-pass
+  // build (DESIGN.md §12).
   void link_from_sorted() {
     const std::size_t n = keys_.size();
     if (n == 0) return;
@@ -203,51 +249,78 @@ class level_lists {
       link_by_partition();
       return;
     }
-    std::vector<std::size_t> off(static_cast<std::size_t>(levels_) + 1, 0);
-    std::size_t total = 0;
-    for (int l = 1; l <= levels_; ++l) {
-      off[static_cast<std::size_t>(l)] = total;
-      total += std::size_t{1} << l;
+    const std::size_t want = forced_link_sets > 0 ? forced_link_sets : build_workers(n);
+    int split = 0;
+    while ((std::size_t{1} << split) < want) ++split;
+    const std::size_t sets = std::size_t{1} << split;
+    // One task's table: a level l below `split` at 2^l - 2 + prefix, a
+    // level at or above it at base[l] + (prefix >> split).
+    std::vector<std::size_t> base(static_cast<std::size_t>(levels_) + 1, 0);
+    std::size_t entries = split > 0 ? (std::size_t{1} << split) - 2 : 0;
+    for (int l = std::max(split, 1); l <= levels_; ++l) {
+      base[static_cast<std::size_t>(l)] = entries;
+      entries += std::size_t{1} << (l - split);
     }
-    // Entries for the item a few iterations ahead are prefetched, so the
-    // per-level lookups — the only loads the hardware prefetcher cannot
-    // predict — overlap instead of serializing.
+    persist::pod_array<std::int32_t> tables;
+    tables.resize(sets * entries);
+    std::int32_t* const table = tables.data();
+    util::fan_out(sets, sets, [&](std::size_t set, std::size_t) {
+      link_set(set, split, base, table + set * entries, entries);
+    });
+  }
+
+  // Both passes of the prefix set `set` (above). Entries for the item a few
+  // iterations ahead are prefetched, so the table lookups — the only loads
+  // the hardware prefetcher cannot predict — overlap instead of
+  // serializing.
+  void link_set(std::uint64_t set, int split, const std::vector<std::size_t>& base,
+                std::int32_t* table, std::size_t entries) {
     constexpr std::size_t kAhead = 8;
-    std::vector<std::int32_t> seen(total, no_link);
-    // Ascending pass: backward rows (the level-0 predecessor is just i - 1).
+    const std::size_t n = keys_.size();
+    const util::membership_bits* bits = bits_.data();
+    const std::uint64_t set_mask = (std::uint64_t{1} << split) - 1;
+    const int below = std::min(split - 1, levels_);  // levels shared with other sets
+    const int above = std::max(split, 1);            // the first level inside the set
+    // Item i's link at every level goes to pool row i: the level-0 link is
+    // given, the others come from the table, which then names i. The pools
+    // arrive uninitialized, so the stores are unconditional: an absent
+    // neighbour reads back from the table as exactly the no_link sentinel.
+    const auto visit = [&](std::size_t i, std::size_t ahead, std::int32_t* pool,
+                           std::int32_t level0) {
+      const std::uint64_t b = bits[i];
+      const auto self = static_cast<std::int32_t>(i);
+      const bool own = (b & set_mask) == set;
+      const std::size_t row = i * stride_;
+      for (int l = 1; l <= below; ++l) {
+        const std::size_t idx = (std::size_t{1} << l) - 2 + (b & ((std::uint64_t{1} << l) - 1));
+        if (own) pool[row + static_cast<std::size_t>(l)] = table[idx];
+        table[idx] = self;
+      }
+      if (!own) return;
+      const std::uint64_t next = bits[ahead];
+      pool[row] = level0;
+      for (int l = above; l <= levels_; ++l) {
+        const std::uint64_t mask = (std::uint64_t{1} << l) - 1;
+        const std::size_t at = base[static_cast<std::size_t>(l)];
+        util::prefetch(&table[at + ((next & mask) >> split)]);
+        const std::size_t idx = at + ((b & mask) >> split);
+        pool[row + static_cast<std::size_t>(l)] = table[idx];
+        table[idx] = self;
+      }
+    };
+    // Ascending pass: backward rows (the level-0 predecessor is just i - 1,
+    // or no_link at i = 0).
+    std::int32_t* const bwd = bwd_.data();
+    std::fill(table, table + entries, no_link);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t b = bits_[i];
-      const std::uint64_t ahead = bits_[std::min(i + kAhead, n - 1)];
-      const std::size_t row = i * stride_;
-      // Unconditional stores: the pools arrive uninitialized, and an absent
-      // predecessor reads back from `seen` as exactly the no_link sentinel.
-      const auto self = static_cast<std::int32_t>(i);
-      bwd_[row] = self - 1;  // the level-0 predecessor, or no_link at i = 0
-      for (int l = 1; l <= levels_; ++l) {
-        const std::uint64_t mask = (std::uint64_t{1} << l) - 1;
-        const std::size_t base = off[static_cast<std::size_t>(l)];
-        util::prefetch(&seen[base + (ahead & mask)]);
-        const std::size_t idx = base + (b & mask);
-        bwd_[row + static_cast<std::size_t>(l)] = seen[idx];
-        seen[idx] = self;
-      }
+      visit(i, std::min(i + kAhead, n - 1), bwd, static_cast<std::int32_t>(i) - 1);
     }
-    std::fill(seen.begin(), seen.end(), no_link);
     // Descending pass: forward rows, symmetrically.
+    std::int32_t* const fwd = fwd_.data();
+    std::fill(table, table + entries, no_link);
     for (std::size_t i = n; i-- > 0;) {
-      const std::uint64_t b = bits_[i];
-      const std::uint64_t ahead = bits_[i >= kAhead ? i - kAhead : 0];
-      const std::size_t row = i * stride_;
-      const auto self = static_cast<std::int32_t>(i);
-      fwd_[row] = i + 1 < n ? self + 1 : no_link;
-      for (int l = 1; l <= levels_; ++l) {
-        const std::uint64_t mask = (std::uint64_t{1} << l) - 1;
-        const std::size_t base = off[static_cast<std::size_t>(l)];
-        util::prefetch(&seen[base + (ahead & mask)]);
-        const std::size_t idx = base + (b & mask);
-        fwd_[row + static_cast<std::size_t>(l)] = seen[idx];
-        seen[idx] = self;
-      }
+      visit(i, i >= kAhead ? i - kAhead : 0, fwd,
+            i + 1 < n ? static_cast<std::int32_t>(i) + 1 : no_link);
     }
   }
 

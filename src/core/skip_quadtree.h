@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <iterator>
-#include <mutex>
 #include <queue>
 #include <sstream>
-#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -21,6 +18,7 @@
 #include "persist/pod_array.h"
 #include "persist/snapshot.h"
 #include "seq/quadtree.h"
+#include "util/fan_out.h"
 #include "util/membership.h"
 #include "util/prefetch.h"
 #include "util/rng.h"
@@ -647,26 +645,18 @@ class skip_quadtree {
       s.psalt[i] = static_cast<int>(seq::qpoint_hash<D>{}(pts[i]) & 0x3fffffff);
     }
     const auto passes = static_cast<std::size_t>(levels_) + 1;
-    const std::size_t workers =
-        n < pipeline_min_points
-            ? 1
-            : std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, passes);
+    const std::size_t workers = n < pipeline_min_points ? 1 : util::fan_out_workers(passes);
     std::vector<pass_worker> crew(workers);
     for (auto& w : crew) w.ledger.resize(net_->host_count());
-    {
-      std::vector<std::jthread> helpers;  // joined on leaving this scope
-      helpers.reserve(workers - 1);
+    // Task t is pass levels_ - t: workers claim passes top level first.
+    util::fan_out(passes, workers, [&](std::size_t t, std::size_t k) {
       try {
-        for (std::size_t k = 1; k < workers; ++k) {
-          helpers.emplace_back([this, &s, &w = crew[k]] { run_passes(s, w); });
-        }
-      } catch (const std::system_error&) {
-        // No more threads to be had: the workers that did start, and this
-        // thread, claim every pass between them.
+        level_pass(s, levels_ - static_cast<int>(t), crew[k]);
+      } catch (...) {
+        s.fail();  // wakes every waiting pass
+        throw;
       }
-      run_passes(s, crew.front());
-    }
-    if (s.error) std::rethrow_exception(s.error);
+    });
     for (const auto& w : crew) {
       for (std::size_t h = 0; h < w.ledger.size(); ++h) {
         for (std::size_t k = 0; k < std::size(w.ledger[h].counts); ++k) {
@@ -714,8 +704,7 @@ class skip_quadtree {
           pid(points.size()),
           psalt(points.size()),
           trail(points.size()),
-          progress_of(static_cast<std::size_t>(levels) + 2),
-          next_level(levels) {
+          progress_of(static_cast<std::size_t>(levels) + 2) {
       SW_EXPECTS(points.size() < stopped);  // slots are int32 anyway
       // Nothing above the top level: its pass may visit every point.
       progress_of.back().done.store(static_cast<std::uint32_t>(points.size()));
@@ -746,12 +735,8 @@ class skip_quadtree {
       return (before & stopped) == 0;
     }
 
-    // Keeps the first failure and wakes every waiting pass.
-    void fail(std::exception_ptr e) {
-      {
-        const std::lock_guard lock(error_mutex);
-        if (!error) error = std::move(e);
-      }
+    // Wakes every waiting pass once a pass has failed.
+    void fail() {
       for (auto& p : progress_of) {
         p.done.fetch_or(stopped, std::memory_order_relaxed);
         p.done.notify_all();
@@ -764,9 +749,6 @@ class skip_quadtree {
     std::vector<int> psalt;
     std::vector<trail_entry> trail;
     std::vector<progress> progress_of;  // per level, plus one above the top
-    std::atomic<int> next_level;        // the next pass to claim
-    std::mutex error_mutex;
-    std::exception_ptr error;
   };
 
   // One worker's own state: the running pass's level-(l+1) down links by
@@ -781,21 +763,10 @@ class skip_quadtree {
     }
   };
 
-  // Claims passes top level first until none is left or one has failed.
-  void run_passes(bulk_state& s, pass_worker& w) {
-    try {
-      for (int l = s.next_level.fetch_sub(1); l >= 0; l = s.next_level.fetch_sub(1)) {
-        if (!level_pass(s, l, w)) return;
-      }
-    } catch (...) {
-      s.fail(std::current_exception());
-    }
-  }
-
   // Pass l of the bulk build. It alone writes level l's arena and directory
   // and its worker's up_links; level l+1's rows it writes only after pass
-  // l+1 has published every point. False when another pass failed.
-  bool level_pass(bulk_state& s, int l, pass_worker& w) {
+  // l+1 has published every point. Returns early once another pass failed.
+  void level_pass(bulk_state& s, int l, pass_worker& w) {
     const std::size_t n = s.pts.size();
     q_.reserve_level(l, n + 1);  // <= n slots materialize per level (see reserve_level)
     // Every level-(l+1) link is unresolved until this pass sets it.
@@ -805,7 +776,7 @@ class skip_quadtree {
     for (std::size_t i = 0; i < n; ++i) {
       if (i == ready) {
         ready = s.wait_past(l + 1, i);
-        if (ready == 0) return false;
+        if (ready == 0) return;
       }
       const point& p = s.pts[i];
       auto& t = s.trail[i];
@@ -838,7 +809,7 @@ class skip_quadtree {
       t.pend_box = outcome.box;
       if (fresh) t.pend_root = root;
       if ((i + 1) % handoff_points == 0 || i + 1 == n) {
-        if (!s.publish(l, static_cast<std::uint32_t>(i + 1 - published))) return false;
+        if (!s.publish(l, static_cast<std::uint32_t>(i + 1 - published))) return;
         published = i + 1;
       }
     }
@@ -847,7 +818,6 @@ class skip_quadtree {
         q_.set_down(l + 1, static_cast<int>(slot), w.up_links[slot]);
       }
     }
-    return true;
   }
 
   // The one place that decides which hosts a record charges, for the

@@ -2,11 +2,12 @@
 // bulk-build fast paths must be BYTE-IDENTICAL to the reference incremental
 // builds — same arenas, same uids, same answers, same cost receipts — for
 // every backend that implements one, including as the registry builds them;
-// the skip quadtree's pipelined level passes are held to whole-snapshot
-// equality. Plus the big-n regression smoke: uid stability and structural
-// invariants across arena growth, and the skip quadtree's rows after churn,
-// env-gated so CI stays fast (SKIPWEB_BIGN=1 raises n to 1M keys and 2^17
-// points).
+// the level lists' links split by prefix set and the skip quadtree's
+// pipelined level passes are held to whole-snapshot equality. Plus the big-n
+// regression smoke: uid stability and structural invariants across arena
+// growth, the split links at 2^20 keys, and the skip quadtree's rows after
+// churn, env-gated so CI stays fast (SKIPWEB_BIGN=1 raises n to 1M keys and
+// 2^17 points).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 
 #include "api/registry.h"
 #include "api/spatial_registry.h"
+#include "baselines/det_skipnet.h"
 #include "core/level_lists.h"
 #include "core/skip_quadtree.h"
 #include "core/skipweb_1d.h"
@@ -72,6 +74,36 @@ void expect_lists_identical(const core::level_lists& a, const core::level_lists&
   }
 }
 
+// The first (item, level) whose forward or backward link differs between
+// `a` and `b`, as item * (levels + 1) + level, or -1 when the pools agree.
+// One comparison per link, for arenas too big for an assertion per link.
+long long first_link_difference(const core::level_lists& a, const core::level_lists& b) {
+  for (int i = 0; i < static_cast<int>(a.arena_size()); ++i) {
+    for (int l = 0; l <= a.levels(); ++l) {
+      if (a.next(i, l) != b.next(i, l) || a.prev(i, l) != b.prev(i, l)) {
+        return static_cast<long long>(i) * (a.levels() + 1) + l;
+      }
+    }
+  }
+  return -1;
+}
+
+// Forces the bulk build's prefix-set count on this thread for one scope.
+class forced_sets {
+ public:
+  explicit forced_sets(std::size_t sets) { core::level_lists::forced_link_sets = sets; }
+  ~forced_sets() { core::level_lists::forced_link_sets = 0; }
+  forced_sets(const forced_sets&) = delete;
+  forced_sets& operator=(const forced_sets&) = delete;
+};
+
+// det_skipnet's vectors: the sorted rank itself.
+std::vector<util::membership_bits> rank_bits(std::size_t n) {
+  std::vector<util::membership_bits> bits(n);
+  for (std::size_t r = 0; r < n; ++r) bits[r] = r;
+  return bits;
+}
+
 // --- layer 1: the level_lists arena itself ----------------------------------
 
 TEST(BulkBuild, LevelListsArenaByteIdentical) {
@@ -97,6 +129,75 @@ TEST(BulkBuild, ExplicitBitsOverloadByteIdentical) {
   const core::level_lists ref(keys, bits, levels);
   const auto fast = core::level_lists::build_from_sorted(keys, bits, levels);
   expect_lists_identical(ref, fast);
+}
+
+// The links split into several prefix sets: 1 (the serial passes), 2, 3
+// (rounded up to 4), 4, 8 and 64, the last splitting above every level of
+// the 5-item arena, so there every list spans several sets. Every arena
+// equals the partition-pass reference, through the rng-bits overload and
+// through the explicit rank bits det_skipnet uses, whose sets are exact
+// residues of the rank and whose upper lists hold one item each.
+TEST(BulkBuild, SplitLinksMatchPartitionReference) {
+  rng r(3030);
+  for (const std::size_t n : {std::size_t{5}, std::size_t{4099}}) {
+    auto keys = wl::uniform_keys(n, r);
+    std::sort(keys.begin(), keys.end());
+    const int levels = core::level_lists::levels_for(n);
+    const auto ranks = rank_bits(n);
+    rng ra(88);
+    const core::level_lists ref(keys, ra, levels);
+    const core::level_lists ref_ranks(keys, ranks, levels);
+    for (const std::size_t sets : {1, 2, 3, 4, 8, 64}) {
+      SCOPED_TRACE(::testing::Message() << n << " items, " << sets << " sets");
+      const forced_sets force(sets);
+      rng rb(88);
+      const auto drawn = core::level_lists::build_from_sorted(keys, rb, levels);
+      expect_lists_identical(ref, drawn);
+      const auto ranked = core::level_lists::build_from_sorted(keys, ranks, levels);
+      expect_lists_identical(ref_ranks, ranked);
+      EXPECT_TRUE(drawn.check_invariants_fast());
+    }
+  }
+}
+
+// Above the size at which bulk builds start using several cores, every
+// structure on the level lists saves the same file whether it linked in
+// one prefix set, in eight or in as many as this machine picks:
+// skipweb_1d's tower, balanced and bucket placements, the tower with two
+// replicas, and det_skipnet's lists.
+TEST(BulkBuild, SplitBuildSnapshotsByteIdentical) {
+  const std::size_t n = core::level_lists::parallel_build_min_items + 1001;
+  rng r(3131);
+  const auto keys = wl::uniform_keys(n, r);
+  using core::skipweb_1d;
+  const auto save = [&](const std::string& name, std::size_t sets) {
+    const auto path = snap_path(name + "_" + std::to_string(sets));
+    const forced_sets force(sets);
+    network net(64);
+    persist::writer w(path);
+    if (name == "det_skipnet") {
+      baselines::det_skipnet(keys, net).lists().save(w, "lists");
+    } else if (name == "bucket") {
+      skipweb_1d(keys, 5, net, skipweb_1d::bucket{16}).save_snapshot(w);
+    } else {
+      const auto p = name == "balanced" ? skipweb_1d::placement::balanced
+                                        : skipweb_1d::placement::tower;
+      skipweb_1d(keys, 5, net, p, name == "tower_k2" ? 2 : 0).save_snapshot(w);
+    }
+    w.finish();
+    return file_bytes(path);
+  };
+  for (const std::string name : {"tower", "balanced", "tower_k2", "bucket", "det_skipnet"}) {
+    const auto one = save(name, 1);
+    for (const std::size_t sets : {std::size_t{8}, std::size_t{0}}) {  // 0: the machine's
+      const auto many = save(name, sets);
+      ASSERT_EQ(one.size(), many.size()) << name << ", " << sets << " sets";
+      const auto diff = std::mismatch(one.begin(), one.end(), many.begin());
+      EXPECT_TRUE(diff.first == one.end())
+          << name << ", " << sets << " sets: first difference at byte "
+          << (diff.first - one.begin());
+    }
+  }
 }
 
 // The fast-check used by the big-n smoke agrees with the quadratic reference
@@ -454,6 +555,28 @@ TEST(BulkBuildBigN, UidStabilityAndInvariantsAcrossGrowth) {
     ASSERT_EQ(batch[i].pred, serial.pred) << i;
     ASSERT_EQ(batch[i].succ, serial.succ) << i;
     ASSERT_EQ(batch[i].stats, serial.stats) << i;
+  }
+}
+
+// The split links at the benchmark's scale: both pools of a 2^20-key build
+// in four and in eight prefix sets equal the partition-pass reference, at
+// every level: the ones below the split, whose lists span several sets,
+// and the top ones, where most lists hold one or two items.
+// SKIPWEB_BIGN=1 raises n from 2^17 to 2^20.
+TEST(BulkBuildBigN, SplitLinksAtScale) {
+  const bool big = std::getenv("SKIPWEB_BIGN") != nullptr;
+  const std::size_t n = std::size_t{1} << (big ? 20 : 17);
+  rng r(4040);
+  auto keys = wl::uniform_keys(n, r);
+  std::sort(keys.begin(), keys.end());
+  const int levels = core::level_lists::levels_for(n);
+  rng ra(6);
+  const core::level_lists ref(keys, ra, levels);
+  for (const std::size_t sets : {4, 8}) {
+    const forced_sets force(sets);
+    rng rb(6);
+    const auto split = core::level_lists::build_from_sorted(keys, rb, levels);
+    EXPECT_EQ(first_link_difference(ref, split), -1) << sets << " sets";
   }
 }
 

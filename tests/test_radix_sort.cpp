@@ -1,6 +1,6 @@
 // Edge-case coverage for util::radix_sort_u64 (DESIGN.md §12): the sorter
 // behind the bulk build delegates to introsort below 2^14 keys and runs its
-// four 16-bit passes (with trivial-pass skipping) above, so every case is
+// six 11-bit passes (with trivial-pass skipping) above, so every case is
 // exercised on both sides of the threshold where it makes sense.
 
 #include <gtest/gtest.h>
@@ -41,7 +41,7 @@ TEST(RadixSort, SingleElement) {
   EXPECT_EQ(v[0], 0xdeadbeefcafef00dull);
 }
 
-// All-equal keys make every digit histogram trivial: all four passes are
+// All-equal keys make every digit histogram trivial: all six passes are
 // skipped and the input must come back untouched.
 TEST(RadixSort, AllDuplicateKeys) {
   expect_sorts_like_std(std::vector<std::uint64_t>(big_n, 42));
@@ -60,7 +60,7 @@ TEST(RadixSort, ReverseSorted) {
   expect_sorts_like_std(v);
 }
 
-// Small keys leave the upper three digits constant: three of four passes are
+// Small keys leave the upper five digits constant: five of six passes are
 // trivial, and the one real pass must still produce sorted output.
 TEST(RadixSort, SmallKeyRangeSkipsTrivialPasses) {
   util::rng r(99);
@@ -83,6 +83,26 @@ TEST(RadixSort, UniformRandomMatchesStdSort) {
   expect_sorts_like_std(wl::uniform_keys(big_n, r));
   util::rng r2(321);
   expect_sorts_like_std(wl::uniform_keys(500, r2));  // introsort side
+}
+
+// The blocked sort at several block counts, on inputs whose lengths no
+// count divides: every block scatters from its own offsets, so the result
+// is the single-block sort whatever the count, including after a trivial
+// pass and across runs of equal keys.
+TEST(RadixSort, BlocksSortLikeStd) {
+  util::rng r(2024);
+  const auto uniform = wl::uniform_keys(big_n, r);
+  std::vector<std::uint64_t> narrow(big_n + 1);
+  for (auto& k : narrow) k = r.uniform_u64(0, 63) << 48 | r.uniform_u64(0, 7);
+  for (const auto& input : {uniform, narrow}) {
+    auto expected = input;
+    std::sort(expected.begin(), expected.end());
+    for (const std::size_t blocks : {1, 2, 3, 4, 7}) {
+      auto v = input;
+      util::radix_sort_u64(v, blocks);
+      EXPECT_EQ(v, expected) << blocks << " blocks";
+    }
+  }
 }
 
 TEST(RadixSort, ExtremeValues) {

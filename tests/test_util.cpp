@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "util/fan_out.h"
 #include "util/membership.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -166,6 +171,48 @@ TEST(Stats, CorrelationDetectsLinearMatch) {
 TEST(Stats, LogOverLoglogIsSane) {
   EXPECT_NEAR(log_over_loglog(1024.0), 10.0 / std::log2(10.0), 1e-12);
   EXPECT_GT(log_over_loglog(1 << 20), log_over_loglog(1 << 10));
+}
+
+// Every task runs once, on a worker index below the count asked for, and
+// more workers than tasks start no idle helper.
+TEST(FanOut, RunsEveryTaskOnce) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    std::vector<std::atomic<int>> runs(37);
+    std::atomic<bool> worker_in_range{true};
+    fan_out(runs.size(), workers, [&](std::size_t t, std::size_t w) {
+      runs[t].fetch_add(1);
+      if (w >= workers) worker_in_range = false;
+    });
+    for (const auto& r : runs) EXPECT_EQ(r.load(), 1) << workers;
+    EXPECT_TRUE(worker_in_range) << workers;
+  }
+  fan_out(0, 4, [](std::size_t, std::size_t) { FAIL() << "no task to run"; });
+  EXPECT_GE(fan_out_workers(1000), 1u);
+  EXPECT_EQ(fan_out_workers(1), 1u);
+  EXPECT_EQ(fan_out_workers(0), 1u);
+}
+
+// A throwing task is rethrown after every worker has joined: each task that
+// started, here while task 0 was still running, has finished by the time
+// the caller sees the exception, and no task starts after the throw.
+TEST(FanOut, RethrowsOnlyAfterEveryWorkerJoined) {
+  std::atomic<int> started{0}, finished{0};
+  try {
+    fan_out(16, 4, [&](std::size_t t, std::size_t) {
+      if (t == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        throw std::runtime_error("task 0");
+      }
+      started.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    });
+    FAIL() << "fan_out swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 0");
+    EXPECT_EQ(started.load(), finished.load());
+    EXPECT_LT(started.load(), 15);  // claiming stopped at the throw
+  }
 }
 
 TEST(Contracts, MacrosThrowContractError) {
