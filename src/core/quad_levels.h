@@ -67,7 +67,7 @@ namespace skipweb::core {
 // charging on top of the primitives here.
 //
 // Concurrency contract (audited for the serving executor): the const surface
-// (tree/step/child_at/point_here/prefetch_step/...) is pure
+// (tree/step/child_at/point_here/descend/...) is pure
 // reads — no lazily-repaired caches, no mutable members — so any number of
 // threads may descend concurrently. Structural edits (insert_at/erase_at/
 // ensure_tree/...) are single-writer, never concurrent with reads.
@@ -106,6 +106,8 @@ class quad_levels {
     }
     // The stored point (valid iff point >= 0).
     [[nodiscard]] seq::qpoint<D> coords() const { return seq::qpoint<D>{corner}; }
+    // Is this entry the point q?
+    [[nodiscard]] bool holds(const seq::qpoint<D>& q) const { return point >= 0 && corner == q.x; }
     void set_point(const seq::qpoint<D>& p, int pid) {
       corner = p.x;
       level = seq::coord_bits;
@@ -168,7 +170,7 @@ class quad_levels {
     cube box{};
     locate_local(0, at, box, p);
     const entry& e = child_at(0, at, box.quadrant_of(p));
-    return (e.point >= 0 && e.corner == p.x) ? e.point : -1;
+    return e.holds(p) ? e.point : -1;
   }
 
   // --- tree directory -------------------------------------------------------
@@ -273,12 +275,6 @@ class quad_levels {
     return lv(level).alive[static_cast<std::size_t>(slot)] != 0;
   }
 
-  // Warm the one child entry the next step from `node` (cube `box`)
-  // toward q reads.
-  void prefetch_step(int level, int node, const cube& box, const point& q) const {
-    util::prefetch(&child_at(level, node, box.quadrant_of(q)));
-  }
-
   // Warm every cache line of `node`'s child row: a sweep that visits the
   // node reads all of its entries. Rows fill whole lines of a line-aligned
   // array (pod_array), so each row starts a line.
@@ -296,24 +292,31 @@ class quad_levels {
   // interesting (>= 2 occupants), so their level is below coord_bits and
   // every node has quadrants to read.
 
-  // One descend step toward q: when the entry in q's quadrant is a child
-  // node whose cube contains q, moves (node, box) to it and returns true;
-  // false means the walk stops at `node`, and `down` then holds node's
-  // identity hyperlink, read from the entry the step loaded. The caller
-  // meters the hop.
-  [[nodiscard]] bool step(int level, int& node, cube& box, const point& q, int& down) const {
-    const entry& e = child_at(level, node, box.quadrant_of(q));
+  // The decision of one descend step, from the entry in q's quadrant of
+  // `node` that the step loaded: when it is a child node whose cube contains
+  // q, moves (node, box) to it and returns true; false means the walk stops
+  // at `node` (whose identity hyperlink is e.down). A batch lane that keeps
+  // the entry it prefetched decides from it here, as step() does.
+  [[nodiscard]] static bool descend(const entry& e, int& node, cube& box, const point& q) {
     // Mask-select instead of short-circuit: both conditions evaluate (the
     // entry is already loaded — contains() is register arithmetic) and fold
     // into one predictable select, versus two data-dependent branches.
     const cube c = e.box();
     const bool hit = (e.node >= 0) & static_cast<int>(c.contains(q));
-    down = e.down;
     if (hit) {
       node = e.node;
       box = c;
     }
     return hit;
+  }
+
+  // One descend step toward q (descend() on the entry in q's quadrant);
+  // when it returns false, `down` holds node's identity hyperlink, read
+  // from the entry the step loaded. The caller meters the hop.
+  [[nodiscard]] bool step(int level, int& node, cube& box, const point& q, int& down) const {
+    const entry& e = child_at(level, node, box.quadrant_of(q));
+    down = e.down;
+    return descend(e, node, box, q);
   }
 
   // Full local descent (no metering): build-time and oracle helper.
@@ -326,8 +329,7 @@ class quad_levels {
   // Is q stored as a point entry directly under `node` (cube `box`, its
   // deepest cube)? Reads the entry the walk's last step loaded.
   [[nodiscard]] bool point_here(int level, int node, const cube& box, const point& q) const {
-    const entry& e = child_at(level, node, box.quadrant_of(q));
-    return e.point >= 0 && e.corner == q.x;
+    return child_at(level, node, box.quadrant_of(q)).holds(q);
   }
 
   // --- structural updates ---------------------------------------------------

@@ -203,32 +203,39 @@ class skip_quadtree {
   }
 
   // Batched point location: the given descents run interleaved, one step per
-  // query per round, each query's next child entry — the exact one its
-  // carried cube selects — prefetched a round ahead so the independent
-  // walks' memory latency overlaps. A level change reads its down link from
-  // that same entry, so the prefetch covers all a round reads. Results and
+  // query per round. Each lane carries the address of the child entry its
+  // next step reads — the exact one its carried cube selects — prefetched a
+  // round ahead, so the independent walks' memory latency overlaps. A visit
+  // decides from that entry as step() does (quad_levels::descend), a level
+  // change reads its down link from it, and a finished lane answers
+  // is_point from it, so the prefetch covers all a round reads. Results and
   // per-op receipts are identical to locate() called serially (tests assert
   // it).
   [[nodiscard]] std::vector<locate_result> locate_batch(const std::vector<point>& qs,
                                                         net::host_id origin) const {
+    // The walk's state; the cursors have a vector of their own, so a round
+    // sweeps compact lanes.
     struct lane {
-      net::cursor cur;
+      const typename arena::entry* next;  // the entry the next step reads
       int l, node;
       std::uint64_t prefix;
       cube box;
-      bool done = false;
     };
     const auto w = anchors_[origin.value];
     const auto [l0, prefix0, node0] = chain_top(w);
+    std::vector<net::cursor> curs;
+    curs.reserve(qs.size());
     std::vector<lane> lanes;
     lanes.reserve(qs.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      lanes.push_back(lane{net::cursor(*net_, origin), l0, node0, prefix0, cube{}});
-      hop(lanes.back().cur, l0, prefix0, node0);
+    for (const auto& q : qs) {
+      curs.emplace_back(*net_, origin);
+      hop(curs.back(), l0, prefix0, node0);
+      const cube root{};  // a root's cube is the whole space
+      lanes.push_back(lane{&q_.child_at(l0, node0, root.quadrant_of(q)), l0, node0, prefix0, root});
     }
     std::vector<locate_result> out(qs.size());
     // Active-lane list, compacted order-preserving as descents land: late
-    // rounds touch only the stragglers instead of sweeping every done-flag.
+    // rounds touch only the stragglers instead of sweeping every lane.
     std::vector<std::uint32_t> active(qs.size());
     for (std::size_t i = 0; i < qs.size(); ++i) active[i] = static_cast<std::uint32_t>(i);
     while (!active.empty()) {
@@ -236,24 +243,23 @@ class skip_quadtree {
       for (std::size_t a = 0; a < active.size(); ++a) {
         const std::size_t i = active[a];
         lane& ln = lanes[i];
-        int down = -1;
-        if (q_.step(ln.l, ln.node, ln.box, qs[i], down)) {
-          hop(ln.cur, ln.l, ln.prefix, ln.node);
+        const auto& e = *ln.next;
+        if (arena::descend(e, ln.node, ln.box, qs[i])) {
+          hop(curs[i], ln.l, ln.prefix, ln.node);
         } else if (ln.l > 0) {
-          ln.node = down;  // the box stays: same cube
+          ln.node = e.down;  // the box stays: same cube
           --ln.l;
           ln.prefix = util::prefix_of(w, ln.l).bits;
-          hop(ln.cur, ln.l, ln.prefix, ln.node);
+          hop(curs[i], ln.l, ln.prefix, ln.node);
         } else {
           out[i].cell = ln.box;
-          out[i].is_point = q_.point_here(0, ln.node, ln.box, qs[i]);
-          out[i].stats = api::op_stats::of(ln.cur);
-          ln.done = true;
+          out[i].is_point = e.holds(qs[i]);
+          out[i].stats = api::op_stats::of(curs[i]);
+          continue;
         }
-        if (!ln.done) {
-          q_.prefetch_step(ln.l, ln.node, ln.box, qs[i]);  // warm next round's read
-          active[kept++] = static_cast<std::uint32_t>(i);
-        }
+        ln.next = &q_.child_at(ln.l, ln.node, ln.box.quadrant_of(qs[i]));
+        util::prefetch(ln.next);  // warm next round's read
+        active[kept++] = static_cast<std::uint32_t>(i);
       }
       active.resize(kept);
     }

@@ -1,6 +1,7 @@
 #include "serve/executor.h"
 
 #include <algorithm>
+#include <limits>
 #include <queue>
 
 #include "util/sw_assert.h"
@@ -8,49 +9,64 @@
 namespace skipweb::serve {
 
 executor::executor(std::size_t threads) : thread_count_(std::max<std::size_t>(threads, 1)) {
-  workers_.reserve(thread_count_);
-  for (std::size_t w = 0; w < thread_count_; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
+  helpers_.reserve(thread_count_);
+  try {
+    for (std::size_t w = 0; w < thread_count_; ++w) {
+      helpers_.emplace_back([this, w] { helper_loop(w); });
+    }
+  } catch (...) {
+    stop();
+    throw;
   }
 }
 
-executor::~executor() {
-  {
-    std::lock_guard lk(mu_);
-    stopping_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& t : workers_) t.join();
+executor::~executor() { stop(); }
+
+void executor::stop() {
+  stopping_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (auto& t : helpers_) t.join();
 }
 
-void executor::worker_loop(std::size_t worker) {
+void executor::helper_loop(std::size_t worker) {
   std::uint64_t seen = 0;
   for (;;) {
-    std::function<void(std::size_t)> job;
-    {
-      std::unique_lock lk(mu_);
-      cv_work_.wait(lk, [&] { return stopping_ || epoch_ != seen; });
-      if (stopping_) return;
-      seen = epoch_;
-      job = job_;  // copy: the published job outlives the unlock
+    epoch_.wait(seen, std::memory_order_acquire);
+    // A run bumps the epoch once and waits for every helper before the next
+    // bump, so no helper misses a job.
+    seen = epoch_.load(std::memory_order_acquire);
+    if (stopping_) return;
+    try {
+      (*job_)(worker);
+    } catch (...) {
+      const std::lock_guard lock(error_mu_);
+      if (!error_) error_ = std::current_exception();
+      // Far past any group count, and far from wrapping.
+      next_group_.store(std::numeric_limits<std::size_t>::max() / 2, std::memory_order_relaxed);
     }
-    job(worker);
-    {
-      std::lock_guard lk(mu_);
-      if (--outstanding_ == 0) cv_done_.notify_all();
-    }
+    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) outstanding_.notify_one();
   }
 }
 
 void executor::run_job(const std::function<void(std::size_t)>& job) {
-  std::unique_lock lk(mu_);
-  SW_EXPECTS(outstanding_ == 0);  // one job at a time
-  job_ = job;
-  outstanding_ = thread_count_;
-  ++epoch_;
-  cv_work_.notify_all();
-  cv_done_.wait(lk, [&] { return outstanding_ == 0; });
+  SW_EXPECTS(job_ == nullptr);  // one job at a time
+  job_ = &job;
+  next_group_.store(0, std::memory_order_relaxed);
+  outstanding_.store(helpers_.size(), std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (std::size_t left = outstanding_.load(std::memory_order_acquire); left != 0;
+       left = outstanding_.load(std::memory_order_acquire)) {
+    outstanding_.wait(left, std::memory_order_acquire);
+  }
   job_ = nullptr;
+  std::exception_ptr error;
+  {
+    const std::lock_guard lock(error_mu_);
+    error = std::exchange(error_, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void executor::for_slices(std::size_t n,
@@ -65,15 +81,16 @@ template <typename Outcome, typename Query, typename Serve>
 Outcome executor::run_batches(const std::vector<Query>& qs, std::size_t batch,
                               const Serve& serve) {
   const std::size_t width = std::max<std::size_t>(batch, 1);
+  const std::size_t groups = (qs.size() + width - 1) / width;
   Outcome out;
   out.results.resize(qs.size());
   std::vector<api::op_stats> partial(thread_count_);
-  for_slices(qs.size(), [&](std::size_t worker, std::size_t lo, std::size_t hi) {
+  run_job([&](std::size_t worker) {
     api::op_stats sum;
     std::vector<Query> group;
-    group.reserve(std::min(width, hi - lo));
-    for (std::size_t base = lo; base < hi; base += width) {
-      const std::size_t count = std::min(width, hi - base);
+    for (std::size_t g = claim(groups); g < groups; g = claim(groups)) {
+      const std::size_t base = g * width;
+      const std::size_t count = std::min(width, qs.size() - base);
       group.assign(qs.begin() + static_cast<std::ptrdiff_t>(base),
                    qs.begin() + static_cast<std::ptrdiff_t>(base + count));
       auto res = serve(group);
@@ -85,8 +102,8 @@ Outcome executor::run_batches(const std::vector<Query>& qs, std::size_t batch,
     }
     partial[worker] = sum;
   });
-  // Merging in worker order is deterministic by construction; the counters
-  // are u64 sums, so the totals are the same for every thread count anyway.
+  // Which worker served a group varies from run to run, but the counters are
+  // u64 sums, so the totals are the same for every thread count anyway.
   for (const auto& p : partial) out.total += p;
   return out;
 }

@@ -1,7 +1,9 @@
 #pragma once
 
-#include <condition_variable>
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -18,12 +20,23 @@ namespace skipweb::serve {
 /// \brief Fixed thread-pool serving driver: the piece of the library that
 /// turns "the structures are safe for concurrent const queries" (the
 /// receipt-based accounting plane, net/cursor.h) into wall-clock multi-core
-/// throughput. A query stream is partitioned into contiguous per-worker
-/// slices; each worker drives its slice through the backend's interleaved
-/// batch router (distributed_index::nearest_batch / spatial_index::
-/// locate_batch) in groups of `batch`; results land at their input positions
+/// throughput. T helper threads are workers 0..T−1. run_nearest /
+/// run_locate / run_contains cut the query stream into `batch`-wide groups
+/// that the workers claim from one atomic counter, each group driven
+/// through the backend's interleaved batch router
+/// (distributed_index::nearest_batch / spatial_index::locate_batch /
+/// string_index::contains_batch); results land at their input positions
 /// and the op_stats receipts sum to exactly the serial loop's totals — the
-/// output is deterministic for any thread count (tested at T ∈ {1,2,4,8}).
+/// output is deterministic for any thread count and batch width (tested at
+/// T ∈ {1,2,3,4,8}).
+///
+/// \par Dispatch
+/// A run publishes its job with one epoch bump and waits for the helpers'
+/// countdown; idle helpers wait on the epoch. Both waits are
+/// `std::atomic::wait`. The calling thread serves no queries (DESIGN.md §8
+/// says why). The first exception any worker throws stops the group
+/// claims; the run waits for every helper and rethrows it on the caller,
+/// and the pool serves the next run normally.
 ///
 /// \par Thread-safety plane
 /// Serving is the *query* plane only: inserts/erases are structural and
@@ -49,9 +62,8 @@ namespace skipweb::serve {
 /// them across runs only at threads = 1.
 class executor {
  public:
-  /// \brief A pool of `threads` workers (clamped to >= 1), alive until
-  /// destruction; runs re-use the pool, so per-call cost is two
-  /// condition-variable waves.
+  /// \brief A pool of `threads` helper threads (clamped to >= 1), alive
+  /// until destruction; a run's calling thread publishes it and waits.
   explicit executor(std::size_t threads);
   ~executor();
 
@@ -85,7 +97,7 @@ class executor {
   /// batch width (the nearest_batch receipt-equality contract).
   /// \param idx    any registered backend; only its const query surface is
   ///               touched.
-  /// \param qs     the whole query stream (workers take slices of it).
+  /// \param qs     the whole query stream (workers claim groups of it).
   /// \param origin serving frontend: every query is issued from this host.
   /// \param batch  group size handed to nearest_batch per call.
   /// \note Blocks until the stream is served. Wall-clock O(|qs|/T) batches.
@@ -165,33 +177,49 @@ class executor {
   [[nodiscard]] static std::uint64_t percentile_ns(std::vector<std::uint64_t> sample, double q);
 
   /// \brief Run fn(worker, lo, hi) on every worker over the static partition
-  /// of [0, n); blocks until all workers finish. The building block the
-  /// typed entry points above share, exposed for custom query mixes.
+  /// of [0, n) (`slice`), slice w on helper w. Blocks until all workers
+  /// finish, then rethrows the first exception any of them threw.
+  /// run_open_loop's per-worker event loops use it; exposed for custom
+  /// query mixes.
   /// \note `fn` must itself stay on the query plane when touching shared
   ///       structures.
   void for_slices(std::size_t n, const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
  private:
-  void worker_loop(std::size_t worker);
+  // Helper `worker`'s loop: runs each published job once; an exception is
+  // kept (the first one only) and ends the job's group claims.
+  void helper_loop(std::size_t worker);
+  // Runs job(w) on helper w for every worker w and returns once every
+  // helper has finished; rethrows the first exception.
   void run_job(const std::function<void(std::size_t)>& job);
-  // The slice/batch/merge loop of run_nearest / run_locate / run_contains:
-  // each worker hands `batch`-wide groups of its slice to `serve` (one
-  // *_batch call), stores the answers in input order and sums the receipts.
+  // The next group index of the running job, or `groups` once every group
+  // is claimed or a worker has thrown.
+  [[nodiscard]] std::size_t claim(std::size_t groups) {
+    return std::min(next_group_.fetch_add(1, std::memory_order_relaxed), groups);
+  }
+  // The group/merge loop of run_nearest / run_locate / run_contains: each
+  // worker claims `batch`-wide groups of the stream, hands each to `serve`
+  // (one *_batch call), stores the answers in input order and sums the
+  // receipts.
   template <typename Outcome, typename Query, typename Serve>
   Outcome run_batches(const std::vector<Query>& qs, std::size_t batch, const Serve& serve);
+  // Ends the helpers: the last epoch bump, then the joins.
+  void stop();
 
   std::size_t thread_count_;
-  std::vector<std::thread> workers_;
 
-  // One-job-at-a-time dispatch: run_job publishes `job_` under the mutex and
-  // bumps the epoch; workers run it once per epoch and count down.
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::function<void(std::size_t)> job_;
-  std::uint64_t epoch_ = 0;
-  std::size_t outstanding_ = 0;
+  // One job at a time. run_job writes job_ (stop() writes stopping_) before
+  // the release bump of epoch_ that publishes it; a helper that acquires the
+  // new epoch runs the job once and counts `outstanding_` down, and the
+  // caller's acquire of zero orders every helper's work before the return.
+  const std::function<void(std::size_t)>* job_ = nullptr;
   bool stopping_ = false;
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<std::size_t> outstanding_{0};
+  std::atomic<std::size_t> next_group_{0};
+  std::mutex error_mu_;
+  std::exception_ptr error_;  // the running job's first exception; guarded by error_mu_
+  std::vector<std::thread> helpers_;  // last: the helpers use every member above
 };
 
 }  // namespace skipweb::serve

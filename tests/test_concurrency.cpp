@@ -1,15 +1,20 @@
 // Concurrency suite for the serving executor and the receipt-based
 // accounting plane: for every registered 1-D and spatial backend, driving
-// the same query stream at T ∈ {1, 2, 4, 8} threads must produce results
-// and summed op_stats receipts identical to the serial loop, and the
-// network's traffic ledger must reconcile afterwards. This is also the
-// binary the CI ThreadSanitizer job runs — the assertions double as the
-// racing workload TSan instruments.
+// the same query stream at T ∈ {1, 2, 3, 4, 8} workers and batch widths
+// {1, 7, 24} must produce results and summed op_stats receipts identical to
+// the serial loop, and the network's traffic ledger must reconcile
+// afterwards (the string plane's twin is StringConformance.
+// ExecutorContainsMatchesSerial). This is also the binary the CI
+// ThreadSanitizer job runs — the assertions double as the racing workload
+// TSan instruments.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,12 +38,19 @@ namespace wl = skipweb::workloads;
 
 host_id h(std::uint32_t v) { return host_id{v}; }
 
-constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
+constexpr std::size_t kThreadCounts[] = {1, 2, 3, 4, 8};
+// Batch widths for the group dispatch; the conformance streams' lengths are
+// multiples of none but 1.
+constexpr std::size_t kBatchWidths[] = {1, 7, 24};
 
 bool same_nn(const api::nn_result& a, const api::nn_result& b) {
   return a.has_pred == b.has_pred && a.has_succ == b.has_succ &&
          (!a.has_pred || a.pred == b.pred) && (!a.has_succ || a.succ == b.succ) &&
          a.stats == b.stats;
+}
+
+bool same_locate(const api::spatial_locate_result& a, const api::spatial_locate_result& b) {
+  return a.found == b.found && a.cell == b.cell && a.scale == b.scale && a.stats == b.stats;
 }
 
 void expect_same_profile(const net::congestion_profile& a, const net::congestion_profile& b,
@@ -100,6 +112,128 @@ TEST(Executor, PoolIsReusableAcrossRuns) {
   EXPECT_EQ(first.total, second.total);
 }
 
+TEST(Executor, ForSlicesRunsEachStaticSliceOnItsOwnHelper) {
+  // for_slices keeps its static partition: worker w gets slice(n, w, T) and
+  // runs on helper w, a thread of its own; the calling thread serves none.
+  EXPECT_EQ(serve::executor::slice(10, 0, 3), std::make_pair(std::size_t{0}, std::size_t{3}));
+  EXPECT_EQ(serve::executor::slice(10, 1, 3), std::make_pair(std::size_t{3}, std::size_t{6}));
+  EXPECT_EQ(serve::executor::slice(10, 2, 3), std::make_pair(std::size_t{6}, std::size_t{10}));
+  constexpr std::size_t n = 1000;
+  for (const std::size_t T : kThreadCounts) {
+    serve::executor ex(T);
+    std::vector<std::thread::id> ran_on(T);
+    std::vector<std::pair<std::size_t, std::size_t>> got(T);
+    ex.for_slices(n, [&](std::size_t w, std::size_t lo, std::size_t hi) {
+      ran_on[w] = std::this_thread::get_id();
+      got[w] = {lo, hi};
+    });
+    for (std::size_t w = 0; w < T; ++w) {
+      EXPECT_EQ(got[w], serve::executor::slice(n, w, T)) << "T=" << T << " w=" << w;
+      EXPECT_NE(ran_on[w], std::this_thread::get_id()) << "T=" << T << " w=" << w;
+    }
+    std::sort(ran_on.begin(), ran_on.end());
+    EXPECT_EQ(std::adjacent_find(ran_on.begin(), ran_on.end()), ran_on.end()) << "T=" << T;
+  }
+}
+
+TEST(Executor, BackToBackAndSpacedRunsAgree) {
+  // Back-to-back runs publish while the helpers may still be finishing the
+  // last run; runs spaced by a sleep find them blocked in the epoch wait.
+  // Both finish and agree with the serial loop.
+  util::rng r(44);
+  const auto keys = wl::uniform_keys(128, r);
+  network net(1);
+  const auto idx = api::make_index("skipweb1d", keys, api::index_options{}.seed(3), net);
+  const auto qs = wl::query_stream(keys, 101, 8);
+  std::vector<api::nn_result> serial;
+  api::op_stats serial_total;
+  for (const auto q : qs) {
+    serial.push_back(idx->nearest(q, h(0)));
+    serial_total += serial.back().stats;
+  }
+  serve::executor ex(4);
+  for (int run = 0; run < 12; ++run) {
+    if (run >= 8) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto out = ex.run_nearest(*idx, qs, h(0), 5);
+    ASSERT_EQ(out.results.size(), serial.size()) << run;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(same_nn(out.results[i], serial[i])) << "run " << run << " i=" << i;
+    }
+    EXPECT_EQ(out.total, serial_total) << run;
+  }
+}
+
+// A backend for the executor's error path. It answers from a real index,
+// but its batch router throws on the chosen call: the first group any
+// worker serves, or a later one. Every other group sleeps, so workers are
+// mid-group when the throw lands.
+class throwing_index final : public api::distributed_index {
+ public:
+  throwing_index(const api::distributed_index& real, int throw_at)
+      : real_(real), throw_at_(throw_at) {}
+
+  [[nodiscard]] std::string_view backend() const override { return "throwing"; }
+  [[nodiscard]] std::size_t size() const override { return real_.size(); }
+  [[nodiscard]] api::capability capabilities() const override { return real_.capabilities(); }
+  [[nodiscard]] api::nn_result nearest(std::uint64_t q, host_id origin) const override {
+    return real_.nearest(q, origin);
+  }
+  api::op_stats insert(std::uint64_t, host_id) override { return {}; }
+  api::op_stats erase(std::uint64_t, host_id) override { return {}; }
+
+  [[nodiscard]] std::vector<api::nn_result> nearest_batch(const std::vector<std::uint64_t>& qs,
+                                                          host_id origin) const override {
+    if (calls_.fetch_add(1) == throw_at_) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      throw std::runtime_error("call " + std::to_string(throw_at_));
+    }
+    started.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto out = real_.nearest_batch(qs, origin);
+    finished.fetch_add(1);
+    return out;
+  }
+
+  mutable std::atomic<int> started{0}, finished{0};
+
+ private:
+  const api::distributed_index& real_;
+  int throw_at_;
+  mutable std::atomic<int> calls_{0};
+};
+
+TEST(Executor, WorkerExceptionReachesTheCaller) {
+  // A throwing group, the first one served or a later one, reaches the
+  // caller only after every worker has stopped: each group that started has
+  // finished when the exception arrives, and no group is claimed after the
+  // throw. The pool then serves a clean run like the serial loop.
+  util::rng r(45);
+  const auto keys = wl::uniform_keys(128, r);
+  network net(1);
+  const auto idx = api::make_index("skipweb1d", keys, api::index_options{}.seed(3), net);
+  const auto qs = wl::query_stream(keys, 64, 9);
+  std::vector<api::nn_result> serial;
+  for (const auto q : qs) serial.push_back(idx->nearest(q, h(0)));
+  serve::executor ex(4);
+  for (const int throw_at : {0, 6}) {
+    const throwing_index bad(*idx, throw_at);
+    try {
+      (void)ex.run_nearest(bad, qs, h(0), 1);
+      ADD_FAILURE() << "the executor swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "call " + std::to_string(throw_at));
+      EXPECT_EQ(bad.started.load(), bad.finished.load()) << throw_at;
+      EXPECT_GE(bad.started.load(), throw_at) << throw_at;
+      EXPECT_LT(bad.started.load(), 63) << throw_at;  // claiming stopped at the throw
+    }
+    const auto out = ex.run_nearest(*idx, qs, h(0), 7);
+    ASSERT_EQ(out.results.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(same_nn(out.results[i], serial[i])) << throw_at << " i=" << i;
+    }
+  }
+}
+
 // --- every 1-D backend: executor == serial loop, any thread count ------------
 
 class ExecutorConformance : public ::testing::TestWithParam<std::string> {};
@@ -111,7 +245,7 @@ TEST_P(ExecutorConformance, NearestMatchesSerialLoopAtEveryThreadCount) {
   const auto idx = api::make_index(
       GetParam(), keys, api::index_options{}.seed(97).initial_hosts(8).bucket_size(16).buckets(24),
       net);
-  const auto qs = wl::query_stream(keys, 160, 9002);
+  const auto qs = wl::query_stream(keys, 167, 9002);
 
   net.reset_traffic();
   std::vector<api::nn_result> serial;
@@ -126,19 +260,22 @@ TEST_P(ExecutorConformance, NearestMatchesSerialLoopAtEveryThreadCount) {
   const auto serial_profile = net.congestion_profile();
 
   for (const std::size_t T : kThreadCounts) {
-    net.reset_traffic();
     serve::executor ex(T);
-    const auto out = ex.run_nearest(*idx, qs, h(0), 24);
-    ASSERT_EQ(out.results.size(), serial.size()) << "T=" << T;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_TRUE(same_nn(out.results[i], serial[i])) << "T=" << T << " i=" << i;
+    for (const std::size_t batch : kBatchWidths) {
+      net.reset_traffic();
+      const auto out = ex.run_nearest(*idx, qs, h(0), batch);
+      ASSERT_EQ(out.results.size(), serial.size()) << "T=" << T << " batch=" << batch;
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_TRUE(same_nn(out.results[i], serial[i]))
+            << "T=" << T << " batch=" << batch << " i=" << i;
+      }
+      EXPECT_EQ(out.total, serial_total) << "T=" << T << " batch=" << batch;
+      // The workers' committed receipts reconcile with the ledger: each
+      // worker writes its own shard, and the folded totals and per-host
+      // counts never depend on the interleaving.
+      EXPECT_EQ(net.total_messages(), serial_messages) << "T=" << T << " batch=" << batch;
+      expect_same_profile(net.congestion_profile(), serial_profile, T);
     }
-    EXPECT_EQ(out.total, serial_total) << "T=" << T;
-    // The workers' committed receipts reconcile with the ledger: each worker
-    // writes its own shard, and the folded totals and per-host counts never
-    // depend on the interleaving.
-    EXPECT_EQ(net.total_messages(), serial_messages) << "T=" << T;
-    expect_same_profile(net.congestion_profile(), serial_profile, T);
   }
 }
 
@@ -159,7 +296,7 @@ TEST_P(SpatialExecutorConformance, LocateMatchesSerialLoopAtEveryThreadCount) {
   network net(1);
   const auto idx = api::make_spatial_index(
       GetParam(), pts, api::index_options{}.seed(11).initial_hosts(32), net);
-  const auto qs = wl::spatial_query_stream(dims, 96, 9004);
+  const auto qs = wl::spatial_query_stream(dims, 97, 9004);
 
   net.reset_traffic();
   std::vector<api::spatial_locate_result> serial;
@@ -173,19 +310,19 @@ TEST_P(SpatialExecutorConformance, LocateMatchesSerialLoopAtEveryThreadCount) {
   const auto serial_profile = net.congestion_profile();
 
   for (const std::size_t T : kThreadCounts) {
-    net.reset_traffic();
     serve::executor ex(T);
-    const auto out = ex.run_locate(*idx, qs, h(0), 16);
-    ASSERT_EQ(out.results.size(), serial.size()) << "T=" << T;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(out.results[i].found, serial[i].found) << "T=" << T << " i=" << i;
-      EXPECT_EQ(out.results[i].cell, serial[i].cell) << "T=" << T << " i=" << i;
-      EXPECT_EQ(out.results[i].scale, serial[i].scale) << "T=" << T << " i=" << i;
-      EXPECT_EQ(out.results[i].stats, serial[i].stats) << "T=" << T << " i=" << i;
+    for (const std::size_t batch : kBatchWidths) {
+      net.reset_traffic();
+      const auto out = ex.run_locate(*idx, qs, h(0), batch);
+      ASSERT_EQ(out.results.size(), serial.size()) << "T=" << T << " batch=" << batch;
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_TRUE(same_locate(out.results[i], serial[i]))
+            << "T=" << T << " batch=" << batch << " i=" << i;
+      }
+      EXPECT_EQ(out.total, serial_total) << "T=" << T << " batch=" << batch;
+      EXPECT_EQ(net.total_messages(), serial_messages) << "T=" << T << " batch=" << batch;
+      expect_same_profile(net.congestion_profile(), serial_profile, T);
     }
-    EXPECT_EQ(out.total, serial_total) << "T=" << T;
-    EXPECT_EQ(net.total_messages(), serial_messages) << "T=" << T;
-    expect_same_profile(net.congestion_profile(), serial_profile, T);
   }
 }
 
@@ -354,6 +491,112 @@ TEST(LatencyComposition, RouteCacheComposesWithLossLatencyAndReplication) {
     }
   }
   EXPECT_GT(cache.hits(), 0u);
+}
+
+// The spatial counterpart: the skip quadtree's batch router under every
+// plane at once — replicated routing around a tenth of the hosts killed,
+// message loss and a LogNormal hop clock. Per op, each locate_batch answer
+// and receipt (messages, visits, comparisons, failed flag, simulated time)
+// equals a serial locate from the same origin, and run_locate reproduces
+// the serial totals and the network's time and message ledgers.
+TEST(LatencyComposition, SpatialLocateBatchComposesWithEveryPlane) {
+  for (const char* name : {"skip_quadtree2", "skip_quadtree3"}) {
+    const int dims = api::spatial_backend_dims(name);
+    util::rng r(9030);
+    const auto pts = wl::spatial_points(dims, 192, false, r);
+    const auto qs = wl::spatial_query_stream(dims, 150, 9031);
+    network net(1);
+    const auto idx = api::make_spatial_index(
+        name, pts, api::index_options{}.seed(12).initial_hosts(40).replication(2), net);
+    for (std::uint32_t v = 1; v < net.host_count(); v += 10) net.kill_host(h(v));
+    net.set_message_loss(0.05, 9032);
+    net.set_latency_model(net::latency_model::lognormal(1500, 0.5, 9033));
+
+    for (const std::uint32_t origin : {0u, 2u, 7u}) {
+      const auto batched = idx->locate_batch(qs, h(origin));
+      ASSERT_EQ(batched.size(), qs.size()) << name;
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_TRUE(same_locate(batched[i], idx->locate(qs[i], h(origin))))
+            << name << " origin=" << origin << " i=" << i;
+      }
+    }
+
+    net.reset_traffic();
+    std::vector<api::spatial_locate_result> serial;
+    api::op_stats serial_total;
+    for (const auto& q : qs) {
+      serial.push_back(idx->locate(q, h(0)));
+      serial_total += serial.back().stats;
+    }
+    const std::uint64_t serial_sim = net.total_sim_ns();
+    const std::uint64_t serial_msgs = net.total_messages();
+    EXPECT_GT(serial_total.retries, 0u) << name;         // loss and dead replicas fired
+    EXPECT_GT(serial_total.sim_latency_ns, 0u) << name;  // and the clock ran
+
+    for (const std::size_t T : {1u, 2u, 4u}) {
+      net.reset_traffic();
+      serve::executor ex(T);
+      const auto out = ex.run_locate(*idx, qs, h(0), 16);
+      ASSERT_EQ(out.results.size(), serial.size()) << name << " T=" << T;
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_TRUE(same_locate(out.results[i], serial[i])) << name << " T=" << T << " i=" << i;
+      }
+      EXPECT_EQ(out.total, serial_total) << name << " T=" << T;
+      EXPECT_EQ(net.total_sim_ns(), serial_sim) << name << " T=" << T;
+      EXPECT_EQ(net.total_messages(), serial_msgs) << name << " T=" << T;
+    }
+  }
+}
+
+// The same planes with the hot-route cache attached: absorbed hops change
+// the receipts, so locate_batch and run_locate must match an uncached twin's
+// answers only.
+TEST(LatencyComposition, SpatialRouteCacheComposesWithEveryPlane) {
+  for (const char* name : {"skip_quadtree2", "skip_quadtree3"}) {
+    const int dims = api::spatial_backend_dims(name);
+    util::rng r(9034);
+    const auto pts = wl::spatial_points(dims, 192, false, r);
+    const auto qs = wl::zipf_spatial_query_stream(pts, 200, 9035, 1.1);
+    const auto opts = api::index_options{}.seed(12).initial_hosts(40).replication(2);
+    const auto degrade = [](network& n) {
+      for (std::uint32_t v = 1; v < n.host_count(); v += 10) n.kill_host(h(v));
+      n.set_message_loss(0.05, 9036);
+      n.set_latency_model(net::latency_model::lognormal(1500, 0.5, 9037));
+    };
+
+    network plain_net(1);
+    const auto plain = api::make_spatial_index(name, pts, opts, plain_net);
+    degrade(plain_net);
+    std::vector<api::spatial_locate_result> want;
+    for (const auto& q : qs) want.push_back(plain->locate(q, h(0)));
+
+    network net(1);
+    serve::route_cache::options co;
+    co.capacity = 16;
+    co.depth = 8;
+    co.promote_after = 4;
+    serve::route_cache cache(co);
+    const auto idx =
+        api::make_spatial_index(name, pts, api::index_options(opts).route_cache(&cache), net);
+    degrade(net);
+    const auto same_answer = [](const api::spatial_locate_result& a,
+                                const api::spatial_locate_result& b) {
+      return a.found == b.found && a.cell == b.cell && a.scale == b.scale;
+    };
+    const auto batched = idx->locate_batch(qs, h(0));
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(same_answer(batched[i], want[i])) << name << " i=" << i;
+    }
+    for (const std::size_t T : {1u, 2u, 4u}) {
+      serve::executor ex(T);
+      const auto out = ex.run_locate(*idx, qs, h(0), 16);
+      ASSERT_EQ(out.results.size(), want.size()) << name << " T=" << T;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(same_answer(out.results[i], want[i])) << name << " T=" << T << " i=" << i;
+      }
+    }
+    EXPECT_GT(cache.hits(), 0u) << name;
+  }
 }
 
 // --- seed-determinism: splittable streams & workload generation --------------

@@ -307,31 +307,41 @@ TEST_P(StringConformance, MixedTapeVsOracle) {
 }
 
 TEST_P(StringConformance, ExecutorContainsMatchesSerial) {
-  // The multi-threaded serving driver returns the serial loop's answers and
-  // receipt totals at every thread count (also the TSan job's string-plane
-  // target: concurrent const queries on one instance must stay race-free).
+  // The multi-threaded serving driver returns the serial loop's answers,
+  // per-op receipts and totals at every thread count and batch width, and
+  // the traffic ledger reconciles (also the TSan job's string-plane target:
+  // concurrent const queries on one instance must stay race-free).
   rng r(7010);
   const auto keys = wl::dictionary_words(300, r);
   network net(1);
   const auto idx = build(keys, net);
-  auto qs = wl::string_query_stream(keys, 240, 7010);
+  // 241 queries: no batch width below but 1 divides the stream.
+  auto qs = wl::string_query_stream(keys, 241, 7010);
   for (std::size_t i = 0; i < qs.size(); i += 4) qs[i] += "q";  // misses too
 
-  std::vector<bool> want;
+  net.reset_traffic();
+  std::vector<api::op_result<bool>> want;
   api::op_stats want_total;
   for (const auto& q : qs) {
-    const auto res = idx->contains(q, h(1));
-    want.push_back(res.value);
-    want_total += res.stats;
+    want.push_back(idx->contains(q, h(1)));
+    want_total += want.back().stats;
   }
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+  const std::uint64_t want_messages = net.total_messages();
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
     serve::executor ex(threads);
-    const auto out = ex.run_contains(*idx, qs, h(1));
-    ASSERT_EQ(out.results.size(), qs.size()) << threads;
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(out.results[i].value, want[i]) << "threads " << threads << " q " << i;
+    for (const std::size_t batch : {1u, 7u, 24u}) {
+      net.reset_traffic();
+      const auto out = ex.run_contains(*idx, qs, h(1), batch);
+      ASSERT_EQ(out.results.size(), qs.size()) << threads << " batch " << batch;
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_EQ(out.results[i].value, want[i].value)
+            << "threads " << threads << " batch " << batch << " q " << i;
+        EXPECT_EQ(out.results[i].stats, want[i].stats)
+            << "threads " << threads << " batch " << batch << " q " << i;
+      }
+      EXPECT_EQ(out.total, want_total) << threads << " batch " << batch;
+      EXPECT_EQ(net.total_messages(), want_messages) << threads << " batch " << batch;
     }
-    EXPECT_EQ(out.total, want_total) << threads;
   }
 }
 
