@@ -16,9 +16,10 @@ accepted. Tokens whose first part is not a test suite (`meta.n`,
 The docs cite code names in backticks too: qualified names
 (`net::cursor::move_to`, `api::op_stats::of(cursor)`) and calls (`settle()`,
 `cur.give_up()`). Every part of a qualified name and every called name must
-occur as a word somewhere in src/ or bench/, so a doc that still cites a
-deleted function fails. `std::` names belong to the standard library and are
-skipped.
+occur as a word in the code of src/ or bench/, so a doc that still cites a
+deleted function fails. Comments are stripped first: a name that survives
+only in a comment is as dead as the code it named. `std::` names belong to
+the standard library and are skipped.
 
 Usage: scripts/check_doc_refs.py [FILE...]   (defaults to DESIGN.md README.md)
 """
@@ -59,6 +60,19 @@ SPAN_RE = re.compile(r"`([^`\n]+)`")
 QUALIFIED_RE = re.compile(r"(?<![\w:])((?:[A-Za-z_]\w*::)+~?[A-Za-z_]\w*)")
 CALL_RE = re.compile(r"(?<![\w:])(?:\w+\.)*([A-Za-z_]\w*)\(\)")
 WORD_RE = re.compile(r"[A-Za-z_]\w*")
+
+# A C++ comment, or a string or character literal, which is kept whole so
+# that a "//" inside it does not start a comment.
+COMMENT_OR_LITERAL_RE = re.compile(
+    r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'", re.S
+)
+
+
+def strip_comments(code: str) -> str:
+    """The source with every // and /* */ comment replaced by a space."""
+    return COMMENT_OR_LITERAL_RE.sub(
+        lambda m: " " if m.group(0).startswith("/") else m.group(0), code
+    )
 
 
 def expand(token: str):
@@ -113,13 +127,13 @@ def check_tests(md_path: str, suites):
 
 
 def code_words(repo_root: str):
-    """Every identifier-like word in src/ and bench/."""
+    """Every identifier-like word in the code of src/ and bench/, comments excluded."""
     words = set()
     for top in ("src", "bench"):
         for path in glob.glob(os.path.join(repo_root, top, "**", "*"), recursive=True):
             if os.path.isfile(path):
                 with open(path, encoding="utf-8", errors="replace") as f:
-                    words.update(WORD_RE.findall(f.read()))
+                    words.update(WORD_RE.findall(strip_comments(f.read())))
     return words
 
 

@@ -10,30 +10,16 @@ namespace skipweb::baselines {
 
 namespace {
 
-// Membership vector for sorted rank r: the rank itself. Level-l lists group
-// elements by the low l bits of their vector, so list c at level l holds
-// exactly the ranks ≡ c (mod 2^l) — every 2^l-th element, a perfect skip
-// list with worst-case O(log n) search.
-util::membership_bits rank_bits(std::size_t rank, int levels) {
-  (void)levels;
-  return static_cast<util::membership_bits>(rank);
-}
-
-int levels_for(std::size_t n) {
-  int l = 0;
-  while ((std::size_t{1} << l) < n) ++l;
-  return std::max(1, l);
-}
-
-// The lists over sorted `keys` with rank vectors, by the bulk build. The
-// lists cannot move, so the heap object is initialized from the build
-// itself.
+// The lists over sorted `keys` with rank vectors: the membership vector of
+// sorted rank r is r itself. Level-l lists group elements by the low l bits
+// of their vector, so list c at level l holds exactly the ranks ≡ c (mod
+// 2^l) — every 2^l-th element, a perfect skip list with worst-case
+// O(log n) search.
 std::unique_ptr<core::level_lists> rank_lists(std::vector<std::uint64_t> keys) {
-  const int levels = levels_for(keys.size());
   std::vector<util::membership_bits> bits(keys.size());
-  for (std::size_t r = 0; r < keys.size(); ++r) bits[r] = rank_bits(r, levels);
-  return std::unique_ptr<core::level_lists>(
-      new core::level_lists(core::level_lists::build_from_sorted(std::move(keys), bits, levels)));
+  for (std::size_t r = 0; r < keys.size(); ++r) bits[r] = r;
+  const int levels = std::max(1, util::levels_for(keys.size()));
+  return std::make_unique<core::level_lists>(std::move(keys), bits, levels);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -54,87 +53,55 @@ namespace skipweb::core {
 // library-wide single-writer rule: never concurrent with reads.
 class level_lists {
  public:
-  // Number of levels above level 0 for a ground set of size n.
-  static int levels_for(std::size_t n) {
-    int l = 0;
-    while ((std::size_t{1} << l) < n) ++l;
-    return l;
-  }
-
+  // The lists over `sorted_keys` (strictly ascending) with `levels` levels
+  // above level 0, at most util::levels_for(n) + 1. Membership vectors are
+  // drawn from `r`, one per key in key order; the uid of key i is i. Both
+  // constructors link in two linear passes over the keys (link_from_sorted)
+  // and run on every core above parallel_build_min_items (DESIGN.md §12).
   level_lists(std::vector<std::uint64_t> sorted_keys, util::rng& r, int levels)
       : level_lists(std::move(sorted_keys), nullptr, &r, levels) {}
 
   // Deterministic variant: explicit membership vectors (one per key, same
   // order). Used by the deterministic-SkipNet baseline, whose "random" bits
-  // are the keys' bit-reversed ranks.
+  // are the keys' sorted ranks.
   level_lists(std::vector<std::uint64_t> sorted_keys,
               const std::vector<util::membership_bits>& bits, int levels)
       : level_lists(std::move(sorted_keys), &bits, nullptr, levels) {}
 
-  // Bulk-build fast path: construct the arena directly from the sorted key
-  // stream in two linear passes instead of the per-level partition passes of
-  // the reference constructor. The output is byte-identical (same keys,
-  // membership draws, uids and links — tests compare the arenas), only the
-  // construction order of the pool writes changes: each item's whole link
-  // row is written once, sequentially, with the per-level
-  // predecessor/successor found through small last-seen prefix tables that
-  // stay cache-resident. The reference build scatters 2·n·(levels+1) link
-  // writes across the pools; at n = 1M that is the build's whole wall-clock
-  // (see DESIGN.md §12).
-  static level_lists build_from_sorted(std::vector<std::uint64_t> sorted_keys, util::rng& r,
-                                       int levels) {
-    return level_lists(bulk_tag{}, std::move(sorted_keys), nullptr, &r, levels);
-  }
-  static level_lists build_from_sorted(std::vector<std::uint64_t> sorted_keys,
-                                       const std::vector<util::membership_bits>& bits,
-                                       int levels) {
-    return level_lists(bulk_tag{}, std::move(sorted_keys), &bits, nullptr, levels);
-  }
-
-  // A bulk build of fewer items runs on the calling thread alone, where
-  // starting helpers would cost more than they save (DESIGN.md §12).
+  // A build of fewer items runs on the calling thread alone, where starting
+  // helpers would cost more than they save (DESIGN.md §12).
   static constexpr std::size_t parallel_build_min_items = std::size_t{1} << 16;
-  // Test seam, not an option: nonzero makes every bulk build on this thread
-  // link in this many prefix sets (rounded up to a power of two; see
+  // Test seam, not an option: nonzero makes every build on this thread link
+  // in this many prefix sets (rounded up to a power of two; see
   // link_from_sorted), whatever n and the core count, so the split is
   // tested on any machine.
   static inline thread_local std::size_t forced_link_sets = 0;
 
  private:
-  struct bulk_tag {};
-
   level_lists(std::vector<std::uint64_t> sorted_keys,
               const std::vector<util::membership_bits>* explicit_bits, util::rng* r, int levels)
       : levels_(levels), stride_(static_cast<std::size_t>(levels) + 1) {
-    init_arena(std::move(sorted_keys), explicit_bits, r, /*bulk_links=*/false);
-    link_by_partition();
-    finish_build();
-  }
-
-  level_lists(bulk_tag, std::vector<std::uint64_t> sorted_keys,
-              const std::vector<util::membership_bits>* explicit_bits, util::rng* r, int levels)
-      : levels_(levels), stride_(static_cast<std::size_t>(levels) + 1) {
-    init_arena(std::move(sorted_keys), explicit_bits, r, /*bulk_links=*/true);
+    init_arena(std::move(sorted_keys), explicit_bits, r);
     link_from_sorted();
-    finish_build();
+    alive_count_ = keys_.size();
+    alive_hint_ = keys_.empty() ? -1 : 0;
   }
 
-  // Shared scalar-arena setup of both build paths: keys, membership draws
-  // (same rng order, so the two paths assign identical bits), uids, flags,
-  // and the link pools. The draws run serially in input order as one task
-  // while the other workers fill the rest in slices. With bulk_links the
-  // pools are left UNINITIALIZED — link_from_sorted writes every slot in its
-  // two passes, and the skipped sentinel fill is over half the build's wall
-  // clock at 1M.
+  // The scalar arena: keys, membership draws, uids, flags, and the link
+  // pools. The draws run serially in input order as one task while the
+  // other workers fill the rest in slices. The pools are left
+  // UNINITIALIZED: link_from_sorted writes every slot in its two passes,
+  // and a sentinel fill would be over half the build's wall clock at 1M.
+  // The level bound keeps the passes' last-seen tables, 2^(levels+1)
+  // entries in all, below 8n (DESIGN.md §12).
   void init_arena(std::vector<std::uint64_t> sorted_keys,
-                  const std::vector<util::membership_bits>* explicit_bits, util::rng* r,
-                  bool bulk_links) {
-    SW_EXPECTS(levels_ >= 0 && levels_ < util::max_levels);
-    SW_EXPECTS(explicit_bits == nullptr || explicit_bits->size() == sorted_keys.size());
-    for (std::size_t i = 0; i + 1 < sorted_keys.size(); ++i) {
+                  const std::vector<util::membership_bits>* explicit_bits, util::rng* r) {
+    const std::size_t n = sorted_keys.size();
+    SW_EXPECTS(levels_ >= 0 && levels_ < util::max_levels && levels_ <= util::levels_for(n) + 1);
+    SW_EXPECTS(explicit_bits == nullptr || explicit_bits->size() == n);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
       SW_EXPECTS(sorted_keys[i] < sorted_keys[i + 1]);
     }
-    const std::size_t n = sorted_keys.size();
     keys_.resize(n);
     bits_.resize(n);
     uids_.resize(n);
@@ -164,66 +131,23 @@ class level_lists {
       std::fill(alive + lo, alive + hi, std::uint8_t{1});
     });
     next_uid_ = n;
-    if (bulk_links) {
-      fwd_.resize(n * stride_);  // persist::pod_array resize: no fill
-      bwd_.resize(n * stride_);
-    } else {
-      fwd_.assign(n * stride_, no_link);
-      bwd_.assign(n * stride_, no_link);
-    }
+    fwd_.resize(n * stride_);  // persist::pod_array resize: no fill
+    bwd_.resize(n * stride_);
   }
 
-  // Workers for a bulk build of n items (see parallel_build_min_items).
+  // Workers for a build of n items (see parallel_build_min_items).
   static std::size_t build_workers(std::size_t n) {
     return n < parallel_build_min_items ? 1 : util::fan_out_workers(n);
   }
 
-  void finish_build() {
-    alive_count_ = keys_.size();
-    alive_hint_ = keys_.empty() ? -1 : 0;
-  }
-
-  // Reference linking: one radix-style counting pass per level instead of a
-  // hash map per level: `order` keeps the items grouped by their l-bit
-  // prefix (groups contiguous, key-sorted within, since the one-bit
-  // partition per level is stable), so the level-l lists are exactly the
-  // maximal runs of equal masked bits — link adjacent run members and move
-  // on.
-  void link_by_partition() {
-    const std::size_t n = keys_.size();
-    std::vector<std::int32_t> order(n), scratch(n);
-    std::iota(order.begin(), order.end(), std::int32_t{0});
-    for (int l = 0; l <= levels_; ++l) {
-      if (l > 0) {
-        std::size_t z = 0;
-        for (const auto i : order) {
-          if (!util::membership_bit(bits_[static_cast<std::size_t>(i)], l - 1)) scratch[z++] = i;
-        }
-        for (const auto i : order) {
-          if (util::membership_bit(bits_[static_cast<std::size_t>(i)], l - 1)) scratch[z++] = i;
-        }
-        order.swap(scratch);
-      }
-      const std::uint64_t mask = (std::uint64_t{1} << l) - 1;  // l < 64 always
-      for (std::size_t k = 1; k < n; ++k) {
-        const auto a = order[k - 1];
-        const auto b = order[k];
-        if ((bits_[static_cast<std::size_t>(a)] & mask) ==
-            (bits_[static_cast<std::size_t>(b)] & mask)) {
-          link(a, b, l);
-        }
-      }
-    }
-  }
-
-  // Fast linking for build_from_sorted: the level-l predecessor of item i is
-  // simply the last earlier item sharing its l-bit prefix, so one int32
+  // The level-l predecessor of item i is simply the last earlier item
+  // sharing its l-bit prefix (paper §2.3: the level-l list of S_b holds
+  // the items whose vectors start with b, in key order), so one int32
   // last-seen table per level (flattened into a single array) finds every
   // link in two linear passes. The ascending pass writes each item's whole
   // backward row, the descending pass its forward row: the 2·n·(levels+1)
-  // pool writes — the reference build's wall-clock bottleneck at big n,
-  // where they scatter — stream sequentially, and the random traffic is
-  // confined to the table.
+  // pool writes stream sequentially, and the random traffic is confined to
+  // the table.
   //
   // The passes split by prefix. The items whose first `split` membership
   // bits read s form the set S_s of the paper's level `split`, and every
@@ -238,17 +162,6 @@ class level_lists {
   void link_from_sorted() {
     const std::size_t n = keys_.size();
     if (n == 0) return;
-    // A degenerate level count (levels ≫ log2 n) would blow the table
-    // budget; fall back to the partition passes. Every registered backend
-    // sizes levels = levels_for(n), which always takes the fast path.
-    if (levels_ > levels_for(n) + 1) {
-      // The partition passes write only linked slots; restore the sentinel
-      // fill the bulk path skipped before handing over.
-      std::fill(fwd_.begin(), fwd_.end(), no_link);
-      std::fill(bwd_.begin(), bwd_.end(), no_link);
-      link_by_partition();
-      return;
-    }
     const std::size_t want = forced_link_sets > 0 ? forced_link_sets : build_workers(n);
     int split = 0;
     while ((std::size_t{1} << split) < want) ++split;
@@ -763,7 +676,7 @@ class level_lists {
 
   // Parallel arrays indexed by arena slot; see the class comment for layout.
   // Every array is a persist::pod_array: an owned flat buffer in a built
-  // structure (value-less resize leaves records uninitialized — the bulk
+  // structure (value-less resize leaves records uninitialized — the
   // build writes every slot itself — and big pools get hugepage advice), or
   // a borrowed read-only span over a snapshot mapping in a restored one,
   // which silently copies on the first structural edit (DESIGN.md §13).

@@ -70,7 +70,7 @@ namespace skipweb::core {
 // (tree/step/child_at/point_here/descend/...) is pure
 // reads — no lazily-repaired caches, no mutable members — so any number of
 // threads may descend concurrently. Structural edits (insert_at/erase_at/
-// ensure_tree/...) are single-writer, never concurrent with reads.
+// ensure_tree_ref/...) are single-writer, never concurrent with reads.
 template <int D>
 class quad_levels {
  public:
@@ -168,9 +168,10 @@ class quad_levels {
     if (g == nullptr) return -1;
     int at = g->root;
     cube box{};
-    locate_local(0, at, box, p);
-    const entry& e = child_at(0, at, box.quadrant_of(p));
-    return e.holds(p) ? e.point : -1;
+    for (;;) {
+      const entry& e = child_at(0, at, box.quadrant_of(p));
+      if (!descend(e, at, box, p)) return e.holds(p) ? e.point : -1;
+    }
   }
 
   // --- tree directory -------------------------------------------------------
@@ -188,19 +189,13 @@ class quad_levels {
     return lv(level).trees.visit(f);
   }
 
-  // Root slot of the (level, prefix) tree, creating an empty tree (root =
-  // whole space, down unresolved) when absent. Second member: freshly made?
-  std::pair<int, bool> ensure_tree(int level, std::uint64_t prefix) {
-    const auto [tr, fresh] = ensure_tree_ref(level, prefix);
-    return {tr->root, fresh};
-  }
-
-  // ensure_tree returning the directory record itself, so the bulk build
-  // bumps the live count without paying a second probe (bump_tree's lookup
-  // was ~a third of build time at 1M). The pointer is valid only until the
-  // next insert into this level's directory, which may grow it; the bulk
-  // build holds it across one point's level visit, which inserts no tree
-  // into that level.
+  // The directory record of the (level, prefix) tree, creating an empty
+  // tree (root = whole space, down unresolved) when absent. Second member:
+  // freshly made? A level visit bumps the live count through the record
+  // instead of paying a second probe (bump_tree's lookup was ~a third of
+  // bulk-build time at 1M). The pointer is valid only until the next insert
+  // into this level's directory, which may grow it; a visit holds it across
+  // one point's placement, which inserts no tree into that level.
   std::pair<tree_ref*, bool> ensure_tree_ref(int level, std::uint64_t prefix) {
     auto [tr, fresh] = lv(level).trees.try_emplace(prefix);
     if (fresh) tr->root = new_node(level, -1);
@@ -317,13 +312,6 @@ class quad_levels {
     const entry& e = child_at(level, node, box.quadrant_of(q));
     down = e.down;
     return descend(e, node, box, q);
-  }
-
-  // Full local descent (no metering): build-time and oracle helper.
-  void locate_local(int level, int& node, cube& box, const point& q) const {
-    int down = -1;
-    while (step(level, node, box, q, down)) {
-    }
   }
 
   // Is q stored as a point entry directly under `node` (cube `box`, its

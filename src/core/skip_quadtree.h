@@ -73,12 +73,13 @@ class skip_quadtree {
   // `bulk` selects the level-major bulk build (DESIGN.md §12), its level
   // passes pipelined across cores — byte-identical to the point-by-point
   // construction (same slots, same receipts) and several times faster at
-  // n >= 1M; `false` forces the reference path for twin tests.
+  // n >= 1M. `false` runs the same visit_level point by point, as inserts
+  // do: the twin tests' reference for the reorder and the pipeline.
   skip_quadtree(const std::vector<point>& pts, std::uint64_t seed, net::network& net,
                 std::size_t replication = 0, bool bulk = true)
       : net_(&net),
         rng_(seed),
-        levels_(levels_for(pts.size())),
+        levels_(util::levels_for(pts.size())),
         q_(levels_),
         replication_(std::min(replication, max_replication)) {
     SW_EXPECTS(!pts.empty());
@@ -390,6 +391,7 @@ class skip_quadtree {
     const int pid = q_.find_point(p);
     SW_EXPECTS(pid >= 0);
     const auto bits = q_.point_bits(pid);
+    const int psalt = payload_salt(p);
     const net::structural_section sw_structural_guard(*net_);
     net::cursor cur(*net_, origin);
     int start = -1;  // captured down link; -1 selects the level's root
@@ -405,7 +407,7 @@ class skip_quadtree {
       // away (-1 at level 0, where the chain ends).
       while (q_.step(l, node, box, p, start)) hop(cur, l, prefix, node);
       const int freed = q_.erase_at(l, node, box, pid);
-      charge_point(l, prefix, p, -1);
+      charge_point(*net_, l, prefix, psalt, -1);
       if (freed >= 0) {
         charge_node(l, prefix, freed, -1);  // de-charge at the current window
         forget_rehome(l, freed);            // the recycled slot restarts at base 0
@@ -516,12 +518,6 @@ class skip_quadtree {
   }
 
  private:
-  static int levels_for(std::size_t n) {
-    int l = 0;
-    while ((std::size_t{1} << l) < n) ++l;
-    return l;
-  }
-
   // Top of a membership chain: the highest level whose prefix set is
   // non-empty (its tree root starts the descent). Levels are empty only
   // from some height up, so the scan touches the root directories once.
@@ -566,72 +562,95 @@ class skip_quadtree {
     return true;
   }
 
-  // The shared top-down chain walk of build and insert: place p in every
-  // tree of its prefix chain, resolving the identity hyperlinks of cubes
-  // (and fresh roots) that become interesting one level up. `cur` meters
-  // hops when non-null (inserts); the bulk build passes nullptr.
+  // One point's descent, carried from its visit to level l+1 to its visit
+  // to level l: the endpoint, its cube and the down link its last step read,
+  // and what the level-l visit resolves: a fresh root and a created cube
+  // (with its cube) whose down links still point nowhere.
+  struct trail_entry {
+    std::int32_t final_node = -1;
+    std::int32_t final_down = -1;
+    std::int32_t pend_root = -1;
+    std::int32_t pend_created = -1;
+    cube final_box{};
+    cube pend_box{};
+  };
+
+  // The per-(point, level) rule of build and insert: place point `pid` (p,
+  // membership `bits`, payload salt `psalt`) in its level-l tree, starting
+  // the descent at `start` (the endpoint's down link; -1 selects the root),
+  // and resolve the level-(l+1) links `t` carries through `link_up(slot,
+  // to)`. The callers differ only in where those links live (the rows, or a
+  // pass's array), in the ledger they charge, and in whether `cur` meters
+  // hops (null: no metering).
+  template <typename Ledger, typename LinkUp>
+  void visit_level(int l, const point& p, int pid, util::membership_bits bits, int psalt,
+                   int start, trail_entry& t, Ledger& ledger, net::cursor* cur,
+                   LinkUp&& link_up) {
+    const auto prefix = util::prefix_of(bits, l).bits;
+    // `tr` stays valid to `++tr->points`: nothing below inserts a tree at l.
+    const auto [tr, fresh] = q_.ensure_tree_ref(l, prefix);
+    const int root = tr->root;
+    if (fresh) charge_node(ledger, l, prefix, root, +1);
+    int node = start >= 0 ? start : root;
+    cube box = start >= 0 ? t.final_box : cube{};
+    if (t.pend_root >= 0) link_up(t.pend_root, root);  // whole space = whole space
+    if (cur != nullptr) hop(*cur, l, prefix, node);
+    // The walk reports node's down link: -1 at level 0 and exactly when this
+    // level is fresh.
+    while (q_.step(l, node, box, p, t.final_down)) {
+      if (cur != nullptr) hop(*cur, l, prefix, node);
+    }
+    t.final_node = node;
+    t.final_box = box;
+    const auto outcome = q_.insert_at(l, node, box, pid);
+    charge_point(ledger, l, prefix, psalt, +1);
+    ++tr->points;
+    if (outcome.created >= 0) {
+      if (cur != nullptr) hop(*cur, l, prefix, outcome.created);
+      charge_node(ledger, l, prefix, outcome.created, +1);
+    }
+    if (t.pend_created >= 0) {
+      // The cube that became interesting one level up now exists here too
+      // (subset property); it sits on the root path of p's deepest node.
+      link_up(t.pend_created, q_.resolve_cube(l, outcome.attached, outcome.box, t.pend_box));
+    }
+    t.pend_created = outcome.created;
+    t.pend_box = outcome.box;
+    t.pend_root = fresh ? root : -1;
+  }
+
+  // Insert and the point-by-point build: p's whole chain, top level first,
+  // each level's links resolved straight into its rows and charged to the
+  // network.
   void insert_chain(const point& p, util::membership_bits bits, net::cursor* cur) {
     const int pid = q_.new_point(p, bits);
-    int start = -1;            // captured down link; -1 selects the level's root
-    cube box{};                // the cube of `start` (a down link keeps the cube)
-    int pending_root = -1;     // fresh root one level up, awaiting its hyperlink
-    int pending_created = -1;  // cube created one level up, awaiting its hyperlink
-    cube pending_box{};        // ... and that cube
+    const int psalt = payload_salt(p);
+    trail_entry t;
     for (int l = levels_; l >= 0; --l) {
-      const auto prefix = util::prefix_of(bits, l).bits;
-      const auto [root, fresh] = q_.ensure_tree(l, prefix);
-      if (fresh) charge_node(l, prefix, root, +1);
-      int node = start >= 0 ? start : root;
-      if (start < 0) box = cube{};
-      if (pending_root >= 0) {
-        q_.set_down(l + 1, pending_root, root);  // whole space = whole space
-        pending_root = -1;
-      }
-      if (cur != nullptr) hop(*cur, l, prefix, node);
-      // The walk reports node's down link: -1 at level 0 and exactly when
-      // this level is fresh.
-      while (q_.step(l, node, box, p, start)) {
-        if (cur != nullptr) hop(*cur, l, prefix, node);
-      }
-      const auto outcome = q_.insert_at(l, node, box, pid);
-      charge_point(l, prefix, p, +1);
-      q_.bump_tree(l, prefix, +1);
-      if (outcome.created >= 0) {
-        if (cur != nullptr) hop(*cur, l, prefix, outcome.created);
-        charge_node(l, prefix, outcome.created, +1);
-      }
-      if (pending_created >= 0) {
-        // The cube that became interesting one level up now exists here too
-        // (subset property); it sits on the root path of p's deepest node.
-        const int target = q_.resolve_cube(l, outcome.attached, outcome.box, pending_box);
-        q_.set_down(l + 1, pending_created, target);
-      }
-      pending_created = outcome.created;
-      pending_box = outcome.box;
-      if (fresh) pending_root = root;
+      visit_level(l, p, pid, bits, psalt, t.final_down, t, *net_, cur,
+                  [&](int slot, int to) { q_.set_down(l + 1, slot, to); });
     }
   }
 
-  // Level-major bulk build: the exact per-(point, level) body of
-  // insert_chain, executed one LEVEL at a time (all points in input order per
-  // level) instead of one point at a time. Correctness of the reordering
-  // (DESIGN.md §12): every point visits every level, each level's arena is
-  // touched only by that level's visits, and pure inserts never free a slot —
-  // so the arena state a visit (point i, level l) observes is "points 0..i-1
-  // done at level l" under either order, and every slot is allocated at the
-  // same moment relative to its level's history. Down links are the one
-  // cross-level read; insert_chain reads the link of its level-l endpoint
-  // for nodes created by earlier (completed) points, which under level-major
-  // order is exactly "after the level-(l-1) resolutions of points 0..i-1" —
-  // so the read moves to the start of the point's level-(l-1) visit and sees
-  // the same value (-1 precisely for a root this point itself freshly
-  // created). Level l+1's links are written only by pass l, so that pass
-  // keeps them in a dense pass-local array (4 bytes a slot, cache-resident)
-  // and writes them into the level's rows in one sweep in slot order at its
-  // end. The payoff: one level's arena, tree directory and child rows stay
-  // cache-resident for a whole pass, and the directory is probed once per
-  // visit instead of twice (ensure_tree_ref). Byte-identical structure, uids
-  // and receipts (tested in test_bulk_build).
+  // Level-major bulk build: insert_chain's visit_level, executed one LEVEL
+  // at a time (all points in input order per level) instead of one point at
+  // a time. Correctness of the reordering (DESIGN.md §12): every point
+  // visits every level, each level's arena is touched only by that level's
+  // visits, and pure inserts never free a slot — so the arena state a visit
+  // (point i, level l) observes is "points 0..i-1 done at level l" under
+  // either order, and every slot is allocated at the same moment relative
+  // to its level's history. Down links are the one cross-level read;
+  // insert_chain reads the link of its level-l endpoint for nodes created
+  // by earlier (completed) points, which under level-major order is exactly
+  // "after the level-(l-1) resolutions of points 0..i-1" — so the read
+  // moves to the start of the point's level-(l-1) visit and sees the same
+  // value (-1 precisely for a root this point itself freshly created).
+  // Level l+1's links are written only by pass l, so that pass keeps them
+  // in a dense pass-local array (4 bytes a slot, cache-resident) and writes
+  // them into the level's rows in one sweep in slot order at its end. The
+  // payoff: one level's arena, tree directory and child rows stay
+  // cache-resident for a whole pass. Byte-identical structure, uids and
+  // receipts (tested in test_bulk_build).
   //
   // Pass l needs of pass l+1 only each point's trail, so the passes run as
   // a pipeline across cores: pass l visits point i once pass l+1 has
@@ -646,9 +665,7 @@ class skip_quadtree {
     for (std::size_t i = 0; i < n; ++i) {
       s.bits[i] = util::draw_membership(rng_);  // input order, as insert_chain draws
       s.pid[i] = static_cast<std::int32_t>(q_.new_point(pts[i], s.bits[i]));
-      // Point-payload charge salts are level-independent: one hash per point
-      // instead of one per point per level.
-      s.psalt[i] = static_cast<int>(seq::qpoint_hash<D>{}(pts[i]) & 0x3fffffff);
+      s.psalt[i] = payload_salt(pts[i]);
     }
     const auto passes = static_cast<std::size_t>(levels_) + 1;
     const std::size_t workers = n < pipeline_min_points ? 1 : util::fan_out_workers(passes);
@@ -683,20 +700,10 @@ class skip_quadtree {
   // Polls of a progress word before a waiting pass blocks on it.
   static constexpr int spin_polls = 64;
 
-  // What one bulk build's level passes share. A point's trail carries its
-  // descent from pass l+1 to pass l: pass l reads and rewrites trail[i]
-  // after pass l+1 has published i and before it publishes i itself.
+  // What one bulk build's level passes share. Pass l reads and rewrites a
+  // point's trail[i] after pass l+1 has published i and before it publishes
+  // i itself.
   struct bulk_state {
-    // The descent endpoint one level up and its cube, and what the next
-    // pass resolves: a fresh root and a created cube (with its cube) whose
-    // down links still point nowhere.
-    struct trail_entry {
-      std::int32_t final_node = -1;
-      std::int32_t pend_root = -1;
-      std::int32_t pend_created = -1;
-      cube final_box{};
-      cube pend_box{};
-    };
     // One pass's progress word, on its own cache line: the points the pass
     // is done with, or'ed with `stopped` once a pass has failed.
     struct alignas(util::cache_line) progress {
@@ -777,6 +784,7 @@ class skip_quadtree {
     q_.reserve_level(l, n + 1);  // <= n slots materialize per level (see reserve_level)
     // Every level-(l+1) link is unresolved until this pass sets it.
     w.up_links.assign(l < levels_ ? n + 1 : 0, -1);
+    std::int32_t* const up = w.up_links.data();
     std::size_t ready = 0;      // points pass l+1 is done with
     std::size_t published = 0;  // points this pass has published
     for (std::size_t i = 0; i < n; ++i) {
@@ -787,33 +795,11 @@ class skip_quadtree {
       const point& p = s.pts[i];
       auto& t = s.trail[i];
       if (l == 0) SW_EXPECTS(q_.find_point(p) < 0);  // distinct points
-      const auto prefix = util::prefix_of(s.bits[i], l).bits;
-      const int start =
-          t.final_node >= 0 ? w.up_links[static_cast<std::size_t>(t.final_node)] : -1;
-      // `tr` stays valid to `++tr->points`: nothing below inserts a tree at l.
-      const auto [tr, fresh] = q_.ensure_tree_ref(l, prefix);
-      const int root = tr->root;
-      if (fresh) charge_node(w, l, prefix, root, +1);
-      int node = start >= 0 ? start : root;
-      cube box = start >= 0 ? t.final_box : cube{};
-      if (t.pend_root >= 0) {
-        w.up_links[static_cast<std::size_t>(t.pend_root)] = root;
-        t.pend_root = -1;
-      }
-      q_.locate_local(l, node, box, p);
-      t.final_node = node;  // its down link resolves during the next pass
-      t.final_box = box;
-      const auto outcome = q_.insert_at(l, node, box, s.pid[i]);
-      charge_point(w, l, prefix, s.psalt[i], +1);
-      ++tr->points;
-      if (outcome.created >= 0) charge_node(w, l, prefix, outcome.created, +1);
-      if (t.pend_created >= 0) {
-        const int target = q_.resolve_cube(l, outcome.attached, outcome.box, t.pend_box);
-        w.up_links[static_cast<std::size_t>(t.pend_created)] = target;
-      }
-      t.pend_created = outcome.created;
-      t.pend_box = outcome.box;
-      if (fresh) t.pend_root = root;
+      // The level-(l+1) endpoint's link is in this pass's array: its row,
+      // which the step read, is written only when the pass ends.
+      const int start = t.final_node >= 0 ? up[t.final_node] : -1;
+      visit_level(l, p, s.pid[i], s.bits[i], s.psalt[i], start, t, w, nullptr,
+                  [up](int slot, int to) { up[slot] = to; });
       if ((i + 1) % handoff_points == 0 || i + 1 == n) {
         if (!s.publish(l, static_cast<std::uint32_t>(i + 1 - published))) return;
         published = i + 1;
@@ -845,9 +831,9 @@ class skip_quadtree {
     charge_node(*net_, level, prefix, node, sign);
   }
 
-  void charge_point(int level, std::uint64_t prefix, const point& p, std::int64_t sign) {
-    charge_point(*net_, level, prefix, static_cast<int>(seq::qpoint_hash<D>{}(p) & 0x3fffffff),
-                 sign);
+  // The host salt of p's payload charges, the same at every level.
+  static int payload_salt(const point& p) {
+    return static_cast<int>(seq::qpoint_hash<D>{}(p) & 0x3fffffff);
   }
 
   template <typename Ledger>

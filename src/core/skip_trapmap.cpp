@@ -7,12 +7,6 @@
 
 namespace skipweb::core {
 
-int skip_trapmap::levels_for(std::size_t n) {
-  int l = 0;
-  while ((std::size_t{1} << l) < n) ++l;
-  return l;
-}
-
 skip_trapmap::skip_trapmap(const std::vector<seq::segment>& segs, double xmin, double xmax,
                            double ymin, double ymax, std::uint64_t seed, net::network& net)
     : net_(&net),
@@ -23,7 +17,7 @@ skip_trapmap::skip_trapmap(const std::vector<seq::segment>& segs, double xmin, d
       ymin_(ymin),
       ymax_(ymax) {
   SW_EXPECTS(!segs.empty());
-  levels_ = levels_for(segs.size());
+  levels_ = util::levels_for(segs.size());
   maps_.resize(static_cast<std::size_t>(levels_) + 1);
   seg_bits_.reserve(segs.size());
   for (auto s : segs) {

@@ -101,8 +101,6 @@ class skip_trapmap {
     std::vector<std::vector<int>> conflicts;  // per trapezoid: parent-map trapezoids
   };
 
-  static int levels_for(std::size_t n);
-
   void charge_map_nodes(int level, std::uint64_t prefix, const level_map& lm, std::int64_t sign);
   void refresh_conflicts(int level, std::uint64_t prefix);
   api::op_stats rebuild_chain(util::membership_bits bits, const seq::segment& s, bool add,

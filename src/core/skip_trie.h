@@ -38,7 +38,7 @@ class skip_trie {
   skip_trie(const std::vector<std::string>& keys, std::uint64_t seed, net::network& net)
       : net_(&net), rng_(seed) {
     SW_EXPECTS(!keys.empty());
-    levels_ = levels_for(keys.size());
+    levels_ = util::levels_for(keys.size());
     tries_.resize(static_cast<std::size_t>(levels_) + 1);
     for (const auto& k : keys) {
       const auto bits = util::draw_membership(rng_);
@@ -345,12 +345,6 @@ class skip_trie {
   }
 
  private:
-  static int levels_for(std::size_t n) {
-    int l = 0;
-    while ((std::size_t{1} << l) < n) ++l;
-    return l;
-  }
-
   seq::trie::locate_result descend(const seq::trie& t, int node, const std::string& q, int level,
                                    std::uint64_t prefix, net::cursor& cur) const {
     // Walk edge by edge so each visited trie node charges its hop, then let

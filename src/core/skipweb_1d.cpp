@@ -32,17 +32,16 @@ skipweb_1d::placement placement_in(const persist::reader& r) {
 
 }  // namespace
 
-level_lists skipweb_1d::make_lists(std::vector<std::uint64_t> keys, util::rng& r, bool bulk) {
+level_lists skipweb_1d::make_lists(std::vector<std::uint64_t> keys, util::rng& r) {
   auto sorted = sorted_unique(std::move(keys));
   SW_EXPECTS(!sorted.empty());
-  const int levels = level_lists::levels_for(std::max<std::size_t>(sorted.size(), 2));
-  if (bulk) return level_lists::build_from_sorted(std::move(sorted), r, levels);
+  const int levels = util::levels_for(std::max<std::size_t>(sorted.size(), 2));
   return level_lists(std::move(sorted), r, levels);
 }
 
 skipweb_1d::skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net::network& net,
-                       placement p, std::size_t replication, bool bulk)
-    : rng_(seed), lists_(make_lists(std::move(keys), rng_, bulk)), net_(&net), policy_(p) {
+                       placement p, std::size_t replication)
+    : rng_(seed), lists_(make_lists(std::move(keys), rng_)), net_(&net), policy_(p) {
   SW_EXPECTS(policy_ != placement::bucket);  // the bucket constructor carries M
   if (policy_ == placement::tower) {
     // One host per item; grow the network if the caller sized it smaller.
@@ -60,9 +59,9 @@ skipweb_1d::skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net:
 }
 
 skipweb_1d::skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net::network& net,
-                       bucket b, bool bulk)
+                       bucket b)
     : rng_(seed),
-      lists_(make_lists(std::move(keys), rng_, bulk)),
+      lists_(make_lists(std::move(keys), rng_)),
       net_(&net),
       policy_(placement::bucket) {
   SW_EXPECTS(b.M >= 4);

@@ -61,19 +61,13 @@ class skipweb_1d {
   // one item's tower over many hosts, so per-item liveness is not a single
   // host's liveness); with balanced placement the knob is ignored. k = 0
   // keeps routing and receipts byte-identical to the pre-fault structure.
-  //
-  // `bulk` selects level_lists::build_from_sorted — the linear-pass arena
-  // construction that is byte-identical to the reference build (DESIGN.md
-  // §12) — and exists only so twin tests can force the reference path;
-  // queries and receipts do not depend on it.
   skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net::network& net, placement p,
-             std::size_t replication = 0, bool bulk = true);
+             std::size_t replication = 0);
 
   // Bucket placement (§2.4.1). Every run gets a fresh host on `net`
   // (net.add_host), so H ends up at ~n log n / M as in the paper.
   // Replication is not supported: the fault plane is tower-only.
-  skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net::network& net, bucket b,
-             bool bulk = true);
+  skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net::network& net, bucket b);
 
   // Restore from a snapshot written by save_snapshot(), onto a FRESH network.
   // The network adopts the saved host count and per-host memory ledger, so
@@ -209,7 +203,7 @@ class skipweb_1d {
   // bucket placements store owners; balanced placement computes them —
   // nothing to prefetch).
   void prefetch_host(int item) const;
-  static level_lists make_lists(std::vector<std::uint64_t> keys, util::rng& r, bool bulk);
+  static level_lists make_lists(std::vector<std::uint64_t> keys, util::rng& r);
   // Gives every host a root and registers every item in the ledger.
   void finish_build();
   // Bucket geometry from M; the restore variant validates a file's M and

@@ -2,9 +2,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <future>
 #include <new>
-#include <system_error>
+
+#include "util/fan_out.h"
 
 #if defined(__linux__) || defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -138,20 +138,21 @@ void writer::add(std::string_view name, const void* data, std::size_t bytes) {
   table_.push_back(e);
 }
 
-// Writes a section and returns its checksum64. A large one is hashed on a
-// helper thread while this thread writes it; both only read `data`. The
-// future joins the helper before this returns, also when put() throws.
+// Writes a section and returns its checksum64: two fan-out tasks, the write
+// and the hash, which both only read `data`. A large section gets two
+// workers, so one hashes while the other writes; a smaller one runs both
+// inline, as does any section when no helper thread starts. fan_out joins
+// the helper before this returns, also when put() throws.
 std::uint64_t writer::put_hashed(const void* data, std::size_t bytes) {
-  std::future<std::uint64_t> sum;
-  if (bytes >= hash_beside_bytes) {
-    try {
-      sum = std::async(std::launch::async, [data, bytes] { return checksum64(data, bytes); });
-    } catch (const std::system_error&) {
-      // No thread to be had: hash inline below.
+  std::uint64_t sum = 0;
+  util::fan_out(2, bytes >= hash_beside_bytes ? 2 : 1, [&](std::size_t task, std::size_t) {
+    if (task == 0) {
+      put(data, bytes);
+    } else {
+      sum = checksum64(data, bytes);
     }
-  }
-  put(data, bytes);
-  return sum.valid() ? sum.get() : checksum64(data, bytes);
+  });
+  return sum;
 }
 
 void writer::finish() {

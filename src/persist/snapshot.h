@@ -44,9 +44,9 @@ inline constexpr std::uint64_t snapshot_magic = 0x003150414E535753ull;  // "SWSN
 inline constexpr std::uint32_t snapshot_version = 1;
 inline constexpr std::uint32_t snapshot_endian_probe = 0x01020304u;
 inline constexpr std::size_t section_align = 64;
-// A section of this many bytes or more is hashed on a helper thread while the
-// writer's own thread writes the same bytes to the file; a smaller one is
-// hashed inline, where starting a thread would cost more than the hash.
+// A section of this many bytes or more is hashed on one thread while another
+// writes the same bytes to the file (util::fan_out); a smaller one is hashed
+// inline, where starting a thread would cost more than the hash.
 inline constexpr std::size_t hash_beside_bytes = std::size_t{1} << 20;
 
 // xxhash64-style mixer over an arbitrary byte range: 64-bit lanes, strong

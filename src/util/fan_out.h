@@ -27,7 +27,8 @@ inline std::size_t fan_out_workers(std::size_t tasks) {
 // give each worker its own state. After a task throws, no further task is
 // claimed. Every helper is joined before fan_out returns or rethrows the
 // first exception. The bulk builds (DESIGN.md §12) use it for everything
-// they run on several cores.
+// they run on several cores, and the snapshot writer to hash a large
+// section while it writes it (§13).
 template <typename Task>
 void fan_out(std::size_t tasks, std::size_t workers, Task&& task) {
   std::atomic<std::size_t> next{0};

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/rng.h"
@@ -15,6 +17,12 @@ using membership_bits = std::uint64_t;
 inline membership_bits draw_membership(rng& r) { return r.next_u64(); }
 
 inline constexpr int max_levels = 64;
+
+// Levels above level 0 for a ground set of n items: ceil(log2 n), so the
+// top-level sets hold O(1) items in expectation.
+inline int levels_for(std::size_t n) {
+  return n <= 1 ? 0 : static_cast<int>(std::bit_width(n - 1));
+}
 
 // Bit i of a membership vector (level-i coin flip), i in [0, 64).
 inline bool membership_bit(membership_bits m, int i) {

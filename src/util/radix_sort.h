@@ -14,8 +14,8 @@ namespace skipweb::util {
 // LSD radix sort for 64-bit keys: six stable 11-bit passes, with all six
 // digit histograms taken in one initial read of the input. ~13 linear
 // sweeps of 8 bytes/key in all, against std::sort's ~log2(n) cache-missing
-// partition passes — it is what the bulk build (DESIGN.md §12) uses to get
-// from an unsorted key set to build_from_sorted input. The input splits
+// partition passes — it is what the 1-D build (DESIGN.md §12) uses to get
+// from an unsorted key set to the level lists' sorted keys. The input splits
 // into `blocks` contiguous blocks, one task each on util::fan_out. Each
 // block scatters its own keys from its own output offsets: a prefix sum
 // over (digit, block) of the blocks' histograms, so the sort stays stable.

@@ -2,9 +2,10 @@
 // (test_api_conformance.cpp, test_spatial_conformance.cpp,
 // test_string_conformance.cpp): seeded replayable operation tapes driven
 // against brute-force oracles, plus the receipt-reconciliation and
-// batch==serial helpers every plane repeats. A failing tape prints its seed
-// and the minimal reproducing prefix, so "seed 8004, rows 0..17" is a
-// complete bug report.
+// batch==serial helpers every plane repeats, and the 1-D nearest check
+// against a std::set that the structure suites share. A failing tape prints
+// its seed and the minimal reproducing prefix, so "seed 8004, rows 0..17"
+// is a complete bug report.
 
 #pragma once
 
@@ -12,6 +13,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +26,38 @@
 namespace skipweb::testing_support {
 
 inline net::host_id h(std::uint32_t v) { return net::host_id{v}; }
+
+// --- 1-D nearest against a key set --------------------------------------------
+
+// One nearest answer for q: it has a predecessor and a successor exactly
+// when `oracle` holds keys below and above q, and they are the oracle's.
+template <typename Result>
+void expect_matches_oracle(const Result& r, const std::set<std::uint64_t>& oracle,
+                           std::uint64_t q) {
+  const auto it = oracle.upper_bound(q);
+  const bool has_pred = it != oracle.begin();
+  ASSERT_EQ(r.has_pred, has_pred) << "q=" << q;
+  if (has_pred) {
+    EXPECT_EQ(r.pred, *std::prev(it)) << "q=" << q;
+  }
+  const bool has_succ = it != oracle.end();
+  ASSERT_EQ(r.has_succ, has_succ) << "q=" << q;
+  if (has_succ) {
+    EXPECT_EQ(r.succ, *it) << "q=" << q;
+  }
+}
+
+// Every probe's nearest answer from `s`, asked from an origin rotating over
+// hosts [0, hosts), against `oracle`.
+template <typename Structure>
+void check_oracle(const Structure& s, const std::set<std::uint64_t>& oracle,
+                  const std::vector<std::uint64_t>& probes, std::size_t hosts) {
+  std::uint32_t origin = 0;
+  for (const auto q : probes) {
+    expect_matches_oracle(s.nearest(q, h(origin)), oracle, q);
+    origin = static_cast<std::uint32_t>((origin + 1) % hosts);
+  }
+}
 
 // --- seeded op tapes ---------------------------------------------------------
 

@@ -12,6 +12,7 @@
 #include "baselines/non_skipgraph.h"
 #include "baselines/skipgraph.h"
 #include "net/network.h"
+#include "oracle_common.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "workloads/workloads.h"
@@ -22,28 +23,11 @@ using namespace skipweb;
 using namespace skipweb::baselines;
 using net::host_id;
 using net::network;
+using testing_support::check_oracle;
 using util::rng;
 namespace wl = skipweb::workloads;
 
 host_id h(std::uint32_t v) { return host_id{v}; }
-
-// Generic nearest-neighbour oracle check usable for every 1-D baseline.
-template <typename Structure>
-void check_oracle(const Structure& s, const std::set<std::uint64_t>& oracle,
-                  const std::vector<std::uint64_t>& probes, std::size_t hosts) {
-  std::uint32_t origin = 0;
-  for (const auto q : probes) {
-    const auto r = s.nearest(q, h(origin));
-    origin = static_cast<std::uint32_t>((origin + 1) % hosts);
-    auto it = oracle.upper_bound(q);
-    const bool has_pred = it != oracle.begin();
-    ASSERT_EQ(r.has_pred, has_pred) << "q=" << q;
-    if (has_pred) EXPECT_EQ(r.pred, *std::prev(it));
-    const bool has_succ = it != oracle.end();
-    ASSERT_EQ(r.has_succ, has_succ) << "q=" << q;
-    if (has_succ) EXPECT_EQ(r.succ, *it);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // skip graph
@@ -293,7 +277,9 @@ TEST(FamilyTree, MixedWorkloadMatchesOracle) {
       default:
         EXPECT_EQ(t.contains(k, origin).value, oracle.count(k) > 0);
     }
-    if (op % 100 == 0) EXPECT_TRUE(t.check_invariants());
+    if (op % 100 == 0) {
+      EXPECT_TRUE(t.check_invariants());
+    }
   }
   EXPECT_TRUE(t.check_invariants());
   check_oracle(t, oracle, wl::probe_keys(pool, 150, r), net.host_count());

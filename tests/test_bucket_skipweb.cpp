@@ -8,6 +8,7 @@
 
 #include "core/skipweb_1d.h"
 #include "net/network.h"
+#include "oracle_common.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "workloads/workloads.h"
@@ -17,26 +18,11 @@ namespace {
 using skipweb::core::skipweb_1d;
 using skipweb::net::host_id;
 using skipweb::net::network;
+using skipweb::testing_support::check_oracle;
 using skipweb::util::rng;
 namespace wl = skipweb::workloads;
 
 host_id h(std::uint32_t v) { return host_id{v}; }
-
-void check_against_oracle(const skipweb_1d& web, const std::set<std::uint64_t>& oracle,
-                          const std::vector<std::uint64_t>& probes, network& net) {
-  std::uint32_t origin = 0;
-  for (const auto q : probes) {
-    const auto r = web.nearest(q, h(origin));
-    origin = static_cast<std::uint32_t>((origin + 1) % net.host_count());
-    auto it = oracle.upper_bound(q);
-    const bool has_pred = it != oracle.begin();
-    ASSERT_EQ(r.has_pred, has_pred) << "q=" << q;
-    if (has_pred) EXPECT_EQ(r.pred, *std::prev(it));
-    const bool has_succ = it != oracle.end();
-    ASSERT_EQ(r.has_succ, has_succ) << "q=" << q;
-    if (has_succ) EXPECT_EQ(r.succ, *it);
-  }
-}
 
 class BucketSkipwebM : public ::testing::TestWithParam<std::size_t> {};
 
@@ -48,7 +34,7 @@ TEST_P(BucketSkipwebM, NearestMatchesOracle) {
   skipweb_1d web(keys, 142, net, skipweb_1d::bucket{M});
   EXPECT_TRUE(web.check_block_invariants());
   const std::set<std::uint64_t> oracle(keys.begin(), keys.end());
-  check_against_oracle(web, oracle, wl::probe_keys(keys, 300, r), net);
+  check_oracle(web, oracle, wl::probe_keys(keys, 300, r), net.host_count());
 }
 
 TEST_P(BucketSkipwebM, MixedWorkloadMatchesOracle) {
@@ -85,7 +71,7 @@ TEST_P(BucketSkipwebM, MixedWorkloadMatchesOracle) {
   EXPECT_EQ(web.size(), oracle.size());
   EXPECT_TRUE(web.lists().check_invariants());
   EXPECT_TRUE(web.check_block_invariants());
-  check_against_oracle(web, oracle, wl::probe_keys(pool, 150, r), net);
+  check_oracle(web, oracle, wl::probe_keys(pool, 150, r), net.host_count());
 }
 
 INSTANTIATE_TEST_SUITE_P(MemorySizes, BucketSkipwebM, ::testing::Values(4, 8, 16, 64, 256),
@@ -180,12 +166,14 @@ TEST(BucketSkipweb, BlockSplitsKeepInvariants) {
   skipweb_1d web(initial, 149, net, skipweb_1d::bucket{16});  // B = 4: splits happen fast
   for (std::size_t i = 64; i < pool.size(); ++i) {
     web.insert(pool[i], h(static_cast<std::uint32_t>(i % net.host_count())));
-    if (i % 100 == 0) EXPECT_TRUE(web.check_block_invariants());
+    if (i % 100 == 0) {
+      EXPECT_TRUE(web.check_block_invariants());
+    }
   }
   EXPECT_EQ(web.size(), 600u);
   EXPECT_TRUE(web.check_block_invariants());
   const std::set<std::uint64_t> oracle(pool.begin(), pool.end());
-  check_against_oracle(web, oracle, wl::probe_keys(pool, 200, r), net);
+  check_oracle(web, oracle, wl::probe_keys(pool, 200, r), net.host_count());
 }
 
 TEST(BucketSkipweb, ShrinkToTinyKeepsWorking) {
@@ -218,7 +206,7 @@ TEST(BucketSkipweb, ClusteredKeysUnaffected) {
   skipweb_1d web(keys, 152, net, skipweb_1d::bucket{32});
   EXPECT_TRUE(web.check_block_invariants());
   const std::set<std::uint64_t> oracle(keys.begin(), keys.end());
-  check_against_oracle(web, oracle, wl::probe_keys(keys, 200, r), net);
+  check_oracle(web, oracle, wl::probe_keys(keys, 200, r), net.host_count());
 }
 
 // The owner-table placement reproduces the block-table class it replaced op

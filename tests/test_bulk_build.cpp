@@ -1,18 +1,21 @@
-// The big-n plane's correctness contract (DESIGN.md §12): the sorted
-// bulk-build fast paths must be BYTE-IDENTICAL to the reference incremental
-// builds — same arenas, same uids, same answers, same cost receipts — for
-// every backend that implements one, including as the registry builds them;
-// the level lists' links split by prefix set and the skip quadtree's
-// pipelined level passes are held to whole-snapshot equality. Plus the big-n
-// regression smoke: uid stability and structural invariants across arena
-// growth, the split links at 2^20 keys, and the skip quadtree's rows after
-// churn, env-gated so CI stays fast (SKIPWEB_BIGN=1 raises n to 1M keys and
-// 2^17 points).
+// The big-n plane's correctness contract (DESIGN.md §12). The level lists
+// must equal the partition-pass oracle below — same keys, membership bits,
+// uids and links — however many prefix sets link them, and structures on
+// them save the same file at every split. The skip quadtree's level-major,
+// pipelined build must be BYTE-IDENTICAL to its point-by-point twin, which
+// runs the same level visit in the other order: same arenas, answers and
+// cost receipts, also as the registry builds it. Plus the big-n regression
+// smoke: uid stability and structural invariants across arena growth, the
+// split links at 2^20 keys, and the skip quadtree's rows after churn,
+// env-gated so CI stays fast (SKIPWEB_BIGN=1 raises n to 1M keys and 2^17
+// points).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "net/network.h"
 #include "persist/snapshot.h"
 #include "temp_files.h"
+#include "util/membership.h"
 #include "util/rng.h"
 #include "util/sw_assert.h"
 #include "workloads/workloads.h"
@@ -55,37 +59,78 @@ void expect_built_is_compacted(Index& idx) {
   EXPECT_EQ(built.slack_bytes, compacted.slack_bytes);
 }
 
-// Full arena comparison: every slot's scalar record and every alive slot's
-// link row at every level.
-void expect_lists_identical(const core::level_lists& a, const core::level_lists& b) {
-  ASSERT_EQ(a.arena_size(), b.arena_size());
-  ASSERT_EQ(a.levels(), b.levels());
-  ASSERT_EQ(a.size(), b.size());
-  for (int i = 0; i < static_cast<int>(a.arena_size()); ++i) {
-    ASSERT_EQ(a.alive(i), b.alive(i)) << i;
-    ASSERT_EQ(a.key(i), b.key(i)) << i;
-    ASSERT_EQ(a.bits(i), b.bits(i)) << i;
-    ASSERT_EQ(a.uid(i), b.uid(i)) << i;
-    if (!a.alive(i)) continue;
-    for (int l = 0; l <= a.levels(); ++l) {
-      ASSERT_EQ(a.next(i, l), b.next(i, l)) << i << " level " << l;
-      ASSERT_EQ(a.prev(i, l), b.prev(i, l)) << i << " level " << l;
-    }
-  }
-}
+// The oracle: the level lists of items with membership vectors `bits`, in
+// key order, by the paper's rule (§2.3) — the level-l list of S_b holds the
+// items whose vectors start with b, in key order — built by partition
+// passes. Each level's stable partition by the next membership bit keeps
+// the items grouped by their l-bit prefix, key-sorted within each group, so
+// the level-l lists are exactly the maximal runs of equal prefixes. Rows are
+// item-major, levels + 1 links each, like the arena's pools.
+struct link_rows {
+  std::vector<std::int32_t> next, prev;
+};
 
-// The first (item, level) whose forward or backward link differs between
-// `a` and `b`, as item * (levels + 1) + level, or -1 when the pools agree.
-// One comparison per link, for arenas too big for an assertion per link.
-long long first_link_difference(const core::level_lists& a, const core::level_lists& b) {
-  for (int i = 0; i < static_cast<int>(a.arena_size()); ++i) {
-    for (int l = 0; l <= a.levels(); ++l) {
-      if (a.next(i, l) != b.next(i, l) || a.prev(i, l) != b.prev(i, l)) {
-        return static_cast<long long>(i) * (a.levels() + 1) + l;
+link_rows partition_links(const std::vector<util::membership_bits>& bits, int levels) {
+  const std::size_t n = bits.size();
+  const auto stride = static_cast<std::size_t>(levels) + 1;
+  link_rows out{std::vector<std::int32_t>(n * stride, -1),
+                std::vector<std::int32_t>(n * stride, -1)};
+  std::vector<std::int32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  for (int l = 0; l <= levels; ++l) {
+    if (l > 0) {
+      std::stable_partition(order.begin(), order.end(), [&](std::int32_t i) {
+        return !util::membership_bit(bits[static_cast<std::size_t>(i)], l - 1);
+      });
+    }
+    for (std::size_t k = 1; k < n; ++k) {
+      const auto a = static_cast<std::size_t>(order[k - 1]);
+      const auto b = static_cast<std::size_t>(order[k]);
+      if (util::prefix_of(bits[a], l) == util::prefix_of(bits[b], l)) {
+        out.next[a * stride + static_cast<std::size_t>(l)] = order[k];
+        out.prev[b * stride + static_cast<std::size_t>(l)] = order[k - 1];
       }
     }
   }
-  return -1;
+  return out;
+}
+
+// The membership vectors a build from rng seed `seed` draws: one per key, in
+// key order.
+std::vector<util::membership_bits> drawn_bits(std::size_t n, std::uint64_t seed) {
+  rng r(seed);
+  std::vector<util::membership_bits> bits(n);
+  for (auto& b : bits) b = util::draw_membership(r);
+  return bits;
+}
+
+// Compares a freshly built arena with the oracle: every slot's key, bits
+// and uid (slot i holds key i with uid i), then every link at every level.
+// The first link that differs is reported as item * (levels + 1) + level;
+// one comparison per link suits arenas too big for an assertion per link.
+void expect_matches_partition_reference(const core::level_lists& lists,
+                                        const std::vector<std::uint64_t>& keys,
+                                        const std::vector<util::membership_bits>& bits) {
+  ASSERT_EQ(lists.arena_size(), keys.size());
+  ASSERT_EQ(lists.size(), keys.size());
+  for (int i = 0; i < static_cast<int>(keys.size()); ++i) {
+    const auto at = static_cast<std::size_t>(i);
+    ASSERT_TRUE(lists.alive(i)) << i;
+    ASSERT_EQ(lists.key(i), keys[at]) << i;
+    ASSERT_EQ(lists.bits(i), bits[at]) << i;
+    ASSERT_EQ(lists.uid(i), at) << i;
+  }
+  const auto want = partition_links(bits, lists.levels());
+  const auto stride = static_cast<std::size_t>(lists.levels()) + 1;
+  long long first_difference = -1;
+  for (std::size_t at = 0; at < want.next.size() && first_difference < 0; ++at) {
+    const int item = static_cast<int>(at / stride);
+    const int level = static_cast<int>(at % stride);
+    if (lists.next(item, level) != want.next[at] || lists.prev(item, level) != want.prev[at]) {
+      first_difference = static_cast<long long>(at);
+    }
+  }
+  EXPECT_EQ(first_difference, -1) << "first link differing from the oracle";
 }
 
 // Forces the bulk build's prefix-set count on this thread for one scope.
@@ -106,35 +151,31 @@ std::vector<util::membership_bits> rank_bits(std::size_t n) {
 
 // --- layer 1: the level_lists arena itself ----------------------------------
 
-TEST(BulkBuild, LevelListsArenaByteIdentical) {
-  rng r1(4242), r2(4242);
-  auto keys = wl::uniform_keys(2000, r1);
+TEST(BulkBuild, LevelListsMatchPartitionReference) {
+  rng r(4242);
+  auto keys = wl::uniform_keys(2000, r);
   std::sort(keys.begin(), keys.end());
-  const int levels = core::level_lists::levels_for(keys.size());
-  rng ra(77), rb(77);
-  const core::level_lists ref(keys, ra, levels);
-  const auto fast = core::level_lists::build_from_sorted(keys, rb, levels);
-  expect_lists_identical(ref, fast);
-  EXPECT_TRUE(fast.check_invariants());
-  EXPECT_TRUE(fast.check_invariants_fast());
+  rng rb(77);
+  const core::level_lists lists(keys, rb, util::levels_for(keys.size()));
+  expect_matches_partition_reference(lists, keys, drawn_bits(keys.size(), 77));
+  EXPECT_TRUE(lists.check_invariants());
+  EXPECT_TRUE(lists.check_invariants_fast());
 }
 
-TEST(BulkBuild, ExplicitBitsOverloadByteIdentical) {
+TEST(BulkBuild, ExplicitBitsMatchPartitionReference) {
   rng r(555);
   auto keys = wl::uniform_keys(700, r);
   std::sort(keys.begin(), keys.end());
-  const int levels = core::level_lists::levels_for(keys.size());
   std::vector<util::membership_bits> bits(keys.size());
   for (auto& b : bits) b = util::draw_membership(r);
-  const core::level_lists ref(keys, bits, levels);
-  const auto fast = core::level_lists::build_from_sorted(keys, bits, levels);
-  expect_lists_identical(ref, fast);
+  const core::level_lists lists(keys, bits, util::levels_for(keys.size()));
+  expect_matches_partition_reference(lists, keys, bits);
 }
 
 // The links split into several prefix sets: 1 (the serial passes), 2, 3
 // (rounded up to 4), 4, 8 and 64, the last splitting above every level of
 // the 5-item arena, so there every list spans several sets. Every arena
-// equals the partition-pass reference, through the rng-bits overload and
+// equals the partition-pass oracle, through the rng-bits constructor and
 // through the explicit rank bits det_skipnet uses, whose sets are exact
 // residues of the rank and whose upper lists hold one item each.
 TEST(BulkBuild, SplitLinksMatchPartitionReference) {
@@ -142,21 +183,38 @@ TEST(BulkBuild, SplitLinksMatchPartitionReference) {
   for (const std::size_t n : {std::size_t{5}, std::size_t{4099}}) {
     auto keys = wl::uniform_keys(n, r);
     std::sort(keys.begin(), keys.end());
-    const int levels = core::level_lists::levels_for(n);
+    const int levels = util::levels_for(n);
     const auto ranks = rank_bits(n);
-    rng ra(88);
-    const core::level_lists ref(keys, ra, levels);
-    const core::level_lists ref_ranks(keys, ranks, levels);
+    const auto drawn_ref = drawn_bits(n, 88);
     for (const std::size_t sets : {1, 2, 3, 4, 8, 64}) {
       SCOPED_TRACE(::testing::Message() << n << " items, " << sets << " sets");
       const forced_sets force(sets);
       rng rb(88);
-      const auto drawn = core::level_lists::build_from_sorted(keys, rb, levels);
-      expect_lists_identical(ref, drawn);
-      const auto ranked = core::level_lists::build_from_sorted(keys, ranks, levels);
-      expect_lists_identical(ref_ranks, ranked);
+      const core::level_lists drawn(keys, rb, levels);
+      expect_matches_partition_reference(drawn, keys, drawn_ref);
+      const core::level_lists ranked(keys, ranks, levels);
+      expect_matches_partition_reference(ranked, keys, ranks);
       EXPECT_TRUE(drawn.check_invariants_fast());
     }
+  }
+}
+
+// The level count is a precondition: at most ceil(log2 n) + 1 levels, which
+// keeps the link passes' tables within a few entries per item. One level
+// more is a contract error at every size; the bound itself builds valid
+// lists.
+TEST(BulkBuild, LevelCountAboveBoundIsAContractError) {
+  if (SW_CONTRACTS == 0) GTEST_SKIP() << "the level bound is a contract";
+  rng r(6161);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{4099}}) {
+    SCOPED_TRACE(::testing::Message() << n << " items");
+    auto keys = wl::uniform_keys(n, r);
+    std::sort(keys.begin(), keys.end());
+    rng ra(12), rb(12);
+    EXPECT_THROW((void)core::level_lists(keys, ra, util::levels_for(n) + 2), util::contract_error);
+    const core::level_lists lists(keys, rb, util::levels_for(n) + 1);
+    EXPECT_TRUE(lists.check_invariants_fast());
+    expect_matches_partition_reference(lists, keys, drawn_bits(n, 12));
   }
 }
 
@@ -207,45 +265,12 @@ TEST(BulkBuild, FastInvariantCheckAgreesWithReference) {
   auto keys = wl::uniform_keys(300, r);
   std::sort(keys.begin(), keys.end());
   rng rb(9);
-  auto lists = core::level_lists::build_from_sorted(keys, rb, core::level_lists::levels_for(300));
+  const core::level_lists lists(keys, rb, util::levels_for(keys.size()));
   EXPECT_EQ(lists.check_invariants(), lists.check_invariants_fast());
   EXPECT_TRUE(lists.check_invariants_fast());
 }
 
-// --- layer 2: identical twins stay identical under later routed updates -----
-
-TEST(BulkBuild, SkipwebIncrementalTwinStaysByteIdentical) {
-  rng r(31337);
-  auto keys = wl::uniform_keys(900, r);
-  std::sort(keys.begin(), keys.end());
-  // Both prefix and full set land on the same level count, so the twins and
-  // the full build share geometry.
-  const std::size_t m = 600;
-  ASSERT_EQ(core::level_lists::levels_for(m), core::level_lists::levels_for(keys.size()));
-  const std::vector<std::uint64_t> prefix(keys.begin(), keys.begin() + m);
-  network net_a(64), net_b(64);
-  core::skipweb_1d a(prefix, 99, net_a, core::skipweb_1d::placement::tower, 0, /*bulk=*/true);
-  core::skipweb_1d b(prefix, 99, net_b, core::skipweb_1d::placement::tower, 0, /*bulk=*/false);
-  expect_lists_identical(a.lists(), b.lists());
-  // Routed inserts over identical state must stay identical — structure and
-  // per-op receipts both.
-  for (std::size_t i = m; i < keys.size(); ++i) {
-    const auto origin = h(static_cast<std::uint32_t>(i % net_a.host_count()));
-    const auto sa = a.insert(keys[i], origin);
-    const auto sb = b.insert(keys[i], origin);
-    ASSERT_EQ(sa, sb) << "insert receipt diverged at " << i;
-  }
-  expect_lists_identical(a.lists(), b.lists());
-  ASSERT_EQ(net_a.total_memory(), net_b.total_memory());
-  rng pr(606);
-  for (const auto q : wl::probe_keys(keys, 200, pr)) {
-    const auto ra = a.nearest(q, h(3));
-    const auto rb = b.nearest(q, h(3));
-    ASSERT_EQ(ra.pred, rb.pred);
-    ASSERT_EQ(ra.succ, rb.succ);
-    ASSERT_EQ(ra.stats, rb.stats);
-  }
-}
+// --- layer 2: the quadtree twins stay identical under later routed updates ---
 
 TEST(BulkBuild, QuadtreeIncrementalTwinReceiptsIdentical) {
   rng r(2718);
@@ -277,13 +302,14 @@ TEST(BulkBuild, QuadtreeIncrementalTwinReceiptsIdentical) {
   }
 }
 
-// --- layer 3: the registry's build against the reference build ------------
+// --- layer 3: the registry's build against the core constructors ----------
 
-// The registry always takes a backend's bulk-build fast path. Its index must
-// be indistinguishable from the core reference construction (`bulk` =
-// false) through the public surface: same hosts, ledger, answers and
-// receipts. One case per backend with a fast path; skipweb1d covers the
-// tower and balanced placements, bucket_skipweb the bucket one.
+// The registry's index must be indistinguishable from the structure built
+// directly through the public surface: same hosts, ledger, answers and
+// receipts, so the registry passes the keys, seed and placement through
+// unchanged. skipweb1d covers the tower and balanced placements,
+// bucket_skipweb the bucket one. The skip quadtrees are held to their
+// point-by-point twin.
 class BulkBuildConformance : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BulkBuildConformance, ReceiptsIdenticalThroughRegistry) {
@@ -298,8 +324,8 @@ TEST_P(BulkBuildConformance, ReceiptsIdenticalThroughRegistry) {
                                              : api::placement_policy::tower);
     network net_a(1), net_b(8);
     const auto fast = api::make_index(GetParam(), keys, opts, net_a);
-    const auto ref = bucket ? skipweb_1d(keys, 42, net_b, skipweb_1d::bucket{16}, /*bulk=*/false)
-                            : skipweb_1d(keys, 42, net_b, p, 0, /*bulk=*/false);
+    const auto ref = bucket ? skipweb_1d(keys, 42, net_b, skipweb_1d::bucket{16})
+                            : skipweb_1d(keys, 42, net_b, p);
     ASSERT_EQ(net_a.host_count(), net_b.host_count());
     EXPECT_EQ(net_a.total_memory(), net_b.total_memory());
     std::uint32_t origin = 0;
@@ -508,7 +534,7 @@ TEST(BulkBuildBigN, UidStabilityAndInvariantsAcrossGrowth) {
     (i % 10 == 9 ? grow_keys : build_keys).push_back(keys[i]);
   }
   network net(64);
-  core::skipweb_1d idx(build_keys, 7, net, core::skipweb_1d::placement::tower, 0, /*bulk=*/true);
+  core::skipweb_1d idx(build_keys, 7, net, core::skipweb_1d::placement::tower);
   const auto& lists = idx.lists();
   // Bulk build assigns uids in sorted-key order.
   ASSERT_EQ(lists.arena_size(), build_keys.size());
@@ -559,7 +585,7 @@ TEST(BulkBuildBigN, UidStabilityAndInvariantsAcrossGrowth) {
 }
 
 // The split links at the benchmark's scale: both pools of a 2^20-key build
-// in four and in eight prefix sets equal the partition-pass reference, at
+// in four and in eight prefix sets equal the partition-pass oracle, at
 // every level: the ones below the split, whose lists span several sets,
 // and the top ones, where most lists hold one or two items.
 // SKIPWEB_BIGN=1 raises n from 2^17 to 2^20.
@@ -569,14 +595,13 @@ TEST(BulkBuildBigN, SplitLinksAtScale) {
   rng r(4040);
   auto keys = wl::uniform_keys(n, r);
   std::sort(keys.begin(), keys.end());
-  const int levels = core::level_lists::levels_for(n);
-  rng ra(6);
-  const core::level_lists ref(keys, ra, levels);
+  const auto bits = drawn_bits(n, 6);
   for (const std::size_t sets : {4, 8}) {
+    SCOPED_TRACE(::testing::Message() << sets << " sets");
     const forced_sets force(sets);
     rng rb(6);
-    const auto split = core::level_lists::build_from_sorted(keys, rb, levels);
-    EXPECT_EQ(first_link_difference(ref, split), -1) << sets << " sets";
+    const core::level_lists split(keys, rb, util::levels_for(n));
+    expect_matches_partition_reference(split, keys, bits);
   }
 }
 

@@ -395,8 +395,12 @@ TEST(ExecutorConcurrency, RouteCacheServingIsRaceFreeAndAnswerIdentical) {
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(out.results[i].has_pred, want[i].has_pred) << "T=" << T << " i=" << i;
       EXPECT_EQ(out.results[i].has_succ, want[i].has_succ) << "T=" << T << " i=" << i;
-      if (want[i].has_pred) EXPECT_EQ(out.results[i].pred, want[i].pred) << "T=" << T << " i=" << i;
-      if (want[i].has_succ) EXPECT_EQ(out.results[i].succ, want[i].succ) << "T=" << T << " i=" << i;
+      if (want[i].has_pred) {
+        EXPECT_EQ(out.results[i].pred, want[i].pred) << "T=" << T << " i=" << i;
+      }
+      if (want[i].has_succ) {
+        EXPECT_EQ(out.results[i].succ, want[i].succ) << "T=" << T << " i=" << i;
+      }
     }
   }
   // After the first pass trained it, the cache must have actually absorbed
@@ -486,8 +490,12 @@ TEST(LatencyComposition, RouteCacheComposesWithLossLatencyAndReplication) {
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(out.results[i].has_pred, want[i].has_pred) << "T=" << T << " i=" << i;
       EXPECT_EQ(out.results[i].has_succ, want[i].has_succ) << "T=" << T << " i=" << i;
-      if (want[i].has_pred) EXPECT_EQ(out.results[i].pred, want[i].pred) << "T=" << T << " i=" << i;
-      if (want[i].has_succ) EXPECT_EQ(out.results[i].succ, want[i].succ) << "T=" << T << " i=" << i;
+      if (want[i].has_pred) {
+        EXPECT_EQ(out.results[i].pred, want[i].pred) << "T=" << T << " i=" << i;
+      }
+      if (want[i].has_succ) {
+        EXPECT_EQ(out.results[i].succ, want[i].succ) << "T=" << T << " i=" << i;
+      }
     }
   }
   EXPECT_GT(cache.hits(), 0u);

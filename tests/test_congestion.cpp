@@ -306,8 +306,12 @@ TEST_P(CachedConformance, AnswersAreByteIdenticalToTheUncachedTwin) {
     for (std::size_t i = 0; i < want.results.size(); ++i) {
       EXPECT_EQ(got.results[i].has_pred, want.results[i].has_pred) << i;
       EXPECT_EQ(got.results[i].has_succ, want.results[i].has_succ) << i;
-      if (want.results[i].has_pred) EXPECT_EQ(got.results[i].pred, want.results[i].pred) << i;
-      if (want.results[i].has_succ) EXPECT_EQ(got.results[i].succ, want.results[i].succ) << i;
+      if (want.results[i].has_pred) {
+        EXPECT_EQ(got.results[i].pred, want.results[i].pred) << i;
+      }
+      if (want.results[i].has_succ) {
+        EXPECT_EQ(got.results[i].succ, want.results[i].succ) << i;
+      }
     }
   }
   // Range and contains answers too (the generic surfaces route through the

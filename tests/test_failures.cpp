@@ -26,6 +26,7 @@
 #include "net/cursor.h"
 #include "net/latency.h"
 #include "net/network.h"
+#include "oracle_common.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
 
@@ -35,6 +36,7 @@ using namespace skipweb;
 using core::skipweb_1d;
 using net::host_id;
 using net::network;
+using testing_support::expect_matches_oracle;
 using util::rng;
 namespace wl = skipweb::workloads;
 
@@ -62,17 +64,6 @@ std::set<std::uint64_t> surviving_keys(const skipweb_1d& web,
   return out;
 }
 
-void expect_matches_oracle(const api::nn_result& r, const std::set<std::uint64_t>& oracle,
-                           std::uint64_t q) {
-  auto it = oracle.upper_bound(q);
-  const bool has_pred = it != oracle.begin();
-  ASSERT_EQ(r.has_pred, has_pred) << "q=" << q;
-  if (has_pred) EXPECT_EQ(r.pred, *std::prev(it)) << "q=" << q;
-  const bool has_succ = it != oracle.end();
-  ASSERT_EQ(r.has_succ, has_succ) << "q=" << q;
-  if (has_succ) EXPECT_EQ(r.succ, *it) << "q=" << q;
-}
-
 // --- zero-fault identity ----------------------------------------------------
 
 // With no fault active, building with replication(k) must not change a
@@ -97,8 +88,12 @@ TEST(FailureFreeIdentity, ReplicationIsReceiptNeutralForEveryBackend) {
       origin = static_cast<std::uint32_t>((origin + 1) % plain_net.host_count());
       ASSERT_EQ(a.has_pred, b.has_pred) << name;
       ASSERT_EQ(a.has_succ, b.has_succ) << name;
-      if (a.has_pred) ASSERT_EQ(a.pred, b.pred) << name;
-      if (a.has_succ) ASSERT_EQ(a.succ, b.succ) << name;
+      if (a.has_pred) {
+        ASSERT_EQ(a.pred, b.pred) << name;
+      }
+      if (a.has_succ) {
+        ASSERT_EQ(a.succ, b.succ) << name;
+      }
       ASSERT_EQ(a.stats, b.stats) << name << " q=" << q;  // receipts, byte for byte
       ASSERT_FALSE(b.stats.failed) << name;
     }
@@ -370,8 +365,12 @@ TEST(FailureGhostHops, UnawareBackendFlagsDeadRoutes) {
     const auto fr = idx->nearest(probes[i], h(0));
     EXPECT_EQ(fr.has_pred, clean[i].has_pred);
     EXPECT_EQ(fr.has_succ, clean[i].has_succ);
-    if (fr.has_pred) EXPECT_EQ(fr.pred, clean[i].pred);
-    if (fr.has_succ) EXPECT_EQ(fr.succ, clean[i].succ);
+    if (fr.has_pred) {
+      EXPECT_EQ(fr.pred, clean[i].pred);
+    }
+    if (fr.has_succ) {
+      EXPECT_EQ(fr.succ, clean[i].succ);
+    }
     if (fr.stats.failed) ++failed;
   }
   EXPECT_GT(failed, 0u);  // 10% dead hosts cannot go unnoticed
@@ -413,8 +412,12 @@ TEST(Replication1D, RoutesAroundTenPercentDeadHosts) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto serial = web.nearest(batch[i], h(0));
     EXPECT_EQ(batched[i].stats, serial.stats);
-    if (serial.has_pred) EXPECT_EQ(batched[i].pred, serial.pred);
-    if (serial.has_succ) EXPECT_EQ(batched[i].succ, serial.succ);
+    if (serial.has_pred) {
+      EXPECT_EQ(batched[i].pred, serial.pred);
+    }
+    if (serial.has_succ) {
+      EXPECT_EQ(batched[i].succ, serial.succ);
+    }
   }
 
   // Range queries walk the live base list.

@@ -336,7 +336,9 @@ TEST(Latency, SlowdownScheduleIsWellFormedAndInjectorAppliesIt) {
   std::vector<bool> slowed(hosts, false);
   std::size_t nslow = 0;
   for (std::size_t i = 0; i < sched.size(); ++i) {
-    if (i > 0) EXPECT_LE(sched[i - 1].at_op, sched[i].at_op);
+    if (i > 0) {
+      EXPECT_LE(sched[i - 1].at_op, sched[i].at_op);
+    }
     const auto& e = sched[i];
     ASSERT_LT(e.host.value, hosts);
     EXPECT_NE(e.host.value, 0u);  // host 0 is never slowed

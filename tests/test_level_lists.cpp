@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/level_lists.h"
+#include "util/membership.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
 
@@ -18,7 +19,7 @@ level_lists make(std::size_t n, std::uint64_t seed) {
   auto keys = skipweb::workloads::uniform_keys(n, key_rng);
   std::sort(keys.begin(), keys.end());
   rng r(seed + 1);
-  return level_lists(std::move(keys), r, level_lists::levels_for(n));
+  return level_lists(std::move(keys), r, skipweb::util::levels_for(n));
 }
 
 // Oracle insert: find the per-level neighbours by brute force, then splice.
@@ -38,16 +39,6 @@ int oracle_insert(level_lists& ll, std::uint64_t key, skipweb::util::membership_
     nbrs[static_cast<std::size_t>(l)] = {best_left, best_right};
   }
   return ll.splice_in(key, bits, nbrs);
-}
-
-TEST(LevelLists, LevelsForIsCeilLog2) {
-  EXPECT_EQ(level_lists::levels_for(1), 0);
-  EXPECT_EQ(level_lists::levels_for(2), 1);
-  EXPECT_EQ(level_lists::levels_for(3), 2);
-  EXPECT_EQ(level_lists::levels_for(4), 2);
-  EXPECT_EQ(level_lists::levels_for(5), 3);
-  EXPECT_EQ(level_lists::levels_for(1024), 10);
-  EXPECT_EQ(level_lists::levels_for(1025), 11);
 }
 
 TEST(LevelLists, LevelZeroIsOneGlobalSortedList) {

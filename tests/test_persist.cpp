@@ -102,8 +102,7 @@ TEST(Persist, LevelListsRoundTripBothModes) {
   auto keys = wl::uniform_keys(3000, r);
   std::sort(keys.begin(), keys.end());
   rng rb(77);
-  auto lists =
-      core::level_lists::build_from_sorted(keys, rb, core::level_lists::levels_for(keys.size()));
+  const core::level_lists lists(keys, rb, util::levels_for(keys.size()));
   const auto path = snap_path("level_lists");
   {
     persist::writer w(path);
@@ -1133,9 +1132,13 @@ TEST(Persist, HostileRootSlotsAnswerCorrectly) {
         const auto res = twin->nearest(q, o);
         const auto it = oracle.upper_bound(q);
         ASSERT_EQ(res.has_pred, it != oracle.begin()) << what << " " << q;
-        if (res.has_pred) ASSERT_EQ(res.pred, *std::prev(it)) << what << " " << q;
+        if (res.has_pred) {
+          ASSERT_EQ(res.pred, *std::prev(it)) << what << " " << q;
+        }
         ASSERT_EQ(res.has_succ, it != oracle.end()) << what << " " << q;
-        if (res.has_succ) ASSERT_EQ(res.succ, *it) << what << " " << q;
+        if (res.has_succ) {
+          ASSERT_EQ(res.succ, *it) << what << " " << q;
+        }
       }
     }
   }

@@ -62,9 +62,13 @@ TEST_P(OneDimGrid, SearchCorrectness) {
     const auto res = web.nearest(q, h(static_cast<std::uint32_t>(r.index(p.n))));
     auto it = oracle.upper_bound(q);
     ASSERT_EQ(res.has_pred, it != oracle.begin());
-    if (res.has_pred) ASSERT_EQ(res.pred, *std::prev(it));
+    if (res.has_pred) {
+      ASSERT_EQ(res.pred, *std::prev(it));
+    }
     ASSERT_EQ(res.has_succ, it != oracle.end());
-    if (res.has_succ) ASSERT_EQ(res.succ, *it);
+    if (res.has_succ) {
+      ASSERT_EQ(res.succ, *it);
+    }
   }
 }
 
@@ -98,9 +102,13 @@ TEST_P(OneDimGrid, BucketAgreesWithTower) {
     const auto a = tower.nearest(q, h(0));
     const auto b = blocked.nearest(q, h(0));
     ASSERT_EQ(a.has_pred, b.has_pred);
-    if (a.has_pred) ASSERT_EQ(a.pred, b.pred);
+    if (a.has_pred) {
+      ASSERT_EQ(a.pred, b.pred);
+    }
     ASSERT_EQ(a.has_succ, b.has_succ);
-    if (a.has_succ) ASSERT_EQ(a.succ, b.succ);
+    if (a.has_succ) {
+      ASSERT_EQ(a.succ, b.succ);
+    }
   }
 }
 

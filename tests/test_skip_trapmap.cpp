@@ -58,7 +58,9 @@ TEST(SkipTrapmap, MeanConflictsAreConstant) {
     auto web = make_web(segs, 113, net);
     const double mean = web.mean_conflicts();
     EXPECT_LT(mean, 8.0) << "n=" << n;
-    if (prev > 0) EXPECT_LT(mean, prev * 1.5 + 1.0);
+    if (prev > 0) {
+      EXPECT_LT(mean, prev * 1.5 + 1.0);
+    }
     prev = mean;
   }
 }

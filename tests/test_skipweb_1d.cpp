@@ -7,6 +7,7 @@
 
 #include "core/skipweb_1d.h"
 #include "net/network.h"
+#include "oracle_common.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "workloads/workloads.h"
@@ -16,29 +17,11 @@ namespace {
 using skipweb::core::skipweb_1d;
 using skipweb::net::host_id;
 using skipweb::net::network;
+using skipweb::testing_support::check_oracle;
 using skipweb::util::rng;
 namespace wl = skipweb::workloads;
 
 host_id h(std::uint32_t v) { return host_id{v}; }
-
-// Shared oracle check: query every probe from a rotating origin and compare
-// pred/succ against std::set.
-void check_against_oracle(const skipweb_1d& web, const std::set<std::uint64_t>& oracle,
-                          const std::vector<std::uint64_t>& probes, network& net) {
-  std::uint32_t origin = 0;
-  for (const auto q : probes) {
-    const auto r = web.nearest(q, h(origin));
-    origin = static_cast<std::uint32_t>((origin + 1) % net.host_count());
-    auto it = oracle.upper_bound(q);
-    const bool has_pred = it != oracle.begin();
-    ASSERT_EQ(r.has_pred, has_pred) << "q=" << q;
-    if (has_pred) EXPECT_EQ(r.pred, *std::prev(it));
-    it = oracle.upper_bound(q);
-    const bool has_succ = it != oracle.end();
-    ASSERT_EQ(r.has_succ, has_succ) << "q=" << q;
-    if (has_succ) EXPECT_EQ(r.succ, *it);
-  }
-}
 
 class Skipweb1dPlacement : public ::testing::TestWithParam<skipweb_1d::placement> {};
 
@@ -48,7 +31,7 @@ TEST_P(Skipweb1dPlacement, NearestMatchesOracle) {
   network net(GetParam() == skipweb_1d::placement::tower ? 512 : 64);
   skipweb_1d web(keys, 42, net, GetParam());
   const std::set<std::uint64_t> oracle(keys.begin(), keys.end());
-  check_against_oracle(web, oracle, wl::probe_keys(keys, 300, r), net);
+  check_oracle(web, oracle, wl::probe_keys(keys, 300, r), net.host_count());
   // Exact hits as well.
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_TRUE(web.contains(keys[i], h(static_cast<std::uint32_t>(i % net.host_count()))).value);
@@ -112,7 +95,7 @@ TEST_P(Skipweb1dPlacement, InsertThenQuery) {
   }
   EXPECT_EQ(web.size(), 300u);
   EXPECT_TRUE(web.lists().check_invariants());
-  check_against_oracle(web, oracle, wl::probe_keys(keys, 200, r), net);
+  check_oracle(web, oracle, wl::probe_keys(keys, 200, r), net.host_count());
 }
 
 TEST_P(Skipweb1dPlacement, EraseThenQuery) {
@@ -129,7 +112,7 @@ TEST_P(Skipweb1dPlacement, EraseThenQuery) {
   }
   EXPECT_EQ(web.size(), 150u);
   EXPECT_TRUE(web.lists().check_invariants());
-  check_against_oracle(web, oracle, wl::probe_keys(keys, 200, r), net);
+  check_oracle(web, oracle, wl::probe_keys(keys, 200, r), net.host_count());
 }
 
 TEST_P(Skipweb1dPlacement, MixedWorkloadMatchesOracle) {

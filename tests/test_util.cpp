@@ -86,6 +86,17 @@ TEST(Membership, BitExtraction) {
   EXPECT_FALSE(membership_bit(m, 63));
 }
 
+TEST(Membership, LevelsForIsCeilLog2) {
+  EXPECT_EQ(levels_for(0), 0);
+  EXPECT_EQ(levels_for(1), 0);
+  EXPECT_EQ(levels_for(2), 1);
+  EXPECT_EQ(levels_for(3), 2);
+  EXPECT_EQ(levels_for(4), 2);
+  EXPECT_EQ(levels_for(5), 3);
+  EXPECT_EQ(levels_for(1024), 10);
+  EXPECT_EQ(levels_for(1025), 11);
+}
+
 TEST(Membership, PrefixChildParentRoundTrip) {
   level_prefix root{};
   EXPECT_EQ(root.length, 0);

@@ -141,7 +141,9 @@ TEST(Workloads, ChurnScheduleIsDeterministicAndWellFormed) {
   std::size_t live = hosts;
   const std::size_t floor = std::max<std::size_t>(2, hosts / 2);
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (i > 0) EXPECT_LE(a[i - 1].at_op, a[i].at_op);
+    if (i > 0) {
+      EXPECT_LE(a[i - 1].at_op, a[i].at_op);
+    }
     ASSERT_LT(a[i].host.value, hosts);
     if (a[i].act == wl::churn_event::action::kill) {
       EXPECT_NE(a[i].host.value, 0u);
