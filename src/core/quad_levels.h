@@ -192,7 +192,7 @@ class quad_levels {
   // The directory record of the (level, prefix) tree, creating an empty
   // tree (root = whole space, down unresolved) when absent. Second member:
   // freshly made? A level visit bumps the live count through the record
-  // instead of paying a second probe (bump_tree's lookup was ~a third of
+  // instead of paying a second probe (that second lookup was ~a third of
   // bulk-build time at 1M). The pointer is valid only until the next insert
   // into this level's directory, which may grow it; a visit holds it across
   // one point's placement, which inserts no tree into that level.
@@ -221,24 +221,20 @@ class quad_levels {
     pbits_.reserve(n);
   }
 
-  void bump_tree(int level, std::uint64_t prefix, int delta) {
-    tree_ref* tr = lv(level).trees.find(prefix);
-    SW_ASSERT(tr != nullptr);
-    tr->points += delta;
-    SW_ASSERT(tr->points >= 0);
+  // The mutable directory record of the (level, prefix) tree, or null. An
+  // erase holds it across one level's edit, which inserts no tree into that
+  // level's directory, so one probe serves the walk's root, the live count
+  // and the destroy test.
+  [[nodiscard]] tree_ref* find_tree_ref(int level, std::uint64_t prefix) {
+    return lv(level).trees.find(prefix);
   }
 
-  // Destroys the (level, prefix) tree when its last point left; returns the
-  // freed root slot (for ledger de-charging) or -1 when the tree lives on.
-  int destroy_tree_if_empty(int level, std::uint64_t prefix) {
-    const tree_ref* tr = tree(level, prefix);
-    SW_ASSERT(tr != nullptr);
-    if (tr->points > 0) return -1;
-    const int root = tr->root;
+  // Destroys the (level, prefix) tree, rooted at `root`, once its last point
+  // left: frees the root slot and drops the directory record.
+  void destroy_tree(int level, std::uint64_t prefix, int root) {
     SW_ASSERT(occupied_of(level, root) == 0);
     free_node(level, root);
     lv(level).trees.erase(prefix);
-    return root;
   }
 
   // --- node accessors -------------------------------------------------------
@@ -368,7 +364,7 @@ class quad_levels {
   // Remove point `pid` from `node` (cube `box`, its deepest containing
   // node), splicing out the at most one cube that stops being interesting.
   // Returns the freed slot or -1. A root left empty is handled by
-  // destroy_tree_if_empty.
+  // destroy_tree.
   int erase_at(int level, int node, const cube& box, int pid) {
     level_arena& a = lv(level);
     const point& p = pts_[static_cast<std::size_t>(pid)];

@@ -398,8 +398,9 @@ class skip_quadtree {
     cube box{};      // the cube of `start` (a down link keeps the cube)
     for (int l = levels_; l >= 0; --l) {
       const auto prefix = util::prefix_of(bits, l).bits;
-      const auto* tr = q_.tree(l, prefix);
-      SW_ASSERT(tr != nullptr);
+      // `tr` stays valid to the count below: nothing here inserts a tree at l.
+      auto* tr = q_.find_tree_ref(l, prefix);
+      SW_ASSERT(tr != nullptr && tr->points > 0);
       int node = start >= 0 ? start : tr->root;
       if (start < 0) box = cube{};
       hop(cur, l, prefix, node);
@@ -412,9 +413,9 @@ class skip_quadtree {
         charge_node(l, prefix, freed, -1);  // de-charge at the current window
         forget_rehome(l, freed);            // the recycled slot restarts at base 0
       }
-      q_.bump_tree(l, prefix, -1);
-      const int dead_root = q_.destroy_tree_if_empty(l, prefix);
-      if (dead_root >= 0) {
+      if (--tr->points == 0) {
+        const int dead_root = tr->root;
+        q_.destroy_tree(l, prefix, dead_root);
         charge_node(l, prefix, dead_root, -1);
         forget_rehome(l, dead_root);
       }

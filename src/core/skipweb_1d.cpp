@@ -269,19 +269,34 @@ std::vector<api::nn_result> skipweb_1d::nearest_batch(const std::vector<std::uin
   // Interleave in chunks: each in-flight query holds about one outstanding
   // miss, and a couple dozen chains saturate the core's miss parallelism.
   constexpr std::size_t kChunk = 24;
+  const std::size_t lanes = std::min(kChunk, qs.size());
   std::vector<net::cursor> curs;
-  std::vector<std::pair<int, int>> flanks(kChunk);
-  for (std::size_t base = 0; base < qs.size(); base += kChunk) {
-    const std::size_t count = std::min(kChunk, qs.size() - base);
-    curs.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      curs.emplace_back(*net_, origin);
-      curs.back().move_to(host_of(root, lists_.levels()));
+  curs.reserve(lanes);
+  std::vector<std::pair<int, int>> flanks(lanes);
+  const auto serve = [&](const auto& host, const auto& prefetch_owner) {
+    for (std::size_t base = 0; base < qs.size(); base += kChunk) {
+      const std::size_t count = std::min(kChunk, qs.size() - base);
+      curs.clear();
+      for (std::size_t i = 0; i < count; ++i) {
+        curs.emplace_back(*net_, origin);
+        curs.back().move_to(host(root, lists_.levels()));
+      }
+      route_search_batch(lists_, qs.data() + base, count, root, lists_.levels(), curs.data(),
+                         flanks.data(), host, prefetch_owner);
+      for (std::size_t i = 0; i < count; ++i) out[base + i] = answer(flanks[i], curs[i]);
     }
-    route_search_batch(
-        lists_, qs.data() + base, count, root, lists_.levels(), curs.data(), flanks.data(),
-        [this](int i, int l) { return host_of(i, l); }, [this](int i) { prefetch_host(i); });
-    for (std::size_t i = 0; i < count; ++i) out[base + i] = answer(flanks[i], curs[i]);
+  };
+  // The tower rule inlined into the hop loop (the placement perfbench's
+  // lookup_1m serves): it reads the owner table through a pointer captured
+  // by value, so the compiler need not reload it after the cursor's writes,
+  // and it reads owner_, because a recycled arena slot has a fresh host, not
+  // the one numbered after it. The other placements call host_of.
+  if (policy_ == placement::tower) {
+    const net::host_id* owner = owner_.data();
+    serve([owner](int i, int) { return owner[static_cast<std::size_t>(i)]; },
+          [owner](int i) { util::prefetch(owner + static_cast<std::size_t>(i)); });
+  } else {
+    serve([this](int i, int l) { return host_of(i, l); }, [this](int i) { prefetch_host(i); });
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #include "serve/executor.h"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 
 #include "util/sw_assert.h"
@@ -42,66 +41,102 @@ void executor::helper_loop(std::size_t worker) {
     } catch (...) {
       const std::lock_guard lock(error_mu_);
       if (!error_) error_ = std::current_exception();
-      // Far past any group count, and far from wrapping.
-      next_group_.store(std::numeric_limits<std::size_t>::max() / 2, std::memory_order_relaxed);
+      stop_claims();
     }
     if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) outstanding_.notify_one();
   }
 }
 
-void executor::run_job(const std::function<void(std::size_t)>& job) {
+void executor::publish(const std::function<void(std::size_t)>& job) {
   SW_EXPECTS(job_ == nullptr);  // one job at a time
   job_ = &job;
   next_group_.store(0, std::memory_order_relaxed);
   outstanding_.store(helpers_.size(), std::memory_order_relaxed);
   epoch_.fetch_add(1, std::memory_order_release);
   epoch_.notify_all();
+}
+
+std::exception_ptr executor::join() {
   for (std::size_t left = outstanding_.load(std::memory_order_acquire); left != 0;
        left = outstanding_.load(std::memory_order_acquire)) {
     outstanding_.wait(left, std::memory_order_acquire);
   }
   job_ = nullptr;
-  std::exception_ptr error;
-  {
-    const std::lock_guard lock(error_mu_);
-    error = std::exchange(error_, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
+  const std::lock_guard lock(error_mu_);
+  return std::exchange(error_, nullptr);
 }
 
 void executor::for_slices(std::size_t n,
                           const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  run_job([&](std::size_t worker) {
+  const std::function<void(std::size_t)> job = [&](std::size_t worker) {
     const auto [lo, hi] = slice(n, worker, thread_count_);
     if (lo < hi) fn(worker, lo, hi);
-  });
+  };
+  publish(job);
+  if (auto error = join()) std::rethrow_exception(error);
 }
 
 template <typename Outcome, typename Query, typename Serve>
 Outcome executor::run_batches(const std::vector<Query>& qs, std::size_t batch,
                               const Serve& serve) {
+  using answers = decltype(Outcome::results);
   const std::size_t width = std::max<std::size_t>(batch, 1);
   const std::size_t groups = (qs.size() + width - 1) / width;
   Outcome out;
-  out.results.resize(qs.size());
   std::vector<api::op_stats> partial(thread_count_);
-  run_job([&](std::size_t worker) {
+  // Whether out.results may take answers yet: the caller sizes it after the
+  // publish, beside the helpers.
+  enum : std::uint8_t { pending, sized, abandoned };
+  std::atomic<std::uint8_t> sizing{pending};
+  const std::function<void(std::size_t)> job = [&](std::size_t worker) {
     api::op_stats sum;
     std::vector<Query> group;
+    // The groups this worker served before the answers were sized, by base.
+    std::vector<std::pair<std::size_t, answers>> held;
+    bool ready = false;
+    const auto store = [&](std::size_t base, answers& res) {
+      for (std::size_t i = 0; i < res.size(); ++i) out.results[base + i] = std::move(res[i]);
+    };
     for (std::size_t g = claim(groups); g < groups; g = claim(groups)) {
       const std::size_t base = g * width;
       const std::size_t count = std::min(width, qs.size() - base);
       group.assign(qs.begin() + static_cast<std::ptrdiff_t>(base),
                    qs.begin() + static_cast<std::ptrdiff_t>(base + count));
-      auto res = serve(group);
+      answers res = serve(group);
       SW_ASSERT(res.size() == count);
-      for (std::size_t i = 0; i < count; ++i) {
-        sum += res[i].stats;
-        out.results[base + i] = std::move(res[i]);
+      for (const auto& r : res) sum += r.stats;
+      if (!ready && sizing.load(std::memory_order_acquire) == sized) {
+        ready = true;
+        for (auto& [b, h] : held) store(b, h);
+        held.clear();
+      }
+      if (ready) {
+        store(base, res);
+      } else {
+        held.emplace_back(base, std::move(res));
+      }
+    }
+    if (!held.empty()) {
+      sizing.wait(pending, std::memory_order_acquire);
+      if (sizing.load(std::memory_order_acquire) == sized) {
+        for (auto& [b, h] : held) store(b, h);
       }
     }
     partial[worker] = sum;
-  });
+  };
+  publish(job);
+  try {
+    out.results.resize(qs.size());
+  } catch (...) {
+    stop_claims();
+    sizing.store(abandoned, std::memory_order_release);
+    sizing.notify_all();
+    (void)join();  // the sizing failure outranks a worker's
+    throw;
+  }
+  sizing.store(sized, std::memory_order_release);
+  sizing.notify_all();
+  if (auto error = join()) std::rethrow_exception(error);
   // Which worker served a group varies from run to run, but the counters are
   // u64 sums, so the totals are the same for every thread count anyway.
   for (const auto& p : partial) out.total += p;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -34,9 +35,15 @@ namespace skipweb::serve {
 /// A run publishes its job with one epoch bump and waits for the helpers'
 /// countdown; idle helpers wait on the epoch. Both waits are
 /// `std::atomic::wait`. The calling thread serves no queries (DESIGN.md §8
-/// says why). The first exception any worker throws stops the group
-/// claims; the run waits for every helper and rethrows it on the caller,
-/// and the pool serves the next run normally.
+/// says why). It sizes the answer vector after the publish, while the
+/// helpers serve, then releases a ready flag: a helper holds the answers of
+/// the groups it served before the flag, stores them once it sees it, and
+/// waits on the flag only if it runs out of groups while holding some. The
+/// first exception any worker throws stops the group claims; the run waits
+/// for every helper and rethrows it on the caller, and the pool serves the
+/// next run normally. If the sizing itself throws, the caller stops the
+/// claims, releases the flag as abandoned (the helpers drop what they
+/// hold), joins and rethrows.
 ///
 /// \par Thread-safety plane
 /// Serving is the *query* plane only: inserts/erases are structural and
@@ -189,18 +196,26 @@ class executor {
   // Helper `worker`'s loop: runs each published job once; an exception is
   // kept (the first one only) and ends the job's group claims.
   void helper_loop(std::size_t worker);
-  // Runs job(w) on helper w for every worker w and returns once every
-  // helper has finished; rethrows the first exception.
-  void run_job(const std::function<void(std::size_t)>& job);
+  // Starts job(w) on helper w for every worker w and returns at once; the
+  // job must stay alive until join().
+  void publish(const std::function<void(std::size_t)>& job);
+  // Returns once every helper has finished the published job, with the
+  // first exception any of them threw (null if none did).
+  [[nodiscard]] std::exception_ptr join();
   // The next group index of the running job, or `groups` once every group
-  // is claimed or a worker has thrown.
+  // is claimed or the run is stopping.
   [[nodiscard]] std::size_t claim(std::size_t groups) {
     return std::min(next_group_.fetch_add(1, std::memory_order_relaxed), groups);
+  }
+  // Ends the running job's group claims: far past any group count, and far
+  // from wrapping.
+  void stop_claims() {
+    next_group_.store(std::numeric_limits<std::size_t>::max() / 2, std::memory_order_relaxed);
   }
   // The group/merge loop of run_nearest / run_locate / run_contains: each
   // worker claims `batch`-wide groups of the stream, hands each to `serve`
   // (one *_batch call), stores the answers in input order and sums the
-  // receipts.
+  // receipts. The caller sizes the answers meanwhile (see Dispatch).
   template <typename Outcome, typename Query, typename Serve>
   Outcome run_batches(const std::vector<Query>& qs, std::size_t batch, const Serve& serve);
   // Ends the helpers: the last epoch bump, then the joins.
@@ -208,10 +223,10 @@ class executor {
 
   std::size_t thread_count_;
 
-  // One job at a time. run_job writes job_ (stop() writes stopping_) before
+  // One job at a time. publish writes job_ (stop() writes stopping_) before
   // the release bump of epoch_ that publishes it; a helper that acquires the
-  // new epoch runs the job once and counts `outstanding_` down, and the
-  // caller's acquire of zero orders every helper's work before the return.
+  // new epoch runs the job once and counts `outstanding_` down, and join's
+  // acquire of zero orders every helper's work before its return.
   const std::function<void(std::size_t)>* job_ = nullptr;
   bool stopping_ = false;
   std::atomic<std::uint64_t> epoch_{0};

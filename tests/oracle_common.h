@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <iterator>
 #include <set>
 #include <sstream>
@@ -56,6 +58,38 @@ void check_oracle(const Structure& s, const std::set<std::uint64_t>& oracle,
   for (const auto q : probes) {
     expect_matches_oracle(s.nearest(q, h(origin)), oracle, q);
     origin = static_cast<std::uint32_t>((origin + 1) % hosts);
+  }
+}
+
+// nearest_batch against nearest() over `probes`, answers and receipts
+// alike, cut into calls of each width in `widths` (0 = the whole probe set
+// in one call). Each call asks from the next origin of [0, hosts), and the
+// serial answers from the same one.
+template <typename Structure>
+void expect_nearest_batch_matches_serial(const Structure& s,
+                                         const std::vector<std::uint64_t>& probes,
+                                         std::initializer_list<std::size_t> widths,
+                                         std::size_t hosts) {
+  std::uint32_t origin = 0;
+  for (const std::size_t width : widths) {
+    const std::size_t w = width == 0 ? probes.size() : width;
+    for (std::size_t base = 0; base < probes.size(); base += w) {
+      const auto first = probes.begin() + static_cast<std::ptrdiff_t>(base);
+      const std::vector<std::uint64_t> qs(
+          first, first + static_cast<std::ptrdiff_t>(std::min(w, probes.size() - base)));
+      const auto o = h(origin);
+      origin = static_cast<std::uint32_t>((origin + 1) % hosts);
+      const auto batch = s.nearest_batch(qs, o);
+      ASSERT_EQ(batch.size(), qs.size());
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        const auto serial = s.nearest(qs[i], o);
+        ASSERT_EQ(batch[i].has_pred, serial.has_pred) << "width " << w << " q=" << qs[i];
+        ASSERT_EQ(batch[i].has_succ, serial.has_succ) << "width " << w << " q=" << qs[i];
+        ASSERT_EQ(batch[i].pred, serial.pred) << "width " << w << " q=" << qs[i];
+        ASSERT_EQ(batch[i].succ, serial.succ) << "width " << w << " q=" << qs[i];
+        ASSERT_EQ(batch[i].stats, serial.stats) << "width " << w << " q=" << qs[i];
+      }
+    }
   }
 }
 

@@ -77,6 +77,32 @@ TEST_P(BucketSkipwebM, MixedWorkloadMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(MemorySizes, BucketSkipwebM, ::testing::Values(4, 8, 16, 64, 256),
                          [](const auto& info) { return "M" + std::to_string(info.param); });
 
+TEST(BucketSkipweb, BatchMatchesSerialOverRecycledSlots) {
+  // Erases free arena slots and inserts recycle them: each recycled item
+  // joins the runs of its new neighbours, so its owner column differs from
+  // the one its slot had. The batch router's bucket rule must read it.
+  rng r(2003);
+  const auto pool = wl::uniform_keys(612, r);
+  const std::vector<std::uint64_t> initial(pool.begin(), pool.begin() + 512);
+  network net(1);
+  skipweb_1d web(initial, 144, net, skipweb_1d::bucket{16});
+  std::set<std::uint64_t> oracle(initial.begin(), initial.end());
+  for (std::size_t i = 0; i < 100; ++i) {
+    const auto o = h(static_cast<std::uint32_t>(i % net.host_count()));
+    web.erase(initial[5 * i], o);
+    oracle.erase(initial[5 * i]);
+    web.insert(pool[512 + i], o);
+    oracle.insert(pool[512 + i]);
+  }
+  ASSERT_EQ(web.lists().arena_size(), 512u);  // every insert took a freed slot
+  EXPECT_TRUE(web.check_block_invariants());
+  std::vector<std::uint64_t> probes = {0, ~std::uint64_t{0}, initial[0], initial[5], pool[512]};
+  for (const auto q : wl::probe_keys(pool, 200, r)) probes.push_back(q);
+  check_oracle(web, oracle, probes, net.host_count());
+  skipweb::testing_support::expect_nearest_batch_matches_serial(web, probes, {1, 23, 24, 25, 49, 0},
+                                                                net.host_count());
+}
+
 TEST(BucketSkipweb, StratumAnatomy) {
   rng r(2003);
   const auto keys = wl::uniform_keys(1024, r);

@@ -26,6 +26,7 @@
 #include "core/skip_quadtree.h"
 #include "core/skipweb_1d.h"
 #include "net/network.h"
+#include "oracle_common.h"
 #include "persist/snapshot.h"
 #include "temp_files.h"
 #include "util/membership.h"
@@ -582,6 +583,34 @@ TEST(BulkBuildBigN, UidStabilityAndInvariantsAcrossGrowth) {
     ASSERT_EQ(batch[i].succ, serial.succ) << i;
     ASSERT_EQ(batch[i].stats, serial.stats) << i;
   }
+}
+
+// The batch router over recycled slots at the benchmark's scale, under the
+// tower placement: erases free arena slots and inserts recycle them, each
+// with a fresh host, as perfbench's update tape does every round. The batch
+// answers and receipts must equal the serial ones, so the batch host rule
+// must read the owner table rather than assume item i on host i.
+// SKIPWEB_BIGN=1 raises n from 2^16 to 2^20.
+TEST(BulkBuildBigN, BatchMatchesSerialOverRecycledSlots) {
+  const bool big = std::getenv("SKIPWEB_BIGN") != nullptr;
+  const std::size_t n = std::size_t{1} << (big ? 20 : 16);
+  constexpr std::size_t pairs = 4096;
+  rng r(2121);
+  const auto pool = wl::uniform_keys(n + pairs, r);
+  const std::vector<std::uint64_t> initial(pool.begin(),
+                                           pool.begin() + static_cast<std::ptrdiff_t>(n));
+  network net(64);
+  core::skipweb_1d idx(initial, 8, net, core::skipweb_1d::placement::tower);
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const auto o = h(static_cast<std::uint32_t>(i % 64));
+    idx.erase(initial[i * (n / pairs)], o);
+    idx.insert(pool[n + i], o);
+  }
+  ASSERT_EQ(idx.lists().arena_size(), n);  // every insert took a freed slot
+  EXPECT_TRUE(idx.lists().check_invariants_fast());
+  std::vector<std::uint64_t> probes = wl::probe_keys(pool, 4096, r);
+  for (std::size_t i = 0; i < 64; ++i) probes.push_back(pool[n + i]);
+  testing_support::expect_nearest_batch_matches_serial(idx, probes, {24, 0}, 64);
 }
 
 // The split links at the benchmark's scale: both pools of a 2^20-key build

@@ -165,12 +165,14 @@ TEST(Executor, BackToBackAndSpacedRunsAgree) {
 
 // A backend for the executor's error path. It answers from a real index,
 // but its batch router throws on the chosen call: the first group any
-// worker serves, or a later one. Every other group sleeps, so workers are
-// mid-group when the throw lands.
+// worker serves, or a later one. With a nap, every other group sleeps that
+// long and the throwing one a quarter of it first, so workers are mid-group
+// when the throw lands; without one, nothing sleeps.
 class throwing_index final : public api::distributed_index {
  public:
-  throwing_index(const api::distributed_index& real, int throw_at)
-      : real_(real), throw_at_(throw_at) {}
+  throwing_index(const api::distributed_index& real, int throw_at,
+                 std::chrono::milliseconds nap = std::chrono::milliseconds(20))
+      : real_(real), throw_at_(throw_at), nap_(nap) {}
 
   [[nodiscard]] std::string_view backend() const override { return "throwing"; }
   [[nodiscard]] std::size_t size() const override { return real_.size(); }
@@ -184,11 +186,11 @@ class throwing_index final : public api::distributed_index {
   [[nodiscard]] std::vector<api::nn_result> nearest_batch(const std::vector<std::uint64_t>& qs,
                                                           host_id origin) const override {
     if (calls_.fetch_add(1) == throw_at_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      std::this_thread::sleep_for(nap_ / 4);
       throw std::runtime_error("call " + std::to_string(throw_at_));
     }
     started.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::this_thread::sleep_for(nap_);
     auto out = real_.nearest_batch(qs, origin);
     finished.fetch_add(1);
     return out;
@@ -199,6 +201,7 @@ class throwing_index final : public api::distributed_index {
  private:
   const api::distributed_index& real_;
   int throw_at_;
+  std::chrono::milliseconds nap_;
   mutable std::atomic<int> calls_{0};
 };
 
@@ -232,6 +235,27 @@ TEST(Executor, WorkerExceptionReachesTheCaller) {
       EXPECT_TRUE(same_nn(out.results[i], serial[i])) << throw_at << " i=" << i;
     }
   }
+  // Mid-stream on a long stream, without naps: the throw lands while the
+  // caller may still be sizing the answers, so the workers hold answers of
+  // groups they served, and they must drop them. The pool then serves the
+  // long stream like the serial loop.
+  const auto long_qs = wl::query_stream(keys, std::size_t{1} << 16, 11);
+  const throwing_index bad(*idx, 8, std::chrono::milliseconds(0));
+  try {
+    (void)ex.run_nearest(bad, long_qs, h(0), 24);
+    ADD_FAILURE() << "the executor swallowed the mid-stream exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "call 8");
+    EXPECT_EQ(bad.started.load(), bad.finished.load());
+    EXPECT_GE(bad.started.load(), 8);
+  }
+  const auto out = ex.run_nearest(*idx, long_qs, h(0), 24);
+  ASSERT_EQ(out.results.size(), long_qs.size());
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < long_qs.size(); ++i) {
+    differ += same_nn(out.results[i], idx->nearest(long_qs[i], h(0))) ? 0 : 1;
+  }
+  EXPECT_EQ(differ, 0u);
 }
 
 // --- every 1-D backend: executor == serial loop, any thread count ------------
@@ -245,36 +269,52 @@ TEST_P(ExecutorConformance, NearestMatchesSerialLoopAtEveryThreadCount) {
   const auto idx = api::make_index(
       GetParam(), keys, api::index_options{}.seed(97).initial_hosts(8).bucket_size(16).buckets(24),
       net);
-  const auto qs = wl::query_stream(keys, 167, 9002);
-
-  net.reset_traffic();
-  std::vector<api::nn_result> serial;
-  serial.reserve(qs.size());
-  api::op_stats serial_total;
-  for (const auto q : qs) {
-    serial.push_back(idx->nearest(q, h(0)));
-    serial_total += serial.back().stats;
+  std::vector<std::vector<std::uint64_t>> streams = {wl::query_stream(keys, 167, 9002)};
+  // A long stream too, for skipweb1d only (it is long under TSan): the
+  // caller sizes the 2^16 answers after it publishes the run, so the
+  // helpers serve their first groups before the vector is sized and hold
+  // those answers until it is. Held or stored at once, each answer must
+  // land at its input position.
+  if (GetParam() == "skipweb1d") {
+    streams.push_back(wl::query_stream(keys, std::size_t{1} << 16, 9003));
   }
-  const std::uint64_t serial_messages = net.total_messages();
-  EXPECT_EQ(serial_total.messages, serial_messages);
-  const auto serial_profile = net.congestion_profile();
 
-  for (const std::size_t T : kThreadCounts) {
-    serve::executor ex(T);
-    for (const std::size_t batch : kBatchWidths) {
-      net.reset_traffic();
-      const auto out = ex.run_nearest(*idx, qs, h(0), batch);
-      ASSERT_EQ(out.results.size(), serial.size()) << "T=" << T << " batch=" << batch;
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_TRUE(same_nn(out.results[i], serial[i]))
-            << "T=" << T << " batch=" << batch << " i=" << i;
+  for (const auto& qs : streams) {
+    net.reset_traffic();
+    std::vector<api::nn_result> serial;
+    serial.reserve(qs.size());
+    api::op_stats serial_total;
+    for (const auto q : qs) {
+      serial.push_back(idx->nearest(q, h(0)));
+      serial_total += serial.back().stats;
+    }
+    const std::uint64_t serial_messages = net.total_messages();
+    EXPECT_EQ(serial_total.messages, serial_messages);
+    const auto serial_profile = net.congestion_profile();
+
+    for (const std::size_t T : kThreadCounts) {
+      serve::executor ex(T);
+      for (const std::size_t batch : kBatchWidths) {
+        net.reset_traffic();
+        const auto out = ex.run_nearest(*idx, qs, h(0), batch);
+        const auto where = "n=" + std::to_string(qs.size()) + " T=" + std::to_string(T) +
+                           " batch=" + std::to_string(batch);
+        ASSERT_EQ(out.results.size(), serial.size()) << where;
+        std::size_t differ = 0;
+        std::size_t first = serial.size();
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+          if (same_nn(out.results[i], serial[i])) continue;
+          ++differ;
+          first = std::min(first, i);
+        }
+        EXPECT_EQ(differ, 0u) << where << " first i=" << first;
+        EXPECT_EQ(out.total, serial_total) << where;
+        // The workers' committed receipts reconcile with the ledger: each
+        // worker writes its own shard, and the folded totals and per-host
+        // counts never depend on the interleaving.
+        EXPECT_EQ(net.total_messages(), serial_messages) << where;
+        expect_same_profile(net.congestion_profile(), serial_profile, T);
       }
-      EXPECT_EQ(out.total, serial_total) << "T=" << T << " batch=" << batch;
-      // The workers' committed receipts reconcile with the ledger: each
-      // worker writes its own shard, and the folded totals and per-host
-      // counts never depend on the interleaving.
-      EXPECT_EQ(net.total_messages(), serial_messages) << "T=" << T << " batch=" << batch;
-      expect_same_profile(net.congestion_profile(), serial_profile, T);
     }
   }
 }

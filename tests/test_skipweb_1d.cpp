@@ -81,6 +81,41 @@ TEST_P(Skipweb1dPlacement, BatchNearestMatchesSerialExactly) {
   }
 }
 
+TEST_P(Skipweb1dPlacement, BatchMatchesSerialOverRecycledSlots) {
+  // The other batch tests read fresh or insert-only builds, where item i
+  // still lives on host i under the tower placement. Here each erase frees
+  // an arena slot and the next insert recycles it with a fresh host, so a
+  // batch host rule that assumed item i on host i would misprice hops.
+  rng r(1008);
+  const auto pool = wl::uniform_keys(612, r);
+  const std::vector<std::uint64_t> initial(pool.begin(), pool.begin() + 512);
+  network net(GetParam() == skipweb_1d::placement::tower ? 512 : 64);
+  skipweb_1d web(initial, 78, net, GetParam());
+  std::set<std::uint64_t> oracle(initial.begin(), initial.end());
+  for (std::size_t i = 0; i < 100; ++i) {
+    const auto o = h(static_cast<std::uint32_t>(i % net.host_count()));
+    web.erase(initial[5 * i], o);
+    oracle.erase(initial[5 * i]);
+    web.insert(pool[512 + i], o);
+    oracle.insert(pool[512 + i]);
+  }
+  ASSERT_EQ(web.size(), 512u);
+  ASSERT_EQ(web.lists().arena_size(), 512u);  // every insert took a freed slot
+  if (GetParam() == skipweb_1d::placement::tower) {
+    bool moved = false;
+    for (int i = 0; i < static_cast<int>(web.lists().arena_size()); ++i) {
+      moved = moved || (web.lists().alive(i) &&
+                        web.host_of(i, 0).value != static_cast<std::uint32_t>(i));
+    }
+    ASSERT_TRUE(moved) << "no live item left the host numbered after it";
+  }
+  std::vector<std::uint64_t> probes = {0, ~std::uint64_t{0}, initial[0], initial[5], pool[512]};
+  for (const auto q : wl::probe_keys(pool, 200, r)) probes.push_back(q);
+  check_oracle(web, oracle, probes, net.host_count());
+  skipweb::testing_support::expect_nearest_batch_matches_serial(web, probes, {1, 23, 24, 25, 49, 0},
+                                                                net.host_count());
+}
+
 TEST_P(Skipweb1dPlacement, InsertThenQuery) {
   rng r(1002);
   auto keys = wl::uniform_keys(300, r);
