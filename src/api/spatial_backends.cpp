@@ -376,7 +376,7 @@ class trapmap_adapter final : public spatial_index {
   [[nodiscard]] op_result<std::vector<spatial_point>> orthogonal_range(
       const spatial_box& b, net::host_id origin, std::size_t limit) const override {
     expect_valid_box(b, D);
-    net::cursor cur(*impl_net(), origin);
+    net::cursor cur(*net_, origin);
     op_result<std::vector<spatial_point>> out;
     for (std::size_t i = 0; i < items_.size(); ++i) {
       cur.move_to(impl_.host_of(0, 0, static_cast<int>(i)));
@@ -402,8 +402,6 @@ class trapmap_adapter final : public spatial_index {
   }
 
  private:
-  [[nodiscard]] net::network* impl_net() const { return net_; }
-
   struct point_hash {
     std::size_t operator()(const spatial_point& p) const {
       std::size_t h = 0;

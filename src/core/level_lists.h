@@ -14,8 +14,8 @@
 #include "api/memory_footprint.h"
 #include "persist/pod_array.h"
 #include "persist/snapshot.h"
-#include "util/fan_out.h"
 #include "util/membership.h"
+#include "util/pool.h"
 #include "util/prefetch.h"
 #include "util/rng.h"
 #include "util/sw_assert.h"
@@ -454,53 +454,18 @@ class level_lists {
     return -1;
   }
 
-  // Structural invariants, checked by tests after randomized workloads:
-  // every level's lists are sorted, doubly-linked consistently, and contain
-  // exactly the alive items whose prefix matches.
+  // Structural invariants, checked by tests after randomized workloads and
+  // at big n: every level's lists are sorted, doubly-linked consistently,
+  // and contain exactly the alive items whose prefix matches. O(n·levels):
+  // it walks every level-l list once from its head, checking each link, and
+  // counts. Every alive item (counted from the alive flags, which size()
+  // must agree with) is visited once per level, and no two lists share a
+  // prefix; together those say the lists partition the alive items by
+  // prefix in sorted order, so no alive item lies between two linked ones.
   [[nodiscard]] bool check_invariants() const {
-    for (int l = 0; l <= levels_; ++l) {
-      for (int i = 0; i < static_cast<int>(arena_size()); ++i) {
-        if (!alive(i)) continue;
-        const int nx = next(i, l);
-        if (nx >= 0) {
-          if (!alive(nx)) return false;
-          if (key(nx) <= key(i)) return false;
-          if (prefix(nx, l) != prefix(i, l)) return false;
-          if (prev(nx, l) != i) return false;
-          // No alive same-prefix item strictly between them.
-          for (int j = 0; j < static_cast<int>(arena_size()); ++j) {
-            if (!alive(j) || j == i || j == nx) continue;
-            if (key(j) > key(i) && key(j) < key(nx) && prefix(j, l) == prefix(i, l)) {
-              return false;
-            }
-          }
-        }
-      }
-    }
-    // Replica lists, when installed, must name exactly the true further
-    // level-0 neighbours.
-    for (std::size_t j = 0; replication_ > 0 && j < replication_; ++j) {
-      for (int i = 0; i < static_cast<int>(arena_size()); ++i) {
-        if (!alive(i)) continue;
-        int s = next(i, 0);
-        for (std::size_t step = 0; step <= j && s >= 0; ++step) s = next(s, 0);
-        if (dir_replica(i, j, true) != s) return false;
-        int p = prev(i, 0);
-        for (std::size_t step = 0; step <= j && p >= 0; ++step) p = prev(p, 0);
-        if (dir_replica(i, j, false) != p) return false;
-      }
-    }
-    return true;
-  }
-
-  // O(n·levels) variant of check_invariants() for big-n tests (n = 1M is
-  // hopeless for the quadratic no-item-between scan above). Walks every
-  // level-l list once from its head, checking the same local link
-  // invariants, and recovers the global ones by counting: every alive item
-  // appears in exactly one list per level (visited == alive_count_), and no
-  // two lists share a prefix — together those imply the lists partition the
-  // alive items by prefix in sorted order, i.e. no item is "between".
-  [[nodiscard]] bool check_invariants_fast() const {
+    std::size_t alive_items = 0;
+    for (int i = 0; i < static_cast<int>(arena_size()); ++i) alive_items += alive(i) ? 1 : 0;
+    if (alive_items != alive_count_) return false;
     for (int l = 0; l <= levels_; ++l) {
       std::size_t visited = 0;
       std::unordered_set<std::uint64_t> head_prefixes;
@@ -519,7 +484,20 @@ class level_lists {
           cur = nx;
         }
       }
-      if (visited != alive_count_) return false;
+      if (visited != alive_items) return false;
+    }
+    // Replica lists, when installed, must name exactly the true further
+    // level-0 neighbours.
+    for (std::size_t j = 0; replication_ > 0 && j < replication_; ++j) {
+      for (int i = 0; i < static_cast<int>(arena_size()); ++i) {
+        if (!alive(i)) continue;
+        int s = next(i, 0);
+        for (std::size_t step = 0; step <= j && s >= 0; ++step) s = next(s, 0);
+        if (dir_replica(i, j, true) != s) return false;
+        int p = prev(i, 0);
+        for (std::size_t step = 0; step <= j && p >= 0; ++step) p = prev(p, 0);
+        if (dir_replica(i, j, false) != p) return false;
+      }
     }
     return true;
   }

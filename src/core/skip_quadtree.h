@@ -18,8 +18,8 @@
 #include "persist/pod_array.h"
 #include "persist/snapshot.h"
 #include "seq/quadtree.h"
-#include "util/fan_out.h"
 #include "util/membership.h"
+#include "util/pool.h"
 #include "util/prefetch.h"
 #include "util/rng.h"
 #include "util/sw_assert.h"

@@ -1,6 +1,7 @@
 #include "fault/repair.h"
 
 #include <mutex>
+#include <thread>
 #include <utility>
 
 #include "api/distributed_index.h"
@@ -43,21 +44,28 @@ repair_report repair_to_quiescence(api::spatial_index& ix, net::host_id origin,
 repair_daemon::repair_daemon(std::function<std::size_t()> step, std::chrono::microseconds interval)
     : step_(std::move(step)), interval_(interval) {
   SW_EXPECTS(step_ != nullptr);
+  if (helper_.helpers() == 0) {
+    throw std::system_error(std::make_error_code(std::errc::resource_unavailable_try_again),
+                            "fault::repair_daemon: the helper thread did not start");
+  }
 }
 
-repair_daemon::~repair_daemon() { stop(); }
+repair_daemon::~repair_daemon() {
+  quit_.store(true, std::memory_order_relaxed);
+  (void)helper_.join();  // only stop() rethrows a step's exception
+}
 
 void repair_daemon::start() {
   SW_EXPECTS(!running());
   quit_.store(false, std::memory_order_relaxed);
-  worker_ = std::thread([this] { loop(); });
+  helper_.publish(job_);
+  running_ = true;
 }
 
 void repair_daemon::stop() {
-  if (!running()) return;
   quit_.store(true, std::memory_order_relaxed);
-  worker_.join();
-  worker_ = std::thread{};
+  running_ = false;
+  if (auto error = helper_.join()) std::rethrow_exception(error);
 }
 
 void repair_daemon::loop() {

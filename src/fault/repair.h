@@ -5,10 +5,10 @@
 #include <cstddef>
 #include <functional>
 #include <shared_mutex>
-#include <thread>
 
 #include "api/op_stats.h"
 #include "net/types.h"
+#include "util/pool.h"
 
 namespace skipweb::api {
 class distributed_index;
@@ -36,7 +36,8 @@ repair_report repair_to_quiescence(api::spatial_index& ix, net::host_id origin,
                                    std::size_t max_rounds = 0);
 
 // Background self-repair under a live query plane — the deployment shape:
-// queries keep flowing while a maintenance thread heals the structure.
+// queries keep flowing while a maintenance thread, the daemon's one
+// util::pool helper, heals the structure.
 //
 // repair_step is structural-plane (single writer, no concurrent queries),
 // so the daemon exposes the coordination point explicitly: gate(). The
@@ -55,15 +56,17 @@ class repair_daemon {
   // `step` performs one repair step and returns how many records it fixed;
   // the daemon invokes it while holding gate() exclusively. `interval` is
   // the idle pause between steps (short in tests, so repair genuinely
-  // overlaps the query stream).
+  // overlaps the query stream). Starts the helper thread, idle until
+  // start(); throws std::system_error when it does not start.
   repair_daemon(std::function<std::size_t()> step, std::chrono::microseconds interval);
-  ~repair_daemon();  // stops if still running
-  repair_daemon(const repair_daemon&) = delete;
-  repair_daemon& operator=(const repair_daemon&) = delete;
+  ~repair_daemon();  // stops if still running, dropping a step's exception
 
+  // Runs steps on the helper until stop(), or until a step throws.
   void start();
+  // Ends the steps and waits for the helper, then rethrows the exception a
+  // step threw, if one did (the steps ended there). start() may follow.
   void stop();
-  [[nodiscard]] bool running() const { return worker_.joinable(); }
+  [[nodiscard]] bool running() const { return running_; }
 
   // The query-plane/repair coordination lock (see class comment).
   [[nodiscard]] std::shared_mutex& gate() { return gate_; }
@@ -78,10 +81,12 @@ class repair_daemon {
   std::function<std::size_t()> step_;
   std::chrono::microseconds interval_;
   std::shared_mutex gate_;
-  std::thread worker_;
   std::atomic<bool> quit_{false};
   std::atomic<std::size_t> rounds_{0};
   std::atomic<std::size_t> repaired_{0};
+  bool running_ = false;
+  const std::function<void(std::size_t)> job_ = [this](std::size_t) { loop(); };
+  util::pool helper_{1};  // last: start() publishes job_ on it
 };
 
 }  // namespace skipweb::fault

@@ -4,7 +4,7 @@
 #include <cstring>
 #include <new>
 
-#include "util/fan_out.h"
+#include "util/pool.h"
 
 #if defined(__linux__) || defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>

@@ -171,7 +171,6 @@ class quadtree {
   [[nodiscard]] std::size_t node_count() const { return live_nodes_; }
   [[nodiscard]] int root() const { return root_; }
   [[nodiscard]] const node_t& node(int i) const { return nodes_[static_cast<std::size_t>(i)]; }
-  [[nodiscard]] const point& point_at(int i) const { return points_[static_cast<std::size_t>(i)]; }
 
   // Deepest node whose cube contains q (always exists: the root is the whole
   // space). `steps` counts nodes visited, the quantity charged as messages

@@ -1,79 +1,28 @@
 #include "serve/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <queue>
 
 #include "util/sw_assert.h"
 
 namespace skipweb::serve {
 
-executor::executor(std::size_t threads) : thread_count_(std::max<std::size_t>(threads, 1)) {
-  helpers_.reserve(thread_count_);
-  try {
-    for (std::size_t w = 0; w < thread_count_; ++w) {
-      helpers_.emplace_back([this, w] { helper_loop(w); });
-    }
-  } catch (...) {
-    stop();
-    throw;
+executor::executor(std::size_t threads) : pool_(std::max<std::size_t>(threads, 1)) {
+  if (pool_.helpers() < std::max<std::size_t>(threads, 1)) {
+    throw std::system_error(std::make_error_code(std::errc::resource_unavailable_try_again),
+                            "serve::executor: a helper thread did not start");
   }
-}
-
-executor::~executor() { stop(); }
-
-void executor::stop() {
-  stopping_ = true;
-  epoch_.fetch_add(1, std::memory_order_release);
-  epoch_.notify_all();
-  for (auto& t : helpers_) t.join();
-}
-
-void executor::helper_loop(std::size_t worker) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    epoch_.wait(seen, std::memory_order_acquire);
-    // A run bumps the epoch once and waits for every helper before the next
-    // bump, so no helper misses a job.
-    seen = epoch_.load(std::memory_order_acquire);
-    if (stopping_) return;
-    try {
-      (*job_)(worker);
-    } catch (...) {
-      const std::lock_guard lock(error_mu_);
-      if (!error_) error_ = std::current_exception();
-      stop_claims();
-    }
-    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) outstanding_.notify_one();
-  }
-}
-
-void executor::publish(const std::function<void(std::size_t)>& job) {
-  SW_EXPECTS(job_ == nullptr);  // one job at a time
-  job_ = &job;
-  next_group_.store(0, std::memory_order_relaxed);
-  outstanding_.store(helpers_.size(), std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_release);
-  epoch_.notify_all();
-}
-
-std::exception_ptr executor::join() {
-  for (std::size_t left = outstanding_.load(std::memory_order_acquire); left != 0;
-       left = outstanding_.load(std::memory_order_acquire)) {
-    outstanding_.wait(left, std::memory_order_acquire);
-  }
-  job_ = nullptr;
-  const std::lock_guard lock(error_mu_);
-  return std::exchange(error_, nullptr);
 }
 
 void executor::for_slices(std::size_t n,
                           const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   const std::function<void(std::size_t)> job = [&](std::size_t worker) {
-    const auto [lo, hi] = slice(n, worker, thread_count_);
+    const auto [lo, hi] = slice(n, worker, threads());
     if (lo < hi) fn(worker, lo, hi);
   };
-  publish(job);
-  if (auto error = join()) std::rethrow_exception(error);
+  pool_.publish(job);
+  if (auto error = pool_.join()) std::rethrow_exception(error);
 }
 
 template <typename Outcome, typename Query, typename Serve>
@@ -83,7 +32,7 @@ Outcome executor::run_batches(const std::vector<Query>& qs, std::size_t batch,
   const std::size_t width = std::max<std::size_t>(batch, 1);
   const std::size_t groups = (qs.size() + width - 1) / width;
   Outcome out;
-  std::vector<api::op_stats> partial(thread_count_);
+  std::vector<api::op_stats> partial(threads());
   // Whether out.results may take answers yet: the caller sizes it after the
   // publish, beside the helpers.
   enum : std::uint8_t { pending, sized, abandoned };
@@ -97,7 +46,7 @@ Outcome executor::run_batches(const std::vector<Query>& qs, std::size_t batch,
     const auto store = [&](std::size_t base, answers& res) {
       for (std::size_t i = 0; i < res.size(); ++i) out.results[base + i] = std::move(res[i]);
     };
-    for (std::size_t g = claim(groups); g < groups; g = claim(groups)) {
+    for (std::size_t g = pool_.claim(groups); g < groups; g = pool_.claim(groups)) {
       const std::size_t base = g * width;
       const std::size_t count = std::min(width, qs.size() - base);
       group.assign(qs.begin() + static_cast<std::ptrdiff_t>(base),
@@ -124,19 +73,19 @@ Outcome executor::run_batches(const std::vector<Query>& qs, std::size_t batch,
     }
     partial[worker] = sum;
   };
-  publish(job);
+  pool_.publish(job);
   try {
     out.results.resize(qs.size());
   } catch (...) {
-    stop_claims();
+    pool_.stop_claims();
     sizing.store(abandoned, std::memory_order_release);
     sizing.notify_all();
-    (void)join();  // the sizing failure outranks a worker's
+    (void)pool_.join();  // the sizing failure outranks a worker's
     throw;
   }
   sizing.store(sized, std::memory_order_release);
   sizing.notify_all();
-  if (auto error = join()) std::rethrow_exception(error);
+  if (auto error = pool_.join()) std::rethrow_exception(error);
   // Which worker served a group varies from run to run, but the counters are
   // u64 sums, so the totals are the same for every thread count anyway.
   for (const auto& p : partial) out.total += p;
@@ -178,7 +127,7 @@ executor::open_loop_outcome executor::run_open_loop(const api::distributed_index
     api::op_stats total;
     std::uint64_t hedged = 0, hedge_wins = 0, timed_out = 0, failed = 0, makespan = 0;
   };
-  std::vector<worker_tally> partial(thread_count_);
+  std::vector<worker_tally> partial(threads());
   for_slices(qs.size(), [&](std::size_t worker, std::size_t lo, std::size_t hi) {
     worker_tally t;
     // In-flight simulated completion times, earliest on top: the event loop

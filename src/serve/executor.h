@@ -1,13 +1,7 @@
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <limits>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,6 +9,7 @@
 #include "api/op_stats.h"
 #include "api/spatial_index.h"
 #include "api/string_index.h"
+#include "util/pool.h"
 
 namespace skipweb::serve {
 
@@ -32,18 +27,17 @@ namespace skipweb::serve {
 /// T ∈ {1,2,3,4,8}).
 ///
 /// \par Dispatch
-/// A run publishes its job with one epoch bump and waits for the helpers'
-/// countdown; idle helpers wait on the epoch. Both waits are
-/// `std::atomic::wait`. The calling thread serves no queries (DESIGN.md §8
-/// says why). It sizes the answer vector after the publish, while the
-/// helpers serve, then releases a ready flag: a helper holds the answers of
-/// the groups it served before the flag, stores them once it sees it, and
-/// waits on the flag only if it runs out of groups while holding some. The
-/// first exception any worker throws stops the group claims; the run waits
-/// for every helper and rethrows it on the caller, and the pool serves the
-/// next run normally. If the sizing itself throws, the caller stops the
-/// claims, releases the flag as abandoned (the helpers drop what they
-/// hold), joins and rethrows.
+/// The helpers are a util::pool: a run publishes its job there and joins
+/// it. The calling thread serves no queries (DESIGN.md §8 says why). It
+/// sizes the answer vector after the publish, while the helpers serve, then
+/// releases a ready flag: a helper holds the answers of the groups it
+/// served before the flag, stores them once it sees it, and waits on the
+/// flag only if it runs out of groups while holding some. The first
+/// exception any worker throws stops the group claims; the run waits for
+/// every helper and rethrows it on the caller, and the pool serves the next
+/// run normally. If the sizing itself throws, the caller stops the claims,
+/// releases the flag as abandoned (the helpers drop what they hold), joins
+/// and rethrows.
 ///
 /// \par Thread-safety plane
 /// Serving is the *query* plane only: inserts/erases are structural and
@@ -71,14 +65,12 @@ class executor {
  public:
   /// \brief A pool of `threads` helper threads (clamped to >= 1), alive
   /// until destruction; a run's calling thread publishes it and waits.
+  /// Throws std::system_error when one of them does not start: the caller
+  /// serves nothing, so a missing helper's share would go unserved.
   explicit executor(std::size_t threads);
-  ~executor();
-
-  executor(const executor&) = delete;
-  executor& operator=(const executor&) = delete;
 
   /// \brief Worker count of the pool (>= 1). O(1).
-  [[nodiscard]] std::size_t threads() const { return thread_count_; }
+  [[nodiscard]] std::size_t threads() const { return pool_.helpers(); }
 
   /// \brief The contiguous slice of [0, n) worker `t` of `T` owns: sizes
   /// differ by at most one and the slices concatenate to [0, n) in order, so
@@ -193,48 +185,14 @@ class executor {
   void for_slices(std::size_t n, const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
  private:
-  // Helper `worker`'s loop: runs each published job once; an exception is
-  // kept (the first one only) and ends the job's group claims.
-  void helper_loop(std::size_t worker);
-  // Starts job(w) on helper w for every worker w and returns at once; the
-  // job must stay alive until join().
-  void publish(const std::function<void(std::size_t)>& job);
-  // Returns once every helper has finished the published job, with the
-  // first exception any of them threw (null if none did).
-  [[nodiscard]] std::exception_ptr join();
-  // The next group index of the running job, or `groups` once every group
-  // is claimed or the run is stopping.
-  [[nodiscard]] std::size_t claim(std::size_t groups) {
-    return std::min(next_group_.fetch_add(1, std::memory_order_relaxed), groups);
-  }
-  // Ends the running job's group claims: far past any group count, and far
-  // from wrapping.
-  void stop_claims() {
-    next_group_.store(std::numeric_limits<std::size_t>::max() / 2, std::memory_order_relaxed);
-  }
   // The group/merge loop of run_nearest / run_locate / run_contains: each
   // worker claims `batch`-wide groups of the stream, hands each to `serve`
   // (one *_batch call), stores the answers in input order and sums the
   // receipts. The caller sizes the answers meanwhile (see Dispatch).
   template <typename Outcome, typename Query, typename Serve>
   Outcome run_batches(const std::vector<Query>& qs, std::size_t batch, const Serve& serve);
-  // Ends the helpers: the last epoch bump, then the joins.
-  void stop();
 
-  std::size_t thread_count_;
-
-  // One job at a time. publish writes job_ (stop() writes stopping_) before
-  // the release bump of epoch_ that publishes it; a helper that acquires the
-  // new epoch runs the job once and counts `outstanding_` down, and join's
-  // acquire of zero orders every helper's work before its return.
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  bool stopping_ = false;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::size_t> outstanding_{0};
-  std::atomic<std::size_t> next_group_{0};
-  std::mutex error_mu_;
-  std::exception_ptr error_;  // the running job's first exception; guarded by error_mu_
-  std::vector<std::thread> helpers_;  // last: the helpers use every member above
+  util::pool pool_;  // helper w is worker w
 };
 
 }  // namespace skipweb::serve

@@ -12,7 +12,6 @@ route_cache::route_cache(const options& o) : opts_(o) {
   // an out-of-range capacity would index past the fixed slot array.
   opts_.capacity = std::clamp<std::size_t>(opts_.capacity, 1, max_capacity);
   opts_.promote_after = std::max<std::uint64_t>(opts_.promote_after, 1);
-  opts_.decay_every = std::max<std::uint64_t>(opts_.decay_every, 1);
   for (auto& s : slots_) s.store(empty_slot, std::memory_order_relaxed);
   for (auto& s : slot_hits_) s.store(0, std::memory_order_relaxed);
   free_slots_.reserve(opts_.capacity);
@@ -67,7 +66,7 @@ void route_cache::on_commit(const net::traffic_receipt& r) {
   }
   observed_.fetch_add(r.size(), std::memory_order_relaxed);
   hops_since_decay_ += r.size();
-  if (hops_since_decay_ >= opts_.decay_every) decay_locked();
+  if (hops_since_decay_ >= decay_every) decay_locked();
 }
 
 void route_cache::admit_locked(std::uint32_t host) {

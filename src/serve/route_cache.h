@@ -34,7 +34,7 @@ namespace skipweb::serve {
 ///    `on_commit()`; hosts whose observed visit count crosses
 ///    `options::promote_after` are admitted into a bounded LRU replica set
 ///    (capacity `options::capacity`, least-recently-confirmed entry
-///    evicted). Counts decay by halving every `options::decay_every`
+///    evicted). Counts decay by halving every `decay_every` (2^15)
 ///    observed hops so yesterday's hot spot can cool. When driven by
 ///    `serve::executor`, the receipts its workers commit are exactly the
 ///    training feed.
@@ -69,6 +69,8 @@ class route_cache final : public net::hop_cache {
  public:
   /// Hard ceiling on `options::capacity` (the atomic slot array is fixed).
   static constexpr std::size_t max_capacity = 64;
+  /// Observed hops between count halvings (popularity decay).
+  static constexpr std::uint64_t decay_every = std::uint64_t{1} << 15;
 
   /// Tuning knobs; the defaults suit the bench's "one serving frontend,
   /// thousands of queries" cells.
@@ -81,13 +83,11 @@ class route_cache final : public net::hop_cache {
     std::size_t depth = 8;
     /// Observed visits (since the last decay) before a host is admitted.
     std::uint64_t promote_after = 32;
-    /// Observed hops between count halvings (popularity decay).
-    std::uint64_t decay_every = std::uint64_t{1} << 15;
   };
 
   route_cache() : route_cache(options{}) {}
   /// Knobs are clamped to valid ranges (capacity into [1, max_capacity],
-  /// thresholds to >= 1) — they come from CLI flags, so this is not a
+  /// promote_after to >= 1) — they come from CLI flags, so this is not a
   /// contract check; opts() reports the clamped values.
   explicit route_cache(const options& o);
   ~route_cache() override = default;

@@ -7,7 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "util/fan_out.h"
+#include "util/pool.h"
 
 namespace skipweb::util {
 

@@ -15,8 +15,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.h"
@@ -160,7 +162,6 @@ TEST(BulkBuild, LevelListsMatchPartitionReference) {
   const core::level_lists lists(keys, rb, util::levels_for(keys.size()));
   expect_matches_partition_reference(lists, keys, drawn_bits(keys.size(), 77));
   EXPECT_TRUE(lists.check_invariants());
-  EXPECT_TRUE(lists.check_invariants_fast());
 }
 
 TEST(BulkBuild, ExplicitBitsMatchPartitionReference) {
@@ -195,7 +196,7 @@ TEST(BulkBuild, SplitLinksMatchPartitionReference) {
       expect_matches_partition_reference(drawn, keys, drawn_ref);
       const core::level_lists ranked(keys, ranks, levels);
       expect_matches_partition_reference(ranked, keys, ranks);
-      EXPECT_TRUE(drawn.check_invariants_fast());
+      EXPECT_TRUE(drawn.check_invariants());
     }
   }
 }
@@ -214,7 +215,7 @@ TEST(BulkBuild, LevelCountAboveBoundIsAContractError) {
     rng ra(12), rb(12);
     EXPECT_THROW((void)core::level_lists(keys, ra, util::levels_for(n) + 2), util::contract_error);
     const core::level_lists lists(keys, rb, util::levels_for(n) + 1);
-    EXPECT_TRUE(lists.check_invariants_fast());
+    EXPECT_TRUE(lists.check_invariants());
     expect_matches_partition_reference(lists, keys, drawn_bits(n, 12));
   }
 }
@@ -259,16 +260,61 @@ TEST(BulkBuild, SplitBuildSnapshotsByteIdentical) {
   }
 }
 
-// The fast-check used by the big-n smoke agrees with the quadratic reference
-// check — including on structures damaged after churn-free edits.
-TEST(BulkBuild, FastInvariantCheckAgreesWithReference) {
+// Two lists damaged in a snapshot file, each restored and checked: a level-1
+// list cut after its head (the head's next and its successor's prev both
+// unlinked), and the head given a back link to item 1. Every link the check
+// follows from a head still agrees with its reverse, so only the walk's
+// count of the alive items, or its one list per prefix, sees the damage.
+TEST(BulkBuild, InvariantCheckRejectsDamagedLists) {
   rng r(808);
   auto keys = wl::uniform_keys(300, r);
   std::sort(keys.begin(), keys.end());
   rng rb(9);
   const core::level_lists lists(keys, rb, util::levels_for(keys.size()));
-  EXPECT_EQ(lists.check_invariants(), lists.check_invariants_fast());
-  EXPECT_TRUE(lists.check_invariants_fast());
+  ASSERT_TRUE(lists.check_invariants());
+  constexpr int level = 1;
+  const int after = lists.next(0, level);  // item 0 holds the least key: a head
+  ASSERT_GE(after, 0);
+  ASSERT_EQ(lists.prev(0, level), core::level_lists::no_link);
+  const auto healthy = snap_path("healthy");
+  {
+    persist::writer w(healthy);
+    lists.save(w, "l");
+    w.finish();
+  }
+  const auto at = [&](int item) {
+    return static_cast<std::size_t>(item) * static_cast<std::size_t>(lists.levels() + 1) + level;
+  };
+  using links = std::vector<std::int32_t>;
+  const std::vector<std::pair<std::string, std::function<void(links&, links&)>>> damages = {
+      {"cut",
+       [&](links& next, links& prev) {
+         next[at(0)] = core::level_lists::no_link;
+         prev[at(after)] = core::level_lists::no_link;
+       }},
+      {"back_link", [&](links&, links& prev) { prev[at(0)] = 1; }},
+  };
+  for (const auto& [name, damage] : damages) {
+    SCOPED_TRACE(name);
+    const persist::reader rd(healthy, persist::restore_mode::load);
+    auto next = rd.vec<std::int32_t>("l.next");
+    auto prev = rd.vec<std::int32_t>("l.prev");
+    damage(next, prev);
+    const auto path = snap_path(name);
+    {
+      persist::writer w(path);
+      for (const char* section : {"l.meta", "l.keys", "l.bits", "l.uids", "l.redirect", "l.alive",
+                                  "l.next_rep", "l.prev_rep", "l.free"}) {
+        const auto v = rd.section(section);
+        w.add(section, v.data, v.bytes);
+      }
+      w.add_vector("l.next", next);
+      w.add_vector("l.prev", prev);
+      w.finish();
+    }
+    persist::reader damaged(path, persist::restore_mode::load);
+    EXPECT_FALSE(core::level_lists(damaged, "l").check_invariants());
+  }
 }
 
 // --- layer 2: the quadtree twins stay identical under later routed updates ---
@@ -562,10 +608,7 @@ TEST(BulkBuildBigN, UidStabilityAndInvariantsAcrossGrowth) {
     ASSERT_EQ(lists.key(s.slot), s.key);
     ASSERT_EQ(lists.uid(s.slot), s.uid);
   }
-  // The quadratic check_invariants() is covered at small n by
-  // FastInvariantCheckAgreesWithReference; here only the O(n·levels) check
-  // is affordable.
-  EXPECT_TRUE(lists.check_invariants_fast());
+  EXPECT_TRUE(lists.check_invariants());
   // The footprint surface stays coherent as the arena grows.
   const auto f = idx.footprint();
   EXPECT_GT(f.arena_bytes, 0u);
@@ -607,7 +650,7 @@ TEST(BulkBuildBigN, BatchMatchesSerialOverRecycledSlots) {
     idx.insert(pool[n + i], o);
   }
   ASSERT_EQ(idx.lists().arena_size(), n);  // every insert took a freed slot
-  EXPECT_TRUE(idx.lists().check_invariants_fast());
+  EXPECT_TRUE(idx.lists().check_invariants());
   std::vector<std::uint64_t> probes = wl::probe_keys(pool, 4096, r);
   for (std::size_t i = 0; i < 64; ++i) probes.push_back(pool[n + i]);
   testing_support::expect_nearest_batch_matches_serial(idx, probes, {24, 0}, 64);

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -256,6 +257,101 @@ TEST(Executor, WorkerExceptionReachesTheCaller) {
     differ += same_nn(out.results[i], idx->nearest(long_qs[i], h(0))) ? 0 : 1;
   }
   EXPECT_EQ(differ, 0u);
+}
+
+// Backends that answer from a real index and record the thread of every
+// batch call the executor makes.
+struct thread_log {
+  void note() const {
+    const std::lock_guard lock(mu);
+    ids.push_back(std::this_thread::get_id());
+  }
+  mutable std::mutex mu;
+  mutable std::vector<std::thread::id> ids;
+};
+
+class recording_index final : public api::distributed_index {
+ public:
+  explicit recording_index(const api::distributed_index& real) : real_(real) {}
+
+  [[nodiscard]] std::string_view backend() const override { return "recording"; }
+  [[nodiscard]] std::size_t size() const override { return real_.size(); }
+  [[nodiscard]] api::capability capabilities() const override { return real_.capabilities(); }
+  [[nodiscard]] api::nn_result nearest(std::uint64_t q, host_id origin) const override {
+    return real_.nearest(q, origin);
+  }
+  api::op_stats insert(std::uint64_t, host_id) override { return {}; }
+  api::op_stats erase(std::uint64_t, host_id) override { return {}; }
+  [[nodiscard]] std::vector<api::nn_result> nearest_batch(const std::vector<std::uint64_t>& qs,
+                                                          host_id origin) const override {
+    calls.note();
+    return real_.nearest_batch(qs, origin);
+  }
+
+  thread_log calls;
+
+ private:
+  const api::distributed_index& real_;
+};
+
+class recording_spatial_index final : public api::spatial_index {
+ public:
+  explicit recording_spatial_index(const api::spatial_index& real) : real_(real) {}
+
+  [[nodiscard]] std::string_view backend() const override { return "recording"; }
+  [[nodiscard]] int dims() const override { return real_.dims(); }
+  [[nodiscard]] std::size_t size() const override { return real_.size(); }
+  [[nodiscard]] api::spatial_capability capabilities() const override {
+    return real_.capabilities();
+  }
+  [[nodiscard]] api::spatial_locate_result locate(const api::spatial_point& q,
+                                                  host_id origin) const override {
+    return real_.locate(q, origin);
+  }
+  api::op_stats insert(const api::spatial_point&, host_id) override { return {}; }
+  api::op_stats erase(const api::spatial_point&, host_id) override { return {}; }
+  [[nodiscard]] api::op_result<std::vector<api::spatial_point>> orthogonal_range(
+      const api::spatial_box& b, host_id origin, std::size_t limit) const override {
+    return real_.orthogonal_range(b, origin, limit);
+  }
+  [[nodiscard]] std::vector<api::spatial_locate_result> locate_batch(
+      const std::vector<api::spatial_point>& qs, host_id origin) const override {
+    calls.note();
+    return real_.locate_batch(qs, origin);
+  }
+
+  thread_log calls;
+
+ private:
+  const api::spatial_index& real_;
+};
+
+TEST(Executor, CallerServesNoGroup) {
+  // The calling thread publishes a run and sizes its answers, and serves no
+  // group of it (DESIGN.md §8): every batch call runs on a helper, at every
+  // thread count.
+  util::rng r(46);
+  const auto keys = wl::uniform_keys(256, r);
+  const auto pts = wl::spatial_points(2, 256, false, r);
+  network net(1);
+  const auto idx = api::make_index("skipweb1d", keys, api::index_options{}.seed(3), net);
+  const auto sidx =
+      api::make_spatial_index("skip_quadtree2", pts, api::index_options{}.seed(3), net);
+  const auto qs = wl::query_stream(keys, 700, 12);
+  const auto sqs = wl::spatial_query_stream(2, 700, 13);
+  constexpr std::size_t batch = 7;
+  for (const std::size_t T : {1, 2, 4}) {
+    serve::executor ex(T);
+    const recording_index one_d(*idx);
+    const recording_spatial_index spatial(*sidx);
+    EXPECT_EQ(ex.run_nearest(one_d, qs, h(0), batch).results.size(), qs.size()) << T;
+    EXPECT_EQ(ex.run_locate(spatial, sqs, h(0), batch).results.size(), sqs.size()) << T;
+    for (const auto* log : {&one_d.calls, &spatial.calls}) {
+      EXPECT_EQ(log->ids.size(), qs.size() / batch) << "T=" << T;
+      EXPECT_EQ(std::count(log->ids.begin(), log->ids.end(), std::this_thread::get_id()), 0)
+          << "T=" << T;
+    }
+  }
 }
 
 // --- every 1-D backend: executor == serial loop, any thread count ------------

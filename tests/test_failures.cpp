@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -865,6 +867,49 @@ TEST(RepairDaemon, BackgroundRepairRacesQueriesCleanly) {
     EXPECT_FALSE(res.stats.failed);
     expect_matches_oracle(res, live, q);
   }
+}
+
+// A step that throws ends the daemon's steps, not the process: stop()
+// rethrows it with the gate released, and the daemon then starts again and
+// runs clean steps.
+TEST(RepairDaemon, ThrowingStepReachesStop) {
+  std::atomic<std::size_t> calls{0};
+  std::atomic<bool> failing{true};
+  fault::repair_daemon daemon(
+      [&]() -> std::size_t {
+        calls.fetch_add(1);
+        if (failing) throw std::runtime_error("step failed");
+        return 1;
+      },
+      std::chrono::microseconds(50));
+  const auto wait_for = [](const auto& done) {
+    const auto by = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < by) std::this_thread::yield();
+  };
+  daemon.start();
+  wait_for([&] { return calls.load() > 0; });
+  ASSERT_GT(calls.load(), 0u);
+  try {
+    daemon.stop();
+    ADD_FAILURE() << "stop() swallowed the step's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "step failed");
+  }
+  EXPECT_FALSE(daemon.running());
+  EXPECT_EQ(calls.load(), 1u);  // the steps ended at the throw
+  EXPECT_EQ(daemon.snapshot().rounds, 0u);
+  {
+    const std::unique_lock<std::shared_mutex> lk(daemon.gate(), std::try_to_lock);
+    EXPECT_TRUE(lk.owns_lock());
+  }
+
+  failing = false;
+  daemon.start();
+  wait_for([&] { return daemon.snapshot().rounds >= 3; });
+  EXPECT_NO_THROW(daemon.stop());
+  const auto after = daemon.snapshot();
+  EXPECT_GE(after.rounds, 3u);
+  EXPECT_EQ(after.repaired, after.rounds);
 }
 
 }  // namespace

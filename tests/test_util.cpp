@@ -8,8 +8,8 @@
 #include <thread>
 #include <vector>
 
-#include "util/fan_out.h"
 #include "util/membership.h"
+#include "util/pool.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/sw_assert.h"
@@ -223,6 +223,40 @@ TEST(FanOut, RethrowsOnlyAfterEveryWorkerJoined) {
     EXPECT_STREQ(e.what(), "task 0");
     EXPECT_EQ(started.load(), finished.load());
     EXPECT_LT(started.load(), 15);  // claiming stopped at the throw
+  }
+}
+
+// A throw from the caller's own share, worker 0, stops the claims too, and
+// reaches the caller only after every helper has finished its task. Each
+// helper holds one task until the throw, so every task that started, started
+// before it.
+TEST(FanOut, CallerShareThrowStopsHelpers) {
+  constexpr std::size_t workers = 4;
+  const std::size_t helpers = std::min(workers, fan_out_workers(64)) - 1;
+  const auto by = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<std::size_t> started{0}, finished{0};
+  std::atomic<bool> thrown{false}, started_after_throw{false};
+  try {
+    fan_out(64, workers, [&](std::size_t, std::size_t w) {
+      if (w == 0) {
+        while (started.load() < helpers && std::chrono::steady_clock::now() < by) {
+          std::this_thread::yield();
+        }
+        thrown = true;
+        throw std::runtime_error("worker 0");
+      }
+      if (thrown) started_after_throw = true;
+      started.fetch_add(1);
+      while (!thrown && std::chrono::steady_clock::now() < by) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    });
+    FAIL() << "fan_out swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "worker 0");
+    EXPECT_EQ(started.load(), helpers);
+    EXPECT_EQ(finished.load(), started.load());
+    EXPECT_FALSE(started_after_throw.load());
   }
 }
 
