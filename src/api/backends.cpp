@@ -60,7 +60,7 @@ class adapter final : public distributed_index {
     if constexpr (has_snapshot) {
       impl_.save_snapshot(w);
     } else {
-      distributed_index::save_snapshot(w);  // throws unsupported_operation
+      index_base::save_snapshot(w);  // throws unsupported_operation
     }
   }
 
@@ -72,7 +72,7 @@ class adapter final : public distributed_index {
     if constexpr (has_repair) {
       if (impl_.replication() > 0) return impl_.repair_step(origin);
     }
-    return distributed_index::repair_step(origin);  // throws unsupported_operation
+    return index_base::repair_step(origin);  // throws unsupported_operation
   }
 
   [[nodiscard]] std::size_t replication() const override {
@@ -93,9 +93,6 @@ class adapter final : public distributed_index {
     } else {
       return distributed_index::nearest_batch(qs, origin);
     }
-  }
-  [[nodiscard]] op_result<bool> contains(std::uint64_t q, net::host_id origin) const override {
-    return impl_.contains(q, origin);
   }
   op_stats insert(std::uint64_t key, net::host_id origin) override {
     return impl_.insert(key, origin);
@@ -138,10 +135,8 @@ class adapter final : public distributed_index {
   static constexpr bool has_compact = requires(S& s) { s.compact(); };
   // The interface promises thread-safe concurrent const queries; that only
   // holds if the wrapped structure's query surface is itself const.
-  static_assert(requires(const S& s) {
-    s.nearest(std::uint64_t{}, net::host_id{});
-    s.contains(std::uint64_t{}, net::host_id{});
-  }, "query methods must be const for the concurrent-read contract");
+  static_assert(requires(const S& s) { s.nearest(std::uint64_t{}, net::host_id{}); },
+                "query methods must be const for the concurrent-read contract");
 
   std::string name_;
   S impl_;

@@ -1,58 +1,14 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "api/memory_footprint.h"
+#include "api/index_base.h"
 #include "api/op_stats.h"
 #include "net/types.h"
 #include "util/sw_assert.h"
 
-namespace skipweb::persist {
-class writer;
-}
-
 namespace skipweb::api {
-
-// What a backend can do. `range` without `native_range` means the generic
-// successor-walk fallback (O(k log n) messages) answers range queries;
-// `native_range` marks a backend whose own layout walks the base list
-// directly (O(log n + k) or better).
-enum class capability : std::uint32_t {
-  nearest = 1u << 0,
-  contains = 1u << 1,
-  insert = 1u << 2,
-  erase = 1u << 3,
-  range = 1u << 4,
-  native_range = 1u << 5,
-  // Built with index_options::replication(k) > 0: queries route around up to
-  // k dead hosts, and repair_step() restores the structure after crashes.
-  fault_tolerant = 1u << 6,
-  // Arena-backed persistence (DESIGN.md §13): save_snapshot() serializes the
-  // whole structure to a single checksummed file, and api::restore_index
-  // rebuilds it — answers, uids and receipts byte-identical to the
-  // never-persisted twin, in milliseconds instead of a full build.
-  snapshot = 1u << 7,
-};
-
-[[nodiscard]] constexpr capability operator|(capability a, capability b) {
-  return static_cast<capability>(static_cast<std::uint32_t>(a) | static_cast<std::uint32_t>(b));
-}
-[[nodiscard]] constexpr bool has(capability set, capability c) {
-  return (static_cast<std::uint32_t>(set) & static_cast<std::uint32_t>(c)) ==
-         static_cast<std::uint32_t>(c);
-}
-
-// Thrown when an operation outside a backend's capability set is invoked
-// (e.g. ordered queries on chord, whose hashing destroys key locality).
-class unsupported_operation : public std::logic_error {
- public:
-  unsupported_operation(std::string_view backend, std::string_view op)
-      : std::logic_error(std::string(backend) + " does not support " + std::string(op)) {}
-};
 
 /// \brief The uniform public surface of every 1-D distributed dictionary in
 /// the library — the paper's framework promise (§2) made literal: benches,
@@ -72,24 +28,8 @@ class unsupported_operation : public std::logic_error {
 /// and the backends' read paths are audited data-race free. insert/erase
 /// are structural: single writer, never concurrent with queries.
 /// serve::executor is the canonical multi-threaded driver.
-class distributed_index {
+class distributed_index : public index_base {
  public:
-  virtual ~distributed_index() = default;
-  distributed_index(const distributed_index&) = delete;
-  distributed_index& operator=(const distributed_index&) = delete;
-
-  /// \brief Registry name of the backend ("skipweb1d", "chord", ...).
-  /// \note Query plane; O(1).
-  [[nodiscard]] virtual std::string_view backend() const = 0;
-  /// \brief Number of keys currently stored. Structural plane (read it
-  /// between query phases, not while updates run); O(1).
-  [[nodiscard]] virtual std::size_t size() const = 0;
-  /// \brief What this backend supports natively (see api::capability);
-  /// operations outside the set throw unsupported_operation. O(1).
-  [[nodiscard]] virtual capability capabilities() const = 0;
-  /// \brief Convenience: `has(capabilities(), c)`.
-  [[nodiscard]] bool supports(capability c) const { return has(capabilities(), c); }
-
   /// \brief Nearest-neighbour query: the level-0 predecessor (largest key
   /// <= q) and successor (smallest key > q) of `q`.
   /// \param q      probe value (any point of the key universe).
@@ -189,59 +129,11 @@ class distributed_index {
     return out;
   }
 
-  /// \brief One self-repair step (capability::fault_tolerant only): detect
-  /// one crash-damaged record — a stored item whose owner host is dead, or
-  /// an under-replicated record — and restore the structure's invariants
-  /// around it (unsplice + re-link, or re-home replicas), charging every
-  /// detection probe and relink hop to the returned receipt.
-  /// \return number of records repaired this step (0 = structure clean; the
-  ///         fault::repair_to_quiescence driver loops until then).
-  /// \note Structural plane: single writer, never concurrent with queries —
-  ///       fault::repair_daemon brokers that exclusion for background use.
-  virtual op_result<std::size_t> repair_step(net::host_id origin) {
-    (void)origin;
-    throw unsupported_operation(backend(), "repair_step");
-  }
-
-  /// \brief The replication factor the build actually honored — the
-  /// index_options::replication(k) request after make_index's clamp against
-  /// host and record counts (0 for backends without fault support).
-  /// \note Structural plane; O(1).
-  [[nodiscard]] virtual std::size_t replication() const { return 0; }
-
-  /// \brief Measured resident bytes of this instance, split arena / links /
-  /// directory (api::memory_footprint) — the real-byte complement of the
-  /// simulated net::network memory ledger, reported per backend by the
-  /// benches as bytes/key (DESIGN.md §12). All-zero when the backend does
-  /// not implement the surface (`memory_footprint::empty()`).
-  /// \note Structural plane (walks container capacities); O(#containers).
-  [[nodiscard]] virtual memory_footprint footprint() const { return {}; }
-
-  /// \brief Serialize the whole structure into the open snapshot `w`
-  /// (capability::snapshot only; DESIGN.md §13). Drive through
-  /// api::save_index_snapshot, which frames the file and writes the
-  /// backend-identification sections.
-  /// \note Structural plane: quiescent instance, never concurrent with
-  ///       queries or updates.
-  virtual void save_snapshot(persist::writer& w) const {
-    (void)w;
-    throw unsupported_operation(backend(), "save_snapshot");
-  }
-
-  /// \brief Release growth headroom: shrink every internal container to its
-  /// size, so footprint().slack_bytes drops to ~0 and resident bytes match
-  /// what save_snapshot writes. Safe no-op on backends without the surface.
-  /// \note Structural plane; the next insert re-grows normally.
-  virtual void compact() {}
-
   /// \brief Per-sweep deadline for the generic range() fallback, in
   /// simulated ns (0 = none). Set by make_index from
   /// index_options::deadline(); backends with a native range walk enforce
   /// the budget on their own cursor instead and ignore this.
   void set_range_deadline(std::uint64_t sim_ns) { range_deadline_ns_ = sim_ns; }
-
- protected:
-  distributed_index() = default;
 
  private:
   std::uint64_t range_deadline_ns_ = 0;

@@ -96,4 +96,21 @@ struct nn_result {
   op_stats stats;
 };
 
+// The nn_result of a route's two flank slots (-1: no flank on that side):
+// `key_of` reads a slot's key, and the receipt is the cursor's.
+template <typename KeyOf, typename Cursor>
+[[nodiscard]] nn_result nn_from_flanks(int pred, int succ, KeyOf&& key_of, const Cursor& cur) {
+  nn_result out;
+  if (pred >= 0) {
+    out.has_pred = true;
+    out.pred = key_of(pred);
+  }
+  if (succ >= 0) {
+    out.has_succ = true;
+    out.succ = key_of(succ);
+  }
+  out.stats = op_stats::of(cur);
+  return out;
+}
+
 }  // namespace skipweb::api

@@ -124,8 +124,7 @@ class lifecycle {
         idx->set_range_deadline(opts.deadline_ns());
       }
     }
-    using cap = decltype(idx->capabilities());
-    if (!restoring && !path.empty() && has(idx->capabilities(), cap::snapshot)) save(*idx, path);
+    if (!restoring && !path.empty() && idx->supports(capability::snapshot)) save(*idx, path);
     return idx;
   }
 

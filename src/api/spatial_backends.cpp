@@ -47,9 +47,9 @@ namespace skipweb::api {
 
 namespace {
 
-constexpr spatial_capability spatial_base_caps =
-    spatial_capability::locate | spatial_capability::insert | spatial_capability::erase |
-    spatial_capability::orthogonal_range | spatial_capability::approx_nn;
+constexpr capability spatial_base_caps = capability::locate | capability::insert |
+                                         capability::erase | capability::range |
+                                         capability::approx_nn;
 
 void expect_valid_box(const spatial_box& b, int dims) {
   for (int d = 0; d < dims; ++d) {
@@ -83,10 +83,10 @@ class quadtree_adapter final : public spatial_index {
   [[nodiscard]] std::string_view backend() const override { return name_; }
   [[nodiscard]] int dims() const override { return D; }
   [[nodiscard]] std::size_t size() const override { return impl_.size(); }
-  [[nodiscard]] spatial_capability capabilities() const override {
-    auto c = spatial_base_caps | spatial_capability::native_range | spatial_capability::native_nn |
-             spatial_capability::snapshot;
-    if (impl_.replication() > 0) c = c | spatial_capability::fault_tolerant;
+  [[nodiscard]] capability capabilities() const override {
+    auto c = spatial_base_caps | capability::native_range | capability::native_nn |
+             capability::snapshot;
+    if (impl_.replication() > 0) c = c | capability::fault_tolerant;
     return c;
   }
 
@@ -94,9 +94,10 @@ class quadtree_adapter final : public spatial_index {
   void compact() override { impl_.compact(); }
 
   op_result<std::size_t> repair_step(net::host_id origin) override {
-    if (impl_.replication() == 0) return spatial_index::repair_step(origin);  // throws
+    if (impl_.replication() == 0) return index_base::repair_step(origin);  // throws
     return impl_.repair_step(origin);
   }
+  [[nodiscard]] std::size_t replication() const override { return impl_.replication(); }
 
   [[nodiscard]] spatial_locate_result locate(const spatial_point& q,
                                              net::host_id origin) const override {
@@ -168,8 +169,8 @@ class trie_adapter final : public spatial_index {
   [[nodiscard]] std::string_view backend() const override { return "skip_trie"; }
   [[nodiscard]] int dims() const override { return D; }
   [[nodiscard]] std::size_t size() const override { return impl_.size(); }
-  [[nodiscard]] spatial_capability capabilities() const override {
-    return spatial_base_caps | spatial_capability::snapshot;
+  [[nodiscard]] capability capabilities() const override {
+    return spatial_base_caps | capability::snapshot;
   }
 
   // Replay snapshot (DESIGN.md §13): the trie's inner structure is not
@@ -324,8 +325,8 @@ class trapmap_adapter final : public spatial_index {
   [[nodiscard]] std::string_view backend() const override { return "skip_trapmap"; }
   [[nodiscard]] int dims() const override { return D; }
   [[nodiscard]] std::size_t size() const override { return impl_.size(); }
-  [[nodiscard]] spatial_capability capabilities() const override {
-    return spatial_base_caps | spatial_capability::snapshot;
+  [[nodiscard]] capability capabilities() const override {
+    return spatial_base_caps | capability::snapshot;
   }
 
   // Replay snapshot: the trapezoidal map's node/pointer web is not

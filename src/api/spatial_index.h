@@ -4,11 +4,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
-#include "api/distributed_index.h"  // api::unsupported_operation
-#include "api/memory_footprint.h"
+#include "api/index_base.h"
 #include "api/op_stats.h"
 #include "net/types.h"
 #include "seq/quadtree.h"
@@ -37,37 +35,6 @@ struct spatial_point {
 struct spatial_box {
   spatial_point lo, hi;
 };
-
-// What a spatial backend can do. `native_range` / `native_nn` mark backends
-// whose own layout answers the query (the skip quadtree walks its cubes);
-// without them the generic fallbacks run: approx_nn via expanding range
-// boxes, and orthogonal_range priced as whatever sweep the backend affords.
-enum class spatial_capability : std::uint32_t {
-  locate = 1u << 0,
-  insert = 1u << 1,
-  erase = 1u << 2,
-  orthogonal_range = 1u << 3,
-  approx_nn = 1u << 4,
-  native_range = 1u << 5,
-  native_nn = 1u << 6,
-  // Built with index_options::replication(k) > 0: locate routes around dead
-  // hosts via replica hosts, and repair_step() re-homes under-replicated
-  // node records after crashes (DESIGN.md §10).
-  fault_tolerant = 1u << 7,
-  // Persistence (DESIGN.md §13): save_snapshot() serializes the structure —
-  // natively (arena sections) or as a deterministic replay record — and
-  // api::restore_spatial_index rebuilds a byte-identical twin.
-  snapshot = 1u << 8,
-};
-
-[[nodiscard]] constexpr spatial_capability operator|(spatial_capability a, spatial_capability b) {
-  return static_cast<spatial_capability>(static_cast<std::uint32_t>(a) |
-                                         static_cast<std::uint32_t>(b));
-}
-[[nodiscard]] constexpr bool has(spatial_capability set, spatial_capability c) {
-  return (static_cast<std::uint32_t>(set) & static_cast<std::uint32_t>(c)) ==
-         static_cast<std::uint32_t>(c);
-}
 
 // THE point-location result. `cell` names the located cell in the backend's
 // own vocabulary (cube hash, trie path hash, trapezoid id) — stable across
@@ -148,27 +115,11 @@ __extension__ using spatial_dist2 = unsigned __int128;
 /// concurrently on one instance (cursor-local receipts, audited read paths);
 /// insert/erase are single-writer, never concurrent with queries.
 /// serve::executor::run_locate is the canonical multi-threaded driver.
-class spatial_index {
+class spatial_index : public index_base {
  public:
-  virtual ~spatial_index() = default;
-  spatial_index(const spatial_index&) = delete;
-  spatial_index& operator=(const spatial_index&) = delete;
-
-  /// \brief Registry name of the backend ("skip_quadtree2", "skip_trie",
-  /// ...). \note Query plane; O(1).
-  [[nodiscard]] virtual std::string_view backend() const = 0;
   /// \brief Coordinates a point carries here (2 or 3); higher spatial_point
   /// slots must be zero. O(1).
   [[nodiscard]] virtual int dims() const = 0;
-  /// \brief Stored point count. Structural plane (read between query
-  /// phases); O(1).
-  [[nodiscard]] virtual std::size_t size() const = 0;
-  /// \brief Native support bitmask (see api::spatial_capability);
-  /// native_range / native_nn distinguish a backend's own walk from the
-  /// generic reductions below. O(1).
-  [[nodiscard]] virtual spatial_capability capabilities() const = 0;
-  /// \brief Convenience: `has(capabilities(), c)`.
-  [[nodiscard]] bool supports(spatial_capability c) const { return has(capabilities(), c); }
 
   /// \brief Point location: the cell of the backend's own decomposition
   /// containing `q` (cube / trie path / trapezoid — see
@@ -191,9 +142,8 @@ class spatial_index {
   /// lexicographically; `limit` caps the output (0 = unlimited; which points
   /// survive the cap is backend-defined, since enumeration order is the
   /// backend's walk order).
-  /// \note Query plane. O(log n + k) messages with
-  ///       spatial_capability::native_range; the honest full-sweep price
-  ///       otherwise (see DESIGN.md §7).
+  /// \note Query plane. O(log n + k) messages with capability::native_range;
+  ///       the honest full-sweep price otherwise (see DESIGN.md §7).
   [[nodiscard]] virtual op_result<std::vector<spatial_point>> orthogonal_range(
       const spatial_box& b, net::host_id origin, std::size_t limit = 0) const = 0;
 
@@ -217,7 +167,7 @@ class spatial_index {
   /// final box of the best candidate's L2 radius makes the answer *exact*
   /// (the L-inf box contains the L2 ball), so current backends all deliver
   /// eps = 0. Backends with a native search (the quadtree's best-first cube
-  /// walk, spatial_capability::native_nn) override it.
+  /// walk, capability::native_nn) override it.
   /// \pre size() > 0. \note Query plane; costs whatever the range walks
   ///      cost, O(log n) expected for the native overrides.
   [[nodiscard]] virtual op_result<spatial_point> approx_nn(const spatial_point& q,
@@ -249,36 +199,7 @@ class spatial_index {
     return out;
   }
 
-  /// \brief One self-repair step (spatial_capability::fault_tolerant only):
-  /// find one node record with dead replica hosts and a live survivor, and
-  /// re-home the record onto fresh live hosts (copy + probe hops charged).
-  /// \return records re-homed this step (0 = fully replicated again; see
-  ///         fault::repair_to_quiescence). \note Structural plane.
-  virtual op_result<std::size_t> repair_step(net::host_id origin) {
-    (void)origin;
-    throw unsupported_operation(backend(), "repair_step");
-  }
-
-  /// \brief Measured resident bytes, split arena / links / directory — same
-  /// contract as distributed_index::footprint() (DESIGN.md §12); all-zero
-  /// when the backend does not implement the surface.
-  [[nodiscard]] virtual memory_footprint footprint() const { return {}; }
-
-  /// \brief Serialize into the open snapshot `w`
-  /// (spatial_capability::snapshot only; DESIGN.md §13). Drive through
-  /// api::save_spatial_snapshot. \note Structural plane: quiescent instance.
-  virtual void save_snapshot(persist::writer& w) const {
-    (void)w;
-    throw unsupported_operation(backend(), "save_snapshot");
-  }
-
-  /// \brief Shrink internal containers to size (footprint slack -> ~0), as
-  /// distributed_index::compact(). Safe no-op without the surface.
-  virtual void compact() {}
-
  protected:
-  spatial_index() = default;
-
   [[nodiscard]] spatial_point nearest_of(const std::vector<spatial_point>& pts,
                                          const spatial_point& q) const {
     SW_ASSERT(!pts.empty());

@@ -63,8 +63,8 @@ void register_spatial_backend(std::string name, int dims, spatial_factory make);
 
 // Compact `idx` and write a complete single-file snapshot (identification
 // sections "meta.backend" / "meta.n" / "meta.index_kind" = 1 plus the
-// backend's own). Throws unsupported_operation without
-// spatial_capability::snapshot; no partial file survives a throw.
+// backend's own). Throws unsupported_operation without capability::snapshot;
+// no partial file survives a throw.
 void save_spatial_snapshot(spatial_index& idx, const std::string& path);
 
 // Rebuild a spatial index from a snapshot onto `net` (a FRESH network).

@@ -27,10 +27,10 @@ namespace skipweb::api {
 
 namespace {
 
-constexpr string_capability string_base_caps =
-    string_capability::contains | string_capability::insert | string_capability::erase |
-    string_capability::prefix | string_capability::range | string_capability::top_k |
-    string_capability::intersect | string_capability::snapshot;
+constexpr capability string_base_caps = capability::contains | capability::insert |
+                                        capability::erase | capability::prefix |
+                                        capability::range | capability::top_k |
+                                        capability::intersect | capability::snapshot;
 
 // One adapter over both text cores — the promoted skip-trie and the sorted
 // baseline share the posting plane, the replay record and the whole update
@@ -56,8 +56,8 @@ class text_adapter final : public string_index {
     return trie ? "string_skiptrie" : "string_sorted";
   }
   [[nodiscard]] std::size_t size() const override { return impl_.size(); }
-  [[nodiscard]] string_capability capabilities() const override {
-    return trie ? string_base_caps | string_capability::native_prefix : string_base_caps;
+  [[nodiscard]] capability capabilities() const override {
+    return trie ? string_base_caps | capability::native_prefix : string_base_caps;
   }
 
   [[nodiscard]] op_result<bool> contains(const std::string& q,

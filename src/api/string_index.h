@@ -6,8 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "api/distributed_index.h"  // api::unsupported_operation
-#include "api/memory_footprint.h"
+#include "api/index_base.h"
 #include "api/op_stats.h"
 #include "net/types.h"
 #include "util/rng.h"
@@ -22,34 +21,6 @@ namespace skipweb::api {
 // exactly like the 1-D and spatial backends. Keys are arbitrary byte
 // strings; order everywhere is plain lexicographic byte order, which fixes
 // the output order of prefix and range queries across backends.
-
-// What a string backend can do. `native_prefix` marks backends whose own
-// layout answers prefix queries by structural descent (the trie walks its
-// subtree); without it the backend prices whatever sweep it affords (the
-// sorted array scans its contiguous window).
-enum class string_capability : std::uint32_t {
-  contains = 1u << 0,
-  insert = 1u << 1,
-  erase = 1u << 2,
-  prefix = 1u << 3,
-  range = 1u << 4,
-  top_k = 1u << 5,
-  intersect = 1u << 6,
-  native_prefix = 1u << 7,
-  // Persistence (DESIGN.md §13/§14): save_snapshot() serializes a
-  // deterministic replay record and api::restore_string_index rebuilds a
-  // byte-identical twin.
-  snapshot = 1u << 8,
-};
-
-[[nodiscard]] constexpr string_capability operator|(string_capability a, string_capability b) {
-  return static_cast<string_capability>(static_cast<std::uint32_t>(a) |
-                                        static_cast<std::uint32_t>(b));
-}
-[[nodiscard]] constexpr bool has(string_capability set, string_capability c) {
-  return (static_cast<std::uint32_t>(set) & static_cast<std::uint32_t>(c)) ==
-         static_cast<std::uint32_t>(c);
-}
 
 // Completion weight of a stored key: a pure function of the bytes (splitmix
 // finalizer over a running mix), shared by every backend AND the test
@@ -95,23 +66,8 @@ enum class string_capability : std::uint32_t {
 /// instance (cursor-local receipts, audited read paths); insert/erase are
 /// single-writer, never concurrent with queries. serve::executor::
 /// run_contains is the canonical multi-threaded driver.
-class string_index {
+class string_index : public index_base {
  public:
-  virtual ~string_index() = default;
-  string_index(const string_index&) = delete;
-  string_index& operator=(const string_index&) = delete;
-
-  /// \brief Registry name of the backend ("string_skiptrie",
-  /// "string_sorted", ...). \note Query plane; O(1).
-  [[nodiscard]] virtual std::string_view backend() const = 0;
-  /// \brief Stored key count. Structural plane (read between query phases);
-  /// O(1).
-  [[nodiscard]] virtual std::size_t size() const = 0;
-  /// \brief Native support bitmask (see api::string_capability). O(1).
-  [[nodiscard]] virtual string_capability capabilities() const = 0;
-  /// \brief Convenience: `has(capabilities(), c)`.
-  [[nodiscard]] bool supports(string_capability c) const { return has(capabilities(), c); }
-
   /// \brief Exact match: is `q` a stored key?
   /// \note Query plane (thread-safe const). Expected O(log n) messages.
   [[nodiscard]] virtual op_result<bool> contains(const std::string& q,
@@ -140,7 +96,7 @@ class string_index {
   /// `limit` caps the output (0 = unlimited; the cap keeps the smallest
   /// matches — the walk is in order). The empty prefix matches every key.
   /// \note Query plane. O(log n + k) messages with
-  ///       string_capability::native_prefix; the window-scan price otherwise.
+  ///       capability::native_prefix; the window-scan price otherwise.
   ///       Under a deadline the walk gives up mid-subtree and returns an
   ///       honest lexicographic prefix tagged op_stats::degraded.
   [[nodiscard]] virtual op_result<std::vector<std::string>> prefix_match(
@@ -188,26 +144,7 @@ class string_index {
   [[nodiscard]] virtual op_result<std::vector<std::string>> intersect(
       const std::vector<std::string>& terms, net::host_id origin, std::size_t limit = 0) const = 0;
 
-  /// \brief Measured resident bytes, split arena / links / directory — same
-  /// contract as distributed_index::footprint() (DESIGN.md §12); all-zero
-  /// when the backend does not implement the surface.
-  [[nodiscard]] virtual memory_footprint footprint() const { return {}; }
-
-  /// \brief Serialize into the open snapshot `w`
-  /// (string_capability::snapshot only; DESIGN.md §13). Drive through
-  /// api::save_string_snapshot. \note Structural plane: quiescent instance.
-  virtual void save_snapshot(persist::writer& w) const {
-    (void)w;
-    throw unsupported_operation(backend(), "save_snapshot");
-  }
-
-  /// \brief Shrink internal containers to size (footprint slack -> ~0), as
-  /// distributed_index::compact(). Safe no-op without the surface.
-  virtual void compact() {}
-
  protected:
-  string_index() = default;
-
   // The shared top-k ranking: weight desc, key asc, truncated at k.
   [[nodiscard]] static std::vector<std::string> rank_by_weight(std::vector<std::string> keys,
                                                                std::size_t k) {

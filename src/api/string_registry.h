@@ -60,8 +60,8 @@ void register_string_backend(std::string name, string_factory make);
 
 // Compact `idx` and write a complete single-file snapshot (identification
 // sections "meta.backend" / "meta.n" / "meta.index_kind" = 2 plus the
-// backend's own). Throws unsupported_operation without
-// string_capability::snapshot; no partial file survives a throw.
+// backend's own). Throws unsupported_operation without capability::snapshot;
+// no partial file survives a throw.
 void save_string_snapshot(string_index& idx, const std::string& path);
 
 // Rebuild a string index from a snapshot onto `net` (a FRESH network).

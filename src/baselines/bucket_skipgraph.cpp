@@ -85,11 +85,6 @@ api::nn_result bucket_skip_graph::nearest(std::uint64_t q, net::host_id origin) 
   return out;
 }
 
-api::op_result<bool> bucket_skip_graph::contains(std::uint64_t q, net::host_id origin) const {
-  const auto r = nearest(q, origin);
-  return {r.has_pred && r.pred == q, r.stats};
-}
-
 api::op_stats bucket_skip_graph::insert(std::uint64_t key, net::host_id origin) {
   const net::structural_section sw_structural_guard(*net_);
   net::cursor cur(*net_, origin);

@@ -70,22 +70,7 @@ api::nn_result det_skipnet::nearest(std::uint64_t q, net::host_id origin) const 
   const auto [pred, succ] = core::route_search(
       *lists_, q, root, lists_->levels(), cur, [this](int i, int l) { return host_of(i, l); },
       [this](int i) { util::prefetch(&owner_[static_cast<std::size_t>(i)]); });
-  api::nn_result out;
-  if (pred >= 0) {
-    out.has_pred = true;
-    out.pred = lists_->key(pred);
-  }
-  if (succ >= 0) {
-    out.has_succ = true;
-    out.succ = lists_->key(succ);
-  }
-  out.stats = api::op_stats::of(cur);
-  return out;
-}
-
-api::op_result<bool> det_skipnet::contains(std::uint64_t q, net::host_id origin) const {
-  const auto r = nearest(q, origin);
-  return {r.has_pred && r.pred == q, r.stats};
+  return api::nn_from_flanks(pred, succ, [this](int i) { return lists_->key(i); }, cur);
 }
 
 std::uint64_t det_skipnet::worst_case_search_messages() const {

@@ -102,22 +102,8 @@ api::nn_result family_tree::nearest(std::uint64_t q, net::host_id origin) const 
     }
     if (item >= 0) cur.move_to(nodes_[static_cast<std::size_t>(item)].host);
   }
-  api::nn_result out;
-  if (pred >= 0) {
-    out.has_pred = true;
-    out.pred = nodes_[static_cast<std::size_t>(pred)].key;
-  }
-  if (succ >= 0) {
-    out.has_succ = true;
-    out.succ = nodes_[static_cast<std::size_t>(succ)].key;
-  }
-  out.stats = api::op_stats::of(cur);
-  return out;
-}
-
-api::op_result<bool> family_tree::contains(std::uint64_t q, net::host_id origin) const {
-  const auto r = nearest(q, origin);
-  return {r.has_pred && r.pred == q, r.stats};
+  return api::nn_from_flanks(
+      pred, succ, [this](int i) { return nodes_[static_cast<std::size_t>(i)].key; }, cur);
 }
 
 void family_tree::set_child(int parent, int old_child, int new_child) {

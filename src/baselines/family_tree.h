@@ -32,7 +32,6 @@ class family_tree {
   [[nodiscard]] std::size_t size() const { return size_; }
 
   [[nodiscard]] api::nn_result nearest(std::uint64_t q, net::host_id origin) const;
-  [[nodiscard]] api::op_result<bool> contains(std::uint64_t q, net::host_id origin) const;
 
   api::op_stats insert(std::uint64_t key, net::host_id origin);
   api::op_stats erase(std::uint64_t key, net::host_id origin);

@@ -62,24 +62,9 @@ api::nn_result non_skip_graph::nearest(std::uint64_t q, net::host_id origin) con
     cur.move_to(elem(item).host);
   }
 
-  api::nn_result out;
   const int pred = elem(item).key <= q ? item : elem(item).prev[0];
   const int succ = elem(item).key <= q ? elem(item).next[0] : item;
-  if (pred >= 0) {
-    out.has_pred = true;
-    out.pred = elem(pred).key;
-  }
-  if (succ >= 0) {
-    out.has_succ = true;
-    out.succ = elem(succ).key;
-  }
-  out.stats = api::op_stats::of(cur);
-  return out;
-}
-
-api::op_result<bool> non_skip_graph::contains(std::uint64_t q, net::host_id origin) const {
-  const auto r = nearest(q, origin);
-  return {r.has_pred && r.pred == q, r.stats};
+  return api::nn_from_flanks(pred, succ, [this](int i) { return elem(i).key; }, cur);
 }
 
 void non_skip_graph::after_link_change(int item, net::cursor& cur) {

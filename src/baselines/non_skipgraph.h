@@ -21,7 +21,6 @@ class non_skip_graph : public skip_graph {
   // Lookahead search (hides the base single-hop routing on purpose: the two
   // classes share structure, not search).
   [[nodiscard]] api::nn_result nearest(std::uint64_t q, net::host_id origin) const;
-  [[nodiscard]] api::op_result<bool> contains(std::uint64_t q, net::host_id origin) const;
 
  protected:
   // Refresh traffic for the cached 2-hop tables after a link change at

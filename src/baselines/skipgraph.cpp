@@ -153,22 +153,7 @@ std::pair<int, int> skip_graph::route(std::uint64_t q, net::host_id origin,
 api::nn_result skip_graph::nearest(std::uint64_t q, net::host_id origin) const {
   net::cursor cur(*net_, origin);
   const auto [pred, succ] = route(q, origin, cur);
-  api::nn_result out;
-  if (pred >= 0) {
-    out.has_pred = true;
-    out.pred = elem(pred).key;
-  }
-  if (succ >= 0) {
-    out.has_succ = true;
-    out.succ = elem(succ).key;
-  }
-  out.stats = api::op_stats::of(cur);
-  return out;
-}
-
-api::op_result<bool> skip_graph::contains(std::uint64_t q, net::host_id origin) const {
-  const auto r = nearest(q, origin);
-  return {r.has_pred && r.pred == q, r.stats};
+  return api::nn_from_flanks(pred, succ, [this](int i) { return elem(i).key; }, cur);
 }
 
 api::op_stats skip_graph::insert(std::uint64_t key, net::host_id origin) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -147,13 +148,17 @@ std::pair<int, int> route_search(const level_lists& lists, std::uint64_t q, int 
   return route_walk<false>(lists, q, start_item, start_level, cur, host_of, host_prefetch);
 }
 
+// The widest batch route_search_batch interleaves, and the width of its
+// fixed lane arrays: each in-flight query holds about one outstanding miss,
+// and a couple dozen chains saturate the core's miss parallelism.
+inline constexpr std::size_t batch_lanes = 24;
+
 // Interleaved batch descent: `count` independent searches sharing one start
 // advance in lockstep, with the routes, results and cursor receipts
 // IDENTICAL to running route_search serially (tests assert this); what
 // changes is wall-clock — the searches' memory-latency chains resolve in
 // parallel instead of back to back, which is where the simulator's
-// single-thread throughput ceiling sits. Keep `count` modest (a few dozen):
-// each active query holds a few outstanding cache misses.
+// single-thread throughput ceiling sits. `count` is at most batch_lanes.
 //
 // Each advance-or-stop decision is split across two rounds, so every load
 // it needs is issued a full round before it is used. Round 1 reads the link
@@ -177,6 +182,7 @@ void route_search_batch(const level_lists& lists, const std::uint64_t* qs, std::
                         std::pair<int, int>* out, HostOf&& host_of,
                         HostPrefetch&& host_prefetch) {
   SW_EXPECTS(lists.alive(start_item));
+  SW_EXPECTS(count <= batch_lanes);
   struct qstate {
     std::uint64_t q = 0;
     std::int32_t item = -1;
@@ -190,7 +196,7 @@ void route_search_batch(const level_lists& lists, const std::uint64_t* qs, std::
     cur.move_to(host_of(s.item, s.level));
     cur.note_comparisons();
   };
-  std::vector<qstate> st(count);
+  std::array<qstate, batch_lanes> st;
   const std::uint64_t start_key = lists.key(start_item);
   for (std::size_t i = 0; i < count; ++i) {
     st[i] = {qs[i], start_item, -1, -1, start_level, start_key <= qs[i]};
@@ -199,11 +205,11 @@ void route_search_batch(const level_lists& lists, const std::uint64_t* qs, std::
   // Active-lane list: finished queries are compacted out (order-preserving),
   // so late rounds — when most of the batch has landed — touch only the
   // stragglers instead of sweeping `count` done-flags per round.
-  std::vector<std::uint32_t> active(count);
+  std::array<std::uint32_t, batch_lanes> active{};
   for (std::size_t i = 0; i < count; ++i) active[i] = static_cast<std::uint32_t>(i);
-  while (!active.empty()) {
+  for (std::size_t live = count; live > 0;) {
     std::size_t kept = 0;
-    for (std::size_t a = 0; a < active.size(); ++a) {
+    for (std::size_t a = 0; a < live; ++a) {
       const std::size_t i = active[a];
       qstate& s = st[i];
       net::cursor& cur = curs[i];
@@ -249,7 +255,7 @@ void route_search_batch(const level_lists& lists, const std::uint64_t* qs, std::
       active[kept] = static_cast<std::uint32_t>(i);
       kept += done ? 0 : 1;
     }
-    active.resize(kept);
+    live = kept;
   }
 }
 

@@ -435,10 +435,7 @@ class skip_quadtree {
   // with replication k lives on salts r*(k+1) .. r*(k+1)+k.
   [[nodiscard]] net::host_id replica_host(int level, std::uint64_t prefix, int node,
                                           std::uint32_t salt) const {
-    std::uint64_t z = static_cast<std::uint64_t>(level) * 0x9e3779b97f4a7c15ull + prefix +
-                      static_cast<std::uint64_t>(salt) * 0xd1342543de82ef95ull;
-    z ^= static_cast<std::uint64_t>(node) + 0x2545f4914f6cdd1dull + (z << 6) + (z >> 2);
-    return net::host_id{static_cast<std::uint32_t>(util::mix64(z) % net_->host_count())};
+    return net::host_id{util::placement_host(level, prefix, node, salt, net_->host_count())};
   }
 
   // --- self-repair (replication > 0 only; DESIGN.md §10) --------------------

@@ -324,9 +324,7 @@ class skip_trie {
   }
 
   [[nodiscard]] net::host_id host_of(int level, std::uint64_t prefix, int node) const {
-    std::uint64_t z = static_cast<std::uint64_t>(level) * 0x9e3779b97f4a7c15ull + prefix;
-    z ^= static_cast<std::uint64_t>(node) + 0x2545f4914f6cdd1dull + (z << 6) + (z >> 2);
-    return net::host_id{static_cast<std::uint32_t>(util::mix64(z) % net_->host_count())};
+    return net::host_id{util::placement_host(level, prefix, node, 0, net_->host_count())};
   }
 
   // Measured resident bytes (DESIGN.md §12): the trie node arenas (child

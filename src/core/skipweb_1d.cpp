@@ -232,18 +232,8 @@ std::pair<int, int> skipweb_1d::route(std::uint64_t q, net::cursor& cur,
 }
 
 api::nn_result skipweb_1d::answer(std::pair<int, int> flanks, const net::cursor& cur) const {
-  api::nn_result out;
-  const auto [pred, succ] = flanks;
-  if (pred >= 0) {
-    out.has_pred = true;
-    out.pred = lists_.key(pred);
-  }
-  if (succ >= 0) {
-    out.has_succ = true;
-    out.succ = lists_.key(succ);
-  }
-  out.stats = api::op_stats::of(cur);
-  return out;
+  return api::nn_from_flanks(flanks.first, flanks.second, [this](int i) { return lists_.key(i); },
+                             cur);
 }
 
 api::nn_result skipweb_1d::nearest(std::uint64_t q, net::host_id origin) const {
@@ -266,16 +256,13 @@ std::vector<api::nn_result> skipweb_1d::nearest_batch(const std::vector<std::uin
     return out;
   }
   const int root = root_for(origin);
-  // Interleave in chunks: each in-flight query holds about one outstanding
-  // miss, and a couple dozen chains saturate the core's miss parallelism.
-  constexpr std::size_t kChunk = 24;
-  const std::size_t lanes = std::min(kChunk, qs.size());
+  const std::size_t lanes = std::min(batch_lanes, qs.size());
   std::vector<net::cursor> curs;
   curs.reserve(lanes);
   std::vector<std::pair<int, int>> flanks(lanes);
   const auto serve = [&](const auto& host, const auto& prefetch_owner) {
-    for (std::size_t base = 0; base < qs.size(); base += kChunk) {
-      const std::size_t count = std::min(kChunk, qs.size() - base);
+    for (std::size_t base = 0; base < qs.size(); base += batch_lanes) {
+      const std::size_t count = std::min(batch_lanes, qs.size() - base);
       curs.clear();
       for (std::size_t i = 0; i < count; ++i) {
         curs.emplace_back(*net_, origin);

@@ -4,17 +4,14 @@
 #include <thread>
 #include <utility>
 
-#include "api/distributed_index.h"
-#include "api/spatial_index.h"
+#include "api/index_base.h"
 #include "util/sw_assert.h"
 
 namespace skipweb::fault {
 
-namespace {
-
-// Shared driver: both interfaces expose the same repair_step shape.
-template <typename Index>
-repair_report drive(Index& ix, net::host_id origin, std::size_t max_rounds) {
+repair_report repair_to_quiescence(api::index_base& ix, net::host_id origin,
+                                   std::size_t max_rounds) {
+  SW_EXPECTS(ix.supports(api::capability::fault_tolerant));
   repair_report rep;
   for (;;) {
     const auto r = ix.repair_step(origin);
@@ -25,20 +22,6 @@ repair_report drive(Index& ix, net::host_id origin, std::size_t max_rounds) {
     if (max_rounds != 0 && rep.rounds >= max_rounds) break;
   }
   return rep;
-}
-
-}  // namespace
-
-repair_report repair_to_quiescence(api::distributed_index& ix, net::host_id origin,
-                                   std::size_t max_rounds) {
-  SW_EXPECTS(ix.supports(api::capability::fault_tolerant));
-  return drive(ix, origin, max_rounds);
-}
-
-repair_report repair_to_quiescence(api::spatial_index& ix, net::host_id origin,
-                                   std::size_t max_rounds) {
-  SW_EXPECTS(ix.supports(api::spatial_capability::fault_tolerant));
-  return drive(ix, origin, max_rounds);
 }
 
 repair_daemon::repair_daemon(std::function<std::size_t()> step, std::chrono::microseconds interval)

@@ -11,8 +11,7 @@
 #include "util/pool.h"
 
 namespace skipweb::api {
-class distributed_index;
-class spatial_index;
+class index_base;
 }  // namespace skipweb::api
 
 namespace skipweb::fault {
@@ -26,13 +25,11 @@ struct repair_report {
   api::op_stats cost;        // every step's receipts, merged
 };
 
-// Call ix.repair_step(origin) until it reports nothing left to repair.
-// `max_rounds` bounds the loop (0 = until quiescent); the backend must
-// advertise the fault_tolerant capability. Structural plane, like the
-// repair steps themselves.
-repair_report repair_to_quiescence(api::distributed_index& ix, net::host_id origin,
-                                   std::size_t max_rounds = 0);
-repair_report repair_to_quiescence(api::spatial_index& ix, net::host_id origin,
+// Call ix.repair_step(origin) until it reports nothing left to repair, for
+// an index of any kind. `max_rounds` bounds the loop (0 = until quiescent);
+// the backend must advertise capability::fault_tolerant. Structural plane,
+// like the repair steps themselves.
+repair_report repair_to_quiescence(api::index_base& ix, net::host_id origin,
                                    std::size_t max_rounds = 0);
 
 // Background self-repair under a live query plane — the deployment shape:

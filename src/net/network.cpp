@@ -137,12 +137,6 @@ void network::set_host_slowdown(host_id h, double factor) {
   if (!now && was) --slowed_count_;
 }
 
-void network::clear_host_slowdowns() {
-  SW_EXPECTS(traffic_quiescent());
-  slowdown_.clear();
-  slowed_count_ = 0;
-}
-
 void network::kill_host(host_id h) {
   SW_EXPECTS(traffic_quiescent());  // structural plane, like add_host
   SW_EXPECTS(h.valid() && h.value < hosts_);

@@ -329,10 +329,9 @@ class network {
   [[nodiscard]] const latency_model& hop_latency() const { return latency_; }
   [[nodiscard]] bool latency_active() const { return latency_.active(); }
 
-  // Install/clear a per-host latency multiplier (1.0 = nominal; >= applied
-  // on top of every hop draw TOWARD h). Lazily sized like dead_.
+  // Install or reset (factor 1.0) a per-host latency multiplier, applied on
+  // top of every hop draw TOWARD h. Lazily sized like dead_.
   void set_host_slowdown(host_id h, double factor);
-  void clear_host_slowdowns();
   [[nodiscard]] double host_slowdown(host_id h) const {
     return slowdown_.empty() ? 1.0 : slowdown_[h.value];
   }

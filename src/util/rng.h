@@ -16,6 +16,19 @@ namespace skipweb::util {
   return z ^ (z >> 31);
 }
 
+// The §2.4 balanced placement of a node record of a multi-level structure
+// (skip trie, trapezoidal-map skip-web, skip quadtree): the index of the
+// host, of `hosts`, that holds node `node` of the level-`level` structure of
+// membership class `prefix`. Salt 0 is the primary copy; the quadtree puts
+// its replicas and re-homed records on further salts.
+[[nodiscard]] constexpr std::uint32_t placement_host(int level, std::uint64_t prefix, int node,
+                                                     std::uint32_t salt, std::size_t hosts) {
+  std::uint64_t z = static_cast<std::uint64_t>(level) * 0x9e3779b97f4a7c15ull + prefix +
+                    static_cast<std::uint64_t>(salt) * 0xd1342543de82ef95ull;
+  z ^= static_cast<std::uint64_t>(node) + 0x2545f4914f6cdd1dull + (z << 6) + (z >> 2);
+  return static_cast<std::uint32_t>(mix64(z) % hosts);
+}
+
 // Deterministic, explicitly seeded random source. Every randomized structure
 // in the library takes an rng (or a seed) as an argument, so that every test,
 // bench and example reproduces bit-for-bit.

@@ -43,24 +43,6 @@ class accumulator {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Least-squares slope of y against x; benches fit measured costs against
-// log n (or log n / log log n) to check the growth *shape*, since constants
-// are implementation-specific.
-inline double fit_slope(const std::vector<double>& xs, const std::vector<double>& ys) {
-  SW_EXPECTS(xs.size() == ys.size() && xs.size() >= 2);
-  const auto n = static_cast<double>(xs.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  SW_EXPECTS(std::abs(denom) > 1e-12);
-  return (n * sxy - sx * sy) / denom;
-}
-
 // Pearson correlation; ~1.0 indicates the cost curve matches the model curve.
 inline double correlation(const std::vector<double>& xs, const std::vector<double>& ys) {
   SW_EXPECTS(xs.size() == ys.size() && xs.size() >= 2);

@@ -29,6 +29,14 @@ namespace wl = skipweb::workloads;
 
 host_id h(std::uint32_t v) { return host_id{v}; }
 
+// Membership as the distributed index answers it for every backend but
+// chord: nearest's predecessor test.
+template <typename S>
+bool member(const S& s, std::uint64_t k, host_id origin) {
+  const auto r = s.nearest(k, origin);
+  return r.has_pred && r.pred == k;
+}
+
 // ---------------------------------------------------------------------------
 // skip graph
 // ---------------------------------------------------------------------------
@@ -76,7 +84,7 @@ TEST(SkipGraph, MixedWorkloadMatchesOracle) {
         }
         break;
       default:
-        EXPECT_EQ(g.contains(k, origin).value, oracle.count(k) > 0);
+        EXPECT_EQ(member(g, k, origin), oracle.count(k) > 0);
     }
   }
   EXPECT_EQ(g.size(), oracle.size());
@@ -203,7 +211,7 @@ TEST_P(BucketSkipGraphH, MixedWorkload) {
         }
         break;
       default:
-        EXPECT_EQ(g.contains(k, origin).value, oracle.count(k) > 0);
+        EXPECT_EQ(member(g, k, origin), oracle.count(k) > 0);
     }
   }
   EXPECT_TRUE(g.check_invariants());
@@ -275,7 +283,7 @@ TEST(FamilyTree, MixedWorkloadMatchesOracle) {
         }
         break;
       default:
-        EXPECT_EQ(t.contains(k, origin).value, oracle.count(k) > 0);
+        EXPECT_EQ(member(t, k, origin), oracle.count(k) > 0);
     }
     if (op % 100 == 0) {
       EXPECT_TRUE(t.check_invariants());

@@ -301,9 +301,7 @@ class recording_spatial_index final : public api::spatial_index {
   [[nodiscard]] std::string_view backend() const override { return "recording"; }
   [[nodiscard]] int dims() const override { return real_.dims(); }
   [[nodiscard]] std::size_t size() const override { return real_.size(); }
-  [[nodiscard]] api::spatial_capability capabilities() const override {
-    return real_.capabilities();
-  }
+  [[nodiscard]] api::capability capabilities() const override { return real_.capabilities(); }
   [[nodiscard]] api::spatial_locate_result locate(const api::spatial_point& q,
                                                   host_id origin) const override {
     return real_.locate(q, origin);

@@ -210,25 +210,54 @@ TEST(FailureFreeIdentity, StringReplicationIsReceiptNeutralForEveryBackend) {
   }
 }
 
+// Through the base every kind shares, three facts about fault tolerance hold
+// together or not at all: the fault_tolerant capability, a repair_step that
+// runs instead of throwing unsupported_operation, and replication() > 0.
+// Returns whether they hold.
+bool fault_surface_agrees(api::index_base& idx) {
+  const bool advertised = idx.supports(api::capability::fault_tolerant);
+  bool repairs = true;
+  try {
+    (void)idx.repair_step(h(0));
+  } catch (const api::unsupported_operation&) {
+    repairs = false;
+  }
+  EXPECT_EQ(repairs, advertised) << idx.backend();
+  EXPECT_EQ(idx.replication() > 0, advertised) << idx.backend();
+  return advertised;
+}
+
 TEST(FailureFreeIdentity, CapabilityAdvertisedOnlyWhenReplicated) {
+  // Every registered backend of every kind, built with replication 0 and 2:
+  // only the backends that install replicas advertise fault tolerance, and
+  // only when asked to.
   rng r(4805);
   const auto keys = wl::uniform_keys(64, r);
-  network n1(1), n2(1);
-  const auto plain = api::make_index("skipweb1d", keys, api::index_options{}.seed(5), n1);
-  const auto repl =
-      api::make_index("skipweb1d", keys, api::index_options{}.seed(5).replication(2), n2);
-  EXPECT_FALSE(plain->supports(api::capability::fault_tolerant));
-  EXPECT_TRUE(repl->supports(api::capability::fault_tolerant));
-  EXPECT_THROW((void)plain->repair_step(h(0)), api::unsupported_operation);
-
-  const auto pts = wl::spatial_points(2, 64, false, r);
-  network n3(1), n4(1);
-  const auto splain = api::make_spatial_index("skip_quadtree2", pts, api::index_options{}.seed(6), n3);
-  const auto srepl = api::make_spatial_index("skip_quadtree2", pts,
-                                             api::index_options{}.seed(6).replication(2), n4);
-  EXPECT_FALSE(splain->supports(api::spatial_capability::fault_tolerant));
-  EXPECT_TRUE(srepl->supports(api::spatial_capability::fault_tolerant));
-  EXPECT_THROW((void)splain->repair_step(h(0)), api::unsupported_operation);
+  const auto pts2 = wl::spatial_points(2, 64, false, r);
+  const auto pts3 = wl::spatial_points(3, 64, false, r);
+  const auto strs = wl::url_paths(64, r);
+  for (const std::size_t k : {0, 2}) {
+    const auto opts = api::index_options{}.seed(5).replication(k);
+    std::set<std::string> tolerant;
+    const auto note = [&](api::index_base& idx) {
+      if (fault_surface_agrees(idx)) tolerant.insert(std::string(idx.backend()));
+    };
+    for (const auto& name : api::registered_backends()) {
+      network net(1);
+      note(*api::make_index(name, keys, opts, net));
+    }
+    for (const auto& name : api::registered_spatial_backends()) {
+      network net(1);
+      note(*api::make_spatial_index(name, api::spatial_backend_dims(name) == 3 ? pts3 : pts2,
+                                    opts, net));
+    }
+    for (const auto& name : api::registered_string_backends()) {
+      network net(1);
+      note(*api::make_string_index(name, strs, opts, net));
+    }
+    const std::set<std::string> replicated{"skipweb1d", "skip_quadtree2", "skip_quadtree3"};
+    EXPECT_EQ(tolerant, k == 0 ? std::set<std::string>{} : replicated) << "replication " << k;
+  }
 }
 
 // --- fault injection on the network itself ----------------------------------

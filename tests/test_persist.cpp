@@ -432,7 +432,7 @@ TEST_P(SpatialPersistConformance, RestoredTwinIndistinguishable) {
   network net_o(1);
   const auto orig = api::make_spatial_index(GetParam(), build, opts, net_o);
   const auto path = snap_path("sconf_" + GetParam());
-  if (!has(orig->capabilities(), api::spatial_capability::snapshot)) {
+  if (!has(orig->capabilities(), api::capability::snapshot)) {
     EXPECT_THROW(api::save_spatial_snapshot(*orig, path), api::unsupported_operation);
     return;
   }
@@ -527,7 +527,7 @@ TEST_P(StringPersistConformance, RestoredTwinIndistinguishable) {
   const auto opts = api::index_options{}.seed(42).initial_hosts(8);
   network net_o(1);
   const auto orig = api::make_string_index(GetParam(), build, opts, net_o);
-  ASSERT_TRUE(orig->supports(api::string_capability::snapshot));
+  ASSERT_TRUE(orig->supports(api::capability::snapshot));
 
   // Mutate before saving so the replay log is non-trivial: the snapshot must
   // carry history, not just the build set.

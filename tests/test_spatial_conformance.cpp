@@ -57,11 +57,11 @@ TEST_P(SpatialConformance, RegistryBuildsTheNamedBackend) {
   EXPECT_EQ(idx->dims(), dims());
   EXPECT_EQ(idx->size(), pts.size());
   EXPECT_GE(net.host_count(), 8u);  // initial_hosts honoured
-  EXPECT_TRUE(idx->supports(api::spatial_capability::locate));
-  EXPECT_TRUE(idx->supports(api::spatial_capability::insert));
-  EXPECT_TRUE(idx->supports(api::spatial_capability::erase));
-  EXPECT_TRUE(idx->supports(api::spatial_capability::orthogonal_range));
-  EXPECT_TRUE(idx->supports(api::spatial_capability::approx_nn));
+  EXPECT_TRUE(idx->supports(api::capability::locate));
+  EXPECT_TRUE(idx->supports(api::capability::insert));
+  EXPECT_TRUE(idx->supports(api::capability::erase));
+  EXPECT_TRUE(idx->supports(api::capability::range));  // orthogonal_range
+  EXPECT_TRUE(idx->supports(api::capability::approx_nn));
 }
 
 TEST_P(SpatialConformance, LocateFindsStoredAndRejectsMissing) {

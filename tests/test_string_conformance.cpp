@@ -98,10 +98,9 @@ TEST_P(StringConformance, RegistryBuildsTheNamedBackend) {
   EXPECT_EQ(idx->backend(), GetParam());
   EXPECT_EQ(idx->size(), keys.size());
   EXPECT_GE(net.host_count(), 8u);  // initial_hosts honoured
-  for (const auto c : {api::string_capability::contains, api::string_capability::insert,
-                       api::string_capability::erase, api::string_capability::prefix,
-                       api::string_capability::range, api::string_capability::top_k,
-                       api::string_capability::intersect}) {
+  for (const auto c : {api::capability::contains, api::capability::insert, api::capability::erase,
+                       api::capability::prefix, api::capability::range, api::capability::top_k,
+                       api::capability::intersect}) {
     EXPECT_TRUE(idx->supports(c));
   }
 }

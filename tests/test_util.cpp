@@ -159,15 +159,6 @@ TEST(Stats, EmptyAccumulatorIsZero) {
   EXPECT_EQ(a.variance(), 0.0);
 }
 
-TEST(Stats, FitSlopeRecoversLine) {
-  std::vector<double> xs, ys;
-  for (int i = 1; i <= 20; ++i) {
-    xs.push_back(i);
-    ys.push_back(3.0 * i + 7.0);
-  }
-  EXPECT_NEAR(fit_slope(xs, ys), 3.0, 1e-9);
-}
-
 TEST(Stats, CorrelationDetectsLinearMatch) {
   std::vector<double> xs, ys, flat;
   for (int i = 1; i <= 16; ++i) {
