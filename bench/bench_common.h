@@ -18,7 +18,7 @@
 namespace skipweb::bench {
 
 // Plain fixed-width table printing: every bench regenerates its table or
-// figure as rows on stdout so EXPERIMENTS.md can quote them directly.
+// figure as rows on stdout.
 
 inline void print_rule(std::size_t width = 100) {
   for (std::size_t i = 0; i < width; ++i) std::fputc('-', stdout);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail if DESIGN.md / README.md reference repo paths, tests or code names that no longer exist.
+"""Fail if DESIGN.md / README.md or the code reference repo paths, tests or code names that no longer exist.
 
 The docs name concrete files constantly (src/net/cursor.h, tests/...,
 BENCH_*.json); refactors move files and leave the prose behind. This checker
@@ -21,7 +21,14 @@ deleted function fails. Comments are stripped first: a name that survives
 only in a comment is as dead as the code it named. `std::` names belong to
 the standard library and are skipped.
 
-Usage: scripts/check_doc_refs.py [FILE...]   (defaults to DESIGN.md README.md)
+Code comments name files too ("see EXPERIMENTS.md", "bench/bench_common.h"),
+so without FILE arguments every file under src/, bench/, tests/ and
+examples/ gets the path and artifact check as well (not the test and code
+name checks, which are about prose). scripts/ is not scanned: its docstrings
+hold example paths.
+
+Usage: scripts/check_doc_refs.py [FILE...]
+       (defaults to DESIGN.md README.md, plus the code directories above)
 """
 
 import glob
@@ -150,6 +157,15 @@ def check_code_names(md_path: str, words):
     return sorted(bad)
 
 
+def code_files(repo_root: str):
+    """Every file under the code directories whose paths the checker reads."""
+    files = []
+    for top in ("src", "bench", "tests", "examples"):
+        pattern = os.path.join(repo_root, top, "**", "*")
+        files.extend(p for p in sorted(glob.glob(pattern, recursive=True)) if os.path.isfile(p))
+    return files
+
+
 def main(argv):
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     files = argv[1:] or [
@@ -163,11 +179,14 @@ def main(argv):
         bad.extend(check(md, repo_root))
         bad.extend(check_tests(md, suites))
         bad.extend(check_code_names(md, words))
+    code = [] if argv[1:] else code_files(repo_root)
+    for path in code:
+        bad.extend(check(path, repo_root))
     if bad:
         for md, ref in bad:
             print(f"{md}: dead reference: {ref}", file=sys.stderr)
         return 1
-    print(f"doc refs ok ({len(files)} files checked)")
+    print(f"doc refs ok ({len(files)} docs and {len(code)} code files checked)")
     return 0
 
 

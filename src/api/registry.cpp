@@ -133,7 +133,6 @@ class lifecycle {
     persist::writer w(path);
     w.add_string("meta.backend", idx.backend());
     w.add_u64("meta.index_kind", kind_traits<Index>::tag);
-    w.add_u64("meta.n", idx.size());
     idx.save_snapshot(w);
     w.finish();
   }

@@ -57,7 +57,7 @@ void register_backend(std::string name, backend_factory make);
 [[nodiscard]] bool backend_restorable(std::string_view name);
 
 // Compact `idx` (so resident bytes match the payload) and write a complete
-// single-file snapshot: identification sections ("meta.backend", "meta.n",
+// single-file snapshot: identification sections ("meta.backend",
 // "meta.index_kind" = 0) plus everything the backend's save_snapshot emits.
 // Throws unsupported_operation for backends without capability::snapshot and
 // persist::error on I/O failure; no partial file survives a throw.

@@ -62,7 +62,7 @@ void register_spatial_backend(std::string name, int dims, spatial_factory make);
 // re-issued through the ordinary factory on restore.
 
 // Compact `idx` and write a complete single-file snapshot (identification
-// sections "meta.backend" / "meta.n" / "meta.index_kind" = 1 plus the
+// sections "meta.backend" / "meta.index_kind" = 1 plus the
 // backend's own). Throws unsupported_operation without capability::snapshot;
 // no partial file survives a throw.
 void save_spatial_snapshot(spatial_index& idx, const std::string& path);

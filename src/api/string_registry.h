@@ -59,7 +59,7 @@ void register_string_backend(std::string name, string_factory make);
 // receipts AND the deployment ledger exactly.
 
 // Compact `idx` and write a complete single-file snapshot (identification
-// sections "meta.backend" / "meta.n" / "meta.index_kind" = 2 plus the
+// sections "meta.backend" / "meta.index_kind" = 2 plus the
 // backend's own). Throws unsupported_operation without capability::snapshot;
 // no partial file survives a throw.
 void save_string_snapshot(string_index& idx, const std::string& path);

@@ -25,8 +25,9 @@ namespace skipweb::baselines {
 // predecessor's vector, which keeps lists sorted but lets balance drift;
 // after n/2 updates the structure re-derives all vectors from the current
 // ranks. The rebuild's bulk pointer traffic is charged to the update that
-// triggers it, giving amortized O(log n) messages — the paper's own
-// O(log² n) worst-case row is reported alongside in EXPERIMENTS.md.
+// triggers it, giving amortized O(log n) messages in place of the paper's
+// O(log² n) worst-case row (DESIGN.md §1; bench/bench_table1.cpp notes the
+// substitution under its table).
 class det_skipnet {
  public:
   det_skipnet(std::vector<std::uint64_t> keys, net::network& net);

@@ -14,7 +14,7 @@ namespace skipweb::baselines {
 // Family-tree baseline [Zatloukal–Harvey 20]: an ordered distributed
 // dictionary with O(1) pointers per host.
 //
-// Substitution note (documented in DESIGN.md/EXPERIMENTS.md): the original
+// Substitution note (documented in DESIGN.md §1): the original
 // family-tree construction is reproduced here *by its Table 1 row* — O(1)
 // degree, O~(log n) search and update — using a distributed treap: each
 // element-host keeps exactly five references (parent, two children, and the

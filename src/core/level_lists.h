@@ -31,15 +31,15 @@ namespace skipweb::core {
 //
 // Memory layout: a structure-of-arrays arena. Keys, membership vectors,
 // uids, redirects and alive flags live in parallel arrays indexed by arena
-// slot, and the level links live in two flat pools (forward and backward),
-// each with a fixed stride of levels+1 records per item. A link is a bare
-// 4-byte arena slot: the neighbour's key is read from keys_, which holds
-// every key once, instead of from a copy beside the link (the modelled
-// node still knows its neighbours' keys — only the simulator's storage
-// changed). The routers in routing_1d.h hide the extra key load by
-// prefetching it with the neighbour's row, and a walk in one direction
-// touches only that direction's pool. See DESIGN.md "Performance model &
-// memory layout".
+// slot, freed slots on a free list, and the level links in two flat pools
+// (forward and backward), each with a fixed stride of levels+1 records per
+// item. A link is a bare 4-byte arena slot: the neighbour's key is read
+// from keys_, which holds every key once, instead of from a copy beside the
+// link (the modelled node still knows its neighbours' keys — only the
+// simulator's storage changed). The routers in routing_1d.h hide the extra
+// key load by prefetching it with the neighbour's row, and a walk in one
+// direction touches only that direction's pool. See DESIGN.md "Performance
+// model & memory layout".
 //
 // This class owns only the *structure* (arena + links). The distributed
 // protocols — skipweb_1d.h with its three placements, and the
@@ -83,7 +83,6 @@ class level_lists {
       : levels_(levels), stride_(static_cast<std::size_t>(levels) + 1) {
     init_arena(std::move(sorted_keys), explicit_bits, r);
     link_from_sorted();
-    alive_count_ = keys_.size();
     alive_hint_ = keys_.empty() ? -1 : 0;
   }
 
@@ -239,7 +238,8 @@ class level_lists {
 
  public:
   [[nodiscard]] int levels() const { return levels_; }
-  [[nodiscard]] std::size_t size() const { return alive_count_; }
+  // Every freed slot is on the free list until an insert takes it back.
+  [[nodiscard]] std::size_t size() const { return keys_.size() - free_.size(); }
   [[nodiscard]] std::size_t arena_size() const { return keys_.size(); }
 
   [[nodiscard]] bool alive(int item) const { return alive_[static_cast<std::size_t>(item)] != 0; }
@@ -262,38 +262,16 @@ class level_lists {
     return pool[slot(item, level)];
   }
 
-  // --- successor/predecessor replica lists (the fault plane, DESIGN.md §10)
+  // --- successor/predecessor lists (the fault plane, DESIGN.md §10)
   //
-  // With replication k > 0 every item keeps, alongside its level-0 links,
-  // the k FURTHER level-0 successors (and predecessors) beyond the direct
-  // neighbour — the skip-graph "successor list" trick: an item then knows
-  // k+1 consecutive neighbours per direction, so a fault-aware router can
-  // step over a run of up to k consecutive dead items without leaving the
-  // live route. Entries are bare slots, like the level links.
-  // splice_in/unsplice keep the lists of the O(k) surrounding items current;
-  // with k == 0 (the default) none of this exists and the edits are
-  // byte-identical to the pre-fault structure.
-
-  // Install/resize replication and (re)build every item's lists. Structural
-  // plane; O(n·k).
-  void set_replication(std::size_t k) {
-    replication_ = k;
-    fwd_rep_.assign(arena_size() * k, no_link);
-    bwd_rep_.assign(arena_size() * k, no_link);
-    if (k == 0) return;
-    for (int i = 0; i < static_cast<int>(arena_size()); ++i) {
-      if (alive(i)) rebuild_replicas(i);
-    }
-  }
+  // With replication k > 0 every item knows the k items beyond its level-0
+  // neighbour in each direction — the skip-graph "successor list" — so a
+  // fault-aware router can step over a run of up to k dead items. Those are
+  // the next k items of the level-0 list, which a router reads by stepping
+  // along dir_link(·, 0, ·); only k is stored. The ledger still charges
+  // their host refs and refresh visits (skipweb_1d), the modelled cost.
+  void set_replication(std::size_t k) { replication_ = k; }
   [[nodiscard]] std::size_t replication() const { return replication_; }
-
-  // The (j+2)-th level-0 successor (`forward`) or predecessor slot of
-  // `item` (j in [0, k)): j = 0 is the neighbour beyond dir_link(item, 0,
-  // forward); negative past the list end.
-  [[nodiscard]] int dir_replica(int item, std::size_t j, bool forward) const {
-    const std::int32_t* pool = forward ? fwd_rep_.data() : bwd_rep_.data();
-    return pool[static_cast<std::size_t>(item) * replication_ + j];
-  }
 
   // Hints for the routers: pull a link row or a neighbour's key into cache
   // before the decision that reads it.
@@ -361,8 +339,6 @@ class level_lists {
       alive_.push_back(1);
       fwd_.resize(fwd_.size() + stride_, no_link);
       bwd_.resize(bwd_.size() + stride_, no_link);
-      fwd_rep_.resize(fwd_rep_.size() + replication_, no_link);
-      bwd_rep_.resize(bwd_rep_.size() + replication_, no_link);
     }
     keys_[static_cast<std::size_t>(idx)] = key;
     bits_[static_cast<std::size_t>(idx)] = bits;
@@ -382,12 +358,7 @@ class level_lists {
       if (left >= 0) link(left, idx, l);
       if (right >= 0) link(idx, right, l);
     }
-    ++alive_count_;
     alive_hint_ = idx;
-    // The new item displaced an entry in the successor lists of its k
-    // nearest left neighbours and the predecessor lists of its k nearest
-    // right neighbours (plus its own fresh rows).
-    if (replication_ > 0) rebuild_replicas_around(idx);
     return idx;
   }
 
@@ -410,24 +381,9 @@ class level_lists {
       bwd_[slot(item, l)] = no_link;
     }
     alive_[static_cast<std::size_t>(item)] = 0;
-    --alive_count_;
     free_.push_back(item);
     // Keep the alive hint live: the redirect target was alive a moment ago.
     if (alive_hint_ == item) alive_hint_ = redirect_[static_cast<std::size_t>(item)];
-    // Survivors that listed `item` among their k+1 known neighbours refresh.
-    // Each item knows its direct neighbour plus k replicas — neighbours up to
-    // distance k+1 — so the k+1 nearest left items (successor lists) and k+1
-    // nearest right items (predecessor lists) all held a row naming `item`.
-    if (replication_ > 0) {
-      int s = pv0;
-      for (std::size_t j = 0; j <= replication_ && s >= 0; ++j, s = prev(s, 0)) {
-        rebuild_replicas(s);
-      }
-      s = nx0;
-      for (std::size_t j = 0; j <= replication_ && s >= 0; ++j, s = next(s, 0)) {
-        rebuild_replicas(s);
-      }
-    }
   }
 
   // Any alive item, or -1; used to seed root pointers. Amortized O(1): a
@@ -459,13 +415,14 @@ class level_lists {
   // and contain exactly the alive items whose prefix matches. O(n·levels):
   // it walks every level-l list once from its head, checking each link, and
   // counts. Every alive item (counted from the alive flags, which size()
-  // must agree with) is visited once per level, and no two lists share a
-  // prefix; together those say the lists partition the alive items by
-  // prefix in sorted order, so no alive item lies between two linked ones.
+  // must agree with; every free slot is dead) is visited once per level, and
+  // no two lists share a prefix; together those say the lists partition the
+  // alive items by prefix in sorted order, so no alive item lies between two
+  // linked ones.
   [[nodiscard]] bool check_invariants() const {
     std::size_t alive_items = 0;
     for (int i = 0; i < static_cast<int>(arena_size()); ++i) alive_items += alive(i) ? 1 : 0;
-    if (alive_items != alive_count_) return false;
+    if (alive_items != size() || !free_slots_dead()) return false;
     for (int l = 0; l <= levels_; ++l) {
       std::size_t visited = 0;
       std::unordered_set<std::uint64_t> head_prefixes;
@@ -486,19 +443,6 @@ class level_lists {
       }
       if (visited != alive_items) return false;
     }
-    // Replica lists, when installed, must name exactly the true further
-    // level-0 neighbours.
-    for (std::size_t j = 0; replication_ > 0 && j < replication_; ++j) {
-      for (int i = 0; i < static_cast<int>(arena_size()); ++i) {
-        if (!alive(i)) continue;
-        int s = next(i, 0);
-        for (std::size_t step = 0; step <= j && s >= 0; ++step) s = next(s, 0);
-        if (dir_replica(i, j, true) != s) return false;
-        int p = prev(i, 0);
-        for (std::size_t step = 0; step <= j && p >= 0; ++step) p = prev(p, 0);
-        if (dir_replica(i, j, false) != p) return false;
-      }
-    }
     return true;
   }
 
@@ -512,13 +456,11 @@ class level_lists {
     f.arena_bytes = api::vector_bytes(keys_) + api::vector_bytes(bits_) +
                     api::vector_bytes(uids_) + api::vector_bytes(redirect_) +
                     api::vector_bytes(alive_) + api::vector_bytes(free_);
-    f.link_bytes = api::vector_bytes(fwd_) + api::vector_bytes(bwd_) +
-                   api::vector_bytes(fwd_rep_) + api::vector_bytes(bwd_rep_);
+    f.link_bytes = api::vector_bytes(fwd_) + api::vector_bytes(bwd_);
     f.slack_bytes = api::vector_slack_bytes(keys_) + api::vector_slack_bytes(bits_) +
                     api::vector_slack_bytes(uids_) + api::vector_slack_bytes(redirect_) +
                     api::vector_slack_bytes(alive_) + api::vector_slack_bytes(free_) +
-                    api::vector_slack_bytes(fwd_) + api::vector_slack_bytes(bwd_) +
-                    api::vector_slack_bytes(fwd_rep_) + api::vector_slack_bytes(bwd_rep_);
+                    api::vector_slack_bytes(fwd_) + api::vector_slack_bytes(bwd_);
     return f;
   }
 
@@ -535,23 +477,19 @@ class level_lists {
     alive_.shrink_to_fit();
     fwd_.shrink_to_fit();
     bwd_.shrink_to_fit();
-    fwd_rep_.shrink_to_fit();
-    bwd_rep_.shrink_to_fit();
     free_.shrink_to_fit();
   }
 
-  // Write the whole arena into `w` under `prefix` ("<prefix>.keys", ...).
-  // Quiescent structural state only; pair with the restoring constructor.
+  // Write the whole arena into `w` under `prefix` ("<prefix>.keys", ...);
+  // "<prefix>.shape" is {levels, replication, next uid, alive hint}. Quiescent
+  // structural state only; pair with the restoring constructor.
   void save(persist::writer& w, std::string_view prefix) const {
     const std::string p(prefix);
-    const std::uint64_t meta[] = {static_cast<std::uint64_t>(levels_),
-                                  static_cast<std::uint64_t>(stride_),
-                                  static_cast<std::uint64_t>(replication_),
-                                  next_uid_,
-                                  static_cast<std::uint64_t>(alive_count_),
-                                  static_cast<std::uint64_t>(
-                                      static_cast<std::int64_t>(alive_hint_.load()))};
-    w.add_array(p + ".meta", meta, std::size(meta));
+    const std::uint64_t shape[] = {static_cast<std::uint64_t>(levels_),
+                                   static_cast<std::uint64_t>(replication_), next_uid_,
+                                   static_cast<std::uint64_t>(
+                                       static_cast<std::int64_t>(alive_hint_.load()))};
+    w.add_array(p + ".shape", shape, std::size(shape));
     w.add_pods(p + ".keys", keys_);
     w.add_pods(p + ".bits", bits_);
     w.add_pods(p + ".uids", uids_);
@@ -559,22 +497,20 @@ class level_lists {
     w.add_pods(p + ".alive", alive_);
     w.add_pods(p + ".next", fwd_);
     w.add_pods(p + ".prev", bwd_);
-    w.add_pods(p + ".next_rep", fwd_rep_);
-    w.add_pods(p + ".prev_rep", bwd_rep_);
     w.add_pods(p + ".free", free_);
   }
 
   // Restore from a snapshot: every array becomes a borrowed zero-copy span
   // over the reader's backing blob (mapping or owned buffer — pod_array
   // copies on first write either way), so a restored structure answers
-  // queries without materializing a byte beyond what it touches. The link
-  // pools are read from ".next"/".prev"/".next_rep"/".prev_rep" only: a file
-  // in another layout fails on the missing section (DESIGN.md §13).
+  // queries without materializing a byte beyond what it touches. The shape
+  // is read from ".shape" and the link pools from ".next"/".prev" only: a
+  // file in another layout fails on the missing section (DESIGN.md §13).
   level_lists(persist::reader& r, std::string_view prefix) {
     const std::string p(prefix);
-    std::size_t nmeta = 0;
-    const auto* meta = r.array<std::uint64_t>(p + ".meta", nmeta);
-    if (nmeta != 6) throw persist::error("snapshot: level_lists meta malformed");
+    std::size_t nshape = 0;
+    const auto* shape = r.array<std::uint64_t>(p + ".shape", nshape);
+    if (nshape != 4) throw persist::error("snapshot: level_lists shape malformed");
     keys_ = r.pods<std::uint64_t>(p + ".keys");
     bits_ = r.pods<util::membership_bits>(p + ".bits");
     uids_ = r.pods<std::uint64_t>(p + ".uids");
@@ -582,64 +518,40 @@ class level_lists {
     alive_ = r.pods<std::uint8_t>(p + ".alive");
     free_ = r.pods<int>(p + ".free");
     const std::size_t arena = keys_.size();
-    // Range-check the u64 words before narrowing them. The alive hint is
-    // saved as its int64 value, so "none" (-1) arrives as 2^64 - 1;
-    // any_alive() indexes the arena with any other value.
+    // Range-check the u64 words before narrowing them. k replicas need k + 1
+    // host ids. The alive hint is saved as its int64 value, so "none" (-1)
+    // arrives as 2^64 - 1; any_alive() indexes the arena with any other.
     const std::uint64_t no_hint = ~std::uint64_t{0};
-    if (meta[0] >= static_cast<std::uint64_t>(util::max_levels) || meta[1] != meta[0] + 1 ||
-        meta[4] > arena || (meta[5] != no_hint && meta[5] >= arena) || bits_.size() != arena ||
-        uids_.size() != arena || redirect_.size() != arena || alive_.size() != arena) {
-      throw persist::error("snapshot: level_lists arrays disagree with meta");
+    if (shape[0] >= static_cast<std::uint64_t>(util::max_levels) ||
+        shape[1] > std::uint64_t{0xffffffff} || (shape[3] != no_hint && shape[3] >= arena) ||
+        bits_.size() != arena || uids_.size() != arena || redirect_.size() != arena ||
+        alive_.size() != arena) {
+      throw persist::error("snapshot: level_lists arrays disagree with shape");
     }
-    levels_ = static_cast<int>(meta[0]);
-    stride_ = static_cast<std::size_t>(meta[1]);
-    replication_ = static_cast<std::size_t>(meta[2]);
-    next_uid_ = meta[3];
-    alive_count_ = static_cast<std::size_t>(meta[4]);
-    alive_hint_.store(meta[5] == no_hint ? -1 : static_cast<int>(meta[5]));
+    levels_ = static_cast<int>(shape[0]);
+    stride_ = static_cast<std::size_t>(levels_) + 1;
+    replication_ = static_cast<std::size_t>(shape[1]);
+    next_uid_ = shape[2];
+    alive_hint_.store(shape[3] == no_hint ? -1 : static_cast<int>(shape[3]));
+    // splice_in writes through the slot it pops: each must be a dead slot
+    // of the arena, or an insert would write past it or over a live item.
+    if (free_.size() > arena || !free_slots_dead()) {
+      throw persist::error("snapshot: level_lists free list names a live or absent slot");
+    }
     fwd_ = r.pods<std::int32_t>(p + ".next");
     bwd_ = r.pods<std::int32_t>(p + ".prev");
-    fwd_rep_ = r.pods<std::int32_t>(p + ".next_rep");
-    bwd_rep_ = r.pods<std::int32_t>(p + ".prev_rep");
-    // count == arena × per, without letting a hostile meta word wrap the
-    // product into a match.
-    const auto holds = [arena](std::size_t count, std::size_t per) {
-      return per == 0 ? count == 0 : count % per == 0 && count / per == arena;
-    };
-    if (!holds(fwd_.size(), stride_) || !holds(bwd_.size(), stride_) ||
-        !holds(fwd_rep_.size(), replication_) || !holds(bwd_rep_.size(), replication_)) {
-      throw persist::error("snapshot: level_lists link pools disagree with meta");
+    // The stride is at most max_levels, so the product cannot wrap.
+    if (fwd_.size() != arena * stride_ || bwd_.size() != arena * stride_) {
+      throw persist::error("snapshot: level_lists link pools disagree with shape");
     }
   }
 
  private:
-  // Recompute both replica rows of one item from the level-0 links.
-  void rebuild_replicas(int item) {
-    const std::size_t base = static_cast<std::size_t>(item) * replication_;
-    int s = next(item, 0);
-    int p = prev(item, 0);
-    for (std::size_t j = 0; j < replication_; ++j) {
-      s = s >= 0 ? next(s, 0) : no_link;
-      p = p >= 0 ? prev(p, 0) : no_link;
-      fwd_rep_[base + j] = s;
-      bwd_rep_[base + j] = p;
-    }
-  }
-
-  // Refresh every row a splice at `idx` could have changed: idx itself plus
-  // the k+1 items to its left (successor lists) and the k+1 to its right
-  // (predecessor lists) — an item's rows reach neighbours up to distance
-  // k+1, so that is how far the displacement propagates.
-  void rebuild_replicas_around(int idx) {
-    rebuild_replicas(idx);
-    int s = prev(idx, 0);
-    for (std::size_t j = 0; j <= replication_ && s >= 0; ++j, s = prev(s, 0)) {
-      rebuild_replicas(s);
-    }
-    s = next(idx, 0);
-    for (std::size_t j = 0; j <= replication_ && s >= 0; ++j, s = next(s, 0)) {
-      rebuild_replicas(s);
-    }
+  // Is every free-list entry a dead slot of the arena? O(free-list length).
+  [[nodiscard]] bool free_slots_dead() const {
+    return std::all_of(free_.begin(), free_.end(), [&](int f) {
+      return static_cast<std::size_t>(f) < arena_size() && !alive(f);
+    });
   }
 
   [[nodiscard]] std::size_t slot(int item, int level) const {
@@ -665,16 +577,11 @@ class level_lists {
   persist::pod_array<std::uint8_t> alive_;
   persist::pod_array<std::int32_t> fwd_;  // stride_ slots per item: next links, one per level
   persist::pod_array<std::int32_t> bwd_;  // stride_ slots per item: prev links
-  // replication_ slots per item: the k further level-0 neighbours beyond
-  // the direct link (empty unless set_replication(k > 0)).
-  persist::pod_array<std::int32_t> fwd_rep_;
-  persist::pod_array<std::int32_t> bwd_rep_;
-  std::size_t replication_ = 0;
+  std::size_t replication_ = 0;  // successor-list length k (set_replication)
   persist::pod_array<int> free_;
   std::uint64_t next_uid_ = 0;
   int levels_ = 0;
   std::size_t stride_ = 1;
-  std::size_t alive_count_ = 0;
   // mutable atomic: any_alive() (a const query) repairs it lazily, possibly
   // from several serving threads at once; see the method comment.
   mutable std::atomic<int> alive_hint_{-1};

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/memory_footprint.h"
@@ -24,8 +26,9 @@ namespace skipweb::core {
 // Every point carries a membership bit vector; level l holds one compressed
 // quadtree per l-bit prefix set S_b. All trees of one level share a single
 // per-level arena of node records in parallel arrays (child rows, parent
-// slot indices, occupancy), and points live in a global point arena that
-// every level references by slot. Each level finds its trees through a
+// slot indices, occupancy), and every level names a point by its slot in a
+// global arena of membership vectors; a node or point slot is live while no
+// free list names it. Each level finds its trees through a
 // directory, a persist::flat_table from prefix to {root, points}: one flat
 // slot array, saved as it is and borrowed back zero-copy by a restore, like
 // the arenas.
@@ -57,10 +60,11 @@ namespace skipweb::core {
 // - **A point entry carries its point.** Its corner holds the coordinates
 //   and its level is coord_bits (the point's unit cell), in the bytes a
 //   child cube takes, so locate's last test, the range sweep and nearest
-//   compare against the entry they already loaded, never the point arena.
-//   The arena keeps each point for the structural edits that start from a
-//   point slot (insert_at, erase_at), and the invariants check that the
-//   two copies agree.
+//   compare against the entry they already loaded. These entries are the
+//   only copies of a point, one per level, as in Eppstein, Goodrich & Sun's
+//   skip quadtree; the structural edits take the point from their caller
+//   (insert_at, erase_at), and the invariants check that every level's
+//   entry for a point slot agrees with its level-0 entry.
 //
 // This class owns only the structure. The distributed protocol
 // (skip_quadtree.h) does the routing, message metering, and memory-ledger
@@ -129,33 +133,26 @@ class quad_levels {
   }
 
   [[nodiscard]] int levels() const { return levels_; }
-  [[nodiscard]] std::size_t point_count() const { return live_points_; }
+  [[nodiscard]] std::size_t point_count() const { return pbits_.size() - pfree_.size(); }
   [[nodiscard]] std::size_t node_count(int level) const {
-    return lv(level).live_nodes;
+    return slot_count(level) - lv(level).free.size();
   }
 
   // --- point arena ----------------------------------------------------------
 
-  int new_point(const point& p, util::membership_bits bits) {
-    int pid;
-    if (!pfree_.empty()) {
-      pid = pfree_.back();
-      pfree_.pop_back();
-    } else {
-      pid = static_cast<int>(pts_.size());
-      pts_.emplace_back();
-      pbits_.emplace_back();
+  // A point slot for membership `bits`; insert_at stores the point itself.
+  int new_point(util::membership_bits bits) {
+    if (pfree_.empty()) {
+      pbits_.push_back(bits);
+      return static_cast<int>(pbits_.size() - 1);
     }
-    pts_[static_cast<std::size_t>(pid)] = p;
+    const int pid = pfree_.back();
+    pfree_.pop_back();
     pbits_[static_cast<std::size_t>(pid)] = bits;
-    ++live_points_;
     return pid;
   }
 
-  void free_point(int pid) {
-    pfree_.push_back(pid);
-    --live_points_;
-  }
+  void free_point(int pid) { pfree_.push_back(pid); }
 
   [[nodiscard]] util::membership_bits point_bits(int pid) const {
     return pbits_[static_cast<std::size_t>(pid)];
@@ -213,13 +210,9 @@ class quad_levels {
     a.rows.reserve(nodes * fanout);
     a.parent.reserve(nodes);
     a.occupied.reserve(nodes);
-    a.alive.reserve(nodes);
   }
 
-  void reserve_points(std::size_t n) {
-    pts_.reserve(n);
-    pbits_.reserve(n);
-  }
+  void reserve_points(std::size_t n) { pbits_.reserve(n); }
 
   // The mutable directory record of the (level, prefix) tree, or null. An
   // erase holds it across one level's edit, which inserts no tree into that
@@ -261,9 +254,6 @@ class quad_levels {
   }
   [[nodiscard]] int occupied_of(int level, int slot) const {
     return lv(level).occupied[static_cast<std::size_t>(slot)];
-  }
-  [[nodiscard]] bool alive_at(int level, int slot) const {
-    return lv(level).alive[static_cast<std::size_t>(slot)] != 0;
   }
 
   // Warm every cache line of `node`'s child row: a sweep that visits the
@@ -324,11 +314,10 @@ class quad_levels {
     cube box;           // attached's cube (the created cube when created >= 0)
   };
 
-  // Insert point `pid` under `node` (cube `box`), which must be the deepest
-  // node of its tree whose cube contains the point (the descend endpoint).
-  insert_outcome insert_at(int level, int node, const cube& box, int pid) {
+  // Insert point p (slot `pid`) under `node` (cube `box`), which must be the
+  // deepest node of its tree whose cube contains p (the descend endpoint).
+  insert_outcome insert_at(int level, int node, const cube& box, const point& p, int pid) {
     level_arena& a = lv(level);
-    const point& p = pts_[static_cast<std::size_t>(pid)];
     const int quad = box.quadrant_of(p);
     const entry e =
         a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
@@ -361,16 +350,14 @@ class quad_levels {
     return {fresh, fresh, c};
   }
 
-  // Remove point `pid` from `node` (cube `box`, its deepest containing
-  // node), splicing out the at most one cube that stops being interesting.
-  // Returns the freed slot or -1. A root left empty is handled by
-  // destroy_tree.
-  int erase_at(int level, int node, const cube& box, int pid) {
+  // Remove point p from `node` (cube `box`, its deepest containing node),
+  // splicing out the at most one cube that stops being interesting. Returns
+  // the freed slot or -1. A root left empty is handled by destroy_tree.
+  int erase_at(int level, int node, const cube& box, const point& p) {
     level_arena& a = lv(level);
-    const point& p = pts_[static_cast<std::size_t>(pid)];
     const int quad = box.quadrant_of(p);
     entry& e = a.rows[static_cast<std::size_t>(node) * fanout + static_cast<std::size_t>(quad)];
-    SW_EXPECTS(e.point == pid);
+    SW_EXPECTS(e.holds(p));
     e = entry{.down = e.down};  // clears the coordinates; the row keeps its link
     const int left = --a.occupied[static_cast<std::size_t>(node)];
 
@@ -437,28 +424,52 @@ class quad_levels {
   //  - per tree: occupancy counts match entries, parents are consistent,
   //    child cubes nest properly and sit in their own quadrant, every
   //    non-root node is interesting (>= 2 occupants), every point entry
-  //    carries its point's coordinates and the unit-cell level;
+  //    has the unit-cell level;
+  //  - slots: the free lists name distinct slots of their arenas, and the
+  //    nodes the trees reach (the points the ground tree holds) are exactly
+  //    the slots no free list names;
   //  - partition by prefix: level l's trees hold exactly the live points
-  //    whose membership matches each prefix (so S_b = the b-prefixed items);
+  //    whose membership matches each prefix (so S_b = the b-prefixed items),
+  //    and every level's entry for a point slot carries the coordinates of
+  //    that slot's level-0 entry;
   //  - nesting: every node cube at level l is a node cube of the parent
   //    prefix tree at level l-1, and the node's link points exactly at it;
   //    all 2^D entries of a live row carry the same link, -1 at level 0.
   [[nodiscard]] bool check_invariants() const {
-    std::vector<char> seen(pts_.size(), 0);
-    for (const int f : pfree_) seen[static_cast<std::size_t>(f)] = 2;  // dead slots
+    // Per slot: 0 unseen, 1 reached, 2 free. A free-list entry is range-
+    // checked before it indexes anything.
+    static constexpr char reached = 1, freed = 2;
+    const auto mark_free = [](std::vector<char>& seen, const persist::pod_array<int>& free) {
+      return std::all_of(free.begin(), free.end(), [&](int f) {
+        const auto at = static_cast<std::size_t>(f);
+        return at < seen.size() && std::exchange(seen[at], freed) == 0;
+      });
+    };
+    std::vector<char> points(pbits_.size(), 0);
+    if (!mark_free(points, pfree_)) return false;
+    std::vector<point> ground(pbits_.size());  // each point as its level-0 entry holds it
+    std::vector<char> below;                   // level l-1's node slots
     for (int l = 0; l <= levels_; ++l) {
+      std::vector<char> nodes(slot_count(l), 0);
+      if (!mark_free(nodes, lv(l).free)) return false;
       std::size_t live_here = 0, points_here = 0;
       const bool trees_ok = for_each_tree(l, [&](std::uint64_t prefix, const tree_ref& tr) {
         std::size_t tree_points = 0;
         // Each node's cube is the one its parent's entry holds; a root's is
         // the whole space.
-        std::vector<std::pair<int, cube>> stack{{tr.root, cube{}}};
-        if (parent_of(l, tr.root) != -1) return false;
+        struct visit {
+          int node, parent;
+          cube box;
+        };
+        std::vector<visit> stack{{tr.root, -1, cube{}}};
         while (!stack.empty()) {
-          const auto [v, box] = stack.back();
+          const auto [v, up, box] = stack.back();
           stack.pop_back();
+          // A slot of this level, neither free nor reached before.
+          const auto at = static_cast<std::size_t>(v);
+          if (at >= nodes.size() || std::exchange(nodes[at], reached) != 0) return false;
+          if (parent_of(l, v) != up) return false;
           ++live_here;
-          if (!alive_at(l, v)) return false;
           int occ = 0;
           for (int q = 0; q < fanout; ++q) {
             const entry& e = child_at(l, v, q);
@@ -467,23 +478,26 @@ class quad_levels {
             if (e.node >= 0 && e.point >= 0) return false;
             if (e.point >= 0) {
               ++tree_points;
-              if (static_cast<std::size_t>(e.point) >= pts_.size()) return false;
-              const point& p = pts_[static_cast<std::size_t>(e.point)];
-              if (!(e.coords() == p) || e.level != seq::coord_bits) return false;
-              if (seen[static_cast<std::size_t>(e.point)] == 2) return false;
-              if (!box.contains(p)) return false;
-              if (box.quadrant_of(p) != q) return false;
-              if (util::prefix_of(pbits_[static_cast<std::size_t>(e.point)], l).bits != prefix) {
+              const auto pid = static_cast<std::size_t>(e.point);
+              const point p = e.coords();
+              if (pid >= points.size()) return false;
+              if (l == 0) {
+                // One ground entry per live point slot.
+                if (std::exchange(points[pid], reached) != 0) return false;
+                ground[pid] = p;
+              } else if (points[pid] != reached || !(ground[pid] == p)) {
                 return false;
               }
-              if (l == 0) seen[static_cast<std::size_t>(e.point)] = 1;
+              if (e.level != seq::coord_bits) return false;
+              if (!box.contains(p)) return false;
+              if (box.quadrant_of(p) != q) return false;
+              if (util::prefix_of(pbits_[pid], l).bits != prefix) return false;
             } else {
               const cube c = e.box();
               if (!box.contains(c)) return false;
               if (c.level <= box.level) return false;
               if (box.quadrant_of(corner_of(c)) != q) return false;
-              if (parent_of(l, e.node) != v) return false;
-              stack.emplace_back(e.node, c);
+              stack.push_back({e.node, v, c});
             }
           }
           if (occ != occupied_of(l, v)) return false;
@@ -497,11 +511,12 @@ class quad_levels {
           if (l == 0 && dn != -1) return false;
           // Nesting + identity hyperlink into the parent-prefix tree.
           if (l > 0) {
-            if (dn < 0 || static_cast<std::size_t>(dn) >= slot_count(l - 1) ||
-                !alive_at(l - 1, dn)) {
+            // Level l-1 is already verified, so a node it reached sits in
+            // its parent's row.
+            if (dn < 0 || static_cast<std::size_t>(dn) >= below.size() ||
+                below[static_cast<std::size_t>(dn)] != reached) {
               return false;
             }
-            // Level l-1 is already verified, so dn sits in its parent's row.
             if (!(cube_of(l - 1, dn) == box)) return false;
             const auto parent_prefix = util::level_prefix{l, prefix}.parent().bits;
             const tree_ref* pt = tree(l - 1, parent_prefix);
@@ -518,32 +533,28 @@ class quad_levels {
         return true;
       });
       if (!trees_ok) return false;
-      if (live_here != lv(l).live_nodes) return false;
-      if (points_here != live_points_) return false;  // partition covers every point
+      if (live_here != node_count(l)) return false;      // every slot reached or free
+      if (points_here != point_count()) return false;  // partition covers every point
+      below = std::move(nodes);
     }
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-      if (seen[i] == 0) return false;  // live point missing from the ground tree
-    }
-    return true;
+    // Every point slot is in the ground tree or free.
+    return std::find(points.begin(), points.end(), char{0}) == points.end();
   }
 
-  // Measured resident bytes (DESIGN.md §12): points and per-node occupancy
-  // and liveness are arena, the child rows (with the cubes and down links
-  // their entries hold) and the parent array are links, and the per-level
-  // prefix→tree tables are directory (exact: capacity × slot size).
+  // Measured resident bytes (DESIGN.md §12): point slots (membership and
+  // free list) and per-node occupancy and free lists are arena, the child
+  // rows (with the cubes, points and down links their entries hold) and the
+  // parent array are links, and the per-level prefix→tree tables are
+  // directory (exact: capacity × slot size).
   [[nodiscard]] api::memory_footprint footprint() const {
     api::memory_footprint f;
-    f.arena_bytes = api::vector_bytes(pts_) + api::vector_bytes(pbits_) +
-                    api::vector_bytes(pfree_);
-    f.slack_bytes = api::vector_slack_bytes(pts_) + api::vector_slack_bytes(pbits_) +
-                    api::vector_slack_bytes(pfree_);
+    f.arena_bytes = api::vector_bytes(pbits_) + api::vector_bytes(pfree_);
+    f.slack_bytes = api::vector_slack_bytes(pbits_) + api::vector_slack_bytes(pfree_);
     for (const level_arena& a : lv_) {
-      f.arena_bytes += api::vector_bytes(a.occupied) + api::vector_bytes(a.alive) +
-                       api::vector_bytes(a.free);
+      f.arena_bytes += api::vector_bytes(a.occupied) + api::vector_bytes(a.free);
       f.link_bytes += api::vector_bytes(a.rows) + api::vector_bytes(a.parent);
-      f.slack_bytes += api::vector_slack_bytes(a.occupied) + api::vector_slack_bytes(a.alive) +
-                       api::vector_slack_bytes(a.free) + api::vector_slack_bytes(a.rows) +
-                       api::vector_slack_bytes(a.parent);
+      f.slack_bytes += api::vector_slack_bytes(a.occupied) + api::vector_slack_bytes(a.free) +
+                       api::vector_slack_bytes(a.rows) + api::vector_slack_bytes(a.parent);
       f.directory_bytes += api::vector_bytes(a.trees);
     }
     return f;
@@ -554,86 +565,78 @@ class quad_levels {
   // Drop capacity slack on every per-level and global array, so footprint()
   // matches what save() writes. Structural plane.
   void compact() {
-    pts_.shrink_to_fit();
     pbits_.shrink_to_fit();
     pfree_.shrink_to_fit();
     for (level_arena& a : lv_) {
       a.rows.shrink_to_fit();
       a.parent.shrink_to_fit();
       a.occupied.shrink_to_fit();
-      a.alive.shrink_to_fit();
       a.free.shrink_to_fit();
     }
   }
 
-  // Write the whole multi-level arena under `prefix` ("<prefix>.pts",
-  // "<prefix>.lv3.quads", ...). Quiescent structural state only.
+  // Write the whole multi-level arena under `prefix` ("<prefix>.levels",
+  // "<prefix>.lv3.quads", ...); live counts follow from the free lists.
+  // Quiescent structural state only. The free lists go last, side by side:
+  // a restore reads every entry, and packed together they share pages.
   void save(persist::writer& w, std::string_view prefix) const {
     const std::string p(prefix);
-    const std::uint64_t meta[] = {static_cast<std::uint64_t>(levels_),
-                                  static_cast<std::uint64_t>(live_points_)};
-    w.add_array(p + ".meta", meta, std::size(meta));
-    w.add_pods(p + ".pts", pts_);
+    w.add_u64(p + ".levels", static_cast<std::uint64_t>(levels_));
     w.add_pods(p + ".pbits", pbits_);
-    w.add_pods(p + ".pfree", pfree_);
     for (int l = 0; l <= levels_; ++l) {
       const level_arena& a = lv(l);
       const std::string lp = p + ".lv" + std::to_string(l);
-      w.add_u64(lp + ".live_nodes", a.live_nodes);
       w.add_pods(lp + ".quads", a.rows);
       w.add_pods(lp + ".parent", a.parent);
       w.add_pods(lp + ".occupied", a.occupied);
-      w.add_pods(lp + ".alive", a.alive);
-      w.add_pods(lp + ".free", a.free);
       a.trees.save(w, lp + ".dir");
     }
+    w.add_pods(p + ".pfree", pfree_);
+    for (int l = 0; l <= levels_; ++l) w.add_pods(p + ".lv" + std::to_string(l) + ".free", lv(l).free);
   }
 
   // Restore from a snapshot: POD arrays and the per-level directories
   // ("<prefix>.lvN.dir") become borrowed zero-copy spans over the reader's
   // blob, so the restore reads no directory row. A file in another layout
   // fails on its missing section; sections the reader does not name are
-  // ignored (DESIGN.md §13). The ground tree must exist, rooted at a live
-  // level-0 slot: every walk and local descent starts there.
+  // ignored (DESIGN.md §13). Every free-list entry must be a slot of its
+  // arena, since an insert writes through the slot it pops, and the ground
+  // tree must exist, rooted at a level-0 slot no free list names: every
+  // walk and local descent starts there.
   quad_levels(persist::reader& r, std::string_view prefix) {
     const std::string p(prefix);
-    std::size_t nmeta = 0;
-    const auto* meta = r.array<std::uint64_t>(p + ".meta", nmeta);
-    if (nmeta != 2) throw persist::error("snapshot: quad_levels meta malformed");
-    // Range-check the u64 words before narrowing them.
-    if (meta[0] >= static_cast<std::uint64_t>(util::max_levels)) {
+    // Range-check the u64 word before narrowing it.
+    const std::uint64_t levels = r.u64(p + ".levels");
+    if (levels >= static_cast<std::uint64_t>(util::max_levels)) {
       throw persist::error("snapshot: quad_levels level count out of range");
     }
-    levels_ = static_cast<int>(meta[0]);
-    live_points_ = static_cast<std::size_t>(meta[1]);
-    pts_ = r.pods<point>(p + ".pts");
+    levels_ = static_cast<int>(levels);
     pbits_ = r.pods<util::membership_bits>(p + ".pbits");
     pfree_ = r.pods<int>(p + ".pfree");
-    if (pbits_.size() != pts_.size() || live_points_ > pts_.size() ||
-        live_points_ + pfree_.size() != pts_.size()) {
-      throw persist::error("snapshot: quad_levels point arrays disagree with meta");
+    if (!slots_of(pfree_, pbits_.size())) {
+      throw persist::error("snapshot: quad_levels point free list names an absent slot");
     }
     lv_.resize(static_cast<std::size_t>(levels_) + 1);
     for (int l = 0; l <= levels_; ++l) {
       level_arena& a = lv(l);
       const std::string lp = p + ".lv" + std::to_string(l);
-      a.live_nodes = static_cast<std::size_t>(r.u64(lp + ".live_nodes"));
       a.rows = r.pods<entry>(lp + ".quads");
       a.parent = r.pods<std::int32_t>(lp + ".parent");
       a.occupied = r.pods<std::uint8_t>(lp + ".occupied");
-      a.alive = r.pods<std::uint8_t>(lp + ".alive");
       a.free = r.pods<std::int32_t>(lp + ".free");
       const std::size_t slots = a.parent.size();
-      if (a.rows.size() != slots * fanout || a.occupied.size() != slots ||
-          a.alive.size() != slots || a.live_nodes > slots ||
-          a.live_nodes + a.free.size() != slots) {
+      if (a.rows.size() != slots * fanout || a.occupied.size() != slots) {
         throw persist::error("snapshot: quad_levels level arrays disagree");
+      }
+      if (!slots_of(a.free, slots)) {
+        throw persist::error("snapshot: quad_levels node free list names an absent slot");
       }
       a.trees = persist::flat_table<tree_ref>(r, lp + ".dir");
     }
     const tree_ref* g = tree(0, 0);
-    if (g == nullptr || g->root < 0 || static_cast<std::size_t>(g->root) >= lv(0).alive.size() ||
-        !alive_at(0, g->root)) {
+    const auto& free0 = std::as_const(lv(0).free);
+    if (g == nullptr || g->root < 0 || static_cast<std::size_t>(g->root) >= slot_count(0) ||
+        std::find(free0.begin(), free0.end(), g->root) != free0.end()) {
       throw persist::error("snapshot: quad_levels has no live ground tree");
     }
   }
@@ -653,16 +656,22 @@ class quad_levels {
     persist::pod_array<entry> rows;  // fanout entries per slot
     persist::pod_array<std::int32_t> parent;
     persist::pod_array<std::uint8_t> occupied;
-    persist::pod_array<std::uint8_t> alive;
     persist::pod_array<std::int32_t> free;
     persist::flat_table<tree_ref> trees;
-    std::size_t live_nodes = 0;
   };
 
   [[nodiscard]] const level_arena& lv(int level) const {
     return lv_[static_cast<std::size_t>(level)];
   }
   [[nodiscard]] level_arena& lv(int level) { return lv_[static_cast<std::size_t>(level)]; }
+
+  // A restored free list: no longer than its arena of `slots`, every entry
+  // one of them. O(list length).
+  [[nodiscard]] static bool slots_of(const persist::pod_array<int>& free, std::size_t slots) {
+    return free.size() <= slots && std::all_of(free.begin(), free.end(), [slots](int f) {
+             return static_cast<std::size_t>(f) < slots;
+           });
+  }
 
   // A node's cube, read from its parent's entry (a root's is the whole
   // space).
@@ -702,21 +711,13 @@ class quad_levels {
       a.rows.resize(a.rows.size() + fanout, entry{});
       a.parent.emplace_back();
       a.occupied.emplace_back();
-      a.alive.emplace_back();
     }
     a.parent[static_cast<std::size_t>(slot)] = parent;
     a.occupied[static_cast<std::size_t>(slot)] = 0;
-    a.alive[static_cast<std::size_t>(slot)] = 1;
-    ++a.live_nodes;
     return slot;
   }
 
-  void free_node(int level, int slot) {
-    level_arena& a = lv(level);
-    a.alive[static_cast<std::size_t>(slot)] = 0;
-    a.free.push_back(slot);
-    --a.live_nodes;
-  }
+  void free_node(int level, int slot) { lv(level).free.push_back(slot); }
 
   void attach_point(int level, int node, const cube& box, const point& p, int pid) {
     level_arena& a = lv(level);
@@ -747,10 +748,8 @@ class quad_levels {
   }
 
   std::vector<level_arena> lv_;
-  persist::pod_array<point> pts_;
   persist::pod_array<util::membership_bits> pbits_;
   persist::pod_array<int> pfree_;
-  std::size_t live_points_ = 0;
   int levels_ = 0;
 };
 

@@ -24,15 +24,16 @@ namespace skipweb::core {
 //    the walk completes mechanically and the op is flagged failed.
 //  - k > 0: every advance is cursor::try_move_to. A dead express stop
 //    (l > 0) is treated as overshoot: descend early. At level 0 the walk
-//    steps over a dead run through the item's replica list
-//    (level_lists::dir_replica); each dead candidate costs one timed-out
-//    probe, and a run longer than k marks the op failed. The flanks are the
+//    steps over a dead run through the item's successor list, the next k
+//    items of the level-0 list, read by stepping along dir_link(·, 0, ·);
+//    each dead candidate costs one timed-out probe, and a run longer than k
+//    marks the op failed. The flanks are the
 //    first LIVE neighbours (first_live). On a healthy network try_move_to is
 //    move_to and first_live is the direct link, so the receipts are those of
 //    the k == 0 walk.
 
 // The first live entry of `from`'s level-0 neighbour list in direction
-// `fwd`: the direct link, then its k replicas. A dead entry costs one
+// `fwd`: the direct link, then the k items beyond it. A dead entry costs one
 // timed-out probe; the live one is not visited (callers hop there if they
 // need it). Without replicas the direct link is returned as is, so a dead
 // one becomes the caller's ghost hop. Returns -1 at a clean list end, or —
@@ -41,8 +42,9 @@ template <typename HostOf>
 int first_live(const level_lists& lists, int from, bool fwd, net::cursor& cur,
                HostOf&& host_of) {
   const std::size_t k = lists.replication();
+  int cand = from;
   for (std::size_t j = 0; j <= k; ++j) {
-    const int cand = j == 0 ? lists.dir_link(from, 0, fwd) : lists.dir_replica(from, j - 1, fwd);
+    cand = lists.dir_link(cand, 0, fwd);
     if (cand < 0) return -1;  // clean end of the list
     if (k == 0 || cur.reachable(host_of(cand, 0))) return cand;
     (void)cur.try_move_to(host_of(cand, 0));  // dead entry: charge the probe
@@ -103,11 +105,13 @@ std::pair<int, int> route_walk(const level_lists& lists, std::uint64_t q, int st
         continue;
       }
       if (l > 0) break;  // dead express stop: descend early
-      // Level 0: step over the dead run via the replica list. A candidate
-      // past q ends the walk; the flank phase picks the live successor.
+      // Level 0: step over the dead run via the successor list, the k items
+      // beyond `to`. A candidate past q ends the walk; the flank phase picks
+      // the live successor.
       int live = -1;
+      int rep = to;
       for (std::size_t j = 0; j < k; ++j) {
-        const int rep = lists.dir_replica(item, j, fwd);
+        rep = lists.dir_link(rep, 0, fwd);
         if (rep < 0) break;  // the list ends inside the dead run
         cur.note_comparisons();
         if ((lists.key(rep) > q) == fwd) break;

@@ -79,8 +79,7 @@ class skip_quadtree {
                 std::size_t replication = 0, bool bulk = true)
       : net_(&net),
         rng_(seed),
-        levels_(util::levels_for(pts.size())),
-        q_(levels_),
+        q_(util::levels_for(pts.size())),
         replication_(std::min(replication, max_replication)) {
     SW_EXPECTS(!pts.empty());
     if (bulk) {
@@ -108,19 +107,13 @@ class skip_quadtree {
   // the first structural edit. A file in another layout fails on its missing
   // section (DESIGN.md §13).
   skip_quadtree(persist::reader& r, net::network& net) : net_(&net), rng_(0), q_(r, "q") {
-    std::size_t nmeta = 0;
-    const auto* meta = r.array<std::uint64_t>("impl.meta", nmeta);
-    if (nmeta != 2) throw persist::error("snapshot: quadtree meta malformed");
-    // Compared as u64 words, before narrowing: the build never stores more
+    // Compared as a u64 word, before narrowing: the build never stores more
     // than max_replication, and every replica costs a charge per edit.
-    if (meta[0] != static_cast<std::uint64_t>(q_.levels())) {
-      throw persist::error("snapshot: quadtree level count disagrees with its arena");
-    }
-    if (meta[1] > max_replication) {
+    const std::uint64_t replication = r.u64("impl.replication");
+    if (replication > max_replication) {
       throw persist::error("snapshot: quadtree replication out of range");
     }
-    levels_ = q_.levels();
-    replication_ = static_cast<std::size_t>(meta[1]);
+    replication_ = static_cast<std::size_t>(replication);
     std::istringstream iss(r.str("impl.rng"));
     iss >> rng_.engine();
     if (!iss) throw persist::error("snapshot: unreadable rng state");
@@ -134,12 +127,11 @@ class skip_quadtree {
 
   // --- persistence (DESIGN.md §13) ------------------------------------------
   //
-  // Arenas, chain metadata, per-host anchors, the fault plane's re-home
-  // table, rng state, and the deployment ledger, as named sections of `w`.
+  // Arenas, replication, per-host anchors, the fault plane's re-home table,
+  // rng state, and the deployment ledger, as named sections of `w`.
   void save_snapshot(persist::writer& w) const {
     q_.save(w, "q");
-    const std::uint64_t meta[2] = {static_cast<std::uint64_t>(levels_), replication_};
-    w.add_array("impl.meta", meta, 2);
+    w.add_u64("impl.replication", replication_);
     std::ostringstream oss;
     oss << rng_.engine();
     w.add_string("impl.rng", oss.str());
@@ -167,7 +159,7 @@ class skip_quadtree {
   static constexpr std::size_t pipeline_min_points = std::size_t{1} << 12;
 
   [[nodiscard]] std::size_t size() const { return q_.point_count(); }
-  [[nodiscard]] int levels() const { return levels_; }
+  [[nodiscard]] int levels() const { return q_.levels(); }
   // Extra replica hosts per node record (0 = unreplicated; DESIGN.md §10).
   [[nodiscard]] std::size_t replication() const { return replication_; }
   [[nodiscard]] int depth() const { return q_.depth(); }
@@ -396,7 +388,7 @@ class skip_quadtree {
     net::cursor cur(*net_, origin);
     int start = -1;  // captured down link; -1 selects the level's root
     cube box{};      // the cube of `start` (a down link keeps the cube)
-    for (int l = levels_; l >= 0; --l) {
+    for (int l = q_.levels(); l >= 0; --l) {
       const auto prefix = util::prefix_of(bits, l).bits;
       // `tr` stays valid to the count below: nothing here inserts a tree at l.
       auto* tr = q_.find_tree_ref(l, prefix);
@@ -407,7 +399,7 @@ class skip_quadtree {
       // The walk reports the hyperlink before the edit can splice the node
       // away (-1 at level 0, where the chain ends).
       while (q_.step(l, node, box, p, start)) hop(cur, l, prefix, node);
-      const int freed = q_.erase_at(l, node, box, pid);
+      const int freed = q_.erase_at(l, node, box, p);
       charge_point(*net_, l, prefix, psalt, -1);
       if (freed >= 0) {
         charge_node(l, prefix, freed, -1);  // de-charge at the current window
@@ -497,12 +489,12 @@ class skip_quadtree {
   [[nodiscard]] bool check_invariants() const {
     if (!q_.check_invariants()) return false;
     std::uint64_t expected = net_->host_count();  // one anchor host_ref per host
-    for (int l = 0; l <= levels_; ++l) {
+    for (int l = 0; l <= q_.levels(); ++l) {
       // Each node record is stored once per replica (fault plane).
       expected += q_.node_count(l) * static_cast<std::uint64_t>(fanout + 2) *
                   static_cast<std::uint64_t>(replication_ + 1);
     }
-    expected += q_.point_count() * static_cast<std::uint64_t>(levels_ + 1);
+    expected += q_.point_count() * static_cast<std::uint64_t>(q_.levels() + 1);
     return net_->total_memory() == expected;
   }
 
@@ -520,7 +512,7 @@ class skip_quadtree {
   // non-empty (its tree root starts the descent). Levels are empty only
   // from some height up, so the scan touches the root directories once.
   [[nodiscard]] std::tuple<int, std::uint64_t, int> chain_top(util::membership_bits w) const {
-    for (int l = levels_;; --l) {
+    for (int l = q_.levels();; --l) {
       const auto prefix = util::prefix_of(w, l).bits;
       if (const auto* tr = q_.tree(l, prefix)) return {l, prefix, tr->root};
       SW_ASSERT(l > 0);  // the ground tree always exists
@@ -600,7 +592,7 @@ class skip_quadtree {
     }
     t.final_node = node;
     t.final_box = box;
-    const auto outcome = q_.insert_at(l, node, box, pid);
+    const auto outcome = q_.insert_at(l, node, box, p, pid);
     charge_point(ledger, l, prefix, psalt, +1);
     ++tr->points;
     if (outcome.created >= 0) {
@@ -621,10 +613,10 @@ class skip_quadtree {
   // each level's links resolved straight into its rows and charged to the
   // network.
   void insert_chain(const point& p, util::membership_bits bits, net::cursor* cur) {
-    const int pid = q_.new_point(p, bits);
+    const int pid = q_.new_point(bits);
     const int psalt = payload_salt(p);
     trail_entry t;
-    for (int l = levels_; l >= 0; --l) {
+    for (int l = q_.levels(); l >= 0; --l) {
       visit_level(l, p, pid, bits, psalt, t.final_down, t, *net_, cur,
                   [&](int slot, int to) { q_.set_down(l + 1, slot, to); });
     }
@@ -659,20 +651,21 @@ class skip_quadtree {
   void bulk_build(const std::vector<point>& pts) {
     const std::size_t n = pts.size();
     q_.reserve_points(n);
-    bulk_state s(pts, levels_);
+    const int levels = q_.levels();
+    bulk_state s(pts, levels);
     for (std::size_t i = 0; i < n; ++i) {
       s.bits[i] = util::draw_membership(rng_);  // input order, as insert_chain draws
-      s.pid[i] = static_cast<std::int32_t>(q_.new_point(pts[i], s.bits[i]));
+      s.pid[i] = static_cast<std::int32_t>(q_.new_point(s.bits[i]));
       s.psalt[i] = payload_salt(pts[i]);
     }
-    const auto passes = static_cast<std::size_t>(levels_) + 1;
+    const auto passes = static_cast<std::size_t>(levels) + 1;
     const std::size_t workers = n < pipeline_min_points ? 1 : util::fan_out_workers(passes);
     std::vector<pass_worker> crew(workers);
     for (auto& w : crew) w.ledger.resize(net_->host_count());
-    // Task t is pass levels_ - t: workers claim passes top level first.
+    // Task t is pass levels - t: workers claim passes top level first.
     util::fan_out(passes, workers, [&](std::size_t t, std::size_t k) {
       try {
-        level_pass(s, levels_ - static_cast<int>(t), crew[k]);
+        level_pass(s, levels - static_cast<int>(t), crew[k]);
       } catch (...) {
         s.fail();  // wakes every waiting pass
         throw;
@@ -781,7 +774,7 @@ class skip_quadtree {
     const std::size_t n = s.pts.size();
     q_.reserve_level(l, n + 1);  // <= n slots materialize per level (see reserve_level)
     // Every level-(l+1) link is unresolved until this pass sets it.
-    w.up_links.assign(l < levels_ ? n + 1 : 0, -1);
+    w.up_links.assign(l < q_.levels() ? n + 1 : 0, -1);
     std::int32_t* const up = w.up_links.data();
     std::size_t ready = 0;      // points pass l+1 is done with
     std::size_t published = 0;  // points this pass has published
@@ -803,7 +796,7 @@ class skip_quadtree {
         published = i + 1;
       }
     }
-    if (l < levels_) {
+    if (l < q_.levels()) {
       for (std::size_t slot = 0; slot < q_.slot_count(l + 1); ++slot) {
         q_.set_down(l + 1, static_cast<int>(slot), w.up_links[slot]);
       }
@@ -914,7 +907,7 @@ class skip_quadtree {
   // level first; the visitor returns false to stop the scan.
   template <typename F>
   void scan_windows(F&& f) const {
-    for (int l = levels_; l >= 0; --l) {
+    for (int l = q_.levels(); l >= 0; --l) {
       const bool go = q_.for_each_tree(l, [&](std::uint64_t prefix, const auto& tr) {
         std::vector<int> stack{tr.root};
         while (!stack.empty()) {
@@ -934,7 +927,6 @@ class skip_quadtree {
 
   net::network* net_;
   util::rng rng_;
-  int levels_ = 0;
   arena q_;
   std::size_t replication_ = 0;
   // Re-homed node records: rehome_key(level, node) → current window base.

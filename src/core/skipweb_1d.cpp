@@ -50,9 +50,9 @@ skipweb_1d::skipweb_1d(std::vector<std::uint64_t> keys, std::uint64_t seed, net:
     for (std::size_t i = 0; i < lists_.arena_size(); ++i) {
       owner_[i] = net::host_id{static_cast<std::uint32_t>(i)};
     }
-    // Successor/predecessor replica lists (tower placement only — see the
-    // header). Installed before the memory ledger pass so the replica
-    // host_refs are charged alongside the rest of each item's footprint.
+    // Successor/predecessor lists (tower placement only — see the header).
+    // Set before the memory ledger pass so their host_refs are charged
+    // alongside the rest of each item's footprint.
     if (replication > 0) lists_.set_replication(replication);
   }
   finish_build();
@@ -415,8 +415,9 @@ api::op_stats skipweb_1d::erase(std::uint64_t key, net::host_id origin) {
 void skipweb_1d::charge_replica_refresh(net::cursor& cur, int left0, int right0) {
   const std::size_t k = lists_.replication();
   if (k == 0) return;
-  // Rows reach neighbours up to distance k+1, so k+1 items per side refresh
-  // (mirrors level_lists::unsplice / rebuild_replicas_around).
+  // A modelled list reaches neighbours up to distance k+1, so k+1 items per
+  // side refresh theirs (the simulator reads the lists off level 0, so it
+  // refreshes nothing itself; DESIGN.md §10).
   int s = left0;
   for (std::size_t j = 0; j <= k && s >= 0; ++j, s = lists_.prev(s, 0)) {
     (void)cur.try_move_to(host_of(s, 0));  // dead neighbours cost the probe only

@@ -303,8 +303,8 @@ TEST(BulkBuild, InvariantCheckRejectsDamagedLists) {
     const auto path = snap_path(name);
     {
       persist::writer w(path);
-      for (const char* section : {"l.meta", "l.keys", "l.bits", "l.uids", "l.redirect", "l.alive",
-                                  "l.next_rep", "l.prev_rep", "l.free"}) {
+      for (const char* section :
+           {"l.shape", "l.keys", "l.bits", "l.uids", "l.redirect", "l.alive", "l.free"}) {
         const auto v = rd.section(section);
         w.add(section, v.data, v.bytes);
       }

@@ -460,6 +460,63 @@ TEST(Replication1D, RoutesAroundTenPercentDeadHosts) {
   }
 }
 
+// A replicated route steps over a dead run on the level-0 list: each dead
+// candidate costs one timed-out probe and its retry backoff, and a run longer
+// than k leaves the route without a live flank. Runs of 1, 2, 3 and 4 dead
+// towers (placed by key rank) lie across a k = 3 skipweb1d; probes on both
+// sides of each run and ranges across them must answer for the live keys and
+// fail exactly where the route meets the run of 4, and their summed messages,
+// retries and simulated time are pinned constants: how the walk reads the
+// successor list may change, what it charges may not.
+TEST(Replication1D, DeadRunReceiptsPinned) {
+  rng r(4841);
+  auto keys = wl::uniform_keys(512, r);
+  network net(keys.size());
+  const skipweb_1d web(keys, 23, net, skipweb_1d::placement::tower, 3);
+  std::sort(keys.begin(), keys.end());
+  struct dead_run {
+    std::size_t first, length;  // by key rank
+  };
+  const dead_run runs[] = {{100, 1}, {200, 2}, {300, 3}, {400, 4}};
+  std::set<std::uint64_t> live(keys.begin(), keys.end());
+  for (const auto& [first, length] : runs) {
+    for (std::size_t i = first; i < first + length; ++i) {
+      // The bulk build puts the i-th smallest key in slot i.
+      ASSERT_EQ(web.lists().key(static_cast<int>(i)), keys[i]);
+      net.kill_host(web.host_of(static_cast<int>(i), 0));
+      live.erase(keys[i]);
+    }
+  }
+  net.set_latency_model(net::latency_model::lognormal(1000, 0.5, 7));
+  api::op_stats sum;
+  for (const auto& [first, length] : runs) {
+    const bool over = length > web.replication();
+    // Every key from two before the run to two after it, and the value just
+    // above each.
+    for (std::size_t i = first - 2; i < first + length + 2; ++i) {
+      for (const std::uint64_t q : {keys[i], keys[i] + 1}) {
+        const auto res = web.nearest(q, h(0));
+        sum += res.stats;
+        // From the run's left neighbour on, the successor (or the level-0
+        // walk to the probe) lies past the run, beyond the k + 1 neighbours
+        // a list names.
+        EXPECT_EQ(res.stats.failed, over && q >= keys[first - 1]) << length << " " << i;
+        if (!res.stats.failed) expect_matches_oracle(res, live, q);
+      }
+    }
+    const std::uint64_t lo = keys[first - 3], hi = keys[first + length + 2];
+    const auto rr = web.range(lo, hi, h(0), 0);
+    sum += rr.stats;
+    EXPECT_EQ(rr.stats.failed, over) << length;
+    if (!over) {
+      EXPECT_EQ(rr.value, std::vector<std::uint64_t>(live.lower_bound(lo), live.upper_bound(hi)));
+    }
+  }
+  EXPECT_EQ(sum.messages, 684u);
+  EXPECT_EQ(sum.retries, 188u);
+  EXPECT_EQ(sum.sim_latency_ns, 3134945u);
+}
+
 // --- plane combinations (1-D) ----------------------------------------------
 
 // The receipts of a run of queries, summed to reconcile with the ledger:

@@ -21,6 +21,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -677,7 +678,6 @@ void write_replay(const std::string& path, const std::string& backend, std::uint
   persist::writer w(path);
   w.add_string("meta.backend", backend);
   w.add_u64("meta.index_kind", index_kind);
-  w.add_u64("meta.n", log.build_keys.size());
   log.save(w);
   w.finish();
 }
@@ -809,8 +809,8 @@ TEST(Persist, HostileReplayHostCountRejected) {
 //
 // A native snapshot's host count is the row count of its "net.memory_rows"
 // section. These files copy a real skipweb1d snapshot section by section and
-// rewrite only the two network sections. (Sections are addressed by name
-// hash, so a copy lists the names.)
+// rewrite only that section. (Sections are addressed by name hash, so a copy
+// lists the names.)
 
 struct section_bytes {
   std::string name;
@@ -843,15 +843,20 @@ void rewrite_sections(const std::string& from, const std::string& to,
 }
 
 const std::vector<std::string> kSkipweb1dSections = {
-    "meta.backend", "meta.index_kind", "meta.n", "lists.meta", "lists.keys", "lists.bits",
-    "lists.uids", "lists.redirect", "lists.alive", "lists.next", "lists.prev", "lists.next_rep",
-    "lists.prev_rep", "lists.free", "impl.policy", "impl.rng", "impl.owner", "impl.root_item"};
+    "meta.backend", "meta.index_kind", "lists.shape", "lists.keys", "lists.bits",
+    "lists.uids",   "lists.redirect",  "lists.alive", "lists.next", "lists.prev",
+    "lists.free",   "impl.policy",     "impl.rng",    "impl.owner", "impl.root_item"};
 
-void rewrite_network(const std::string& from, const std::string& to, std::uint64_t host_count,
+void rewrite_network(const std::string& from, const std::string& to,
                      const std::vector<std::uint64_t>& rows) {
-  rewrite_sections(from, to, kSkipweb1dSections,
-                   {section_of("net.host_count", std::vector<std::uint64_t>{host_count}),
-                    section_of("net.memory_rows", rows)});
+  rewrite_sections(from, to, kSkipweb1dSections, {section_of("net.memory_rows", rows)});
+}
+
+void expect_index_rejected(const std::string& path, const std::string& what) {
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    EXPECT_THROW((void)api::restore_index(path, mode, net), persist::error) << what;
+  }
 }
 
 TEST(Persist, HostileHostCountsRejected) {
@@ -867,29 +872,26 @@ TEST(Persist, HostileHostCountsRejected) {
   const std::uint64_t hosts = net_o.host_count();
   ASSERT_EQ(rows.size(), hosts * 4);
 
-  // The control: the copy with its own network sections restores, so each
-  // rejection below is down to the host count alone.
+  // The control: the copy with its own ledger restores, so each rejection
+  // below is down to the ledger alone.
   const auto ok = snap_path("ok");
-  rewrite_network(path, ok, hosts, rows);
+  rewrite_network(path, ok, rows);
   for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
     network net(1);
     EXPECT_EQ(api::restore_index(ok, mode, net)->size(), keys.size());
     expect_same_ledger(net_o, net, "control");
   }
 
-  // 2^62 hosts over an empty ledger (hosts * 4 wraps to 0), a count beyond
-  // the u32 host ids, and a count one short of the rows.
-  const std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>> hostile = {
-      {std::uint64_t{1} << 62, {}},
-      {(std::uint64_t{1} << 32) + hosts, rows},
-      {hosts - 1, rows}};
-  for (const auto& [count, ledger] : hostile) {
+  // A ledger cut inside a row, one row short of the root table, and empty
+  // (fewer hosts than the network already has).
+  const std::vector<std::pair<std::string, std::vector<std::uint64_t>>> hostile = {
+      {"cut inside a row", std::vector<std::uint64_t>(rows.begin(), rows.end() - 1)},
+      {"one row short", std::vector<std::uint64_t>(rows.begin(), rows.end() - 4)},
+      {"no rows", {}}};
+  for (const auto& [what, ledger] : hostile) {
     const auto bad = snap_path("bad");
-    rewrite_network(path, bad, count, ledger);
-    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
-      network net(1);
-      EXPECT_THROW((void)api::restore_index(bad, mode, net), persist::error) << count;
-    }
+    rewrite_network(path, bad, ledger);
+    expect_index_rejected(bad, what);
   }
 
   // A network that already has more hosts than the snapshot cannot adopt it.
@@ -900,22 +902,15 @@ TEST(Persist, HostileHostCountsRejected) {
 // --- layer 4e: skipweb_1d snapshots -------------------------------------------
 //
 // One layout per structure (DESIGN.md §13): a link is a bare 4-byte slot in
-// "lists.next"/"lists.prev" and the replica lists "lists.next_rep"/
-// "lists.prev_rep", and the placement is the "impl.policy" word plus one
-// owner table. These tests restore the saved file itself.
+// "lists.next"/"lists.prev", the successor lists are the level-0 links, and
+// the placement is the "impl.policy" word plus one owner table. These tests
+// restore the saved file itself.
 
 std::vector<std::string> skipweb1d_sections(bool bucket) {
   auto names = kSkipweb1dSections;
-  names.insert(names.end(), {"net.host_count", "net.memory_rows"});
+  names.emplace_back("net.memory_rows");
   if (bucket) names.push_back("impl.bucket");
   return names;
-}
-
-void expect_index_rejected(const std::string& path, const std::string& what) {
-  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
-    network net(1);
-    EXPECT_THROW((void)api::restore_index(path, mode, net), persist::error) << what;
-  }
 }
 
 // A backend built over 480 of 600 keys and saved after 60 insert+erase
@@ -947,7 +942,7 @@ saved_index churned_bucket_snapshot(network& net, std::vector<std::uint64_t>& ke
 }
 
 // Every skipweb_1d placement restored from a churned file — freed arena
-// slots, replica lists, split bucket runs — must serve probes and ranges,
+// slots, successor lists, split bucket runs — must serve probes and ranges,
 // take routed inserts and erases, and route around dead hosts exactly like
 // the index that saved it, in both modes.
 TEST(Persist, RestoredSkipwebPlacementsServeAndMutate) {
@@ -971,9 +966,7 @@ TEST(Persist, RestoredSkipwebPlacementsServeAndMutate) {
     {
       const persist::reader rd(path, persist::restore_mode::load);
       ASSERT_FALSE(rd.vec<int>("lists.free").empty());
-      if (c.opts.replication() > 0) {
-        ASSERT_FALSE(rd.vec<std::int32_t>("lists.next_rep").empty());
-      }
+      ASSERT_EQ(rd.vec<std::uint64_t>("lists.shape").at(1), c.opts.replication());
     }
     network net_l(1), net_m(1);
     const auto twin_l = api::restore_index(path, persist::restore_mode::load, net_l);
@@ -1016,7 +1009,7 @@ TEST(Persist, RestoredSkipwebPlacementsServeAndMutate) {
     }
     probe_all("after mutations");
     if (c.opts.replication() > 0) {
-      // Dead hosts send queries down the replica lists.
+      // Dead hosts send queries down the successor lists.
       for (const std::uint32_t dead : {5u, 6u, 40u}) {
         net_o.kill_host(h(dead));
         for (const auto& [twin, net] : twins) net->kill_host(h(dead));
@@ -1026,12 +1019,13 @@ TEST(Persist, RestoredSkipwebPlacementsServeAndMutate) {
   }
 }
 
-// "lists.meta" holds {levels, stride, replication, next uid, alive count,
-// alive hint}, the hint saved as its int64 value. The words are compared as
-// u64 before they are narrowed: a levels word past 32 bits must not pass as
-// its low half, and the hint must be "none" (2^64 - 1) or an arena slot,
-// because any_alive() indexes the arena with it. The pools' record counts
-// are checked against the meta too.
+// "lists.shape" holds {levels, replication, next uid, alive hint}, the hint
+// saved as its int64 value. The words are compared as u64 before they are
+// narrowed: a levels word past 32 bits must not pass as its low half, a
+// replication past 32 bits names more replicas than host ids, and the hint
+// must be "none" (2^64 - 1) or an arena slot, because any_alive() indexes
+// the arena with it. The pools' record counts are checked against the
+// level count too.
 TEST(Persist, HostileListsMetaRejected) {
   network net_o(1);
   std::vector<std::uint64_t> keys;
@@ -1039,18 +1033,18 @@ TEST(Persist, HostileListsMetaRejected) {
       "skipweb1d", api::index_options{}.seed(15).initial_hosts(8).replication(2), net_o, keys);
   const auto names = skipweb1d_sections(false);
   persist::reader rd(src.path, persist::restore_mode::load);
-  const auto meta = rd.vec<std::uint64_t>("lists.meta");
+  const auto shape = rd.vec<std::uint64_t>("lists.shape");
   const std::uint64_t arena = rd.vec<std::uint64_t>("lists.keys").size();
-  ASSERT_EQ(meta.size(), 6u);
+  ASSERT_EQ(shape.size(), 4u);
   const auto with_word = [&](std::size_t i, std::uint64_t v) {
-    auto m = meta;
+    auto m = shape;
     m[i] = v;
-    return section_of("lists.meta", m);
+    return section_of("lists.shape", m);
   };
 
   // The control: a copy whose hint is "none" restores and serves.
   const auto ok = snap_path("ok");
-  rewrite_sections(src.path, ok, names, {with_word(5, ~std::uint64_t{0})});
+  rewrite_sections(src.path, ok, names, {with_word(3, ~std::uint64_t{0})});
   for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
     network net(1);
     const auto twin = api::restore_index(ok, mode, net);
@@ -1064,9 +1058,10 @@ TEST(Persist, HostileListsMetaRejected) {
 
   const auto next = rd.vec<std::int32_t>("lists.next");
   const std::vector<std::pair<std::string, section_bytes>> hostile = {
-      {"levels 2^32 + levels", with_word(0, (std::uint64_t{1} << 32) + meta[0])},
-      {"hint at the arena size", with_word(5, arena)},
-      {"hint 2^30", with_word(5, std::uint64_t{1} << 30)},
+      {"levels 2^32 + levels", with_word(0, (std::uint64_t{1} << 32) + shape[0])},
+      {"replication 2^32 + k", with_word(1, (std::uint64_t{1} << 32) + shape[1])},
+      {"hint at the arena size", with_word(3, arena)},
+      {"hint 2^30", with_word(3, std::uint64_t{1} << 30)},
       {"one next slot short",
        section_of("lists.next", std::vector<std::int32_t>(next.begin(), next.end() - 1))}};
   for (const auto& [what, replaced] : hostile) {
@@ -1109,15 +1104,15 @@ TEST(Persist, HostileRootSlotsAnswerCorrectly) {
     return v;
   };
   const auto cycle = with(with(redirect, 5, 6), 6, 5);
-  auto hint_in_cycle = src.vec<std::uint64_t>("lists.meta");
-  hint_in_cycle.at(5) = 5;  // any_alive() starts its chase at the hint
+  auto hint_in_cycle = src.vec<std::uint64_t>("lists.shape");
+  hint_in_cycle.at(3) = 5;  // any_alive() starts its chase at the hint
   constexpr std::int32_t far = std::int32_t{1} << 30;
   const std::vector<std::pair<std::string, std::vector<section_bytes>>> hostile = {
       {"redirect past the arena", {section_of("lists.redirect", with(redirect, 5, far))}},
       {"root item past the arena", {section_of("impl.root_item", with(roots, 5, far))}},
       {"redirect cycle", {section_of("lists.redirect", cycle)}},
       {"redirect cycle under the alive hint",
-       {section_of("lists.redirect", cycle), section_of("lists.meta", hint_in_cycle)}}};
+       {section_of("lists.redirect", cycle), section_of("lists.shape", hint_in_cycle)}}};
   for (const auto& [what, replaced] : hostile) {
     const auto bad = snap_path("bad");
     rewrite_sections(path, bad, skipweb1d_sections(false), replaced);
@@ -1158,7 +1153,7 @@ TEST(Persist, HostileBucketFilesRejected) {
   const auto geometry = src.vec<std::uint64_t>("impl.bucket");
   const auto owner = src.vec<host_id>("impl.owner");
   const std::uint64_t M = geometry.at(0), strata = geometry.at(1);
-  const auto levels = static_cast<std::uint64_t>(src.vec<std::uint64_t>("lists.meta").at(0));
+  const auto levels = src.vec<std::uint64_t>("lists.shape").at(0);
   const auto L = static_cast<std::uint64_t>(std::bit_width(M - 1));
 
   // The control: an unmodified copy restores.
@@ -1204,23 +1199,22 @@ TEST(Persist, HostileBucketFilesRejected) {
 
 // Every section name of a skip_quadtree2/3 file over levels 0..`levels`.
 std::vector<std::string> quadtree_sections(std::uint64_t levels) {
-  std::vector<std::string> names = {"meta.backend", "meta.index_kind", "meta.n", "q.meta",
-                                    "q.pts",        "q.pbits",         "q.pfree"};
+  std::vector<std::string> names = {"meta.backend", "meta.index_kind", "q.levels", "q.pbits",
+                                    "q.pfree"};
   for (std::uint64_t l = 0; l <= levels; ++l) {
-    for (const char* s :
-         {".live_nodes", ".quads", ".parent", ".occupied", ".alive", ".free", ".dir"}) {
+    for (const char* s : {".quads", ".parent", ".occupied", ".free", ".dir"}) {
       names.push_back("q.lv" + std::to_string(l) + s);
     }
   }
-  for (const char* s : {"impl.rehome", "impl.meta", "impl.rng", "impl.anchors", "net.host_count",
-                        "net.memory_rows"}) {
+  for (const char* s :
+       {"impl.rehome", "impl.replication", "impl.rng", "impl.anchors", "net.memory_rows"}) {
     names.emplace_back(s);
   }
   return names;
 }
 
 std::uint64_t quadtree_levels(const std::string& path) {
-  return persist::reader(path, persist::restore_mode::load).vec<std::uint64_t>("q.meta").at(0);
+  return persist::reader(path, persist::restore_mode::load).u64("q.levels");
 }
 
 void rewrite_quadtree(const std::string& from, const std::string& to,
@@ -1251,11 +1245,11 @@ saved_spatial_index churned_quadtree_snapshot(const std::string& backend, networ
 
 TEST(Persist, HostileQuadtreeMetaRejected) {
   network net_o(1);
-  const auto path = churned_quadtree_snapshot("skip_quadtree2", net_o).path;
+  const auto saved = churned_quadtree_snapshot("skip_quadtree2", net_o);
+  const auto& path = saved.path;
   persist::reader src(path, persist::restore_mode::load);
-  const auto qmeta = src.vec<std::uint64_t>("q.meta");
-  const auto levels = qmeta.at(0);
-  const auto pts = src.vec<seq::qpoint<2>>("q.pts").size();
+  const auto levels = src.u64("q.levels");
+  const auto pts = src.vec<util::membership_bits>("q.pbits").size();
   const auto slots = src.vec<std::int32_t>("q.lv0.parent").size();
   using tree_slot = persist::flat_table<core::quad_levels<2>::tree_ref>::slot;
 
@@ -1264,23 +1258,20 @@ TEST(Persist, HostileQuadtreeMetaRejected) {
   rewrite_quadtree(path, ok, {});
   for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
     network net(1);
-    EXPECT_EQ(api::restore_spatial_index(ok, mode, net)->size(), qmeta.at(1));
+    EXPECT_EQ(api::restore_spatial_index(ok, mode, net)->size(), saved.idx->size());
     expect_same_ledger(net_o, net, "control");
   }
 
   const std::uint64_t wide = (std::uint64_t{1} << 32) + levels;  // narrows to `levels`
   std::vector<int> long_free(pts + 2, 0);  // more free slots than point slots
   const std::vector<std::vector<section_bytes>> hostile = {
-      {section_of("q.meta", std::vector<std::uint64_t>{wide, qmeta.at(1)})},
-      {section_of("impl.meta", std::vector<std::uint64_t>{wide, 0})},
+      {section_of("q.levels", std::vector<std::uint64_t>{wide})},
       // The build clamps replication to 8; every insert charges k+1 replicas.
-      {section_of("impl.meta", std::vector<std::uint64_t>{levels, std::uint64_t{1} << 60})},
-      // live points + free slots wraps to the point-slot count.
-      {section_of("q.meta", std::vector<std::uint64_t>{levels, ~std::uint64_t{0} - 1}),
-       section_of("q.pfree", long_free)},
-      // ... and live nodes + free slots to a level's node-slot count.
-      {section_of("q.lv0.live_nodes", std::vector<std::uint64_t>{~std::uint64_t{0} - 1}),
-       section_of("q.lv0.free", std::vector<std::int32_t>(slots + 2, 0))},
+      {section_of("impl.replication", std::vector<std::uint64_t>{std::uint64_t{1} << 60})},
+      // More free point slots than point slots.
+      {section_of("q.pfree", long_free)},
+      // ... and more free node slots than a level's node slots.
+      {section_of("q.lv0.free", std::vector<std::int32_t>(slots + 2, 0))},
       // No ground tree: every walk would start from a missing root.
       {section_of("q.lv0.dir", std::vector<tree_slot>{})},
       // A ground tree rooted past the level-0 slots.
@@ -1310,7 +1301,7 @@ TEST(Persist, QuadtreeFilesWithBoxSectionsRestore) {
                                                                : sizeof(seq::qcube<3>);
     persist::reader src(path, persist::restore_mode::load);
     std::vector<section_bytes> boxes;
-    for (std::uint64_t l = 0; l <= src.vec<std::uint64_t>("q.meta").at(0); ++l) {
+    for (std::uint64_t l = 0; l <= src.u64("q.levels"); ++l) {
       const std::string lp = "q.lv" + std::to_string(l);
       const auto slots = src.vec<std::int32_t>(lp + ".parent").size();
       boxes.push_back({lp + ".box", std::vector<char>(slots * cube_bytes, '\xa5')});
@@ -1346,10 +1337,9 @@ TEST(Persist, QuadtreeRowWithDisagreeingLinksFailsInvariants) {
   const auto path = churned_quadtree_snapshot("skip_quadtree2", net_o).path;
   persist::reader src(path, persist::restore_mode::load);
   auto rows = src.vec<entry>("q.lv1.quads");
-  const auto alive = src.vec<std::uint8_t>("q.lv1.alive");
-  const auto live = std::find(alive.begin(), alive.end(), std::uint8_t{1});
-  ASSERT_NE(live, alive.end());
-  const auto slot = static_cast<std::size_t>(live - alive.begin());
+  const auto free = src.vec<std::int32_t>("q.lv1.free");  // a slot is live unless freed
+  std::size_t slot = 0;
+  while (std::find(free.begin(), free.end(), static_cast<std::int32_t>(slot)) != free.end()) ++slot;
   entry& e = rows.at(slot * core::quad_levels<2>::fanout + 2);
   ASSERT_GE(e.down, 0);
   e.down += 1;
@@ -1363,20 +1353,25 @@ TEST(Persist, QuadtreeRowWithDisagreeingLinksFailsInvariants) {
   }
 }
 
-// A point entry carries its point's coordinates beside the point's slot, and
-// the walks compare against the entry alone, so the two copies must agree.
-// check_invariants() finds an entry whose coordinates differ from its
-// "q.pts" record, in a map-restored twin that reads the file in place.
+// A point entry carries its point's coordinates beside the point's slot, one
+// entry per level, and the walks compare against the entry alone, so every
+// level's copies must agree. check_invariants() finds a ground entry whose
+// coordinates differ from the point's entries at the other levels, in a
+// map-restored twin that reads the file in place.
 TEST(Persist, QuadtreeRowWithStaleCoordinatesFailsInvariants) {
   using entry = core::quad_levels<2>::entry;
   network net_o(1);
   const auto path = churned_quadtree_snapshot("skip_quadtree2", net_o).path;
   persist::reader src(path, persist::restore_mode::load);
   auto rows = src.vec<entry>("q.lv0.quads");
-  const auto alive = src.vec<std::uint8_t>("q.lv0.alive");
+  const auto free = src.vec<std::int32_t>("q.lv0.free");  // a row is live unless freed
+  const auto live = [&](std::size_t i) {
+    const auto slot = static_cast<std::int32_t>(i / core::quad_levels<2>::fanout);
+    return std::find(free.begin(), free.end(), slot) == free.end();
+  };
   entry* stale = nullptr;
   for (std::size_t i = 0; i < rows.size() && stale == nullptr; ++i) {
-    if (rows[i].point >= 0 && alive.at(i / core::quad_levels<2>::fanout) != 0) stale = &rows[i];
+    if (rows[i].point >= 0 && live(i)) stale = &rows[i];
   }
   ASSERT_NE(stale, nullptr);
   ASSERT_EQ(stale->level, seq::coord_bits);
@@ -1548,11 +1543,16 @@ TEST(Persist, RetiredLayoutsRejected) {
        tower.path,
        false,
        skipweb1d_sections(false),
-       {{"lists.next", "lists.fwd"},
-        {"lists.prev", "lists.bwd"},
-        {"lists.next_rep", "lists.fwd_rep"},
-        {"lists.prev_rep", "lists.bwd_rep"}},
+       {{"lists.next", "lists.fwd"}, {"lists.prev", "lists.bwd"}},
        "lists.next"},
+      // The shape words as the six-word meta that also held the stride and
+      // the alive count, beside stored successor lists.
+      {"lists meta with successor pools",
+       tower.path,
+       false,
+       skipweb1d_sections(false),
+       {{"lists.shape", "lists.meta"}},
+       "lists.shape"},
       {"bucket file without a policy word", bucket.path, false, no_policy, {}, "impl.policy"},
       {"ground directory as tree rows",
        quadtree.path,
@@ -1569,7 +1569,13 @@ TEST(Persist, RetiredLayoutsRejected) {
       {"child rows without their down links", quadtree.path, true, quadtree_names,
        rows_as(".child"), "q.lv0.quads"},
       {"point entries without their coordinates", quadtree.path, true, quadtree_names,
-       rows_as(".rows"), "q.lv0.quads"}};
+       rows_as(".rows"), "q.lv0.quads"},
+      // The level count as "q.meta" beside the live-point count, and the
+      // replication as "impl.meta" beside a second level count.
+      {"quadtree meta with live counts", quadtree.path, true, quadtree_names,
+       {{"q.levels", "q.meta"}}, "q.levels"},
+      {"quadtree impl meta", quadtree.path, true, quadtree_names,
+       {{"impl.replication", "impl.meta"}}, "impl.replication"}};
   for (const auto& c : cases) {
     const auto bad = snap_path("retired");
     rename_sections(c.from, bad, c.names, c.renames);
@@ -1582,6 +1588,150 @@ TEST(Persist, RetiredLayoutsRejected) {
                   std::string::npos)
             << c.what << ": " << e.what();
       }
+    }
+  }
+}
+
+// Every section a native file holds is one the restore reads: a section
+// nothing reads is a second copy of something or a word nobody uses. Each
+// layout's section list counts exactly the file's sections, and a copy
+// missing any one of them fails to restore, in both modes.
+TEST(Persist, EverySavedSectionIsRead) {
+  struct saved_layout {
+    std::string what, path;
+    bool spatial;
+    std::vector<std::string> names;
+  };
+  std::vector<saved_layout> layouts;
+  rng r(5858);
+  const auto keys = wl::uniform_keys(400, r);
+  const auto base = api::index_options{}.seed(21).initial_hosts(8);
+  const std::vector<std::tuple<std::string, std::string, api::index_options>> one_d = {
+      {"skipweb1d tower k=0", "skipweb1d", base},
+      {"skipweb1d tower k=2", "skipweb1d", api::index_options(base).replication(2)},
+      {"skipweb1d balanced", "skipweb1d",
+       api::index_options(base).placement(api::placement_policy::balanced)},
+      {"bucket_skipweb", "bucket_skipweb", api::index_options(base).bucket_size(8)}};
+  for (const auto& [what, backend, opts] : one_d) {
+    network net(1);
+    const auto idx = api::make_index(backend, keys, opts, net);
+    const auto path = snap_path("every_" + std::to_string(layouts.size()));
+    api::save_index_snapshot(*idx, path);
+    layouts.push_back({what, path, false, skipweb1d_sections(backend == "bucket_skipweb")});
+  }
+  for (const auto& [backend, k] : {std::pair<std::string, std::size_t>{"skip_quadtree2", 0},
+                                   std::pair<std::string, std::size_t>{"skip_quadtree3", 1}}) {
+    network net(1);
+    const auto pts = wl::spatial_points(api::spatial_backend_dims(backend), 300, true, r);
+    const auto idx = api::make_spatial_index(
+        backend, pts, api::index_options{}.seed(22).initial_hosts(16).replication(k), net);
+    const auto path = snap_path("every_" + std::to_string(layouts.size()));
+    api::save_spatial_snapshot(*idx, path);
+    layouts.push_back({backend + " k=" + std::to_string(k), path, true,
+                       quadtree_sections(quadtree_levels(path))});
+  }
+  for (const auto& l : layouts) {
+    SCOPED_TRACE(l.what);
+    const auto bytes = file_bytes(l.path);
+    persist::file_header hdr;
+    ASSERT_GE(bytes.size(), sizeof(hdr));
+    std::memcpy(&hdr, bytes.data(), sizeof(hdr));
+    EXPECT_EQ(hdr.section_count, l.names.size());
+    const auto bad = snap_path("missing_one");
+    for (const auto& name : l.names) {
+      auto rest = l.names;
+      std::erase(rest, name);
+      rewrite_sections(l.path, bad, rest, {});  // fails if the file lacks `name`
+      for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+        EXPECT_THROW(restore_file(bad, mode, l.spatial), persist::error) << "without " << name;
+      }
+    }
+  }
+}
+
+// An insert pops its slot from the restored free list and writes through it
+// at once, so a restore checks every entry, in O(list length): each must be
+// a slot of its arena, and a 1-D slot must be dead, or the insert would
+// overwrite a live item. A list longer than its arena, and a quadtree whose
+// ground root is on level 0's free list, are rejected too. Every case fails
+// in both modes; the unbroken copies restore and take an insert.
+TEST(Persist, HostileFreeListsRejected) {
+  // The next pop takes the last entry; a list with none gets one.
+  const auto with_next = [](auto list, auto slot) {
+    if (list.empty()) {
+      list.push_back(slot);
+    } else {
+      list.back() = slot;
+    }
+    return list;
+  };
+
+  network net_o(1);
+  std::vector<std::uint64_t> keys;
+  const auto lists = churned_snapshot("skipweb1d", api::index_options{}.seed(18).initial_hosts(8),
+                                      net_o, keys);
+  const persist::reader rd(lists.path, persist::restore_mode::load);
+  const auto free = rd.vec<int>("lists.free");
+  const auto alive = rd.vec<std::uint8_t>("lists.alive");
+  const auto arena = static_cast<int>(alive.size());
+  const auto live = static_cast<int>(std::find(alive.begin(), alive.end(), 1) - alive.begin());
+  ASSERT_LT(live, arena);
+  const auto ok = snap_path("ok");
+  rewrite_sections(lists.path, ok, skipweb1d_sections(false), {});
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    const auto twin = api::restore_index(ok, mode, net);
+    twin->insert(keys[540], h(0));
+    EXPECT_EQ(twin->size(), lists.idx->size() + 1);
+  }
+  const std::vector<std::pair<std::string, std::vector<int>>> hostile_1d = {
+      {"slot 2^28", with_next(free, 1 << 28)},
+      {"slot at the arena size", with_next(free, arena)},
+      {"slot -5", with_next(free, -5)},
+      {"live slot", with_next(free, live)},
+      {"longer than the arena",
+       std::vector<int>(static_cast<std::size_t>(arena) + 1, free.empty() ? 0 : free[0])}};
+  for (const auto& [what, list] : hostile_1d) {
+    const auto bad = snap_path("bad");
+    rewrite_sections(lists.path, bad, skipweb1d_sections(false), {section_of("lists.free", list)});
+    expect_index_rejected(bad, what);
+  }
+
+  network net_q(1);
+  const auto quadtree = churned_quadtree_snapshot("skip_quadtree2", net_q);
+  const persist::reader qd(quadtree.path, persist::restore_mode::load);
+  const auto pfree = qd.vec<int>("q.pfree");
+  const auto points = static_cast<int>(qd.vec<util::membership_bits>("q.pbits").size());
+  const auto free0 = qd.vec<std::int32_t>("q.lv0.free");
+  const auto free1 = qd.vec<std::int32_t>("q.lv1.free");
+  const auto slots1 = static_cast<std::int32_t>(qd.vec<std::int32_t>("q.lv1.parent").size());
+  const persist::flat_table<core::quad_levels<2>::tree_ref> dir0(qd, "q.lv0.dir");
+  const auto* ground = dir0.find(0);
+  ASSERT_NE(ground, nullptr);
+  const auto qok = snap_path("qok");
+  rewrite_quadtree(quadtree.path, qok, {});
+  rng pr(5959);
+  const auto fresh = wl::spatial_probe(2, pr);
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    const auto twin = api::restore_spatial_index(qok, mode, net);
+    twin->insert(fresh, h(0));
+    EXPECT_EQ(twin->size(), quadtree.idx->size() + 1);
+  }
+  const std::vector<std::pair<std::string, section_bytes>> hostile_quadtree = {
+      {"point slot 2^28", section_of("q.pfree", with_next(pfree, 1 << 28))},
+      {"point slot at the arena size", section_of("q.pfree", with_next(pfree, points))},
+      {"point slot -1", section_of("q.pfree", with_next(pfree, -1))},
+      {"level-0 node slot 2^28", section_of("q.lv0.free", with_next(free0, 1 << 28))},
+      {"level-1 node slot at the arena size", section_of("q.lv1.free", with_next(free1, slots1))},
+      {"level-1 node slot -2", section_of("q.lv1.free", with_next(free1, -2))},
+      {"ground root on the free list", section_of("q.lv0.free", with_next(free0, ground->root))}};
+  for (const auto& [what, replaced] : hostile_quadtree) {
+    const auto bad = snap_path("bad");
+    rewrite_quadtree(quadtree.path, bad, {replaced});
+    for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+      network net(1);
+      EXPECT_THROW((void)api::restore_spatial_index(bad, mode, net), persist::error) << what;
     }
   }
 }
